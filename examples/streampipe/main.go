@@ -105,8 +105,8 @@ func main() {
 	rp := accessunit.NewRandomPort(mem, fetch, 0, stats, meter)
 	core0, err := be.NewEngine(backend.LaunchSpec{
 		Def: def0, Trips: n,
-		In:     map[int]*accessunit.InPort{0: inPort},
-		Out:    map[int]*accessunit.OutPort{1: {Buf: chSrc}},
+		In:     []*accessunit.InPort{inPort, nil},
+		Out:    []*accessunit.OutPort{nil, {Buf: chSrc}},
 		Random: rp, GHz: 2, Width: 1, Meter: meter,
 	})
 	if err != nil {
@@ -114,8 +114,8 @@ func main() {
 	}
 	core1, err := be.NewEngine(backend.LaunchSpec{
 		Def: def1, Trips: -1,
-		In:     map[int]*accessunit.InPort{0: chPort},
-		Out:    map[int]*accessunit.OutPort{1: {Buf: bufOut}},
+		In:     []*accessunit.InPort{chPort, nil},
+		Out:    []*accessunit.OutPort{nil, {Buf: bufOut}},
 		Random: rp, GHz: 2, Width: 1, Meter: meter,
 	})
 	if err != nil {

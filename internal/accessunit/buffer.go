@@ -41,10 +41,28 @@ type Buffer struct {
 // NewBuffer creates a buffer holding capElems elements, metering SRAM
 // energy into m (may be nil).
 func NewBuffer(capElems int, m *energy.Meter) (*Buffer, error) {
-	if capElems <= 0 {
-		return nil, fmt.Errorf("accessunit: buffer capacity %d", capElems)
+	b := &Buffer{}
+	if err := b.Reset(capElems, m); err != nil {
+		return nil, err
 	}
-	return &Buffer{cap: capElems, data: make([]float64, capElems), meter: m}, nil
+	return b, nil
+}
+
+// Reset returns b to the state NewBuffer(capElems, m) would build: empty,
+// open, no readers, zeroed counters and no occupancy histogram. The
+// element storage is kept when it is large enough, so a simulator can
+// recycle one launch's buffers for the next. Stale element values are
+// unobservable: a slot is only read after a Push has rewritten it.
+func (b *Buffer) Reset(capElems int, m *energy.Meter) error {
+	if capElems <= 0 {
+		return fmt.Errorf("accessunit: buffer capacity %d", capElems)
+	}
+	data := b.data
+	if cap(data) < capElems {
+		data = make([]float64, capElems)
+	}
+	*b = Buffer{cap: capElems, data: data[:capElems], readers: b.readers[:0], meter: m}
+	return nil
 }
 
 // Cap returns the capacity in elements.

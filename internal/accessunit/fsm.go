@@ -42,11 +42,16 @@ type Fetcher interface {
 }
 
 // pendingLine is one in-flight line fetch: values already read functionally,
-// delivered into the buffer at arrival time in issue order.
+// delivered into the buffer at arrival time in issue order. vals keeps its
+// backing array across reuse of the slot; vals[next:] are undelivered.
 type pendingLine struct {
 	arrival int64
 	vals    []float64
+	next    int
 }
+
+// left returns the number of undelivered values.
+func (p *pendingLine) left() int { return len(p.vals) - p.next }
 
 // maxInflight is the access unit's outstanding line-fetch capacity (its
 // MSHR analog): enough to cover L3 latency at one element per cycle.
@@ -68,12 +73,17 @@ type StreamIn struct {
 	start, stride, length int64 // elements
 	elemBytes             int64
 
-	issued   int64 // elements whose fetch was issued
-	pending  []pendingLine
-	lastLine int64
-	closed   bool
-	stats    *Stats
-	meter    *energy.Meter
+	issued int64 // elements whose fetch was issued
+	// pending is a ring of in-flight line fetches in issue order: npend
+	// lines starting at slot phead. Each slot's value storage is reused by
+	// the next line issued into it, so steady-state streaming does not
+	// allocate.
+	pending      [maxInflight]pendingLine
+	phead, npend int
+	lastLine     int64
+	closed       bool
+	stats        *Stats
+	meter        *energy.Meter
 
 	// Trace, when enabled, records one span per issued line fetch and an
 	// instant at end-of-stream close. Set after construction (the zero value
@@ -94,11 +104,24 @@ func NewStreamIn(buf *Buffer, mem Memory, fetch Fetcher, cluster int, obj string
 	if stride == 0 && length > 1 {
 		return nil, fmt.Errorf("accessunit: zero stride stream of length %d on %q", length, obj)
 	}
-	return &StreamIn{
+	f := &StreamIn{
 		buf: buf, mem: mem, fetch: fetch, cluster: cluster, obj: obj,
 		start: start, stride: stride, length: length, elemBytes: int64(eb),
 		lastLine: -1, stats: stats, meter: meter,
-	}, nil
+	}
+	// Each pending slot holds at most one line's elements: issueLine never
+	// crosses a line, so one backing array sized up front serves every slot
+	// for the stream's lifetime.
+	per := int64(fetch.LineBytes()) / f.elemBytes
+	if per < 1 {
+		per = 1
+	}
+	vals := make([]float64, maxInflight*per)
+	for i := range f.pending {
+		lo := int64(i) * per
+		f.pending[i].vals = vals[lo : lo : lo+per]
+	}
+	return f, nil
 }
 
 // Done reports stream completion (all elements delivered, buffer closed).
@@ -109,36 +132,38 @@ func (f *StreamIn) Step(now int64) bool {
 	progress := false
 	// Deliver arrived lines in issue order.
 	pushed := 0
-	for len(f.pending) > 0 && f.pending[0].arrival <= now && pushed < pushesPerCycle {
-		head := &f.pending[0]
-		for len(head.vals) > 0 && f.buf.CanPush() && pushed < pushesPerCycle {
-			f.buf.Push(head.vals[0])
-			head.vals = head.vals[1:]
+	for f.npend > 0 && f.pending[f.phead].arrival <= now && pushed < pushesPerCycle {
+		head := &f.pending[f.phead]
+		for head.next < len(head.vals) && f.buf.CanPush() && pushed < pushesPerCycle {
+			f.buf.Push(head.vals[head.next])
+			head.next++
 			pushed++
 			progress = true
 		}
-		if len(head.vals) == 0 {
-			f.pending = f.pending[1:]
-		} else {
+		if head.left() > 0 {
 			break
 		}
+		f.phead = (f.phead + 1) % maxInflight
+		f.npend--
 	}
 	// Anything still in flight counts as progress (a timer is running).
-	if len(f.pending) > 0 && f.pending[0].arrival > now {
+	if f.npend > 0 && f.pending[f.phead].arrival > now {
 		progress = true
 	}
 	// Issue the next line fetch when there is buffer headroom.
-	if f.issued < f.length && len(f.pending) < maxInflight && f.headroom() > 0 {
+	if f.issued < f.length && f.npend < maxInflight && f.headroom() > 0 {
 		if f.issueLine(now) {
 			progress = true
 		}
 	}
 	// Close at end of stream.
-	if !f.closed && f.issued >= f.length && len(f.pending) == 0 {
+	if !f.closed && f.issued >= f.length && f.npend == 0 {
 		f.buf.Close()
 		f.closed = true
 		progress = true
-		f.Trace.Instant("close", now, trace.KV{K: "obj", V: f.obj}, trace.KV{K: "elems", V: f.issued})
+		if f.Trace.Enabled() {
+			f.Trace.Instant("close", now, trace.KV{K: "obj", V: f.obj}, trace.KV{K: "elems", V: f.issued})
+		}
 	}
 	return progress
 }
@@ -151,17 +176,17 @@ func (f *StreamIn) NextEvent(now int64) int64 {
 	if f.closed {
 		return 0
 	}
-	if len(f.pending) > 0 && f.pending[0].arrival <= now && f.buf.CanPush() {
+	if f.npend > 0 && f.pending[f.phead].arrival <= now && f.buf.CanPush() {
 		return 0 // arrived line, buffer space: deliver now
 	}
-	if f.issued < f.length && len(f.pending) < maxInflight && f.headroom() > 0 {
+	if f.issued < f.length && f.npend < maxInflight && f.headroom() > 0 {
 		return 0 // can issue the next line fetch now
 	}
-	if f.issued >= f.length && len(f.pending) == 0 {
+	if f.issued >= f.length && f.npend == 0 {
 		return 0 // end of stream: close now
 	}
-	if len(f.pending) > 0 && f.pending[0].arrival > now {
-		return f.pending[0].arrival // line in flight
+	if f.npend > 0 && f.pending[f.phead].arrival > now {
+		return f.pending[f.phead].arrival // line in flight
 	}
 	return engine.Never // full buffer: blocked on the consumer
 }
@@ -170,8 +195,8 @@ func (f *StreamIn) NextEvent(now int64) int64 {
 // fill FSM throttles on back-pressure (§V-B).
 func (f *StreamIn) headroom() int64 {
 	inflight := int64(0)
-	for _, p := range f.pending {
-		inflight += int64(len(p.vals))
+	for i := 0; i < f.npend; i++ {
+		inflight += int64(f.pending[(f.phead+i)%maxInflight].left())
 	}
 	return int64(f.buf.Cap()) - f.buf.Occupancy() - inflight
 }
@@ -181,14 +206,8 @@ func (f *StreamIn) headroom() int64 {
 // reuse; new lines cost a D-A line transfer.
 func (f *StreamIn) issueLine(now int64) bool {
 	lineBytes := int64(f.fetch.LineBytes())
-	// Pre-size for the most elements one line can carry: the append loop
-	// below never crosses a line, so this avoids the grow-and-copy churn a
-	// nil slice pays per issued line (profile-visible across the repro).
-	capElems := lineBytes / f.elemBytes
-	if capElems < 1 {
-		capElems = 1
-	}
-	vals := make([]float64, 0, capElems)
+	slot := &f.pending[(f.phead+f.npend)%maxInflight]
+	vals := slot.vals[:0]
 	var issueLat int
 	newLine := false
 	for f.issued < f.length {
@@ -206,7 +225,9 @@ func (f *StreamIn) issueLine(now int64) bool {
 			f.stats.DABytes += lineBytes
 			f.lastLine = line
 			newLine = true
-			f.Trace.Span("fill", now, int64(issueLat), trace.KV{K: "obj", V: f.obj})
+			if f.Trace.Enabled() {
+				f.Trace.Span("fill", now, int64(issueLat), trace.KV{K: "obj", V: f.obj})
+			}
 			f.LatHist.Observe(float64(issueLat))
 		} else if len(vals) == 0 && !newLine {
 			// Element served from the already-fetched line: pure reuse
@@ -229,7 +250,8 @@ func (f *StreamIn) issueLine(now int64) bool {
 	if f.meter != nil {
 		f.meter.Add(energy.CatAccel, f.meter.Table.TranslatePJ)
 	}
-	f.pending = append(f.pending, pendingLine{arrival: now + int64(issueLat), vals: vals})
+	slot.arrival, slot.vals, slot.next = now+int64(issueLat), vals, 0
+	f.npend++
 	return true
 }
 
@@ -288,7 +310,9 @@ func (f *StreamOut) Step(now int64) bool {
 	}
 	if f.buf.Drained(f.reader) {
 		f.closed = true
-		f.Trace.Instant("close", now, trace.KV{K: "obj", V: f.obj}, trace.KV{K: "elems", V: f.drained})
+		if f.Trace.Enabled() {
+			f.Trace.Instant("close", now, trace.KV{K: "obj", V: f.obj}, trace.KV{K: "elems", V: f.drained})
+		}
 		return true
 	}
 	if !f.buf.CanPop(f.reader) {
@@ -314,7 +338,9 @@ func (f *StreamOut) Step(now int64) bool {
 		if f.meter != nil {
 			f.meter.Add(energy.CatAccel, f.meter.Table.TranslatePJ)
 		}
-		f.Trace.Span("drain", now, f.busyUntil-now, trace.KV{K: "obj", V: f.obj})
+		if f.Trace.Enabled() {
+			f.Trace.Span("drain", now, f.busyUntil-now, trace.KV{K: "obj", V: f.obj})
+		}
 		f.LatHist.Observe(float64(lat))
 	}
 	f.drained++

@@ -52,26 +52,47 @@ type WireRecv interface {
 	Pop()
 }
 
-// LocalWire joins two link halves registered in the same engine: a plain
-// FIFO the receiver drains by timestamp. It is the serial (and
-// intra-shard) wire.
+// LocalWire joins two link halves registered in the same engine: a FIFO
+// the receiver drains by timestamp. It is the serial (and intra-shard)
+// wire, and the inbox of a cross-shard one.
+//
+// The queue is head-indexed: Pop advances head instead of reslicing, so
+// the backing array keeps its capacity and steady-state traffic does not
+// allocate. The dead prefix q[:head] is reclaimed when the queue drains,
+// or by an in-place compaction when Send finds the array full and at
+// least half of it dead. Each compaction copies at most as many messages
+// as were popped since the last one, so the cost stays amortized O(1) per
+// message even for a deep queue that never drains.
 type LocalWire struct {
-	q []LinkMsg
+	q    []LinkMsg
+	head int
 }
 
 // Send appends a message.
-func (w *LocalWire) Send(m LinkMsg) { w.q = append(w.q, m) }
+func (w *LocalWire) Send(m LinkMsg) {
+	if len(w.q) == cap(w.q) && w.head > 0 && 2*w.head >= len(w.q) {
+		n := copy(w.q, w.q[w.head:])
+		w.q = w.q[:n]
+		w.head = 0
+	}
+	w.q = append(w.q, m)
+}
 
 // Head returns the earliest message, if any.
 func (w *LocalWire) Head() (LinkMsg, bool) {
-	if len(w.q) == 0 {
+	if w.head == len(w.q) {
 		return LinkMsg{}, false
 	}
-	return w.q[0], true
+	return w.q[w.head], true
 }
 
 // Pop consumes the head message.
-func (w *LocalWire) Pop() { w.q = w.q[1:] }
+func (w *LocalWire) Pop() {
+	w.head++
+	if w.head == len(w.q) {
+		w.q, w.head = w.q[:0], 0
+	}
+}
 
 // linkCredits bounds elements in flight per channel: the sender's initial
 // credit grant (clamped to the consumer buffer's capacity). Large enough
@@ -106,11 +127,17 @@ type LinkTx struct {
 // capacity (the credit clamp); out carries elements and close, credits
 // carries returns.
 func NewLinkTx(src *Buffer, mesh *noc.Mesh, srcNode, dstNode, elemBytes, dstCap int, out WireSend, credits WireRecv, stats *Stats) *LinkTx {
+	l := &LinkTx{}
+	l.init(src, mesh, srcNode, dstNode, elemBytes, dstCap, out, credits, stats)
+	return l
+}
+
+func (l *LinkTx) init(src *Buffer, mesh *noc.Mesh, srcNode, dstNode, elemBytes, dstCap int, out WireSend, credits WireRecv, stats *Stats) {
 	avail := linkCredits
 	if dstCap < avail {
 		avail = dstCap
 	}
-	return &LinkTx{
+	*l = LinkTx{
 		src: src, srcReader: src.AttachReader(0), mesh: mesh,
 		srcNode: srcNode, dstNode: dstNode, elemBytes: elemBytes,
 		out: out, credits: credits, avail: avail, stats: stats,
@@ -293,11 +320,24 @@ func (l *LinkRx) returnCredits(now int64, n int) {
 	l.credits.Send(LinkMsg{At: at, Kind: LinkCredit, Val: float64(n)})
 }
 
+// localLink co-allocates the halves and wires of a serial link.
+type localLink struct {
+	tx        LinkTx
+	rx        LinkRx
+	fwd, back LocalWire
+}
+
 // NewLocalLink wires a Tx/Rx pair over LocalWires — the serial form used
-// when both halves run in one engine.
+// when both halves run in one engine. Credits bound what each wire holds
+// at once (the initial grant plus end-of-stream forward, one return per
+// creditBatch deliveries back); twice that bound leaves room for the
+// dead prefix LocalWire compacts away, so the wires never grow.
 func NewLocalLink(src, dst *Buffer, mesh *noc.Mesh, srcNode, dstNode, elemBytes int, stats *Stats) (*LinkTx, *LinkRx) {
-	fwd, back := &LocalWire{}, &LocalWire{}
-	tx := NewLinkTx(src, mesh, srcNode, dstNode, elemBytes, dst.Cap(), fwd, back, stats)
-	rx := NewLinkRx(dst, mesh, srcNode, dstNode, fwd, back)
-	return tx, rx
+	l := &localLink{}
+	l.tx.init(src, mesh, srcNode, dstNode, elemBytes, dst.Cap(), &l.fwd, &l.back, stats)
+	l.rx = LinkRx{dst: dst, mesh: mesh, srcNode: srcNode, dstNode: dstNode, in: &l.fwd, credits: &l.back}
+	fwdCap := 2 * (l.tx.avail + 1)
+	q := make([]LinkMsg, fwdCap+2*(l.tx.avail/creditBatch+1))
+	l.fwd.q, l.back.q = q[:0:fwdCap], q[fwdCap:fwdCap]
+	return &l.tx, &l.rx
 }

@@ -94,9 +94,11 @@ type LaunchSpec struct {
 	Def   *core.AccelDef
 	Trips int64 // orchestrator count; < 0 selects while-input
 
-	// In / Out are the request/response stream endpoints by access id.
-	In  map[int]*accessunit.InPort
-	Out map[int]*accessunit.OutPort
+	// In / Out are the request/response stream endpoints indexed by access
+	// id; unwired accesses hold nil (see accessunit.PortsByID). The engine
+	// may keep the slices for its lifetime.
+	In  []*accessunit.InPort
+	Out []*accessunit.OutPort
 	// Random serves cp_read / cp_write accesses (nil when the program has
 	// none).
 	Random *accessunit.RandomPort
@@ -107,6 +109,43 @@ type LaunchSpec struct {
 	Meter   *energy.Meter  // energy accounting (may be nil)
 	Metrics *trace.Metrics // latency histograms (nil-safe handle)
 	Opts    Options        // backend-scoped configuration
+
+	// Memo is the run's store for launch-invariant derivations (nil: none).
+	Memo *Memo
+}
+
+// Memo holds what a backend derives from an accelerator definition alone —
+// the CGRA modulo schedule, for example — so that a run launching one
+// definition thousands of times derives it once. A simulator run owns one
+// Memo and passes it with every launch; entries die with the run. Keying
+// by *core.AccelDef is therefore safe: within one run a definition pointer
+// always names the same definition, which a process-wide cache could not
+// promise once a freed definition's address is reused. Keys must be
+// comparable; a backend wraps the definition pointer in a key type of its
+// own so backends never collide. Memo is not safe for concurrent use: a
+// run assembles its launches serially. A nil *Memo stores nothing.
+type Memo struct {
+	m map[any]any
+}
+
+// Load returns the value stored under key.
+func (c *Memo) Load(key any) (any, bool) {
+	if c == nil {
+		return nil, false
+	}
+	v, ok := c.m[key]
+	return v, ok
+}
+
+// Store sets the value for key.
+func (c *Memo) Store(key, v any) {
+	if c == nil {
+		return
+	}
+	if c.m == nil {
+		c.m = map[any]any{}
+	}
+	c.m[key] = v
 }
 
 // Engine is one running accelerator instance: a clocked component with the

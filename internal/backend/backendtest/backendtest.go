@@ -69,8 +69,8 @@ func newFixture(t *testing.T, be backend.Backend, opts backend.Options,
 	}
 	e, err := be.NewEngine(backend.LaunchSpec{
 		Def: copyDef(n, trips < 0), Trips: trips,
-		In:  map[int]*accessunit.InPort{0: accessunit.NewInPort(inBuf, 0)},
-		Out: map[int]*accessunit.OutPort{1: {Buf: outBuf}},
+		In:  []*accessunit.InPort{accessunit.NewInPort(inBuf, 0), nil},
+		Out: []*accessunit.OutPort{nil, {Buf: outBuf}},
 		GHz: 1, Width: width, Meter: meter, Opts: opts,
 	})
 	if err != nil {
@@ -158,8 +158,8 @@ func Conformance(t *testing.T, name string, opts ...backend.Option) {
 		outBuf, _ := accessunit.NewBuffer(16, meter)
 		_, err := be.NewEngine(backend.LaunchSpec{
 			Def: copyDef(4, false), Trips: 4,
-			In:  map[int]*accessunit.InPort{0: accessunit.NewInPort(inBuf, 0)},
-			Out: map[int]*accessunit.OutPort{1: {Buf: outBuf}},
+			In:  []*accessunit.InPort{accessunit.NewInPort(inBuf, 0), nil},
+			Out: []*accessunit.OutPort{nil, {Buf: outBuf}},
 			GHz: 1, Width: caps.MaxPortWidth + 1, Meter: meter, Opts: o,
 		})
 		if err == nil {

@@ -9,6 +9,7 @@ import (
 
 	"distda/internal/backend"
 	"distda/internal/cgra"
+	"distda/internal/core"
 	"distda/internal/engine"
 	"distda/internal/profile"
 	"distda/internal/trace"
@@ -59,13 +60,38 @@ func (cgraBackend) NewEngine(spec backend.LaunchSpec) (backend.Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	f, err := cgra.NewFabric(spec.Def, grid, spec.Trips, spec.In, spec.Out, spec.Random,
+	plan, err := planFor(spec, grid)
+	if err != nil {
+		return nil, err
+	}
+	f, err := cgra.NewFabric(plan, spec.Trips, spec.In, spec.Out, spec.Random,
 		int64(engine.Div(spec.GHz)), spec.Meter)
 	if err != nil {
 		return nil, err
 	}
 	f.IterHist = spec.Metrics.Histogram("cgra/iter_lat")
 	return &cgraEngine{f: f, id: spec.Def.ID}, nil
+}
+
+// planKey is the memo key of a definition's fabric plan. A single-pointer
+// struct converts to an interface without allocating. The grid is not
+// part of the key: within one run a definition always launches on the
+// same backend with the same options.
+type planKey struct{ def *core.AccelDef }
+
+// planFor returns the definition's fabric plan on grid, mapping it only on
+// the first launch of the run.
+func planFor(spec backend.LaunchSpec, grid cgra.GridConfig) (*cgra.Plan, error) {
+	key := planKey{spec.Def}
+	if v, ok := spec.Memo.Load(key); ok {
+		return v.(*cgra.Plan), nil
+	}
+	p, err := cgra.NewPlan(spec.Def, grid)
+	if err != nil {
+		return nil, err
+	}
+	spec.Memo.Store(key, p)
+	return p, nil
 }
 
 // cgraEngine adapts *cgra.Fabric to the backend.Engine contract.

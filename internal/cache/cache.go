@@ -31,11 +31,14 @@ type line struct {
 	used  uint64 // LRU timestamp
 }
 
-// Level is a set-associative write-back, write-allocate cache array.
+// Level is a set-associative write-back, write-allocate cache array. The
+// lines of all sets live in one contiguous slice, set s occupying
+// data[s*ways : (s+1)*ways].
 type Level struct {
 	cfg   LevelConfig
 	sets  int
-	data  [][]line
+	ways  int
+	data  []line
 	clock uint64
 	meter *energy.Meter
 
@@ -56,12 +59,11 @@ func NewLevel(cfg LevelConfig, m *energy.Meter) (*Level, error) {
 	if sets <= 0 || sets&(sets-1) != 0 {
 		return nil, fmt.Errorf("cache: level %q: set count %d is not a positive power of two", cfg.Name, sets)
 	}
-	l := &Level{cfg: cfg, sets: sets, data: make([][]line, sets), meter: m}
-	for i := range l.data {
-		l.data[i] = make([]line, cfg.Ways)
-	}
-	return l, nil
+	return &Level{cfg: cfg, sets: sets, ways: cfg.Ways, data: make([]line, sets*cfg.Ways), meter: m}, nil
 }
+
+// set returns the ways of set s.
+func (l *Level) set(s int) []line { return l.data[s*l.ways : (s+1)*l.ways] }
 
 // SetMeter redirects the level's energy accounting to a different meter.
 // The sharded launch path points a shard's claimed L3 slices at the shard's
@@ -84,8 +86,9 @@ func (l *Level) energy() {
 // filtering). It does not update LRU state.
 func (l *Level) Lookup(addr int64) bool {
 	set, tag := l.index(addr)
-	for i := range l.data[set] {
-		if l.data[set][i].valid && l.data[set][i].tag == tag {
+	ways := l.set(set)
+	for i := range ways {
+		if ways[i].valid && ways[i].tag == tag {
 			return true
 		}
 	}
@@ -99,8 +102,9 @@ func (l *Level) Access(addr int64, write bool) (hit bool) {
 	l.energy()
 	l.clock++
 	set, tag := l.index(addr)
-	for i := range l.data[set] {
-		ln := &l.data[set][i]
+	ways := l.set(set)
+	for i := range ways {
+		ln := &ways[i]
 		if ln.valid && ln.tag == tag {
 			ln.used = l.clock
 			if write {
@@ -119,9 +123,10 @@ func (l *Level) Access(addr int64, write bool) (hit bool) {
 func (l *Level) Insert(addr int64, dirty bool) (evicted int64, evictedDirty, didEvict bool) {
 	l.clock++
 	set, tag := l.index(addr)
+	ways := l.set(set)
 	victim := 0
-	for i := range l.data[set] {
-		ln := &l.data[set][i]
+	for i := range ways {
+		ln := &ways[i]
 		if ln.valid && ln.tag == tag { // already present (race with prefetch)
 			ln.used = l.clock
 			ln.dirty = ln.dirty || dirty
@@ -129,11 +134,11 @@ func (l *Level) Insert(addr int64, dirty bool) (evicted int64, evictedDirty, did
 		}
 		if !ln.valid {
 			victim = i
-		} else if l.data[set][victim].valid && ln.used < l.data[set][victim].used {
+		} else if ways[victim].valid && ln.used < ways[victim].used {
 			victim = i
 		}
 	}
-	v := &l.data[set][victim]
+	v := &ways[victim]
 	if v.valid {
 		evicted = v.tag * int64(l.cfg.LineBytes)
 		evictedDirty = v.dirty
@@ -152,20 +157,18 @@ func (l *Level) Insert(addr int64, dirty bool) (evicted int64, evictedDirty, did
 // software-managed coherence flush before offload (§IV-D).
 func (l *Level) InvalidateRange(base, bytes int64) (dropped, dirty int) {
 	end := base + bytes
-	for s := range l.data {
-		for i := range l.data[s] {
-			ln := &l.data[s][i]
-			if !ln.valid {
-				continue
+	for i := range l.data {
+		ln := &l.data[i]
+		if !ln.valid {
+			continue
+		}
+		addr := ln.tag * int64(l.cfg.LineBytes)
+		if addr+int64(l.cfg.LineBytes) > base && addr < end {
+			dropped++
+			if ln.dirty {
+				dirty++
 			}
-			addr := ln.tag * int64(l.cfg.LineBytes)
-			if addr+int64(l.cfg.LineBytes) > base && addr < end {
-				dropped++
-				if ln.dirty {
-					dirty++
-				}
-				ln.valid = false
-			}
+			ln.valid = false
 		}
 	}
 	return dropped, dirty

@@ -147,9 +147,9 @@ func fabricDoubler(t *testing.T, n int) (*engine.Engine, *Fabric, *memfake.Mem) 
 		Program: microcode.Program{cons, mul, prod},
 		Trip:    core.TripSpec{Kind: core.TripCounted, Count: ir.C(float64(n))},
 	}
-	f, err := NewFabric(def, Grid5x5(), int64(n),
-		map[int]*accessunit.InPort{0: inPort},
-		map[int]*accessunit.OutPort{1: {Buf: bufOut}},
+	f, err := planFabric(def, Grid5x5(), int64(n),
+		[]*accessunit.InPort{inPort, nil},
+		[]*accessunit.OutPort{nil, {Buf: bufOut}},
 		accessunit.NewRandomPort(mem, fetch, 0, stats, meter),
 		int64(engine.Div(1)), meter)
 	if err != nil {
@@ -209,8 +209,8 @@ func TestFabricReduction(t *testing.T) {
 		Program: microcode.Program{cons, add},
 		Trip:    core.TripSpec{Kind: core.TripCounted, Count: ir.C(n)},
 	}
-	f, err := NewFabric(def, Grid5x5(), n,
-		map[int]*accessunit.InPort{0: in}, nil,
+	f, err := planFabric(def, Grid5x5(), n,
+		[]*accessunit.InPort{in}, nil,
 		accessunit.NewRandomPort(mem, fetch, 0, stats, nil),
 		int64(engine.Div(1)), nil)
 	if err != nil {
@@ -248,7 +248,7 @@ func TestFabricWhileInputTerminates(t *testing.T) {
 		Program: microcode.Program{cons, add},
 		Trip:    core.TripSpec{Kind: core.TripWhileInput, InputAccess: 0},
 	}
-	f, err := NewFabric(def, Grid5x5(), -1, map[int]*accessunit.InPort{0: in}, nil, nil,
+	f, err := planFabric(def, Grid5x5(), -1, []*accessunit.InPort{in}, nil, nil,
 		int64(engine.Div(1)), nil)
 	if err != nil {
 		t.Fatal(err)
@@ -275,9 +275,69 @@ func TestFabricUnwiredConsumeRejected(t *testing.T) {
 		Program:  microcode.Program{cons},
 		Trip:     core.TripSpec{Kind: core.TripCounted, Count: ir.C(1)},
 	}
-	if _, err := NewFabric(def, Grid5x5(), 1, nil, nil, nil, 6, nil); err == nil {
+	if _, err := planFabric(def, Grid5x5(), 1, nil, nil, nil, 6, nil); err == nil {
 		t.Fatal("unwired consume accepted")
 	}
+}
+
+// TestFabricSteadyStateAllocFree: once the pipeline has filled, Step and
+// startIteration reuse each flight's storage and allocate nothing.
+func TestFabricSteadyStateAllocFree(t *testing.T) {
+	in, _ := accessunit.NewBuffer(16, nil)
+	out, _ := accessunit.NewBuffer(16, nil)
+	inPort := accessunit.NewInPort(in, 0)
+	outRd := out.AttachReader(0)
+	cons := op(microcode.Consume)
+	cons.Dst, cons.Access = 1, 0
+	mul := op(microcode.ALUI)
+	mul.Dst, mul.A, mul.Bin, mul.Imm = 2, 1, ir.Mul, 2
+	prod := op(microcode.Produce)
+	prod.A, prod.Access = 2, 1
+	def := &core.AccelDef{
+		ID: 0,
+		Accesses: []core.AccessDecl{
+			{ID: 0, Kind: core.ChanIn, ElemBytes: 8},
+			{ID: 1, Kind: core.ChanOut, ElemBytes: 8},
+		},
+		Program: microcode.Program{cons, mul, prod},
+		Trip:    core.TripSpec{Kind: core.TripCounted, Count: ir.C(1 << 20)},
+	}
+	div := int64(engine.Div(1))
+	f, err := planFabric(def, Grid5x5(), 1<<20, []*accessunit.InPort{inPort, nil},
+		[]*accessunit.OutPort{nil, {Buf: out}}, nil, div, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	now := int64(0)
+	edge := func() {
+		for in.CanPush() {
+			in.Push(1)
+		}
+		f.Step(now)
+		for out.CanPop(outRd) {
+			out.Pop(outRd)
+		}
+		now += div
+	}
+	for i := 0; i < 64; i++ {
+		edge()
+	}
+	if f.Iters == 0 {
+		t.Fatal("fabric never initiated")
+	}
+	if n := testing.AllocsPerRun(1000, edge); n != 0 {
+		t.Fatalf("Fabric.Step allocates %.2f times per edge", n)
+	}
+}
+
+// planFabric maps def onto g and builds its fabric (NewPlan + NewFabric).
+func planFabric(def *core.AccelDef, g GridConfig, trips int64, in []*accessunit.InPort, out []*accessunit.OutPort,
+	rp *accessunit.RandomPort, div int64, meter *energy.Meter) (*Fabric, error) {
+	p, err := NewPlan(def, g)
+	if err != nil {
+		return nil, err
+	}
+	return NewFabric(p, trips, in, out, rp, div, meter)
 }
 
 func TestFabricPipelinesFasterThanSerial(t *testing.T) {

@@ -80,7 +80,7 @@ func TestIOAndFabricComputeIdentically(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		f, err := NewFabric(def, Grid8x8(), trips, nil, nil, nil, int64(engine.Div(1)), nil)
+		f, err := planFabric(def, Grid8x8(), trips, nil, nil, nil, int64(engine.Div(1)), nil)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}

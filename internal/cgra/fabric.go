@@ -17,12 +17,12 @@ import (
 // available, complete Depth cycles later, and deliver their produced
 // operands in order.
 type Fabric struct {
-	def     *core.AccelDef
-	prog    microcode.Program
-	mapping Mapping
-	regs    [microcode.NumRegs]float64
-	trips   int64 // -1: while-input
-	iter    int64
+	def   *core.AccelDef
+	prog  microcode.Program
+	plan  *Plan
+	regs  [microcode.NumRegs]float64
+	trips int64 // -1: while-input
+	iter  int64
 
 	// inputs / outputs are indexed by access id: core.Validate guarantees
 	// the ids are dense (0..n-1), so a slice index replaces the map lookup
@@ -38,14 +38,13 @@ type Fabric struct {
 	div int64 // fabric clock divisor (base cycles per fabric cycle)
 
 	nextStart int64
-	inflight  []flight
-	// consumes lists each consumed input access and its consumes per
-	// iteration, in ascending access order (a slice instead of a map keeps
-	// the per-initiation operand scan cheap and its order deterministic).
-	consumes []consumeReq
-	nprod    int // produce ops per iteration: pre-sizes each flight's outs
-	lastNow  int64
-	done     bool
+	// inflight is a ring of initiated iterations in completion order:
+	// nfl flights starting at slot flHead. A slot keeps its outs storage
+	// when it is recycled, so a steady pipeline does not allocate.
+	inflight    []flight
+	flHead, nfl int
+	lastNow     int64
+	done        bool
 
 	// Counters.
 	Ops   int64
@@ -61,9 +60,42 @@ type Fabric struct {
 	IterHist *trace.Hist
 }
 
+// flight is one initiated iteration; outs[next:] are its undelivered
+// produced operands.
 type flight struct {
 	ready int64
 	outs  []outVal
+	next  int
+}
+
+// head returns the oldest in-flight iteration (nfl > 0).
+func (f *Fabric) head() *flight { return &f.inflight[f.flHead] }
+
+// pushFlight appends a slot to the ring, doubling it when full, and
+// returns it with its outs storage emptied for reuse.
+func (f *Fabric) pushFlight() *flight {
+	if f.nfl == len(f.inflight) {
+		grown := make([]flight, 2*len(f.inflight)+1)
+		for i := 0; i < f.nfl; i++ {
+			grown[i] = f.inflight[(f.flHead+i)%len(f.inflight)]
+		}
+		f.inflight, f.flHead = grown, 0
+	}
+	fl := &f.inflight[(f.flHead+f.nfl)%len(f.inflight)]
+	f.nfl++
+	fl.outs, fl.next = fl.outs[:0], 0
+	return fl
+}
+
+// popFlight retires the oldest in-flight iteration.
+func (f *Fabric) popFlight() {
+	f.flHead = (f.flHead + 1) % len(f.inflight)
+	f.nfl--
+}
+
+// tail returns the newest in-flight iteration (nfl > 0).
+func (f *Fabric) tail() *flight {
+	return &f.inflight[(f.flHead+f.nfl-1)%len(f.inflight)]
 }
 
 type outVal struct {
@@ -77,20 +109,33 @@ type consumeReq struct {
 	n      int64 // operands consumed per iteration
 }
 
-// NewFabric maps def's program onto g and returns the executor. trips < 0
-// selects while-input orchestration.
-func NewFabric(def *core.AccelDef, g GridConfig, trips int64,
-	inputs map[int]*accessunit.InPort, outputs map[int]*accessunit.OutPort,
-	random *accessunit.RandomPort, div int64, meter *energy.Meter) (*Fabric, error) {
+// Plan is the launch-invariant part of a fabric: an accelerator
+// definition's modulo schedule on one grid and the per-iteration operand
+// demands of its program. Computing it is the expensive part of fabric
+// construction (Map's dependence analysis is cubic in the program length),
+// so a caller launching the same definition repeatedly builds the plan
+// once and passes it to every NewFabric. A Plan is read-only and may be
+// shared by concurrent fabrics.
+type Plan struct {
+	def *core.AccelDef
+	// Mapping is the modulo schedule.
+	Mapping Mapping
+	// consumes lists each consumed input access and its consumes per
+	// iteration, in ascending access order (a slice instead of a map keeps
+	// the per-initiation operand scan cheap and its order deterministic).
+	consumes []consumeReq
+	nprod    int // produce ops per iteration: pre-sizes each flight's outs
+}
+
+// NewPlan maps def's program onto g.
+func NewPlan(def *core.AccelDef, g GridConfig) (*Plan, error) {
 	m, err := Map(def.Program, g)
 	if err != nil {
 		return nil, fmt.Errorf("cgra: accel %d (%s): %w", def.ID, def.Name, err)
 	}
-	if div <= 0 {
-		return nil, fmt.Errorf("cgra: invalid clock divisor %d", div)
-	}
 	n := len(def.Accesses)
 	cnt := make([]int64, n)
+	p := &Plan{def: def, Mapping: m}
 	for oi := range def.Program {
 		op := &def.Program[oi]
 		switch op.Code {
@@ -100,42 +145,59 @@ func NewFabric(def *core.AccelDef, g GridConfig, trips int64,
 			}
 			if op.Code == microcode.Consume {
 				cnt[op.Access]++
+			} else {
+				p.nprod++
 			}
 		}
 	}
-	nprod := 0
-	for oi := range def.Program {
-		if def.Program[oi].Code == microcode.Produce {
-			nprod++
+	for acc, c := range cnt {
+		if c > 0 {
+			p.consumes = append(p.consumes, consumeReq{access: acc, n: c})
+		}
+	}
+	return p, nil
+}
+
+// NewFabric returns the executor of plan's definition. trips < 0 selects
+// while-input orchestration. inputs and outputs are indexed by access id
+// (see accessunit.PortsByID); a full-length slice is used in place, so the
+// caller must not rewire it while the fabric runs.
+func NewFabric(plan *Plan, trips int64, inputs []*accessunit.InPort, outputs []*accessunit.OutPort,
+	random *accessunit.RandomPort, div int64, meter *energy.Meter) (*Fabric, error) {
+	def := plan.def
+	if div <= 0 {
+		return nil, fmt.Errorf("cgra: invalid clock divisor %d", div)
+	}
+	n := len(def.Accesses)
+	in, err := accessunit.PortsByID(inputs, n)
+	if err != nil {
+		return nil, fmt.Errorf("cgra: accel %d: input %w", def.ID, err)
+	}
+	out, err := accessunit.PortsByID(outputs, n)
+	if err != nil {
+		return nil, fmt.Errorf("cgra: accel %d: output %w", def.ID, err)
+	}
+	for _, cr := range plan.consumes {
+		if in[cr.access] == nil {
+			return nil, fmt.Errorf("cgra: accel %d: access %d consumed but not wired", def.ID, cr.access)
 		}
 	}
 	f := &Fabric{
-		def: def, prog: def.Program, mapping: m, trips: trips,
-		inputs:  make([]*accessunit.InPort, n),
-		outputs: make([]*accessunit.OutPort, n),
-		random:  random,
-		div:     div, meter: meter, nprod: nprod,
+		def: def, prog: def.Program, plan: plan, trips: trips,
+		inputs: in, outputs: out, random: random, div: div, meter: meter,
 	}
-	for id, p := range inputs {
-		if id < 0 || id >= n {
-			return nil, fmt.Errorf("cgra: accel %d: input access id %d out of range [0,%d)", def.ID, id, n)
+	// Without memory stalls at most ceil(Depth/II) iterations are in flight,
+	// plus one whose delivery is still draining: size the ring (and every
+	// slot's operand storage, in one array) for that so it seldom grows.
+	m := plan.Mapping
+	slots := (m.Depth+m.II-1)/m.II + 1
+	f.inflight = make([]flight, slots)
+	if plan.nprod > 0 {
+		outs := make([]outVal, slots*plan.nprod)
+		for i := range f.inflight {
+			lo := i * plan.nprod
+			f.inflight[i].outs = outs[lo : lo : lo+plan.nprod]
 		}
-		f.inputs[id] = p
-	}
-	for id, p := range outputs {
-		if id < 0 || id >= n {
-			return nil, fmt.Errorf("cgra: accel %d: output access id %d out of range [0,%d)", def.ID, id, n)
-		}
-		f.outputs[id] = p
-	}
-	for acc, c := range cnt {
-		if c == 0 {
-			continue
-		}
-		if f.inputs[acc] == nil {
-			return nil, fmt.Errorf("cgra: accel %d: access %d consumed but not wired", def.ID, acc)
-		}
-		f.consumes = append(f.consumes, consumeReq{access: acc, n: c})
 	}
 	if trips < 0 {
 		if t := def.Trip.InputAccess; t >= 0 && t < n {
@@ -146,7 +208,7 @@ func NewFabric(def *core.AccelDef, g GridConfig, trips int64,
 }
 
 // Mapping returns the modulo schedule chosen for this fabric.
-func (f *Fabric) Mapping() Mapping { return f.mapping }
+func (f *Fabric) Mapping() Mapping { return f.plan.Mapping }
 
 // BusyBaseCycles returns the fabric's pipelined-initiation time in engine
 // base cycles (one initiation per iteration at the fabric clock) — a
@@ -197,8 +259,10 @@ func (f *Fabric) finish() {
 		}
 	}
 	f.done = true
-	f.Trace.Instant("done", f.lastNow, trace.KV{K: "accel", V: int64(f.def.ID)},
-		trace.KV{K: "iters", V: f.Iters}, trace.KV{K: "ops", V: f.Ops})
+	if f.Trace.Enabled() {
+		f.Trace.Instant("done", f.lastNow, trace.KV{K: "accel", V: int64(f.def.ID)},
+			trace.KV{K: "iters", V: f.Iters}, trace.KV{K: "ops", V: f.Ops})
+	}
 }
 
 // Step advances one fabric clock edge.
@@ -209,30 +273,30 @@ func (f *Fabric) Step(now int64) bool {
 	f.lastNow = now
 	progress := false
 	// Deliver the oldest completed iteration's outputs, in order.
-	for len(f.inflight) > 0 && f.inflight[0].ready <= now {
-		head := &f.inflight[0]
-		for len(head.outs) > 0 {
-			out := head.outs[0]
+	for f.nfl > 0 && f.head().ready <= now {
+		head := f.head()
+		for head.next < len(head.outs) {
+			out := head.outs[head.next]
 			p := f.outputs[out.access]
 			if !p.Buf.CanPush() {
 				break
 			}
 			p.Buf.Push(out.v)
-			head.outs = head.outs[1:]
+			head.next++
 			progress = true
 		}
-		if len(head.outs) > 0 {
+		if head.next < len(head.outs) {
 			break // back-pressure: hold delivery order
 		}
-		f.inflight = f.inflight[1:]
+		f.popFlight()
 		progress = true
 	}
-	if len(f.inflight) > 0 && f.inflight[0].ready > now {
+	if f.nfl > 0 && f.head().ready > now {
 		progress = true // pipeline timer running
 	}
 	// Completion check.
 	if f.trips >= 0 && f.iter >= f.trips {
-		if len(f.inflight) == 0 {
+		if f.nfl == 0 {
 			f.finish()
 			return true
 		}
@@ -243,7 +307,7 @@ func (f *Fabric) Step(now int64) bool {
 		if p == nil {
 			panic(fmt.Sprintf("cgra: accel %d: while-input access not wired", f.def.ID))
 		}
-		if p.Buf.Drained(p.Reader) && len(f.inflight) == 0 {
+		if p.Buf.Drained(p.Reader) && f.nfl == 0 {
 			f.finish()
 			return true
 		}
@@ -252,7 +316,7 @@ func (f *Fabric) Step(now int64) bool {
 	if now < f.nextStart {
 		return true
 	}
-	for _, cr := range f.consumes {
+	for _, cr := range f.plan.consumes {
 		p := f.inputs[cr.access]
 		if p.Buf.Level(p.Reader) < cr.n {
 			if p.Buf.Drained(p.Reader) && f.trips < 0 {
@@ -276,11 +340,11 @@ func (f *Fabric) NextEvent(now int64) int64 {
 		return 0
 	}
 	lb := engine.Never
-	if len(f.inflight) > 0 {
-		head := &f.inflight[0]
+	if f.nfl > 0 {
+		head := f.head()
 		if head.ready > now {
 			lb = head.ready // pipeline timer: delivery matures then
-		} else if len(head.outs) == 0 || f.outputs[head.outs[0].access].Buf.CanPush() {
+		} else if head.next == len(head.outs) || f.outputs[head.outs[head.next].access].Buf.CanPush() {
 			return 0 // can deliver (or pop the completed flight) now
 		}
 		// else: delivery blocked on the consumer; initiation may still go.
@@ -303,7 +367,7 @@ func (f *Fabric) NextEvent(now int64) int64 {
 		}
 		return lb
 	}
-	for _, cr := range f.consumes {
+	for _, cr := range f.plan.consumes {
 		p := f.inputs[cr.access]
 		if p.Buf.Level(p.Reader) < cr.n {
 			return lb // waiting on operands (or drained: caught above next edge)
@@ -315,10 +379,17 @@ func (f *Fabric) NextEvent(now int64) int64 {
 // startIteration functionally executes one iteration and schedules its
 // completion Depth fabric cycles (plus random-access latency) later.
 func (f *Fabric) startIteration(now int64) {
-	var outs []outVal
-	if f.nprod > 0 {
-		outs = make([]outVal, 0, f.nprod)
+	// The in-order completion clamp reads the previous tail before the new
+	// slot is pushed.
+	prevReady := int64(-1)
+	if f.nfl > 0 {
+		prevReady = f.tail().ready
 	}
+	fl := f.pushFlight()
+	if fl.outs == nil && f.plan.nprod > 0 {
+		fl.outs = make([]outVal, 0, f.plan.nprod)
+	}
+	outs := fl.outs
 	extraLat := int64(0)
 	for oi := range f.prog {
 		op := &f.prog[oi]
@@ -371,19 +442,19 @@ func (f *Fabric) startIteration(now int64) {
 			panic(fmt.Sprintf("cgra: accel %d: bad opcode %v", f.def.ID, op.Code))
 		}
 	}
-	ready := now + int64(f.mapping.Depth)*f.div + extraLat
-	if n := len(f.inflight); n > 0 && ready < f.inflight[n-1].ready {
-		ready = f.inflight[n-1].ready // in-order completion
+	ready := now + int64(f.plan.Mapping.Depth)*f.div + extraLat
+	if ready < prevReady {
+		ready = prevReady // in-order completion
 	}
-	if extraLat > 0 {
+	if extraLat > 0 && f.Trace.Enabled() {
 		f.Trace.Span("mem-stall", now, extraLat, trace.KV{K: "accel", V: int64(f.def.ID)})
 	}
 	f.IterHist.Observe(float64(ready - now))
-	f.inflight = append(f.inflight, flight{ready: ready, outs: outs})
-	if f.mapping.MemSerial {
+	fl.ready, fl.outs = ready, outs
+	if f.plan.Mapping.MemSerial {
 		f.nextStart = ready // pointer chase: no iteration overlap
 	} else {
-		f.nextStart = now + int64(f.mapping.II)*f.div
+		f.nextStart = now + int64(f.plan.Mapping.II)*f.div
 	}
 	f.iter++
 	f.Iters++

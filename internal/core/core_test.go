@@ -116,7 +116,7 @@ func TestAccelAccessLookup(t *testing.T) {
 func TestPlanBuffersChannelsGetOwnBuffers(t *testing.T) {
 	r := pipelineRegion()
 	a0 := r.Accels[0]
-	streams := map[int]EvaledStream{0: {Start: 0, Stride: 1, Length: 64}}
+	streams := []EvaledStream{0: {Start: 0, Stride: 1, Length: 64}}
 	plan, err := PlanBuffers(a0, streams, 512, true)
 	if err != nil {
 		t.Fatal(err)
@@ -148,7 +148,7 @@ func combiningAccel() *AccelDef {
 
 func TestPlanBuffersCombinesNearbyAccessors(t *testing.T) {
 	a := combiningAccel()
-	streams := map[int]EvaledStream{
+	streams := []EvaledStream{
 		0: {Start: 0, Stride: 1}, 1: {Start: 1, Stride: 1},
 		2: {Start: 2, Stride: 1}, 3: {Start: 10000, Stride: 1},
 	}
@@ -169,7 +169,7 @@ func TestPlanBuffersCombinesNearbyAccessors(t *testing.T) {
 
 func TestPlanBuffersCombiningDisabled(t *testing.T) {
 	a := combiningAccel()
-	streams := map[int]EvaledStream{
+	streams := []EvaledStream{
 		0: {Start: 0, Stride: 1}, 1: {Start: 1, Stride: 1},
 		2: {Start: 2, Stride: 1}, 3: {Start: 3, Stride: 1},
 	}
@@ -184,7 +184,7 @@ func TestPlanBuffersCombiningDisabled(t *testing.T) {
 
 func TestPlanBuffersDifferentStridesNotCombined(t *testing.T) {
 	a := combiningAccel()
-	streams := map[int]EvaledStream{
+	streams := []EvaledStream{
 		0: {Start: 0, Stride: 1}, 1: {Start: 1, Stride: 2},
 		2: {Start: 2, Stride: 1}, 3: {Start: 3, Stride: 2},
 	}

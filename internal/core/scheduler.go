@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // EvaledStream is a stream access's configuration after the host evaluates
@@ -23,81 +24,120 @@ type BufferAlloc struct {
 }
 
 // BufferPlan is the per-launch buffer allocation table entry set (Fig. 2b):
-// the access-id → buf-id mapping for one accelerator context.
+// the access-id → buf-id mapping for one accelerator context. A plan is
+// reusable: Plan recomputes it in place, recycling its storage, so a
+// simulator planning thousands of launches allocates only while the plan
+// grows to the largest accelerator it has seen.
 type BufferPlan struct {
-	Buffers  []BufferAlloc
-	ByAccess map[int]int
+	Buffers []BufferAlloc
+	// ByAccess maps an access id to its buffer; -1 for accesses without
+	// one (random-access ports).
+	ByAccess []int
+
+	ids     []int  // backing store of every BufferAlloc.Accesses
+	grouped []bool // per access position: already placed in a stream group
 }
 
-// PlanBuffers implements the hardware scheduler's allocation-time reuse
-// detection (§IV-C "Reuse"): stream accessors on the same object with the
-// same stride whose access distance is a (runtime) constant within the
+// PlanBuffers returns a fresh plan for one launch (see BufferPlan.Plan).
+func PlanBuffers(a *AccelDef, streams []EvaledStream, combineWindow int64, combining bool) (*BufferPlan, error) {
+	plan := &BufferPlan{}
+	if err := plan.Plan(a, streams, combineWindow, combining); err != nil {
+		return nil, err
+	}
+	return plan, nil
+}
+
+// Plan implements the hardware scheduler's allocation-time reuse detection
+// (§IV-C "Reuse"): stream accessors on the same object with the same
+// stride whose access distance is a (runtime) constant within the
 // buffer-overflow limit are combined onto a single buffer; everything else
-// gets its own buffer. combineWindow is the limit in elements; combining
-// can be disabled for ablation.
-func PlanBuffers(a *AccelDef, streams map[int]EvaledStream, combineWindow int64, combining bool) (*BufferPlan, error) {
-	plan := &BufferPlan{ByAccess: map[int]int{}}
-	newBuf := func(obj string, accesses ...int) {
-		id := len(plan.Buffers)
-		plan.Buffers = append(plan.Buffers, BufferAlloc{Buf: id, Accesses: accesses, Obj: obj})
+// gets its own buffer. streams holds the evaluated stream configurations
+// indexed by access id. combineWindow is the limit in elements; combining
+// can be disabled for ablation. The previous contents of p, including the
+// Accesses slices it handed out, are overwritten.
+func (p *BufferPlan) Plan(a *AccelDef, streams []EvaledStream, combineWindow int64, combining bool) error {
+	n := len(a.Accesses)
+	p.Buffers = p.Buffers[:0]
+	p.ByAccess = resize(p.ByAccess, n)
+	for i := range p.ByAccess {
+		p.ByAccess[i] = -1
+	}
+	p.grouped = resize(p.grouped, n)
+	clear(p.grouped)
+	// Every access lands in at most one buffer, so n slots hold them all
+	// and the slices handed out below never move.
+	if cap(p.ids) < n {
+		p.ids = make([]int, 0, n)
+	}
+	ids := p.ids[:0]
+	newBuf := func(obj string, accesses []int) {
+		id := len(p.Buffers)
+		p.Buffers = append(p.Buffers, BufferAlloc{Buf: id, Accesses: accesses, Obj: obj})
 		for _, acc := range accesses {
-			plan.ByAccess[acc] = id
+			p.ByAccess[acc] = id
 		}
 	}
 
-	// Group stream accessors by (object, direction, stride).
-	type groupKey struct {
-		obj    string
-		kind   AccessKind
-		stride int64
-	}
-	groups := map[groupKey][]int{}
-	var groupOrder []groupKey
 	for _, acc := range a.Accesses {
 		switch acc.Kind {
 		case ChanIn, ChanOut:
-			newBuf("", acc.ID)
+			ids = append(ids, acc.ID)
+			newBuf("", ids[len(ids)-1:])
 		case StreamIn, StreamOut:
-			ev, ok := streams[acc.ID]
-			if !ok {
-				return nil, fmt.Errorf("core: PlanBuffers: accel %d access %d: missing evaluated stream config", a.ID, acc.ID)
+			if acc.ID < 0 || acc.ID >= len(streams) {
+				return fmt.Errorf("core: PlanBuffers: accel %d access %d: missing evaluated stream config", a.ID, acc.ID)
 			}
-			k := groupKey{obj: acc.Obj, kind: acc.Kind, stride: ev.Stride}
-			if _, seen := groups[k]; !seen {
-				groupOrder = append(groupOrder, k)
-			}
-			groups[k] = append(groups[k], acc.ID)
 		}
 	}
-	for _, k := range groupOrder {
-		ids := groups[k]
+	// Group stream accessors by (object, direction, stride), groups in
+	// order of first appearance, members in access order.
+	for i, acc := range a.Accesses {
+		if (acc.Kind != StreamIn && acc.Kind != StreamOut) || p.grouped[i] {
+			continue
+		}
+		stride := streams[acc.ID].Stride
+		lo := len(ids)
+		for j := i; j < n; j++ {
+			o := &a.Accesses[j]
+			if o.Kind == acc.Kind && o.Obj == acc.Obj && streams[o.ID].Stride == stride {
+				ids = append(ids, o.ID)
+				p.grouped[j] = true
+			}
+		}
+		group := ids[lo:len(ids):len(ids)]
 		// Only read streams with positive stride are combinable: a shared
 		// window buffer has one fill FSM and per-accessor read pointers.
-		if !combining || len(ids) == 1 || k.kind != StreamIn || k.stride <= 0 {
-			for _, id := range ids {
-				newBuf(k.obj, id)
+		if !combining || len(group) == 1 || acc.Kind != StreamIn || stride <= 0 {
+			for k := range group {
+				newBuf(acc.Obj, group[k:k+1:k+1])
 			}
 			continue
 		}
 		// Combine ids whose start distance is a whole number of strides
 		// within the window (case 1 of Fig. 2d); non-overlapping accessors
 		// are distributed (case 2).
-		sort.Slice(ids, func(i, j int) bool { return streams[ids[i]].Start < streams[ids[j]].Start })
-		cur := []int{ids[0]}
-		base := streams[ids[0]].Start
-		for _, id := range ids[1:] {
-			d := streams[id].Start - base
-			if d <= combineWindow && d%k.stride == 0 {
-				cur = append(cur, id)
-			} else {
-				newBuf(k.obj, cur...)
-				cur = []int{id}
-				base = streams[id].Start
+		slices.SortFunc(group, func(x, y int) int { return cmp.Compare(streams[x].Start, streams[y].Start) })
+		cur := 0
+		base := streams[group[0]].Start
+		for k := 1; k < len(group); k++ {
+			d := streams[group[k]].Start - base
+			if d > combineWindow || d%stride != 0 {
+				newBuf(acc.Obj, group[cur:k:k])
+				cur, base = k, streams[group[k]].Start
 			}
 		}
-		newBuf(k.obj, cur...)
+		newBuf(acc.Obj, group[cur:])
 	}
-	return plan, nil
+	p.ids = ids
+	return nil
+}
+
+// resize returns s with length n, reallocating only when it is too short.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // AllocationTable is the scheduler's per-context record of buffer grants

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -15,11 +16,12 @@ import (
 func TestPlanBuffersProperties(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	objs := []string{"A", "B", "C"}
+	var reused BufferPlan
 	f := func(nRaw, windowRaw uint8, combining bool) bool {
 		n := 1 + int(nRaw%12)
 		window := int64(1 + windowRaw%100)
 		def := &AccelDef{ID: 0, Trip: TripSpec{Kind: TripCounted, Count: ir.C(8)}}
-		streams := map[int]EvaledStream{}
+		streams := make([]EvaledStream, n)
 		for i := 0; i < n; i++ {
 			kind := StreamIn
 			if rng.Intn(4) == 0 {
@@ -37,6 +39,14 @@ func TestPlanBuffersProperties(t *testing.T) {
 		}
 		plan, err := PlanBuffers(def, streams, window, combining)
 		if err != nil {
+			return false
+		}
+		// Re-planning into a plan that served earlier, differently shaped
+		// launches must give exactly the fresh plan.
+		if err := reused.Plan(def, streams, window, combining); err != nil {
+			return false
+		}
+		if !reflect.DeepEqual(reused.Buffers, plan.Buffers) || !reflect.DeepEqual(reused.ByAccess, plan.ByAccess) {
 			return false
 		}
 		seen := map[int]int{}

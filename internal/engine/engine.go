@@ -159,6 +159,9 @@ type Engine struct {
 	byDiv  map[int64]*ring
 	seen   map[Component]bool
 	nextID int
+	// ents holds every entry allocated so far; the first nextID are in
+	// use. Reset rewinds nextID so a reused engine recycles them.
+	ents   []*entry
 	live   int   // registered components not yet removed as done
 	maxDiv int64 // max divisor ever registered (hoisted from the run loop)
 	now    int64
@@ -257,7 +260,11 @@ func (e *Engine) Add(c Component, ghz int) {
 		copy(e.rings[at+1:], e.rings[at:])
 		e.rings[at] = r
 	}
-	ent := &entry{c: c, div: div, id: e.nextID}
+	if e.nextID == len(e.ents) {
+		e.ents = append(e.ents, &entry{})
+	}
+	ent := e.ents[e.nextID]
+	*ent = entry{c: c, div: div, id: e.nextID}
 	e.nextID++
 	if h, ok := c.(Hinter); ok {
 		ent.hint = h
@@ -267,6 +274,30 @@ func (e *Engine) Add(c Component, ghz int) {
 	if div > e.maxDiv {
 		e.maxDiv = div
 	}
+}
+
+// Reset returns the engine to the state New leaves it in — no components,
+// clock at zero, fast-forward counters and trace scope cleared — while
+// keeping its rings, registration set and entry storage for reuse, so a
+// simulator can drive many short launches through one engine without
+// reallocating the scheduler. Mode and CollectFF are configuration and
+// survive. It panics when called during Run.
+func (e *Engine) Reset() {
+	if e.running {
+		panic("engine: Reset called during Run")
+	}
+	for _, r := range e.rings {
+		clear(r.ents)
+		r.ents, r.hot = r.ents[:0], 0
+	}
+	for _, ent := range e.ents[:e.nextID] {
+		*ent = entry{}
+	}
+	clear(e.seen)
+	e.nextID, e.live, e.maxDiv, e.now = 0, 0, 1, 0
+	e.claimEpoch, e.parkWake = 0, 0
+	e.Trace = trace.Scope{}
+	e.FFJumps, e.FFSkipped = 0, 0
 }
 
 // Now returns the current base cycle.

@@ -71,31 +71,26 @@ type Core struct {
 }
 
 // New builds a core for def. trips < 0 selects while-input orchestration
-// watching def.Trip.InputAccess.
-func New(def *core.AccelDef, trips int64, inputs map[int]*accessunit.InPort, outputs map[int]*accessunit.OutPort,
+// watching def.Trip.InputAccess. inputs and outputs are indexed by access
+// id (see accessunit.PortsByID); a full-length slice is used in place, so
+// the caller must not rewire it while the core runs.
+func New(def *core.AccelDef, trips int64, inputs []*accessunit.InPort, outputs []*accessunit.OutPort,
 	random *accessunit.RandomPort, meter *energy.Meter) (*Core, error) {
 	if err := def.Program.Validate(len(def.Accesses)); err != nil {
 		return nil, err
 	}
 	n := len(def.Accesses)
+	in, err := accessunit.PortsByID(inputs, n)
+	if err != nil {
+		return nil, fmt.Errorf("iocore: accel %d: input %w", def.ID, err)
+	}
+	out, err := accessunit.PortsByID(outputs, n)
+	if err != nil {
+		return nil, fmt.Errorf("iocore: accel %d: output %w", def.ID, err)
+	}
 	c := &Core{
 		def: def, prog: def.Program, trips: trips,
-		inputs: make([]*accessunit.InPort, n),
-		output: make([]*accessunit.OutPort, n),
-		random: random,
-		meter:  meter,
-	}
-	for id, p := range inputs {
-		if id < 0 || id >= n {
-			return nil, fmt.Errorf("iocore: accel %d: input access id %d out of range [0,%d)", def.ID, id, n)
-		}
-		c.inputs[id] = p
-	}
-	for id, p := range outputs {
-		if id < 0 || id >= n {
-			return nil, fmt.Errorf("iocore: accel %d: output access id %d out of range [0,%d)", def.ID, id, n)
-		}
-		c.output[id] = p
+		inputs: in, output: out, random: random, meter: meter,
 	}
 	if trips < 0 {
 		if t := def.Trip.InputAccess; t >= 0 && t < n {
@@ -154,8 +149,10 @@ func (c *Core) finish() {
 		}
 	}
 	c.done = true
-	c.Trace.Instant("done", c.lastNow, trace.KV{K: "accel", V: int64(c.def.ID)},
-		trace.KV{K: "iters", V: c.Iters}, trace.KV{K: "ops", V: c.Ops})
+	if c.Trace.Enabled() {
+		c.Trace.Instant("done", c.lastNow, trace.KV{K: "accel", V: int64(c.def.ID)},
+			trace.KV{K: "iters", V: c.Iters}, trace.KV{K: "ops", V: c.Ops})
+	}
 }
 
 func (c *Core) retire(class ir.OpClass) {
@@ -248,7 +245,9 @@ func (c *Core) setStall(now, lat int64) {
 		c.StallCyc += (lat - 1) / c.ClockDiv
 	}
 	if lat > 0 {
-		c.Trace.Span("stall", now, lat, trace.KV{K: "accel", V: int64(c.def.ID)})
+		if c.Trace.Enabled() {
+			c.Trace.Span("stall", now, lat, trace.KV{K: "accel", V: int64(c.def.ID)})
+		}
 		c.StallHist.Observe(float64(lat))
 	}
 }

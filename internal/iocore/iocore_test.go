@@ -57,8 +57,8 @@ func doubler(t *testing.T, n int) (*engine.Engine, *Core, *memfake.Mem) {
 		Trip:    core.TripSpec{Kind: core.TripCounted, Count: ir.C(float64(n))},
 	}
 	c, err := New(def, int64(n),
-		map[int]*accessunit.InPort{0: inPort},
-		map[int]*accessunit.OutPort{1: {Buf: bufOut}},
+		[]*accessunit.InPort{inPort},
+		[]*accessunit.OutPort{nil, {Buf: bufOut}},
 		accessunit.NewRandomPort(mem, fetch, 0, stats, meter), meter)
 	if err != nil {
 		t.Fatal(err)
@@ -151,13 +151,13 @@ func TestTwoCorePipelineOverLink(t *testing.T) {
 		Program: c1ops, Trip: core.TripSpec{Kind: core.TripWhileInput, InputAccess: 0},
 	}
 	rp := accessunit.NewRandomPort(mem, fetch, 0, stats, meter)
-	core0, err := New(def0, n, map[int]*accessunit.InPort{0: inA},
-		map[int]*accessunit.OutPort{1: {Buf: chSrc}}, rp, meter)
+	core0, err := New(def0, n, []*accessunit.InPort{inA},
+		[]*accessunit.OutPort{nil, {Buf: chSrc}}, rp, meter)
 	if err != nil {
 		t.Fatal(err)
 	}
-	core1, err := New(def1, -1, map[int]*accessunit.InPort{0: chIn},
-		map[int]*accessunit.OutPort{1: {Buf: bufB}}, rp, meter)
+	core1, err := New(def1, -1, []*accessunit.InPort{chIn},
+		[]*accessunit.OutPort{nil, {Buf: bufB}}, rp, meter)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func TestCoreReductionReadBack(t *testing.T) {
 		Program: microcode.Program{cons, add},
 		Trip:    core.TripSpec{Kind: core.TripCounted, Count: ir.C(n)},
 	}
-	c, err := New(def, n, map[int]*accessunit.InPort{0: in}, nil,
+	c, err := New(def, n, []*accessunit.InPort{in}, nil,
 		accessunit.NewRandomPort(mem, fetch, 0, stats, nil), nil)
 	if err != nil {
 		t.Fatal(err)
@@ -255,7 +255,7 @@ func TestCorePredicatedRandomStore(t *testing.T) {
 		Program: microcode.Program{cons, cmp, it, st},
 		Trip:    core.TripSpec{Kind: core.TripCounted, Count: ir.C(4)},
 	}
-	c, err := New(def, 4, map[int]*accessunit.InPort{0: in}, nil,
+	c, err := New(def, 4, []*accessunit.InPort{in}, nil,
 		accessunit.NewRandomPort(mem, fetch, 0, stats, nil), nil)
 	if err != nil {
 		t.Fatal(err)
@@ -287,7 +287,7 @@ func TestDeadlockDetected(t *testing.T) {
 		Program: microcode.Program{cons},
 		Trip:    core.TripSpec{Kind: core.TripCounted, Count: ir.C(4)},
 	}
-	c, err := New(def, 4, map[int]*accessunit.InPort{0: in}, nil, nil, nil)
+	c, err := New(def, 4, []*accessunit.InPort{in}, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

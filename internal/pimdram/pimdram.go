@@ -132,25 +132,20 @@ func newEngine(spec backend.LaunchSpec) (*Engine, error) {
 		return nil, fmt.Errorf("pimdram: accel %d (%s) has empty program", def.ID, def.Name)
 	}
 	n := len(def.Accesses)
+	in, err := accessunit.PortsByID(spec.In, n)
+	if err != nil {
+		return nil, fmt.Errorf("pimdram: accel %d: input %w", def.ID, err)
+	}
+	out, err := accessunit.PortsByID(spec.Out, n)
+	if err != nil {
+		return nil, fmt.Errorf("pimdram: accel %d: output %w", def.ID, err)
+	}
 	e := &Engine{
 		def: def, prog: def.Program, trips: spec.Trips,
-		inputs: make([]*accessunit.InPort, n),
-		output: make([]*accessunit.OutPort, n),
+		inputs: in, output: out,
 		random: spec.Random,
 		meter:  spec.Meter,
 		div:    int64(engine.Div(spec.GHz)),
-	}
-	for id, p := range spec.In {
-		if id < 0 || id >= n {
-			return nil, fmt.Errorf("pimdram: accel %d: input access id %d out of range [0,%d)", def.ID, id, n)
-		}
-		e.inputs[id] = p
-	}
-	for id, p := range spec.Out {
-		if id < 0 || id >= n {
-			return nil, fmt.Errorf("pimdram: accel %d: output access id %d out of range [0,%d)", def.ID, id, n)
-		}
-		e.output[id] = p
 	}
 	if spec.Trips < 0 {
 		if t := def.Trip.InputAccess; t >= 0 && t < n {
@@ -196,8 +191,10 @@ func (e *Engine) finish() {
 		}
 	}
 	e.done = true
-	e.Trace.Instant("done", e.lastNow, trace.KV{K: "accel", V: int64(e.def.ID)},
-		trace.KV{K: "iters", V: e.Iters}, trace.KV{K: "ops", V: e.Ops})
+	if e.Trace.Enabled() {
+		e.Trace.Instant("done", e.lastNow, trace.KV{K: "accel", V: int64(e.def.ID)},
+			trace.KV{K: "iters", V: e.Iters}, trace.KV{K: "ops", V: e.Ops})
+	}
 }
 
 // setStall blocks the engine until now+lat, accounting the stalled engine
@@ -208,7 +205,9 @@ func (e *Engine) setStall(now, lat int64) {
 	}
 	e.stallUntil = now + lat
 	e.StallCyc += (lat - 1) / e.div
-	e.Trace.Span("stall", now, lat, trace.KV{K: "accel", V: int64(e.def.ID)})
+	if e.Trace.Enabled() {
+		e.Trace.Span("stall", now, lat, trace.KV{K: "accel", V: int64(e.def.ID)})
+	}
 	e.StallHist.Observe(float64(lat))
 }
 

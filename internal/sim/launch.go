@@ -7,7 +7,6 @@ import (
 	"distda/internal/backend"
 	"distda/internal/core"
 	"distda/internal/energy"
-	"distda/internal/engine"
 	"distda/internal/engine/shard"
 	"distda/internal/ir"
 	"distda/internal/microcode"
@@ -16,17 +15,63 @@ import (
 )
 
 // accelRT is the per-launch runtime state of one accelerator definition.
+// The machine recycles accelRTs from launch to launch (machine.rts), so
+// every per-access table is a slice indexed by the definition's dense
+// access id, reset rather than reallocated.
 type accelRT struct {
-	def      *core.AccelDef
-	cluster  int
-	offChip  bool // §VII: placed at the memory controller
-	streams  map[int]core.EvaledStream
-	inPorts  map[int]*accessunit.InPort
-	outPorts map[int]*accessunit.OutPort
+	def     *core.AccelDef
+	cluster int
+	offChip bool  // §VII: placed at the memory controller
+	trips   int64 // orchestrator count; -1 selects while-input
+	streams []core.EvaledStream
+	// inPorts / outPorts point into inStore / outStore; unwired accesses
+	// hold nil. The backend engine indexes them directly.
+	inPorts  []*accessunit.InPort
+	outPorts []*accessunit.OutPort
+	inStore  []accessunit.InPort
+	outStore []accessunit.OutPort
 	// chanSrc / chanCons: channel endpoint buffers by access-id.
-	chanSrc  map[int]*accessunit.Buffer
-	chanCons map[int]*accessunit.Buffer
+	chanSrc  []*accessunit.Buffer
+	chanCons []*accessunit.Buffer
 	regs     regFile
+}
+
+// reset prepares rt for one launch of def, keeping its storage.
+func (rt *accelRT) reset(def *core.AccelDef) {
+	n := len(def.Accesses)
+	*rt = accelRT{
+		def:      def,
+		streams:  clearResize(rt.streams, n),
+		inPorts:  clearResize(rt.inPorts, n),
+		outPorts: clearResize(rt.outPorts, n),
+		inStore:  clearResize(rt.inStore, n),
+		outStore: clearResize(rt.outStore, n),
+		chanSrc:  clearResize(rt.chanSrc, n),
+		chanCons: clearResize(rt.chanCons, n),
+	}
+}
+
+// setIn wires access id's input port to b, reading from startSeq.
+func (rt *accelRT) setIn(id int, b *accessunit.Buffer, startSeq int64) {
+	rt.inStore[id].Attach(b, startSeq)
+	rt.inPorts[id] = &rt.inStore[id]
+}
+
+// setOut wires access id's output port to b.
+func (rt *accelRT) setOut(id int, b *accessunit.Buffer) {
+	rt.outStore[id] = accessunit.OutPort{Buf: b}
+	rt.outPorts[id] = &rt.outStore[id]
+}
+
+// clearResize returns s with length n and every element zeroed,
+// reallocating only when it is too short.
+func clearResize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // regFile abstracts cp_set_rf / cp_load_rf over every backend engine.
@@ -64,21 +109,25 @@ func (m *machine) mmioHost(in core.Intrinsic, cluster int) {
 }
 
 // launch configures, runs and tears down one offload region instance.
+//
+// Assembly reuses the machine's launch state (see machine.go): the accelRT
+// tables, the serial engine, the buffer plan, the decoupling buffers and
+// the backend memo all carry over from the previous launch, so a
+// steady-state launch allocates only the components it wires.
 func (h *host) launch(reg *core.Region) {
 	m := h.m
 	// Evaluate every accel's orchestrator count; an all-empty region is
 	// skipped (the host's bound evaluation was already charged).
-	trips := make(map[int]int64, len(reg.Accels))
+	rts := m.acquireRTs(reg)
 	any := false
-	for _, def := range reg.Accels {
-		if def.Trip.Kind == core.TripCounted {
-			t := int64(h.evalScalar(def.Trip.Count))
-			trips[def.ID] = t
-			if t > 0 {
+	for _, rt := range rts {
+		if rt.def.Trip.Kind == core.TripCounted {
+			rt.trips = int64(h.evalScalar(rt.def.Trip.Count))
+			if rt.trips > 0 {
 				any = true
 			}
 		} else {
-			trips[def.ID] = -1 // while-input
+			rt.trips = -1 // while-input
 			any = true
 		}
 	}
@@ -108,19 +157,13 @@ func (h *host) launch(reg *core.Region) {
 			m.memCycles += float64(m.hier.FlushRange(r.Base, r.Bytes))
 		}
 	}
-	if t1 := m.hostTS(); t1 > flushT0 {
+	if t1 := m.hostTS(); t1 > flushT0 && m.hostTrace.Enabled() {
 		m.hostTrace.Span("flush", flushT0, t1-flushT0, trace.KV{K: "region", V: reg.Name})
 	}
 
 	// Pass 1: evaluate stream configurations and place accelerators.
-	rts := make([]*accelRT, len(reg.Accels))
-	for i, def := range reg.Accels {
-		rt := &accelRT{
-			def: def, streams: map[int]core.EvaledStream{},
-			inPorts: map[int]*accessunit.InPort{}, outPorts: map[int]*accessunit.OutPort{},
-			chanSrc: map[int]*accessunit.Buffer{}, chanCons: map[int]*accessunit.Buffer{},
-		}
-		for _, acc := range def.Accesses {
+	for _, rt := range rts {
+		for _, acc := range rt.def.Accesses {
 			if acc.Kind == core.StreamIn || acc.Kind == core.StreamOut {
 				rt.streams[acc.ID] = core.EvaledStream{
 					Start:  int64(h.evalScalar(acc.Start)),
@@ -136,7 +179,6 @@ func (h *host) launch(reg *core.Region) {
 				rt.cluster = 7 // the memory-controller node
 			}
 		}
-		rts[i] = rt
 	}
 	// Anchor-less accels co-locate with their first channel peer.
 	for _, rt := range rts {
@@ -163,21 +205,18 @@ func (h *host) launch(reg *core.Region) {
 		}
 	}
 
-	eng := engine.New()
-	eng.Mode = m.cfg.EngineMode
-	if m.cfg.NaiveEngine {
-		eng.Mode = engine.ModeNaive
-	}
-	eng.CollectFF = m.prof != nil
+	// The serial environment's engine is the machine's, reset per launch.
+	serial := &m.serial
+	serial.eng.Reset()
 
 	// Intra-run sharding: partition the accelerators into islands by the
 	// NUCA resources they may touch and assemble each island against a
 	// private environment (see shard.go). Tracing and the Mono-CA private
 	// cache share per-run state across accelerators, so those paths stay
 	// serial, as does any launch whose claims collapse into one island.
-	serial := m.serialEnv(eng)
-	envOf := make([]*launchEnv, len(rts))
-	envs := []*launchEnv{serial}
+	envOf := clearResize(m.envOf, len(rts))
+	m.envOf = envOf
+	envs := append(m.envs[:0], serial)
 	sharded := false
 	var islandClusters [][]int
 	if m.cfg.Shards > 1 && m.tr == nil && !(m.cfg.Centralized && m.cfg.PrivCacheKB > 0) {
@@ -188,16 +227,18 @@ func (h *host) launch(reg *core.Region) {
 				shardObserver(len(islands))
 			}
 			var nextComp int32
-			envs = make([]*launchEnv, len(islands))
+			envs = envs[:0]
 			for k, members := range islands {
-				envs[k] = m.newIslandEnv(&nextComp)
-				envs[k].island = k
+				env := m.newIslandEnv(&nextComp)
+				env.island = k
+				envs = append(envs, env)
 				for _, u := range members {
-					envOf[u] = envs[k]
+					envOf[u] = env
 				}
 			}
 		}
 	}
+	m.envs = envs
 	if !sharded {
 		for i := range envOf {
 			envOf[i] = serial
@@ -212,10 +253,10 @@ func (h *host) launch(reg *core.Region) {
 	if lim := int64(m.cfg.BufElems) / 2; combineWindow > lim {
 		combineWindow = lim
 	}
+	plan := &m.plan
 	for ri, rt := range rts {
 		env := envOf[ri]
-		plan, err := core.PlanBuffers(rt.def, rt.streams, combineWindow, m.cfg.Combining)
-		if err != nil {
+		if err := plan.Plan(rt.def, rt.streams, combineWindow, m.cfg.Combining); err != nil {
 			h.failf("launch: %v", err)
 		}
 		m.alloc.RecordLaunch(plan)
@@ -245,14 +286,14 @@ func (h *host) launch(reg *core.Region) {
 					h.failf("launch: %v", err)
 				}
 				rt.chanSrc[first.ID] = b
-				rt.outPorts[first.ID] = &accessunit.OutPort{Buf: b}
+				rt.setOut(first.ID, b)
 			case core.ChanIn:
 				b, err := m.newBuffer(env)
 				if err != nil {
 					h.failf("launch: %v", err)
 				}
 				rt.chanCons[first.ID] = b
-				rt.inPorts[first.ID] = accessunit.NewInPort(b, 0)
+				rt.setIn(first.ID, b, 0)
 			}
 		}
 	}
@@ -290,11 +331,11 @@ func (h *host) launch(reg *core.Region) {
 	}
 
 	// Pass 4: backend engines, scalar initialization, cp_run.
-	var engines []backend.Engine
-	var randomPorts []*accessunit.RandomPort
+	engines := m.engines[:0]
+	randomPorts := m.randomPorts[:0]
 	for ri, rt := range rts {
 		env := envOf[ri]
-		fetch := h.fetcherFor(env, rt)
+		fetch := h.fetcherFor(env, rt.cluster, rt.offChip)
 		rp := accessunit.NewRandomPort(newSimMemory(m), fetch, rt.cluster, env.austats, env.meter)
 		if len(rt.def.Prefill) > 0 {
 			rp.Prefill = map[string]bool{}
@@ -320,10 +361,11 @@ func (h *host) launch(reg *core.Region) {
 		}
 		randomPorts = append(randomPorts, rp)
 		e, err := be.NewEngine(backend.LaunchSpec{
-			Def: rt.def, Trips: trips[rt.def.ID],
+			Def: rt.def, Trips: rt.trips,
 			In: rt.inPorts, Out: rt.outPorts, Random: rp,
 			GHz: m.cfg.AccelGHz, Width: m.cfg.IOWidth,
 			Meter: env.meter, Metrics: env.met, Opts: beOpts,
+			Memo: &m.memo,
 		})
 		if err != nil {
 			h.failf("launch: backend %s: %v", be.Name(), err)
@@ -355,6 +397,7 @@ func (h *host) launch(reg *core.Region) {
 		h.recordProgramMechanisms(rt.def.Program)
 		m.mmioHost(core.CpRun, rt.cluster)
 	}
+	m.engines, m.randomPorts = engines, randomPorts
 
 	// Accelerator timeline: this launch occupies the accelerator resources
 	// after any prior in-flight launch. The host blocks (cp_consume
@@ -375,7 +418,7 @@ func (h *host) launch(reg *core.Region) {
 			attach(off)
 		}
 		m.scoped = m.scoped[:0]
-		eng.Trace = m.tr.Component("engine").At(off)
+		serial.eng.Trace = m.tr.Component("engine").At(off)
 	}
 
 	var base int64
@@ -383,7 +426,7 @@ func (h *host) launch(reg *core.Region) {
 	if sharded {
 		base, err = h.runShardEngines(envs, islandClusters, xchans)
 	} else {
-		base, err = eng.Run(m.cfg.MaxEngine)
+		base, err = serial.eng.Run(m.cfg.MaxEngine)
 	}
 	if err != nil {
 		h.failf("launch of %s: %v", reg.Name, err)
@@ -393,11 +436,14 @@ func (h *host) launch(reg *core.Region) {
 		m.ffJumps += env.eng.FFJumps
 		m.ffSkipped += env.eng.FFSkipped
 	}
+	m.releaseBuffers()
 
 	engHost := float64(base) / float64(hostDiv)
 	m.accelFreeAt = start + engHost
-	m.hostTrace.Span("launch:"+reg.Name, int64(start*float64(hostDiv)), base,
-		trace.KV{K: "accels", V: int64(len(rts))}, trace.KV{K: "base_cycles", V: base})
+	if m.hostTrace.Enabled() {
+		m.hostTrace.Span("launch:"+reg.Name, int64(start*float64(hostDiv)), base,
+			trace.KV{K: "accels", V: int64(len(rts))}, trace.KV{K: "base_cycles", V: base})
+	}
 	// Profiling: writeback spans the host cycles from here through the
 	// cp_load_rf read-back loop (sync waits included).
 	wbStart := m.hostTimeline()
@@ -412,7 +458,7 @@ func (h *host) launch(reg *core.Region) {
 			m.hostTrace.Span("wait-accel", int64(hostNow*float64(hostDiv)), int64(wait*float64(hostDiv)))
 			m.memCycles += wait
 		}
-		m.inflightWrites = map[string]bool{}
+		clear(m.inflightWrites)
 	} else {
 		for _, rt := range rts {
 			for _, acc := range rt.def.Accesses {
@@ -458,6 +504,21 @@ func (h *host) launch(reg *core.Region) {
 			e.AddProfile(m.prof, pr)
 		}
 	}
+	clear(engines)
+	clear(randomPorts)
+}
+
+// acquireRTs returns one recycled accelRT per accelerator of reg, each
+// reset for its definition.
+func (m *machine) acquireRTs(reg *core.Region) []*accelRT {
+	for len(m.rts) < len(reg.Accels) {
+		m.rts = append(m.rts, &accelRT{})
+	}
+	rts := m.rts[:len(reg.Accels)]
+	for i, def := range reg.Accels {
+		rts[i].reset(def)
+	}
+	return rts
 }
 
 // placeAccel chooses the accelerator's cluster: Mono-CA pins everything to
@@ -512,18 +573,19 @@ func (h *host) placeAccel(reg *core.Region, rt *accelRT) int {
 	return m.hier.HomeCluster(addr)
 }
 
-// fetcherFor returns the cache-path fetcher for an accelerator, wired to
-// the launch environment's hierarchy view and counters. The private-cache
-// path is shared across accelerators and launches, so it always runs under
-// the serial environment (sharding is disabled for that configuration).
-func (h *host) fetcherFor(env *launchEnv, rt *accelRT) accessunit.Fetcher {
+// fetcherFor returns the cache-path fetcher for an accelerator or access
+// FSM at cluster, wired to the launch environment's hierarchy view and
+// counters. The private-cache path is shared across accelerators and
+// launches, so it always runs under the serial environment (sharding is
+// disabled for that configuration).
+func (h *host) fetcherFor(env *launchEnv, cluster int, offChip bool) accessunit.Fetcher {
 	m := h.m
-	if rt.offChip {
+	if offChip {
 		return dramFetcher{dmem: env.dmem}
 	}
 	if m.cfg.Centralized && m.cfg.PrivCacheKB > 0 {
 		if m.priv == nil {
-			pf, err := newPrivFetcher(m, m.cfg.PrivCacheKB, rt.cluster)
+			pf, err := newPrivFetcher(m, m.cfg.PrivCacheKB, cluster)
 			if err != nil {
 				h.failf("%v", err)
 			}
@@ -531,7 +593,10 @@ func (h *host) fetcherFor(env *launchEnv, rt *accelRT) accessunit.Fetcher {
 		}
 		return m.priv
 	}
-	return clusterFetcher{hier: env.hier, meter: env.meter, latH: env.clusterLatH, prefetchHalve: m.cfg.SWPrefetch}
+	if env.clusterFetch == nil {
+		env.clusterFetch = clusterFetcher{hier: env.hier, meter: env.meter, latH: env.clusterLatH, prefetchHalve: m.cfg.SWPrefetch}
+	}
+	return env.clusterFetch
 }
 
 // wireStreamIn builds the fill FSM for one (possibly combined) stream-in
@@ -565,7 +630,7 @@ func (h *host) wireStreamIn(env *launchEnv, rt *accelRT, ba core.BufferAlloc) er
 	if err != nil {
 		return err
 	}
-	fsm, err := accessunit.NewStreamIn(fsmBuf, newSimMemory(m), h.fetcherFor(env, &accelRT{cluster: fsmCluster, def: rt.def, offChip: rt.offChip}),
+	fsm, err := accessunit.NewStreamIn(fsmBuf, newSimMemory(m), h.fetcherFor(env, fsmCluster, rt.offChip),
 		fsmCluster, ba.Obj, minStart, stride, length, env.austats, env.meter)
 	if err != nil {
 		return err
@@ -597,7 +662,7 @@ func (h *host) wireStreamIn(env *launchEnv, rt *accelRT, ba core.BufferAlloc) er
 		if stride > 0 {
 			offset = (rt.streams[id].Start - minStart) / stride
 		}
-		rt.inPorts[id] = accessunit.NewInPort(consumerBuf, offset)
+		rt.setIn(id, consumerBuf, offset)
 	}
 	return nil
 }
@@ -633,7 +698,7 @@ func (h *host) wireStreamOut(env *launchEnv, rt *accelRT, ba core.BufferAlloc) e
 		env.add(rx, 2)
 		drainBuf = db
 	}
-	fsm, err := accessunit.NewStreamOut(drainBuf, newSimMemory(m), h.fetcherFor(env, &accelRT{cluster: fsmCluster, def: rt.def, offChip: rt.offChip}),
+	fsm, err := accessunit.NewStreamOut(drainBuf, newSimMemory(m), h.fetcherFor(env, fsmCluster, rt.offChip),
 		fsmCluster, ba.Obj, ev.Start, ev.Stride, env.austats, env.meter)
 	if err != nil {
 		return err
@@ -648,7 +713,7 @@ func (h *host) wireStreamOut(env *launchEnv, rt *accelRT, ba core.BufferAlloc) e
 	env.add(fsm, 2)
 	m.mmio.Record(core.CpDrainBuf)
 	m.accelMemElem += ev.Length
-	rt.outPorts[id] = &accessunit.OutPort{Buf: prodBuf}
+	rt.setOut(id, prodBuf)
 	return nil
 }
 

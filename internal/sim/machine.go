@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"distda/internal/accessunit"
+	"distda/internal/backend"
 	"distda/internal/cache"
 	"distda/internal/core"
 	"distda/internal/dram"
@@ -35,7 +36,36 @@ type machine struct {
 	priv    *privFetcher
 	mmio    core.IntrinsicStats
 	alloc   core.AllocationTable
-	buffers []*accessunit.Buffer
+
+	// Launch assembly state, reused from one launch to the next. It all
+	// lives on the machine, so nothing outlives the run: reuse never crosses
+	// runs, and no definition pointer is cached beyond the run that owns it
+	// (a long-lived server could otherwise hand a recycled address the
+	// wrong entry).
+	//
+	// serial is the environment aliasing the machine's own resources; its
+	// engine is Reset at the start of every launch. rts, envOf, envs,
+	// engines and randomPorts are the per-launch tables, plan the buffer
+	// plan, memo the backends' per-definition derivations (the CGRA
+	// mapping).
+	serial      launchEnv
+	rts         []*accelRT
+	envOf       []*launchEnv
+	envs        []*launchEnv
+	engines     []backend.Engine
+	randomPorts []*accessunit.RandomPort
+	plan        core.BufferPlan
+	memo        backend.Memo
+	// Decoupling buffers: bufLive holds the launch's buffers, which return
+	// to bufFree once its engines have run, folding their push+pop count
+	// into bufAccesses (Fig. 9 "intra", data movement and the au/buffers
+	// profile component). bufSeq numbers buffers across the whole run, so
+	// profile queue names (buf0, buf1, ...) stay as if every buffer were
+	// fresh.
+	bufLive     []*accessunit.Buffer
+	bufFree     []*accessunit.Buffer
+	bufSeq      int
+	bufAccesses int64
 
 	// objs caches each kernel object's slab region, declaration and backing
 	// slice; lastObj remembers the most recent hit. addr/Read/Write run once
@@ -128,6 +158,11 @@ func newMachine(cfg Config, k *ir.Kernel, params map[string]float64, data map[st
 	m.hostLatH = m.met.Histogram("host/load_lat")
 	m.clusterLatH = m.met.Histogram("cache/cluster_access_lat")
 	m.combinedC = m.met.Counter("au/combined_accessors")
+	m.serial = launchEnv{
+		m: m, eng: m.newEngine(), meter: m.meter, mesh: m.mesh, dmem: m.dmem,
+		hier: m.hier, austats: m.austats, met: m.met, prof: m.prof,
+		clusterLatH: m.clusterLatH,
+	}
 	span := int64(64 << 10) // cache.DefaultConfig ClusterSpanBytes
 	for i, o := range k.Objects {
 		buf, ok := data[o.Name]
@@ -214,7 +249,7 @@ func (m *machine) syncAccel() {
 		m.hostTrace.Span("wait-accel", m.hostTS(), int64(wait*float64(hostDiv)))
 		m.memCycles += wait
 	}
-	m.inflightWrites = map[string]bool{}
+	clear(m.inflightWrites)
 }
 
 // joinIfWritten synchronizes with outstanding offloads before the host
@@ -400,25 +435,54 @@ func (f dramFetcher) LineBytes() int { return 64 }
 // the timing model keeps its single aggregate latency).
 const profileDRAMChannels = 4
 
-// newBuffer creates and tracks a decoupling buffer against the launch
+// newEngine returns an empty engine in the run's scheduling mode.
+func (m *machine) newEngine() *engine.Engine {
+	eng := engine.New()
+	eng.Mode = m.cfg.EngineMode
+	if m.cfg.NaiveEngine {
+		eng.Mode = engine.ModeNaive
+	}
+	eng.CollectFF = m.prof != nil
+	return eng
+}
+
+// newBuffer hands out a decoupling buffer for the current launch — a
+// recycled one, Reset, when the free list has one — against the launch
 // environment's meter and profiler, attaching an occupancy histogram when
 // profiling is on. Buffer names stay global (machine-ordered) so sharded
 // and serial runs produce identical queue identities.
 func (m *machine) newBuffer(env *launchEnv) (*accessunit.Buffer, error) {
-	b, err := accessunit.NewBuffer(m.cfg.BufElems, env.meter)
-	if err != nil {
-		return nil, err
+	var b *accessunit.Buffer
+	if n := len(m.bufFree); n > 0 {
+		b = m.bufFree[n-1]
+		m.bufFree = m.bufFree[:n-1]
+		if err := b.Reset(m.cfg.BufElems, env.meter); err != nil {
+			return nil, err
+		}
+	} else {
+		var err error
+		if b, err = accessunit.NewBuffer(m.cfg.BufElems, env.meter); err != nil {
+			return nil, err
+		}
 	}
-	b.Occ = env.prof.Queue("buffer", fmt.Sprintf("buf%d", len(m.buffers))) // nil on nil profiler
-	m.buffers = append(m.buffers, b)
+	if env.prof != nil {
+		b.Occ = env.prof.Queue("buffer", fmt.Sprintf("buf%d", m.bufSeq))
+	}
+	m.bufSeq++
+	m.bufLive = append(m.bufLive, b)
 	return b, nil
 }
 
-// intraBytes sums buffer-internal traffic (Fig. 9 "intra").
-func (m *machine) intraBytes() int64 {
-	var t int64
-	for _, b := range m.buffers {
-		t += (b.Pushes + b.Pops) * 8
+// releaseBuffers retires the launch's buffers once its engines have run:
+// their traffic folds into bufAccesses and they return to the free list.
+func (m *machine) releaseBuffers() {
+	for _, b := range m.bufLive {
+		m.bufAccesses += b.Pushes + b.Pops
 	}
-	return t
+	m.bufFree = append(m.bufFree, m.bufLive...)
+	clear(m.bufLive)
+	m.bufLive = m.bufLive[:0]
 }
+
+// intraBytes is the buffer-internal traffic (Fig. 9 "intra").
+func (m *machine) intraBytes() int64 { return 8 * m.bufAccesses }

@@ -80,10 +80,7 @@ func (m *machine) snapshotProfile(res *Result) {
 
 	// Access-unit buffers: one event per push/pop, each a single-cycle SRAM
 	// touch at the 2 GHz access-unit clock.
-	var bufEvents int64
-	for _, b := range m.buffers {
-		bufEvents += b.Pushes + b.Pops
-	}
+	bufEvents := m.bufAccesses
 	au := p.Component("au", "buffers")
 	au.AddBusy(bufEvents * hostDiv)
 	au.AddEvents(bufEvents)

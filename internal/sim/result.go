@@ -142,13 +142,9 @@ func (m *machine) collect(workload string, validated bool) *Result {
 	// line-granularity multi-level movement with word-granularity local
 	// buffer traffic.
 	line := int64(64)
-	var bufAccesses int64
-	for _, b := range m.buffers {
-		bufAccesses += b.Pushes + b.Pops
-	}
 	res.DataMovedBytes = line*(l1+l2+l3) + line*m.dmem.Accesses +
 		m.mesh.TotalBytes() + m.austats.DABytes + m.austats.AABytes +
-		8*bufAccesses
+		8*m.bufAccesses
 	if m.priv != nil {
 		res.DataMovedBytes += line * m.priv.priv.Accesses
 	}

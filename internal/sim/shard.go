@@ -59,16 +59,9 @@ type launchEnv struct {
 	prof        *profile.Profiler
 	clusterLatH *trace.Hist
 	nextComp    *int32 // launch-wide component id counter (sharded only)
-}
-
-// serialEnv returns the environment aliasing the machine's global
-// resources — assembly against it is exactly the pre-sharding behavior.
-func (m *machine) serialEnv(eng *engine.Engine) *launchEnv {
-	return &launchEnv{
-		m: m, eng: eng, meter: m.meter, mesh: m.mesh, dmem: m.dmem,
-		hier: m.hier, austats: m.austats, met: m.met, prof: m.prof,
-		clusterLatH: m.clusterLatH,
-	}
+	// clusterFetch is the environment's cache-path fetcher, built on
+	// first use (see fetcherFor).
+	clusterFetch accessunit.Fetcher
 }
 
 // newIslandEnv builds one island's private environment: a fresh engine, a
@@ -86,15 +79,10 @@ func (m *machine) newIslandEnv(nextComp *int32) *launchEnv {
 	mesh := noc.New(noc.DefaultConfig(), meter)
 	dmem := dram.NewMemory(dram.DefaultConfig(), meter)
 	env := &launchEnv{
-		m: m, eng: engine.New(), meter: meter, elog: elog, mesh: mesh,
+		m: m, eng: m.newEngine(), meter: meter, elog: elog, mesh: mesh,
 		dmem: dmem, hier: m.hier.ShardView(mesh, dmem),
 		austats: &accessunit.Stats{}, nextComp: nextComp,
 	}
-	env.eng.Mode = m.cfg.EngineMode
-	if m.cfg.NaiveEngine {
-		env.eng.Mode = engine.ModeNaive
-	}
-	env.eng.CollectFF = m.prof != nil
 	if m.met != nil {
 		env.met = trace.NewMetrics()
 	}
@@ -314,24 +302,13 @@ func pageToken(p int64) string {
 // — the link half waits for Msg.At), and the island's link half drains it
 // single-threaded during its windows.
 type wireInbox struct {
-	q []accessunit.LinkMsg
+	accessunit.LocalWire
 }
 
 // push adapts shard.Channel's Deliver callback.
 func (w *wireInbox) push(m shard.Msg) {
-	w.q = append(w.q, accessunit.LinkMsg{At: m.At, Kind: m.Kind, Val: m.Val})
+	w.Send(accessunit.LinkMsg{At: m.At, Kind: m.Kind, Val: m.Val})
 }
-
-// Head implements accessunit.WireRecv.
-func (w *wireInbox) Head() (accessunit.LinkMsg, bool) {
-	if len(w.q) == 0 {
-		return accessunit.LinkMsg{}, false
-	}
-	return w.q[0], true
-}
-
-// Pop implements accessunit.WireRecv.
-func (w *wireInbox) Pop() { w.q = w.q[1:] }
 
 // chanSend is the sending end of a cross-island link wire, forwarding the
 // link half's stamped messages into a shard channel for barrier delivery.

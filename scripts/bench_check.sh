@@ -8,8 +8,14 @@
 #
 #   PATTERN    extended-regex over benchmark names to gate on
 #              (default: the engine-loop and headline benchmarks)
-#   MAX_RATIO  fail when current_mean / baseline_mean exceeds this
+#   MAX_RATIO  fail when current / baseline exceeds this
 #              (default 1.15, i.e. >15% slower fails)
+#
+# Each benchmark is compared by its fastest sample (ns_min) when both
+# snapshots record one: the minimum of a few samples on a shared host is
+# far steadier than their mean, which one descheduled sample can inflate.
+# A benchmark missing ns_min on either side (an older snapshot) falls back
+# to the mean (ns_per_op) on both.
 #
 # Benchmarks present in only one snapshot are reported but never fail the
 # check (new benchmarks have no baseline; removed ones have no current).
@@ -23,20 +29,23 @@ if [ $# -lt 2 ]; then
 fi
 BASE=$1
 CUR=$2
-PATTERN=${3:-'^Benchmark(EngineLoop|ReproMatrix|BuildMatrix|Executors|PIMWorkload)'}
+PATTERN=${3:-'^Benchmark(EngineLoop|ReproMatrix|BuildMatrix|Executors|PIMWorkload|Headline)'}
 MAX=${4:-1.15}
 
 # Each benchmark object is emitted on its own line by bench.sh, so a
-# line-oriented awk extraction of (name, mean) is reliable for our own files.
+# line-oriented awk extraction of (name, min, mean) is reliable for our own
+# files. A missing min prints as "-".
 extract() {
     awk '
     /"name":/ {
-        name = ""; mean = ""
+        name = ""; min = "-"; mean = ""
         if (match($0, /"name": "[^"]*"/))
             name = substr($0, RSTART + 9, RLENGTH - 10)
+        if (match($0, /"ns_min": [0-9.]+/))
+            min = substr($0, RSTART + 10, RLENGTH - 10)
         if (match($0, /"ns_per_op": [0-9.]+/))
             mean = substr($0, RSTART + 13, RLENGTH - 13)
-        if (name != "" && mean != "") print name, mean
+        if (name != "" && mean != "") print name, min, mean
     }' "$1"
 }
 
@@ -48,29 +57,34 @@ extract "$CUR" | awk -v basefile="$T" -v pattern="$PATTERN" -v max="$MAX" '
 BEGIN {
     while ((getline line < basefile) > 0) {
         split(line, f, " ")
-        base[f[1]] = f[2]
+        bmin[f[1]] = f[2]
+        bmean[f[1]] = f[3]
     }
     close(basefile)
     fails = 0
 }
 {
-    name = $1; cur = $2 + 0
-    if (!(name in base)) {
+    name = $1
+    if (!(name in bmean)) {
         printf "bench_check: %-50s new (no baseline)\n", name
         next
     }
-    b = base[name] + 0
     seen[name] = 1
+    if ($2 != "-" && bmin[name] != "-") {
+        b = bmin[name] + 0; cur = $2 + 0; stat = "ns_min"
+    } else {
+        b = bmean[name] + 0; cur = $3 + 0; stat = "ns/op"
+    }
     if (b <= 0) next
     ratio = cur / b
     gated = (name ~ pattern)
     status = "ok"
     if (ratio > max && gated) { status = "FAIL"; fails++ }
     else if (ratio > max)     { status = "slower (ungated)" }
-    printf "bench_check: %-50s %12.1f -> %12.1f ns/op  %.3fx  %s\n", name, b, cur, ratio, status
+    printf "bench_check: %-50s %12.1f -> %12.1f %-6s %.3fx  %s\n", name, b, cur, stat, ratio, status
 }
 END {
-    for (name in base)
+    for (name in bmean)
         if (!(name in seen))
             printf "bench_check: %-50s removed (baseline only)\n", name
     if (fails) {
