@@ -26,7 +26,6 @@ import (
 
 	"distda/internal/cliutil"
 	"distda/internal/engine"
-	"distda/internal/engine/shard"
 	"distda/internal/exp"
 	"distda/internal/obs"
 	"distda/internal/profile"
@@ -55,12 +54,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	pim := fs.Bool("pim", false, "compare near-L3 offload against the PIM-in-DRAM backend")
 	parallel := fs.Int("parallel", 0, "worker count for the experiment matrix (0 = GOMAXPROCS, 1 = serial); output is identical at any setting")
 	engineMode := fs.String("engine", "adaptive", "engine scheduler: adaptive, event, naive (bit-identical output, wall-clock only)")
-	shards := fs.Int("shards", 1, "goroutine shards per offload launch, one per NUCA island (bit-identical output, wall-clock only)")
 	metrics := fs.Bool("metrics", false, "print the matrix's merged per-component metrics table (includes artifact cache hit/miss counters)")
 	statsPath := fs.String("stats", "", "write the matrix's merged gem5-style stats dump (cycle/energy attribution) to this file")
 	foldedPath := fs.String("folded", "", "write the matrix's folded stacks of simulated time (FlameGraph/speedscope input) to this file")
 	breakdown := fs.Bool("breakdown", false, "print the offload latency breakdown table (dispatch/queue/execute/writeback)")
-	shardStats := fs.Bool("shard-stats", false, "print the matrix's merged per-island shard attribution (busy/barrier-wait wall-clock, window counts)")
 	httpAddr := fs.String("http", "", "serve live run introspection on this address (/progress JSON + expvar + pprof), e.g. localhost:6060")
 	traceDir := fs.String("trace-dir", "", "write one Chrome trace JSON per matrix cell into this directory")
 	cacheDir := fs.String("cache-dir", "", "content-addressed compile cache directory; reused across runs (empty = in-memory only)")
@@ -115,10 +112,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		prof = profile.New()
 		observe.Profile = prof
 	}
-	var shStats *shard.Stats
-	if *shardStats {
-		shStats = &shard.Stats{}
-	}
 	type cellTrace struct {
 		path string
 		tr   *trace.Tracer
@@ -154,16 +147,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		CellTimeout: *cellTimeout,
 		Retries:     *retries,
 		EngineMode:  emode,
-		Shards:      *shards,
-		ShardStats:  shStats,
 	}
 	// Live introspection: the /progress view is fed per-cell completion
 	// events from exp.Build; expvar and pprof expose the host process.
-	var reg *obs.Registry
 	if *httpAddr != "" {
-		reg = obs.New()
 		prog := profile.NewProgress(0)
-		intro, err := cliutil.ServeIntrospection(*httpAddr, prog, reg)
+		intro, err := cliutil.ServeIntrospection(*httpAddr, prog, obs.New())
 		if err != nil {
 			return fail(err)
 		}
@@ -238,17 +227,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stderr, "distda-repro: -metrics set but no matrix-backed output was selected; nothing collected")
 		} else {
 			fmt.Fprintln(stdout, met.Table().Render())
-		}
-	}
-	if shStats != nil {
-		if matrix == nil {
-			fmt.Fprintln(stderr, "distda-repro: -shard-stats set but no matrix-backed output was selected; nothing collected")
-		} else {
-			shStats.Record(reg) // nil registry no-ops
-			shStats.Extern(func(name, desc string, v float64) {
-				prof.Extern(name, desc, v) // nil profiler no-ops
-			})
-			shStats.WriteReport(stdout)
 		}
 	}
 	if prof != nil {

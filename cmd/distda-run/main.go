@@ -22,7 +22,6 @@ import (
 	"distda/internal/cliutil"
 	"distda/internal/compiler"
 	"distda/internal/engine"
-	"distda/internal/engine/shard"
 	"distda/internal/obs"
 	"distda/internal/profile"
 	"distda/internal/sim"
@@ -49,15 +48,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	scaleName := fs.String("scale", "bench", "input scale: test, bench, paper")
 	ghz := fs.Int("ghz", 0, "override accelerator clock (1, 2, 3)")
 	threads := fs.Int("threads", 1, "software threads for parallel-annotated loops")
-	naive := fs.Bool("naive-engine", false, "use the reference one-tick-at-a-time engine scheduler (bit-identical results, slower)")
-	shards := fs.Int("shards", 1, "execute each offload launch across up to N goroutine shards, one per NUCA island (bit-identical results, wall-clock only)")
 	engineMode := fs.String("engine", "adaptive", "engine scheduler: adaptive, event, naive (bit-identical results, wall-clock only)")
 	traceOut := fs.String("trace", "", "write a Chrome trace_event JSON file (load in chrome://tracing or Perfetto)")
 	metrics := fs.Bool("metrics", false, "print the per-component metrics table after the result")
 	statsPath := fs.String("stats", "", "write a gem5-style stats.txt profile dump to this path")
 	foldedPath := fs.String("folded", "", "write folded stacks (FlameGraph/speedscope input) to this path")
 	breakdown := fs.Bool("breakdown", false, "print the offload latency breakdown table (dispatch/queue/execute/writeback)")
-	shardStats := fs.Bool("shard-stats", false, "print per-island shard attribution (busy/barrier-wait wall-clock, window counts) after the result")
 	httpAddr := fs.String("http", "", "serve live introspection (expvar, pprof) on this address, e.g. localhost:6060")
 	cacheDir := fs.String("cache-dir", "", "content-addressed compile cache directory (shared with distda-repro; empty = in-memory only)")
 	list := fs.Bool("list", false, "list workloads and exit")
@@ -106,8 +102,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail(err)
 	}
 	cfg.EngineMode = mode
-	cfg.NaiveEngine = *naive
-	cfg.Shards = *shards
 	var tr *trace.Tracer
 	if *traceOut != "" {
 		tr = trace.New()
@@ -123,15 +117,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		prof = profile.New()
 		cfg.Profile = prof
 	}
-	var shStats *shard.Stats
-	var reg *obs.Registry
-	if *shardStats {
-		shStats = &shard.Stats{}
-		cfg.ShardStats = shStats
-	}
 	if *httpAddr != "" {
-		reg = obs.New()
-		intro, err := cliutil.ServeIntrospection(*httpAddr, nil, reg)
+		intro, err := cliutil.ServeIntrospection(*httpAddr, nil, obs.New())
 		if err != nil {
 			return fail(err)
 		}
@@ -168,14 +155,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if met != nil {
 		fmt.Fprintln(stdout)
 		fmt.Fprintln(stdout, met.Table().Render())
-	}
-	if shStats != nil {
-		shStats.Record(reg) // nil registry no-ops
-		shStats.Extern(func(name, desc string, v float64) {
-			prof.Extern(name, desc, v) // nil profiler no-ops
-		})
-		fmt.Fprintln(stdout)
-		shStats.WriteReport(stdout)
 	}
 	if prof != nil {
 		if *breakdown {

@@ -53,7 +53,6 @@ func run(args []string, stderr io.Writer, ready chan<- string) int {
 	stateDir := fs.String("state-dir", "", "directory for matrix checkpoints and the shutdown journal (empty = no resume across restarts)")
 	cellTimeout := fs.Duration("cell-timeout", 0, "per-cell wall-clock budget for matrix jobs; cells over budget render as n/a")
 	retries := fs.Int("retries", 0, "retry budget per matrix cell for transient failures")
-	shards := fs.Int("shards", 0, "default goroutine shards per offload launch for jobs that do not set shards (bit-identical output, wall-clock only)")
 	drain := fs.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for running jobs before canceling and journaling them")
 	if err := fs.Parse(args); err != nil {
 		return cliutil.ExitUsage
@@ -70,7 +69,7 @@ func run(args []string, stderr io.Writer, ready chan<- string) int {
 	logger.Info("starting",
 		"addr", *addr, "workers", *workers, "cell_workers", *cellWorkers,
 		"queue_depth", *queueDepth, "rate", *rate, "burst", *burst,
-		"shards_default", *shards, "cache_dir", *cacheDir, "state_dir", *stateDir,
+		"cache_dir", *cacheDir, "state_dir", *stateDir,
 		"cell_timeout", *cellTimeout, "retries", *retries, "drain_timeout", *drain)
 
 	srv, err := serve.NewServer(serve.Config{
@@ -83,7 +82,6 @@ func run(args []string, stderr io.Writer, ready chan<- string) int {
 		StateDir:    *stateDir,
 		CellTimeout: *cellTimeout,
 		Retries:     *retries,
-		Shards:      *shards,
 		Obs:         obs.New(),
 		Logger:      logger,
 	})

@@ -7,16 +7,13 @@ import (
 
 // This file realizes one producer→consumer channel across access units
 // (Fig. 4) as a pair of engine components — LinkTx at the producer's node,
-// LinkRx at the consumer's — exchanging timestamped messages over a Wire.
-// Every cross-half observation is message-mediated with at least one cycle
-// of latency: elements and end-of-stream travel Tx→Rx at the NoC transfer
-// latency, and buffer space comes back Rx→Tx as batched credit returns
-// (credit-based flow control, §IV-C). That discipline is what makes the
-// halves shardable: a conservative time-window coordinator may run the two
-// sides on different goroutines and exchange their wires' messages only at
-// window barriers, because neither side ever reads the other's state
-// directly. In a serial engine the same halves are joined by a LocalWire
-// and behave identically cycle for cycle.
+// LinkRx at the consumer's — exchanging timestamped messages over two
+// LocalWires. The halves exist because the receiver's buffer space is not
+// visible to the sender directly: elements and end-of-stream travel Tx→Rx
+// at the NoC transfer latency, and buffer space comes back Rx→Tx as batched
+// credit returns that pay their own traversal (credit-based flow control,
+// §IV-C). A producer therefore stalls for a credit round-trip, not for the
+// consumer's instantaneous occupancy.
 
 // Message kinds carried on a link's wires.
 const (
@@ -29,32 +26,16 @@ const (
 )
 
 // LinkMsg is one timestamped message between link halves. At is the base
-// cycle at which the receiver may observe it; a receiver holding a message
-// early (a window coordinator delivers conservatively early) must wait for
-// its own clock to reach At.
+// cycle at which the receiver may observe it.
 type LinkMsg struct {
 	At   int64
 	Kind int
 	Val  float64
 }
 
-// WireSend is the sending end of a one-directional wire between link
-// halves. Messages must be sent with nondecreasing At (the NoC route is
-// FIFO); senders enforce this by clamping.
-type WireSend interface {
-	Send(m LinkMsg)
-}
-
-// WireRecv is the receiving end: Head exposes the earliest visible message
-// without consuming it.
-type WireRecv interface {
-	Head() (LinkMsg, bool)
-	Pop()
-}
-
-// LocalWire joins two link halves registered in the same engine: a FIFO
-// the receiver drains by timestamp. It is the serial (and intra-shard)
-// wire, and the inbox of a cross-shard one.
+// LocalWire is one direction between link halves: a FIFO the receiver
+// drains by timestamp. Messages are sent with nondecreasing At (the NoC
+// route is FIFO); senders enforce this by clamping.
 //
 // The queue is head-indexed: Pop advances head instead of reslicing, so
 // the backing array keeps its capacity and steady-state traffic does not
@@ -115,24 +96,18 @@ type LinkTx struct {
 	dstNode   int
 	elemBytes int
 
-	out     WireSend
-	credits WireRecv
+	out     *LocalWire
+	credits *LocalWire
 	avail   int
 	lastAt  int64
 	closed  bool
 	stats   *Stats
 }
 
-// NewLinkTx builds the producer half. dstCap is the consumer buffer's
-// capacity (the credit clamp); out carries elements and close, credits
-// carries returns.
-func NewLinkTx(src *Buffer, mesh *noc.Mesh, srcNode, dstNode, elemBytes, dstCap int, out WireSend, credits WireRecv, stats *Stats) *LinkTx {
-	l := &LinkTx{}
-	l.init(src, mesh, srcNode, dstNode, elemBytes, dstCap, out, credits, stats)
-	return l
-}
-
-func (l *LinkTx) init(src *Buffer, mesh *noc.Mesh, srcNode, dstNode, elemBytes, dstCap int, out WireSend, credits WireRecv, stats *Stats) {
+// init wires the producer half. dstCap is the consumer buffer's capacity
+// (the credit clamp); out carries elements and close, credits carries
+// returns.
+func (l *LinkTx) init(src *Buffer, mesh *noc.Mesh, srcNode, dstNode, elemBytes, dstCap int, out, credits *LocalWire, stats *Stats) {
 	avail := linkCredits
 	if dstCap < avail {
 		avail = dstCap
@@ -232,17 +207,11 @@ type LinkRx struct {
 	srcNode int
 	dstNode int
 
-	in      WireRecv
-	credits WireSend
+	in      *LocalWire
+	credits *LocalWire
 	batch   int
 	lastAt  int64
 	closed  bool
-}
-
-// NewLinkRx builds the consumer half. in carries elements and close from
-// the Tx; credits carries returns back.
-func NewLinkRx(dst *Buffer, mesh *noc.Mesh, srcNode, dstNode int, in WireRecv, credits WireSend) *LinkRx {
-	return &LinkRx{dst: dst, mesh: mesh, srcNode: srcNode, dstNode: dstNode, in: in, credits: credits}
 }
 
 // Done reports that end-of-stream was delivered.
@@ -320,15 +289,15 @@ func (l *LinkRx) returnCredits(now int64, n int) {
 	l.credits.Send(LinkMsg{At: at, Kind: LinkCredit, Val: float64(n)})
 }
 
-// localLink co-allocates the halves and wires of a serial link.
+// localLink co-allocates the halves and wires of one link.
 type localLink struct {
 	tx        LinkTx
 	rx        LinkRx
 	fwd, back LocalWire
 }
 
-// NewLocalLink wires a Tx/Rx pair over LocalWires — the serial form used
-// when both halves run in one engine. Credits bound what each wire holds
+// NewLocalLink wires a Tx/Rx pair over LocalWires; register both halves
+// with the engine, Tx first. Credits bound what each wire holds
 // at once (the initial grant plus end-of-stream forward, one return per
 // creditBatch deliveries back); twice that bound leaves room for the
 // dead prefix LocalWire compacts away, so the wires never grow.

@@ -65,12 +65,6 @@ func NewLevel(cfg LevelConfig, m *energy.Meter) (*Level, error) {
 // set returns the ways of set s.
 func (l *Level) set(s int) []line { return l.data[s*l.ways : (s+1)*l.ways] }
 
-// SetMeter redirects the level's energy accounting to a different meter.
-// The sharded launch path points a shard's claimed L3 slices at the shard's
-// recording meter for the duration of an engine run, then restores the
-// run-wide meter; tag, LRU and counter state are untouched.
-func (l *Level) SetMeter(m *energy.Meter) { l.meter = m }
-
 func (l *Level) index(addr int64) (set int, tag int64) {
 	lineAddr := addr / int64(l.cfg.LineBytes)
 	return int(lineAddr & int64(l.sets-1)), lineAddr

@@ -277,21 +277,6 @@ func (h *Hierarchy) InvalidateAcceleratorRange(base, bytes int64) {
 	h.l2.InvalidateRange(base, bytes)
 }
 
-// ShardView returns a hierarchy that shares this one's cache levels (tags,
-// LRU state and hit/miss counters stay common) but routes NoC transfers and
-// DRAM accesses through the given shard-private mesh and memory. It exists
-// for the accelerator-side ClusterAccess path only: a shard's view must be
-// used exclusively for addresses homed at L3 slices that shard has claimed,
-// and never for host-side accesses (HostAccess, FlushRange, prefetch),
-// which remain the original hierarchy's business between engine runs.
-func (h *Hierarchy) ShardView(mesh *noc.Mesh, mem *dram.Memory) *Hierarchy {
-	return &Hierarchy{cfg: h.cfg, l1: h.l1, l2: h.l2, l3: h.l3, mem: mem, mesh: mesh}
-}
-
-// L3Slice exposes one cluster's L3 slice (for the sharded launch path's
-// per-run meter redirection).
-func (h *Hierarchy) L3Slice(cluster int) *Level { return h.l3[cluster] }
-
 // Levels exposes the raw levels for tests and reports.
 func (h *Hierarchy) Levels() (l1, l2 *Level, l3 []*Level) { return h.l1, h.l2, h.l3 }
 

@@ -89,25 +89,6 @@ func (mem *Memory) AccessAt(addr int64, write bool) int {
 	return mem.Access(write)
 }
 
-// AddCounters folds another memory's access counters into mem: totals,
-// reads, writes and the per-channel profile (when both carry one) add.
-// Integer counts only, so folding shard memories in any order reproduces
-// the serial totals exactly. Energy is not transferred — the shard's meter
-// log owns it.
-func (mem *Memory) AddCounters(o *Memory) {
-	if o == nil {
-		return
-	}
-	mem.Accesses += o.Accesses
-	mem.Reads += o.Reads
-	mem.Writes += o.Writes
-	if mem.chanAcc != nil && o.chanAcc != nil && len(mem.chanAcc) == len(o.chanAcc) {
-		for i, n := range o.chanAcc {
-			mem.chanAcc[i] += n
-		}
-	}
-}
-
 // LatencyCycles returns the configured per-access latency in host cycles.
 func (mem *Memory) LatencyCycles() int { return mem.cfg.LatencyCycles }
 

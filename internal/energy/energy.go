@@ -84,7 +84,6 @@ type Meter struct {
 	slots   [numCats]float64
 	touched [numCats]bool // category has been Added (even with 0 pJ)
 	pj      map[string]float64
-	log     *Log
 }
 
 // NewMeter returns a meter over the given table.
@@ -92,121 +91,14 @@ func NewMeter(t Table) *Meter {
 	return &Meter{Table: t, pj: map[string]float64{}}
 }
 
-// Event is one recorded Add: the charge plus the (cycle, component) stamp
-// under which it occurred. Slot is the canonical-category accumulator index,
-// or the bitwise complement of an index into the log's interned open-
-// category names. Keeping the struct pointer-free matters: logs grow to
-// tens of millions of events per sharded launch, and a string field would
-// make the garbage collector scan every one of them.
-type Event struct {
-	Cycle int64
-	PJ    float64
-	Comp  int32
-	Slot  int16
-}
-
-// Log is an energy event recorder for sharded simulation. Float addition is
-// not associative, so per-shard meters cannot simply sum their slots into a
-// shared meter without perturbing the low bits relative to a serial run.
-// Instead each shard's meter records its Adds as stamped events; the shards'
-// logs are then merged by (Cycle, Comp) — the exact order in which a serial
-// engine would have interleaved them — and replayed into the run's meter
-// (ReplayMerge), reproducing the serial accumulation bit for bit.
-//
-// The owner of the logging meter keeps Cycle and Comp current (the sharded
-// launch path updates them before every component step). A Log is
-// single-goroutine state: one log per shard, never shared.
-type Log struct {
-	Cycle  int64
-	Comp   int32
-	Events []Event
-	names  []string // interned open-category names, indexed by ^Event.Slot
-}
-
-// nameSlot interns an open-category name and returns its encoded slot. The
-// list stays tiny (open categories are the exception), so a linear scan
-// beats any map.
-func (l *Log) nameSlot(name string) int16 {
-	for i, n := range l.names {
-		if n == name {
-			return ^int16(i)
-		}
-	}
-	l.names = append(l.names, name)
-	return ^int16(len(l.names) - 1)
-}
-
-// Reset empties the log for reuse, keeping the event buffer's capacity —
-// sharded launches recycle logs so steady-state recording allocates
-// nothing.
-func (l *Log) Reset() {
-	l.Cycle, l.Comp = 0, 0
-	l.Events = l.Events[:0]
-	l.names = l.names[:0]
-}
-
-// StartLog switches the meter into recording mode: every subsequent Add is
-// appended to l instead of accumulating, stamped with l's current Cycle and
-// Comp. Pass nil to return to direct accumulation.
-func (m *Meter) StartLog(l *Log) { m.log = l }
-
 // Add accumulates pJ picojoules under the named category.
 func (m *Meter) Add(category string, pj float64) {
-	if m.log != nil {
-		l := m.log
-		slot := int16(catIndex(category))
-		if slot < 0 {
-			slot = l.nameSlot(category)
-		}
-		l.Events = append(l.Events, Event{Cycle: l.Cycle, PJ: pj, Comp: l.Comp, Slot: slot})
-		return
-	}
 	if i := catIndex(category); i >= 0 {
 		m.slots[i] += pj
 		m.touched[i] = true
 		return
 	}
 	m.pj[category] += pj
-}
-
-// ReplayMerge folds the events of the given logs into the meter in the
-// canonical serial order: ascending (Cycle, Comp), with each log's internal
-// order preserved. Each log must be internally sorted by (Cycle, Comp) —
-// which holds by construction when the stamps follow a cycle-stepped
-// engine's (cycle, registration-order) component schedule — and the logs'
-// Comp sets must be disjoint, so the merged order is unambiguous. Replaying
-// performs the same float additions, in the same order, that a serial run
-// would have performed directly.
-func (m *Meter) ReplayMerge(logs []*Log) {
-	idx := make([]int, len(logs))
-	for {
-		best := -1
-		for i, l := range logs {
-			if idx[i] >= len(l.Events) {
-				continue
-			}
-			ev := &l.Events[idx[i]]
-			if best < 0 {
-				best = i
-				continue
-			}
-			b := &logs[best].Events[idx[best]]
-			if ev.Cycle < b.Cycle || (ev.Cycle == b.Cycle && ev.Comp < b.Comp) {
-				best = i
-			}
-		}
-		if best < 0 {
-			return
-		}
-		ev := &logs[best].Events[idx[best]]
-		idx[best]++
-		if ev.Slot >= 0 {
-			m.slots[ev.Slot] += ev.PJ
-			m.touched[ev.Slot] = true
-		} else {
-			m.pj[logs[best].names[^ev.Slot]] += ev.PJ
-		}
-	}
 }
 
 // AddN accumulates n events of cost each pJ.

@@ -313,7 +313,7 @@ func TestFastForwardJumps(t *testing.T) {
 	// every edge.
 	w2 := &countingWaiter{latency: 6000}
 	en := New()
-	en.Naive = true
+	en.Mode = ModeNaive
 	en.Add(w2, 2)
 	nElapsed, err := en.Run(1 << 20)
 	if err != nil {
@@ -407,13 +407,13 @@ func TestZeroValueEngineAdd(t *testing.T) {
 // pre-existing scheduler expectations under Naive for both error paths.
 func TestNaiveSchedulerErrors(t *testing.T) {
 	e := New()
-	e.Naive = true
+	e.Mode = ModeNaive
 	e.Add(stuck{}, 2)
 	if _, err := e.Run(1 << 20); err == nil || !strings.Contains(err.Error(), "deadlock") {
 		t.Fatalf("err = %v", err)
 	}
 	e2 := New()
-	e2.Naive = true
+	e2.Mode = ModeNaive
 	e2.Add(&ticker{n: 1 << 30}, 2)
 	if _, err := e2.Run(100); err == nil || !strings.Contains(err.Error(), "exceeded") {
 		t.Fatalf("err = %v", err)
@@ -425,7 +425,7 @@ func TestNaiveSchedulerErrors(t *testing.T) {
 func TestErrorParityOnPollers(t *testing.T) {
 	for _, ghz := range []int{1, 2, 3, 6} {
 		en := New()
-		en.Naive = true
+		en.Mode = ModeNaive
 		en.Add(stuck{}, ghz)
 		_, nErr := en.Run(1 << 20)
 		ef := New()
@@ -436,7 +436,7 @@ func TestErrorParityOnPollers(t *testing.T) {
 		}
 
 		en2 := New()
-		en2.Naive = true
+		en2.Mode = ModeNaive
 		en2.Add(&ticker{n: 1 << 30}, ghz)
 		ne, nErr := en2.Run(1000)
 		ef2 := New()

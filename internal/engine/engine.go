@@ -173,11 +173,6 @@ type Engine struct {
 	// no-external-action assumption it was collected under still holds.
 	claimEpoch uint64
 
-	// parkWake caches the earliest future internal event at the moment
-	// RunUntil parked, letting the next window skip straight to it (or
-	// return immediately) while the no-external-action assumption holds.
-	parkWake int64
-
 	running bool
 
 	// Trace, when enabled, records one span per Run plus one span per
@@ -203,12 +198,6 @@ type Engine struct {
 	// exhaustion in the same window) the modes may report the failure at
 	// slightly different base cycles.
 	Mode Mode
-
-	// Naive, when set, overrides Mode with ModeNaive: the reference
-	// one-tick-at-a-time scheduler in which every base cycle is visited
-	// and every live component is inspected (and stepped when due). It is
-	// kept as a flag for differential tests written before Mode existed.
-	Naive bool
 }
 
 // New returns an empty engine.
@@ -295,7 +284,7 @@ func (e *Engine) Reset() {
 	}
 	clear(e.seen)
 	e.nextID, e.live, e.maxDiv, e.now = 0, 0, 1, 0
-	e.claimEpoch, e.parkWake = 0, 0
+	e.claimEpoch = 0
 	e.Trace = trace.Scope{}
 	e.FFJumps, e.FFSkipped = 0, 0
 }
@@ -331,90 +320,13 @@ func (e *Engine) Run(maxBaseCycles int64) (int64, error) {
 	// into queues, components join); cached claims from a previous Run are
 	// not trustworthy.
 	e.claimEpoch++
-	mode := e.Mode
-	if e.Naive {
-		mode = ModeNaive
-	}
-	switch mode {
+	switch e.Mode {
 	case ModeNaive:
 		return e.runNaive(maxBaseCycles)
 	case ModeEvent:
 		return e.runFast(maxBaseCycles)
 	default:
 		return e.runAdaptive(maxBaseCycles)
-	}
-}
-
-// RunUntil advances the engine until every component is done or the base
-// clock reaches until, whichever comes first, using the event-driven
-// scheduler. It reports whether the engine completed, whether any component
-// made progress during the call, and the earliest future internal event the
-// engine is parked on (Never when it completed or every live component is
-// blocked on a peer).
-//
-// invalidate tells the engine whether external state was injected since the
-// previous RunUntil (a window coordinator delivering cross-shard messages).
-// When false the engine trusts the claims cached at its last parking point:
-// an idle window costs O(1) instead of a full component sweep. Callers must
-// pass true on the first call and after every external mutation.
-//
-// Unlike Run, a stretch in which every live component is blocked on a peer
-// (NextEvent = Never) is not treated as deadlock: the engine parks at until
-// and returns, on the assumption that the caller — a conservative
-// time-window coordinator — will inject cross-shard work before the next
-// window. Global deadlock detection is therefore the coordinator's job
-// (shard.Graph declares it when every shard parks on Never with nothing in
-// flight).
-func (e *Engine) RunUntil(until int64, invalidate bool) (done, progress bool, next int64) {
-	if e.running {
-		panic("engine: RunUntil re-entered")
-	}
-	e.running = true
-	defer func() { e.running = false }()
-	if invalidate {
-		e.pruneDone()
-		e.claimEpoch++
-		e.parkWake = 0
-	}
-	if e.live == 0 {
-		return true, false, Never
-	}
-	if !invalidate && e.parkWake > e.now {
-		// Nothing external happened and the engine parked knowing its next
-		// event: skip the dead cycles without touching any component.
-		if e.parkWake >= until {
-			e.now = until
-			return false, false, e.parkWake
-		}
-		e.now = e.parkWake
-	}
-	for {
-		if e.now >= until {
-			n, _, _ := e.nextWake(false)
-			e.parkWake = n
-			return false, progress, n
-		}
-		if e.stepDue() {
-			progress = true
-			e.claimEpoch++
-		}
-		if e.live == 0 {
-			// Completion is observed one cycle after the completing step,
-			// exactly as in Run's schedulers.
-			e.now++
-			e.parkWake = Never
-			return true, progress, Never
-		}
-		n, _, _ := e.nextWake(false)
-		if n >= until {
-			// Park at the window boundary: either every live component is
-			// blocked on a peer (n == Never) or the next event lies beyond
-			// the window — report it so the coordinator can fast-forward.
-			e.now = until
-			e.parkWake = n
-			return false, progress, n
-		}
-		e.now = n
 	}
 }
 

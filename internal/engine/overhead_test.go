@@ -110,7 +110,7 @@ func TestTracedRunBitIdentical(t *testing.T) {
 // scheduler.
 func TestNaiveTracedBitIdentical(t *testing.T) {
 	plain := New()
-	plain.Naive = true
+	plain.Mode = ModeNaive
 	buildSparse(plain)
 	want, err := plain.Run(1 << 30)
 	if err != nil {
@@ -118,7 +118,7 @@ func TestNaiveTracedBitIdentical(t *testing.T) {
 	}
 	tr := trace.New()
 	traced := New()
-	traced.Naive = true
+	traced.Mode = ModeNaive
 	traced.Trace = tr.Component("engine").At(0)
 	buildSparse(traced)
 	got, err := traced.Run(1 << 30)

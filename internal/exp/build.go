@@ -15,7 +15,6 @@ import (
 	"distda/internal/artifact"
 	"distda/internal/compiler"
 	"distda/internal/engine"
-	"distda/internal/engine/shard"
 	"distda/internal/profile"
 	"distda/internal/sim"
 	"distda/internal/trace"
@@ -44,18 +43,6 @@ type Options struct {
 	// (adaptive — the zero value —, event-driven, or the naive reference).
 	// Results are bit-identical across modes; this picks wall-clock only.
 	EngineMode engine.Mode
-
-	// Shards, when above 1, lets each offload launch in every cell execute
-	// across up to that many goroutine shards (one per independent NUCA
-	// island). Results are bit-identical at any setting.
-	Shards int
-
-	// ShardStats, when non-nil, accumulates wall-clock shard attribution
-	// (per-island busy/barrier-wait time, window and delivery counts)
-	// across every cell. Per-cell collectors merge in serial cell order,
-	// so the deterministic count fields are identical at any Workers
-	// setting. Observational only.
-	ShardStats *shard.Stats
 
 	// Checkpoint, when non-empty, is the path of a JSON checkpoint that is
 	// rewritten (atomically) after every completed cell. If the file
@@ -195,12 +182,10 @@ func Build(ctx context.Context, opts Options) (*Matrix, error) {
 	tracers := make([][]*trace.Tracer, nw)
 	cellMet := make([][]*trace.Metrics, nw)
 	cellProf := make([][]*profile.Profiler, nw)
-	cellShard := make([][]*shard.Stats, nw)
 	for i, w := range m.Workloads {
 		tracers[i] = make([]*trace.Tracer, nc)
 		cellMet[i] = make([]*trace.Metrics, nc)
 		cellProf[i] = make([]*profile.Profiler, nc)
-		cellShard[i] = make([]*shard.Stats, nc)
 		for j, cfg := range m.Configs {
 			if resumed[i*nc+j] != nil {
 				continue
@@ -213,9 +198,6 @@ func Build(ctx context.Context, opts Options) (*Matrix, error) {
 			}
 			if opts.Observe.Profile != nil {
 				cellProf[i][j] = profile.New()
-			}
-			if opts.ShardStats != nil {
-				cellShard[i][j] = &shard.Stats{}
 			}
 		}
 	}
@@ -265,7 +247,6 @@ func Build(ctx context.Context, opts Options) (*Matrix, error) {
 				cfg.Trace = tracers[c.i][c.j]
 				cfg.Metrics = cellMet[c.i][c.j]
 				cfg.Profile = cellProf[c.i][c.j]
-				cfg.ShardStats = cellShard[c.i][c.j]
 				t0 := time.Now()
 				res, degraded, err := b.runCell(ctx, m.Workloads[c.i], cfg, data[c.i][c.j])
 				out[c.i][c.j] = outcome{res: res, err: err, degraded: degraded}
@@ -325,16 +306,6 @@ func Build(ctx context.Context, opts Options) (*Matrix, error) {
 		for i := range m.Workloads {
 			for j := range m.Configs {
 				prof.Merge(cellProf[i][j]) // nil cells no-op
-			}
-		}
-	}
-
-	// Fold per-cell shard attribution in serial cell order: the
-	// deterministic count fields end up identical at any worker count.
-	if opts.ShardStats != nil {
-		for i := range m.Workloads {
-			for j := range m.Configs {
-				opts.ShardStats.Add(cellShard[i][j])
 			}
 		}
 	}
@@ -441,7 +412,6 @@ func (b *builder) attempt(ctx context.Context, w *workloads.Workload, cfg sim.Co
 		}
 	}
 	cfg.EngineMode = b.opts.EngineMode
-	cfg.Shards = b.opts.Shards
 	if cfg.ValidateEvery {
 		// Fetch the kernel's bytecode program for reference validation from
 		// the same (possibly disk-backed) cache as the offload artifact.

@@ -179,27 +179,6 @@ func (n *Mesh) Transfer(a, b, bytes int, class Class) int {
 	return hops*n.cfg.HopCycles + (flits - 1)
 }
 
-// AddCounters folds another mesh's traffic counters into n: per-class
-// bytes, messages and flit-hops add, and per-link flit profiles add when
-// both meshes carry one. Every field is an integer count, so folding
-// shard meshes in any order reproduces the serial totals exactly. Energy is
-// not transferred — the shard's meter log owns it.
-func (n *Mesh) AddCounters(o *Mesh) {
-	if o == nil {
-		return
-	}
-	for c := 0; c < int(numClasses); c++ {
-		n.Bytes[c] += o.Bytes[c]
-		n.Messages[c] += o.Messages[c]
-		n.FlitHops[c] += o.FlitHops[c]
-	}
-	if n.linkFlits != nil && o.linkFlits != nil && len(n.linkFlits) == len(o.linkFlits) {
-		for i, f := range o.linkFlits {
-			n.linkFlits[i] += f
-		}
-	}
-}
-
 // TotalBytes returns bytes moved across all classes.
 func (n *Mesh) TotalBytes() int64 {
 	var t int64

@@ -5,11 +5,11 @@
 // It is deliberately separate from internal/trace, which measures
 // *simulated* time (base cycles on the run-global clock, bit-identical
 // across runs). obs measures the *service*: how long jobs wait in the
-// queue, how long stages take on the host's wall clock, how busy shard
-// workers are. Nothing in this package ever feeds back into a simulation —
-// recording is observational only, and the differential tests in
-// internal/serve and internal/sim prove served bytes and simulated results
-// are bit-identical with obs enabled or disabled.
+// queue and how long stages take on the host's wall clock. Nothing in this
+// package ever feeds back into a simulation — recording is observational
+// only, and the differential tests in internal/serve and internal/sim
+// prove served bytes and simulated results are bit-identical with obs
+// enabled or disabled.
 //
 // Concurrency and determinism: instruments record through atomics, so any
 // number of goroutines may write concurrently. Counters and histogram

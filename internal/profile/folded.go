@@ -14,7 +14,7 @@ import (
 // hardware component (dispatch, queue wait, writeback) emitted as pseudo
 // component frames so every attributed cycle appears exactly once. Counts
 // are base cycles. Lines are sorted; zero-count stacks are skipped. The
-// output is deterministic for any shard merge order.
+// output is deterministic for any merge order.
 func (p *Profiler) WriteFolded(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	if p == nil {

@@ -36,17 +36,9 @@ type Profiler struct {
 	regions map[regKey]*Region
 	queues  map[compKey]*Queue
 	spans   map[spanKey]*SpanAgg
-	extern  map[string]*externStat
 
 	totalBase int64 // simulated base cycles across absorbed runs
 	runs      int64
-}
-
-// externStat is one statistic contributed by another subsystem (shard
-// attribution, for example) through Extern.
-type externStat struct {
-	desc string
-	v    float64
 }
 
 type compKey struct{ kind, name string }
@@ -60,7 +52,6 @@ func New() *Profiler {
 		regions: map[regKey]*Region{},
 		queues:  map[compKey]*Queue{},
 		spans:   map[spanKey]*SpanAgg{},
-		extern:  map[string]*externStat{},
 	}
 }
 
@@ -263,7 +254,7 @@ type SpanAgg struct {
 // AbsorbTrace folds a tracer's buffered events into the profiler's span
 // aggregates: spans sum their durations per (track, name), instants count.
 // Iteration order is the tracer's deterministic visit order, and every
-// accumulation is commutative, so absorbing shards in any order yields the
+// accumulation is commutative, so absorbing tracers in any order yields the
 // same profile. No-op on a nil profiler or nil tracer.
 func (p *Profiler) AbsorbTrace(tr *trace.Tracer) {
 	if p == nil || tr == nil {
@@ -288,7 +279,7 @@ func (p *Profiler) AbsorbTrace(tr *trace.Tracer) {
 }
 
 // Merge folds other into p: components, regions, spans and the cycle
-// denominator add; queue histograms merge exactly. Merging shards in any
+// denominator add; queue histograms merge exactly. Merging profilers in any
 // order yields identical results (every operation is commutative), which is
 // what lets the experiment matrix fold per-cell profilers at any worker
 // count. A nil p or other is a no-op.
@@ -346,32 +337,6 @@ func (p *Profiler) Merge(other *Profiler) {
 		a.Cycles += os.Cycles
 		a.Instants += os.Instants
 	}
-	for k, oe := range other.extern {
-		e, ok := p.extern[k]
-		if !ok {
-			e = &externStat{desc: oe.desc}
-			p.extern[k] = e
-		}
-		e.v += oe.v
-	}
-}
-
-// Extern accumulates one externally-computed statistic under the given
-// dotted name — the hook other subsystems (shard attribution) use to land
-// their numbers in the stats dump without this package importing them.
-// Values with the same name sum; Merge sums across profilers. No-op on nil.
-func (p *Profiler) Extern(name, desc string, v float64) {
-	if p == nil {
-		return
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	e, ok := p.extern[name]
-	if !ok {
-		e = &externStat{desc: desc}
-		p.extern[name] = e
-	}
-	e.v += v
 }
 
 // Components returns every component sorted by (kind, name).

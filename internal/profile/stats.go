@@ -4,14 +4,13 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"sort"
 )
 
 // WriteStats writes the profile as a gem5-style stats dump: one
 // `name  value  # description` line per statistic, grouped by section and
 // sorted within each group, bracketed by the gem5 begin/end markers. The
 // output is deterministic for a deterministic run (and for any merge order
-// of parallel shards).
+// of parallel cells).
 //
 // Schema (documented in docs/OBSERVABILITY.md):
 //
@@ -96,19 +95,6 @@ func (p *Profiler) WriteStats(w io.Writer) error {
 			iv(prefix+".instants", a.Instants, "instant events")
 		}
 	}
-
-	// External statistics (shard attribution and friends), sorted by name.
-	p.mu.Lock()
-	names := make([]string, 0, len(p.extern))
-	for name := range p.extern {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		e := p.extern[name]
-		fv(name, e.v, e.desc)
-	}
-	p.mu.Unlock()
 
 	if _, err := fmt.Fprintln(bw, "---------- End Simulation Statistics   ----------"); err != nil {
 		return err

@@ -27,7 +27,8 @@ import (
 //	/progress, /debug/vars, /debug/pprof/*  live introspection (cliutil mux)
 //
 // Backpressure surfaces as HTTP 429 (queue full or tenant rate limit,
-// distinguished by the error body) and shutdown as 503.
+// distinguished by the error body) and shutdown as 503. A submission body
+// over maxSubmitBytes is refused with 413.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /api/v1/jobs", s.handleSubmit)
@@ -65,11 +66,22 @@ func writeErr(w http.ResponseWriter, code int, err error) {
 	writeJSON(w, code, apiError{Error: err.Error()})
 }
 
+// maxSubmitBytes caps a POST /api/v1/jobs body. The largest legitimate
+// spec carries a custom kernel in ir.Format text, a few KiB for any
+// shipped kernel; the cap keeps a client from making the server buffer an
+// unbounded body.
+const maxSubmitBytes = 1 << 20
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec JobSpec
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			writeErr(w, http.StatusRequestEntityTooLarge, fmt.Errorf("job spec exceeds %d bytes", tooBig.Limit))
+			return
+		}
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("bad job spec: %w", err))
 		return
 	}
@@ -191,7 +203,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 
 // handleMetrics renders the wall-clock telemetry registry in Prometheus
 // text exposition format. Scrape-time mirrors (queue gauges, cache
-// counters, shard attribution) are refreshed first.
+// counters) are refreshed first.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if s.obsReg == nil {
 		http.Error(w, "telemetry disabled (Config.Obs is nil)", http.StatusNotFound)

@@ -55,11 +55,6 @@ type JobSpec struct {
 	// are bit-identical across modes — so it is deliberately excluded
 	// from the result-cache key.
 	Engine string `json:"engine,omitempty"`
-	// Shards, when above 1, executes each offload launch across up to
-	// that many goroutine shards (one per independent NUCA island). Like
-	// Engine it changes wall-clock only — results are bit-identical at
-	// any shard count — and is excluded from the result-cache key.
-	Shards int `json:"shards,omitempty"`
 
 	// Run-job fields (Kind == "run").
 	Workload string `json:"workload,omitempty"`
@@ -142,9 +137,6 @@ func planJob(spec JobSpec) (*plan, error) {
 		return nil, err
 	}
 	p.mode = mode
-	if spec.Shards < 0 {
-		return nil, fmt.Errorf("shards must be non-negative, got %d", spec.Shards)
-	}
 
 	switch p.kind {
 	case KindRun:

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"distda/internal/engine/shard"
 	"distda/internal/obs"
 )
 
@@ -72,18 +71,8 @@ func (m *serveMetrics) observeStages(spans []obs.Span) {
 	}
 }
 
-// runObs carries one execution's observability state into the runner:
-// lifecycle spans (always collected — they are part of the job JSON) and
-// the shard attribution collector (only when a registry is attached).
-// Everything here is observational: the rendered bytes are bit-identical
-// with or without it (TestObsDifferential).
-type runObs struct {
-	spans *obs.SpanList
-	shard *shard.Stats
-}
-
-// syncObs refreshes the scrape-time mirrors: queue/running gauges, cache
-// counters, accumulated shard attribution. Called by the /metrics handler
+// syncObs refreshes the scrape-time mirrors: queue/running gauges and cache
+// counters. Called by the /metrics handler
 // just before rendering.
 func (s *Server) syncObs() {
 	st := s.Stats()
@@ -109,14 +98,6 @@ func (s *Server) syncObs() {
 		{"compiles", cc.Compiles}, {"rebinds", cc.Rebinds}, {"evicted", cc.Evicted}, {"errors", cc.Errors},
 	} {
 		s.met.compileCache.With(c.event).Store(c.v)
-	}
-
-	if s.obsReg != nil {
-		s.mu.Lock()
-		agg := s.shardAgg
-		agg.Islands = append([]shard.IslandStats(nil), s.shardAgg.Islands...)
-		s.mu.Unlock()
-		agg.Record(s.obsReg)
 	}
 }
 

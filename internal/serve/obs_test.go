@@ -48,7 +48,7 @@ func TestObsDifferential(t *testing.T) {
 	_, tsObs := newTestServer(t, obsCfg)
 	_, tsPlain := newTestServer(t, Config{Workers: 1})
 
-	spec := `{"workload": "fdtd-2d", "config": "Dist-DA-F+A", "scale": "test", "shards": 2}`
+	spec := `{"workload": "fdtd-2d", "config": "Dist-DA-F+A", "scale": "test"}`
 	var outputs [][]byte
 	for _, ts := range []string{tsObs.URL, tsPlain.URL} {
 		resp, err := http.Post(ts+"/api/v1/jobs", "application/json", strings.NewReader(spec))
@@ -104,7 +104,7 @@ func waitDoneURL(t *testing.T, base, id string) JobStatus {
 
 // TestMetricsEndpoint drives a job through the server and checks the key
 // series move: per-tenant × per-outcome job counts, queue-wait and stage
-// histograms, cache mirrors, and (shards > 1) shard attribution.
+// histograms and cache mirrors.
 func TestMetricsEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1, Obs: obs.New()})
 
@@ -113,9 +113,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		t.Fatalf("fresh server has done jobs: %v", before)
 	}
 
-	// Dist-DA-F+A's alloc-spread placement reliably splits launches into
-	// several islands, so shards: 2 exercises the attribution path.
-	spec := `{"workload": "pathfinder", "config": "Dist-DA-F+A", "scale": "test", "shards": 2}`
+	spec := `{"workload": "pathfinder", "config": "Dist-DA-F+A", "scale": "test"}`
 	_, st := postJob(t, ts, spec)
 	if fin := waitDone(t, ts, st.ID); fin.State != StateDone {
 		t.Fatalf("state = %s (%s)", fin.State, fin.Error)
@@ -140,13 +138,6 @@ func TestMetricsEndpoint(t *testing.T) {
 	if after[`distda_result_cache_events_total{event="stores"}`] != 1 {
 		t.Errorf("result cache stores = %v, want 1",
 			after[`distda_result_cache_events_total{event="stores"}`])
-	}
-	// Sharded execution (shards: 2) leaves per-island attribution behind.
-	if after["distda_shard_windows_total"] == 0 {
-		t.Error("no shard windows recorded for a shards=2 job")
-	}
-	if after[`distda_shard_active_windows_total{island="0"}`] == 0 {
-		t.Error("no per-island window attribution")
 	}
 
 	// An identical resubmission is a result-cache hit, not a new execution.

@@ -13,6 +13,7 @@ import (
 	"distda/internal/cliutil"
 	"distda/internal/compiler"
 	"distda/internal/exp"
+	"distda/internal/obs"
 	"distda/internal/profile"
 	"distda/internal/sim"
 )
@@ -38,56 +39,54 @@ type runner struct {
 // run executes the plan and returns the rendered result bytes — exactly
 // the bytes the equivalent batch CLI writes to stdout. Progress is
 // recorded per completed matrix cell (run jobs count as a single cell).
-// A degraded matrix render is returned alongside errDegraded. o carries
-// wall-clock observability (stage spans, shard attribution); it never
-// feeds the simulation, so the bytes are identical with or without it.
-func (r *runner) run(ctx context.Context, p *plan, prog *profile.Progress, o *runObs) ([]byte, error) {
+// A degraded matrix render is returned alongside errDegraded. spans
+// records the wall-clock lifecycle stages; it never feeds the simulation,
+// so the bytes are identical with or without it.
+func (r *runner) run(ctx context.Context, p *plan, prog *profile.Progress, spans *obs.SpanList) ([]byte, error) {
 	switch p.kind {
 	case KindRun:
-		return r.runOne(ctx, p, prog, o)
+		return r.runOne(ctx, p, prog, spans)
 	case KindMatrix:
-		return r.runMatrix(ctx, p, prog, o)
+		return r.runMatrix(ctx, p, prog, spans)
 	}
 	return nil, fmt.Errorf("serve: unknown plan kind %q", p.kind)
 }
 
 // runOne replicates distda-run: strip-mine for threads, compile through
 // the shared content-addressed cache, simulate, render with FprintResult.
-func (r *runner) runOne(ctx context.Context, p *plan, prog *profile.Progress, o *runObs) ([]byte, error) {
+func (r *runner) runOne(ctx context.Context, p *plan, prog *profile.Progress, spans *obs.SpanList) ([]byte, error) {
 	prog.SetTotal(1)
 	cfg := p.cfg
 	cfg.EngineMode = p.mode
-	cfg.Shards = p.spec.Shards
 	cfg.Threads = p.spec.Threads
 	cfg.Cancel = ctx.Done()
-	cfg.ShardStats = o.shard
 	kernel := sim.ThreadKernel(p.kernel, p.spec.Threads)
 	var compiled *compiler.Compiled
 	if cfg.HasAccel() {
-		h := o.spans.Open("compile")
+		h := spans.Open("compile")
 		copts := sim.CompileOptions(cfg)
 		key := artifact.Key(p.workload.Name, p.scale.String(), kernel, copts)
 		var err error
 		compiled, err = r.cache.GetOrCompile(key, kernel, func() (*compiler.Compiled, error) {
 			return compiler.Compile(kernel, copts)
 		})
-		o.spans.Close(h)
+		spans.Close(h)
 		if err != nil {
 			return nil, err
 		}
 	}
 	start := time.Now()
-	h := o.spans.Open("simulate")
+	h := spans.Open("simulate")
 	res, err := sim.RunPrecompiled(kernel, p.workload.Params, p.workload.NewData(), cfg, compiled)
-	o.spans.Close(h)
+	spans.Close(h)
 	if err != nil {
 		return nil, err
 	}
 	prog.Record(profile.CellStatus{Workload: p.workload.Name, Config: cfg.Name, Dur: time.Since(start)})
-	h = o.spans.Open("rendering")
+	h = spans.Open("rendering")
 	var buf bytes.Buffer
 	cliutil.FprintResult(&buf, res)
-	o.spans.Close(h)
+	spans.Close(h)
 	return buf.Bytes(), nil
 }
 
@@ -95,7 +94,7 @@ func (r *runner) runOne(ctx context.Context, p *plan, prog *profile.Progress, o 
 // selection needs it) and render the selection. The build checkpoints
 // under the job's result key, so a server restarted mid-job resumes the
 // finished cells instead of recomputing them.
-func (r *runner) runMatrix(ctx context.Context, p *plan, prog *profile.Progress, o *runObs) ([]byte, error) {
+func (r *runner) runMatrix(ctx context.Context, p *plan, prog *profile.Progress, spans *obs.SpanList) ([]byte, error) {
 	degraded := false
 	buildErr := error(nil)
 	var m *exp.Matrix
@@ -103,18 +102,16 @@ func (r *runner) runMatrix(ctx context.Context, p *plan, prog *profile.Progress,
 		if m != nil || buildErr != nil {
 			return m, buildErr
 		}
-		h := o.spans.Open("build")
-		defer o.spans.Close(h)
+		h := spans.Open("build")
+		defer spans.Close(h)
 		opts := exp.Options{
 			Scale:       p.scale,
 			Workers:     r.cellWorkers,
 			Cache:       r.cache,
 			EngineMode:  p.mode,
-			Shards:      p.spec.Shards,
 			CellTimeout: r.cellTimeout,
 			Retries:     r.retries,
 			Checkpoint:  r.checkpointPath(p),
-			ShardStats:  o.shard,
 			Progress: func(ev exp.ProgressEvent) {
 				if ev.Degraded {
 					degraded = true
@@ -129,9 +126,9 @@ func (r *runner) runMatrix(ctx context.Context, p *plan, prog *profile.Progress,
 		return m, buildErr
 	}
 	var buf bytes.Buffer
-	h := o.spans.Open("rendering")
+	h := spans.Open("rendering")
 	err := exp.RenderSelection(&buf, p.scale, p.sel, build)
-	o.spans.Close(h)
+	spans.Close(h)
 	if err != nil {
 		return nil, err
 	}

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"distda/internal/artifact"
-	"distda/internal/engine/shard"
 	"distda/internal/obs"
 	"distda/internal/profile"
 )
@@ -67,13 +66,9 @@ type Config struct {
 	// matrix jobs.
 	CellTimeout time.Duration
 	Retries     int
-	// Shards is the server-wide default for JobSpec.Shards: jobs that do
-	// not set shards execute each offload launch across up to this many
-	// goroutine shards. Wall-clock only — results stay bit-identical.
-	Shards int
 	// Obs, when non-nil, receives wall-clock telemetry: per-tenant ×
 	// per-outcome job counts, queue depth/wait, per-stage latency
-	// histograms, cache hit mirrors and shard attribution — rendered by
+	// histograms and cache hit mirrors — rendered by
 	// the /metrics endpoint. Observational only: served bytes are
 	// bit-identical with it on or off.
 	Obs *obs.Registry
@@ -121,12 +116,10 @@ type execution struct {
 	userStop bool   // canceled because the last attached job was canceled
 
 	// Observability (wall-clock only, never feeds the simulation): the
-	// lifecycle span list shared by every attached job, the handle of the
-	// open "queued" span, and the shard attribution collector (nil unless
-	// an obs registry is configured).
+	// lifecycle span list shared by every attached job and the handle of
+	// the open "queued" span.
 	spans      *obs.SpanList
 	queuedSpan int
-	shardStats *shard.Stats
 }
 
 // Stats are the server's cumulative counters plus current queue state.
@@ -158,7 +151,7 @@ type Server struct {
 	cache   *artifact.Cache
 	queue   *queue
 	limiter *limiter
-	run     func(ctx context.Context, p *plan, prog *profile.Progress, o *runObs) ([]byte, error)
+	run     func(ctx context.Context, p *plan, prog *profile.Progress, spans *obs.SpanList) ([]byte, error)
 
 	obsReg *obs.Registry
 	met    *serveMetrics
@@ -178,7 +171,6 @@ type Server struct {
 	draining bool
 	shutdown bool
 	stats    Stats
-	shardAgg shard.Stats // accumulated shard attribution across executions
 }
 
 // NewServer builds a server, starts its worker pool, and — when
@@ -240,9 +232,6 @@ func NewServer(cfg Config) (*Server, error) {
 // it completed instantly from the result cache. Errors: planning failures
 // (malformed spec), ErrRateLimited, ErrQueueFull, ErrShuttingDown.
 func (s *Server) Submit(spec JobSpec) (*Job, error) {
-	if spec.Shards == 0 {
-		spec.Shards = s.cfg.Shards
-	}
 	p, err := planJob(spec)
 	if err != nil {
 		return nil, err
@@ -323,9 +312,6 @@ func (s *Server) admit(p *plan, id string, limit bool) (*Job, error) {
 		cancel:   cancel,
 		spans:    &obs.SpanList{},
 	}
-	if s.obsReg != nil {
-		e.shardStats = &shard.Stats{}
-	}
 	e.jobs = []*Job{j}
 	j.exec = e
 	e.queuedSpan = e.spans.Open("queued")
@@ -403,14 +389,13 @@ func (s *Server) execute(e *execution) {
 
 	e.spans.Close(e.queuedSpan)
 	execSpan := e.spans.Open("executing")
-	out, err := s.run(e.ctx, e.plan, e.progress, &runObs{spans: e.spans, shard: e.shardStats})
+	out, err := s.run(e.ctx, e.plan, e.progress, e.spans)
 	e.spans.Close(execSpan)
 	s.met.observeStages(e.spans.Snapshot())
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.running--
-	s.shardAgg.Add(e.shardStats) // nil no-ops
 	if s.execs[e.key] == e {
 		delete(s.execs, e.key)
 	}

@@ -20,6 +20,7 @@ import (
 	"distda/internal/compiler"
 	"distda/internal/exp"
 	"distda/internal/ir"
+	"distda/internal/obs"
 	"distda/internal/profile"
 	"distda/internal/sim"
 	"distda/internal/workloads"
@@ -340,7 +341,7 @@ func stubServer(t *testing.T, cfg Config) (*Server, *httptest.Server, chan struc
 	t.Helper()
 	release := make(chan struct{})
 	s, ts := newTestServer(t, cfg)
-	s.run = func(ctx context.Context, p *plan, prog *profile.Progress, o *runObs) ([]byte, error) {
+	s.run = func(ctx context.Context, p *plan, prog *profile.Progress, spans *obs.SpanList) ([]byte, error) {
 		select {
 		case <-release:
 			return []byte("stub " + p.spec.Workload + "\n"), nil
@@ -512,9 +513,9 @@ func TestShutdownJournalsAndResumesByteIdentically(t *testing.T) {
 	// shutdown interrupts it.
 	started := make(chan struct{})
 	real := s1.run
-	s1.run = func(ctx context.Context, p *plan, prog *profile.Progress, o *runObs) ([]byte, error) {
+	s1.run = func(ctx context.Context, p *plan, prog *profile.Progress, spans *obs.SpanList) ([]byte, error) {
 		close(started)
-		return real(ctx, p, prog, o)
+		return real(ctx, p, prog, spans)
 	}
 	j1, err := s1.Submit(spec)
 	if err != nil {

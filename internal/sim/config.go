@@ -11,7 +11,6 @@ import (
 	"distda/internal/backend"
 	"distda/internal/compiler"
 	"distda/internal/engine"
-	"distda/internal/engine/shard"
 	"distda/internal/ir"
 	"distda/internal/profile"
 	"distda/internal/trace"
@@ -95,32 +94,6 @@ type Config struct {
 	// reference. Results are bit-identical across all three (the
 	// differential tests enforce it).
 	EngineMode engine.Mode
-
-	// Shards, when above 1, lets each offload launch execute across up to
-	// that many goroutines: the assembled components are partitioned by the
-	// NUCA resources they may touch (L3 home clusters, channel peerings)
-	// into islands that share no mutable state, and the islands advance on
-	// independent engines in parallel. Results — cycle counts, energy to the
-	// last bit, every counter — are bit-identical to a serial run at any
-	// shard count (the differential and golden tests sweep {1,2,4,8}).
-	// Launches whose components all land in one island, runs with a tracer
-	// attached, and the Mono-CA private-cache path fall back to serial
-	// execution. Zero or 1 means serial.
-	Shards int
-
-	// ShardStats, when non-nil, accumulates wall-clock shard attribution
-	// (per-island busy/barrier-wait time, window counts, idle
-	// fast-forwards) across every sharded launch of the run. Observational
-	// only: results are bit-identical with it on or off. Serial launches
-	// (Shards <= 1, single-island partitions, traced runs) record nothing.
-	ShardStats *shard.Stats
-
-	// NaiveEngine drives every offload launch with the engine's reference
-	// one-tick-at-a-time scheduler instead of the event-driven fast-forward
-	// one. Results are bit-identical either way (the differential tests
-	// enforce it); this exists for those tests and for wall-clock
-	// comparisons. It overrides EngineMode when set.
-	NaiveEngine bool
 
 	// Program, when non-nil and compiled from this run's kernel, is the
 	// bytecode program used for reference validation (ValidateEvery)

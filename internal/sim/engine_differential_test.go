@@ -47,13 +47,12 @@ func TestEngineSchedulerDifferential(t *testing.T) {
 	}
 }
 
-// TestEngineSchedulerDifferentialSharded crosses the scheduler sweep with
-// intra-run sharding: the default adaptive scheduler split across {2,4,8}
-// shard goroutines must reproduce the naive serial reference bit for bit.
-// The configurations cover both launch topologies that actually shard —
-// allocation-spread NUCA islands linked by windowed channels, and the
-// PIM-in-DRAM backend whose engines pin to memory controllers.
-func TestEngineSchedulerDifferentialSharded(t *testing.T) {
+// TestEngineSchedulerDifferentialExtensions runs the scheduler sweep on the
+// configurations beyond the paper set that TestEngineSchedulerDifferential
+// leaves out: allocation-spread placement (many clusters, many channel
+// links per launch) and the PIM-in-DRAM backend whose engines sit at the
+// memory controller.
+func TestEngineSchedulerDifferentialExtensions(t *testing.T) {
 	ws := workloads.All(workloads.ScaleTest)
 	ws = append(ws, workloads.SpMV(workloads.ScaleTest))
 	for _, w := range ws {
@@ -65,17 +64,16 @@ func TestEngineSchedulerDifferentialSharded(t *testing.T) {
 			if nErr != nil {
 				t.Fatalf("%s on %s: naive err=%v", w.Name, cfg.Name, nErr)
 			}
-			for _, shards := range []int{2, 4, 8} {
-				shardCfg := cfg
-				shardCfg.EngineMode = engine.ModeAdaptive
-				shardCfg.Shards = shards
-				sRes, sErr := Run(w.Kernel, w.Params, copyData(data), shardCfg)
-				if sErr != nil {
-					t.Fatalf("%s on %s (shards=%d): err=%v", w.Name, cfg.Name, shards, sErr)
+			for _, mode := range []engine.Mode{engine.ModeEvent, engine.ModeAdaptive} {
+				fastCfg := cfg
+				fastCfg.EngineMode = mode
+				fRes, fErr := Run(w.Kernel, w.Params, copyData(data), fastCfg)
+				if fErr != nil {
+					t.Fatalf("%s on %s (%s): err=%v", w.Name, cfg.Name, mode, fErr)
 				}
-				if !reflect.DeepEqual(nRes, sRes) {
-					t.Errorf("%s on %s: results diverge between naive serial and adaptive shards=%d:\nnaive:   %+v\nsharded: %+v",
-						w.Name, cfg.Name, shards, nRes, sRes)
+				if !reflect.DeepEqual(nRes, fRes) {
+					t.Errorf("%s on %s: results diverge between naive and %s:\nnaive: %+v\n%s: %+v",
+						w.Name, cfg.Name, mode, nRes, mode, fRes)
 				}
 			}
 		}
@@ -112,28 +110,5 @@ func TestEngineSchedulerDifferentialThreads(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestNaiveEngineFlagStillOverrides keeps the legacy boolean working: a
-// config asking for the adaptive mode but with NaiveEngine set must run
-// the reference scheduler (the two knobs coexist during migration).
-func TestNaiveEngineFlagStillOverrides(t *testing.T) {
-	w := workloads.Pathfinder(workloads.ScaleTest)
-	data := w.NewData()
-	cfg := DistDAIO()
-	cfg.EngineMode = engine.ModeAdaptive
-	cfg.NaiveEngine = true
-	nRes, err := Run(w.Kernel, w.Params, copyData(data), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.NaiveEngine = false
-	aRes, err := Run(w.Kernel, w.Params, copyData(data), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(nRes, aRes) {
-		t.Error("results diverge between override and adaptive modes")
 	}
 }

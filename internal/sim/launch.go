@@ -7,7 +7,6 @@ import (
 	"distda/internal/backend"
 	"distda/internal/core"
 	"distda/internal/energy"
-	"distda/internal/engine/shard"
 	"distda/internal/ir"
 	"distda/internal/microcode"
 	"distda/internal/noc"
@@ -111,7 +110,7 @@ func (m *machine) mmioHost(in core.Intrinsic, cluster int) {
 // launch configures, runs and tears down one offload region instance.
 //
 // Assembly reuses the machine's launch state (see machine.go): the accelRT
-// tables, the serial engine, the buffer plan, the decoupling buffers and
+// tables, the engine, the buffer plan, the decoupling buffers and
 // the backend memo all carry over from the previous launch, so a
 // steady-state launch allocates only the components it wires.
 func (h *host) launch(reg *core.Region) {
@@ -205,45 +204,7 @@ func (h *host) launch(reg *core.Region) {
 		}
 	}
 
-	// The serial environment's engine is the machine's, reset per launch.
-	serial := &m.serial
-	serial.eng.Reset()
-
-	// Intra-run sharding: partition the accelerators into islands by the
-	// NUCA resources they may touch and assemble each island against a
-	// private environment (see shard.go). Tracing and the Mono-CA private
-	// cache share per-run state across accelerators, so those paths stay
-	// serial, as does any launch whose claims collapse into one island.
-	envOf := clearResize(m.envOf, len(rts))
-	m.envOf = envOf
-	envs := append(m.envs[:0], serial)
-	sharded := false
-	var islandClusters [][]int
-	if m.cfg.Shards > 1 && m.tr == nil && !(m.cfg.Centralized && m.cfg.PrivCacheKB > 0) {
-		if islands, clusters := h.planShards(rts); len(islands) >= 2 {
-			sharded = true
-			islandClusters = clusters
-			if shardObserver != nil {
-				shardObserver(len(islands))
-			}
-			var nextComp int32
-			envs = envs[:0]
-			for k, members := range islands {
-				env := m.newIslandEnv(&nextComp)
-				env.island = k
-				envs = append(envs, env)
-				for _, u := range members {
-					envOf[u] = env
-				}
-			}
-		}
-	}
-	m.envs = envs
-	if !sharded {
-		for i := range envOf {
-			envOf[i] = serial
-		}
-	}
+	m.eng.Reset()
 
 	// Pass 2: buffers, FSMs, links for stream accesses; channel endpoint
 	// buffers.
@@ -254,8 +215,7 @@ func (h *host) launch(reg *core.Region) {
 		combineWindow = lim
 	}
 	plan := &m.plan
-	for ri, rt := range rts {
-		env := envOf[ri]
+	for _, rt := range rts {
 		if err := plan.Plan(rt.def, rt.streams, combineWindow, m.cfg.Combining); err != nil {
 			h.failf("launch: %v", err)
 		}
@@ -273,22 +233,22 @@ func (h *host) launch(reg *core.Region) {
 			first := rt.def.Accesses[ba.Accesses[0]]
 			switch first.Kind {
 			case core.StreamIn:
-				if err := h.wireStreamIn(env, rt, ba); err != nil {
+				if err := h.wireStreamIn(rt, ba); err != nil {
 					h.failf("launch: %v", err)
 				}
 			case core.StreamOut:
-				if err := h.wireStreamOut(env, rt, ba); err != nil {
+				if err := h.wireStreamOut(rt, ba); err != nil {
 					h.failf("launch: %v", err)
 				}
 			case core.ChanOut:
-				b, err := m.newBuffer(env)
+				b, err := m.newBuffer()
 				if err != nil {
 					h.failf("launch: %v", err)
 				}
 				rt.chanSrc[first.ID] = b
 				rt.setOut(first.ID, b)
 			case core.ChanIn:
-				b, err := m.newBuffer(env)
+				b, err := m.newBuffer()
 				if err != nil {
 					h.failf("launch: %v", err)
 				}
@@ -298,45 +258,29 @@ func (h *host) launch(reg *core.Region) {
 		}
 	}
 
-	// Pass 3: links between channel endpoints. Peers sharing an island get
-	// a local wire; peers on different islands get the split form — the Tx
-	// half in the producer's engine, the Rx half in the consumer's, joined
-	// by latency-stamped shard channels the windowed coordinator drains at
-	// barriers in canonical order.
-	var xchans []*shard.Channel
-	for ri, rt := range rts {
-		env := envOf[ri]
+	// Pass 3: links between channel endpoints.
+	for _, rt := range rts {
 		for _, acc := range rt.def.Accesses {
 			if acc.Kind != core.ChanOut {
 				continue
 			}
 			peer := rts[acc.Peer.Accel]
-			penv := envOf[acc.Peer.Accel]
 			dst := peer.chanCons[acc.Peer.Access]
 			if dst == nil {
 				h.failf("launch: channel %d.%d has no consumer buffer", rt.def.ID, acc.ID)
 			}
-			src := rt.chanSrc[acc.ID]
-			if env == penv {
-				tx, rx := accessunit.NewLocalLink(src, dst, env.mesh, rt.cluster, peer.cluster, acc.ElemBytes, env.austats)
-				env.add(tx, 2)
-				env.add(rx, 2)
-			} else {
-				tx, rx, chans := crossLink(env, penv, src, dst, rt.cluster, peer.cluster, acc.ElemBytes)
-				env.add(tx, 2)
-				penv.add(rx, 2)
-				xchans = append(xchans, chans...)
-			}
+			tx, rx := accessunit.NewLocalLink(rt.chanSrc[acc.ID], dst, m.mesh, rt.cluster, peer.cluster, acc.ElemBytes, m.austats)
+			m.eng.Add(tx, 2)
+			m.eng.Add(rx, 2)
 		}
 	}
 
 	// Pass 4: backend engines, scalar initialization, cp_run.
 	engines := m.engines[:0]
 	randomPorts := m.randomPorts[:0]
-	for ri, rt := range rts {
-		env := envOf[ri]
-		fetch := h.fetcherFor(env, rt.cluster, rt.offChip)
-		rp := accessunit.NewRandomPort(newSimMemory(m), fetch, rt.cluster, env.austats, env.meter)
+	for _, rt := range rts {
+		fetch := h.fetcherFor(rt.cluster, rt.offChip)
+		rp := accessunit.NewRandomPort(newSimMemory(m), fetch, rt.cluster, m.austats, m.meter)
 		if len(rt.def.Prefill) > 0 {
 			rp.Prefill = map[string]bool{}
 			for _, obj := range rt.def.Prefill {
@@ -364,7 +308,7 @@ func (h *host) launch(reg *core.Region) {
 			Def: rt.def, Trips: rt.trips,
 			In: rt.inPorts, Out: rt.outPorts, Random: rp,
 			GHz: m.cfg.AccelGHz, Width: m.cfg.IOWidth,
-			Meter: env.meter, Metrics: env.met, Opts: beOpts,
+			Meter: m.meter, Metrics: m.met, Opts: beOpts,
 			Memo: &m.memo,
 		})
 		if err != nil {
@@ -376,7 +320,7 @@ func (h *host) launch(reg *core.Region) {
 		}
 		rt.regs = e
 		engines = append(engines, e)
-		env.add(e, m.cfg.AccelGHz)
+		m.eng.Add(e, m.cfg.AccelGHz)
 		firstLaunch := !m.scalarsSent[rt.def]
 		m.scalarsSent[rt.def] = true
 		for _, sb := range rt.def.ScalarInit {
@@ -418,24 +362,16 @@ func (h *host) launch(reg *core.Region) {
 			attach(off)
 		}
 		m.scoped = m.scoped[:0]
-		serial.eng.Trace = m.tr.Component("engine").At(off)
+		m.eng.Trace = m.tr.Component("engine").At(off)
 	}
 
-	var base int64
-	var err error
-	if sharded {
-		base, err = h.runShardEngines(envs, islandClusters, xchans)
-	} else {
-		base, err = serial.eng.Run(m.cfg.MaxEngine)
-	}
+	base, err := m.eng.Run(m.cfg.MaxEngine)
 	if err != nil {
 		h.failf("launch of %s: %v", reg.Name, err)
 	}
 	m.accelBase += base
-	for _, env := range envs {
-		m.ffJumps += env.eng.FFJumps
-		m.ffSkipped += env.eng.FFSkipped
-	}
+	m.ffJumps += m.eng.FFJumps
+	m.ffSkipped += m.eng.FFSkipped
 	m.releaseBuffers()
 
 	engHost := float64(base) / float64(hostDiv)
@@ -574,14 +510,12 @@ func (h *host) placeAccel(reg *core.Region, rt *accelRT) int {
 }
 
 // fetcherFor returns the cache-path fetcher for an accelerator or access
-// FSM at cluster, wired to the launch environment's hierarchy view and
-// counters. The private-cache path is shared across accelerators and
-// launches, so it always runs under the serial environment (sharding is
-// disabled for that configuration).
-func (h *host) fetcherFor(env *launchEnv, cluster int, offChip bool) accessunit.Fetcher {
+// FSM at cluster. The private-cache path is shared across accelerators and
+// launches.
+func (h *host) fetcherFor(cluster int, offChip bool) accessunit.Fetcher {
 	m := h.m
 	if offChip {
-		return dramFetcher{dmem: env.dmem}
+		return dramFetcher{dmem: m.dmem}
 	}
 	if m.cfg.Centralized && m.cfg.PrivCacheKB > 0 {
 		if m.priv == nil {
@@ -593,16 +527,16 @@ func (h *host) fetcherFor(env *launchEnv, cluster int, offChip bool) accessunit.
 		}
 		return m.priv
 	}
-	if env.clusterFetch == nil {
-		env.clusterFetch = clusterFetcher{hier: env.hier, meter: env.meter, latH: env.clusterLatH, prefetchHalve: m.cfg.SWPrefetch}
+	if m.clusterFetch == nil {
+		m.clusterFetch = clusterFetcher{hier: m.hier, meter: m.meter, latH: m.clusterLatH, prefetchHalve: m.cfg.SWPrefetch}
 	}
-	return env.clusterFetch
+	return m.clusterFetch
 }
 
 // wireStreamIn builds the fill FSM for one (possibly combined) stream-in
 // buffer and the per-accessor read ports; a remote fill FSM (decentralized
 // access with monolithic compute) forwards over a link.
-func (h *host) wireStreamIn(env *launchEnv, rt *accelRT, ba core.BufferAlloc) error {
+func (h *host) wireStreamIn(rt *accelRT, ba core.BufferAlloc) error {
 	m := h.m
 	first := rt.def.Accesses[ba.Accesses[0]]
 	// Union window over combined accessors.
@@ -626,35 +560,35 @@ func (h *host) wireStreamIn(env *launchEnv, rt *accelRT, ba core.BufferAlloc) er
 	if m.cfg.Centralized || rt.offChip {
 		fsmCluster = rt.cluster
 	}
-	fsmBuf, err := m.newBuffer(env)
+	fsmBuf, err := m.newBuffer()
 	if err != nil {
 		return err
 	}
-	fsm, err := accessunit.NewStreamIn(fsmBuf, newSimMemory(m), h.fetcherFor(env, fsmCluster, rt.offChip),
-		fsmCluster, ba.Obj, minStart, stride, length, env.austats, env.meter)
+	fsm, err := accessunit.NewStreamIn(fsmBuf, newSimMemory(m), h.fetcherFor(fsmCluster, rt.offChip),
+		fsmCluster, ba.Obj, minStart, stride, length, m.austats, m.meter)
 	if err != nil {
 		return err
 	}
-	fsm.LatHist = env.met.Histogram("au/fill_lat")
+	fsm.LatHist = m.met.Histogram("au/fill_lat")
 	if m.tr != nil {
 		obj := ba.Obj
 		m.scoped = append(m.scoped, func(off int64) {
 			fsm.Trace = m.tr.Component("fill:" + obj).At(off)
 		})
 	}
-	env.add(fsm, 2)
+	m.eng.Add(fsm, 2)
 	m.mmio.Record(core.CpFillBuf)
 	m.accelMemElem += length
 
 	consumerBuf := fsmBuf
 	if fsmCluster != rt.cluster {
-		consBuf, err := m.newBuffer(env)
+		consBuf, err := m.newBuffer()
 		if err != nil {
 			return err
 		}
-		tx, rx := accessunit.NewLocalLink(fsmBuf, consBuf, env.mesh, fsmCluster, rt.cluster, first.ElemBytes, env.austats)
-		env.add(tx, 2)
-		env.add(rx, 2)
+		tx, rx := accessunit.NewLocalLink(fsmBuf, consBuf, m.mesh, fsmCluster, rt.cluster, first.ElemBytes, m.austats)
+		m.eng.Add(tx, 2)
+		m.eng.Add(rx, 2)
 		consumerBuf = consBuf
 	}
 	for _, id := range ba.Accesses {
@@ -670,7 +604,7 @@ func (h *host) wireStreamIn(env *launchEnv, rt *accelRT, ba core.BufferAlloc) er
 // wireStreamOut builds the drain path for one stream-out access: the core
 // produces into a local buffer; the drain FSM sits with the data (or with
 // the accel when centralized), behind a link when remote.
-func (h *host) wireStreamOut(env *launchEnv, rt *accelRT, ba core.BufferAlloc) error {
+func (h *host) wireStreamOut(rt *accelRT, ba core.BufferAlloc) error {
 	m := h.m
 	if len(ba.Accesses) != 1 {
 		return fmt.Errorf("sim: combined stream-out buffers are not supported")
@@ -683,34 +617,34 @@ func (h *host) wireStreamOut(env *launchEnv, rt *accelRT, ba core.BufferAlloc) e
 	if m.cfg.Centralized || rt.offChip {
 		fsmCluster = rt.cluster
 	}
-	prodBuf, err := m.newBuffer(env)
+	prodBuf, err := m.newBuffer()
 	if err != nil {
 		return err
 	}
 	drainBuf := prodBuf
 	if fsmCluster != rt.cluster {
-		db, err := m.newBuffer(env)
+		db, err := m.newBuffer()
 		if err != nil {
 			return err
 		}
-		tx, rx := accessunit.NewLocalLink(prodBuf, db, env.mesh, rt.cluster, fsmCluster, acc.ElemBytes, env.austats)
-		env.add(tx, 2)
-		env.add(rx, 2)
+		tx, rx := accessunit.NewLocalLink(prodBuf, db, m.mesh, rt.cluster, fsmCluster, acc.ElemBytes, m.austats)
+		m.eng.Add(tx, 2)
+		m.eng.Add(rx, 2)
 		drainBuf = db
 	}
-	fsm, err := accessunit.NewStreamOut(drainBuf, newSimMemory(m), h.fetcherFor(env, fsmCluster, rt.offChip),
-		fsmCluster, ba.Obj, ev.Start, ev.Stride, env.austats, env.meter)
+	fsm, err := accessunit.NewStreamOut(drainBuf, newSimMemory(m), h.fetcherFor(fsmCluster, rt.offChip),
+		fsmCluster, ba.Obj, ev.Start, ev.Stride, m.austats, m.meter)
 	if err != nil {
 		return err
 	}
-	fsm.LatHist = env.met.Histogram("au/drain_lat")
+	fsm.LatHist = m.met.Histogram("au/drain_lat")
 	if m.tr != nil {
 		obj := ba.Obj
 		m.scoped = append(m.scoped, func(off int64) {
 			fsm.Trace = m.tr.Component("drain:" + obj).At(off)
 		})
 	}
-	env.add(fsm, 2)
+	m.eng.Add(fsm, 2)
 	m.mmio.Record(core.CpDrainBuf)
 	m.accelMemElem += ev.Length
 	rt.setOut(id, prodBuf)

@@ -43,19 +43,18 @@ type machine struct {
 	// (a long-lived server could otherwise hand a recycled address the
 	// wrong entry).
 	//
-	// serial is the environment aliasing the machine's own resources; its
-	// engine is Reset at the start of every launch. rts, envOf, envs,
-	// engines and randomPorts are the per-launch tables, plan the buffer
-	// plan, memo the backends' per-definition derivations (the CGRA
-	// mapping).
-	serial      launchEnv
-	rts         []*accelRT
-	envOf       []*launchEnv
-	envs        []*launchEnv
-	engines     []backend.Engine
-	randomPorts []*accessunit.RandomPort
-	plan        core.BufferPlan
-	memo        backend.Memo
+	// eng is Reset at the start of every launch. rts, engines and
+	// randomPorts are the per-launch tables, plan the buffer plan, memo the
+	// backends' per-definition derivations (the CGRA mapping), and
+	// clusterFetch the cache-path fetcher, built on first use (see
+	// fetcherFor).
+	eng          *engine.Engine
+	rts          []*accelRT
+	engines      []backend.Engine
+	randomPorts  []*accessunit.RandomPort
+	plan         core.BufferPlan
+	memo         backend.Memo
+	clusterFetch accessunit.Fetcher
 	// Decoupling buffers: bufLive holds the launch's buffers, which return
 	// to bufFree once its engines have run, folding their push+pop count
 	// into bufAccesses (Fig. 9 "intra", data movement and the au/buffers
@@ -109,11 +108,6 @@ type machine struct {
 	hostLatH    *trace.Hist
 	clusterLatH *trace.Hist
 	combinedC   *trace.Counter
-
-	// logFree recycles island energy logs between sharded launches: event
-	// buffers reach tens of millions of entries, and regrowing them from
-	// scratch on every launch dominated the sharded allocation profile.
-	logFree []*energy.Log
 }
 
 // newMachine allocates the system and lays out the kernel's objects via the
@@ -158,11 +152,9 @@ func newMachine(cfg Config, k *ir.Kernel, params map[string]float64, data map[st
 	m.hostLatH = m.met.Histogram("host/load_lat")
 	m.clusterLatH = m.met.Histogram("cache/cluster_access_lat")
 	m.combinedC = m.met.Counter("au/combined_accessors")
-	m.serial = launchEnv{
-		m: m, eng: m.newEngine(), meter: m.meter, mesh: m.mesh, dmem: m.dmem,
-		hier: m.hier, austats: m.austats, met: m.met, prof: m.prof,
-		clusterLatH: m.clusterLatH,
-	}
+	m.eng = engine.New()
+	m.eng.Mode = cfg.EngineMode
+	m.eng.CollectFF = m.prof != nil
 	span := int64(64 << 10) // cache.DefaultConfig ClusterSpanBytes
 	for i, o := range k.Objects {
 		buf, ok := data[o.Name]
@@ -293,9 +285,8 @@ func (m *machine) addrErr(obj string) error {
 }
 
 // simMemory adapts the machine's object store to accessunit.Memory. Each
-// instance carries its own MRU resolve cursor: access units on concurrent
-// shards share the machine's immutable object table, so the cursor — the
-// only mutable state — must be per-instance, not on the machine.
+// instance carries its own MRU resolve cursor, so access units streaming
+// different objects do not evict each other's hit.
 type simMemory struct {
 	m    *machine
 	last *objInfo
@@ -361,10 +352,7 @@ func (s *simMemory) ElemBytes(obj string) (int, error) {
 
 // clusterFetcher adapts the hierarchy to accessunit.Fetcher, converting
 // host-cycle latencies to base cycles. prefetchHalve models Fig. 14's
-// software prefetching (latency of random loads largely hidden). The
-// hierarchy/meter/histogram are the launch environment's: on a sharded
-// launch they are the island's private view, so concurrent fetchers never
-// share counters.
+// software prefetching (latency of random loads largely hidden).
 type clusterFetcher struct {
 	hier          *cache.Hierarchy
 	meter         *energy.Meter
@@ -420,8 +408,7 @@ func (f *privFetcher) LineBytes() int { return 64 }
 
 // dramFetcher is the §VII off-chip extension path: an accelerator placed
 // at the memory controller reads and writes DRAM lines directly, paying
-// device latency but no NoC traversal and no L3 occupancy. The memory is
-// the launch environment's (an island-private counter view when sharded).
+// device latency but no NoC traversal and no L3 occupancy.
 type dramFetcher struct{ dmem *dram.Memory }
 
 func (f dramFetcher) Access(cluster int, addr int64, write bool, bytes int) int {
@@ -435,38 +422,25 @@ func (f dramFetcher) LineBytes() int { return 64 }
 // the timing model keeps its single aggregate latency).
 const profileDRAMChannels = 4
 
-// newEngine returns an empty engine in the run's scheduling mode.
-func (m *machine) newEngine() *engine.Engine {
-	eng := engine.New()
-	eng.Mode = m.cfg.EngineMode
-	if m.cfg.NaiveEngine {
-		eng.Mode = engine.ModeNaive
-	}
-	eng.CollectFF = m.prof != nil
-	return eng
-}
-
 // newBuffer hands out a decoupling buffer for the current launch — a
-// recycled one, Reset, when the free list has one — against the launch
-// environment's meter and profiler, attaching an occupancy histogram when
-// profiling is on. Buffer names stay global (machine-ordered) so sharded
-// and serial runs produce identical queue identities.
-func (m *machine) newBuffer(env *launchEnv) (*accessunit.Buffer, error) {
+// recycled one, Reset, when the free list has one — attaching an occupancy
+// histogram when profiling is on.
+func (m *machine) newBuffer() (*accessunit.Buffer, error) {
 	var b *accessunit.Buffer
 	if n := len(m.bufFree); n > 0 {
 		b = m.bufFree[n-1]
 		m.bufFree = m.bufFree[:n-1]
-		if err := b.Reset(m.cfg.BufElems, env.meter); err != nil {
+		if err := b.Reset(m.cfg.BufElems, m.meter); err != nil {
 			return nil, err
 		}
 	} else {
 		var err error
-		if b, err = accessunit.NewBuffer(m.cfg.BufElems, env.meter); err != nil {
+		if b, err = accessunit.NewBuffer(m.cfg.BufElems, m.meter); err != nil {
 			return nil, err
 		}
 	}
-	if env.prof != nil {
-		b.Occ = env.prof.Queue("buffer", fmt.Sprintf("buf%d", m.bufSeq))
+	if m.prof != nil {
+		b.Occ = m.prof.Queue("buffer", fmt.Sprintf("buf%d", m.bufSeq))
 	}
 	m.bufSeq++
 	m.bufLive = append(m.bufLive, b)

@@ -8,7 +8,6 @@ import (
 	"distda/internal/backend"
 	"distda/internal/compiler"
 	"distda/internal/engine"
-	"distda/internal/engine/shard"
 	"distda/internal/ir"
 	"distda/internal/profile"
 	"distda/internal/trace"
@@ -143,9 +142,6 @@ func (c Config) Validate() error {
 	if c.OffChip && c.OffChipThreshold <= 0 {
 		return fail("OffChip placement with non-positive threshold %d", c.OffChipThreshold)
 	}
-	if c.Shards < 0 {
-		return fail("Shards %d negative", c.Shards)
-	}
 	return nil
 }
 
@@ -255,19 +251,6 @@ func WithMetrics(m *trace.Metrics) Option { return func(c *Config) { c.Metrics =
 // WithProfile attaches a cycle/energy attribution profiler (observational
 // only).
 func WithProfile(p *profile.Profiler) Option { return func(c *Config) { c.Profile = p } }
-
-// WithShards lets each offload launch execute across up to n goroutines
-// (intra-run sharding). Results are bit-identical to serial at any shard
-// count; 0 or 1 means serial.
-func WithShards(n int) Option { return func(c *Config) { c.Shards = n } }
-
-// WithShardStats attaches a wall-clock shard attribution collector
-// (observational only): every sharded launch accumulates per-island
-// busy/barrier-wait time, window counts and idle fast-forwards into st.
-func WithShardStats(st *shard.Stats) Option { return func(c *Config) { c.ShardStats = st } }
-
-// WithNaiveEngine selects the reference one-tick-at-a-time scheduler.
-func WithNaiveEngine() Option { return func(c *Config) { c.NaiveEngine = true } }
 
 // WithEngineMode selects the engine scheduling strategy (adaptive, event,
 // naive). Results are bit-identical across modes; this picks the

@@ -227,7 +227,7 @@ func (m *Metrics) Table() *report.Table {
 	// kind breaks (comp, metric) ties: a counter and a gauge/histogram
 	// registered under the same full name would otherwise order by map
 	// iteration, making the rendered table differ between runs (and between
-	// Merge orders of parallel shards). Counters sort before gauges before
+	// Merge orders of parallel cells). Counters sort before gauges before
 	// histograms.
 	type row struct {
 		comp, metric string

@@ -44,7 +44,8 @@ stage_test() {
 stage_race() {
     # GOMAXPROCS is left to the environment on purpose: the CI matrix runs
     # this stage at 2 and 8 to shake out schedules a single setting hides
-    # (the sharded-execution tests are the main beneficiary).
+    # (the exp -parallel cell workers and the serve worker pool are the
+    # main beneficiaries).
     echo "== go test -race (parallel-heavy packages, GOMAXPROCS=${GOMAXPROCS:-default})"
     go test -race ./internal/engine/... ./internal/exp/... ./internal/sim/... \
         ./internal/serve/... ./internal/serveclient/... ./internal/backend/... \
@@ -129,15 +130,12 @@ stage_gates() {
     # The backend registry (internal/backend) is the only seam the rest of the
     # tree may reach accelerators through: sim, compiler, partition and profile
     # stay accelerator-agnostic, and new engines plug in by registering.
-    # internal/sim/deprecated.go keeps the pre-registry option shims alive for
-    # one release and is the single documented exemption; tests may import the
-    # concrete packages to reach their own internals.
+    # Tests may import the concrete packages to reach their own internals.
     viol=$(grep -rn '"distda/internal/\(iocore\|cgra\|pimdram\)"' cmd internal examples --include='*.go' \
         | grep -v '^internal/backend/' \
         | grep -v '^internal/iocore/' \
         | grep -v '^internal/cgra/' \
         | grep -v '^internal/pimdram/' \
-        | grep -v '^internal/sim/deprecated\.go:' \
         | grep -v '_test\.go:' || true)
     if [ -n "$viol" ]; then
         echo "direct accelerator import outside internal/backend (go through backend.Lookup):" >&2
