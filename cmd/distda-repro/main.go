@@ -53,7 +53,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	offchip := fs.Bool("offchip", false, "evaluate the §VII off-chip placement extension")
 	pim := fs.Bool("pim", false, "compare near-L3 offload against the PIM-in-DRAM backend")
 	parallel := fs.Int("parallel", 0, "worker count for the experiment matrix (0 = GOMAXPROCS, 1 = serial); output is identical at any setting")
-	engineMode := fs.String("engine", "adaptive", "engine scheduler: adaptive, event, naive (bit-identical output, wall-clock only)")
+	engineMode := fs.String("engine", "adaptive", "engine scheduler: adaptive|naive (bit-identical output, wall-clock only)")
 	metrics := fs.Bool("metrics", false, "print the matrix's merged per-component metrics table (includes artifact cache hit/miss counters)")
 	statsPath := fs.String("stats", "", "write the matrix's merged gem5-style stats dump (cycle/energy attribution) to this file")
 	foldedPath := fs.String("folded", "", "write the matrix's folded stacks of simulated time (FlameGraph/speedscope input) to this file")

@@ -48,7 +48,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	scaleName := fs.String("scale", "bench", "input scale: test, bench, paper")
 	ghz := fs.Int("ghz", 0, "override accelerator clock (1, 2, 3)")
 	threads := fs.Int("threads", 1, "software threads for parallel-annotated loops")
-	engineMode := fs.String("engine", "adaptive", "engine scheduler: adaptive, event, naive (bit-identical results, wall-clock only)")
+	engineMode := fs.String("engine", "adaptive", "engine scheduler: adaptive|naive (bit-identical results, wall-clock only)")
 	traceOut := fs.String("trace", "", "write a Chrome trace_event JSON file (load in chrome://tracing or Perfetto)")
 	metrics := fs.Bool("metrics", false, "print the per-component metrics table after the result")
 	statsPath := fs.String("stats", "", "write a gem5-style stats.txt profile dump to this path")

@@ -7,6 +7,7 @@ import (
 	"fmt"
 
 	"distda/internal/energy"
+	"distda/internal/engine"
 	"distda/internal/profile"
 )
 
@@ -28,6 +29,12 @@ type Buffer struct {
 	minSeq int64
 	closed bool
 	meter  *energy.Meter
+	// subs are the latches of the components whose engine claims read the
+	// buffer. Every mutation that can change what they read wakes them:
+	// Push, Close and AttachReader, and Pop/Skip when the reclaim
+	// watermark moves. A Pop by any other reader changes only that
+	// reader's own view, which its owner re-reads after its step.
+	subs []*engine.Latch
 
 	Pushes int64
 	Pops   int64
@@ -53,6 +60,8 @@ func NewBuffer(capElems int, m *energy.Meter) (*Buffer, error) {
 // element storage is kept when it is large enough, so a simulator can
 // recycle one launch's buffers for the next. Stale element values are
 // unobservable: a slot is only read after a Push has rewritten it.
+// Subscribers are dropped with the rest: the previous launch's components
+// are never woken by the next launch's traffic.
 func (b *Buffer) Reset(capElems int, m *energy.Meter) error {
 	if capElems <= 0 {
 		return fmt.Errorf("accessunit: buffer capacity %d", capElems)
@@ -61,8 +70,20 @@ func (b *Buffer) Reset(capElems int, m *energy.Meter) error {
 	if cap(data) < capElems {
 		data = make([]float64, capElems)
 	}
-	*b = Buffer{cap: capElems, data: data[:capElems], readers: b.readers[:0], meter: m}
+	clear(b.subs)
+	*b = Buffer{cap: capElems, data: data[:capElems], readers: b.readers[:0], subs: b.subs[:0], meter: m}
 	return nil
+}
+
+// Subscribe wakes l on every mutation of b that a reader or writer's
+// claim may depend on (see engine.Hinter).
+func (b *Buffer) Subscribe(l *engine.Latch) { b.subs = append(b.subs, l) }
+
+// wake wakes every subscriber.
+func (b *Buffer) wake() {
+	for _, l := range b.subs {
+		l.Wake()
+	}
 }
 
 // Cap returns the capacity in elements.
@@ -76,6 +97,7 @@ func (b *Buffer) AttachReader(startSeq int64) int {
 	if len(b.readers) == 1 || startSeq < b.minSeq {
 		b.minSeq = startSeq
 	}
+	b.wake()
 	return len(b.readers) - 1
 }
 
@@ -114,6 +136,7 @@ func (b *Buffer) Push(v float64) {
 	if b.Occ != nil {
 		b.Occ.Observe(b.wseq - b.minSeq)
 	}
+	b.wake()
 }
 
 // CanPop reports whether reader r has an element available.
@@ -132,6 +155,7 @@ func (b *Buffer) Pop(r int) float64 {
 	b.readers[r]++
 	if seq == b.minSeq {
 		b.recomputeMin()
+		b.wake()
 	}
 	b.Pops++
 	if b.meter != nil {
@@ -149,12 +173,16 @@ func (b *Buffer) Skip(r int, n int64) {
 	b.readers[r] += n
 	if seq == b.minSeq && n > 0 {
 		b.recomputeMin()
+		b.wake()
 	}
 }
 
 // Close marks end-of-stream: no further pushes. Readers may drain what
 // remains.
-func (b *Buffer) Close() { b.closed = true }
+func (b *Buffer) Close() {
+	b.closed = true
+	b.wake()
+}
 
 // Closed reports whether the writer closed the stream.
 func (b *Buffer) Closed() bool { return b.closed }

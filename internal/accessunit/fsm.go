@@ -84,6 +84,7 @@ type StreamIn struct {
 	closed       bool
 	stats        *Stats
 	meter        *energy.Meter
+	latch        engine.Latch
 
 	// Trace, when enabled, records one span per issued line fetch and an
 	// instant at end-of-stream close. Set after construction (the zero value
@@ -121,6 +122,7 @@ func NewStreamIn(buf *Buffer, mem Memory, fetch Fetcher, cluster int, obj string
 		lo := int64(i) * per
 		f.pending[i].vals = vals[lo : lo : lo+per]
 	}
+	buf.Subscribe(&f.latch)
 	return f, nil
 }
 
@@ -167,6 +169,9 @@ func (f *StreamIn) Step(now int64) bool {
 	}
 	return progress
 }
+
+// Latch implements engine.Hinter; the buffer wakes it.
+func (f *StreamIn) Latch() *engine.Latch { return &f.latch }
 
 // NextEvent implements engine.Hinter: the fill FSM's next effect is a
 // delivery, an issue, or the end-of-stream close — all immediate when
@@ -275,6 +280,7 @@ type StreamOut struct {
 	closed    bool
 	stats     *Stats
 	meter     *energy.Meter
+	latch     engine.Latch
 
 	// Trace, when enabled, records one span per line writeback and an
 	// instant when the drain completes. Set after construction.
@@ -290,11 +296,13 @@ func NewStreamOut(buf *Buffer, mem Memory, fetch Fetcher, cluster int, obj strin
 	if err != nil {
 		return nil, err
 	}
-	return &StreamOut{
+	f := &StreamOut{
 		buf: buf, reader: buf.AttachReader(0), mem: mem, fetch: fetch,
 		cluster: cluster, obj: obj, start: start, stride: stride,
 		elemBytes: int64(eb), lastLine: -1, stats: stats, meter: meter,
-	}, nil
+	}
+	buf.Subscribe(&f.latch)
+	return f, nil
 }
 
 // Done reports that the producer closed the stream and everything drained.
@@ -346,6 +354,9 @@ func (f *StreamOut) Step(now int64) bool {
 	f.drained++
 	return true
 }
+
+// Latch implements engine.Hinter; the buffer wakes it.
+func (f *StreamOut) Latch() *engine.Latch { return &f.latch }
 
 // NextEvent implements engine.Hinter: the drain FSM acts as soon as its
 // write port frees up and an element (or the end-of-stream mark) is

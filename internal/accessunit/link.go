@@ -47,9 +47,12 @@ type LinkMsg struct {
 type LocalWire struct {
 	q    []LinkMsg
 	head int
+	// rx is the receiving half's latch (nil when unwired): a send is the
+	// only mutation that can make the receiver's claim earlier.
+	rx *engine.Latch
 }
 
-// Send appends a message.
+// Send appends a message and wakes the receiver.
 func (w *LocalWire) Send(m LinkMsg) {
 	if len(w.q) == cap(w.q) && w.head > 0 && 2*w.head >= len(w.q) {
 		n := copy(w.q, w.q[w.head:])
@@ -57,6 +60,9 @@ func (w *LocalWire) Send(m LinkMsg) {
 		w.head = 0
 	}
 	w.q = append(w.q, m)
+	if w.rx != nil {
+		w.rx.Wake()
+	}
 }
 
 // Head returns the earliest message, if any.
@@ -102,6 +108,7 @@ type LinkTx struct {
 	lastAt  int64
 	closed  bool
 	stats   *Stats
+	latch   engine.Latch
 }
 
 // init wires the producer half. dstCap is the consumer buffer's capacity
@@ -117,6 +124,7 @@ func (l *LinkTx) init(src *Buffer, mesh *noc.Mesh, srcNode, dstNode, elemBytes, 
 		srcNode: srcNode, dstNode: dstNode, elemBytes: elemBytes,
 		out: out, credits: credits, avail: avail, stats: stats,
 	}
+	src.Subscribe(&l.latch)
 }
 
 // send stamps and forwards one message, keeping arrival times monotone
@@ -136,6 +144,10 @@ func (l *LinkTx) Done() bool { return l.closed }
 
 // remote reports whether the endpoints are on different mesh nodes.
 func (l *LinkTx) remote() bool { return l.mesh != nil && l.srcNode != l.dstNode }
+
+// Latch implements engine.Hinter; the source buffer and the credit wire
+// wake it.
+func (l *LinkTx) Latch() *engine.Latch { return &l.latch }
 
 // NextEvent implements engine.Hinter.
 func (l *LinkTx) NextEvent(now int64) int64 {
@@ -212,12 +224,17 @@ type LinkRx struct {
 	batch   int
 	lastAt  int64
 	closed  bool
+	latch   engine.Latch
 }
 
 // Done reports that end-of-stream was delivered.
 func (l *LinkRx) Done() bool { return l.closed }
 
 func (l *LinkRx) remote() bool { return l.mesh != nil && l.srcNode != l.dstNode }
+
+// Latch implements engine.Hinter; the element wire and the destination
+// buffer wake it.
+func (l *LinkRx) Latch() *engine.Latch { return &l.latch }
 
 // NextEvent implements engine.Hinter.
 func (l *LinkRx) NextEvent(now int64) int64 {
@@ -305,6 +322,8 @@ func NewLocalLink(src, dst *Buffer, mesh *noc.Mesh, srcNode, dstNode, elemBytes 
 	l := &localLink{}
 	l.tx.init(src, mesh, srcNode, dstNode, elemBytes, dst.Cap(), &l.fwd, &l.back, stats)
 	l.rx = LinkRx{dst: dst, mesh: mesh, srcNode: srcNode, dstNode: dstNode, in: &l.fwd, credits: &l.back}
+	dst.Subscribe(&l.rx.latch)
+	l.fwd.rx, l.back.rx = &l.rx.latch, &l.tx.latch
 	fwdCap := 2 * (l.tx.avail + 1)
 	q := make([]LinkMsg, fwdCap+2*(l.tx.avail/creditBatch+1))
 	l.fwd.q, l.back.q = q[:0:fwdCap], q[fwdCap:fwdCap]

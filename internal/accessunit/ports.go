@@ -1,6 +1,10 @@
 package accessunit
 
-import "fmt"
+import (
+	"fmt"
+
+	"distda/internal/engine"
+)
 
 // InPort is a consuming endpoint over a buffer: an accelerator's view of a
 // cp_consume-able access-id.
@@ -26,6 +30,21 @@ func (p *InPort) Attach(b *Buffer, startSeq int64) {
 // cp_produce-able access-id.
 type OutPort struct {
 	Buf *Buffer
+}
+
+// SubscribePorts subscribes l to the buffer behind every wired port: an
+// accelerator whose engine claims read its ports is woken by any of them.
+func SubscribePorts(l *engine.Latch, ins []*InPort, outs []*OutPort) {
+	for _, p := range ins {
+		if p != nil {
+			p.Buf.Subscribe(l)
+		}
+	}
+	for _, p := range outs {
+		if p != nil {
+			p.Buf.Subscribe(l)
+		}
+	}
 }
 
 // PortsByID checks ports, indexed by access id, against an accelerator

@@ -3,6 +3,8 @@ package accessunit
 import (
 	"testing"
 	"testing/quick"
+
+	"distda/internal/engine"
 )
 
 // TestLocalWireSteadyStateAllocFree: once a wire's queue has grown to its
@@ -198,7 +200,9 @@ func bufObs(b *Buffer, ops []uint8) []int64 {
 
 // TestBufferResetMatchesNew: a buffer recycled through Reset — after any
 // history, at any capacity — is observationally equal to a NewBuffer under
-// the watermark-invariant op mix.
+// the watermark-invariant op mix, and carries no subscriber from before the
+// Reset: the previous launch's components are never woken by the next
+// launch's traffic.
 func TestBufferResetMatchesNew(t *testing.T) {
 	f := func(history, ops []uint8, capRaw, oldCapRaw uint8) bool {
 		capElems := 2 + int(capRaw%16)
@@ -210,8 +214,13 @@ func TestBufferResetMatchesNew(t *testing.T) {
 		if err != nil {
 			return false
 		}
+		var stale engine.Latch
+		used.Subscribe(&stale)
 		bufObs(used, history)
 		if err := used.Reset(capElems, nil); err != nil {
+			return false
+		}
+		if len(used.subs) != 0 {
 			return false
 		}
 		want, got := bufObs(fresh, ops), bufObs(used, ops)
@@ -231,5 +240,14 @@ func TestBufferResetMatchesNew(t *testing.T) {
 	var b Buffer
 	if err := b.Reset(0, nil); err == nil {
 		t.Fatal("Reset accepted zero capacity")
+	}
+	rb, _ := NewBuffer(4, nil)
+	stale := func(l *engine.Latch) {
+		rb.Subscribe(l)
+		rb.Reset(4, nil)
+		rb.AttachReader(0)
+	}
+	if wakes(t, stale, func() { rb.Push(1) }) {
+		t.Fatal("a Reset buffer woke a subscriber from before the Reset")
 	}
 }

@@ -17,6 +17,7 @@ import (
 	"distda/internal/accessunit"
 	"distda/internal/core"
 	"distda/internal/energy"
+	"distda/internal/engine"
 	"distda/internal/profile"
 	"distda/internal/trace"
 )
@@ -149,16 +150,18 @@ func (c *Memo) Store(key, v any) {
 }
 
 // Engine is one running accelerator instance: a clocked component with the
-// engine scheduler's Step/Done/NextEvent contract plus the scalar register
+// engine scheduler's Step/Done/NextEvent/Latch contract plus the scalar register
 // file (cp_set_rf / cp_load_rf) and observability attachment points. The
 // Attach/Add methods are observational only — results must be bit-identical
 // with or without them.
 type Engine interface {
 	Step(now int64) bool
 	Done() bool
-	// NextEvent is the engine scheduler's fast-forward hint
-	// (engine.Hinter); backends that cannot predict return 0 to be polled.
-	NextEvent(now int64) int64
+	// NextEvent and Latch are the engine scheduler's wake-driven hint
+	// (engine.Hinter): the engine trusts a claim until the latch is woken,
+	// so an engine subscribes its latch to every wired port buffer.
+	// Backends that cannot predict return 0 from NextEvent to be polled.
+	engine.Hinter
 
 	SetReg(r int, v float64)
 	Reg(r int) float64

@@ -261,6 +261,12 @@ func Conformance(t *testing.T, name string, opts ...backend.Option) {
 		}
 	})
 
+	// The engine scheduler trusts an engine's NextEvent claim until its
+	// latch is woken, so an engine blocked on its ports must be woken by a
+	// push into its request buffer and by a pop from its response buffer.
+	t.Run("wakes-on-request-push", func(t *testing.T) { wakeRun(t, be, o, true) })
+	t.Run("wakes-on-response-pop", func(t *testing.T) { wakeRun(t, be, o, false) })
+
 	t.Run("max-width-accepted", func(t *testing.T) {
 		const n = 6
 		f := newFixture(t, be, o, n, n, 16, 16, caps.MaxPortWidth)
@@ -273,4 +279,72 @@ func Conformance(t *testing.T, name string, opts ...backend.Option) {
 			t.Fatalf("responses = %v, want %v", got, seq(n))
 		}
 	})
+}
+
+// pacer is a poll-only peer that acts once every period clock edges until
+// act reports it is done. Waiting counts as progress, like any timer.
+type pacer struct {
+	period, edges int
+	act           func() bool
+	done          bool
+}
+
+func (p *pacer) Step(int64) bool {
+	p.edges++
+	if p.edges%p.period == 0 {
+		p.done = p.act()
+	}
+	return true
+}
+
+func (p *pacer) Done() bool { return p.done }
+
+// wakeRun drives the copy kernel under the engine scheduler with a pacer
+// that either feeds requests (slowFeed) or drains responses one element
+// at a time, so the engine blocks on an empty request or a full response
+// buffer between elements and only that port's traffic can wake it. The
+// run must finish with the same responses and cycle count as under the
+// naive loop, which steps the engine on every edge.
+func wakeRun(t *testing.T, be backend.Backend, o backend.Options, slowFeed bool) {
+	t.Helper()
+	const n = 6
+	run := func(mode engine.Mode) (int64, []float64) {
+		outCap := 16
+		if !slowFeed {
+			outCap = 1
+		}
+		f := newFixture(t, be, o, n, n, 16, outCap, 1)
+		if !slowFeed {
+			f.push(t, seq(n)...)
+		}
+		var got []float64
+		fed := 0
+		peer := &pacer{period: 40, act: func() bool {
+			if slowFeed {
+				fed++
+				f.push(t, float64(fed))
+				return fed == n
+			}
+			got = append(got, f.drain()...)
+			return f.out.Buf.Drained(f.out.Reader)
+		}}
+		e := engine.New()
+		e.Mode = mode
+		e.Add(f.eng, 1)
+		e.Add(peer, 1)
+		elapsed, err := e.Run(1 << 20)
+		if err != nil {
+			t.Fatalf("%s scheduler: %v", mode, err)
+		}
+		return elapsed, append(got, f.drain()...)
+	}
+	wantCycles, want := run(engine.ModeNaive)
+	if !eq(want, seq(n)) {
+		t.Fatalf("naive responses = %v, want %v", want, seq(n))
+	}
+	gotCycles, got := run(engine.ModeAdaptive)
+	if gotCycles != wantCycles || !eq(got, want) {
+		t.Fatalf("default scheduler: %d cycles, responses %v; naive: %d cycles, %v",
+			gotCycles, got, wantCycles, want)
+	}
 }

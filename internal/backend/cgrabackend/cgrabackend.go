@@ -103,6 +103,7 @@ type cgraEngine struct {
 func (e *cgraEngine) Step(now int64) bool       { return e.f.Step(now) }
 func (e *cgraEngine) Done() bool                { return e.f.Done() }
 func (e *cgraEngine) NextEvent(now int64) int64 { return e.f.NextEvent(now) }
+func (e *cgraEngine) Latch() *engine.Latch      { return e.f.Latch() }
 func (e *cgraEngine) SetReg(r int, v float64)   { e.f.SetReg(r, v) }
 func (e *cgraEngine) Reg(r int) float64         { return e.f.Reg(r) }
 func (e *cgraEngine) Ops() int64                { return e.f.Ops }

@@ -56,6 +56,7 @@ type ioEngine struct {
 func (e *ioEngine) Step(now int64) bool       { return e.c.Step(now) }
 func (e *ioEngine) Done() bool                { return e.c.Done() }
 func (e *ioEngine) NextEvent(now int64) int64 { return e.c.NextEvent(now) }
+func (e *ioEngine) Latch() *engine.Latch      { return e.c.Latch() }
 func (e *ioEngine) SetReg(r int, v float64)   { e.c.SetReg(r, v) }
 func (e *ioEngine) Reg(r int) float64         { return e.c.Reg(r) }
 func (e *ioEngine) Ops() int64                { return e.c.Ops }

@@ -45,6 +45,7 @@ type Fabric struct {
 	flHead, nfl int
 	lastNow     int64
 	done        bool
+	latch       engine.Latch
 
 	// Counters.
 	Ops   int64
@@ -204,6 +205,7 @@ func NewFabric(plan *Plan, trips int64, inputs []*accessunit.InPort, outputs []*
 			f.tripIn = f.inputs[t]
 		}
 	}
+	accessunit.SubscribePorts(&f.latch, in, out)
 	return f, nil
 }
 
@@ -328,6 +330,9 @@ func (f *Fabric) Step(now int64) bool {
 	f.startIteration(now)
 	return true
 }
+
+// Latch implements engine.Hinter; every wired port's buffer wakes it.
+func (f *Fabric) Latch() *engine.Latch { return &f.latch }
 
 // NextEvent implements engine.Hinter: the fabric's next effect is the
 // earlier of the head in-flight iteration's completion and the next

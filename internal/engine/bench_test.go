@@ -4,12 +4,14 @@ import "testing"
 
 // sleeper models the sparse case: short bursts of work separated by long
 // advertised latencies. The fast scheduler should jump straight between
-// bursts; the naive loop visits every intervening clock edge.
+// bursts; the naive loop visits every intervening clock edge. It reads no
+// queue, so nothing ever wakes its latch: only its own timer does.
 type sleeper struct {
 	items   int
 	latency int64
 	next    int64
 	done    bool
+	latch   Latch
 }
 
 func (s *sleeper) Step(now int64) bool {
@@ -26,6 +28,8 @@ func (s *sleeper) Step(now int64) bool {
 }
 
 func (s *sleeper) Done() bool { return s.done }
+
+func (s *sleeper) Latch() *Latch { return &s.latch }
 
 func (s *sleeper) NextEvent(now int64) int64 {
 	if s.done || now >= s.next {
@@ -64,12 +68,10 @@ func buildSparse(e *Engine) {
 	}
 }
 
-// The *Fast benchmarks exercise the default scheduler (adaptive); the
-// *Event variants pin the always-event-driven mode for comparison.
+// The *Fast benchmarks exercise the default (wake-driven) scheduler, the
+// *Naive ones the reference loop.
 func BenchmarkEngineLoopDenseFast(b *testing.B)  { benchEngine(b, ModeAdaptive, buildDense) }
-func BenchmarkEngineLoopDenseEvent(b *testing.B) { benchEngine(b, ModeEvent, buildDense) }
 func BenchmarkEngineLoopDenseNaive(b *testing.B) { benchEngine(b, ModeNaive, buildDense) }
 
 func BenchmarkEngineLoopSparseFast(b *testing.B)  { benchEngine(b, ModeAdaptive, buildSparse) }
-func BenchmarkEngineLoopSparseEvent(b *testing.B) { benchEngine(b, ModeEvent, buildSparse) }
 func BenchmarkEngineLoopSparseNaive(b *testing.B) { benchEngine(b, ModeNaive, buildSparse) }

@@ -14,15 +14,27 @@ import (
 // components — through both schedulers and requires identical elapsed
 // cycles and identical per-component effect sequences.
 
-// fq is a bounded FIFO connecting two stages.
+// fq is a bounded FIFO connecting two stages. Like the simulator's
+// buffers, it wakes its subscribers on every mutation.
 type fq struct {
 	vals   []int
 	cap    int
 	closed bool
+	subs   []*Latch
 }
 
 func (q *fq) canPush() bool { return len(q.vals) < q.cap }
 func (q *fq) canPop() bool  { return len(q.vals) > 0 }
+
+func (q *fq) wake() {
+	for _, l := range q.subs {
+		l.Wake()
+	}
+}
+
+func (q *fq) push(v int) { q.vals = append(q.vals, v); q.wake() }
+func (q *fq) pop()       { q.vals = q.vals[1:]; q.wake() }
+func (q *fq) close()     { q.closed = true; q.wake() }
 
 // effect is one observable state change: which component, at which base
 // cycle, doing what.
@@ -47,6 +59,7 @@ type stage struct {
 	rng       *rand.Rand
 	maxLat    int64
 	log       *[]effect
+	latch     Latch
 }
 
 func (s *stage) note(now int64, kind string) {
@@ -67,7 +80,7 @@ func (s *stage) Step(now int64) bool {
 			return false // blocked on full output
 		}
 		if s.out != nil {
-			s.out.vals = append(s.out.vals, 1)
+			s.out.push(1)
 			s.note(now, "push")
 		} else {
 			s.note(now, "sink")
@@ -85,7 +98,7 @@ func (s *stage) Step(now int64) bool {
 		}
 	} else {
 		if s.in.canPop() {
-			s.in.vals = s.in.vals[1:]
+			s.in.pop()
 			s.holding = true
 			s.busyUntil = now + s.rng.Int63n(s.maxLat+1)
 			s.note(now, "pop")
@@ -97,12 +110,15 @@ func (s *stage) Step(now int64) bool {
 	}
 	// Source exhausted (or input drained): finish.
 	if s.out != nil {
-		s.out.closed = true
+		s.out.close()
 	}
 	s.done = true
 	s.note(now, "done")
 	return true
 }
+
+// Latch implements Hinter; the stage's queues wake it.
+func (s *stage) Latch() *Latch { return &s.latch }
 
 // NextEvent implements Hinter with the same case analysis as Step.
 func (s *stage) NextEvent(now int64) int64 {
@@ -164,6 +180,11 @@ func buildPipelines(seed int64, log *[]effect, e *Engine) {
 			if rng.Intn(4) == 0 {
 				e.Add(noHint{s}, ghz) // poll-only component
 			} else {
+				for _, q := range []*fq{s.in, s.out} {
+					if q != nil {
+						q.subs = append(q.subs, &s.latch)
+					}
+				}
 				e.Add(s, ghz)
 			}
 		}
@@ -182,38 +203,34 @@ func TestDifferentialFuzzFastVsNaive(t *testing.T) {
 			t.Fatalf("seed %d: naive err=%v", seed, nErr)
 		}
 
-		for _, mode := range []Mode{ModeEvent, ModeAdaptive} {
-			var fastLog []effect
-			ef := New()
-			ef.Mode = mode
-			buildPipelines(seed, &fastLog, ef)
-			fElapsed, fErr := ef.Run(1 << 22)
-
-			if fErr != nil {
-				t.Fatalf("seed %d: %s err=%v", seed, mode, fErr)
+		var fastLog []effect
+		ef := New()
+		buildPipelines(seed, &fastLog, ef)
+		fElapsed, fErr := ef.Run(1 << 22)
+		if fErr != nil {
+			t.Fatalf("seed %d: default err=%v", seed, fErr)
+		}
+		if nElapsed != fElapsed {
+			t.Fatalf("seed %d: elapsed naive=%d default=%d", seed, nElapsed, fElapsed)
+		}
+		if en.Now() != ef.Now() {
+			t.Fatalf("seed %d: Now naive=%d default=%d", seed, en.Now(), ef.Now())
+		}
+		if !reflect.DeepEqual(naiveLog, fastLog) {
+			i := 0
+			for i < len(naiveLog) && i < len(fastLog) && naiveLog[i] == fastLog[i] {
+				i++
 			}
-			if nElapsed != fElapsed {
-				t.Fatalf("seed %d: elapsed naive=%d %s=%d", seed, nElapsed, mode, fElapsed)
-			}
-			if en.Now() != ef.Now() {
-				t.Fatalf("seed %d: Now naive=%d %s=%d", seed, en.Now(), mode, ef.Now())
-			}
-			if !reflect.DeepEqual(naiveLog, fastLog) {
-				i := 0
-				for i < len(naiveLog) && i < len(fastLog) && naiveLog[i] == fastLog[i] {
-					i++
-				}
-				t.Fatalf("seed %d: effect logs diverge at index %d:\nnaive: %v\n%s: %v",
-					seed, i, tail(naiveLog, i), mode, tail(fastLog, i))
-			}
+			t.Fatalf("seed %d: effect logs diverge at index %d:\nnaive:   %v\ndefault: %v",
+				seed, i, tail(naiveLog, i), tail(fastLog, i))
 		}
 	}
 }
 
-// TestAdaptiveModeSwitches drives one population dense enough to enter
-// dense mode and one sparse enough to stay event-driven, and checks both
-// still agree with the naive reference (belt and braces on top of the
-// fuzz, with populations engineered to cross the density thresholds).
+// TestAdaptiveModeSwitches drives a dense poll-only population, a sparse
+// sleeping one and one that turns from the first into the second, and
+// checks the default scheduler agrees with the naive reference on each
+// (belt and braces on top of the fuzz).
 func TestAdaptiveModeSwitches(t *testing.T) {
 	type buildCase struct {
 		name  string
@@ -224,7 +241,7 @@ func TestAdaptiveModeSwitches(t *testing.T) {
 		{"sparse", buildSparse},
 		{"mixed", func(e *Engine) {
 			// Dense phase followed by a sparse tail: tickers drain first,
-			// then sleepers force dense-mode exit and fast-forwarding.
+			// then only the sleepers' timers remain to jump between.
 			for i := 0; i < 8; i++ {
 				e.Add(&ticker{n: 1 << 8}, benchGHz[i%len(benchGHz)])
 			}
@@ -271,6 +288,7 @@ type countingWaiter struct {
 	fireAt  int64
 	fired   bool
 	steps   int
+	latch   Latch
 }
 
 func (c *countingWaiter) Step(now int64) bool {
@@ -284,7 +302,8 @@ func (c *countingWaiter) Step(now int64) bool {
 	}
 	return true
 }
-func (c *countingWaiter) Done() bool { return c.fired }
+func (c *countingWaiter) Done() bool    { return c.fired }
+func (c *countingWaiter) Latch() *Latch { return &c.latch }
 func (c *countingWaiter) NextEvent(now int64) int64 {
 	if c.fired {
 		return 0

@@ -3,18 +3,19 @@
 // host, 1 GHz CGRA fabric and 3 GHz sensitivity configurations coexist in
 // one run (base tick = 1/6 ns).
 //
-// The default scheduler is adaptive: it watches the observed wake density
-// and switches per phase between a dense mode that steps every due clock
-// edge with no event bookkeeping at all and the event-driven mode, in which
-// components that can predict their next observable effect implement the
-// optional Hinter interface and the engine fast-forwards over base cycles
-// in which no live component can act instead of polling every component on
-// every tick. Components are partitioned into per-divisor rings so a tick
-// touches only due, live components; finished components are removed
-// (order-preservingly) from their ring. The resulting cycle counts,
-// per-component effect sequences and counters are bit-identical across all
-// three modes; the naive one-tick-at-a-time loop (ModeNaive) is kept as
-// the differential-testing reference.
+// The default scheduler is wake-driven. Every live component carries the
+// next base cycle at which it must step. A component that can predict its
+// next observable effect implements the optional Hinter interface: after
+// each of its steps the engine asks NextEvent and trusts the answer until
+// the component's Latch is woken, which every queue the claim was read
+// from does on mutation. A cycle steps only the components on its clock
+// phase whose next-step cycle has come, and the clock jumps straight to
+// the earliest pending one, so components blocked on a peer or waiting on
+// a timer cost nothing. Components without the interface are stepped on
+// every one of their clock edges. Cycle counts, per-component effect
+// sequences and counters are bit-identical to the naive
+// one-tick-at-a-time loop (ModeNaive), which ignores latches and is kept
+// as the differential-testing reference.
 package engine
 
 import (
@@ -36,6 +37,19 @@ func Div(ghz int) int {
 	return BaseGHz / ghz
 }
 
+// edgeAfter[d][r] is the distance from a base cycle of phase r (its value
+// mod BaseGHz) to the next clock edge of divisor d strictly after it. Every
+// divisor divides BaseGHz, so the phase fixes it, and the scheduler's hot
+// paths align cycles to edges without dividing.
+var edgeAfter = func() (t [BaseGHz + 1][BaseGHz]int64) {
+	for d := int64(1); d <= BaseGHz; d++ {
+		for r := int64(0); r < BaseGHz; r++ {
+			t[d][r] = d - r%d
+		}
+	}
+	return t
+}()
+
 // Component is a clocked simulation entity. Step is invoked once per edge
 // of the component's clock with the current base cycle; it returns whether
 // the component made forward progress (consumed/produced/retired/counted
@@ -45,9 +59,7 @@ func Div(ghz int) int {
 // Step. (All in-tree components satisfy this; it lets the engine track
 // completion incrementally instead of rescanning every component each
 // tick.) A Step that reports no progress must leave all observable state —
-// its own and any shared queues — unchanged: the scheduler relies on
-// progress-free windows being state-preserving to reuse NextEvent claims
-// without re-querying them.
+// its own and any shared queues — unchanged.
 type Component interface {
 	Step(now int64) (progress bool)
 	Done() bool
@@ -59,27 +71,43 @@ type Component interface {
 // engine declares deadlock.
 const Never = int64(math.MaxInt64)
 
-// Hinter is the optional fast-forward interface. NextEvent returns a lower
+// Latch is a component's wake-up line. The component owns it and hands it
+// to every queue its NextEvent reads; each mutation of such a queue calls
+// Wake, which makes the engine step the component again at its next clock
+// edge. The zero value is unregistered and Wake on it does nothing, so a
+// queue may wake a component before (or without) it joining an engine. A
+// spurious wake is always safe: it costs one step that reports no effect.
+type Latch struct{ at *int64 }
+
+// Wake schedules the latch's component for its next clock edge.
+func (l *Latch) Wake() {
+	if l.at != nil {
+		*l.at = 0
+	}
+}
+
+// Hinter is the optional wake-driven interface. NextEvent returns a lower
 // bound on the base cycle of the component's next observable effect
-// (state change, counter update, or completion), assuming no other
-// component acts in the meantime:
+// (state change, counter update, or completion), assuming none of the
+// queues wired to its Latch changes in the meantime:
 //
 //   - A value <= now means "poll me": step the component at its next clock
 //     edge. Returning 0 is always safe.
 //   - A future value T means the component is certain to be a no-op at
 //     every one of its clock edges strictly before T (e.g. a latency timer
-//     expiring at T). It must never be later than the true next effect;
-//     claims must be monotone in the sense that re-asking at a later cycle
-//     (with no intervening external action) never yields an earlier-passed
-//     opportunity.
+//     expiring at T). It must never be later than the true next effect.
 //   - Never means the component is blocked on a peer (empty input, full
 //     output) and has no self-scheduled future event.
 //
-// The engine re-queries NextEvent on every processed cycle, so claims only
-// need to hold under the no-external-action assumption; they may become
-// stale the moment another component steps.
+// The engine asks NextEvent right after each of the component's steps and
+// trusts the claim until the Latch is woken: it does not step the
+// component before the claimed cycle, and never after a Never claim, until
+// then. NextEvent may therefore read only the component's own state and
+// queues that wake the Latch on every mutation that could move the claim
+// earlier.
 type Hinter interface {
 	NextEvent(now int64) int64
+	Latch() *Latch
 }
 
 // Mode selects the scheduling strategy. The zero value is ModeAdaptive,
@@ -87,13 +115,11 @@ type Hinter interface {
 type Mode int
 
 const (
-	// ModeAdaptive watches the observed wake density and switches per
-	// phase between dense stepping (every due clock edge, no nextWake
-	// sweep) and the event-driven scheduler. This is the default.
+	// ModeAdaptive is the wake-driven scheduler: it steps a component only
+	// when its claim comes due or its Latch is woken. This is the default.
 	ModeAdaptive Mode = iota
-	// ModeEvent always runs the event-driven fast-forward scheduler.
-	ModeEvent
-	// ModeNaive is the reference one-tick-at-a-time scheduler.
+	// ModeNaive is the reference one-tick-at-a-time scheduler: it ignores
+	// claims and latches and steps every component on every clock edge.
 	ModeNaive
 )
 
@@ -101,8 +127,6 @@ func (m Mode) String() string {
 	switch m {
 	case ModeAdaptive:
 		return "adaptive"
-	case ModeEvent:
-		return "event"
 	case ModeNaive:
 		return "naive"
 	}
@@ -110,76 +134,64 @@ func (m Mode) String() string {
 }
 
 // ParseMode parses an engine mode name as accepted by the CLIs'
-// -engine flag. The empty string means the default (adaptive).
+// -engine flag. The empty string means the default (adaptive). "event",
+// the name of a removed scheduler, also selects the default, so specs
+// written for it keep working.
 func ParseMode(s string) (Mode, error) {
 	switch s {
-	case "", "adaptive":
+	case "", "adaptive", "event":
 		return ModeAdaptive, nil
-	case "event":
-		return ModeEvent, nil
 	case "naive":
 		return ModeNaive, nil
 	}
-	return 0, fmt.Errorf("engine: unknown mode %q (want adaptive, event or naive)", s)
+	return 0, fmt.Errorf("engine: unknown mode %q (want adaptive or naive)", s)
 }
 
 // entry is one registered component.
 type entry struct {
-	c    Component
-	hint Hinter // nil when c does not implement Hinter
-	div  int64
-	id   int // registration order; defines intra-cycle step order
-
-	// Cached NextEvent claim. A cached future claim is reusable while no
-	// component in the engine has made progress since it was collected and
-	// the owner has not been stepped (see nextWake); cachedWake is the
-	// claim already aligned up to the owner's clock edge. cachedEpoch pins
-	// the claim to the engine's claimEpoch at collection time.
-	cachedClaim int64
-	cachedWake  int64
-	cachedEpoch uint64
-}
-
-// ring groups the live components sharing one clock divisor, in
-// registration order.
-type ring struct {
-	div  int64
-	ents []*entry
-	// hot rotates nextWake's sweep start to the entry that most recently
-	// settled the wake-up cycle: in steady pipeline phases the same busy
-	// component keeps doing so, which lets the bounded sweep finish after
-	// a single hint query. Purely a performance cursor — claims are
-	// combined by min, so sweep order never affects the result.
-	hot int
+	c     Component
+	hint  Hinter // nil when c does not implement Hinter
+	latch *Latch // hint's latch; points at this entry's at while registered
+	div   int64
+	// at is the base cycle from which the component must be stepped again
+	// (aligned to its own edge): 0 when due at its next edge, Never while
+	// it sleeps until woken. Only hinted entries ever hold a future value.
+	at   int64
+	done bool
 }
 
 // Engine drives a set of components to completion.
 type Engine struct {
-	rings  []*ring
-	byDiv  map[int64]*ring
+	// phases[p] lists the entries with a clock edge on base cycles
+	// congruent to p mod BaseGHz, in registration order (which defines
+	// intra-cycle step order). phases[0] holds every entry. Finished
+	// entries leave a list the next time its phase is stepped.
+	phases [BaseGHz][]*entry
 	seen   map[Component]bool
-	nextID int
-	// ents holds every entry allocated so far; the first nextID are in
-	// use. Reset rewinds nextID so a reused engine recycles them.
+	// ents holds every entry allocated so far; the first n are in use.
+	// Reset rewinds n so a reused engine recycles them.
 	ents   []*entry
-	live   int   // registered components not yet removed as done
+	n      int
+	live   int   // registered components not yet finished
 	maxDiv int64 // max divisor ever registered (hoisted from the run loop)
 	now    int64
 
-	// claimEpoch versions the cached NextEvent claims: it advances on
-	// every processed cycle in which some component made progress (and at
-	// the start of every Run, invalidating claims across any mutations
-	// made between Runs), so a cached claim is reusable exactly while the
-	// no-external-action assumption it was collected under still holds.
-	claimEpoch uint64
+	// liveDiv and pollDiv count live entries, and live entries without a
+	// Hinter, per divisor. edgeOff[p] is the distance from a cycle of
+	// phase p to the next clock edge of any live entry, and pollEdge[p]
+	// whether a poll-only entry has that edge: then nothing can be due
+	// earlier and the next cycle is known without scanning claims.
+	liveDiv, pollDiv [BaseGHz + 1]int
+	edgeOff          [BaseGHz]int64
+	pollEdge         [BaseGHz]bool
 
 	running bool
 
 	// Trace, when enabled, records one span per Run plus one span per
-	// fast-forward jump (the cycles the event-driven scheduler skipped).
-	// The zero value is the disabled state; the recording path then costs a
-	// single hoisted branch per Run, keeping the disabled-tracing overhead
-	// inside the benchmark budget.
+	// fast-forward jump (the cycles the scheduler skipped). The zero value
+	// is the disabled state; the recording path then costs a single hoisted
+	// branch per Run, keeping the disabled-tracing overhead inside the
+	// benchmark budget.
 	Trace trace.Scope
 
 	// CollectFF, when set, accumulates fast-forward scheduler statistics
@@ -193,7 +205,7 @@ type Engine struct {
 	FFJumps, FFSkipped int64
 
 	// Mode selects the scheduling strategy; the zero value is the default
-	// adaptive scheduler. All modes produce identical cycle counts and
+	// wake-driven scheduler. All modes produce identical cycle counts and
 	// component effect sequences. On error paths (deadlock vs. budget
 	// exhaustion in the same window) the modes may report the failure at
 	// slightly different base cycles.
@@ -202,11 +214,7 @@ type Engine struct {
 
 // New returns an empty engine.
 func New() *Engine {
-	return &Engine{
-		byDiv:  map[int64]*ring{},
-		seen:   map[Component]bool{},
-		maxDiv: 1,
-	}
+	return &Engine{seen: map[Component]bool{}, maxDiv: 1}
 }
 
 // Add registers a component clocked at ghz. It panics when called while
@@ -222,7 +230,6 @@ func (e *Engine) Add(c Component, ghz int) {
 		panic("engine: Add of nil component")
 	}
 	if e.seen == nil { // zero-value Engine
-		e.byDiv = map[int64]*ring{}
 		e.seen = map[Component]bool{}
 		e.maxDiv = 1
 	}
@@ -231,34 +238,22 @@ func (e *Engine) Add(c Component, ghz int) {
 	}
 	e.seen[c] = true
 	div := int64(Div(ghz))
-	r := e.byDiv[div]
-	if r == nil {
-		r = &ring{div: div}
-		e.byDiv[div] = r
-		// Keep rings sorted by ascending divisor: the fastest clock owns
-		// the earliest possible edge, so nextWake's bounded sweep can
-		// terminate after inspecting it in the common case.
-		at := len(e.rings)
-		for i, o := range e.rings {
-			if div < o.div {
-				at = i
-				break
-			}
-		}
-		e.rings = append(e.rings, nil)
-		copy(e.rings[at+1:], e.rings[at:])
-		e.rings[at] = r
-	}
-	if e.nextID == len(e.ents) {
+	if e.n == len(e.ents) {
 		e.ents = append(e.ents, &entry{})
 	}
-	ent := e.ents[e.nextID]
-	*ent = entry{c: c, div: div, id: e.nextID}
-	e.nextID++
+	ent := e.ents[e.n]
+	e.n++
+	*ent = entry{c: c, div: div}
 	if h, ok := c.(Hinter); ok {
-		ent.hint = h
+		ent.hint, ent.latch = h, h.Latch()
+		ent.latch.at = &ent.at
+	} else {
+		e.pollDiv[div]++
 	}
-	r.ents = append(r.ents, ent)
+	for p := int64(0); p < BaseGHz; p += div {
+		e.phases[p] = append(e.phases[p], ent)
+	}
+	e.liveDiv[div]++
 	e.live++
 	if div > e.maxDiv {
 		e.maxDiv = div
@@ -267,24 +262,28 @@ func (e *Engine) Add(c Component, ghz int) {
 
 // Reset returns the engine to the state New leaves it in — no components,
 // clock at zero, fast-forward counters and trace scope cleared — while
-// keeping its rings, registration set and entry storage for reuse, so a
-// simulator can drive many short launches through one engine without
-// reallocating the scheduler. Mode and CollectFF are configuration and
-// survive. It panics when called during Run.
+// keeping its phase lists, registration set and entry storage for reuse,
+// so a simulator can drive many short launches through one engine without
+// reallocating the scheduler. The latches of the dropped components are
+// detached. Mode and CollectFF are configuration and survive. It panics
+// when called during Run.
 func (e *Engine) Reset() {
 	if e.running {
 		panic("engine: Reset called during Run")
 	}
-	for _, r := range e.rings {
-		clear(r.ents)
-		r.ents, r.hot = r.ents[:0], 0
+	for p := range e.phases {
+		clear(e.phases[p])
+		e.phases[p] = e.phases[p][:0]
 	}
-	for _, ent := range e.ents[:e.nextID] {
+	for _, ent := range e.ents[:e.n] {
+		if ent.latch != nil {
+			ent.latch.at = nil
+		}
 		*ent = entry{}
 	}
 	clear(e.seen)
-	e.nextID, e.live, e.maxDiv, e.now = 0, 0, 1, 0
-	e.claimEpoch = 0
+	e.liveDiv, e.pollDiv = [BaseGHz + 1]int{}, [BaseGHz + 1]int{}
+	e.n, e.live, e.maxDiv, e.now = 0, 0, 1, 0
 	e.Trace = trace.Scope{}
 	e.FFJumps, e.FFSkipped = 0, 0
 }
@@ -303,7 +302,7 @@ const ffSpanMinCycles = 32
 // deadlockWindow is how many consecutive progress-free base cycles (with
 // incomplete components) are treated as deadlock. Every legitimate wait in
 // the model counts down a timer and therefore reports progress (or, under
-// the fast-forward scheduler, claims a future event), so a small window
+// the wake-driven scheduler, claims a future event), so a small window
 // suffices.
 const deadlockWindow = 8
 
@@ -315,73 +314,106 @@ func (e *Engine) Run(maxBaseCycles int64) (int64, error) {
 	}
 	e.running = true
 	defer func() { e.running = false }()
-	e.pruneDone()
-	// Anything may have mutated component state between Runs (hosts push
-	// into queues, components join); cached claims from a previous Run are
-	// not trustworthy.
-	e.claimEpoch++
-	switch e.Mode {
-	case ModeNaive:
+	e.prepare()
+	if e.Mode == ModeNaive {
 		return e.runNaive(maxBaseCycles)
-	case ModeEvent:
-		return e.runFast(maxBaseCycles)
-	default:
-		return e.runAdaptive(maxBaseCycles)
 	}
+	return e.runWake(maxBaseCycles)
 }
 
-// pruneDone drops components that are already finished before the loop
-// starts (components normally leave their ring at the step that completes
-// them).
-func (e *Engine) pruneDone() {
-	for _, r := range e.rings {
+// prepare drops components that are already finished (components normally
+// leave at the step that completes them) and makes every live one due at
+// its next edge: anything may have changed between Runs (hosts push into
+// queues, components join), so no earlier claim is trusted.
+func (e *Engine) prepare() {
+	for p := range e.phases {
+		list := e.phases[p]
 		w := 0
-		for _, ent := range r.ents {
-			if ent.c.Done() {
-				e.live--
+		for _, ent := range list {
+			if ent.done {
 				continue
 			}
-			r.ents[w] = ent
+			if ent.c.Done() {
+				e.retire(ent)
+				continue
+			}
+			ent.at = 0
+			list[w] = ent
 			w++
 		}
-		r.ents = r.ents[:w]
+		clear(list[w:])
+		e.phases[p] = list[:w]
+	}
+	e.updateEdges()
+}
+
+// retire marks a finished entry; the phase lists drop it lazily.
+func (e *Engine) retire(ent *entry) {
+	ent.done = true
+	e.live--
+	e.liveDiv[ent.div]--
+	last := e.liveDiv[ent.div] == 0
+	if ent.hint == nil {
+		e.pollDiv[ent.div]--
+		last = last || e.pollDiv[ent.div] == 0
+	}
+	if last {
+		e.updateEdges()
 	}
 }
 
-// runFast is the event-driven scheduler: it processes only base cycles at
-// which some live component may act and jumps the clock directly to the
-// earliest claimed pending edge otherwise.
-func (e *Engine) runFast(maxBaseCycles int64) (int64, error) {
+// updateEdges recomputes edgeOff and pollEdge from the live counts.
+func (e *Engine) updateEdges() {
+	for p := int64(0); p < BaseGHz; p++ {
+		off, poll := Never, false
+		for d := int64(1); d <= BaseGHz; d++ {
+			if e.liveDiv[d] == 0 {
+				continue
+			}
+			t := edgeAfter[d][p]
+			if t < off {
+				off, poll = t, false
+			}
+			if t == off && e.pollDiv[d] > 0 {
+				poll = true
+			}
+		}
+		e.edgeOff[p], e.pollEdge[p] = off, poll
+	}
+}
+
+// runWake is the wake-driven scheduler: it processes only base cycles at
+// which some live component is due and jumps the clock directly to the
+// earliest pending one otherwise.
+func (e *Engine) runWake(maxBaseCycles int64) (int64, error) {
 	start := e.now
 	var idle int64
 	window := int64(deadlockWindow) * e.maxDiv
 	traced := e.Trace.Enabled() // hoisted: the disabled path pays one branch per processed cycle
 	obs := traced || e.CollectFF
-	var jumps, skipped int64
+	j0, s0 := e.FFJumps, e.FFSkipped
 	for {
 		if e.live == 0 {
 			if traced {
-				e.finishRunSpan(start, jumps, skipped)
+				e.finishRunSpan(start, e.FFJumps-j0, e.FFSkipped-s0)
 			}
 			return e.now - start, nil
 		}
 		if e.now-start >= maxBaseCycles {
 			return e.now - start, fmt.Errorf("engine: exceeded %d base cycles", maxBaseCycles)
 		}
-		progress := e.stepDue()
+		p := e.now % BaseGHz
+		progress := e.step(p, true)
 		if e.live == 0 {
 			// The completing step happened this cycle; the naive loop
 			// detects completion at the top of the next one.
 			e.now++
 			if traced {
-				e.finishRunSpan(start, jumps, skipped)
+				e.finishRunSpan(start, e.FFJumps-j0, e.FFSkipped-s0)
 			}
 			return e.now - start, nil
 		}
-		if progress {
-			e.claimEpoch++
-		}
-		next, future, _ := e.nextWake(progress)
+		next, future := e.next(p, progress)
 		if next == Never {
 			return e.now - start, fmt.Errorf("engine: deadlock at base cycle %d (%s)", e.now, e.describeStuck())
 		}
@@ -407,8 +439,6 @@ func (e *Engine) runFast(maxBaseCycles int64) (int64, error) {
 			if traced && d >= ffSpanMinCycles {
 				e.Trace.Span("fast-forward", e.now+1, d, trace.KV{K: "cycles", V: d})
 			}
-			jumps++
-			skipped += d
 			e.FFJumps++
 			e.FFSkipped += d
 		}
@@ -424,141 +454,8 @@ func (e *Engine) finishRunSpan(start, jumps, skipped int64) {
 		trace.KV{K: "ff_skipped_cycles", V: skipped})
 }
 
-// Adaptive-mode thresholds. denseEnterStreak is how many consecutive
-// progress cycles that woke exactly on the earliest possible clock edge
-// are required before the scheduler stops sweeping hints and steps every
-// due edge; denseRecheckEvery is how many dense progress cycles separate
-// full hint sweeps looking for a fast-forward opportunity (it bounds the
-// cycles wasted edge-stepping a phase that has turned sparse).
-const (
-	denseEnterStreak  = 24
-	denseRecheckEvery = 64
-)
-
-// runAdaptive switches per phase between the event-driven scheduler and a
-// dense mode that advances edge to edge with no nextWake sweep at all —
-// the naive loop minus its redundant work. Both behaviors visit a
-// superset of the cycles on which components act, so results stay
-// bit-identical to the other schedulers; only the scheduler's own
-// bookkeeping differs. A cycle without progress immediately drops back to
-// the event-driven path (idle accounting there is identical because a
-// dense phase by construction just made progress, so idle enters at
-// zero), which also keeps deadlock reporting aligned with runFast.
-func (e *Engine) runAdaptive(maxBaseCycles int64) (int64, error) {
-	start := e.now
-	var idle int64
-	window := int64(deadlockWindow) * e.maxDiv
-	traced := e.Trace.Enabled()
-	obs := traced || e.CollectFF
-	var jumps, skipped int64
-	dense := false
-	streak, sinceCheck := 0, 0
-	for {
-		if e.live == 0 {
-			if traced {
-				e.finishRunSpan(start, jumps, skipped)
-			}
-			return e.now - start, nil
-		}
-		if e.now-start >= maxBaseCycles {
-			return e.now - start, fmt.Errorf("engine: exceeded %d base cycles", maxBaseCycles)
-		}
-		progress := e.stepDue()
-		if e.live == 0 {
-			e.now++
-			if traced {
-				e.finishRunSpan(start, jumps, skipped)
-			}
-			return e.now - start, nil
-		}
-		if progress {
-			e.claimEpoch++
-		}
-		if dense {
-			if !progress {
-				// The phase ended; resweep below with event-mode idle
-				// accounting (idle is zero entering, as in runFast after
-				// a progress cycle).
-				dense, streak, sinceCheck = false, 0, 0
-			} else {
-				next := int64(0)
-				if sinceCheck++; sinceCheck >= denseRecheckEvery {
-					// Periodic escape valve: a full sweep detects a phase
-					// that kept progressing but went sparse (e.g. one
-					// component streaming while the rest await a long
-					// latency).
-					sinceCheck = 0
-					nw, _, _ := e.nextWake(false)
-					if nw == Never {
-						return e.now - start, fmt.Errorf("engine: deadlock at base cycle %d (%s)", e.now, e.describeStuck())
-					}
-					next = nw
-				}
-				if edge := e.earliestEdge(); next <= edge {
-					next = edge
-				} else {
-					dense, streak, sinceCheck = false, 0, 0 // real jump: go sparse
-				}
-				if lim := start + maxBaseCycles; next > lim {
-					next = lim
-				}
-				if obs && next-e.now > 1 {
-					d := next - e.now - 1
-					if traced && d >= ffSpanMinCycles {
-						e.Trace.Span("fast-forward", e.now+1, d, trace.KV{K: "cycles", V: d})
-					}
-					jumps++
-					skipped += d
-					e.FFJumps++
-					e.FFSkipped += d
-				}
-				e.now = next
-				continue
-			}
-		}
-		next, future, bound := e.nextWake(progress)
-		if next == Never {
-			return e.now - start, fmt.Errorf("engine: deadlock at base cycle %d (%s)", e.now, e.describeStuck())
-		}
-		if progress || future {
-			idle = 0
-		} else {
-			idle += next - e.now
-			if idle > window {
-				return e.now - start, fmt.Errorf("engine: deadlock at base cycle %d (%s)", e.now, e.describeStuck())
-			}
-		}
-		if progress && next == bound {
-			// Woke on the earliest possible edge again: the phase looks
-			// dense. After enough consecutive such cycles, stop sweeping.
-			if streak++; streak >= denseEnterStreak {
-				dense, streak, sinceCheck = true, 0, 0
-			}
-		} else {
-			streak = 0
-		}
-		if lim := start + maxBaseCycles; next > lim {
-			next = lim
-		}
-		if obs && next-e.now > 1 {
-			d := next - e.now - 1
-			if traced && d >= ffSpanMinCycles {
-				e.Trace.Span("fast-forward", e.now+1, d, trace.KV{K: "cycles", V: d})
-			}
-			jumps++
-			skipped += d
-			e.FFJumps++
-			e.FFSkipped += d
-		}
-		e.now = next
-	}
-}
-
-// runNaive is the reference scheduler: one base cycle at a time. Relative
-// to the original loop it keeps the incremental bookkeeping (completion
-// via the live counter, maxDiv hoisted out of the idle path, finished
-// components removed from their ring) but visits every cycle and inspects
-// every live component.
+// runNaive is the reference scheduler: one base cycle at a time, stepping
+// every live component on every one of its clock edges.
 func (e *Engine) runNaive(maxBaseCycles int64) (int64, error) {
 	start := e.now
 	var idle int64
@@ -574,7 +471,7 @@ func (e *Engine) runNaive(maxBaseCycles int64) (int64, error) {
 		if e.now-start >= maxBaseCycles {
 			return e.now - start, fmt.Errorf("engine: exceeded %d base cycles", maxBaseCycles)
 		}
-		progress := e.stepDue()
+		progress := e.step(e.now%BaseGHz, false)
 		if e.live == 0 {
 			e.now++
 			if traced {
@@ -594,200 +491,97 @@ func (e *Engine) runNaive(maxBaseCycles int64) (int64, error) {
 	}
 }
 
-// stepDue steps every live component whose clock edge falls on the current
-// base cycle, in registration order across rings, removing components that
-// finish. Returns whether any step reported progress.
-func (e *Engine) stepDue() bool {
-	// Collect the rings with an edge this cycle. Divisors divide BaseGHz,
-	// so there are at most four.
-	var due [8]*ring
-	nd := 0
-	for _, r := range e.rings {
-		if e.now%r.div == 0 && len(r.ents) > 0 {
-			if nd == len(due) {
-				panic("engine: too many distinct divisors")
-			}
-			due[nd] = r
-			nd++
-		}
-	}
-	if nd == 0 {
-		return false
-	}
-	if nd == 1 {
-		return e.stepRing(due[0])
-	}
-	// k-way merge by registration id so intra-cycle step order matches the
-	// flat registration-order loop (observable through shared buffers).
-	progress := false
-	var rd, wr [8]int
-	for {
-		best, bestID := -1, int(^uint(0)>>1)
-		for i := 0; i < nd; i++ {
-			if rd[i] < len(due[i].ents) && due[i].ents[rd[i]].id < bestID {
-				best, bestID = i, due[i].ents[rd[i]].id
-			}
-		}
-		if best < 0 {
-			break
-		}
-		r := due[best]
-		ent := r.ents[rd[best]]
-		rd[best]++
-		if ent.c.Done() { // finished without stepping (defensive)
-			e.live--
-			continue
-		}
-		ent.cachedClaim = 0 // own Step may move its next effect
-		if ent.c.Step(e.now) {
-			progress = true
-		}
-		if ent.c.Done() {
-			e.live--
-			continue
-		}
-		r.ents[wr[best]] = ent
-		wr[best]++
-	}
-	for i := 0; i < nd; i++ {
-		due[i].ents = due[i].ents[:wr[i]]
-	}
-	return progress
-}
-
-// stepRing steps one ring's components in order, compacting out the ones
-// that finish.
-func (e *Engine) stepRing(r *ring) bool {
+// step steps, in registration order, every live component with a clock
+// edge on the current base cycle (of phase p) whose next-step cycle has come, removing
+// components that finish. With claim set it then records each stepped
+// Hinter's claim; without it (naive) next-step cycles stay 0 and every
+// edge steps. Returns whether any step reported progress.
+//
+// A wake raised by an earlier component this cycle makes a later one due
+// this cycle; a wake for a component already passed takes effect at its
+// next edge — the same visibility the naive loop gives.
+func (e *Engine) step(p int64, claim bool) bool {
+	now := e.now
+	list := e.phases[p]
 	progress := false
 	w := 0
-	for _, ent := range r.ents {
-		if ent.c.Done() {
-			e.live--
+	for _, ent := range list {
+		if ent.done {
 			continue
 		}
-		ent.cachedClaim = 0 // own Step may move its next effect
-		if ent.c.Step(e.now) {
-			progress = true
+		if ent.at <= now {
+			if ent.c.Step(now) {
+				progress = true
+			}
+			if ent.c.Done() {
+				e.retire(ent)
+				continue
+			}
+			if claim && ent.hint != nil {
+				ent.at = e.claimOf(ent)
+			}
 		}
-		if ent.c.Done() {
-			e.live--
-			continue
-		}
-		r.ents[w] = ent
+		list[w] = ent
 		w++
 	}
-	r.ents = r.ents[:w]
+	if w < len(list) {
+		clear(list[w:])
+		e.phases[p] = list[:w]
+	}
 	return progress
 }
 
-// nextWake collects a NextEvent claim from every live component and
-// returns the earliest base cycle at which any of them may act (aligned up
-// to the claimant's own clock edge, and never before now+1). future
-// reports whether some component holds a genuine scheduled future event
-// (as opposed to merely asking to be polled), which distinguishes latency
-// countdowns from dead polling when accounting idle cycles. bound is the
-// earliest possible clock edge when progress is set (-1 otherwise): the
-// floor on any answer, which the adaptive scheduler compares against next
-// to measure wake density.
-//
-// progress reports whether the just-processed cycle stepped anything. In
-// that case the idle counter resets regardless of the future flag, so the
-// sweep may stop as soon as the running minimum reaches the earliest
-// possible next clock edge — no later claim can beat it. Each ring's
-// sweep starts at the entry that most recently settled the wake-up (its
-// hot cursor): in steady pipeline phases that is the same busy component
-// again, so dense phases pay a single hint query per cycle.
-//
-// A future claim is cached on its entry and reused — skipping the
-// NextEvent call — while the engine's claimEpoch is unchanged and the
-// owner has not been stepped since collection. Both conditions together
-// restate the Hinter contract's no-external-action assumption: progress
-// bumps the epoch, and a progress-free Step leaves observable state (and
-// therefore every component's next effect) unchanged, so a claim
-// collected in the same progress-free window still holds. Reusing a claim
-// can only schedule the same-or-earlier wake-up a fresh query would, so a
-// stale-but-valid claim costs at most a no-op visit — exactly what the
-// naive reference loop does every cycle.
-//
-// The sweep is read-only on component state: components finish only
-// inside their own Step (see the Component contract), so stepDue and
-// pruneDone own all ring removals and claims may be collected in any
-// order (min is commutative).
-func (e *Engine) nextWake(progress bool) (next int64, future bool, bound int64) {
-	next = Never
-	bound = -1
-	if progress {
-		bound = e.earliestEdge()
+// claimOf converts ent's NextEvent claim into its next-step cycle.
+func (e *Engine) claimOf(ent *entry) int64 {
+	t := ent.hint.NextEvent(e.now)
+	if t == Never {
+		return Never
 	}
-	epoch := e.claimEpoch
-	for _, r := range e.rings {
-		n := len(r.ents)
-		start := r.hot
-		if start >= n {
-			start = 0
-		}
-		for k := 0; k < n; k++ {
-			i := start + k
-			if i >= n {
-				i -= n
-			}
-			ent := r.ents[i]
-			if ent.c.Done() { // defensive; stepDue removes it at its next edge
-				continue
-			}
-			var t int64
-			if ent.cachedEpoch == epoch && ent.cachedClaim > e.now {
-				future = true
-				t = ent.cachedWake
-			} else {
-				var claim int64
-				if ent.hint != nil {
-					claim = ent.hint.NextEvent(e.now)
-				}
-				if claim == Never {
-					continue // blocked on a peer: contributes no wake-up
-				}
-				t = claim
-				if t <= e.now {
-					t = e.now + 1
-				}
-				if rem := t % r.div; rem != 0 {
-					t += r.div - rem // align up to the component's next edge
-				}
-				if claim > e.now {
-					future = true
-					ent.cachedClaim, ent.cachedWake, ent.cachedEpoch = claim, t, epoch
-				}
-			}
-			if t < next {
-				next = t
-				if next <= bound {
-					r.hot = i
-					return next, future, bound
-				}
-			}
-		}
+	if t <= e.now {
+		return 0
 	}
-	return next, future, bound
+	t-- // align up to the component's own edge: its first one after t-1
+	return t + edgeAfter[ent.div][t%BaseGHz]
 }
 
-// earliestEdge returns the earliest base cycle after now that is a clock
-// edge of some non-empty ring — the floor on any nextWake answer.
-func (e *Engine) earliestEdge() int64 {
-	bound := Never
-	for _, r := range e.rings {
-		if len(r.ents) == 0 {
+// next returns the earliest base cycle after now (of phase p) at which
+// some live component is due. future reports whether some component holds
+// a genuine scheduled future event (as opposed to being due at its next
+// edge), which distinguishes latency countdowns from dead polling when
+// accounting idle cycles; it is only computed when the cycle made no
+// progress, since progress resets the idle count anyway.
+//
+// Nothing can be due before the earliest clock edge of a live component,
+// so when that edge belongs to a poll-only component (always due) and the
+// cycle made progress, the answer needs no scan; otherwise the scan stops
+// as soon as it reaches that edge.
+func (e *Engine) next(p int64, progress bool) (next int64, future bool) {
+	bound := e.now + e.edgeOff[p]
+	if progress && e.pollEdge[p] {
+		return bound, false
+	}
+	next = Never
+	for _, ent := range e.phases[0] {
+		if ent.done {
 			continue
 		}
-		t := e.now + 1
-		if rem := t % r.div; rem != 0 {
-			t += r.div - rem
+		t := ent.at
+		if t == Never {
+			continue
 		}
-		if t < bound {
-			bound = t
+		if t > e.now {
+			future = true
+		} else {
+			t = e.now + edgeAfter[ent.div][p]
+		}
+		if t < next {
+			next = t
+			if progress && next <= bound {
+				return next, future
+			}
 		}
 	}
-	return bound
+	return next, future
 }
 
 func (e *Engine) describeStuck() string {

@@ -7,18 +7,18 @@ import (
 	"distda/internal/trace"
 )
 
-// runFastBaseline is a frozen copy of the event-driven scheduler loop as it
-// stood before the tracing subsystem existed — no Trace field reads, no
-// hoisted traced branch. It is the differential baseline for the
-// disabled-tracer overhead budget: the instrumented loop must stay within a
-// few percent of this code and must return identical cycle counts.
+// runFastBaseline is a frozen copy of the wake-driven scheduler loop
+// without its instrumentation — no Trace field reads, no hoisted traced or
+// CollectFF branch. It is the differential baseline for the
+// disabled-tracer overhead budget: the instrumented loop must stay within
+// a few percent of this code and must return identical cycle counts.
 func runFastBaseline(e *Engine, maxBaseCycles int64) (int64, error) {
 	if e.running {
 		panic("engine: Run re-entered")
 	}
 	e.running = true
 	defer func() { e.running = false }()
-	e.pruneDone()
+	e.prepare()
 	start := e.now
 	var idle int64
 	window := int64(deadlockWindow) * e.maxDiv
@@ -29,15 +29,13 @@ func runFastBaseline(e *Engine, maxBaseCycles int64) (int64, error) {
 		if e.now-start >= maxBaseCycles {
 			return e.now - start, errBudget(maxBaseCycles)
 		}
-		progress := e.stepDue()
+		p := e.now % BaseGHz
+		progress := e.step(p, true)
 		if e.live == 0 {
 			e.now++
 			return e.now - start, nil
 		}
-		if progress {
-			e.claimEpoch++
-		}
-		next, future, _ := e.nextWake(progress)
+		next, future := e.next(p, progress)
 		if next == Never {
 			return e.now - start, errDeadlock(e)
 		}
@@ -159,10 +157,7 @@ func TestDisabledTracerOverhead(t *testing.T) {
 		reps   = 6
 		budget = 1.02 // satellite acceptance: <= 2% overhead
 	)
-	// Pin the event-driven mode: the baseline is the frozen event loop, so
-	// the comparison isolates tracing instrumentation, not the adaptive
-	// scheduler's dense fast path.
-	current := func(e *Engine) (int64, error) { e.Mode = ModeEvent; return e.Run(1 << 30) }
+	current := func(e *Engine) (int64, error) { return e.Run(1 << 30) }
 	baseline := func(e *Engine) (int64, error) { return runFastBaseline(e, 1<<30) }
 
 	measure := func() (base, cur time.Duration) {
@@ -193,12 +188,12 @@ func TestDisabledTracerOverhead(t *testing.T) {
 	t.Errorf("disabled-tracer overhead %.2f%% exceeds 2%% budget", 100*(ratio-1))
 }
 
-// TestAdaptiveDenseOverhead asserts the default adaptive scheduler stays
-// within 5% of the naive reference loop on the dense population — the
-// shape where the event-driven scheduler's sweep used to cost ~1.6x. The
-// adaptive dense mode must make that bookkeeping disappear. Same
-// methodology as TestDisabledTracerOverhead: interleaved trials,
-// best-of-N, retry on marginal results, skipped under -short.
+// TestAdaptiveDenseOverhead asserts the default wake-driven scheduler
+// stays within 5% of the naive reference loop on the dense poll-only
+// population — the shape where a scheduler's own bookkeeping has nothing
+// to skip and is pure overhead. Same methodology as
+// TestDisabledTracerOverhead: interleaved trials, best-of-N, retry on
+// marginal results, skipped under -short.
 func TestAdaptiveDenseOverhead(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wall-clock comparison; skipped under -short")

@@ -8,7 +8,7 @@ import (
 // TestResetMatchesFresh: an engine that ran an unrelated component set and
 // was Reset schedules a new set exactly as a fresh engine does.
 func TestResetMatchesFresh(t *testing.T) {
-	for _, mode := range []Mode{ModeAdaptive, ModeEvent, ModeNaive} {
+	for _, mode := range []Mode{ModeAdaptive, ModeNaive} {
 		build := func(e *Engine) []*ticker {
 			ts := []*ticker{{n: 5}, {n: 9}, {n: 3}}
 			e.Add(ts[0], 1)
@@ -93,4 +93,18 @@ func TestResetAllowsReregistration(t *testing.T) {
 	if e.Live() != 1 {
 		t.Fatalf("live = %d", e.Live())
 	}
+}
+
+// TestResetDetachesLatches: Reset unhooks the dropped components' latches
+// from the recycled entries, so a late wake from the previous launch
+// touches nothing the next launch schedules.
+func TestResetDetachesLatches(t *testing.T) {
+	e := New()
+	s := &sleeper{items: 1, latency: 10}
+	e.Add(s, 1)
+	e.Reset()
+	if s.latch.at != nil {
+		t.Fatal("Reset left a dropped component's latch attached")
+	}
+	s.latch.Wake() // must be a no-op
 }

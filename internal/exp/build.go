@@ -40,7 +40,7 @@ type Options struct {
 	Cache *artifact.Cache
 
 	// EngineMode selects the engine scheduling strategy for every cell
-	// (adaptive — the zero value —, event-driven, or the naive reference).
+	// (adaptive — the zero value — or the naive reference).
 	// Results are bit-identical across modes; this picks wall-clock only.
 	EngineMode engine.Mode
 

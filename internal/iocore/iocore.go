@@ -40,6 +40,7 @@ type Core struct {
 	stallUntil int64
 	lastNow    int64 // most recent Step edge (timestamp for the done instant)
 	done       bool
+	latch      engine.Latch
 
 	// Width is the issue width: micro-ops retired per cycle when nothing
 	// blocks (Fig. 14's +SW configuration uses 4). Zero means 1.
@@ -50,7 +51,7 @@ type Core struct {
 	// stall-issuing edge and NextEvent lets the engine skip the stalled
 	// edges entirely. When zero (legacy), StallCyc increments once per
 	// stalled clock edge and NextEvent degrades to polling, which keeps
-	// the event-driven and naive schedulers identical either way.
+	// the wake-driven and naive schedulers identical either way.
 	ClockDiv int64
 
 	// Counters.
@@ -100,6 +101,7 @@ func New(def *core.AccelDef, trips int64, inputs []*accessunit.InPort, outputs [
 	if len(c.prog) == 0 {
 		return nil, fmt.Errorf("iocore: accel %d (%s) has empty program", def.ID, def.Name)
 	}
+	accessunit.SubscribePorts(&c.latch, in, out)
 	return c, nil
 }
 
@@ -251,6 +253,9 @@ func (c *Core) setStall(now, lat int64) {
 		c.StallHist.Observe(float64(lat))
 	}
 }
+
+// Latch implements engine.Hinter; every wired port's buffer wakes it.
+func (c *Core) Latch() *engine.Latch { return &c.latch }
 
 // NextEvent implements engine.Hinter: a stalled core's next effect is its
 // stall expiry (when ClockDiv is known); a core whose next micro-op is a

@@ -80,12 +80,11 @@ func New() *Registry {
 // family is one named metric with a fixed label schema. Series are created
 // lazily per label-value tuple.
 type family struct {
-	name    string
-	help    string
-	kind    Kind
-	labels  []string  // label names, exposition order
-	bounds  []float64 // histogram bucket upper bounds (ascending)
-	seconds bool      // counter accumulates nanoseconds, rendered as seconds
+	name   string
+	help   string
+	kind   Kind
+	labels []string  // label names, exposition order
+	bounds []float64 // histogram bucket upper bounds (ascending)
 
 	mu     sync.Mutex
 	series map[string]*series
@@ -103,7 +102,7 @@ type series struct {
 // register returns the named family, creating it on first use. Registering
 // the same name with a different kind or label schema is a programming
 // error and panics — families are process-lifetime singletons.
-func (r *Registry) register(name, help string, kind Kind, labels []string, bounds []float64, seconds bool) *family {
+func (r *Registry) register(name, help string, kind Kind, labels []string, bounds []float64) *family {
 	if err := checkName(name); err != nil {
 		panic("obs: " + err.Error())
 	}
@@ -129,7 +128,7 @@ func (r *Registry) register(name, help string, kind Kind, labels []string, bound
 	f := &family{
 		name: name, help: help, kind: kind,
 		labels: append([]string(nil), labels...),
-		bounds: bounds, seconds: seconds,
+		bounds: bounds,
 		series: map[string]*series{},
 	}
 	r.fam[name] = f
@@ -163,18 +162,7 @@ func (r *Registry) Counter(name, help string, labels ...string) *CounterVec {
 	if r == nil {
 		return nil
 	}
-	return &CounterVec{fam: r.register(name, help, KindCounter, labels, nil, false)}
-}
-
-// SecondsCounter registers a counter family that accumulates durations
-// (internally integer nanoseconds, so concurrent adds merge
-// deterministically) and renders as float seconds. Record through
-// Counter.AddDuration. Nil on a nil registry.
-func (r *Registry) SecondsCounter(name, help string, labels ...string) *CounterVec {
-	if r == nil {
-		return nil
-	}
-	return &CounterVec{fam: r.register(name, help, KindCounter, labels, nil, true)}
+	return &CounterVec{fam: r.register(name, help, KindCounter, labels, nil)}
 }
 
 // Gauge registers (or returns) a gauge family: a last-written float value.
@@ -183,7 +171,7 @@ func (r *Registry) Gauge(name, help string, labels ...string) *GaugeVec {
 	if r == nil {
 		return nil
 	}
-	return &GaugeVec{fam: r.register(name, help, KindGauge, labels, nil, false)}
+	return &GaugeVec{fam: r.register(name, help, KindGauge, labels, nil)}
 }
 
 // Histogram registers (or returns) a histogram family with the given
@@ -201,7 +189,7 @@ func (r *Registry) Histogram(name, help string, buckets []float64, labels ...str
 			panic(fmt.Sprintf("obs: %s bucket bounds not ascending", name))
 		}
 	}
-	return &HistogramVec{fam: r.register(name, help, KindHistogram, labels, buckets, false)}
+	return &HistogramVec{fam: r.register(name, help, KindHistogram, labels, buckets)}
 }
 
 // CounterVec is a counter family handle; With resolves one labeled series.
@@ -240,9 +228,8 @@ func (v *HistogramVec) With(values ...string) *Histogram {
 	return &v.fam.get(values).h
 }
 
-// Counter is a monotonically increasing integer metric (or, for
-// SecondsCounter families, an accumulated duration in nanoseconds).
-// All methods are atomic and nil-receiver safe.
+// Counter is a monotonically increasing integer metric. All methods are
+// atomic and nil-receiver safe.
 type Counter struct{ n atomic.Int64 }
 
 // Add accumulates n (no-op on nil).
@@ -255,10 +242,6 @@ func (c *Counter) Add(n int64) {
 
 // Inc adds one.
 func (c *Counter) Inc() { c.Add(1) }
-
-// AddDuration accumulates d's nanoseconds — the recording method for
-// SecondsCounter families.
-func (c *Counter) AddDuration(d time.Duration) { c.Add(int64(d)) }
 
 // Store overwrites the accumulated value. It exists for scrape-time
 // mirroring of cumulative counters owned by another subsystem (the

@@ -2,8 +2,6 @@ package obs
 
 import (
 	"bytes"
-	"fmt"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -20,20 +18,6 @@ func TestCounterBasics(t *testing.T) {
 	}
 	if got := c.With("failed").Value(); got != 1 {
 		t.Fatalf("failed = %d, want 1", got)
-	}
-}
-
-func TestSecondsCounter(t *testing.T) {
-	r := New()
-	c := r.SecondsCounter("busy_seconds_total", "Busy.", "island")
-	c.With("0").AddDuration(1500 * time.Millisecond)
-	c.With("0").AddDuration(500 * time.Millisecond)
-	var buf bytes.Buffer
-	if err := r.WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), `busy_seconds_total{island="0"} 2`) {
-		t.Fatalf("seconds counter not rendered as seconds:\n%s", buf.String())
 	}
 }
 
@@ -87,10 +71,8 @@ func TestNilRegistrySafe(t *testing.T) {
 	c := r.Counter("a", "A.", "l")
 	g := r.Gauge("b", "B.")
 	h := r.Histogram("c", "C.", nil)
-	sc := r.SecondsCounter("d", "D.")
 	c.With("x").Inc()
 	c.With("x").Add(5)
-	sc.With().AddDuration(time.Second)
 	g.With().Set(1)
 	h.With().Observe(1)
 	h.With().ObserveDuration(time.Second)
@@ -177,7 +159,6 @@ func TestConcurrentDeterminism(t *testing.T) {
 		r := New()
 		c := r.Counter("jobs_total", "Jobs.", "outcome", "tenant")
 		h := r.Histogram("stage_seconds", "Stages.", nil, "stage")
-		s := r.SecondsCounter("busy_seconds_total", "Busy.", "island")
 		type ob struct {
 			outcome, tenant, stage string
 			v                      float64
@@ -200,7 +181,6 @@ func TestConcurrentDeterminism(t *testing.T) {
 					o := all[i]
 					c.With(o.outcome, o.tenant).Inc()
 					h.With(o.stage).Observe(o.v)
-					s.With(fmt.Sprint(i % 4)).AddDuration(time.Duration(o.v * 1e9))
 				}
 			}(w)
 		}

@@ -76,6 +76,7 @@ type pimEngine struct{ e *Engine }
 func (w *pimEngine) Step(now int64) bool       { return w.e.Step(now) }
 func (w *pimEngine) Done() bool                { return w.e.Done() }
 func (w *pimEngine) NextEvent(now int64) int64 { return w.e.NextEvent(now) }
+func (w *pimEngine) Latch() *engine.Latch      { return w.e.Latch() }
 func (w *pimEngine) SetReg(r int, v float64)   { w.e.SetReg(r, v) }
 func (w *pimEngine) Reg(r int) float64         { return w.e.Reg(r) }
 func (w *pimEngine) Ops() int64                { return w.e.Ops }
@@ -110,6 +111,7 @@ type Engine struct {
 	stallUntil int64
 	lastNow    int64
 	done       bool
+	latch      engine.Latch
 
 	// Counters.
 	Ops      int64
@@ -159,6 +161,7 @@ func newEngine(spec backend.LaunchSpec) (*Engine, error) {
 		}
 	}
 	e.StallHist = spec.Metrics.Histogram("pimdram/stall_lat")
+	accessunit.SubscribePorts(&e.latch, in, out)
 	return e, nil
 }
 
@@ -242,6 +245,9 @@ func (e *Engine) Step(now int64) bool {
 	}
 	return progress
 }
+
+// Latch implements engine.Hinter; every wired port's buffer wakes it.
+func (e *Engine) Latch() *engine.Latch { return &e.latch }
 
 // NextEvent implements the scheduler's fast-forward hint, mirroring the
 // in-order core: stalled engines wake at stall expiry; a consume on an

@@ -50,8 +50,9 @@ type JobSpec struct {
 	// Scale is the input scale: test, bench or paper (default bench, like
 	// the CLIs).
 	Scale string `json:"scale,omitempty"`
-	// Engine selects the engine scheduler: adaptive, event or naive
-	// (default adaptive). Engine mode changes wall-clock only — results
+	// Engine selects the engine scheduler: adaptive or naive (default
+	// adaptive; "event", a removed scheduler, also selects adaptive).
+	// Engine mode changes wall-clock only — results
 	// are bit-identical across modes — so it is deliberately excluded
 	// from the result-cache key.
 	Engine string `json:"engine,omitempty"`

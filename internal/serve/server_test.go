@@ -222,6 +222,30 @@ func TestEngineModeExcludedFromResultKey(t *testing.T) {
 	}
 }
 
+// TestEventEngineStillAccepted: "event" names a scheduler that no longer
+// exists. Clients and journaled specs that still send it get the default
+// scheduler, so the submit is accepted and is answered from the cache
+// entry of an adaptive run.
+func TestEventEngineStillAccepted(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	_, st := postJob(t, ts, `{"workload": "cholesky", "scale": "test", "engine": "adaptive"}`)
+	if fin := waitDone(t, ts, st.ID); fin.State != StateDone {
+		t.Fatalf("adaptive run state = %s (%s)", fin.State, fin.Error)
+	}
+	resp, st2 := postJob(t, ts, `{"workload": "cholesky", "scale": "test", "engine": "event"}`)
+	if resp.StatusCode != http.StatusOK || !st2.Cached || st2.State != StateDone {
+		t.Fatalf(`"engine":"event" submit = %d cached=%v state=%s, want a cache hit`,
+			resp.StatusCode, st2.Cached, st2.State)
+	}
+	if st.Key != st2.Key {
+		t.Errorf(`"engine":"event" changed the result key: %s vs %s`, st.Key, st2.Key)
+	}
+	_, want := getResult(t, ts, st.ID)
+	if _, got := getResult(t, ts, st2.ID); !bytes.Equal(got, want) {
+		t.Error(`"engine":"event" result differs from the adaptive run`)
+	}
+}
+
 func TestCustomKernelJob(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1})
 	// Resubmit fdtd-2d with its own kernel source round-tripped through

@@ -45,7 +45,7 @@ func TestBackendGolden(t *testing.T) {
 			got := map[string]*Result{}
 			for _, cfg := range goldenConfigs() {
 				var first *Result
-				for _, mode := range []engine.Mode{engine.ModeAdaptive, engine.ModeEvent, engine.ModeNaive} {
+				for _, mode := range []engine.Mode{engine.ModeAdaptive, engine.ModeNaive} {
 					c := cfg
 					c.EngineMode = mode
 					r, err := Run(w.Kernel, w.Params, copyData(data), c)

@@ -88,11 +88,10 @@ type Config struct {
 	Profile *profile.Profiler
 
 	// EngineMode selects the engine scheduling strategy for every offload
-	// launch: adaptive (the zero value and default; switches between dense
-	// edge-stepping and event-driven fast-forward by observed wake
-	// density), pure event-driven, or the naive one-tick-at-a-time
-	// reference. Results are bit-identical across all three (the
-	// differential tests enforce it).
+	// launch: adaptive (the zero value and default; steps a component only
+	// when its queues change or its own timer expires) or the naive
+	// one-tick-at-a-time reference. Results are bit-identical across both
+	// (the differential tests enforce it).
 	EngineMode engine.Mode
 
 	// Program, when non-nil and compiled from this run's kernel, is the

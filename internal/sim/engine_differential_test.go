@@ -10,10 +10,10 @@ import (
 
 // TestEngineSchedulerDifferential runs every workload under every paper
 // configuration once per engine scheduling mode — the reference
-// one-tick-at-a-time loop, the event-driven fast-forward loop, and the
-// default adaptive loop — and requires bit-identical results. The fast
-// schedulers are optimizations only: every counter, every energy figure
-// and every cycle count must match the naive loop exactly.
+// one-tick-at-a-time loop and the default wake-driven loop — and requires
+// bit-identical results. The wake-driven scheduler is an optimization
+// only: every counter, every energy figure and every cycle count must
+// match the naive loop exactly.
 func TestEngineSchedulerDifferential(t *testing.T) {
 	ws := workloads.All(workloads.ScaleTest)
 	ws = append(ws, workloads.SpMV(workloads.ScaleTest))
@@ -29,7 +29,7 @@ func TestEngineSchedulerDifferential(t *testing.T) {
 			if nErr != nil {
 				t.Fatalf("%s on %s: naive err=%v", w.Name, cfg.Name, nErr)
 			}
-			for _, mode := range []engine.Mode{engine.ModeEvent, engine.ModeAdaptive} {
+			for _, mode := range []engine.Mode{engine.ModeAdaptive} {
 				fastCfg := cfg
 				fastCfg.EngineMode = mode
 				fRes, fErr := Run(w.Kernel, w.Params, copyData(data), fastCfg)
@@ -64,7 +64,7 @@ func TestEngineSchedulerDifferentialExtensions(t *testing.T) {
 			if nErr != nil {
 				t.Fatalf("%s on %s: naive err=%v", w.Name, cfg.Name, nErr)
 			}
-			for _, mode := range []engine.Mode{engine.ModeEvent, engine.ModeAdaptive} {
+			for _, mode := range []engine.Mode{engine.ModeAdaptive} {
 				fastCfg := cfg
 				fastCfg.EngineMode = mode
 				fRes, fErr := Run(w.Kernel, w.Params, copyData(data), fastCfg)
@@ -97,7 +97,7 @@ func TestEngineSchedulerDifferentialThreads(t *testing.T) {
 			if nErr != nil {
 				t.Fatalf("%s x%d: naive err=%v", w.Name, threads, nErr)
 			}
-			for _, mode := range []engine.Mode{engine.ModeEvent, engine.ModeAdaptive} {
+			for _, mode := range []engine.Mode{engine.ModeAdaptive} {
 				fastCfg := cfg
 				fastCfg.EngineMode = mode
 				fRes, fErr := RunThreads(w.Kernel, w.Params, copyData(data), fastCfg, threads)

@@ -252,7 +252,7 @@ func WithMetrics(m *trace.Metrics) Option { return func(c *Config) { c.Metrics =
 // only).
 func WithProfile(p *profile.Profiler) Option { return func(c *Config) { c.Profile = p } }
 
-// WithEngineMode selects the engine scheduling strategy (adaptive, event,
+// WithEngineMode selects the engine scheduling strategy (adaptive or
 // naive). Results are bit-identical across modes; this picks the
 // wall-clock/perf trade-off.
 func WithEngineMode(m engine.Mode) Option { return func(c *Config) { c.EngineMode = m } }

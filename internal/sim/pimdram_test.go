@@ -19,7 +19,7 @@ func TestPIMDRAMRuns(t *testing.T) {
 			t.Parallel()
 			data := w.NewData()
 			var first *Result
-			for _, mode := range []engine.Mode{engine.ModeAdaptive, engine.ModeEvent, engine.ModeNaive} {
+			for _, mode := range []engine.Mode{engine.ModeAdaptive, engine.ModeNaive} {
 				cfg := DistDAPIM()
 				cfg.EngineMode = mode
 				r, err := Run(w.Kernel, w.Params, copyData(data), cfg)

@@ -7,6 +7,7 @@
 #   sh scripts/bench.sh                 # default: 5 samples of -benchtime=1x
 #   SAMPLES=10 sh scripts/bench.sh      # more samples for tighter stddev
 #   BENCHTIME=5x sh scripts/bench.sh    # more iterations per sample
+#   BENCH='^BenchmarkEngineLoop' sh scripts/bench.sh   # only matching benchmarks
 #   OUT=custom.json sh scripts/bench.sh
 #
 # Each benchmark runs SAMPLES times (go test -count); the snapshot records
@@ -21,6 +22,7 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
+BENCH=${BENCH:-.}
 BENCHTIME=${BENCHTIME:-1x}
 SAMPLES=${SAMPLES:-5}
 DATE=$(date -u +%Y-%m-%d)
@@ -28,12 +30,12 @@ OUT=${OUT:-BENCH_${DATE}.json}
 RAW=$(mktemp)
 trap 'rm -f "$RAW"' EXIT
 
-echo "== go test -p 1 -run=NONE -bench=. -benchtime=$BENCHTIME -count=$SAMPLES ./..." >&2
+echo "== go test -p 1 -run=NONE -bench=$BENCH -benchtime=$BENCHTIME -count=$SAMPLES ./..." >&2
 # -run=NONE skips unit tests; benchmarks still run. -p 1 serializes package
 # test binaries: by default go test runs several packages concurrently,
 # which corrupts wall-clock benchmark numbers. Benchmark failures must fail
 # the script, so no `|| true`.
-go test -p 1 -run=NONE -bench=. -benchtime="$BENCHTIME" -count="$SAMPLES" ./... > "$RAW"
+go test -p 1 -run=NONE -bench="$BENCH" -benchtime="$BENCHTIME" -count="$SAMPLES" ./... > "$RAW"
 
 GOVERSION=$(go env GOVERSION)
 GOOS=$(go env GOOS)
