@@ -1,13 +1,15 @@
 // distda-repro regenerates every table and figure of the paper's evaluation
 // (§VI) from the simulator. Each figure prints as an aligned text table with
-// the paper's target numbers noted alongside.
+// the paper's target numbers noted alongside. -stats writes the matrix's
+// merged per-component statistics (attribution, latency and occupancy
+// histograms, counters, compile cache artifact.* counters) as one dump.
 //
 // Usage:
 //
 //	distda-repro -all                 # everything (default scale: bench)
 //	distda-repro -fig 7 -fig 11b     # specific figures
 //	distda-repro -tab 6 -scale test  # Table VI at CI scale
-//	distda-repro -all -parallel 8 -trace-dir traces -metrics
+//	distda-repro -all -parallel 8 -trace-dir traces -stats stats.txt
 //	distda-repro -all -cache-dir .distda-cache -checkpoint run.ckpt \
 //	             -cell-timeout 5m   # resumable, fault-tolerant run
 //
@@ -32,6 +34,10 @@ import (
 	"distda/internal/trace"
 )
 
+// cellHook is the matrix's per-cell fault-injection hook (exp.Options.Hook).
+// Nil in the shipped binary; tests set it to hang or fail chosen cells.
+var cellHook exp.CellHook
+
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
@@ -54,8 +60,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	pim := fs.Bool("pim", false, "compare near-L3 offload against the PIM-in-DRAM backend")
 	parallel := fs.Int("parallel", 0, "worker count for the experiment matrix (0 = GOMAXPROCS, 1 = serial); output is identical at any setting")
 	engineMode := fs.String("engine", "adaptive", "engine scheduler: adaptive|naive (bit-identical output, wall-clock only)")
-	metrics := fs.Bool("metrics", false, "print the matrix's merged per-component metrics table (includes artifact cache hit/miss counters)")
-	statsPath := fs.String("stats", "", "write the matrix's merged gem5-style stats dump (cycle/energy attribution) to this file")
+	statsPath := fs.String("stats", "", "write the matrix's merged gem5-style stats dump (attribution, histograms, counters incl. artifact cache hits/misses) to this file")
 	foldedPath := fs.String("folded", "", "write the matrix's folded stacks of simulated time (FlameGraph/speedscope input) to this file")
 	breakdown := fs.Bool("breakdown", false, "print the offload latency breakdown table (dispatch/queue/execute/writeback)")
 	httpAddr := fs.String("http", "", "serve live run introspection on this address (/progress JSON + expvar + pprof), e.g. localhost:6060")
@@ -64,10 +69,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	checkpoint := fs.String("checkpoint", "", "JSON checkpoint path: rewritten after every completed matrix cell; an existing file resumes only the missing cells")
 	cellTimeout := fs.Duration("cell-timeout", 0, "per-cell wall-clock deadline; a timed-out cell renders as n/a and the run exits 3 (0 = unbounded)")
 	retries := fs.Int("retries", 0, "retry budget per cell for transient failures")
-	hangCell := fs.String("hang-cell", "", "TESTING: hang the given workload/config cell until its deadline (e.g. fdtd-2d/Dist-DA-IO)")
 	fs.Var(&figs, "fig", "figure to regenerate (7, 8, 9, 10, 11a, 11b, 12a, 12b, 13, 14); repeatable")
 	fs.Var(&tabs, "tab", "table to regenerate (3, 4, 5, 6); repeatable")
 	if err := fs.Parse(args); err != nil {
+		return cliutil.ExitUsage
+	}
+	if err := cliutil.CheckPathFlags(fs, "stats", "folded", "trace-dir"); err != nil {
+		fmt.Fprintln(stderr, "distda-repro:", err)
 		return cliutil.ExitUsage
 	}
 
@@ -102,11 +110,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// written out (deterministically named) once the matrix is built, so
 	// -parallel never changes file names or contents.
 	observe := exp.Observe{}
-	var met *trace.Metrics
-	if *metrics {
-		met = trace.NewMetrics()
-		observe.Metrics = met
-	}
 	var prof *profile.Profiler
 	if *statsPath != "" || *foldedPath != "" || *breakdown {
 		prof = profile.New()
@@ -147,6 +150,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		CellTimeout: *cellTimeout,
 		Retries:     *retries,
 		EngineMode:  emode,
+		Hook:        cellHook,
 	}
 	// Live introspection: the /progress view is fed per-cell completion
 	// events from exp.Build; expvar and pprof expose the host process.
@@ -164,16 +168,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 				Workload: ev.Workload, Config: ev.Config,
 				Dur: ev.Dur, Degraded: ev.Degraded, Resumed: ev.Resumed,
 			})
-		}
-	}
-	if *hangCell != "" {
-		target := *hangCell
-		buildOpts.Hook = func(ctx context.Context, workload, config string, attempt int) error {
-			if workload+"/"+config == target {
-				<-ctx.Done()
-				return ctx.Err()
-			}
-			return nil
 		}
 	}
 
@@ -221,13 +215,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return nil, buildErr
 	}); err != nil {
 		return fail(err)
-	}
-	if met != nil {
-		if matrix == nil {
-			fmt.Fprintln(stderr, "distda-repro: -metrics set but no matrix-backed output was selected; nothing collected")
-		} else {
-			fmt.Fprintln(stdout, met.Table().Render())
-		}
 	}
 	if prof != nil {
 		if matrix == nil {

@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"context"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -36,6 +38,14 @@ func TestRunValidation(t *testing.T) {
 		{name: "params", args: []string{"-params"}, exit: 0, wantOut: "Table III"},
 		{name: "tab 3", args: []string{"-tab", "3"}, exit: 0, wantOut: "Table III"},
 		{name: "area", args: []string{"-area"}, exit: 0},
+		{name: "metrics flag removed", args: []string{"-fig", "7", "-metrics"}, exit: 2, wantNoOut: true},
+		{name: "hang-cell flag removed", args: []string{"-fig", "7", "-hang-cell", "bfs/OoO"}, exit: 2, wantNoOut: true},
+		{name: "stats swallows a flag", args: []string{"-fig", "7", "-scale", "test", "-stats", "-breakdown"},
+			exit: 2, wantErr: `-stats takes a path, got "-breakdown"`, wantNoOut: true},
+		{name: "folded swallows a flag", args: []string{"-fig", "7", "-folded", "-breakdown"},
+			exit: 2, wantErr: `-folded takes a path`, wantNoOut: true},
+		{name: "trace-dir swallows a flag", args: []string{"-fig", "7", "-trace-dir", "-all"},
+			exit: 2, wantErr: `-trace-dir takes a path`, wantNoOut: true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -57,14 +67,21 @@ func TestRunValidation(t *testing.T) {
 	}
 }
 
-// TestDegradedCellExitsThree induces a per-cell timeout through the test
-// hook flag: the hung cell renders n/a, every other cell still prints, and
-// the process exits with the distinct degraded code 3.
+// TestDegradedCellExitsThree induces a per-cell timeout through the
+// cellHook test hook: the hung cell renders n/a, every other cell still
+// prints, and the process exits with the distinct degraded code 3.
 func TestDegradedCellExitsThree(t *testing.T) {
+	cellHook = func(ctx context.Context, workload, config string, attempt int) error {
+		if workload == "fdtd-2d" && config == "Dist-DA-IO" {
+			<-ctx.Done()
+			return ctx.Err()
+		}
+		return nil
+	}
+	defer func() { cellHook = nil }()
 	var stdout, stderr bytes.Buffer
 	got := run([]string{"-fig", "7", "-scale", "test",
-		"-cell-timeout", "1s", "-hang-cell", "fdtd-2d/Dist-DA-IO",
-		"-parallel", "4"}, &stdout, &stderr)
+		"-cell-timeout", "1s", "-parallel", "4"}, &stdout, &stderr)
 	if got != 3 {
 		t.Fatalf("exit = %d, want 3 (degraded)\nstderr: %s", got, stderr.String())
 	}
@@ -87,49 +104,54 @@ func TestDegradedCellExitsThree(t *testing.T) {
 
 // TestCacheDirRecompilesNothing runs the same matrix selection twice over
 // one -cache-dir: the second process-equivalent run must serve every
-// artifact from the disk store (artifact/compiles = 0 in its -metrics).
+// artifact from the disk store (artifact.compiles = 0 in its -stats dump).
 func TestCacheDirRecompilesNothing(t *testing.T) {
 	dir := t.TempDir()
 	ckpt := filepath.Join(dir, "run.ckpt")
-	runOnce := func() (string, int) {
+	statsPath := filepath.Join(dir, "stats.txt")
+	runOnce := func() string {
 		var stdout, stderr bytes.Buffer
-		code := run([]string{"-tab", "4", "-scale", "test", "-metrics",
+		code := run([]string{"-tab", "4", "-scale", "test", "-stats", statsPath,
 			"-cache-dir", filepath.Join(dir, "cache"), "-checkpoint", ckpt}, &stdout, &stderr)
 		if code != 0 {
 			t.Fatalf("exit %d\nstderr: %s", code, stderr.String())
 		}
-		return stdout.String(), code
+		dump, err := os.ReadFile(statsPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(dump)
 	}
-	first, _ := runOnce()
-	if v := metricValue(t, first, "artifact", "compiles"); v == "0" {
+	first := runOnce()
+	if v := statValue(t, first, "artifact.compiles"); v == "0" {
 		t.Fatal("cold run compiled nothing — cache test is vacuous")
 	}
-	second, _ := runOnce()
+	second := runOnce()
 	// The checkpoint completed, so the resumed run executes zero cells and
 	// issues zero compile requests; without the checkpoint it would disk-hit.
-	if v := metricValue(t, second, "artifact", "compiles"); v != "0" {
+	if v := statValue(t, second, "artifact.compiles"); v != "0" {
 		t.Errorf("warm run compiled %s artifacts, want 0\n%s", v, second)
 	}
 }
 
-// metricValue extracts a counter from the rendered metrics table.
-func metricValue(t *testing.T, out, comp, metric string) string {
+// statValue extracts one statistic's value from a stats dump.
+func statValue(t *testing.T, dump, name string) string {
 	t.Helper()
-	for _, line := range strings.Split(out, "\n") {
-		f := strings.Fields(line)
-		if len(f) == 3 && f[0] == comp && f[1] == metric {
-			return f[2]
+	for _, line := range strings.Split(dump, "\n") {
+		if f := strings.Fields(line); len(f) >= 2 && f[0] == name {
+			return f[1]
 		}
 	}
-	t.Fatalf("metric %s/%s not found in output:\n%s", comp, metric, out)
+	t.Fatalf("stat %s not found in dump:\n%s", name, dump)
 	return ""
 }
 
-// TestMetricsWithoutMatrixWarns checks -metrics with only non-matrix output
-// exits cleanly and explains that nothing was collected.
+// TestMetricsWithoutMatrixWarns checks that asking for the stats dump
+// (which carries the matrix's metrics) with only non-matrix output exits
+// cleanly and explains that nothing was collected.
 func TestMetricsWithoutMatrixWarns(t *testing.T) {
 	var stdout, stderr bytes.Buffer
-	if got := run([]string{"-params", "-metrics"}, &stdout, &stderr); got != 0 {
+	if got := run([]string{"-params", "-stats", filepath.Join(t.TempDir(), "stats.txt")}, &stdout, &stderr); got != 0 {
 		t.Fatalf("run exited %d", got)
 	}
 	if !strings.Contains(stderr.String(), "no matrix-backed output") {

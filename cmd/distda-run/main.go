@@ -1,11 +1,13 @@
 // distda-run executes one workload under one configuration and prints the
 // collected result: cycles, energy breakdown, traffic categories, interface
-// mechanism usage and validation status.
+// mechanism usage and validation status. Per-component statistics (cycle
+// and energy attribution, latency and occupancy histograms, cache, DRAM,
+// NoC and access-unit counters) go to the -stats dump.
 //
 // Usage:
 //
 //	distda-run -w fdtd-2d -c Dist-DA-F -scale bench
-//	distda-run -workload fdtd-2d -config dist-da-io -trace out.json -metrics
+//	distda-run -workload fdtd-2d -config dist-da-io -trace out.json -stats stats.txt
 //	distda-run -w bfs -c OoO
 //	distda-run -w fdtd-2d -cache-dir .distda-cache   # reuse compilations
 //	distda-run -list
@@ -50,14 +52,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 	threads := fs.Int("threads", 1, "software threads for parallel-annotated loops")
 	engineMode := fs.String("engine", "adaptive", "engine scheduler: adaptive|naive (bit-identical results, wall-clock only)")
 	traceOut := fs.String("trace", "", "write a Chrome trace_event JSON file (load in chrome://tracing or Perfetto)")
-	metrics := fs.Bool("metrics", false, "print the per-component metrics table after the result")
-	statsPath := fs.String("stats", "", "write a gem5-style stats.txt profile dump to this path")
+	statsPath := fs.String("stats", "", "write a gem5-style stats.txt dump (attribution, histograms, counters) to this path")
 	foldedPath := fs.String("folded", "", "write folded stacks (FlameGraph/speedscope input) to this path")
 	breakdown := fs.Bool("breakdown", false, "print the offload latency breakdown table (dispatch/queue/execute/writeback)")
 	httpAddr := fs.String("http", "", "serve live introspection (expvar, pprof) on this address, e.g. localhost:6060")
 	cacheDir := fs.String("cache-dir", "", "content-addressed compile cache directory (shared with distda-repro; empty = in-memory only)")
 	list := fs.Bool("list", false, "list workloads and exit")
 	if err := fs.Parse(args); err != nil {
+		return cliutil.ExitUsage
+	}
+	if err := cliutil.CheckPathFlags(fs, "trace", "stats", "folded"); err != nil {
+		fmt.Fprintln(stderr, "distda-run:", err)
 		return cliutil.ExitUsage
 	}
 	if cfgName == "" {
@@ -107,11 +112,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		tr = trace.New()
 		cfg.Trace = tr
 	}
-	var met *trace.Metrics
-	if *metrics {
-		met = trace.NewMetrics()
-		cfg.Metrics = met
-	}
 	var prof *profile.Profiler
 	if *statsPath != "" || *foldedPath != "" || *breakdown {
 		prof = profile.New()
@@ -152,10 +152,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail(err)
 	}
 	cliutil.FprintResult(stdout, res)
-	if met != nil {
-		fmt.Fprintln(stdout)
-		fmt.Fprintln(stdout, met.Table().Render())
-	}
 	if prof != nil {
 		if *breakdown {
 			fmt.Fprintln(stdout)

@@ -11,7 +11,7 @@ import (
 
 // TestRunExitCodes table-tests the flag parser and name resolution: every
 // unknown name must fail with a non-zero exit, a clear stderr message and
-// nothing on stdout.
+// nothing on stdout. An argument "$STATS" stands for a fresh dump path.
 func TestRunExitCodes(t *testing.T) {
 	cases := []struct {
 		name      string
@@ -20,6 +20,7 @@ func TestRunExitCodes(t *testing.T) {
 		wantErr   string // substring of stderr
 		wantOut   string // substring of stdout
 		wantNoOut bool   // stdout must be empty
+		wantStats string // substring of the -stats dump at "$STATS"
 	}{
 		{name: "no args", args: nil, exit: 2, wantNoOut: true},
 		{name: "unknown flag", args: []string{"-bogus"}, exit: 2, wantNoOut: true},
@@ -38,13 +39,28 @@ func TestRunExitCodes(t *testing.T) {
 			exit: 0, wantOut: "validated     true"},
 		{name: "run long flags case-insensitive", args: []string{"-workload", "pathfinder", "-config", "dist-da-io", "-scale", "test"},
 			exit: 0, wantOut: "validated     true"},
-		{name: "metrics table", args: []string{"-w", "pathfinder", "-c", "dist-da-io", "-scale", "test", "-metrics"},
-			exit: 0, wantOut: "sim"},
+		{name: "metrics in stats dump", args: []string{"-w", "pathfinder", "-c", "dist-da-io", "-scale", "test", "-stats", "$STATS"},
+			exit: 0, wantOut: "validated     true", wantStats: "\nau.combined_accessors "},
+		{name: "metrics flag removed", args: []string{"-w", "pathfinder", "-scale", "test", "-metrics"},
+			exit: 2, wantNoOut: true},
+		{name: "stats swallows a flag", args: []string{"-w", "pathfinder", "-scale", "test", "-stats", "-breakdown"},
+			exit: 2, wantErr: `-stats takes a path, got "-breakdown"`, wantNoOut: true},
+		{name: "folded swallows a flag", args: []string{"-w", "pathfinder", "-scale", "test", "-folded", "-breakdown"},
+			exit: 2, wantErr: `-folded takes a path`, wantNoOut: true},
+		{name: "trace swallows a flag", args: []string{"-w", "pathfinder", "-scale", "test", "-trace", "-stats=x"},
+			exit: 2, wantErr: `-trace takes a path`, wantNoOut: true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			statsPath := filepath.Join(t.TempDir(), "stats.txt")
+			args := append([]string(nil), tc.args...)
+			for i, a := range args {
+				if a == "$STATS" {
+					args[i] = statsPath
+				}
+			}
 			var stdout, stderr bytes.Buffer
-			got := run(tc.args, &stdout, &stderr)
+			got := run(args, &stdout, &stderr)
 			if got != tc.exit {
 				t.Fatalf("run(%v) = %d, want %d (stderr: %s)", tc.args, got, tc.exit, stderr.String())
 			}
@@ -56,6 +72,12 @@ func TestRunExitCodes(t *testing.T) {
 			}
 			if tc.wantOut != "" && !strings.Contains(stdout.String(), tc.wantOut) {
 				t.Errorf("run(%v) stdout = %q, want substring %q", tc.args, stdout.String(), tc.wantOut)
+			}
+			if tc.wantStats != "" {
+				dump, err := os.ReadFile(statsPath)
+				if err != nil || !strings.Contains(string(dump), tc.wantStats) {
+					t.Errorf("run(%v) stats dump lacks %q (err %v):\n%s", tc.args, tc.wantStats, err, dump)
+				}
 			}
 		})
 	}

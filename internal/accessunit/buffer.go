@@ -42,7 +42,7 @@ type Buffer struct {
 	// Occ, when profiling is on, observes the buffer's occupancy after each
 	// push — the queue-occupancy histogram of the stats dump. Nil (one
 	// predictable branch per push) when profiling is off.
-	Occ *profile.Queue
+	Occ *profile.Hist
 }
 
 // NewBuffer creates a buffer holding capElems elements, metering SRAM
@@ -134,7 +134,7 @@ func (b *Buffer) Push(v float64) {
 		b.meter.Add(energy.CatBuffer, b.meter.Table.BufferPJ)
 	}
 	if b.Occ != nil {
-		b.Occ.Observe(b.wseq - b.minSeq)
+		b.Occ.Observe(float64(b.wseq - b.minSeq))
 	}
 	b.wake()
 }

@@ -5,6 +5,7 @@ import (
 
 	"distda/internal/energy"
 	"distda/internal/engine"
+	"distda/internal/profile"
 	"distda/internal/trace"
 )
 
@@ -91,7 +92,7 @@ type StreamIn struct {
 	// is disabled); timing is unaffected either way.
 	Trace trace.Scope
 	// LatHist, when non-nil, observes per-line fetch latencies (base cycles).
-	LatHist *trace.Hist
+	LatHist *profile.Hist
 }
 
 // NewStreamIn builds a fill FSM. length may be zero (the buffer closes
@@ -286,7 +287,7 @@ type StreamOut struct {
 	// instant when the drain completes. Set after construction.
 	Trace trace.Scope
 	// LatHist, when non-nil, observes per-line writeback latencies.
-	LatHist *trace.Hist
+	LatHist *profile.Hist
 }
 
 // NewStreamOut builds a drain FSM reading from buf via its own reader.

@@ -62,7 +62,7 @@ func Key(workload, scale string, k *ir.Kernel, opts compiler.Options) string {
 
 // Stats are the cache's cumulative counters. All values are deterministic
 // for a deterministic request sequence (single-flight collapses racing
-// compilations), so they can be folded into a metrics registry without
+// compilations), so they can be added to a profile's counters without
 // perturbing worker-count invariance — provided no LRU eviction occurred.
 type Stats struct {
 	Requests int64 // GetOrCompile calls

@@ -107,9 +107,9 @@ type LaunchSpec struct {
 	GHz   int // engine clock in GHz (engine.Div derives the base divisor)
 	Width int // request port width: micro-ops issued per engine cycle
 
-	Meter   *energy.Meter  // energy accounting (may be nil)
-	Metrics *trace.Metrics // latency histograms (nil-safe handle)
-	Opts    Options        // backend-scoped configuration
+	Meter   *energy.Meter // energy accounting (may be nil)
+	LatHist *profile.Hist // the engine's latency histogram (nil: not profiling)
+	Opts    Options       // backend-scoped configuration
 
 	// Memo is the run's store for launch-invariant derivations (nil: none).
 	Memo *Memo

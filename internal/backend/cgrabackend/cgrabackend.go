@@ -69,7 +69,7 @@ func (cgraBackend) NewEngine(spec backend.LaunchSpec) (backend.Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	f.IterHist = spec.Metrics.Histogram("cgra/iter_lat")
+	f.IterHist = spec.LatHist
 	return &cgraEngine{f: f, id: spec.Def.ID}, nil
 }
 

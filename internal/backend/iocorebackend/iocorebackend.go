@@ -43,7 +43,7 @@ func (ioBackend) NewEngine(spec backend.LaunchSpec) (backend.Engine, error) {
 	}
 	c.Width = spec.Width
 	c.ClockDiv = int64(engine.Div(spec.GHz))
-	c.StallHist = spec.Metrics.Histogram("iocore/stall_lat")
+	c.StallHist = spec.LatHist
 	return &ioEngine{c: c, id: spec.Def.ID}, nil
 }
 

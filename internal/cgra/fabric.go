@@ -9,6 +9,7 @@ import (
 	"distda/internal/engine"
 	"distda/internal/ir"
 	"distda/internal/microcode"
+	"distda/internal/profile"
 	"distda/internal/trace"
 )
 
@@ -58,7 +59,7 @@ type Fabric struct {
 	Trace trace.Scope
 	// IterHist, when non-nil, observes per-iteration initiation-to-ready
 	// latencies (base cycles).
-	IterHist *trace.Hist
+	IterHist *profile.Hist
 }
 
 // flight is one initiated iteration; outs[next:] are its undelivered

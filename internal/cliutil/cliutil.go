@@ -5,6 +5,7 @@
 package cliutil
 
 import (
+	"flag"
 	"fmt"
 	"os"
 	"strings"
@@ -82,6 +83,20 @@ func (l *StringList) String() string { return fmt.Sprint(*l) }
 // Set implements flag.Value by appending.
 func (l *StringList) Set(v string) error {
 	*l = append(*l, v)
+	return nil
+}
+
+// CheckPathFlags rejects a path-valued flag whose value starts with "-".
+// The flag package hands such a flag the next argument as its value, so
+// "-stats -breakdown" would write a file named -breakdown and silently drop
+// -breakdown; a flag-like value is almost always that mistake. The error
+// names the flag. Names must be registered on fs.
+func CheckPathFlags(fs *flag.FlagSet, names ...string) error {
+	for _, name := range names {
+		if v := fs.Lookup(name).Value.String(); strings.HasPrefix(v, "-") {
+			return fmt.Errorf("-%s takes a path, got %q (a flag?); write ./%s for a file of that name", name, v, v)
+		}
+	}
 	return nil
 }
 

@@ -30,13 +30,13 @@ type Options struct {
 	// rendered matrix is byte-identical at any worker count.
 	Workers int
 
-	// Observe attaches per-cell tracing and metrics collection.
+	// Observe attaches per-cell tracing and profiling.
 	Observe Observe
 
 	// Cache is the compile cache shared by the cells. When nil, Build uses
 	// a private in-memory cache; pass a disk-backed artifact.New to reuse
-	// compilations across processes. Cache counters are folded into
-	// Observe.Metrics (artifact/ component) after the run.
+	// compilations across processes. Cache counters are added to
+	// Observe.Profile (artifact.* counters) after the run.
 	Cache *artifact.Cache
 
 	// EngineMode selects the engine scheduling strategy for every cell
@@ -65,10 +65,9 @@ type Options struct {
 	// n*RetryBackoff. Zero selects a small default.
 	RetryBackoff time.Duration
 
-	// Hook, when non-nil, runs before every cell attempt (fault-injection
-	// point for tests and the CLI's -hang-cell flag). Returning an error
-	// fails the attempt exactly as a simulation error would; blocking on
-	// ctx.Done simulates a hung cell.
+	// Hook, when non-nil, runs before every cell attempt (a fault-injection
+	// point for tests). Returning an error fails the attempt exactly as a
+	// simulation error would; blocking on ctx.Done simulates a hung cell.
 	Hook CellHook
 
 	// Progress, when non-nil, is invoked once per completed cell (including
@@ -177,14 +176,12 @@ func Build(ctx context.Context, opts Options) (*Matrix, error) {
 	resumed := ck.resumed()
 
 	// Observability: per-cell tracers are drawn serially (provider state is
-	// never raced) for the cells that will actually run; per-cell metrics
-	// registries and profilers are merged serially below.
+	// never raced) for the cells that will actually run; per-cell profilers
+	// are merged serially below.
 	tracers := make([][]*trace.Tracer, nw)
-	cellMet := make([][]*trace.Metrics, nw)
 	cellProf := make([][]*profile.Profiler, nw)
 	for i, w := range m.Workloads {
 		tracers[i] = make([]*trace.Tracer, nc)
-		cellMet[i] = make([]*trace.Metrics, nc)
 		cellProf[i] = make([]*profile.Profiler, nc)
 		for j, cfg := range m.Configs {
 			if resumed[i*nc+j] != nil {
@@ -192,9 +189,6 @@ func Build(ctx context.Context, opts Options) (*Matrix, error) {
 			}
 			if opts.Observe.Tracer != nil {
 				tracers[i][j] = opts.Observe.Tracer(w.Name, cfg.Name)
-			}
-			if opts.Observe.Metrics != nil {
-				cellMet[i][j] = trace.NewMetrics()
 			}
 			if opts.Observe.Profile != nil {
 				cellProf[i][j] = profile.New()
@@ -245,7 +239,6 @@ func Build(ctx context.Context, opts Options) (*Matrix, error) {
 			for c := range jobs {
 				cfg := m.Configs[c.j]
 				cfg.Trace = tracers[c.i][c.j]
-				cfg.Metrics = cellMet[c.i][c.j]
 				cfg.Profile = cellProf[c.i][c.j]
 				t0 := time.Now()
 				res, degraded, err := b.runCell(ctx, m.Workloads[c.i], cfg, data[c.i][c.j])
@@ -299,43 +292,27 @@ func Build(ctx context.Context, opts Options) (*Matrix, error) {
 		}
 	}
 
-	// Fold per-cell profilers in serial cell order. (Profiler.Merge is
+	// Fold per-cell profilers in serial cell order (Profiler.Merge is
 	// commutative, so any order yields the identical profile; serial order
-	// keeps the invariant obvious.)
+	// keeps the invariant obvious), then add the cache counters.
 	if prof := opts.Observe.Profile; prof != nil {
 		for i := range m.Workloads {
 			for j := range m.Configs {
 				prof.Merge(cellProf[i][j]) // nil cells no-op
 			}
 		}
-	}
-
-	// Fold per-cell metrics in serial cell order (identical at any worker
-	// count), then the cache counters under the artifact/ component.
-	if met := opts.Observe.Metrics; met != nil {
-		for i := range m.Workloads {
-			for j := range m.Configs {
-				if cellMet[i][j] != nil {
-					met.Merge(cellMet[i][j])
-				}
-			}
+		for prefix, st := range map[string]artifact.Stats{
+			"artifact.":         cache.Stats(),
+			"artifact.program_": artifact.Stats(cache.ProgramStats()),
+		} {
+			prof.Add(prefix+"requests", st.Requests)
+			prof.Add(prefix+"mem_hits", st.MemHits)
+			prof.Add(prefix+"disk_hits", st.DiskHits)
+			prof.Add(prefix+"compiles", st.Compiles)
+			prof.Add(prefix+"rebinds", st.Rebinds)
+			prof.Add(prefix+"evicted", st.Evicted)
+			prof.Add(prefix+"errors", st.Errors)
 		}
-		st := cache.Stats()
-		met.Counter("artifact/requests").Add(st.Requests)
-		met.Counter("artifact/mem_hits").Add(st.MemHits)
-		met.Counter("artifact/disk_hits").Add(st.DiskHits)
-		met.Counter("artifact/compiles").Add(st.Compiles)
-		met.Counter("artifact/rebinds").Add(st.Rebinds)
-		met.Counter("artifact/evicted").Add(st.Evicted)
-		met.Counter("artifact/errors").Add(st.Errors)
-		pst := cache.ProgramStats()
-		met.Counter("artifact/program_requests").Add(pst.Requests)
-		met.Counter("artifact/program_mem_hits").Add(pst.MemHits)
-		met.Counter("artifact/program_disk_hits").Add(pst.DiskHits)
-		met.Counter("artifact/program_compiles").Add(pst.Compiles)
-		met.Counter("artifact/program_rebinds").Add(pst.Rebinds)
-		met.Counter("artifact/program_evicted").Add(pst.Evicted)
-		met.Counter("artifact/program_errors").Add(pst.Errors)
 	}
 	return m, nil
 }

@@ -36,18 +36,14 @@ func (m *Matrix) DegradedCount() int {
 }
 
 // Observe configures observability for a matrix build. Every cell owns its
-// private tracer and metrics registry (recording stays lock-free inside the
-// worker), so traced or metered matrices remain byte-identical at any
-// worker count; per-cell metrics are folded into Metrics in serial cell
-// order after the parallel phase.
+// private tracer and profiler (recording stays lock-free inside the
+// worker), so traced or profiled matrices remain byte-identical at any
+// worker count.
 type Observe struct {
 	// Tracer, when non-nil, supplies the tracer for each (workload, config)
 	// cell. It is invoked serially before the workers start; return nil to
 	// leave a cell untraced.
 	Tracer func(workload, config string) *trace.Tracer
-	// Metrics, when non-nil, receives every cell's metrics registry via
-	// deterministic serial-order Merge.
-	Metrics *trace.Metrics
 	// Profile, when non-nil, receives every cell's cycle/energy attribution:
 	// each cell runs with a private profiler (recording stays lock-free
 	// inside the worker) folded into Profile in serial cell order after the

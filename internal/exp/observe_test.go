@@ -1,16 +1,19 @@
 package exp
 
 import (
+	"bytes"
 	"context"
 	"reflect"
+	"strings"
 	"testing"
 
+	"distda/internal/profile"
 	"distda/internal/trace"
 	"distda/internal/workloads"
 )
 
 // TestObservedMatrixIdentical proves observability is purely observational:
-// a matrix built with a per-cell tracer and a metrics registry attached, at
+// a matrix built with a per-cell tracer and a profiler attached, at
 // a parallel worker count, is field-for-field identical to a plain serial
 // build. This is the repro-level trace-on/off differential — every figure
 // and table renders from Res, so equal Res means byte-identical output.
@@ -20,7 +23,7 @@ func TestObservedMatrixIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	met := trace.NewMetrics()
+	prof := profile.New()
 	var tracers []*trace.Tracer
 	obs := Observe{
 		Tracer: func(workload, config string) *trace.Tracer {
@@ -28,7 +31,7 @@ func TestObservedMatrixIdentical(t *testing.T) {
 			tracers = append(tracers, tr)
 			return tr
 		},
-		Metrics: met,
+		Profile: prof,
 	}
 	observed, err := Build(context.Background(), Options{Scale: workloads.ScaleTest, Workers: 8, Observe: obs})
 	if err != nil {
@@ -57,23 +60,37 @@ func TestObservedMatrixIdentical(t *testing.T) {
 	if events == 0 {
 		t.Error("per-cell tracers recorded no events")
 	}
-	if len(met.Names()) == 0 {
-		t.Error("merged metrics registry is empty")
+	if len(prof.Components()) == 0 || len(prof.Hists()) == 0 || len(prof.Counters()) == 0 {
+		t.Error("merged profiler is empty")
 	}
 }
 
-// TestObservedMetricsDeterministic merges per-cell metrics from two
-// observed builds at different worker counts and requires identical
-// rendered tables: the serial-order merge must hide scheduling.
+// TestObservedMetricsDeterministic folds per-cell profilers from two
+// builds at different worker counts and requires byte-identical stats
+// dumps, artifact cache counters included: the serial-order merge must hide
+// scheduling.
 func TestObservedMetricsDeterministic(t *testing.T) {
 	build := func(workers int) string {
-		met := trace.NewMetrics()
-		if _, err := Build(context.Background(), Options{Scale: workloads.ScaleTest, Workers: workers, Observe: Observe{Metrics: met}}); err != nil {
+		prof := profile.New()
+		if _, err := Build(context.Background(), Options{Scale: workloads.ScaleTest, Workers: workers, Observe: Observe{Profile: prof}}); err != nil {
 			t.Fatal(err)
 		}
-		return met.Table().Render()
+		var buf bytes.Buffer
+		if err := prof.WriteStats(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
 	}
-	if a, b := build(1), build(8); a != b {
-		t.Errorf("merged metrics differ between worker counts:\n--- serial ---\n%s\n--- parallel ---\n%s", a, b)
+	a, b := build(1), build(8)
+	if a != b {
+		t.Errorf("merged stats dumps differ between worker counts:\n--- serial ---\n%s\n--- parallel ---\n%s", a, b)
+	}
+	if n := strings.Count(a, "\nartifact."); n != 14 {
+		t.Errorf("stats dump carries %d artifact.* lines, want 14:\n%s", n, a)
+	}
+	for _, want := range []string{"\nartifact.compiles ", "\nlatency.au.fill_lat::samples ", "\nhost.loads "} {
+		if !strings.Contains(a, want) {
+			t.Errorf("stats dump lacks %q", strings.TrimSpace(want))
+		}
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"distda/internal/engine"
 	"distda/internal/ir"
 	"distda/internal/microcode"
+	"distda/internal/profile"
 	"distda/internal/trace"
 )
 
@@ -68,7 +69,7 @@ type Core struct {
 	Trace trace.Scope
 	// StallHist, when non-nil, observes random-access stall latencies (base
 	// cycles).
-	StallHist *trace.Hist
+	StallHist *profile.Hist
 }
 
 // New builds a core for def. trips < 0 selects while-input orchestration

@@ -122,7 +122,7 @@ type Engine struct {
 	// instant at completion; set via AttachTrace (zero value disabled).
 	Trace trace.Scope
 	// StallHist observes stall latencies in base cycles (nil-safe).
-	StallHist *trace.Hist
+	StallHist *profile.Hist
 }
 
 func newEngine(spec backend.LaunchSpec) (*Engine, error) {
@@ -160,7 +160,7 @@ func newEngine(spec backend.LaunchSpec) (*Engine, error) {
 			e.iterBytes += int64(def.Accesses[op.Access].ElemBytes)
 		}
 	}
-	e.StallHist = spec.Metrics.Histogram("pimdram/stall_lat")
+	e.StallHist = spec.LatHist
 	accessunit.SubscribePorts(&e.latch, in, out)
 	return e, nil
 }

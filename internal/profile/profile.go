@@ -6,19 +6,25 @@
 // export, and an offload latency breakdown table (dispatch / queue /
 // execute / writeback — the paper's overhead analysis).
 //
+// It is also the simulator's one statistics registry: besides the
+// attribution records it keeps log2 histograms (buffer occupancies and
+// latencies) and additive named counters, all rendered into the same dump.
+//
 // Like the tracer, the disabled state is structural: a nil *Profiler hands
-// out nil *Component / *Region / *Queue handles whose recording methods
+// out nil *Component / *Region / *Hist handles whose recording methods
 // no-op, so model code instruments unconditionally and pays one predictable
 // branch when profiling is off. Profiling is observational only — the
 // simulator's cycle counts and results are bit-identical with it on or off
 // (differential tests enforce this).
 //
 // Per-cell profilers from a parallel experiment matrix are folded together
-// with Merge; every attribution is a commutative sum or an exact histogram
-// merge, so the merged profile is identical at any worker count.
+// with Merge; every attribution and counter is a commutative sum and every
+// histogram merges exactly, so the merged profile is identical at any
+// worker count.
 package profile
 
 import (
+	"maps"
 	"sort"
 	"sync"
 
@@ -27,15 +33,16 @@ import (
 )
 
 // Profiler is one run's (or one merged matrix's) attribution store.
-// Registration (Component/Region/Queue) is mutex-guarded and may happen
-// from any goroutine; recording through a returned handle is lock-free and
-// owned by the run's single goroutine, exactly like trace.Metrics.
+// Registration (Component/Region/Hist) and Add are mutex-guarded and may
+// happen from any goroutine; recording through a returned handle is
+// lock-free and owned by the run's single goroutine.
 type Profiler struct {
-	mu      sync.Mutex
-	comps   map[compKey]*Component
-	regions map[regKey]*Region
-	queues  map[compKey]*Queue
-	spans   map[spanKey]*SpanAgg
+	mu       sync.Mutex
+	comps    map[compKey]*Component
+	regions  map[regKey]*Region
+	hists    map[string]*Hist
+	spans    map[spanKey]*SpanAgg
+	counters map[string]int64
 
 	totalBase int64 // simulated base cycles across absorbed runs
 	runs      int64
@@ -48,10 +55,11 @@ type spanKey struct{ track, name string }
 // New returns an enabled profiler.
 func New() *Profiler {
 	return &Profiler{
-		comps:   map[compKey]*Component{},
-		regions: map[regKey]*Region{},
-		queues:  map[compKey]*Queue{},
-		spans:   map[spanKey]*SpanAgg{},
+		comps:    map[compKey]*Component{},
+		regions:  map[regKey]*Region{},
+		hists:    map[string]*Hist{},
+		spans:    map[spanKey]*SpanAgg{},
+		counters: map[string]int64{},
 	}
 }
 
@@ -115,22 +123,35 @@ func (p *Profiler) Region(kernel, name string) *Region {
 	return r
 }
 
-// Queue returns (creating on first use) the occupancy histogram for one
-// queue-like structure (decoupling buffers, pending-line windows). Nil on a
-// nil profiler.
-func (p *Profiler) Queue(kind, name string) *Queue {
+// Hist returns (creating on first use) the histogram keyed by its full
+// stat prefix: "queue.<kind>.<name>.occ" for a buffer occupancy,
+// "latency.<component>.<name>" for a latency. desc names the sampled
+// quantity in the dump's comments; the first registration's desc wins.
+// Nil on a nil profiler.
+func (p *Profiler) Hist(prefix, desc string) *Hist {
 	if p == nil {
 		return nil
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	k := compKey{kind, name}
-	q, ok := p.queues[k]
+	h, ok := p.hists[prefix]
 	if !ok {
-		q = &Queue{Kind: kind, Name: name}
-		p.queues[k] = q
+		h = &Hist{Prefix: prefix, Desc: desc}
+		p.hists[prefix] = h
 	}
-	return q
+	return h
+}
+
+// Add adds n to the named counter, creating it on first use (so a zero
+// count still appears in the dump). Counters merge by addition. No-op on a
+// nil profiler.
+func (p *Profiler) Add(name string, n int64) {
+	if p == nil {
+		return
+	}
+	p.mu.Lock()
+	p.counters[name] += n
+	p.mu.Unlock()
 }
 
 // Component attributes simulated base cycles, events and energy to one
@@ -219,27 +240,28 @@ func (r *Region) Total() int64 {
 	return r.Dispatch + r.Queue + r.Execute + r.Writeback
 }
 
-// Queue is an occupancy histogram handle. Observe sits on simulation hot
-// paths (buffer pushes), so the nil fast path is a single branch.
-type Queue struct {
-	Kind, Name string
-	h          stats.Histogram
+// Hist is a log2 histogram handle. Observe sits on simulation hot paths
+// (buffer pushes, per-line fetches), so the nil fast path is a single
+// branch.
+type Hist struct {
+	Prefix, Desc string
+	h            stats.Histogram
 }
 
-// Observe records one occupancy sample (no-op on nil).
-func (q *Queue) Observe(depth int64) {
-	if q == nil {
+// Observe records one sample (no-op on nil).
+func (h *Hist) Observe(v float64) {
+	if h == nil {
 		return
 	}
-	q.h.Observe(float64(depth))
+	h.h.Observe(v)
 }
 
-// Hist returns a copy of the underlying histogram (zero value on nil).
-func (q *Queue) Hist() stats.Histogram {
-	if q == nil {
+// Snapshot returns a copy of the underlying histogram (zero value on nil).
+func (h *Hist) Snapshot() stats.Histogram {
+	if h == nil {
 		return stats.Histogram{}
 	}
-	return q.h
+	return h.h
 }
 
 // SpanAgg aggregates the trace spans sharing one (track, name): the bridge
@@ -278,8 +300,8 @@ func (p *Profiler) AbsorbTrace(tr *trace.Tracer) {
 	})
 }
 
-// Merge folds other into p: components, regions, spans and the cycle
-// denominator add; queue histograms merge exactly. Merging profilers in any
+// Merge folds other into p: components, regions, spans, counters and the
+// cycle denominator add; histograms merge exactly. Merging profilers in any
 // order yields identical results (every operation is commutative), which is
 // what lets the experiment matrix fold per-cell profilers at any worker
 // count. A nil p or other is a no-op.
@@ -319,13 +341,16 @@ func (p *Profiler) Merge(other *Profiler) {
 			r.comps[label] += n
 		}
 	}
-	for k, oq := range other.queues {
-		q, ok := p.queues[k]
+	for k, oh := range other.hists {
+		h, ok := p.hists[k]
 		if !ok {
-			q = &Queue{Kind: oq.Kind, Name: oq.Name}
-			p.queues[k] = q
+			h = &Hist{Prefix: oh.Prefix, Desc: oh.Desc}
+			p.hists[k] = h
 		}
-		q.h.Merge(&oq.h)
+		h.h.Merge(&oh.h)
+	}
+	for name, n := range other.counters {
+		p.counters[name] += n
 	}
 	for k, os := range other.spans {
 		a, ok := p.spans[k]
@@ -379,24 +404,29 @@ func (p *Profiler) Regions() []*Region {
 	return out
 }
 
-// Queues returns every queue sorted by (kind, name).
-func (p *Profiler) Queues() []*Queue {
+// Hists returns every histogram sorted by prefix.
+func (p *Profiler) Hists() []*Hist {
 	if p == nil {
 		return nil
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	out := make([]*Queue, 0, len(p.queues))
-	for _, q := range p.queues {
-		out = append(out, q)
+	out := make([]*Hist, 0, len(p.hists))
+	for _, h := range p.hists {
+		out = append(out, h)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Kind != out[j].Kind {
-			return out[i].Kind < out[j].Kind
-		}
-		return out[i].Name < out[j].Name
-	})
+	sort.Slice(out, func(i, j int) bool { return out[i].Prefix < out[j].Prefix })
 	return out
+}
+
+// Counters returns a copy of every named counter (nil on a nil profiler).
+func (p *Profiler) Counters() map[string]int64 {
+	if p == nil {
+		return nil
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return maps.Clone(p.counters)
 }
 
 // Spans returns every span aggregate sorted by (track, name).

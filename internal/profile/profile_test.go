@@ -20,7 +20,7 @@ var update = flag.Bool("update", false, "rewrite the golden files")
 // shardA/shardB/shardC build per-cell profilers with deliberately
 // overlapping keys, the shape Merge sees when folding a parallel experiment
 // matrix: the same component appears in several shards, some keys exist in
-// only one shard, and queue histograms overlap.
+// only one shard, and histograms and counters overlap.
 func shardA() *Profiler {
 	p := New()
 	p.AddRun(1000)
@@ -33,10 +33,12 @@ func shardA() *Profiler {
 	r := p.Region("fdtd-2d", "r0")
 	r.AddLaunch(10, 40, 200, 5)
 	r.AddComponent("core:0", 180)
-	q := p.Queue("buffer", "buf0")
-	for i := int64(0); i < 8; i++ {
-		q.Observe(i)
+	q := p.Hist("queue.buffer.buf0.occ", "occupancy")
+	for i := 0; i < 8; i++ {
+		q.Observe(float64(i))
 	}
+	p.Hist("latency.au.fill_lat", "base-cycle fill latency").Observe(30)
+	p.Add("dram.reads", 5)
 	tr := trace.New()
 	tc := tr.Component("host.cpu")
 	tc.Span("offload", 0, 100)
@@ -55,10 +57,13 @@ func shardB() *Profiler {
 	r.AddLaunch(20, 60, 400, 15)
 	r.AddComponent("core:0", 150)
 	r.AddComponent("core:1", 100)
-	q := p.Queue("buffer", "buf0")
-	for i := int64(4); i < 16; i++ {
-		q.Observe(i)
+	q := p.Hist("queue.buffer.buf0.occ", "occupancy")
+	for i := 4; i < 16; i++ {
+		q.Observe(float64(i))
 	}
+	lat := p.Hist("latency.au.fill_lat", "base-cycle fill latency")
+	lat.Observe(90)
+	lat.Observe(500)
 	tr := trace.New()
 	tr.Component("host.cpu").Span("offload", 0, 75)
 	p.AbsorbTrace(tr)
@@ -72,7 +77,8 @@ func shardC() *Profiler {
 	r := p.Region("bfs", "r0")
 	r.AddLaunch(5, 0, 95, 0)
 	r.AddComponent("fabric:0", 95)
-	p.Queue("buffer", "buf1").Observe(2)
+	p.Hist("queue.buffer.buf1.occ", "occupancy").Observe(2)
+	p.Add("dram.reads", 7)
 	return p
 }
 
@@ -128,7 +134,7 @@ func TestExportGolden(t *testing.T) {
 
 // TestMergeOrderInvariance pins the commutativity contract that lets the
 // experiment matrix fold per-cell profilers at any worker count: every merge
-// order produces byte-identical exports.
+// order produces byte-identical exports, counters and histograms included.
 func TestMergeOrderInvariance(t *testing.T) {
 	orders := [][]func() *Profiler{
 		{shardA, shardB, shardC},
@@ -146,6 +152,12 @@ func TestMergeOrderInvariance(t *testing.T) {
 			t.Fatal(err)
 		}
 		got := stats.String() + "\n===\n" + folded.String() + "\n===\n" + p.LatencyBreakdown().Render()
+		if c := p.Counters()["dram.reads"]; c != 12 {
+			t.Errorf("merge order %d: counter dram.reads = %d, want 5+7", i, c)
+		}
+		if h := p.Hists()[0].Snapshot(); h.N != 3 || h.Max != 500 {
+			t.Errorf("merge order %d: latency histogram = %+v, want 3 samples, max 500", i, h)
+		}
 		if i == 0 {
 			ref = got
 			continue
@@ -173,18 +185,19 @@ func TestNilProfilerIsSafeAndDisabled(t *testing.T) {
 	if r.Total() != 0 {
 		t.Error("nil region has nonzero total")
 	}
-	q := p.Queue("buffer", "buf0")
-	q.Observe(3)
-	if h := q.Hist(); h.N != 0 {
-		t.Error("nil queue recorded samples")
+	h := p.Hist("queue.buffer.buf0.occ", "occupancy")
+	h.Observe(3)
+	if s := h.Snapshot(); s.N != 0 {
+		t.Error("nil histogram recorded samples")
 	}
+	p.Add("dram.reads", 1)
 	p.AddRun(100)
 	p.AbsorbTrace(trace.New())
 	p.Merge(New())
 	if p.TotalBase() != 0 {
 		t.Error("nil profiler accumulated cycles")
 	}
-	if p.Components() != nil || p.Regions() != nil || p.Queues() != nil || p.Spans() != nil {
+	if p.Components() != nil || p.Regions() != nil || p.Hists() != nil || p.Spans() != nil || p.Counters() != nil {
 		t.Error("nil profiler returned non-nil listings")
 	}
 

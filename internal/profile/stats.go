@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"sort"
 )
 
 // WriteStats writes the profile as a gem5-style stats dump: one
@@ -19,8 +20,10 @@ import (
 //	<kind>.<name>.utilization         (busy / total base cycles)
 //	region.<kernel>:<region>.launches / .dispatch_cycles / .queue_cycles /
 //	    .execute_cycles / .writeback_cycles / .total_cycles
+//	latency.<component>.<name>::samples/::mean/::min/::max/::p50/::p95/::p99
 //	queue.<kind>.<name>.occ::samples/::mean/::min/::max/::p50/::p95/::p99
 //	span.<track>.<name>.count / .cycles / .instants
+//	<counter name>                    (additive counters, sorted by name)
 func (p *Profiler) WriteStats(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	if _, err := fmt.Fprintln(bw, "---------- Begin Simulation Statistics ----------"); err != nil {
@@ -73,16 +76,15 @@ func (p *Profiler) WriteStats(w io.Writer) error {
 		iv(prefix+".total_cycles", r.Total(), "end-to-end offload latency (base cycles)")
 	}
 
-	for _, q := range p.Queues() {
-		h := q.Hist()
-		prefix := "queue." + q.Kind + "." + q.Name + ".occ"
-		iv(prefix+"::samples", h.N, "occupancy samples")
-		fv(prefix+"::mean", h.Mean(), "mean occupancy")
-		fv(prefix+"::min", h.Min, "min observed occupancy")
-		fv(prefix+"::max", h.Max, "max observed occupancy")
-		fv(prefix+"::p50", h.Percentile(50), "p50 occupancy (bucket upper bound)")
-		fv(prefix+"::p95", h.Percentile(95), "p95 occupancy (bucket upper bound)")
-		fv(prefix+"::p99", h.Percentile(99), "p99 occupancy (bucket upper bound)")
+	for _, hh := range p.Hists() {
+		h, prefix, d := hh.Snapshot(), hh.Prefix, hh.Desc
+		iv(prefix+"::samples", h.N, d+" samples")
+		fv(prefix+"::mean", h.Mean(), "mean "+d)
+		fv(prefix+"::min", h.Min, "min observed "+d)
+		fv(prefix+"::max", h.Max, "max observed "+d)
+		fv(prefix+"::p50", h.Percentile(50), "p50 "+d+" (bucket upper bound)")
+		fv(prefix+"::p95", h.Percentile(95), "p95 "+d+" (bucket upper bound)")
+		fv(prefix+"::p99", h.Percentile(99), "p99 "+d+" (bucket upper bound)")
 	}
 
 	for _, a := range p.Spans() {
@@ -94,6 +96,16 @@ func (p *Profiler) WriteStats(w io.Writer) error {
 		if a.Instants > 0 {
 			iv(prefix+".instants", a.Instants, "instant events")
 		}
+	}
+
+	counters := p.Counters()
+	names := make([]string, 0, len(counters))
+	for name := range counters {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		iv(name, counters[name], "counter (summed across absorbed runs)")
 	}
 
 	if _, err := fmt.Fprintln(bw, "---------- End Simulation Statistics   ----------"); err != nil {

@@ -75,15 +75,11 @@ type Config struct {
 	// with it on or off (the differential tests enforce this).
 	Trace *trace.Tracer
 
-	// Metrics, when non-nil, receives per-component counters, gauges and
-	// latency histograms at assembly and collection time. Registries from
-	// parallel runs can be folded together with Metrics.Merge.
-	Metrics *trace.Metrics
-
 	// Profile, when non-nil, receives the run's cycle and energy attribution
 	// (per-component busy/stall, per-region offload latency phases,
-	// queue-occupancy histograms). Like tracing, profiling is observational
-	// only: cycle counts and results are bit-identical with it on or off.
+	// queue-occupancy and latency histograms, additive counters). Like
+	// tracing, profiling is observational only: cycle counts and results
+	// are bit-identical with it on or off.
 	// Profilers from parallel runs fold together with Profiler.Merge.
 	Profile *profile.Profiler
 

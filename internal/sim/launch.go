@@ -228,7 +228,7 @@ func (h *host) launch(reg *core.Region) {
 			if len(ba.Accesses) > 1 {
 				// Multi-access combining (Fig. 2d): accessors beyond the
 				// first share the buffer instead of owning one.
-				m.combinedC.Add(int64(len(ba.Accesses) - 1))
+				m.combined += int64(len(ba.Accesses) - 1)
 			}
 			first := rt.def.Accesses[ba.Accesses[0]]
 			switch first.Kind {
@@ -308,7 +308,7 @@ func (h *host) launch(reg *core.Region) {
 			Def: rt.def, Trips: rt.trips,
 			In: rt.inPorts, Out: rt.outPorts, Random: rp,
 			GHz: m.cfg.AccelGHz, Width: m.cfg.IOWidth,
-			Meter: m.meter, Metrics: m.met, Opts: beOpts,
+			Meter: m.meter, LatHist: m.backendLatH[be.Name()], Opts: beOpts,
 			Memo: &m.memo,
 		})
 		if err != nil {
@@ -569,7 +569,7 @@ func (h *host) wireStreamIn(rt *accelRT, ba core.BufferAlloc) error {
 	if err != nil {
 		return err
 	}
-	fsm.LatHist = m.met.Histogram("au/fill_lat")
+	fsm.LatHist = m.fillLatH
 	if m.tr != nil {
 		obj := ba.Obj
 		m.scoped = append(m.scoped, func(off int64) {
@@ -637,7 +637,7 @@ func (h *host) wireStreamOut(rt *accelRT, ba core.BufferAlloc) error {
 	if err != nil {
 		return err
 	}
-	fsm.LatHist = m.met.Histogram("au/drain_lat")
+	fsm.LatHist = m.drainLatH
 	if m.tr != nil {
 		obj := ba.Obj
 		m.scoped = append(m.scoped, func(off int64) {

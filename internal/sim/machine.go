@@ -81,6 +81,7 @@ type machine struct {
 	hostStores     int64
 	accelOps       int64
 	accelMemElem   int64 // stream elements + random accesses by accelerators
+	combined       int64 // accessors sharing a buffer beyond its first (Fig. 2d)
 	launches       int64
 	flushedObjs    map[string]bool
 	configured     map[int]bool // accel IDs whose cp_config was transferred
@@ -93,10 +94,8 @@ type machine struct {
 	accelFreeAt float64 // host-cycle time when accelerator resources free
 	cycleAdjust int64   // parallel-section overlap credit (§VI-D)
 
-	// Observability (nil-safe: a nil tracer/registry/profiler disables
-	// everything).
+	// Observability (nil-safe: a nil tracer/profiler disables everything).
 	tr        *trace.Tracer
-	met       *trace.Metrics
 	prof      *profile.Profiler
 	ffJumps   int64       // engine fast-forward jumps across launches (profiling)
 	ffSkipped int64       // base cycles those jumps never visited
@@ -104,10 +103,20 @@ type machine struct {
 	// scoped holds deferred trace-scope attachments for the launch being
 	// assembled; they run once the launch's base-cycle offset is known.
 	scoped []func(offset int64)
-	// Hoisted metric handles (per-access paths must not re-lookup by name).
-	hostLatH    *trace.Hist
-	clusterLatH *trace.Hist
-	combinedC   *trace.Counter
+	// Latency histogram handles, taken once at machine build (per-access
+	// and per-launch paths must not re-lookup by name); nil when not
+	// profiling.
+	hostLatH, clusterLatH *profile.Hist
+	fillLatH, drainLatH   *profile.Hist
+	backendLatH           map[string]*profile.Hist // by backend name
+}
+
+// backendLatency names each accelerator backend's latency histogram in the
+// stats dump (handed to its engines as backend.LaunchSpec.LatHist).
+var backendLatency = map[string]struct{ prefix, desc string }{
+	"iocore":  {"latency.iocore.stall_lat", "base-cycle iocore random-access stall latency"},
+	"cgra":    {"latency.cgra.iter_lat", "base-cycle CGRA iteration latency"},
+	"pimdram": {"latency.pimdram.stall_lat", "base-cycle PIM stall latency"},
 }
 
 // newMachine allocates the system and lays out the kernel's objects via the
@@ -140,18 +149,22 @@ func newMachine(cfg Config, k *ir.Kernel, params map[string]float64, data map[st
 		scalarsSent:    map[*core.AccelDef]bool{},
 	}
 	m.tr = cfg.Trace
-	m.met = cfg.Metrics
 	m.prof = cfg.Profile
 	if m.prof != nil {
 		// Per-link and per-channel attribution only allocates (and only pays
 		// its accounting) when a profiler is attached.
 		mesh.EnableLinkProfile()
 		dmem.EnableChannelProfile(profileDRAMChannels)
+		m.hostLatH = m.prof.Hist("latency.host.load_lat", "host-cycle load latency")
+		m.clusterLatH = m.prof.Hist("latency.cache.cluster_access_lat", "host-cycle cluster access latency")
+		m.fillLatH = m.prof.Hist("latency.au.fill_lat", "base-cycle stream fill latency")
+		m.drainLatH = m.prof.Hist("latency.au.drain_lat", "base-cycle stream drain latency")
+		m.backendLatH = map[string]*profile.Hist{}
+		for be, h := range backendLatency {
+			m.backendLatH[be] = m.prof.Hist(h.prefix, h.desc)
+		}
 	}
 	m.hostTrace = m.tr.Component("host").At(0) // nil-safe: disabled scope on nil tracer
-	m.hostLatH = m.met.Histogram("host/load_lat")
-	m.clusterLatH = m.met.Histogram("cache/cluster_access_lat")
-	m.combinedC = m.met.Counter("au/combined_accessors")
 	m.eng = engine.New()
 	m.eng.Mode = cfg.EngineMode
 	m.eng.CollectFF = m.prof != nil
@@ -356,7 +369,7 @@ func (s *simMemory) ElemBytes(obj string) (int, error) {
 type clusterFetcher struct {
 	hier          *cache.Hierarchy
 	meter         *energy.Meter
-	latH          *trace.Hist
+	latH          *profile.Hist
 	prefetchHalve bool
 }
 
@@ -440,7 +453,7 @@ func (m *machine) newBuffer() (*accessunit.Buffer, error) {
 		}
 	}
 	if m.prof != nil {
-		b.Occ = m.prof.Queue("buffer", fmt.Sprintf("buf%d", m.bufSeq))
+		b.Occ = m.prof.Hist(fmt.Sprintf("queue.buffer.buf%d.occ", m.bufSeq), "occupancy")
 	}
 	m.bufSeq++
 	m.bufLive = append(m.bufLive, b)

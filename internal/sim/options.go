@@ -245,9 +245,6 @@ func WithValidation(on bool) Option { return func(c *Config) { c.ValidateEvery =
 // WithTrace attaches a cycle-accurate tracer (observational only).
 func WithTrace(tr *trace.Tracer) Option { return func(c *Config) { c.Trace = tr } }
 
-// WithMetrics attaches a metrics registry (observational only).
-func WithMetrics(m *trace.Metrics) Option { return func(c *Config) { c.Metrics = m } }
-
 // WithProfile attaches a cycle/energy attribution profiler (observational
 // only).
 func WithProfile(p *profile.Profiler) Option { return func(c *Config) { c.Profile = p } }

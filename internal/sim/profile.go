@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"distda/internal/energy"
+	"distda/internal/noc"
 )
 
 // snapshotProfile folds the machine's end-of-run state into the attached
@@ -103,6 +104,37 @@ func (m *machine) snapshotProfile(res *Result) {
 	sched.AddBusy(m.accelBase)
 	sched.AddEvents(m.ffJumps)
 	sched.AddStall(m.ffSkipped)
+
+	// Counters the attribution above does not carry. Every other former
+	// -metrics row is derivable from the lines above (docs/OBSERVABILITY.md
+	// has the mapping).
+	p.Add("host.loads", m.hostLoads)
+	p.Add("host.stores", m.hostStores)
+	p.Add("accel.mem_elems", m.accelMemElem)
+	var h3, m3 int64
+	for _, lvl := range l3 {
+		h3 += lvl.Hits
+		m3 += lvl.Misses
+	}
+	p.Add("cache.l1_hits", l1.Hits)
+	p.Add("cache.l1_misses", l1.Misses)
+	p.Add("cache.l2_hits", l2.Hits)
+	p.Add("cache.l2_misses", l2.Misses)
+	p.Add("cache.l3_hits", h3)
+	p.Add("cache.l3_misses", m3)
+	p.Add("cache.prefetch_issued", m.hier.PrefetchIssued)
+	p.Add("cache.prefetch_useful", m.hier.PrefetchUseful)
+	p.Add("dram.reads", m.dmem.Reads)
+	p.Add("dram.writes", m.dmem.Writes)
+	for _, c := range noc.Classes() {
+		p.Add("noc."+c.String()+"_bytes", m.mesh.Bytes[c])
+		p.Add("noc."+c.String()+"_messages", m.mesh.Messages[c])
+		p.Add("noc."+c.String()+"_flit_hops", m.mesh.FlitHops[c])
+	}
+	p.Add("au.da_bytes", m.austats.DABytes)
+	p.Add("au.aa_bytes", m.austats.AABytes)
+	p.Add("au.intra_bytes", m.austats.IntraBytes)
+	p.Add("au.combined_accessors", m.combined)
 
 	// Fold the tracer's spans (when both are attached) so stats.txt carries
 	// the span aggregates next to the component attribution.

@@ -148,7 +148,6 @@ func (m *machine) collect(workload string, validated bool) *Result {
 	if m.priv != nil {
 		res.DataMovedBytes += line * m.priv.priv.Accesses
 	}
-	m.snapshotMetrics(res)
 	m.snapshotProfile(res)
 	return res
 }

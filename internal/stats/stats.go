@@ -1,14 +1,10 @@
 // Package stats provides the small numeric helpers the evaluation harness
 // uses: geometric means and normalization, matching how the paper
 // aggregates per-benchmark ratios, plus the fixed-bucket log2 histogram the
-// tracing/metrics subsystem builds its latency distributions on.
+// profiler builds its occupancy and latency distributions on.
 package stats
 
-import (
-	"fmt"
-	"math"
-	"strings"
-)
+import "math"
 
 // Geomean returns the geometric mean of vals, ignoring entries that carry no
 // ratio information: non-positive values (a ratio of zero would collapse the
@@ -70,8 +66,8 @@ const histBuckets = 64
 
 // Histogram is a fixed-layout log2 histogram for non-negative samples
 // (latencies in cycles, occupancies, hop counts). The fixed layout makes
-// Merge exact and allocation-free, which the per-worker metric registries
-// rely on when the experiment matrix folds them together deterministically.
+// Merge exact and allocation-free, which the per-cell profilers rely on when
+// the experiment matrix folds them together deterministically.
 //
 // The zero value is ready to use. Negative and NaN samples are dropped (and
 // counted in Dropped) rather than silently folded into bucket 0.
@@ -127,26 +123,6 @@ func (h *Histogram) Observe(v float64) {
 	h.N++
 	h.Sum += v
 	h.Buckets[bucketOf(v)]++
-}
-
-// ObserveN records the same sample n times (bulk accounting).
-func (h *Histogram) ObserveN(v float64, n int64) {
-	if n <= 0 {
-		return
-	}
-	if math.IsNaN(v) || v < 0 {
-		h.Dropped += n
-		return
-	}
-	if h.N == 0 || v < h.Min {
-		h.Min = v
-	}
-	if h.N == 0 || v > h.Max {
-		h.Max = v
-	}
-	h.N += n
-	h.Sum += v * float64(n)
-	h.Buckets[bucketOf(v)] += n
 }
 
 // Mean returns the arithmetic mean of accepted samples, 0 when empty.
@@ -219,16 +195,4 @@ func (h *Histogram) Merge(other *Histogram) {
 	for i := range h.Buckets {
 		h.Buckets[i] += other.Buckets[i]
 	}
-}
-
-// String renders the summary line used by the metrics table: count, mean and
-// the p50/p95/p99 upper bounds.
-func (h *Histogram) String() string {
-	if h.N == 0 {
-		return "n=0"
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "n=%d mean=%.1f p50<=%g p95<=%g p99<=%g max=%g",
-		h.N, h.Mean(), h.Percentile(50), h.Percentile(95), h.Percentile(99), h.Max)
-	return b.String()
 }

@@ -194,26 +194,6 @@ func TestHistogramMerge(t *testing.T) {
 	}
 }
 
-func TestHistogramObserveN(t *testing.T) {
-	var a, b Histogram
-	for i := 0; i < 7; i++ {
-		a.Observe(12)
-	}
-	b.ObserveN(12, 7)
-	if a != b {
-		t.Fatalf("ObserveN mismatch: %+v vs %+v", a, b)
-	}
-	b.ObserveN(5, 0)
-	b.ObserveN(5, -3)
-	if a != b {
-		t.Fatal("ObserveN with n<=0 must be a no-op")
-	}
-	b.ObserveN(-1, 4)
-	if b.Dropped != 4 {
-		t.Fatalf("ObserveN negative sample dropped = %d", b.Dropped)
-	}
-}
-
 func TestRatioAndMean(t *testing.T) {
 	if Ratio(6, 3) != 2 || Ratio(1, 0) != 0 {
 		t.Fatal("Ratio")

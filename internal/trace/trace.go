@@ -1,7 +1,7 @@
-// Package trace is the simulator's observability backbone: a cycle-accurate
-// span/instant tracer with a zero-overhead disabled fast path, and a metrics
-// registry (counters, gauges, log2 histograms) components register into at
-// assembly time.
+// Package trace is the simulator's cycle-accurate span/instant tracer, with
+// a zero-overhead disabled fast path. Per-component statistics (counters
+// and histograms) live in internal/profile, which also folds trace spans
+// into its stats dump.
 //
 // Timestamps are engine base cycles (1/6 ns per tick, engine.BaseGHz = 6).
 // Each component owns a private append-only event buffer — no locks on the

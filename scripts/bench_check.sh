@@ -1,18 +1,22 @@
 #!/bin/sh
-# bench_check.sh — compare two bench snapshots (distda-bench/v2, written by
-# scripts/bench.sh) and fail when any gated benchmark regressed beyond the
-# threshold. POSIX sh + awk only.
+# bench_check.sh — compare bench snapshots (distda-bench/v2, written by
+# scripts/bench.sh) of a baseline and a current tree and fail when any gated
+# benchmark regressed beyond the threshold. POSIX sh + awk only.
 #
 # Usage:
 #   sh scripts/bench_check.sh BASELINE.json CURRENT.json [PATTERN] [MAX_RATIO]
+#   sh scripts/bench_check.sh "base-1.json base-2.json" "head-1.json head-2.json" ...
 #
+#   BASELINE / CURRENT  one snapshot each, or a space-separated list of
+#              snapshots (rounds) per side; each side is summarized by its
+#              per-benchmark minimum over its rounds
 #   PATTERN    extended-regex over benchmark names to gate on
 #              (default: the engine-loop and headline benchmarks)
 #   MAX_RATIO  fail when current / baseline exceeds this
 #              (default 1.15, i.e. >15% slower fails)
 #
 # Each benchmark is compared by its fastest sample (ns_min) when both
-# snapshots record one: the minimum of a few samples on a shared host is
+# sides record one: the minimum of a few samples on a shared host is
 # far steadier than their mean, which one descheduled sample can inflate.
 # A benchmark missing ns_min on either side (an older snapshot) falls back
 # to the mean (ns_per_op) on both.
@@ -34,8 +38,11 @@ MAX=${4:-1.15}
 
 # Each benchmark object is emitted on its own line by bench.sh, so a
 # line-oriented awk extraction of (name, min, mean) is reliable for our own
-# files. A missing min prints as "-".
+# files. Over several snapshots, min and mean are each the minimum across
+# the snapshots that record the benchmark; a min missing from any of them
+# prints as "-".
 extract() {
+    # $1 stays unquoted: it is a space-separated list of snapshot files.
     awk '
     /"name":/ {
         name = ""; min = "-"; mean = ""
@@ -45,8 +52,16 @@ extract() {
             min = substr($0, RSTART + 10, RLENGTH - 10)
         if (match($0, /"ns_per_op": [0-9.]+/))
             mean = substr($0, RSTART + 13, RLENGTH - 13)
-        if (name != "" && mean != "") print name, min, mean
-    }' "$1"
+        if (name == "" || mean == "") next
+        if (!(name in bmean)) {
+            order[++n] = name; bmin[name] = min; bmean[name] = mean
+            next
+        }
+        if (min == "-" || bmin[name] == "-") bmin[name] = "-"
+        else if (min + 0 < bmin[name] + 0) bmin[name] = min
+        if (mean + 0 < bmean[name] + 0) bmean[name] = mean
+    }
+    END { for (i = 1; i <= n; i++) print order[i], bmin[order[i]], bmean[order[i]] }' $1
 }
 
 T=$(mktemp)

@@ -86,7 +86,7 @@ stage_gates() {
 
     echo "== no raw trace-event aggregation outside internal/profile"
     # internal/profile is the single aggregation layer over raw trace events:
-    # everything else must consume profiles (or render Metrics tables), never
+    # everything else must consume profiles, never
     # walk Tracer.VisitEvents itself — otherwise attribution logic fragments
     # across the tree and merge-order determinism stops being one proof.
     viol=$(grep -rn 'VisitEvents(' cmd internal examples --include='*.go' \
