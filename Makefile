@@ -19,7 +19,7 @@ vet:
 race:
 	go test -race ./internal/engine/... ./internal/exp/... ./internal/sim/... \
 	    ./internal/serve/... ./internal/serveclient/... ./internal/backend/... \
-	    ./internal/pimdram/...
+	    ./internal/pimdram/... ./internal/artifact/...
 
 fmt:
 	gofmt -l cmd internal examples

@@ -9,11 +9,8 @@ package artifact
 
 import (
 	"crypto/sha256"
-	"encoding/gob"
 	"encoding/hex"
 	"fmt"
-	"os"
-	"path/filepath"
 
 	"distda/internal/ir"
 )
@@ -21,7 +18,7 @@ import (
 // ProgramFormatVersion is bumped whenever the program key derivation, the
 // bytecode encoding (ir.Op / opcode numbering), or the on-disk envelope
 // changes; old entries then simply miss.
-const ProgramFormatVersion = 1
+const ProgramFormatVersion = 2
 
 // ProgramKey returns the content address of the bytecode program compiled
 // from kernel k (from the named workload at the named scale). The hash
@@ -34,191 +31,16 @@ func ProgramKey(workload, scale string, k *ir.Kernel) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// ProgramStats are the program side's cumulative counters, deterministic
-// for a deterministic request sequence like Stats.
-type ProgramStats struct {
-	Requests int64 // GetOrProgram calls
-	MemHits  int64 // served from the in-memory LRU
-	DiskHits int64 // decoded from the on-disk store
-	Compiles int64 // compiled from scratch
-	Rebinds  int64 // re-bound to a new kernel instance
-	Evicted  int64 // LRU evictions (capacity pressure)
-	Errors   int64 // failed disk loads / stale entries that fell back to compiling
-}
-
-type progEntry struct {
-	key string
-	p   *ir.Program
-}
-
-type progFlight struct {
-	done chan struct{}
-	p    *ir.Program
-	err  error
-}
-
 // ProgramStats returns a snapshot of the program-cache counters.
-func (c *Cache) ProgramStats() ProgramStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.progStats
-}
+func (c *Cache) ProgramStats() Stats { return c.programs.snapshot() }
 
 // GetOrProgram returns the bytecode program stored under key, bound to
 // kernel k. Misses consult the on-disk store (when configured) and
 // otherwise compile; concurrent callers with the same key wait for one
 // resolution. The returned program is shared, immutable, and safe for
-// concurrent Run calls.
+// concurrent Run calls. Programs loaded from disk or cached for another
+// kernel instance are re-bound to k's loop pointers (ir.ProgramFromImage,
+// Program.Rebind), since counts attribution is by *For identity.
 func (c *Cache) GetOrProgram(key string, k *ir.Kernel) (*ir.Program, error) {
-	first := true
-	for {
-		c.mu.Lock()
-		if first {
-			c.progStats.Requests++
-			first = false
-		}
-		if el, ok := c.progByKey[key]; ok {
-			e := el.Value.(*progEntry)
-			if e.p.Kernel() == k {
-				c.progLL.MoveToFront(el)
-				c.progStats.MemHits++
-				c.mu.Unlock()
-				return e.p, nil
-			}
-			// Same content, different kernel instance: re-bind the loop
-			// table to the caller's pointers (counts attribution is by
-			// *For identity) and keep the re-bound program as canonical.
-			bound, err := e.p.Rebind(k)
-			if err == nil {
-				e.p = bound
-				c.progLL.MoveToFront(el)
-				c.progStats.MemHits++
-				c.progStats.Rebinds++
-				c.mu.Unlock()
-				return bound, nil
-			}
-			c.progLL.Remove(el)
-			delete(c.progByKey, key)
-			c.progStats.Errors++
-		}
-		if f, ok := c.progFlight[key]; ok {
-			c.mu.Unlock()
-			<-f.done
-			if f.err != nil {
-				return nil, f.err
-			}
-			continue
-		}
-		f := &progFlight{done: make(chan struct{})}
-		c.progFlight[key] = f
-		c.mu.Unlock()
-
-		f.p, f.err = c.resolveProgram(key, k)
-
-		c.mu.Lock()
-		delete(c.progFlight, key)
-		if f.err == nil {
-			c.insertProgram(key, f.p)
-		}
-		c.mu.Unlock()
-		close(f.done)
-		return f.p, f.err
-	}
-}
-
-// resolveProgram loads key from disk or compiles it. Runs outside the lock.
-func (c *Cache) resolveProgram(key string, k *ir.Kernel) (*ir.Program, error) {
-	if c.dir != "" {
-		if p, err := c.loadDiskProgram(key, k); err == nil {
-			c.mu.Lock()
-			c.progStats.DiskHits++
-			c.mu.Unlock()
-			return p, nil
-		} else if !os.IsNotExist(err) {
-			c.mu.Lock()
-			c.progStats.Errors++
-			c.mu.Unlock()
-		}
-	}
-	p, err := ir.NewProgram(k)
-	if err != nil {
-		return nil, err
-	}
-	c.mu.Lock()
-	c.progStats.Compiles++
-	c.mu.Unlock()
-	if c.dir != "" {
-		// Best-effort: a failed disk write leaves a working memory entry.
-		_ = c.storeDiskProgram(key, p)
-	}
-	return p, nil
-}
-
-// insertProgram adds the program under key, evicting past capacity.
-// Caller holds c.mu.
-func (c *Cache) insertProgram(key string, p *ir.Program) {
-	if el, ok := c.progByKey[key]; ok {
-		el.Value.(*progEntry).p = p
-		c.progLL.MoveToFront(el)
-		return
-	}
-	c.progByKey[key] = c.progLL.PushFront(&progEntry{key: key, p: p})
-	for c.progLL.Len() > c.max {
-		tail := c.progLL.Back()
-		c.progLL.Remove(tail)
-		delete(c.progByKey, tail.Value.(*progEntry).key)
-		c.progStats.Evicted++
-	}
-}
-
-// progEnvelope is the on-disk representation: the position-independent
-// program image; loop pointers are re-established by ProgramFromImage.
-type progEnvelope struct {
-	Version int
-	Key     string
-	Image   ir.Image
-}
-
-func (c *Cache) progPath(key string) string {
-	return filepath.Join(c.dir, key+".program.gob")
-}
-
-// storeDiskProgram writes the program image atomically (temp + rename).
-func (c *Cache) storeDiskProgram(key string, p *ir.Program) error {
-	if err := os.MkdirAll(c.dir, 0o755); err != nil {
-		return err
-	}
-	env := &progEnvelope{Version: ProgramFormatVersion, Key: key, Image: p.Image()}
-	tmp, err := os.CreateTemp(c.dir, "."+key+".ptmp-*")
-	if err != nil {
-		return err
-	}
-	if err := gob.NewEncoder(tmp).Encode(env); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return os.Rename(tmp.Name(), c.progPath(key))
-}
-
-// loadDiskProgram reads, validates and binds the program stored under key.
-func (c *Cache) loadDiskProgram(key string, k *ir.Kernel) (*ir.Program, error) {
-	f, err := os.Open(c.progPath(key))
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	var env progEnvelope
-	if err := gob.NewDecoder(f).Decode(&env); err != nil {
-		return nil, fmt.Errorf("artifact: decode %s: %w", c.progPath(key), err)
-	}
-	if env.Version != ProgramFormatVersion || env.Key != key {
-		return nil, fmt.Errorf("artifact: %s: stale program entry (version %d, key %.12s…)",
-			c.progPath(key), env.Version, env.Key)
-	}
-	return ir.ProgramFromImage(env.Image, k)
+	return c.programs.getOrCompute(key, k, func() (*ir.Program, error) { return ir.NewProgram(k) })
 }

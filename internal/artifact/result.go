@@ -2,7 +2,8 @@ package artifact
 
 // Serving-layer result envelopes ride the same content-addressed store as
 // offload artifacts and bytecode programs: deterministic SHA-256 key,
-// in-memory LRU → on-disk gob, atomic writes. A result envelope is the
+// in-memory LRU → on-disk gob, atomic writes (no single flight: the job
+// server coalesces identical jobs itself). A result envelope is the
 // rendered output of a fully specified experiment job (workload × config ×
 // scale, selection, kernel text, inputs), so the distda-serve job server
 // can return an identical re-submission instantly — across requests,
@@ -11,17 +12,16 @@ package artifact
 
 import (
 	"crypto/sha256"
-	"encoding/gob"
 	"encoding/hex"
 	"fmt"
-	"os"
-	"path/filepath"
 	"sort"
+
+	"distda/internal/ir"
 )
 
 // ResultFormatVersion is bumped whenever the result key derivation or the
 // on-disk envelope changes; old entries then simply miss.
-const ResultFormatVersion = 1
+const ResultFormatVersion = 2
 
 // ResultKey returns the content address of a result envelope derived from
 // the given identity parts (job kind, scale, configuration, kernel text,
@@ -43,180 +43,60 @@ func ResultKey(parts ...string) string {
 // free-form metadata (job kind, workload, timings, ...). Envelopes are
 // immutable once stored; callers must not mutate Body or Meta.
 type ResultEnvelope struct {
-	Version int
-	Key     string
-	Meta    map[string]string
-	Body    []byte
-}
-
-// ResultStats are the result side's cumulative counters.
-type ResultStats struct {
-	Requests int64 // GetResult calls
-	MemHits  int64 // served from the in-memory LRU
-	DiskHits int64 // decoded from the on-disk store
-	Misses   int64 // not found anywhere
-	Stores   int64 // PutResult calls that inserted a new envelope
-	Evicted  int64 // LRU evictions (capacity pressure)
-	Errors   int64 // failed disk loads / stale entries treated as misses
-}
-
-type resultEntry struct {
-	key string
-	e   *ResultEnvelope
+	Meta map[string]string
+	Body []byte
 }
 
 // ResultStats returns a snapshot of the result-cache counters.
-func (c *Cache) ResultStats() ResultStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.resultStats
-}
+func (c *Cache) ResultStats() Stats { return c.results.snapshot() }
 
 // GetResult returns the result envelope stored under key, or false on a
 // miss. Misses consult the on-disk store when configured. The returned
 // envelope is shared and must be treated as read-only.
-func (c *Cache) GetResult(key string) (*ResultEnvelope, bool) {
-	c.mu.Lock()
-	c.resultStats.Requests++
-	if el, ok := c.resultByKey[key]; ok {
-		c.resultLL.MoveToFront(el)
-		c.resultStats.MemHits++
-		env := el.Value.(*resultEntry).e
-		c.mu.Unlock()
-		return env, true
-	}
-	c.mu.Unlock()
-
-	if c.dir != "" {
-		env, err := c.loadDiskResult(key)
-		if err == nil {
-			c.mu.Lock()
-			c.resultStats.DiskHits++
-			c.insertResult(key, env)
-			c.mu.Unlock()
-			return env, true
-		}
-		if !os.IsNotExist(err) {
-			c.mu.Lock()
-			c.resultStats.Errors++
-			c.mu.Unlock()
-		}
-	}
-	c.mu.Lock()
-	c.resultStats.Misses++
-	c.mu.Unlock()
-	return nil, false
-}
+func (c *Cache) GetResult(key string) (*ResultEnvelope, bool) { return c.results.get(key) }
 
 // PutResult stores the rendered result bytes (and metadata) under key, both
-// in memory and — when the cache is disk-backed — on disk (atomically:
-// temp file + rename). body and meta are copied; the caller keeps
-// ownership of its slices and map.
+// in memory and — when the cache is disk-backed — on disk. A failed disk
+// write is counted and returned; the memory entry stays. body and meta are
+// copied; the caller keeps ownership of its slices and map.
 func (c *Cache) PutResult(key string, meta map[string]string, body []byte) error {
-	env := &ResultEnvelope{Version: ResultFormatVersion, Key: key, Body: append([]byte(nil), body...)}
+	env := &ResultEnvelope{Body: append([]byte(nil), body...)}
 	if len(meta) > 0 {
 		env.Meta = make(map[string]string, len(meta))
 		for k, v := range meta {
 			env.Meta[k] = v
 		}
 	}
-	c.mu.Lock()
-	c.resultStats.Stores++
-	c.insertResult(key, env)
-	c.mu.Unlock()
-	if c.dir != "" {
-		// Best-effort: a failed disk write leaves a working memory entry.
-		if err := c.storeDiskResult(key, env); err != nil {
-			c.mu.Lock()
-			c.resultStats.Errors++
-			c.mu.Unlock()
-			return err
-		}
-	}
-	return nil
+	return c.results.put(key, env)
 }
 
-// insertResult adds the envelope under key, evicting past capacity.
-// Caller holds c.mu.
-func (c *Cache) insertResult(key string, env *ResultEnvelope) {
-	if el, ok := c.resultByKey[key]; ok {
-		el.Value.(*resultEntry).e = env
-		c.resultLL.MoveToFront(el)
-		return
-	}
-	c.resultByKey[key] = c.resultLL.PushFront(&resultEntry{key: key, e: env})
-	for c.resultLL.Len() > c.max {
-		tail := c.resultLL.Back()
-		c.resultLL.Remove(tail)
-		delete(c.resultByKey, tail.Value.(*resultEntry).key)
-		c.resultStats.Evicted++
-	}
+// savedResult is an envelope's on-disk form. Gob encodes maps in
+// randomized order, so the meta is stored as sorted key/value pairs: the
+// on-disk bytes are deterministic for a deterministic envelope
+// (content-addressed stores should not churn).
+type savedResult struct {
+	Meta [][2]string
+	Body []byte
 }
 
-// resultPath returns the disk file for key.
-func (c *Cache) resultPath(key string) string {
-	return filepath.Join(c.dir, key+".result.gob")
-}
-
-// storeDiskResult writes the envelope atomically (temp + rename).
-func (c *Cache) storeDiskResult(key string, env *ResultEnvelope) error {
-	if err := os.MkdirAll(c.dir, 0o755); err != nil {
-		return err
-	}
-	// Gob encodes maps in randomized order; encode the meta as sorted
-	// key/value pairs so the on-disk bytes are deterministic for a
-	// deterministic envelope (content-addressed stores should not churn).
-	disk := diskResult{Version: env.Version, Key: env.Key, Body: env.Body}
+func saveResult(env *ResultEnvelope) savedResult {
+	d := savedResult{Body: env.Body}
 	keys := make([]string, 0, len(env.Meta))
 	for k := range env.Meta {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
 	for _, k := range keys {
-		disk.Meta = append(disk.Meta, [2]string{k, env.Meta[k]})
+		d.Meta = append(d.Meta, [2]string{k, env.Meta[k]})
 	}
-	tmp, err := os.CreateTemp(c.dir, "."+key+".tmp-*")
-	if err != nil {
-		return err
-	}
-	if err := gob.NewEncoder(tmp).Encode(&disk); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return os.Rename(tmp.Name(), c.resultPath(key))
+	return d
 }
 
-// diskResult is the on-disk envelope encoding (deterministic meta order).
-type diskResult struct {
-	Version int
-	Key     string
-	Meta    [][2]string
-	Body    []byte
-}
-
-// loadDiskResult reads and validates the envelope stored under key.
-func (c *Cache) loadDiskResult(key string) (*ResultEnvelope, error) {
-	f, err := os.Open(c.resultPath(key))
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	var disk diskResult
-	if err := gob.NewDecoder(f).Decode(&disk); err != nil {
-		return nil, fmt.Errorf("artifact: decode %s: %w", c.resultPath(key), err)
-	}
-	if disk.Version != ResultFormatVersion || disk.Key != key {
-		return nil, fmt.Errorf("artifact: %s: stale result entry (version %d, key %.12s…)", c.resultPath(key), disk.Version, disk.Key)
-	}
-	env := &ResultEnvelope{Version: disk.Version, Key: disk.Key, Body: disk.Body}
-	if len(disk.Meta) > 0 {
-		env.Meta = make(map[string]string, len(disk.Meta))
-		for _, kv := range disk.Meta {
+func loadResult(d savedResult, _ *ir.Kernel) (*ResultEnvelope, error) {
+	env := &ResultEnvelope{Body: d.Body}
+	if len(d.Meta) > 0 {
+		env.Meta = make(map[string]string, len(d.Meta))
+		for _, kv := range d.Meta {
 			env.Meta[kv[0]] = kv[1]
 		}
 	}

@@ -270,13 +270,6 @@ func (h *Hierarchy) FlushRange(base, bytes int64) int {
 	return cost
 }
 
-// InvalidateAcceleratorRange drops the range from host L1/L2 only (used
-// when ownership moves to accelerators and host copies must not be reused).
-func (h *Hierarchy) InvalidateAcceleratorRange(base, bytes int64) {
-	h.l1.InvalidateRange(base, bytes)
-	h.l2.InvalidateRange(base, bytes)
-}
-
 // Levels exposes the raw levels for tests and reports.
 func (h *Hierarchy) Levels() (l1, l2 *Level, l3 []*Level) { return h.l1, h.l2, h.l3 }
 

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"path/filepath"
 	"runtime"
 	"sort"
 	"sync"
@@ -303,7 +302,7 @@ func Build(ctx context.Context, opts Options) (*Matrix, error) {
 		}
 		for prefix, st := range map[string]artifact.Stats{
 			"artifact.":         cache.Stats(),
-			"artifact.program_": artifact.Stats(cache.ProgramStats()),
+			"artifact.program_": cache.ProgramStats(),
 		} {
 			prof.Add(prefix+"requests", st.Requests)
 			prof.Add(prefix+"mem_hits", st.MemHits)
@@ -533,21 +532,7 @@ func (c *checkpointer) write() error {
 	if err != nil {
 		return fmt.Errorf("exp: checkpoint: %w", err)
 	}
-	tmp, err := os.CreateTemp(filepath.Dir(c.path), ".checkpoint-*.tmp")
-	if err != nil {
-		return fmt.Errorf("exp: checkpoint: %w", err)
-	}
-	if _, err := tmp.Write(raw); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("exp: checkpoint: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("exp: checkpoint: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), c.path); err != nil {
-		os.Remove(tmp.Name())
+	if err := artifact.WriteFileAtomic(c.path, raw); err != nil {
 		return fmt.Errorf("exp: checkpoint: %w", err)
 	}
 	return nil

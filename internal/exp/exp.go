@@ -284,7 +284,7 @@ func (m *Matrix) Tab6OffloadCharacteristics() (*report.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		prog, err := ir.ProgramFor(w.Kernel)
+		prog, err := ir.NewProgram(w.Kernel)
 		if err != nil {
 			return nil, err
 		}

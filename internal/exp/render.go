@@ -77,27 +77,6 @@ func (s Selection) Validate() error {
 	return nil
 }
 
-// NeedsMatrix reports whether rendering the selection requires the full
-// workload × configuration matrix (figures 12a-14 and tables 3, plus the
-// sens/area/offchip/ablation sections, run from the scale alone).
-func (s Selection) NeedsMatrix() bool {
-	if s.Headline {
-		return true
-	}
-	for _, t := range s.Tabs {
-		if t != "3" {
-			return true
-		}
-	}
-	for _, f := range s.Figs {
-		switch f {
-		case "7", "8", "9", "10", "11a", "11b":
-			return true
-		}
-	}
-	return false
-}
-
 func containsName(set []string, v string) bool {
 	for _, s := range set {
 		if s == v {

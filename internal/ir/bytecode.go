@@ -2,7 +2,6 @@ package ir
 
 import (
 	"fmt"
-	"sync"
 )
 
 // This file lowers a validated kernel to a flat register-based bytecode.
@@ -363,26 +362,4 @@ func (p *Program) Rebind(k *Kernel) (*Program, error) {
 		return p, nil
 	}
 	return ProgramFromImage(p.Image(), k)
-}
-
-// progCache memoizes ProgramFor by kernel identity. Kernels are built
-// once per process per workload/scale (and per thread variant), so the
-// map stays small; sync.Map gives contention-free hits for the
-// experiment matrix's concurrent workers.
-var progCache sync.Map // *Kernel → *Program
-
-// ProgramFor returns the process-wide cached compilation of k, compiling
-// on first use. Compilation errors are not cached (they are cheap to
-// rediscover and only occur on invalid kernels, which hot paths reject
-// up front anyway).
-func ProgramFor(k *Kernel) (*Program, error) {
-	if p, ok := progCache.Load(k); ok {
-		return p.(*Program), nil
-	}
-	p, err := NewProgram(k)
-	if err != nil {
-		return nil, err
-	}
-	actual, _ := progCache.LoadOrStore(k, p)
-	return actual.(*Program), nil
 }

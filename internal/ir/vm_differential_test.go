@@ -59,7 +59,7 @@ func TestVMDifferentialAllWorkloads(t *testing.T) {
 			memI, memV := cloneMem(data), cloneMem(data)
 
 			want, errI := ir.Run(w.Kernel, w.Params, memI, nil)
-			prog, err := ir.ProgramFor(w.Kernel)
+			prog, err := ir.NewProgram(w.Kernel)
 			if err != nil {
 				t.Fatalf("compile: %v", err)
 			}
@@ -100,7 +100,7 @@ func TestVMDifferentialHooked(t *testing.T) {
 
 			var logI, logV []vmEvent
 			want, errI := ir.Run(w.Kernel, w.Params, memI, captureHooks(&logI))
-			prog, err := ir.ProgramFor(w.Kernel)
+			prog, err := ir.NewProgram(w.Kernel)
 			if err != nil {
 				t.Fatalf("compile: %v", err)
 			}
@@ -136,7 +136,7 @@ func TestVMDifferentialHooked(t *testing.T) {
 // loop). Hooks off — the configuration the hot paths use.
 func BenchmarkExecutors(b *testing.B) {
 	w := workloads.Pathfinder(workloads.ScaleTest)
-	prog, err := ir.ProgramFor(w.Kernel)
+	prog, err := ir.NewProgram(w.Kernel)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -304,19 +304,3 @@ func TestProgramFromImageRejectsMismatch(t *testing.T) {
 		t.Fatal("image bound to mismatched kernel without error")
 	}
 }
-
-// TestProgramForMemoizes: same kernel pointer yields the same program.
-func TestProgramForMemoizes(t *testing.T) {
-	k := vmKernel()
-	p1, err := ProgramFor(k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p2, err := ProgramFor(k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p1 != p2 {
-		t.Fatal("ProgramFor recompiled an already-cached kernel")
-	}
-}

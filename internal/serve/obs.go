@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"distda/internal/artifact"
 	"distda/internal/obs"
 )
 
@@ -79,25 +80,20 @@ func (s *Server) syncObs() {
 	s.met.queueDepth.With().Set(float64(st.QueueLen))
 	s.met.running.With().Set(float64(st.Running))
 
-	rc := st.ResultCache
-	for _, c := range []struct {
-		event string
-		v     int64
-	}{
-		{"requests", rc.Requests}, {"mem_hits", rc.MemHits}, {"disk_hits", rc.DiskHits},
-		{"misses", rc.Misses}, {"stores", rc.Stores}, {"evicted", rc.Evicted}, {"errors", rc.Errors},
-	} {
-		s.met.resultCache.With(c.event).Store(c.v)
-	}
-	cc := st.CompileCache
-	for _, c := range []struct {
-		event string
-		v     int64
-	}{
-		{"requests", cc.Requests}, {"mem_hits", cc.MemHits}, {"disk_hits", cc.DiskHits},
-		{"compiles", cc.Compiles}, {"rebinds", cc.Rebinds}, {"evicted", cc.Evicted}, {"errors", cc.Errors},
-	} {
-		s.met.compileCache.With(c.event).Store(c.v)
+	for _, ns := range []struct {
+		vec *obs.CounterVec
+		st  artifact.Stats
+	}{{s.met.resultCache, st.ResultCache}, {s.met.compileCache, st.CompileCache}} {
+		for _, c := range []struct {
+			event string
+			v     int64
+		}{
+			{"requests", ns.st.Requests}, {"mem_hits", ns.st.MemHits}, {"disk_hits", ns.st.DiskHits},
+			{"misses", ns.st.Misses}, {"compiles", ns.st.Compiles}, {"rebinds", ns.st.Rebinds},
+			{"stores", ns.st.Stores}, {"evicted", ns.st.Evicted}, {"errors", ns.st.Errors},
+		} {
+			ns.vec.With(c.event).Store(c.v)
+		}
 	}
 }
 

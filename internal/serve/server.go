@@ -136,11 +136,11 @@ type Stats struct {
 	// Backends counts submitted run jobs by resolved accelerator backend
 	// ("none" for backend-less configs; matrix jobs are not counted — they
 	// span many backends).
-	Backends     map[string]int64     `json:"backends,omitempty"`
-	QueueLen     int                  `json:"queue_len"`
-	Running      int                  `json:"running"`
-	ResultCache  artifact.ResultStats `json:"result_cache"`
-	CompileCache artifact.Stats       `json:"compile_cache"`
+	Backends     map[string]int64 `json:"backends,omitempty"`
+	QueueLen     int              `json:"queue_len"`
+	Running      int              `json:"running"`
+	ResultCache  artifact.Stats   `json:"result_cache"`
+	CompileCache artifact.Stats   `json:"compile_cache"`
 }
 
 // Server is the job server: a bounded tenant-fair queue feeding a fixed
@@ -696,11 +696,7 @@ func (s *Server) journal() error {
 	if err != nil {
 		return err
 	}
-	tmp := s.journalPath() + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, s.journalPath())
+	return artifact.WriteFileAtomic(s.journalPath(), data)
 }
 
 // restore resubmits journaled jobs under their original IDs, bypassing

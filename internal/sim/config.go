@@ -64,7 +64,6 @@ type Config struct {
 	PlaceAtHost   bool  // ablation: ignore placement hints, keep accels at the host tile
 	Threads       int   // software threads for parallel-annotated loops
 	HostPrefDeg   int
-	MonoCAAt2GHz  bool // kept for clarity; Mono-CA accel runs at 2 GHz
 	ValidateEvery bool // compare against the interpreter after Run
 
 	// Trace, when non-nil, receives cycle-accurate span/instant events from
@@ -94,7 +93,7 @@ type Config struct {
 	// bytecode program used for reference validation (ValidateEvery)
 	// instead of compiling one on the fly. Populated by the experiment
 	// matrix from the artifact cache; runs with a nil or mismatched
-	// Program fall back to the process-wide ir.ProgramFor cache.
+	// Program compile one with ir.NewProgram (microseconds per kernel).
 	Program *ir.Program
 
 	// Cancel, when non-nil, interrupts the run when closed: the host stops

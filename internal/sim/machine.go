@@ -168,7 +168,7 @@ func newMachine(cfg Config, k *ir.Kernel, params map[string]float64, data map[st
 	m.eng = engine.New()
 	m.eng.Mode = cfg.EngineMode
 	m.eng.CollectFF = m.prof != nil
-	span := int64(64 << 10) // cache.DefaultConfig ClusterSpanBytes
+	span := hier.ClusterSpan()
 	for i, o := range k.Objects {
 		buf, ok := data[o.Name]
 		if !ok || len(buf) != o.Len {

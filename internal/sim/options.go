@@ -7,10 +7,7 @@ import (
 
 	"distda/internal/backend"
 	"distda/internal/compiler"
-	"distda/internal/engine"
 	"distda/internal/ir"
-	"distda/internal/profile"
-	"distda/internal/trace"
 )
 
 // ErrCanceled is returned (wrapped) by Run and friends when the run was
@@ -31,7 +28,7 @@ type Option func(*Config)
 //
 //	cfg, err := sim.NewConfig(sim.DistDAIO,
 //	        sim.WithBufElems(256),
-//	        sim.WithTrace(tr))
+//	        sim.WithValidation(true))
 //
 // Any named constructor (OoO, MonoCA, DistDAF, ...) or Base itself can seed
 // the build. A nil option is ignored.
@@ -181,17 +178,11 @@ func WithAccelGHz(ghz int) Option { return func(c *Config) { c.AccelGHz = ghz } 
 // WithBufElems sets the per-buffer decoupling window, in elements.
 func WithBufElems(n int) Option { return func(c *Config) { c.BufElems = n } }
 
-// WithCombineWindow sets the multi-access combining window, in elements.
-func WithCombineWindow(n int64) Option { return func(c *Config) { c.CombineWindow = n } }
-
 // WithCombining toggles Fig. 2d runtime combining.
 func WithCombining(on bool) Option { return func(c *Config) { c.Combining = on } }
 
 // WithHostPrefetch toggles the host L2 stride prefetcher.
 func WithHostPrefetch(on bool) Option { return func(c *Config) { c.HostPrefetch = on } }
-
-// WithHostPrefDeg sets the host prefetcher degree.
-func WithHostPrefDeg(deg int) Option { return func(c *Config) { c.HostPrefDeg = deg } }
 
 // WithIOWidth sets the in-order issue width (Fig. 14 +SW uses 4).
 func WithIOWidth(w int) Option { return func(c *Config) { c.IOWidth = w } }
@@ -221,9 +212,6 @@ func WithOffChip(threshold int) Option {
 // WithCompilerMode selects the compute-distribution lowering.
 func WithCompilerMode(m compiler.Mode) Option { return func(c *Config) { c.CompilerMode = m } }
 
-// WithMaxEngine caps the engine budget per launch, in base cycles.
-func WithMaxEngine(n int64) Option { return func(c *Config) { c.MaxEngine = n } }
-
 // WithPrivCacheKB sets the Mono-CA private cache size (0 = none).
 func WithPrivCacheKB(kb int) Option { return func(c *Config) { c.PrivCacheKB = kb } }
 
@@ -235,29 +223,13 @@ func WithoutObjConstraint() Option { return func(c *Config) { c.NoObjConstr = tr
 // tile (ablation).
 func WithPlaceAtHost() Option { return func(c *Config) { c.PlaceAtHost = true } }
 
-// WithThreads sets the software thread count for parallel-annotated loops.
-func WithThreads(n int) Option { return func(c *Config) { c.Threads = n } }
-
 // WithValidation toggles the per-run comparison against the reference
 // interpreter.
 func WithValidation(on bool) Option { return func(c *Config) { c.ValidateEvery = on } }
 
-// WithTrace attaches a cycle-accurate tracer (observational only).
-func WithTrace(tr *trace.Tracer) Option { return func(c *Config) { c.Trace = tr } }
-
-// WithProfile attaches a cycle/energy attribution profiler (observational
-// only).
-func WithProfile(p *profile.Profiler) Option { return func(c *Config) { c.Profile = p } }
-
-// WithEngineMode selects the engine scheduling strategy (adaptive or
-// naive). Results are bit-identical across modes; this picks the
-// wall-clock/perf trade-off.
-func WithEngineMode(m engine.Mode) Option { return func(c *Config) { c.EngineMode = m } }
-
 // WithProgram supplies a pre-compiled bytecode program for reference
 // validation, typically fetched from the artifact cache. A nil or
-// mismatched program is ignored (the run falls back to the process-wide
-// program cache).
+// mismatched program is ignored (the run compiles its own).
 func WithProgram(p *ir.Program) Option { return func(c *Config) { c.Program = p } }
 
 // WithCancel attaches a cancellation channel: when it closes, the run stops

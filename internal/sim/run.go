@@ -69,7 +69,7 @@ func RunPrecompiled(k *ir.Kernel, params map[string]float64, data map[string][]f
 		prog := cfg.Program
 		if prog == nil || prog.Kernel() != k {
 			var perr error
-			if prog, perr = ir.ProgramFor(k); perr != nil {
+			if prog, perr = ir.NewProgram(k); perr != nil {
 				return nil, fmt.Errorf("sim: reference run: %w", perr)
 			}
 		}

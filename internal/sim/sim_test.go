@@ -2,7 +2,9 @@ package sim
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
+	"time"
 
 	"distda/internal/ir"
 )
@@ -301,4 +303,31 @@ func TestRunThreadsParallelLoop(t *testing.T) {
 	if r4.Cycles >= r1.Cycles {
 		t.Fatalf("4 threads not faster: %d vs %d", r4.Cycles, r1.Cycles)
 	}
+}
+
+// TestRunRetainsNoKernel: a validated run must not pin its kernel (nor the
+// bytecode compiled from it) beyond the call. Servers build a fresh kernel
+// per job, so anything keyed by kernel pointer would grow without bound.
+func TestRunRetainsNoKernel(t *testing.T) {
+	collected := make(chan struct{})
+	func() {
+		k, params, gen := vecAddKernel(64)
+		runtime.SetFinalizer(k, func(*ir.Kernel) { close(collected) })
+		cfg := DistDAIO()
+		if !cfg.ValidateEvery {
+			t.Fatal("test needs a validated run")
+		}
+		if _, err := Run(k, params, gen(), cfg); err != nil {
+			t.Fatal(err)
+		}
+	}()
+	for i := 0; i < 20; i++ {
+		runtime.GC()
+		select {
+		case <-collected:
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	t.Fatal("kernel still reachable after sim.Run returned")
 }

@@ -45,11 +45,11 @@ stage_race() {
     # GOMAXPROCS is left to the environment on purpose: the CI matrix runs
     # this stage at 2 and 8 to shake out schedules a single setting hides
     # (the exp -parallel cell workers and the serve worker pool are the
-    # main beneficiaries).
+    # main beneficiaries; both share one artifact.Cache).
     echo "== go test -race (parallel-heavy packages, GOMAXPROCS=${GOMAXPROCS:-default})"
     go test -race ./internal/engine/... ./internal/exp/... ./internal/sim/... \
         ./internal/serve/... ./internal/serveclient/... ./internal/backend/... \
-        ./internal/pimdram/...
+        ./internal/pimdram/... ./internal/artifact/...
 }
 
 stage_lint() {
@@ -99,7 +99,7 @@ stage_gates() {
     fi
 
     echo "== no tree-walk ir.Run on non-test hot paths"
-    # The bytecode VM (ir.Program.Run, via ir.ProgramFor / the artifact program
+    # The bytecode VM (ir.Program.Run, via ir.NewProgram / the artifact program
     # cache) replaced the tree-walk interpreter everywhere results are produced;
     # ir.Run survives as the reference semantics for differential tests only.
     # Non-test code outside internal/ir must not call it, or the hot paths
@@ -108,7 +108,7 @@ stage_gates() {
         | grep -v '^internal/ir/' \
         | grep -v '_test\.go:' || true)
     if [ -n "$viol" ]; then
-        echo "tree-walk ir.Run outside internal/ir or tests (use ir.ProgramFor(k).Run):" >&2
+        echo "tree-walk ir.Run outside internal/ir or tests (use ir.NewProgram(k) or Cache.GetOrProgram, then Program.Run):" >&2
         echo "$viol" >&2
         exit 1
     fi
