@@ -34,7 +34,7 @@ func main() {
 		os.Exit(cliutil.ExitUsage)
 	}
 	if *httpAddr != "" {
-		intro, err := cliutil.ServeIntrospection(*httpAddr, nil, nil)
+		intro, err := cliutil.ServeIntrospection(*httpAddr, nil)
 		if err != nil {
 			fatal(err)
 		}

@@ -29,7 +29,6 @@ import (
 	"distda/internal/cliutil"
 	"distda/internal/engine"
 	"distda/internal/exp"
-	"distda/internal/obs"
 	"distda/internal/profile"
 	"distda/internal/trace"
 )
@@ -156,12 +155,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// events from exp.Build; expvar and pprof expose the host process.
 	if *httpAddr != "" {
 		prog := profile.NewProgress(0)
-		intro, err := cliutil.ServeIntrospection(*httpAddr, prog, obs.New())
+		intro, err := cliutil.ServeIntrospection(*httpAddr, prog)
 		if err != nil {
 			return fail(err)
 		}
 		defer intro.Shutdown(context.Background())
-		fmt.Fprintf(stderr, "distda-repro: introspection on http://%s (/progress, /metrics, /debug/vars, /debug/pprof/)\n", intro.Addr())
+		fmt.Fprintf(stderr, "distda-repro: introspection on http://%s (/progress, /debug/vars, /debug/pprof/)\n", intro.Addr())
 		buildOpts.Progress = func(ev exp.ProgressEvent) {
 			prog.SetTotal(ev.Total)
 			prog.Record(profile.CellStatus{

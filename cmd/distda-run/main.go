@@ -24,7 +24,6 @@ import (
 	"distda/internal/cliutil"
 	"distda/internal/compiler"
 	"distda/internal/engine"
-	"distda/internal/obs"
 	"distda/internal/profile"
 	"distda/internal/sim"
 	"distda/internal/trace"
@@ -118,12 +117,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		cfg.Profile = prof
 	}
 	if *httpAddr != "" {
-		intro, err := cliutil.ServeIntrospection(*httpAddr, nil, obs.New())
+		intro, err := cliutil.ServeIntrospection(*httpAddr, nil)
 		if err != nil {
 			return fail(err)
 		}
 		defer intro.Shutdown(context.Background())
-		fmt.Fprintf(stderr, "distda-run: introspection on http://%s (/metrics, /debug/vars, /debug/pprof/)\n", intro.Addr())
+		fmt.Fprintf(stderr, "distda-run: introspection on http://%s (/debug/vars, /debug/pprof/)\n", intro.Addr())
 	}
 
 	// Compile through the content-addressed cache (disk-backed under

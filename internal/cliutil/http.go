@@ -9,7 +9,6 @@ import (
 	"net/http"
 	"net/http/pprof"
 
-	"distda/internal/obs"
 	"distda/internal/profile"
 )
 
@@ -48,19 +47,17 @@ func (s *Introspection) Shutdown(ctx context.Context) error {
 // Routes (all on a private mux — this does not touch http.DefaultServeMux):
 //
 //	/progress        JSON progress/ETA view fed by matrix cell completions
-//	/metrics         Prometheus text exposition of the wall-clock registry
 //	/debug/vars      expvar (Go runtime counters + published vars)
 //	/debug/pprof/*   net/http/pprof handlers for the host process
 //
 // prog may be nil (the /progress route then serves the zero snapshot —
-// useful for single-run tools that only want pprof/expvar). reg may be
-// nil (/metrics then serves an empty but valid exposition).
-func ServeIntrospection(addr string, prog *profile.Progress, reg *obs.Registry) (*Introspection, error) {
+// useful for single-run tools that only want pprof/expvar).
+func ServeIntrospection(addr string, prog *profile.Progress) (*Introspection, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("cliutil: -http listen %s: %w", addr, err)
 	}
-	srv := &http.Server{Handler: NewIntrospectionMux(prog, reg)}
+	srv := &http.Server{Handler: NewIntrospectionMux(prog)}
 	go func() {
 		// Serve returns http.ErrServerClosed after Shutdown; anything else
 		// is shutdown noise on a process that is exiting anyway.
@@ -72,17 +69,13 @@ func ServeIntrospection(addr string, prog *profile.Progress, reg *obs.Registry) 
 // NewIntrospectionMux builds the introspection routes without binding a
 // listener (ServeIntrospection's testable core; distda-serve mounts the
 // same mux under its job API).
-func NewIntrospectionMux(prog *profile.Progress, reg *obs.Registry) *http.ServeMux {
+func NewIntrospectionMux(prog *profile.Progress) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/progress", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", " ")
 		_ = enc.Encode(prog.Snapshot()) // nil-safe: zero snapshot
-	})
-	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", obs.ContentType)
-		_ = reg.WritePrometheus(w) // nil-safe: empty exposition
 	})
 	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)

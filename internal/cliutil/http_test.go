@@ -11,14 +11,13 @@ import (
 	"testing"
 	"time"
 
-	"distda/internal/obs"
 	"distda/internal/profile"
 )
 
 func TestIntrospectionMuxProgress(t *testing.T) {
 	prog := profile.NewProgress(4)
 	prog.Record(profile.CellStatus{Workload: "fdtd-2d", Config: "Dist-DA-F", Dur: 2 * time.Second})
-	srv := httptest.NewServer(NewIntrospectionMux(prog, nil))
+	srv := httptest.NewServer(NewIntrospectionMux(prog))
 	defer srv.Close()
 
 	resp, err := http.Get(srv.URL + "/progress")
@@ -39,7 +38,7 @@ func TestIntrospectionMuxProgress(t *testing.T) {
 
 	// The nil-progress mux (single-run tools) serves the zero snapshot
 	// rather than erroring.
-	nilSrv := httptest.NewServer(NewIntrospectionMux(nil, nil))
+	nilSrv := httptest.NewServer(NewIntrospectionMux(nil))
 	defer nilSrv.Close()
 	resp2, err := http.Get(nilSrv.URL + "/progress")
 	if err != nil {
@@ -55,46 +54,8 @@ func TestIntrospectionMuxProgress(t *testing.T) {
 	}
 }
 
-func TestIntrospectionMuxMetrics(t *testing.T) {
-	reg := obs.New()
-	reg.Counter("distda_demo_total", "Demo counter.").With().Add(3)
-	srv := httptest.NewServer(NewIntrospectionMux(nil, reg))
-	defer srv.Close()
-
-	resp, err := http.Get(srv.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); ct != obs.ContentType {
-		t.Errorf("content type = %q", ct)
-	}
-	vals, err := obs.ParseText(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if vals["distda_demo_total"] != 3 {
-		t.Errorf("distda_demo_total = %v, want 3", vals["distda_demo_total"])
-	}
-
-	// Nil registry: empty but valid exposition, not an error.
-	nilSrv := httptest.NewServer(NewIntrospectionMux(nil, nil))
-	defer nilSrv.Close()
-	resp2, err := http.Get(nilSrv.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp2.Body.Close()
-	if resp2.StatusCode != http.StatusOK {
-		t.Errorf("nil-registry /metrics status = %d", resp2.StatusCode)
-	}
-	if vals, err := obs.ParseText(resp2.Body); err != nil || len(vals) != 0 {
-		t.Errorf("nil-registry exposition = %v, %v", vals, err)
-	}
-}
-
 func TestIntrospectionMuxDebugRoutes(t *testing.T) {
-	srv := httptest.NewServer(NewIntrospectionMux(nil, nil))
+	srv := httptest.NewServer(NewIntrospectionMux(nil))
 	defer srv.Close()
 	for _, path := range []string{"/debug/vars", "/debug/pprof/"} {
 		resp, err := http.Get(srv.URL + path)
@@ -109,7 +70,7 @@ func TestIntrospectionMuxDebugRoutes(t *testing.T) {
 }
 
 func TestServeIntrospectionBindsEphemeralPort(t *testing.T) {
-	intro, err := ServeIntrospection("127.0.0.1:0", nil, nil)
+	intro, err := ServeIntrospection("127.0.0.1:0", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

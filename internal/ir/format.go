@@ -5,8 +5,10 @@ import (
 	"strings"
 )
 
-// Format renders a kernel as readable pseudo-C for diagnostics and the
-// inspect tool.
+// Format renders a kernel as readable pseudo-C. The text is the kernel's
+// canonical form: artifact.Key, ProgramKey and serve's ResultKey hash it,
+// distda-inspect -src prints it, and Parse reads it back. Changing the
+// output changes every cache key, so it needs a format-version bump.
 func Format(k *Kernel) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "kernel %s(", k.Name)
@@ -51,5 +53,43 @@ func formatStmts(b *strings.Builder, ss []Stmt, depth int) {
 		default:
 			fmt.Fprintf(b, "%s%v\n", pad, s)
 		}
+	}
+}
+
+// exprString renders an expression through one builder, so the cost is
+// linear in the text however deeply the expression nests.
+func exprString(e Expr) string {
+	var b strings.Builder
+	writeExpr(&b, e)
+	return b.String()
+}
+
+func writeExpr(b *strings.Builder, e Expr) {
+	switch x := e.(type) {
+	case Load:
+		b.WriteString(x.Obj)
+		b.WriteByte('[')
+		writeExpr(b, x.Idx)
+		b.WriteByte(']')
+	case Bin:
+		b.WriteByte('(')
+		writeExpr(b, x.A)
+		b.WriteString(" " + x.Op.String() + " ")
+		writeExpr(b, x.B)
+		b.WriteByte(')')
+	case Un:
+		b.WriteString(x.Op.String() + "(")
+		writeExpr(b, x.A)
+		b.WriteByte(')')
+	case Sel:
+		b.WriteString("sel(")
+		writeExpr(b, x.Cond)
+		b.WriteString(", ")
+		writeExpr(b, x.T)
+		b.WriteString(", ")
+		writeExpr(b, x.F)
+		b.WriteByte(')')
+	default: // leaves, whose String methods do not recurse
+		fmt.Fprintf(b, "%s", e)
 	}
 }

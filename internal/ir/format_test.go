@@ -1,6 +1,7 @@
 package ir
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -35,5 +36,23 @@ func TestFormatKernel(t *testing.T) {
 	// Nesting depth is reflected by indentation.
 	if !strings.Contains(out, "      A[i] = 1") {
 		t.Fatalf("indentation wrong:\n%s", out)
+	}
+}
+
+// TestFormatLinearInDepth guards against Format copying a sub-expression
+// once per enclosing level: a 10,000-deep chain must allocate a small
+// constant multiple of its output, not a multiple of depth.
+func TestFormatLinearInDepth(t *testing.T) {
+	e := C(1)
+	for i := 0; i < 10000; i++ {
+		e = AddE(e, C(1))
+	}
+	k := &Kernel{Name: "deep", Body: []Stmt{Set("x", e)}}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	out := Format(k)
+	runtime.ReadMemStats(&after)
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 32*uint64(len(out)) {
+		t.Errorf("Format allocated %d bytes for %d bytes of output (%.0fx)", alloc, len(out), float64(alloc)/float64(len(out)))
 	}
 }

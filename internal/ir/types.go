@@ -152,10 +152,10 @@ func (e Const) String() string { return fmt.Sprintf("%g", e.V) }
 func (e Param) String() string { return "$" + e.Name }
 func (e IV) String() string    { return e.Name }
 func (e Local) String() string { return "%" + e.Name }
-func (e Load) String() string  { return fmt.Sprintf("%s[%s]", e.Obj, e.Idx) }
-func (e Bin) String() string   { return fmt.Sprintf("(%s %s %s)", e.A, e.Op, e.B) }
-func (e Un) String() string    { return fmt.Sprintf("%s(%s)", e.Op, e.A) }
-func (e Sel) String() string   { return fmt.Sprintf("sel(%s, %s, %s)", e.Cond, e.T, e.F) }
+func (e Load) String() string  { return exprString(e) }
+func (e Bin) String() string   { return exprString(e) }
+func (e Un) String() string    { return exprString(e) }
+func (e Sel) String() string   { return exprString(e) }
 
 // Stmt is a statement node.
 type Stmt interface {

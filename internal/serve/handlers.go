@@ -44,7 +44,7 @@ func (s *Server) Handler() http.Handler {
 		fmt.Fprintln(w, "ok")
 	})
 	mux.HandleFunc("GET /readyz", s.handleReady)
-	intro := cliutil.NewIntrospectionMux(nil, s.obsReg)
+	intro := cliutil.NewIntrospectionMux(nil)
 	mux.Handle("/progress", intro)
 	mux.Handle("/debug/", intro)
 	return mux

@@ -185,7 +185,7 @@ func (p *plan) planRun(spec *JobSpec) error {
 	}
 	kernel := w.Kernel
 	if spec.Kernel != "" {
-		kernel, err = ParseKernel(spec.Kernel)
+		kernel, err = ir.Parse(spec.Kernel)
 		if err != nil {
 			return err
 		}
