@@ -27,7 +27,6 @@ import (
 	"sort"
 
 	"distda/internal/cliutil"
-	"distda/internal/engine"
 	"distda/internal/exp"
 	"distda/internal/profile"
 	"distda/internal/trace"
@@ -58,7 +57,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	offchip := fs.Bool("offchip", false, "evaluate the §VII off-chip placement extension")
 	pim := fs.Bool("pim", false, "compare near-L3 offload against the PIM-in-DRAM backend")
 	parallel := fs.Int("parallel", 0, "worker count for the experiment matrix (0 = GOMAXPROCS, 1 = serial); output is identical at any setting")
-	engineMode := fs.String("engine", "adaptive", "engine scheduler: adaptive|naive (bit-identical output, wall-clock only)")
 	statsPath := fs.String("stats", "", "write the matrix's merged gem5-style stats dump (attribution, histograms, counters incl. artifact cache hits/misses) to this file")
 	foldedPath := fs.String("folded", "", "write the matrix's folded stacks of simulated time (FlameGraph/speedscope input) to this file")
 	breakdown := fs.Bool("breakdown", false, "print the offload latency breakdown table (dispatch/queue/execute/writeback)")
@@ -67,7 +65,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	cacheDir := fs.String("cache-dir", "", "content-addressed compile cache directory; reused across runs (empty = in-memory only)")
 	checkpoint := fs.String("checkpoint", "", "JSON checkpoint path: rewritten after every completed matrix cell; an existing file resumes only the missing cells")
 	cellTimeout := fs.Duration("cell-timeout", 0, "per-cell wall-clock deadline; a timed-out cell renders as n/a and the run exits 3 (0 = unbounded)")
-	retries := fs.Int("retries", 0, "retry budget per cell for transient failures")
 	fs.Var(&figs, "fig", "figure to regenerate (7, 8, 9, 10, 11a, 11b, 12a, 12b, 13, 14); repeatable")
 	fs.Var(&tabs, "tab", "table to regenerate (3, 4, 5, 6); repeatable")
 	if err := fs.Parse(args); err != nil {
@@ -136,10 +133,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	// The resumable runner: cached compilation, per-cell deadlines, and a
 	// checkpoint that lets an interrupted run pick up where it stopped.
-	emode, err := engine.ParseMode(*engineMode)
-	if err != nil {
-		return fail(err)
-	}
 	buildOpts := exp.Options{
 		Scale:       scale,
 		Workers:     *parallel,
@@ -147,8 +140,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		Cache:       cliutil.OpenCache(*cacheDir),
 		Checkpoint:  *checkpoint,
 		CellTimeout: *cellTimeout,
-		Retries:     *retries,
-		EngineMode:  emode,
 		Hook:        cellHook,
 	}
 	// Live introspection: the /progress view is fed per-cell completion

@@ -71,7 +71,7 @@ func TestRunValidation(t *testing.T) {
 // cellHook test hook: the hung cell renders n/a, every other cell still
 // prints, and the process exits with the distinct degraded code 3.
 func TestDegradedCellExitsThree(t *testing.T) {
-	cellHook = func(ctx context.Context, workload, config string, attempt int) error {
+	cellHook = func(ctx context.Context, workload, config string) error {
 		if workload == "fdtd-2d" && config == "Dist-DA-IO" {
 			<-ctx.Done()
 			return ctx.Err()

@@ -23,7 +23,6 @@ import (
 	"distda/internal/artifact"
 	"distda/internal/cliutil"
 	"distda/internal/compiler"
-	"distda/internal/engine"
 	"distda/internal/profile"
 	"distda/internal/sim"
 	"distda/internal/trace"
@@ -49,7 +48,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	scaleName := fs.String("scale", "bench", "input scale: test, bench, paper")
 	ghz := fs.Int("ghz", 0, "override accelerator clock (1, 2, 3)")
 	threads := fs.Int("threads", 1, "software threads for parallel-annotated loops")
-	engineMode := fs.String("engine", "adaptive", "engine scheduler: adaptive|naive (bit-identical results, wall-clock only)")
 	traceOut := fs.String("trace", "", "write a Chrome trace_event JSON file (load in chrome://tracing or Perfetto)")
 	statsPath := fs.String("stats", "", "write a gem5-style stats.txt dump (attribution, histograms, counters) to this path")
 	foldedPath := fs.String("folded", "", "write folded stacks (FlameGraph/speedscope input) to this path")
@@ -101,11 +99,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *ghz != 0 {
 		cfg = cfg.WithClock(*ghz)
 	}
-	mode, err := engine.ParseMode(*engineMode)
-	if err != nil {
-		return fail(err)
-	}
-	cfg.EngineMode = mode
 	var tr *trace.Tracer
 	if *traceOut != "" {
 		tr = trace.New()

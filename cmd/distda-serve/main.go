@@ -52,7 +52,6 @@ func run(args []string, stderr io.Writer, ready chan<- string) int {
 	cacheDir := fs.String("cache-dir", "", "content-addressed cache directory for compiled kernels and results (shared with the batch CLIs; empty = in-memory only)")
 	stateDir := fs.String("state-dir", "", "directory for matrix checkpoints and the shutdown journal (empty = no resume across restarts)")
 	cellTimeout := fs.Duration("cell-timeout", 0, "per-cell wall-clock budget for matrix jobs; cells over budget render as n/a")
-	retries := fs.Int("retries", 0, "retry budget per matrix cell for transient failures")
 	drain := fs.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for running jobs before canceling and journaling them")
 	if err := fs.Parse(args); err != nil {
 		return cliutil.ExitUsage
@@ -70,7 +69,7 @@ func run(args []string, stderr io.Writer, ready chan<- string) int {
 		"addr", *addr, "workers", *workers, "cell_workers", *cellWorkers,
 		"queue_depth", *queueDepth, "rate", *rate, "burst", *burst,
 		"cache_dir", *cacheDir, "state_dir", *stateDir,
-		"cell_timeout", *cellTimeout, "retries", *retries, "drain_timeout", *drain)
+		"cell_timeout", *cellTimeout, "drain_timeout", *drain)
 
 	srv, err := serve.NewServer(serve.Config{
 		Workers:     *workers,
@@ -81,7 +80,6 @@ func run(args []string, stderr io.Writer, ready chan<- string) int {
 		Cache:       artifact.New(artifact.Config{Dir: *cacheDir}),
 		StateDir:    *stateDir,
 		CellTimeout: *cellTimeout,
-		Retries:     *retries,
 		Obs:         obs.New(),
 		Logger:      logger,
 	})

@@ -120,6 +120,7 @@ const (
 	ModeAdaptive Mode = iota
 	// ModeNaive is the reference one-tick-at-a-time scheduler: it ignores
 	// claims and latches and steps every component on every clock edge.
+	// Only the differential tests select it; it is never a user option.
 	ModeNaive
 )
 
@@ -131,20 +132,6 @@ func (m Mode) String() string {
 		return "naive"
 	}
 	return fmt.Sprintf("mode(%d)", int(m))
-}
-
-// ParseMode parses an engine mode name as accepted by the CLIs'
-// -engine flag. The empty string means the default (adaptive). "event",
-// the name of a removed scheduler, also selects the default, so specs
-// written for it keep working.
-func ParseMode(s string) (Mode, error) {
-	switch s {
-	case "", "adaptive", "event":
-		return ModeAdaptive, nil
-	case "naive":
-		return ModeNaive, nil
-	}
-	return 0, fmt.Errorf("engine: unknown mode %q (want adaptive or naive)", s)
 }
 
 // entry is one registered component.

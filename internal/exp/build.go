@@ -13,7 +13,6 @@ import (
 
 	"distda/internal/artifact"
 	"distda/internal/compiler"
-	"distda/internal/engine"
 	"distda/internal/profile"
 	"distda/internal/sim"
 	"distda/internal/trace"
@@ -38,11 +37,6 @@ type Options struct {
 	// Observe.Profile (artifact.* counters) after the run.
 	Cache *artifact.Cache
 
-	// EngineMode selects the engine scheduling strategy for every cell
-	// (adaptive — the zero value — or the naive reference).
-	// Results are bit-identical across modes; this picks wall-clock only.
-	EngineMode engine.Mode
-
 	// Checkpoint, when non-empty, is the path of a JSON checkpoint that is
 	// rewritten (atomically) after every completed cell. If the file
 	// already holds cells for this scale, those cells are resumed (not
@@ -56,16 +50,8 @@ type Options struct {
 	// aborting the matrix; Matrix.Degraded records the reason.
 	CellTimeout time.Duration
 
-	// Retries is the number of times a cell is re-attempted after a
-	// transient failure (see Transient). Timeouts are never retried.
-	Retries int
-
-	// RetryBackoff is the base delay between attempts; attempt n waits
-	// n*RetryBackoff. Zero selects a small default.
-	RetryBackoff time.Duration
-
-	// Hook, when non-nil, runs before every cell attempt (a fault-injection
-	// point for tests). Returning an error fails the attempt exactly as a
+	// Hook, when non-nil, runs before every cell (a fault-injection point
+	// for tests). Returning an error fails the cell exactly as a
 	// simulation error would; blocking on ctx.Done simulates a hung cell.
 	Hook CellHook
 
@@ -88,34 +74,9 @@ type ProgressEvent struct {
 	Resumed  bool // restored from the checkpoint, not re-simulated
 }
 
-// CellHook is Options.Hook: a per-attempt fault-injection callback. ctx is
+// CellHook is Options.Hook: a per-cell fault-injection callback. ctx is
 // the cell's context (it carries the per-cell deadline).
-type CellHook func(ctx context.Context, workload, config string, attempt int) error
-
-// transientError marks an error as retryable.
-type transientError struct{ err error }
-
-func (e *transientError) Error() string { return e.err.Error() }
-func (e *transientError) Unwrap() error { return e.err }
-
-// Transient wraps err so Build's retry policy re-attempts the cell. The
-// simulator itself never fails transiently — this exists for hooks and
-// harnesses that inject recoverable faults.
-func Transient(err error) error {
-	if err == nil {
-		return nil
-	}
-	return &transientError{err: err}
-}
-
-// IsTransient reports whether err (or anything it wraps) was marked with
-// Transient.
-func IsTransient(err error) bool {
-	var t *transientError
-	return errors.As(err, &t)
-}
-
-const defaultRetryBackoff = 10 * time.Millisecond
+type CellHook func(ctx context.Context, workload, config string) error
 
 // Build runs the full workload × configuration matrix of §VI-A under ctx.
 //
@@ -128,7 +89,7 @@ const defaultRetryBackoff = 10 * time.Millisecond
 // tables byte-identical to a cold serial run.
 //
 // Canceling ctx aborts the run with an error wrapping sim.ErrCanceled
-// (already-checkpointed cells survive for the next attempt).
+// (already-checkpointed cells survive for the next run).
 func Build(ctx context.Context, opts Options) (*Matrix, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -140,10 +101,6 @@ func Build(ctx context.Context, opts Options) (*Matrix, error) {
 	cache := opts.Cache
 	if cache == nil {
 		cache = artifact.New(artifact.Config{})
-	}
-	backoff := opts.RetryBackoff
-	if backoff <= 0 {
-		backoff = defaultRetryBackoff
 	}
 
 	m := &Matrix{
@@ -227,7 +184,7 @@ func Build(ctx context.Context, opts Options) (*Matrix, error) {
 	for i := range out {
 		out[i] = make([]outcome, nc)
 	}
-	b := &builder{m: m, opts: opts, cache: cache, backoff: backoff}
+	b := &builder{m: m, opts: opts, cache: cache}
 	type cellIdx struct{ i, j int }
 	jobs := make(chan cellIdx)
 	var wg sync.WaitGroup
@@ -318,15 +275,13 @@ func Build(ctx context.Context, opts Options) (*Matrix, error) {
 
 // builder carries Build's per-run state into the workers.
 type builder struct {
-	m       *Matrix
-	opts    Options
-	cache   *artifact.Cache
-	backoff time.Duration
+	m     *Matrix
+	opts  Options
+	cache *artifact.Cache
 }
 
-// runCell executes one cell under the per-cell deadline and retry policy.
-// It returns exactly one of: a result, a degradation reason (timeout), or
-// an error.
+// runCell executes one cell under the per-cell deadline. It returns
+// exactly one of: a result, a degradation reason (timeout), or an error.
 func (b *builder) runCell(ctx context.Context, w *workloads.Workload, cfg sim.Config, data map[string][]float64) (*sim.Result, string, error) {
 	cellCtx := ctx
 	if b.opts.CellTimeout > 0 {
@@ -336,42 +291,27 @@ func (b *builder) runCell(ctx context.Context, w *workloads.Workload, cfg sim.Co
 	}
 	cfg.Cancel = cellCtx.Done()
 
-	for attempt := 0; ; attempt++ {
-		res, err := b.attempt(cellCtx, w, cfg, data, attempt)
-		if err == nil {
-			return res, "", nil
-		}
-		timedOut := errors.Is(err, sim.ErrCanceled) ||
-			errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled)
-		if timedOut {
-			if ctx.Err() != nil {
-				// The run itself was canceled, not just this cell.
-				return nil, "", fmt.Errorf("%w (run canceled)", err)
-			}
-			return nil, fmt.Sprintf("timeout after %s", b.opts.CellTimeout), nil
-		}
-		if IsTransient(err) && attempt < b.opts.Retries {
-			if cfg.Trace != nil {
-				cfg.Trace.Component("exp").Instant("retry", 0,
-					trace.KV{K: "cell", V: w.Name + "/" + cfg.Name},
-					trace.KV{K: "attempt", V: attempt + 1})
-			}
-			select {
-			case <-time.After(time.Duration(attempt+1) * b.backoff):
-			case <-cellCtx.Done():
-			}
-			continue
-		}
+	res, err := b.simulate(cellCtx, w, cfg, data)
+	if err == nil {
+		return res, "", nil
+	}
+	timedOut := errors.Is(err, sim.ErrCanceled) ||
+		errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled)
+	if !timedOut {
 		return nil, "", err
 	}
+	if ctx.Err() != nil {
+		// The run itself was canceled, not just this cell.
+		return nil, "", fmt.Errorf("%w (run canceled)", err)
+	}
+	return nil, fmt.Sprintf("timeout after %s", b.opts.CellTimeout), nil
 }
 
-// attempt performs one try of a cell: hook, cached compile, simulation.
-// Each attempt runs on a private copy of the cell's input data — a failed
-// attempt may have mutated it.
-func (b *builder) attempt(ctx context.Context, w *workloads.Workload, cfg sim.Config, data map[string][]float64, attempt int) (*sim.Result, error) {
+// simulate runs a cell: hook, cached compile, simulation. Each cell runs
+// exactly once, so it simulates on its pre-generated inputs in place.
+func (b *builder) simulate(ctx context.Context, w *workloads.Workload, cfg sim.Config, data map[string][]float64) (*sim.Result, error) {
 	if b.opts.Hook != nil {
-		if err := b.opts.Hook(ctx, w.Name, cfg.Name, attempt); err != nil {
+		if err := b.opts.Hook(ctx, w.Name, cfg.Name); err != nil {
 			return nil, err
 		}
 	}
@@ -387,7 +327,6 @@ func (b *builder) attempt(ctx context.Context, w *workloads.Workload, cfg sim.Co
 			return nil, err
 		}
 	}
-	cfg.EngineMode = b.opts.EngineMode
 	if cfg.ValidateEvery {
 		// Fetch the kernel's bytecode program for reference validation from
 		// the same (possibly disk-backed) cache as the offload artifact.
@@ -398,17 +337,7 @@ func (b *builder) attempt(ctx context.Context, w *workloads.Workload, cfg sim.Co
 		}
 		cfg.Program = prog
 	}
-	return sim.RunPrecompiled(w.Kernel, w.Params, cloneData(data), cfg, compiled)
-}
-
-func cloneData(data map[string][]float64) map[string][]float64 {
-	out := make(map[string][]float64, len(data))
-	for k, v := range data {
-		c := make([]float64, len(v))
-		copy(c, v)
-		out[k] = c
-	}
-	return out
+	return sim.RunPrecompiled(w.Kernel, w.Params, data, cfg, compiled)
 }
 
 // checkpointVersion is bumped whenever the checkpoint schema changes; old

@@ -44,19 +44,19 @@ func TestBuildResumeByteIdentical(t *testing.T) {
 	}
 	want := renderAll(ref)
 
-	// Interrupted run: the hook cancels the whole run after 10 completed
-	// cell attempts; the checkpoint keeps whatever finished.
+	// Interrupted run: the hook cancels the whole run after 10 started
+	// cells; the checkpoint keeps whatever finished.
 	ckpt := filepath.Join(dir, "checkpoint.json")
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	var attempts int64
+	var started int64
 	_, err = Build(ctx, Options{
 		Scale:      workloads.ScaleTest,
 		Workers:    2,
 		Cache:      artifact.New(artifact.Config{Dir: cacheDir}),
 		Checkpoint: ckpt,
-		Hook: func(hctx context.Context, workload, config string, attempt int) error {
-			if atomic.AddInt64(&attempts, 1) > 10 {
+		Hook: func(hctx context.Context, workload, config string) error {
+			if atomic.AddInt64(&started, 1) > 10 {
 				cancel()
 				return hctx.Err()
 			}
@@ -114,7 +114,7 @@ func TestBuildResumeSkipsCompletedCells(t *testing.T) {
 	m, err := Build(context.Background(), Options{
 		Scale:      workloads.ScaleTest,
 		Checkpoint: ckpt,
-		Hook: func(ctx context.Context, workload, config string, attempt int) error {
+		Hook: func(ctx context.Context, workload, config string) error {
 			t.Errorf("cell %s/%s ran despite a complete checkpoint", workload, config)
 			return nil
 		},
@@ -137,7 +137,7 @@ func TestBuildCellTimeoutDegrades(t *testing.T) {
 	m, err := Build(context.Background(), Options{
 		Scale:       workloads.ScaleTest,
 		CellTimeout: 3 * time.Second,
-		Hook: func(ctx context.Context, workload, config string, attempt int) error {
+		Hook: func(ctx context.Context, workload, config string) error {
 			if workload == "fdtd-2d" && config == "Dist-DA-IO" {
 				<-ctx.Done() // simulate a hung cell
 				return ctx.Err()
@@ -183,49 +183,24 @@ func TestBuildRealTimeoutDegrades(t *testing.T) {
 	}
 }
 
-// TestBuildTransientRetry injects transient faults that succeed within the
-// retry budget — and verifies exhaustion becomes a hard error.
-func TestBuildTransientRetry(t *testing.T) {
-	var perCell atomic.Int64
-	m, err := Build(context.Background(), Options{
-		Scale:        workloads.ScaleTest,
-		Retries:      2,
-		RetryBackoff: time.Millisecond,
-		Hook: func(ctx context.Context, workload, config string, attempt int) error {
-			if workload == "bfs" && config == "Dist-DA-F" && attempt < 2 {
-				perCell.Add(1)
-				return Transient(errors.New("injected flake"))
-			}
-			return nil
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if perCell.Load() != 2 {
-		t.Errorf("hook failed %d attempts, want 2", perCell.Load())
-	}
-	if m.Res["bfs"]["Dist-DA-F"] == nil {
-		t.Error("retried cell has no result")
-	}
-	if m.DegradedCount() != 0 {
-		t.Error("transient retries must not degrade cells")
-	}
-
-	// Exhausted retries are a hard error, not a degradation.
-	_, err = Build(context.Background(), Options{
-		Scale:        workloads.ScaleTest,
-		Retries:      1,
-		RetryBackoff: time.Millisecond,
-		Hook: func(ctx context.Context, workload, config string, attempt int) error {
+// TestBuildHookErrorFailsBuild: a cell error that is not a timeout is a
+// hard error naming the cell, not a degradation.
+func TestBuildHookErrorFailsBuild(t *testing.T) {
+	injected := errors.New("injected fault")
+	_, err := Build(context.Background(), Options{
+		Scale: workloads.ScaleTest,
+		Hook: func(ctx context.Context, workload, config string) error {
 			if workload == "bfs" && config == "Dist-DA-F" {
-				return Transient(errors.New("permanent flake"))
+				return injected
 			}
 			return nil
 		},
 	})
-	if err == nil || !IsTransient(err) {
-		t.Errorf("exhausted retries returned %v, want the transient error", err)
+	if !errors.Is(err, injected) {
+		t.Fatalf("Build returned %v, want the injected error", err)
+	}
+	if !strings.Contains(err.Error(), "bfs on Dist-DA-F") {
+		t.Errorf("error %q does not name the failing cell", err)
 	}
 }
 

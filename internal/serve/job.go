@@ -20,7 +20,6 @@ import (
 
 	"distda/internal/artifact"
 	"distda/internal/cliutil"
-	"distda/internal/engine"
 	"distda/internal/exp"
 	"distda/internal/ir"
 	"distda/internal/sim"
@@ -50,12 +49,6 @@ type JobSpec struct {
 	// Scale is the input scale: test, bench or paper (default bench, like
 	// the CLIs).
 	Scale string `json:"scale,omitempty"`
-	// Engine selects the engine scheduler: adaptive or naive (default
-	// adaptive; "event", a removed scheduler, also selects adaptive).
-	// Engine mode changes wall-clock only — results
-	// are bit-identical across modes — so it is deliberately excluded
-	// from the result-cache key.
-	Engine string `json:"engine,omitempty"`
 
 	// Run-job fields (Kind == "run").
 	Workload string `json:"workload,omitempty"`
@@ -86,7 +79,6 @@ type plan struct {
 	kind   string
 	tenant string
 	scale  workloads.Scale
-	mode   engine.Mode
 	key    string // artifact.ResultKey content address
 
 	// Run jobs.
@@ -130,14 +122,6 @@ func planJob(spec JobSpec) (*plan, error) {
 		return nil, err
 	}
 	p.scale = scale
-	if spec.Engine == "" {
-		spec.Engine = "adaptive"
-	}
-	mode, err := engine.ParseMode(spec.Engine)
-	if err != nil {
-		return nil, err
-	}
-	p.mode = mode
 
 	switch p.kind {
 	case KindRun:
@@ -208,8 +192,7 @@ func (p *plan) planRun(spec *JobSpec) error {
 	// bytes: scale and workload name pin the deterministically generated
 	// inputs, the canonical config name pins the hardware model (clock
 	// override included via WithClock's name suffix), and the formatted
-	// kernel text plus resolved parameters pin the computation. Engine
-	// mode is excluded on purpose — it only changes wall-clock.
+	// kernel text plus resolved parameters pin the computation.
 	p.key = artifact.ResultKey(
 		KindRun,
 		p.scale.String(),

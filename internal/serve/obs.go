@@ -1,9 +1,6 @@
 package serve
 
 import (
-	"fmt"
-	"strings"
-
 	"distda/internal/artifact"
 	"distda/internal/obs"
 )
@@ -97,21 +94,10 @@ func (s *Server) syncObs() {
 	}
 }
 
-// logkv emits one structured log line: through the slog logger when
-// configured, otherwise rendered as "msg key=val ..." through the legacy
-// Logf hook (so existing embedders keep their lines).
+// logkv emits one structured log line through Config.Logger (a no-op
+// when it is nil).
 func (s *Server) logkv(msg string, kv ...any) {
 	if s.logger != nil {
 		s.logger.Info(msg, kv...)
-		return
 	}
-	if s.cfg.Logf == nil {
-		return
-	}
-	var b strings.Builder
-	b.WriteString(msg)
-	for i := 0; i+1 < len(kv); i += 2 {
-		fmt.Fprintf(&b, " %v=%v", kv[i], kv[i+1])
-	}
-	s.cfg.Logf("%s", b.String())
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"log/slog"
 	"net/http"
 	"strings"
 	"testing"
@@ -43,7 +44,7 @@ func TestObsDifferential(t *testing.T) {
 	obsCfg := Config{
 		Workers: 1,
 		Obs:     obs.New(),
-		Logf:    func(format string, args ...any) { logBuf.WriteString(format) },
+		Logger:  slog.New(slog.NewTextHandler(&logBuf, nil)),
 	}
 	_, tsObs := newTestServer(t, obsCfg)
 	_, tsPlain := newTestServer(t, Config{Workers: 1})

@@ -25,14 +25,13 @@ import (
 var errDegraded = errors.New("serve: result degraded by cell timeouts")
 
 // runner executes planned jobs. It owns the knobs that are server policy
-// rather than job identity: worker counts, cell timeouts, retry budget,
-// checkpoint directory. None of these feed the result key — they change
+// rather than job identity: worker counts, cell timeouts, checkpoint
+// directory. None of these feed the result key — they change
 // wall-clock and fault tolerance, never the rendered bytes.
 type runner struct {
 	cache       *artifact.Cache
 	cellWorkers int           // exp.Options.Workers for matrix jobs
 	cellTimeout time.Duration // exp.Options.CellTimeout
-	retries     int           // exp.Options.Retries
 	stateDir    string        // matrix checkpoints live here
 }
 
@@ -57,7 +56,6 @@ func (r *runner) run(ctx context.Context, p *plan, prog *profile.Progress, spans
 func (r *runner) runOne(ctx context.Context, p *plan, prog *profile.Progress, spans *obs.SpanList) ([]byte, error) {
 	prog.SetTotal(1)
 	cfg := p.cfg
-	cfg.EngineMode = p.mode
 	cfg.Threads = p.spec.Threads
 	cfg.Cancel = ctx.Done()
 	kernel := sim.ThreadKernel(p.kernel, p.spec.Threads)
@@ -108,9 +106,7 @@ func (r *runner) runMatrix(ctx context.Context, p *plan, prog *profile.Progress,
 			Scale:       p.scale,
 			Workers:     r.cellWorkers,
 			Cache:       r.cache,
-			EngineMode:  p.mode,
 			CellTimeout: r.cellTimeout,
-			Retries:     r.retries,
 			Checkpoint:  r.checkpointPath(p),
 			Progress: func(ev exp.ProgressEvent) {
 				if ev.Degraded {

@@ -62,10 +62,8 @@ type Config struct {
 	// journal, letting a restarted server resume unfinished jobs
 	// byte-identically.
 	StateDir string
-	// CellTimeout and Retries are passed through to exp.Options for
-	// matrix jobs.
+	// CellTimeout is passed through to exp.Options for matrix jobs.
 	CellTimeout time.Duration
-	Retries     int
 	// Obs, when non-nil, receives wall-clock telemetry: per-tenant ×
 	// per-outcome job counts, queue depth/wait, per-stage latency
 	// histograms and cache hit mirrors — rendered by
@@ -73,11 +71,8 @@ type Config struct {
 	// bit-identical with it on or off.
 	Obs *obs.Registry
 	// Logger, when non-nil, receives structured request logs keyed by job
-	// ID. It takes precedence over Logf.
+	// ID.
 	Logger *slog.Logger
-	// Logf, when non-nil (and Logger is nil), receives one rendered line
-	// per job state change.
-	Logf func(format string, args ...any)
 	// Now is the rate limiter's clock (tests; nil = time.Now).
 	Now func() time.Time
 }
@@ -199,7 +194,6 @@ func NewServer(cfg Config) (*Server, error) {
 		cache:       cache,
 		cellWorkers: cfg.CellWorkers,
 		cellTimeout: cfg.CellTimeout,
-		retries:     cfg.Retries,
 		stateDir:    cfg.StateDir,
 	}
 	ctx, cancel := context.WithCancel(context.Background())

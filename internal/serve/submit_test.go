@@ -73,19 +73,25 @@ func TestShippedKernelsFitSubmitCap(t *testing.T) {
 	}
 }
 
-// TestJournalWithShardsResumes: a journal written before the "shards" field
-// was removed still restores its job under the original ID (the journal is
-// decoded leniently), and the job renders the bytes of a plain run.
+// TestJournalWithShardsResumes: a journal written before the "shards" and
+// "engine" fields were removed still restores its jobs under their
+// original IDs (the journal is decoded leniently), and each job renders
+// the bytes of a plain run.
 func TestJournalWithShardsResumes(t *testing.T) {
 	stateDir := t.TempDir()
 	journal := `{
   "version": 1,
-  "next_id": 8,
+  "next_id": 9,
   "jobs": [
     {
       "id": "j000007",
       "spec": {"kind": "run", "tenant": "anonymous", "scale": "test", "engine": "adaptive",
                "shards": 2, "workload": "fdtd-2d", "config": "Dist-DA-F", "threads": 1}
+    },
+    {
+      "id": "j000008",
+      "spec": {"kind": "run", "tenant": "anonymous", "scale": "test", "engine": "naive",
+               "workload": "bfs", "config": "Dist-DA-IO", "threads": 1}
     }
   ]
 }`
@@ -97,23 +103,28 @@ func TestJournalWithShardsResumes(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Shutdown(context.Background())
-	j, err := s.Get("j000007")
-	if err != nil {
-		t.Fatalf("journaled job not restored: %v", err)
+	for _, c := range []struct{ id, workload, config string }{
+		{"j000007", "fdtd-2d", "Dist-DA-F"},
+		{"j000008", "bfs", "Dist-DA-IO"},
+	} {
+		j, err := s.Get(c.id)
+		if err != nil {
+			t.Fatalf("journaled job %s not restored: %v", c.id, err)
+		}
+		select {
+		case <-j.Done():
+		case <-time.After(60 * time.Second):
+			t.Fatalf("restored job %s did not finish", c.id)
+		}
+		out, state, errMsg := s.Result(j)
+		if state != StateDone {
+			t.Fatalf("restored job %s state = %s (%s)", c.id, state, errMsg)
+		}
+		if want := directRun(t, c.workload, c.config); !bytes.Equal(out, want) {
+			t.Errorf("restored job %s output differs from a direct run", c.id)
+		}
 	}
-	select {
-	case <-j.Done():
-	case <-time.After(60 * time.Second):
-		t.Fatal("restored job did not finish")
-	}
-	out, state, errMsg := s.Result(j)
-	if state != StateDone {
-		t.Fatalf("restored job state = %s (%s)", state, errMsg)
-	}
-	if want := directRun(t, "fdtd-2d", "Dist-DA-F"); !bytes.Equal(out, want) {
-		t.Error("restored job output differs from a direct run")
-	}
-	if s.Stats().Restored != 1 {
-		t.Errorf("restored counter = %d, want 1", s.Stats().Restored)
+	if s.Stats().Restored != 2 {
+		t.Errorf("restored counter = %d, want 2", s.Stats().Restored)
 	}
 }

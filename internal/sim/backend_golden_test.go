@@ -47,7 +47,7 @@ func TestBackendGolden(t *testing.T) {
 				var first *Result
 				for _, mode := range []engine.Mode{engine.ModeAdaptive, engine.ModeNaive} {
 					c := cfg
-					c.EngineMode = mode
+					c.engineMode = mode
 					r, err := Run(w.Kernel, w.Params, copyData(data), c)
 					if err != nil {
 						t.Fatalf("%s on %s (%s): %v", w.Name, cfg.Name, mode, err)

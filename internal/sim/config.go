@@ -34,10 +34,9 @@ type Config struct {
 	Centralized bool // Mono-CA: access units centralized at the accel node
 	AccelGHz    int  // accelerator clock (Table III: IO 2 GHz, CGRA 1 GHz)
 
-	BufElems      int   // per-buffer decoupling window, in elements
-	CombineWindow int64 // multi-access combining window, in elements
-	Combining     bool  // Fig. 2d runtime combining
-	HostPrefetch  bool  // host L2 stride prefetcher
+	BufElems     int  // per-buffer decoupling window, in elements
+	Combining    bool // Fig. 2d runtime combining
+	HostPrefetch bool // host L2 stride prefetcher
 
 	IOWidth     int  // in-order issue width (Fig. 14 +SW uses 4)
 	SWPrefetch  bool // software prefetch for accel random loads (Fig. 14)
@@ -63,8 +62,7 @@ type Config struct {
 	NoObjConstr   bool  // ablation: drop ≤1-object preference
 	PlaceAtHost   bool  // ablation: ignore placement hints, keep accels at the host tile
 	Threads       int   // software threads for parallel-annotated loops
-	HostPrefDeg   int
-	ValidateEvery bool // compare against the interpreter after Run
+	ValidateEvery bool  // compare against the interpreter after Run
 
 	// Trace, when non-nil, receives cycle-accurate span/instant events from
 	// the host timeline, the engine scheduler and every assembled component
@@ -82,12 +80,11 @@ type Config struct {
 	// Profilers from parallel runs fold together with Profiler.Merge.
 	Profile *profile.Profiler
 
-	// EngineMode selects the engine scheduling strategy for every offload
-	// launch: adaptive (the zero value and default; steps a component only
-	// when its queues change or its own timer expires) or the naive
-	// one-tick-at-a-time reference. Results are bit-identical across both
-	// (the differential tests enforce it).
-	EngineMode engine.Mode
+	// engineMode selects the engine scheduling strategy for every offload
+	// launch: adaptive (the zero value, and the only one a caller outside
+	// this package can select) or the naive one-tick-at-a-time reference
+	// that this package's differential tests compare it against.
+	engineMode engine.Mode
 
 	// Program, when non-nil and compiled from this run's kernel, is the
 	// bytecode program used for reference validation (ValidateEvery)
@@ -111,10 +108,8 @@ type Config struct {
 func Base() Config {
 	var c Config
 	c.BufElems = 128
-	c.CombineWindow = 64
 	c.Combining = true
 	c.HostPrefetch = true
-	c.HostPrefDeg = 2
 	c.IOWidth = 1
 	c.MaxEngine = 1 << 34
 	c.ValidateEvery = true

@@ -24,14 +24,14 @@ func TestEngineSchedulerDifferential(t *testing.T) {
 		data := w.NewData()
 		for _, cfg := range AllPaperConfigs() {
 			naiveCfg := cfg
-			naiveCfg.EngineMode = engine.ModeNaive
+			naiveCfg.engineMode = engine.ModeNaive
 			nRes, nErr := Run(w.Kernel, w.Params, copyData(data), naiveCfg)
 			if nErr != nil {
 				t.Fatalf("%s on %s: naive err=%v", w.Name, cfg.Name, nErr)
 			}
 			for _, mode := range []engine.Mode{engine.ModeAdaptive} {
 				fastCfg := cfg
-				fastCfg.EngineMode = mode
+				fastCfg.engineMode = mode
 				fRes, fErr := Run(w.Kernel, w.Params, copyData(data), fastCfg)
 				if fErr != nil {
 					t.Fatalf("%s on %s (%s): err=%v", w.Name, cfg.Name, mode, fErr)
@@ -59,14 +59,14 @@ func TestEngineSchedulerDifferentialExtensions(t *testing.T) {
 		data := w.NewData()
 		for _, cfg := range []Config{DistDAFA(), DistDAPIM()} {
 			naiveCfg := cfg
-			naiveCfg.EngineMode = engine.ModeNaive
+			naiveCfg.engineMode = engine.ModeNaive
 			nRes, nErr := Run(w.Kernel, w.Params, copyData(data), naiveCfg)
 			if nErr != nil {
 				t.Fatalf("%s on %s: naive err=%v", w.Name, cfg.Name, nErr)
 			}
 			for _, mode := range []engine.Mode{engine.ModeAdaptive} {
 				fastCfg := cfg
-				fastCfg.EngineMode = mode
+				fastCfg.engineMode = mode
 				fRes, fErr := Run(w.Kernel, w.Params, copyData(data), fastCfg)
 				if fErr != nil {
 					t.Fatalf("%s on %s (%s): err=%v", w.Name, cfg.Name, mode, fErr)
@@ -92,14 +92,14 @@ func TestEngineSchedulerDifferentialThreads(t *testing.T) {
 		cfg.NoStreams = true
 		for _, threads := range []int{1, 4} {
 			naiveCfg := cfg
-			naiveCfg.EngineMode = engine.ModeNaive
+			naiveCfg.engineMode = engine.ModeNaive
 			nRes, nErr := RunThreads(w.Kernel, w.Params, copyData(data), naiveCfg, threads)
 			if nErr != nil {
 				t.Fatalf("%s x%d: naive err=%v", w.Name, threads, nErr)
 			}
 			for _, mode := range []engine.Mode{engine.ModeAdaptive} {
 				fastCfg := cfg
-				fastCfg.EngineMode = mode
+				fastCfg.engineMode = mode
 				fRes, fErr := RunThreads(w.Kernel, w.Params, copyData(data), fastCfg, threads)
 				if fErr != nil {
 					t.Fatalf("%s x%d (%s): err=%v", w.Name, threads, mode, fErr)

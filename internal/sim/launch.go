@@ -13,6 +13,11 @@ import (
 	"distda/internal/trace"
 )
 
+// combineWindow is the multi-access combining window (Fig. 2d), in
+// elements. A launch clamps it to half the buffer: a combined accessor's
+// read offset must fit inside the shared window.
+const combineWindow = 64
+
 // accelRT is the per-launch runtime state of one accelerator definition.
 // The machine recycles accelRTs from launch to launch (machine.rts), so
 // every per-access table is a slice indexed by the definition's dense
@@ -208,15 +213,10 @@ func (h *host) launch(reg *core.Region) {
 
 	// Pass 2: buffers, FSMs, links for stream accesses; channel endpoint
 	// buffers.
-	// The combining window may not exceed half the buffer: a combined
-	// accessor's read offset must fit inside the shared window.
-	combineWindow := m.cfg.CombineWindow
-	if lim := int64(m.cfg.BufElems) / 2; combineWindow > lim {
-		combineWindow = lim
-	}
+	window := min(int64(combineWindow), int64(m.cfg.BufElems)/2)
 	plan := &m.plan
 	for _, rt := range rts {
-		if err := plan.Plan(rt.def, rt.streams, combineWindow, m.cfg.Combining); err != nil {
+		if err := plan.Plan(rt.def, rt.streams, window, m.cfg.Combining); err != nil {
 			h.failf("launch: %v", err)
 		}
 		m.alloc.RecordLaunch(plan)

@@ -127,9 +127,6 @@ func newMachine(cfg Config, k *ir.Kernel, params map[string]float64, data map[st
 	dmem := dram.NewMemory(dram.DefaultConfig(), meter)
 	ccfg := cache.DefaultConfig(meter.Table)
 	ccfg.L2Prefetch = cfg.HostPrefetch
-	if cfg.HostPrefDeg > 0 {
-		ccfg.PrefetchDegree = cfg.HostPrefDeg
-	}
 	hier, err := cache.New(ccfg, dmem, mesh, meter)
 	if err != nil {
 		return nil, err
@@ -166,7 +163,7 @@ func newMachine(cfg Config, k *ir.Kernel, params map[string]float64, data map[st
 	}
 	m.hostTrace = m.tr.Component("host").At(0) // nil-safe: disabled scope on nil tracer
 	m.eng = engine.New()
-	m.eng.Mode = cfg.EngineMode
+	m.eng.Mode = cfg.engineMode
 	m.eng.CollectFF = m.prof != nil
 	span := hier.ClusterSpan()
 	for i, o := range k.Objects {

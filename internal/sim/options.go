@@ -118,12 +118,6 @@ func (c Config) Validate() error {
 	if c.BufElems <= 0 {
 		return fail("BufElems %d must be positive", c.BufElems)
 	}
-	if c.Combining && c.CombineWindow <= 0 {
-		return fail("Combining enabled with non-positive window %d", c.CombineWindow)
-	}
-	if c.CombineWindow < 0 {
-		return fail("CombineWindow %d negative", c.CombineWindow)
-	}
 	if c.MaxEngine <= 0 {
 		return fail("MaxEngine %d must be positive", c.MaxEngine)
 	}
@@ -132,9 +126,6 @@ func (c Config) Validate() error {
 	}
 	if c.Threads < 0 {
 		return fail("Threads %d negative", c.Threads)
-	}
-	if c.HostPrefDeg < 0 {
-		return fail("HostPrefDeg %d negative", c.HostPrefDeg)
 	}
 	if c.OffChip && c.OffChipThreshold <= 0 {
 		return fail("OffChip placement with non-positive threshold %d", c.OffChipThreshold)

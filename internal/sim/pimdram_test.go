@@ -21,7 +21,7 @@ func TestPIMDRAMRuns(t *testing.T) {
 			var first *Result
 			for _, mode := range []engine.Mode{engine.ModeAdaptive, engine.ModeNaive} {
 				cfg := DistDAPIM()
-				cfg.EngineMode = mode
+				cfg.engineMode = mode
 				r, err := Run(w.Kernel, w.Params, copyData(data), cfg)
 				if err != nil {
 					t.Fatalf("%s (%s): %v", w.Name, mode, err)

@@ -113,9 +113,26 @@ stage_gates() {
         exit 1
     fi
 
+    echo "== naive engine scheduler only in differential tests"
+    # engine.ModeNaive is the one-tick-at-a-time reference that the
+    # differential tests compare the adaptive scheduler against. Results
+    # are bit-identical across the two, so selecting it anywhere else can
+    # only make a run slower: it must not become a user knob again.
+    # internal/backend/backendtest is the shared backend test harness,
+    # imported only by _test.go files.
+    viol=$(grep -rn 'engine\.ModeNaive' cmd internal examples --include='*.go' \
+        | grep -v '^internal/engine/' \
+        | grep -v '^internal/backend/backendtest/' \
+        | grep -v '_test\.go:' || true)
+    if [ -n "$viol" ]; then
+        echo "engine.ModeNaive outside internal/engine or tests (it is the TestEngineSchedulerDifferential reference, not an option):" >&2
+        echo "$viol" >&2
+        exit 1
+    fi
+
     echo "== structured logging only in internal/serve"
-    # The job server logs through Config.Logger (slog) / Config.Logf — one
-    # structured line per event, keyed by job ID. Raw log.Print or stderr
+    # The job server logs through Config.Logger (slog) — one structured
+    # line per event, keyed by job ID. Raw log.Print or stderr
     # writes would bypass the embedder's logger and desynchronize the
     # request log from the job lifecycle.
     viol=$(grep -rn 'log\.Print\|fmt\.Fprint[a-z]*(os\.Stderr' internal/serve --include='*.go' \
