@@ -81,11 +81,13 @@ type StreamIn struct {
 	// allocate.
 	pending      [maxInflight]pendingLine
 	phead, npend int
-	lastLine     int64
-	closed       bool
-	stats        *Stats
-	meter        *energy.Meter
-	latch        engine.Latch
+	// vals backs every pending slot's value storage; Reset keeps it.
+	vals     []float64
+	lastLine int64
+	closed   bool
+	stats    *Stats
+	meter    *energy.Meter
+	latch    engine.Latch
 
 	// Trace, when enabled, records one span per issued line fetch and an
 	// instant at end-of-stream close. Set after construction (the zero value
@@ -99,32 +101,50 @@ type StreamIn struct {
 // immediately).
 func NewStreamIn(buf *Buffer, mem Memory, fetch Fetcher, cluster int, obj string,
 	start, stride, length int64, stats *Stats, meter *energy.Meter) (*StreamIn, error) {
-	eb, err := mem.ElemBytes(obj)
-	if err != nil {
+	f := &StreamIn{}
+	if err := f.Reset(buf, mem, fetch, cluster, obj, start, stride, length, stats, meter); err != nil {
 		return nil, err
 	}
-	if stride == 0 && length > 1 {
-		return nil, fmt.Errorf("accessunit: zero stride stream of length %d on %q", length, obj)
+	return f, nil
+}
+
+// Reset returns f to the state NewStreamIn with the same arguments would
+// build: nothing issued or in flight, open, latch detached, tracing off
+// and no latency histogram. The in-flight line storage is kept when it is
+// large enough, so a simulator can recycle one launch's fill FSMs for the
+// next; stale values are unobservable, since a slot is read only after a
+// line issue rewrote it. On error f is unchanged.
+func (f *StreamIn) Reset(buf *Buffer, mem Memory, fetch Fetcher, cluster int, obj string,
+	start, stride, length int64, stats *Stats, meter *energy.Meter) error {
+	eb, err := mem.ElemBytes(obj)
+	if err != nil {
+		return err
 	}
-	f := &StreamIn{
-		buf: buf, mem: mem, fetch: fetch, cluster: cluster, obj: obj,
-		start: start, stride: stride, length: length, elemBytes: int64(eb),
-		lastLine: -1, stats: stats, meter: meter,
+	if stride == 0 && length > 1 {
+		return fmt.Errorf("accessunit: zero stride stream of length %d on %q", length, obj)
 	}
 	// Each pending slot holds at most one line's elements: issueLine never
 	// crosses a line, so one backing array sized up front serves every slot
 	// for the stream's lifetime.
-	per := int64(fetch.LineBytes()) / f.elemBytes
+	per := int64(fetch.LineBytes()) / int64(eb)
 	if per < 1 {
 		per = 1
 	}
-	vals := make([]float64, maxInflight*per)
+	vals := f.vals
+	if int64(cap(vals)) < maxInflight*per {
+		vals = make([]float64, maxInflight*per)
+	}
+	*f = StreamIn{
+		buf: buf, mem: mem, fetch: fetch, cluster: cluster, obj: obj,
+		start: start, stride: stride, length: length, elemBytes: int64(eb),
+		vals: vals, lastLine: -1, stats: stats, meter: meter,
+	}
 	for i := range f.pending {
 		lo := int64(i) * per
 		f.pending[i].vals = vals[lo : lo : lo+per]
 	}
 	buf.Subscribe(&f.latch)
-	return f, nil
+	return nil
 }
 
 // Done reports stream completion (all elements delivered, buffer closed).
@@ -293,17 +313,30 @@ type StreamOut struct {
 // NewStreamOut builds a drain FSM reading from buf via its own reader.
 func NewStreamOut(buf *Buffer, mem Memory, fetch Fetcher, cluster int, obj string,
 	start, stride int64, stats *Stats, meter *energy.Meter) (*StreamOut, error) {
-	eb, err := mem.ElemBytes(obj)
-	if err != nil {
+	f := &StreamOut{}
+	if err := f.Reset(buf, mem, fetch, cluster, obj, start, stride, stats, meter); err != nil {
 		return nil, err
 	}
-	f := &StreamOut{
+	return f, nil
+}
+
+// Reset returns f to the state NewStreamOut with the same arguments would
+// build — a new reader on buf, nothing drained, open, latch detached,
+// tracing off and no latency histogram — so a simulator can recycle one
+// launch's drain FSMs for the next. On error f is unchanged.
+func (f *StreamOut) Reset(buf *Buffer, mem Memory, fetch Fetcher, cluster int, obj string,
+	start, stride int64, stats *Stats, meter *energy.Meter) error {
+	eb, err := mem.ElemBytes(obj)
+	if err != nil {
+		return err
+	}
+	*f = StreamOut{
 		buf: buf, reader: buf.AttachReader(0), mem: mem, fetch: fetch,
 		cluster: cluster, obj: obj, start: start, stride: stride,
 		elemBytes: int64(eb), lastLine: -1, stats: stats, meter: meter,
 	}
 	buf.Subscribe(&f.latch)
-	return f, nil
+	return nil
 }
 
 // Done reports that the producer closed the stream and everything drained.

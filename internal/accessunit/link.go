@@ -306,26 +306,41 @@ func (l *LinkRx) returnCredits(now int64, n int) {
 	l.credits.Send(LinkMsg{At: at, Kind: LinkCredit, Val: float64(n)})
 }
 
-// localLink co-allocates the halves and wires of one link.
-type localLink struct {
-	tx        LinkTx
-	rx        LinkRx
+// LocalLink co-allocates the halves and wires of one link, so a simulator
+// can recycle the whole link from one launch to the next (see Reset).
+type LocalLink struct {
+	Tx        LinkTx
+	Rx        LinkRx
 	fwd, back LocalWire
+	// store backs both wires: fwd.q and back.q are disjoint windows of it.
+	store []LinkMsg
 }
 
 // NewLocalLink wires a Tx/Rx pair over LocalWires; register both halves
-// with the engine, Tx first. Credits bound what each wire holds
-// at once (the initial grant plus end-of-stream forward, one return per
-// creditBatch deliveries back); twice that bound leaves room for the
-// dead prefix LocalWire compacts away, so the wires never grow.
+// with the engine, Tx first.
 func NewLocalLink(src, dst *Buffer, mesh *noc.Mesh, srcNode, dstNode, elemBytes int, stats *Stats) (*LinkTx, *LinkRx) {
-	l := &localLink{}
-	l.tx.init(src, mesh, srcNode, dstNode, elemBytes, dst.Cap(), &l.fwd, &l.back, stats)
-	l.rx = LinkRx{dst: dst, mesh: mesh, srcNode: srcNode, dstNode: dstNode, in: &l.fwd, credits: &l.back}
-	dst.Subscribe(&l.rx.latch)
-	l.fwd.rx, l.back.rx = &l.rx.latch, &l.tx.latch
-	fwdCap := 2 * (l.tx.avail + 1)
-	q := make([]LinkMsg, fwdCap+2*(l.tx.avail/creditBatch+1))
-	l.fwd.q, l.back.q = q[:0:fwdCap], q[fwdCap:fwdCap]
-	return &l.tx, &l.rx
+	l := &LocalLink{}
+	l.Reset(src, dst, mesh, srcNode, dstNode, elemBytes, stats)
+	return &l.Tx, &l.Rx
+}
+
+// Reset rewires l as NewLocalLink would build it — both halves fresh,
+// both wires empty, latches detached — keeping the wires' storage when it
+// is large enough. Stale messages are unobservable: a wire reads only
+// what was sent since. Credits bound what each wire holds at once (the
+// initial grant plus end-of-stream forward, one return per creditBatch
+// deliveries back); twice that bound leaves room for the dead prefix
+// LocalWire compacts away, so the wires never grow.
+func (l *LocalLink) Reset(src, dst *Buffer, mesh *noc.Mesh, srcNode, dstNode, elemBytes int, stats *Stats) {
+	l.Tx.init(src, mesh, srcNode, dstNode, elemBytes, dst.Cap(), &l.fwd, &l.back, stats)
+	l.Rx = LinkRx{dst: dst, mesh: mesh, srcNode: srcNode, dstNode: dstNode, in: &l.fwd, credits: &l.back}
+	dst.Subscribe(&l.Rx.latch)
+	fwdCap := 2 * (l.Tx.avail + 1)
+	n := fwdCap + 2*(l.Tx.avail/creditBatch+1)
+	if cap(l.store) < n {
+		l.store = make([]LinkMsg, n)
+	}
+	q := l.store[:n]
+	l.fwd = LocalWire{q: q[:0:fwdCap], rx: &l.Rx.latch}
+	l.back = LocalWire{q: q[fwdCap:fwdCap], rx: &l.Tx.latch}
 }

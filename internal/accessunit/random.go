@@ -28,7 +28,16 @@ const prefillLatency = 4
 
 // NewRandomPort builds a port for an accelerator at the given cluster.
 func NewRandomPort(mem Memory, fetch Fetcher, cluster int, stats *Stats, meter *energy.Meter) *RandomPort {
-	return &RandomPort{mem: mem, fetch: fetch, cluster: cluster, stats: stats, meter: meter}
+	p := &RandomPort{}
+	p.Reset(mem, fetch, cluster, stats, meter)
+	return p
+}
+
+// Reset returns p to the state NewRandomPort with the same arguments would
+// build: no prefilled objects and zeroed counters, so a simulator can
+// recycle one launch's ports for the next.
+func (p *RandomPort) Reset(mem Memory, fetch Fetcher, cluster int, stats *Stats, meter *energy.Meter) {
+	*p = RandomPort{mem: mem, fetch: fetch, cluster: cluster, stats: stats, meter: meter}
 }
 
 func (p *RandomPort) account(elemBytes int) {

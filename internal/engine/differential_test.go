@@ -376,20 +376,41 @@ func TestAddDuringRunPanics(t *testing.T) {
 	_, _ = e.Run(1 << 10)
 }
 
+// TestDuplicateAddPanics covers both duplicate checks: a poll-only
+// component (found by scanning the entries) and a Hinter (found by its
+// attached latch), each registered twice directly and after it finished.
 func TestDuplicateAddPanics(t *testing.T) {
-	e := New()
-	c := &ticker{n: 1}
-	e.Add(c, 2)
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("no panic from duplicate Add")
-		}
-		if !strings.Contains(fmt.Sprint(r), "registered twice") {
-			t.Fatalf("panic = %v", r)
-		}
-	}()
-	e.Add(c, 1)
+	for _, tc := range []struct {
+		name string
+		c    Component
+		run  bool // finish the component before adding it again
+	}{
+		{"poll-only", &ticker{n: 1}, false},
+		{"poll-only finished", &ticker{n: 1}, true},
+		{"hinter", &sleeper{items: 1, latency: 10}, false},
+		{"hinter finished", &sleeper{items: 1, latency: 10}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := New()
+			e.Add(&ticker{n: 3}, 1) // an unrelated entry ahead of c
+			e.Add(tc.c, 2)
+			if tc.run {
+				if _, err := e.Run(1 << 10); err != nil {
+					t.Fatal(err)
+				}
+			}
+			defer func() {
+				r := recover()
+				if r == nil {
+					t.Fatal("no panic from duplicate Add")
+				}
+				if !strings.Contains(fmt.Sprint(r), "registered twice") {
+					t.Fatalf("panic = %v", r)
+				}
+			}()
+			e.Add(tc.c, 1)
+		})
+	}
 }
 
 func TestAddNilPanics(t *testing.T) {

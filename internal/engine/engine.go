@@ -154,7 +154,6 @@ type Engine struct {
 	// intra-cycle step order). phases[0] holds every entry. Finished
 	// entries leave a list the next time its phase is stepped.
 	phases [BaseGHz][]*entry
-	seen   map[Component]bool
 	// ents holds every entry allocated so far; the first n are in use.
 	// Reset rewinds n so a reused engine recycles them.
 	ents   []*entry
@@ -201,7 +200,7 @@ type Engine struct {
 
 // New returns an empty engine.
 func New() *Engine {
-	return &Engine{seen: map[Component]bool{}, maxDiv: 1}
+	return &Engine{maxDiv: 1}
 }
 
 // Add registers a component clocked at ghz. It panics when called while
@@ -209,6 +208,10 @@ func New() *Engine {
 // state) and when the same component is registered twice. Adding more
 // components between Runs is legal; their clock edges continue from the
 // engine's running base clock.
+//
+// A Hinter registered twice is caught by its Latch, which Add attaches
+// and only Reset detaches; a poll-only component by a scan of the
+// registered entries (no in-tree simulator component is poll-only).
 func (e *Engine) Add(c Component, ghz int) {
 	if e.running {
 		panic("engine: Add called during Run")
@@ -216,14 +219,23 @@ func (e *Engine) Add(c Component, ghz int) {
 	if c == nil {
 		panic("engine: Add of nil component")
 	}
-	if e.seen == nil { // zero-value Engine
-		e.seen = map[Component]bool{}
+	if e.maxDiv == 0 { // zero-value Engine
 		e.maxDiv = 1
 	}
-	if e.seen[c] {
-		panic(fmt.Sprintf("engine: component %T registered twice", c))
+	h, hinted := c.(Hinter)
+	var latch *Latch
+	if hinted {
+		latch = h.Latch()
+		if latch.at != nil {
+			panic(fmt.Sprintf("engine: component %T registered twice (or its latch is shared)", c))
+		}
+	} else {
+		for _, ent := range e.ents[:e.n] {
+			if ent.hint == nil && ent.c == c {
+				panic(fmt.Sprintf("engine: component %T registered twice", c))
+			}
+		}
 	}
-	e.seen[c] = true
 	div := int64(Div(ghz))
 	if e.n == len(e.ents) {
 		e.ents = append(e.ents, &entry{})
@@ -231,9 +243,9 @@ func (e *Engine) Add(c Component, ghz int) {
 	ent := e.ents[e.n]
 	e.n++
 	*ent = entry{c: c, div: div}
-	if h, ok := c.(Hinter); ok {
-		ent.hint, ent.latch = h, h.Latch()
-		ent.latch.at = &ent.at
+	if hinted {
+		ent.hint, ent.latch = h, latch
+		latch.at = &ent.at
 	} else {
 		e.pollDiv[div]++
 	}
@@ -249,7 +261,7 @@ func (e *Engine) Add(c Component, ghz int) {
 
 // Reset returns the engine to the state New leaves it in — no components,
 // clock at zero, fast-forward counters and trace scope cleared — while
-// keeping its phase lists, registration set and entry storage for reuse,
+// keeping its phase lists and entry storage for reuse,
 // so a simulator can drive many short launches through one engine without
 // reallocating the scheduler. The latches of the dropped components are
 // detached. Mode and CollectFF are configuration and survive. It panics
@@ -268,7 +280,6 @@ func (e *Engine) Reset() {
 		}
 		*ent = entry{}
 	}
-	clear(e.seen)
 	e.liveDiv, e.pollDiv = [BaseGHz + 1]int{}, [BaseGHz + 1]int{}
 	e.n, e.live, e.maxDiv, e.now = 0, 0, 1, 0
 	e.Trace = trace.Scope{}

@@ -188,6 +188,36 @@ func TestDisabledTracerOverhead(t *testing.T) {
 	t.Errorf("disabled-tracer overhead %.2f%% exceeds 2%% budget", 100*(ratio-1))
 }
 
+// TestDisabledTracerAllocFree is the deterministic complement to
+// TestDisabledTracerOverhead: with the zero-value (disabled) Trace and
+// CollectFF off, a warm engine's Reset, Add and Run allocate nothing in
+// steady state. The population mixes dense poll-only components with
+// sparse Hinters, so the run also takes fast-forward jumps — the points
+// where an enabled tracer builds its spans.
+func TestDisabledTracerAllocFree(t *testing.T) {
+	counters := make([]counter, 64)
+	sleepers := make([]sleeper, 16)
+	e := New()
+	run := func() {
+		e.Reset()
+		for i := range counters {
+			counters[i] = counter{n: 1 << 8}
+			e.Add(&counters[i], benchGHz[i%len(benchGHz)])
+		}
+		for i := range sleepers {
+			sleepers[i] = sleeper{items: 8, latency: 3000}
+			e.Add(&sleepers[i], benchGHz[i%len(benchGHz)])
+		}
+		if _, err := e.Run(1 << 30); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run()
+	if n := testing.AllocsPerRun(20, run); n != 0 {
+		t.Fatalf("untraced Reset+Add+Run allocates %.1f times per run", n)
+	}
+}
+
 // TestAdaptiveDenseOverhead asserts the default wake-driven scheduler
 // stays within 5% of the naive reference loop on the dense poll-only
 // population — the shape where a scheduler's own bookkeeping has nothing

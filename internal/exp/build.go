@@ -112,18 +112,6 @@ func Build(ctx context.Context, opts Options) (*Matrix, error) {
 	}
 	nw, nc := len(m.Workloads), len(m.Configs)
 
-	// Inputs: serial pre-generation in serial-run order for EVERY cell —
-	// including resumed ones. The workload generators share seeded RNG
-	// state across NewData calls, so skipping a cell's draw would shift
-	// every later cell's inputs and break resume-equivalence.
-	data := make([][]map[string][]float64, nw)
-	for i, w := range m.Workloads {
-		data[i] = make([]map[string][]float64, nc)
-		for j := range m.Configs {
-			data[i][j] = w.NewData()
-		}
-	}
-
 	// Resume: load the checkpoint (if any) and mark its cells done.
 	ck, err := newCheckpointer(opts.Checkpoint, m)
 	if err != nil {
@@ -185,8 +173,11 @@ func Build(ctx context.Context, opts Options) (*Matrix, error) {
 		out[i] = make([]outcome, nc)
 	}
 	b := &builder{m: m, opts: opts, cache: cache}
-	type cellIdx struct{ i, j int }
-	jobs := make(chan cellIdx)
+	type cell struct {
+		i, j int
+		data map[string][]float64
+	}
+	jobs := make(chan cell)
 	var wg sync.WaitGroup
 	for n := 0; n < workers; n++ {
 		wg.Add(1)
@@ -197,7 +188,7 @@ func Build(ctx context.Context, opts Options) (*Matrix, error) {
 				cfg.Trace = tracers[c.i][c.j]
 				cfg.Profile = cellProf[c.i][c.j]
 				t0 := time.Now()
-				res, degraded, err := b.runCell(ctx, m.Workloads[c.i], cfg, data[c.i][c.j])
+				res, degraded, err := b.runCell(ctx, m.Workloads[c.i], cfg, c.data)
 				out[c.i][c.j] = outcome{res: res, err: err, degraded: degraded}
 				if err == nil && degraded == "" {
 					if ckErr := ck.record(c.i*nc+c.j, res); ckErr != nil {
@@ -212,10 +203,19 @@ func Build(ctx context.Context, opts Options) (*Matrix, error) {
 			}
 		}()
 	}
-	for i := 0; i < nw; i++ {
+	// Inputs are drawn here, one cell at a time in serial-run order, as the
+	// cell is dispatched: the unbuffered channel holds the next draw until a
+	// worker is free, so at most workers+1 input sets are reachable at once
+	// and a finished cell's inputs are garbage as soon as it returns. EVERY
+	// cell is drawn, resumed ones included (their draw is dropped): the
+	// workload generators share seeded RNG state across NewData calls, so
+	// skipping a draw would shift every later cell's inputs and break
+	// resume-equivalence.
+	for i, w := range m.Workloads {
 		for j := 0; j < nc; j++ {
+			data := drawInputs(w)
 			if resumed[i*nc+j] == nil {
-				jobs <- cellIdx{i, j}
+				jobs <- cell{i, j, data}
 			}
 		}
 	}
@@ -273,6 +273,10 @@ func Build(ctx context.Context, opts Options) (*Matrix, error) {
 	return m, nil
 }
 
+// drawInputs generates one cell's inputs. Tests replace it to watch the
+// lifetime of each drawn set.
+var drawInputs = (*workloads.Workload).NewData
+
 // builder carries Build's per-run state into the workers.
 type builder struct {
 	m     *Matrix
@@ -308,7 +312,7 @@ func (b *builder) runCell(ctx context.Context, w *workloads.Workload, cfg sim.Co
 }
 
 // simulate runs a cell: hook, cached compile, simulation. Each cell runs
-// exactly once, so it simulates on its pre-generated inputs in place.
+// exactly once, so it simulates on its freshly drawn inputs in place.
 func (b *builder) simulate(ctx context.Context, w *workloads.Workload, cfg sim.Config, data map[string][]float64) (*sim.Result, error) {
 	if b.opts.Hook != nil {
 		if err := b.opts.Hook(ctx, w.Name, cfg.Name); err != nil {

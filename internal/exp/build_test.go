@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -201,6 +202,91 @@ func TestBuildHookErrorFailsBuild(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "bfs on Dist-DA-F") {
 		t.Errorf("error %q does not name the failing cell", err)
+	}
+}
+
+// TestBuildFirstSerialErrorWins: when several cells fail, Build reports
+// the one a serial run would have hit first, not the first to fail in
+// time. The earlier cell is held back until the later one has failed.
+func TestBuildFirstSerialErrorWins(t *testing.T) {
+	first, second := errors.New("first cell"), errors.New("second cell")
+	laterFailed := make(chan struct{})
+	_, err := Build(context.Background(), Options{
+		Scale:   workloads.ScaleTest,
+		Workers: 2,
+		Hook: func(ctx context.Context, workload, config string) error {
+			switch {
+			case workload == "disparity" && config == "OoO":
+				<-laterFailed
+				return first
+			case workload == "disparity" && config == "Mono-CA":
+				close(laterFailed)
+				return second
+			}
+			return nil
+		},
+	})
+	if !errors.Is(err, first) {
+		t.Fatalf("Build returned %v, want the serially first cell's error", err)
+	}
+}
+
+// TestBuildInputLifetime: Build draws each cell's inputs as it dispatches
+// the cell and drops them when the cell returns, so at every Progress
+// event at most Workers+1 input sets are reachable (one per busy worker
+// plus the next draw waiting for a free one) — not the whole matrix.
+func TestBuildInputLifetime(t *testing.T) {
+	const workers = 2
+	var live atomic.Int64 // drawn sets whose largest array was not yet collected
+	orig := drawInputs
+	t.Cleanup(func() { drawInputs = orig })
+	drawInputs = func(w *workloads.Workload) map[string][]float64 {
+		data := orig(w)
+		var big []float64
+		for _, v := range data {
+			if len(v) > len(big) {
+				big = v
+			}
+		}
+		if len(big) < 4 {
+			// The finalizer of a tiny allocation may never run.
+			t.Errorf("%s: largest input array has %d elements, too small to track", w.Name, len(big))
+			return data
+		}
+		live.Add(1)
+		runtime.SetFinalizer(&big[0], func(*float64) { live.Add(-1) })
+		return data
+	}
+	var maxLive int64
+	events := 0
+	m, err := Build(context.Background(), Options{
+		Scale:   workloads.ScaleTest,
+		Workers: workers,
+		Progress: func(ProgressEvent) {
+			events++
+			if maxLive > workers+1 {
+				return // already failed; don't wait again
+			}
+			// Finalizers run on their own goroutine after the collection
+			// that found their array unreachable, so a pending one can only
+			// overcount: collect until the count is within the bound or a
+			// deadline passes.
+			n := live.Load()
+			for deadline := time.Now().Add(time.Second); n > workers+1 && time.Now().Before(deadline); n = live.Load() {
+				runtime.GC()
+				time.Sleep(time.Millisecond)
+			}
+			maxLive = max(maxLive, n)
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if total := len(m.Workloads) * len(m.Configs); events != total {
+		t.Fatalf("saw %d progress events, want %d", events, total)
+	}
+	if maxLive > workers+1 {
+		t.Errorf("%d input sets reachable at a progress event, want at most %d", maxLive, workers+1)
 	}
 }
 

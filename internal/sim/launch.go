@@ -115,9 +115,10 @@ func (m *machine) mmioHost(in core.Intrinsic, cluster int) {
 // launch configures, runs and tears down one offload region instance.
 //
 // Assembly reuses the machine's launch state (see machine.go): the accelRT
-// tables, the engine, the buffer plan, the decoupling buffers and
-// the backend memo all carry over from the previous launch, so a
-// steady-state launch allocates only the components it wires.
+// tables, the engine, the buffer plan, the decoupling buffers, the links,
+// stream FSMs and random ports, and the backend memo all carry over from
+// the previous launch, so a steady-state launch allocates only its
+// backend engines.
 func (h *host) launch(reg *core.Region) {
 	m := h.m
 	// Evaluate every accel's orchestrator count; an all-empty region is
@@ -210,6 +211,7 @@ func (h *host) launch(reg *core.Region) {
 	}
 
 	m.eng.Reset()
+	m.rewindPools()
 
 	// Pass 2: buffers, FSMs, links for stream accesses; channel endpoint
 	// buffers.
@@ -269,18 +271,18 @@ func (h *host) launch(reg *core.Region) {
 			if dst == nil {
 				h.failf("launch: channel %d.%d has no consumer buffer", rt.def.ID, acc.ID)
 			}
-			tx, rx := accessunit.NewLocalLink(rt.chanSrc[acc.ID], dst, m.mesh, rt.cluster, peer.cluster, acc.ElemBytes, m.austats)
-			m.eng.Add(tx, 2)
-			m.eng.Add(rx, 2)
+			m.addLink(rt.chanSrc[acc.ID], dst, rt.cluster, peer.cluster, acc.ElemBytes)
 		}
 	}
 
 	// Pass 4: backend engines, scalar initialization, cp_run.
 	engines := m.engines[:0]
-	randomPorts := m.randomPorts[:0]
 	for _, rt := range rts {
 		fetch := h.fetcherFor(rt.cluster, rt.offChip)
-		rp := accessunit.NewRandomPort(newSimMemory(m), fetch, rt.cluster, m.austats, m.meter)
+		pu := m.ports.get()
+		pu.mem = simMemory{m: m}
+		rp := &pu.port
+		rp.Reset(&pu.mem, fetch, rt.cluster, m.austats, m.meter)
 		if len(rt.def.Prefill) > 0 {
 			rp.Prefill = map[string]bool{}
 			for _, obj := range rt.def.Prefill {
@@ -303,7 +305,6 @@ func (h *host) launch(reg *core.Region) {
 				m.mmioHost(core.CpConfigRandom, rt.cluster)
 			}
 		}
-		randomPorts = append(randomPorts, rp)
 		e, err := be.NewEngine(backend.LaunchSpec{
 			Def: rt.def, Trips: rt.trips,
 			In: rt.inPorts, Out: rt.outPorts, Random: rp,
@@ -341,7 +342,7 @@ func (h *host) launch(reg *core.Region) {
 		h.recordProgramMechanisms(rt.def.Program)
 		m.mmioHost(core.CpRun, rt.cluster)
 	}
-	m.engines, m.randomPorts = engines, randomPorts
+	m.engines = engines
 
 	// Accelerator timeline: this launch occupies the accelerator resources
 	// after any prior in-flight launch. The host blocks (cp_consume
@@ -372,7 +373,9 @@ func (h *host) launch(reg *core.Region) {
 	m.accelBase += base
 	m.ffJumps += m.eng.FFJumps
 	m.ffSkipped += m.eng.FFSkipped
-	m.releaseBuffers()
+	for _, b := range m.bufs.live() {
+		m.bufAccesses += b.Pushes + b.Pops
+	}
 
 	engHost := float64(base) / float64(hostDiv)
 	m.accelFreeAt = start + engHost
@@ -420,8 +423,8 @@ func (h *host) launch(reg *core.Region) {
 	for _, e := range engines {
 		m.accelOps += e.Ops()
 	}
-	for _, rp := range randomPorts {
-		m.accelMemElem += rp.Loads + rp.Stores
+	for _, pu := range m.ports.live() {
+		m.accelMemElem += pu.port.Loads + pu.port.Stores
 	}
 
 	if m.prof != nil {
@@ -441,7 +444,6 @@ func (h *host) launch(reg *core.Region) {
 		}
 	}
 	clear(engines)
-	clear(randomPorts)
 }
 
 // acquireRTs returns one recycled accelRT per accelerator of reg, each
@@ -564,9 +566,11 @@ func (h *host) wireStreamIn(rt *accelRT, ba core.BufferAlloc) error {
 	if err != nil {
 		return err
 	}
-	fsm, err := accessunit.NewStreamIn(fsmBuf, newSimMemory(m), h.fetcherFor(fsmCluster, rt.offChip),
-		fsmCluster, ba.Obj, minStart, stride, length, m.austats, m.meter)
-	if err != nil {
+	fu := m.fills.get()
+	fu.mem = simMemory{m: m}
+	fsm := &fu.fsm
+	if err := fsm.Reset(fsmBuf, &fu.mem, h.fetcherFor(fsmCluster, rt.offChip),
+		fsmCluster, ba.Obj, minStart, stride, length, m.austats, m.meter); err != nil {
 		return err
 	}
 	fsm.LatHist = m.fillLatH
@@ -586,9 +590,7 @@ func (h *host) wireStreamIn(rt *accelRT, ba core.BufferAlloc) error {
 		if err != nil {
 			return err
 		}
-		tx, rx := accessunit.NewLocalLink(fsmBuf, consBuf, m.mesh, fsmCluster, rt.cluster, first.ElemBytes, m.austats)
-		m.eng.Add(tx, 2)
-		m.eng.Add(rx, 2)
+		m.addLink(fsmBuf, consBuf, fsmCluster, rt.cluster, first.ElemBytes)
 		consumerBuf = consBuf
 	}
 	for _, id := range ba.Accesses {
@@ -627,14 +629,14 @@ func (h *host) wireStreamOut(rt *accelRT, ba core.BufferAlloc) error {
 		if err != nil {
 			return err
 		}
-		tx, rx := accessunit.NewLocalLink(prodBuf, db, m.mesh, rt.cluster, fsmCluster, acc.ElemBytes, m.austats)
-		m.eng.Add(tx, 2)
-		m.eng.Add(rx, 2)
+		m.addLink(prodBuf, db, rt.cluster, fsmCluster, acc.ElemBytes)
 		drainBuf = db
 	}
-	fsm, err := accessunit.NewStreamOut(drainBuf, newSimMemory(m), h.fetcherFor(fsmCluster, rt.offChip),
-		fsmCluster, ba.Obj, ev.Start, ev.Stride, m.austats, m.meter)
-	if err != nil {
+	du := m.drains.get()
+	du.mem = simMemory{m: m}
+	fsm := &du.fsm
+	if err := fsm.Reset(drainBuf, &du.mem, h.fetcherFor(fsmCluster, rt.offChip),
+		fsmCluster, ba.Obj, ev.Start, ev.Stride, m.austats, m.meter); err != nil {
 		return err
 	}
 	fsm.LatHist = m.drainLatH

@@ -43,26 +43,32 @@ type machine struct {
 	// (a long-lived server could otherwise hand a recycled address the
 	// wrong entry).
 	//
-	// eng is Reset at the start of every launch. rts, engines and
-	// randomPorts are the per-launch tables, plan the buffer plan, memo the
-	// backends' per-definition derivations (the CGRA mapping), and
-	// clusterFetch the cache-path fetcher, built on first use (see
-	// fetcherFor).
+	// eng is Reset at the start of every launch. rts and engines are the
+	// per-launch tables, plan the buffer plan, memo the backends'
+	// per-definition derivations (the CGRA mapping), and clusterFetch the
+	// cache-path fetcher, built on first use (see fetcherFor).
 	eng          *engine.Engine
 	rts          []*accelRT
 	engines      []backend.Engine
-	randomPorts  []*accessunit.RandomPort
 	plan         core.BufferPlan
 	memo         backend.Memo
 	clusterFetch accessunit.Fetcher
-	// Decoupling buffers: bufLive holds the launch's buffers, which return
-	// to bufFree once its engines have run, folding their push+pop count
-	// into bufAccesses (Fig. 9 "intra", data movement and the au/buffers
+	// The launch's access-unit components: decoupling buffers, local
+	// links, fill and drain FSMs and random ports, the last three each
+	// with its own memory adapter. Every pool is rewound when the next
+	// launch is assembled (rewindPools), once eng.Reset has dropped the
+	// components of the previous one, and hands its items out again
+	// through their Reset.
+	bufs   pool[accessunit.Buffer]
+	links  pool[accessunit.LocalLink]
+	fills  pool[fillUnit]
+	drains pool[drainUnit]
+	ports  pool[portUnit]
+	// bufAccesses folds in each launch's buffer push+pop count once its
+	// engines have run (Fig. 9 "intra", data movement and the au/buffers
 	// profile component). bufSeq numbers buffers across the whole run, so
 	// profile queue names (buf0, buf1, ...) stay as if every buffer were
 	// fresh.
-	bufLive     []*accessunit.Buffer
-	bufFree     []*accessunit.Buffer
 	bufSeq      int
 	bufAccesses int64
 
@@ -302,9 +308,6 @@ type simMemory struct {
 	last *objInfo
 }
 
-// newSimMemory returns a fresh adapter with a cold cursor.
-func newSimMemory(m *machine) *simMemory { return &simMemory{m: m} }
-
 // resolve is machine.resolve against the instance-local cursor.
 func (s *simMemory) resolve(obj string) *objInfo {
 	if o := s.last; o != nil && o.name == obj {
@@ -432,40 +435,78 @@ func (f dramFetcher) LineBytes() int { return 64 }
 // the timing model keeps its single aggregate latency).
 const profileDRAMChannels = 4
 
-// newBuffer hands out a decoupling buffer for the current launch — a
-// recycled one, Reset, when the free list has one — attaching an occupancy
-// histogram when profiling is on.
+// newBuffer hands out a decoupling buffer for the current launch,
+// recycled through Reset, attaching an occupancy histogram when profiling
+// is on.
 func (m *machine) newBuffer() (*accessunit.Buffer, error) {
-	var b *accessunit.Buffer
-	if n := len(m.bufFree); n > 0 {
-		b = m.bufFree[n-1]
-		m.bufFree = m.bufFree[:n-1]
-		if err := b.Reset(m.cfg.BufElems, m.meter); err != nil {
-			return nil, err
-		}
-	} else {
-		var err error
-		if b, err = accessunit.NewBuffer(m.cfg.BufElems, m.meter); err != nil {
-			return nil, err
-		}
+	b := m.bufs.get()
+	if err := b.Reset(m.cfg.BufElems, m.meter); err != nil {
+		return nil, err
 	}
 	if m.prof != nil {
 		b.Occ = m.prof.Hist(fmt.Sprintf("queue.buffer.buf%d.occ", m.bufSeq), "occupancy")
 	}
 	m.bufSeq++
-	m.bufLive = append(m.bufLive, b)
 	return b, nil
 }
 
-// releaseBuffers retires the launch's buffers once its engines have run:
-// their traffic folds into bufAccesses and they return to the free list.
-func (m *machine) releaseBuffers() {
-	for _, b := range m.bufLive {
-		m.bufAccesses += b.Pushes + b.Pops
+// rewindPools returns every launch component to its pool.
+func (m *machine) rewindPools() {
+	m.bufs.rewind()
+	m.links.rewind()
+	m.fills.rewind()
+	m.drains.rewind()
+	m.ports.rewind()
+}
+
+// pool recycles launch components: the first n items are in use by the
+// launch being assembled or run, and rewind returns them all.
+type pool[T any] struct {
+	items []*T
+	n     int
+}
+
+// get hands out the next item; the caller resets it.
+func (p *pool[T]) get() *T {
+	if p.n == len(p.items) {
+		p.items = append(p.items, new(T))
 	}
-	m.bufFree = append(m.bufFree, m.bufLive...)
-	clear(m.bufLive)
-	m.bufLive = m.bufLive[:0]
+	p.n++
+	return p.items[p.n-1]
+}
+
+// live returns the items handed out since the last rewind.
+func (p *pool[T]) live() []*T { return p.items[:p.n] }
+
+func (p *pool[T]) rewind() { p.n = 0 }
+
+// fillUnit, drainUnit and portUnit pair a recycled access-unit component
+// with its memory adapter: each component resolves objects through its
+// own MRU cursor, so units streaming different objects do not evict each
+// other's hit. Each use resets the adapter to a cold cursor along with
+// the component.
+type fillUnit struct {
+	fsm accessunit.StreamIn
+	mem simMemory
+}
+
+type drainUnit struct {
+	fsm accessunit.StreamOut
+	mem simMemory
+}
+
+type portUnit struct {
+	port accessunit.RandomPort
+	mem  simMemory
+}
+
+// addLink wires a recycled local link from src to dst and registers both
+// halves with the engine, Tx first.
+func (m *machine) addLink(src, dst *accessunit.Buffer, srcNode, dstNode, elemBytes int) {
+	l := m.links.get()
+	l.Reset(src, dst, m.mesh, srcNode, dstNode, elemBytes, m.austats)
+	m.eng.Add(&l.Tx, 2)
+	m.eng.Add(&l.Rx, 2)
 }
 
 // intraBytes is the buffer-internal traffic (Fig. 9 "intra").
