@@ -5,6 +5,7 @@ package accessunit
 
 import (
 	"fmt"
+	"math/bits"
 
 	"distda/internal/energy"
 	"distda/internal/engine"
@@ -18,8 +19,13 @@ import (
 // it, which is what lets a stencil's A[i], A[i+1], A[i+2] accessors share
 // one fetched window.
 type Buffer struct {
-	cap     int
+	cap int
+	// data holds element seq at data[seq&mask]: its length is cap rounded
+	// up to a power of two, so locating a slot costs a mask, not a
+	// division, on every push and pop. The live window [minSeq, wseq) is
+	// never longer than cap, so no two of its elements share a slot.
 	data    []float64
+	mask    int64
 	wseq    int64
 	readers []int64
 	// minSeq caches min(readers): the reclaim watermark. Push and CanPush
@@ -66,12 +72,14 @@ func (b *Buffer) Reset(capElems int, m *energy.Meter) error {
 	if capElems <= 0 {
 		return fmt.Errorf("accessunit: buffer capacity %d", capElems)
 	}
+	slots := 1 << bits.Len(uint(capElems-1))
 	data := b.data
-	if cap(data) < capElems {
-		data = make([]float64, capElems)
+	if cap(data) < slots {
+		data = make([]float64, slots)
 	}
 	clear(b.subs)
-	*b = Buffer{cap: capElems, data: data[:capElems], readers: b.readers[:0], subs: b.subs[:0], meter: m}
+	*b = Buffer{cap: capElems, data: data[:slots], mask: int64(slots - 1),
+		readers: b.readers[:0], subs: b.subs[:0], meter: m}
 	return nil
 }
 
@@ -127,7 +135,7 @@ func (b *Buffer) Push(v float64) {
 	if !b.CanPush() {
 		panic("accessunit: Push on full or closed buffer")
 	}
-	b.data[b.wseq%int64(b.cap)] = v
+	b.data[b.wseq&b.mask] = v
 	b.wseq++
 	b.Pushes++
 	if b.meter != nil {
@@ -151,7 +159,7 @@ func (b *Buffer) Pop(r int) float64 {
 	if b.wseq-seq > int64(b.cap) {
 		panic("accessunit: reader fell out of the window")
 	}
-	v := b.data[seq%int64(b.cap)]
+	v := b.data[seq&b.mask]
 	b.readers[r]++
 	if seq == b.minSeq {
 		b.recomputeMin()

@@ -200,7 +200,7 @@ func (f *StreamIn) Latch() *engine.Latch { return &f.latch }
 // flight and no headroom it is blocked on the consumer.
 func (f *StreamIn) NextEvent(now int64) int64 {
 	if f.closed {
-		return 0
+		return engine.Finished
 	}
 	if f.npend > 0 && f.pending[f.phead].arrival <= now && f.buf.CanPush() {
 		return 0 // arrived line, buffer space: deliver now
@@ -397,7 +397,7 @@ func (f *StreamOut) Latch() *engine.Latch { return &f.latch }
 // available; an empty, still-open buffer blocks it on the producer.
 func (f *StreamOut) NextEvent(now int64) int64 {
 	if f.closed {
-		return 0
+		return engine.Finished
 	}
 	if now < f.busyUntil {
 		return f.busyUntil // write port busy

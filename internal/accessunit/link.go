@@ -152,7 +152,7 @@ func (l *LinkTx) Latch() *engine.Latch { return &l.latch }
 // NextEvent implements engine.Hinter.
 func (l *LinkTx) NextEvent(now int64) int64 {
 	if l.closed {
-		return 0
+		return engine.Finished
 	}
 	if m, ok := l.credits.Head(); ok && m.At <= now {
 		return 0 // credits to collect
@@ -239,7 +239,7 @@ func (l *LinkRx) Latch() *engine.Latch { return &l.latch }
 // NextEvent implements engine.Hinter.
 func (l *LinkRx) NextEvent(now int64) int64 {
 	if l.closed {
-		return 0
+		return engine.Finished
 	}
 	m, ok := l.in.Head()
 	if !ok {

@@ -149,25 +149,55 @@ func (c *Memo) Store(key, v any) {
 	c.m[key] = v
 }
 
+// validKey is the memo key of a definition whose micro-program validated.
+type validKey struct{ def *core.AccelDef }
+
+// ValidProgram checks def's micro-program against its accesses
+// (microcode.Program.Validate) on the definition's first launch of the run
+// and remembers that it passed, so later launches skip the check. A nil
+// *Memo checks every time.
+func (c *Memo) ValidProgram(def *core.AccelDef) error {
+	key := validKey{def}
+	if _, ok := c.Load(key); ok {
+		return nil
+	}
+	if err := def.Program.Validate(len(def.Accesses)); err != nil {
+		return err
+	}
+	c.Store(key, nil)
+	return nil
+}
+
 // Engine is one running accelerator instance: a clocked component with the
 // engine scheduler's Step/Done/NextEvent/Latch contract plus the scalar register
 // file (cp_set_rf / cp_load_rf) and observability attachment points. The
 // Attach/Add methods are observational only — results must be bit-identical
-// with or without them.
+// with or without them. A backend's executor implements Engine itself, so
+// the simulator registers it with the scheduler directly and no forwarding
+// layer sits on the per-step path.
 type Engine interface {
 	Step(now int64) bool
 	Done() bool
 	// NextEvent and Latch are the engine scheduler's wake-driven hint
 	// (engine.Hinter): the engine trusts a claim until the latch is woken,
 	// so an engine subscribes its latch to every wired port buffer.
-	// Backends that cannot predict return 0 from NextEvent to be polled.
+	// Backends that cannot predict return 0 from NextEvent to be polled. A
+	// finished engine claims engine.Finished, which is how the scheduler
+	// learns of its completion.
 	engine.Hinter
+
+	// Reset re-arms the engine for another launch while keeping its
+	// storage: afterwards it is indistinguishable from what the backend's
+	// NewEngine(spec) returns — registers, counters, latch, trace scope and
+	// histogram included — and it fails exactly when NewEngine(spec) would.
+	// The engine must not be registered with a running scheduler.
+	Reset(spec LaunchSpec) error
 
 	SetReg(r int, v float64)
 	Reg(r int) float64
 
 	// Ops returns retired micro-operations (the accelerator dynamic
-	// instruction count).
+	// instruction count) since the engine was built or last Reset.
 	Ops() int64
 
 	// AttachTrace binds the engine's trace scope at the launch's base-cycle
@@ -187,5 +217,6 @@ type Backend interface {
 	// at config construction time.
 	ValidateOptions(opts Options) error
 	// NewEngine instantiates one engine for one accelerator definition.
+	// Engine.Reset re-arms an engine it built for another launch.
 	NewEngine(spec LaunchSpec) (Engine, error)
 }

@@ -25,3 +25,11 @@ func TestRejectsMissingGrid(t *testing.T) {
 		t.Fatal("ValidateOptions accepted a config without a grid")
 	}
 }
+
+func TestResetMatchesNew(t *testing.T) {
+	for _, grid := range []string{"5x5", "8x8"} {
+		t.Run(grid, func(t *testing.T) {
+			backendtest.ResetMatchesNew(t, "cgra", backend.Opt("grid", grid))
+		})
+	}
+}

@@ -9,3 +9,7 @@ import (
 func TestConformance(t *testing.T) {
 	backendtest.Conformance(t, "iocore")
 }
+
+func TestResetMatchesNew(t *testing.T) {
+	backendtest.ResetMatchesNew(t, "iocore")
+}

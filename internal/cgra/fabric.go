@@ -41,15 +41,18 @@ type Fabric struct {
 	nextStart int64
 	// inflight is a ring of initiated iterations in completion order:
 	// nfl flights starting at slot flHead. A slot keeps its outs storage
-	// when it is recycled, so a steady pipeline does not allocate.
+	// when it is recycled, so a steady pipeline does not allocate; the
+	// slots' storage is carved from outStore, and a Reset keeps both the
+	// ring and outStore for the next launch.
 	inflight    []flight
+	outStore    []outVal
 	flHead, nfl int
 	lastNow     int64
 	done        bool
 	latch       engine.Latch
 
-	// Counters.
-	Ops   int64
+	// Counters. ops (Ops) counts executed operations.
+	ops   int64
 	Iters int64
 
 	// Trace, when enabled, records one span per memory-extended iteration
@@ -166,40 +169,57 @@ func NewPlan(def *core.AccelDef, g GridConfig) (*Plan, error) {
 // caller must not rewire it while the fabric runs.
 func NewFabric(plan *Plan, trips int64, inputs []*accessunit.InPort, outputs []*accessunit.OutPort,
 	random *accessunit.RandomPort, div int64, meter *energy.Meter) (*Fabric, error) {
+	f := new(Fabric)
+	if err := f.arm(plan, trips, inputs, outputs, random, div, meter); err != nil {
+		return nil, err
+	}
+	return f, nil
+}
+
+// arm returns f to the state of a fabric NewFabric just built, keeping
+// its in-flight ring and operand storage: every register, counter and
+// observability field is cleared, and the ring's slots are emptied.
+func (f *Fabric) arm(plan *Plan, trips int64, inputs []*accessunit.InPort, outputs []*accessunit.OutPort,
+	random *accessunit.RandomPort, div int64, meter *energy.Meter) error {
 	def := plan.def
 	if div <= 0 {
-		return nil, fmt.Errorf("cgra: invalid clock divisor %d", div)
+		return fmt.Errorf("cgra: invalid clock divisor %d", div)
 	}
 	n := len(def.Accesses)
 	in, err := accessunit.PortsByID(inputs, n)
 	if err != nil {
-		return nil, fmt.Errorf("cgra: accel %d: input %w", def.ID, err)
+		return fmt.Errorf("cgra: accel %d: input %w", def.ID, err)
 	}
 	out, err := accessunit.PortsByID(outputs, n)
 	if err != nil {
-		return nil, fmt.Errorf("cgra: accel %d: output %w", def.ID, err)
+		return fmt.Errorf("cgra: accel %d: output %w", def.ID, err)
 	}
 	for _, cr := range plan.consumes {
 		if in[cr.access] == nil {
-			return nil, fmt.Errorf("cgra: accel %d: access %d consumed but not wired", def.ID, cr.access)
+			return fmt.Errorf("cgra: accel %d: access %d consumed but not wired", def.ID, cr.access)
 		}
-	}
-	f := &Fabric{
-		def: def, prog: def.Program, plan: plan, trips: trips,
-		inputs: in, outputs: out, random: random, div: div, meter: meter,
 	}
 	// Without memory stalls at most ceil(Depth/II) iterations are in flight,
 	// plus one whose delivery is still draining: size the ring (and every
-	// slot's operand storage, in one array) for that so it seldom grows.
+	// slot's operand storage, in one array) for that so it seldom grows. A
+	// ring or store kept from an earlier launch is reused when large
+	// enough; its extra capacity is never observable.
 	m := plan.Mapping
-	slots := (m.Depth+m.II-1)/m.II + 1
-	f.inflight = make([]flight, slots)
-	if plan.nprod > 0 {
-		outs := make([]outVal, slots*plan.nprod)
-		for i := range f.inflight {
-			lo := i * plan.nprod
-			f.inflight[i].outs = outs[lo : lo : lo+plan.nprod]
-		}
+	ring, store := f.inflight, f.outStore
+	if slots := (m.Depth+m.II-1)/m.II + 1; len(ring) < slots {
+		ring = make([]flight, slots)
+	}
+	if need := len(ring) * plan.nprod; cap(store) < need {
+		store = make([]outVal, need)
+	}
+	for i := range ring {
+		lo := i * plan.nprod
+		ring[i] = flight{outs: store[lo : lo : lo+plan.nprod]}
+	}
+	*f = Fabric{
+		def: def, prog: def.Program, plan: plan, trips: trips,
+		inputs: in, outputs: out, random: random, div: div, meter: meter,
+		inflight: ring, outStore: store,
 	}
 	if trips < 0 {
 		if t := def.Trip.InputAccess; t >= 0 && t < n {
@@ -207,7 +227,7 @@ func NewFabric(plan *Plan, trips int64, inputs []*accessunit.InPort, outputs []*
 		}
 	}
 	accessunit.SubscribePorts(&f.latch, in, out)
-	return f, nil
+	return nil
 }
 
 // Mapping returns the modulo schedule chosen for this fabric.
@@ -264,7 +284,7 @@ func (f *Fabric) finish() {
 	f.done = true
 	if f.Trace.Enabled() {
 		f.Trace.Instant("done", f.lastNow, trace.KV{K: "accel", V: int64(f.def.ID)},
-			trace.KV{K: "iters", V: f.Iters}, trace.KV{K: "ops", V: f.Ops})
+			trace.KV{K: "iters", V: f.Iters}, trace.KV{K: "ops", V: f.ops})
 	}
 }
 
@@ -343,7 +363,7 @@ func (f *Fabric) Latch() *engine.Latch { return &f.latch }
 // pipeline about to mature.
 func (f *Fabric) NextEvent(now int64) int64 {
 	if f.done {
-		return 0
+		return engine.Finished
 	}
 	lb := engine.Never
 	if f.nfl > 0 {
@@ -467,7 +487,7 @@ func (f *Fabric) startIteration(now int64) {
 }
 
 func (f *Fabric) countOp(op *microcode.Op) {
-	f.Ops++
+	f.ops++
 	if f.meter != nil {
 		t := &f.meter.Table // by pointer: the table is ~17 words, copied per op otherwise
 		e := t.CGRAOpPJ

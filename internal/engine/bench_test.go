@@ -32,7 +32,10 @@ func (s *sleeper) Done() bool { return s.done }
 func (s *sleeper) Latch() *Latch { return &s.latch }
 
 func (s *sleeper) NextEvent(now int64) int64 {
-	if s.done || now >= s.next {
+	if s.done {
+		return Finished
+	}
+	if now >= s.next {
 		return 0
 	}
 	return s.next

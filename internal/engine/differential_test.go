@@ -123,7 +123,7 @@ func (s *stage) Latch() *Latch { return &s.latch }
 // NextEvent implements Hinter with the same case analysis as Step.
 func (s *stage) NextEvent(now int64) int64 {
 	if s.done {
-		return 0
+		return Finished
 	}
 	if now < s.busyUntil {
 		return s.busyUntil
@@ -306,7 +306,7 @@ func (c *countingWaiter) Done() bool    { return c.fired }
 func (c *countingWaiter) Latch() *Latch { return &c.latch }
 func (c *countingWaiter) NextEvent(now int64) int64 {
 	if c.fired {
-		return 0
+		return Finished
 	}
 	if c.fireAt > now {
 		return c.fireAt

@@ -6,16 +6,19 @@
 // The default scheduler is wake-driven. Every live component carries the
 // next base cycle at which it must step. A component that can predict its
 // next observable effect implements the optional Hinter interface: after
-// each of its steps the engine asks NextEvent and trusts the answer until
+// each of its steps the engine asks NextEvent, and trusts the answer until
 // the component's Latch is woken, which every queue the claim was read
-// from does on mutation. A cycle steps only the components on its clock
-// phase whose next-step cycle has come, and the clock jumps straight to
-// the earliest pending one, so components blocked on a peer or waiting on
-// a timer cost nothing. Components without the interface are stepped on
-// every one of their clock edges. Cycle counts, per-component effect
-// sequences and counters are bit-identical to the naive
-// one-tick-at-a-time loop (ModeNaive), which ignores latches and is kept
-// as the differential-testing reference.
+// from does on mutation. The claim also carries completion: a finished
+// Hinter claims Finished, so a stepped Hinter costs two dynamic calls
+// (Step and NextEvent) and Done is asked only of poll-only components. A
+// cycle steps only the components on its clock phase whose next-step
+// cycle has come, and the clock jumps straight to the earliest pending
+// one, so components blocked on a peer or waiting on a timer cost
+// nothing. Components without the interface are stepped on every one of
+// their clock edges. Cycle counts, per-component effect sequences and
+// counters are bit-identical to the naive one-tick-at-a-time loop
+// (ModeNaive), which ignores claims and latches and asks Done after every
+// step; it is kept as the differential-testing reference.
 package engine
 
 import (
@@ -71,6 +74,11 @@ type Component interface {
 // engine declares deadlock.
 const Never = int64(math.MaxInt64)
 
+// Finished is the NextEvent claim of a component whose Done reports true.
+// The wake-driven scheduler retires a Hinter on this claim instead of
+// asking Done, so a Hinter must claim Finished exactly when it is done.
+const Finished = int64(math.MinInt64)
+
 // Latch is a component's wake-up line. The component owns it and hands it
 // to every queue its NextEvent reads; each mutation of such a queue calls
 // Wake, which makes the engine step the component again at its next clock
@@ -98,13 +106,17 @@ func (l *Latch) Wake() {
 //     expiring at T). It must never be later than the true next effect.
 //   - Never means the component is blocked on a peer (empty input, full
 //     output) and has no self-scheduled future event.
+//   - Finished means the component is done (its Done reports true). It is
+//     the only claim a done component may make, and only a done one may
+//     make it.
 //
 // The engine asks NextEvent right after each of the component's steps and
 // trusts the claim until the Latch is woken: it does not step the
 // component before the claimed cycle, and never after a Never claim, until
-// then. NextEvent may therefore read only the component's own state and
-// queues that wake the Latch on every mutation that could move the claim
-// earlier.
+// then. The wake-driven scheduler learns of completion from the claim and
+// does not call a Hinter's Done after its steps. NextEvent may therefore
+// read only the component's own state and queues that wake the Latch on
+// every mutation that could move the claim earlier.
 type Hinter interface {
 	NextEvent(now int64) int64
 	Latch() *Latch
@@ -142,7 +154,8 @@ type entry struct {
 	div   int64
 	// at is the base cycle from which the component must be stepped again
 	// (aligned to its own edge): 0 when due at its next edge, Never while
-	// it sleeps until woken. Only hinted entries ever hold a future value.
+	// it sleeps until woken or once it has retired. Only hinted entries
+	// ever hold a future value.
 	at   int64
 	done bool
 }
@@ -151,9 +164,16 @@ type entry struct {
 type Engine struct {
 	// phases[p] lists the entries with a clock edge on base cycles
 	// congruent to p mod BaseGHz, in registration order (which defines
-	// intra-cycle step order). phases[0] holds every entry. Finished
-	// entries leave a list the next time its phase is stepped.
+	// intra-cycle step order). phases[0] holds every entry. A retired
+	// entry keeps at == Never, so the scheduler passes over it; it leaves
+	// a list the next time that phase is stepped, which dirty[p] flags.
+	// A list is rewritten only then.
 	phases [BaseGHz][]*entry
+	dirty  [BaseGHz]bool
+	// sink receives the wakes of retired entries: a retired Hinter's latch
+	// points here until Reset detaches it, so a late wake cannot revive
+	// the entry, and re-adding the component still panics.
+	sink int64
 	// ents holds every entry allocated so far; the first n are in use.
 	// Reset rewinds n so a reused engine recycles them.
 	ents   []*entry
@@ -274,6 +294,7 @@ func (e *Engine) Reset() {
 		clear(e.phases[p])
 		e.phases[p] = e.phases[p][:0]
 	}
+	e.dirty = [BaseGHz]bool{}
 	for _, ent := range e.ents[:e.n] {
 		if ent.latch != nil {
 			ent.latch.at = nil
@@ -324,30 +345,50 @@ func (e *Engine) Run(maxBaseCycles int64) (int64, error) {
 // its next edge: anything may have changed between Runs (hosts push into
 // queues, components join), so no earlier claim is trusted.
 func (e *Engine) prepare() {
+	for _, ent := range e.phases[0] {
+		if ent.done {
+			continue
+		}
+		if ent.c.Done() {
+			e.retire(ent)
+			continue
+		}
+		ent.at = 0
+	}
 	for p := range e.phases {
-		list := e.phases[p]
-		w := 0
-		for _, ent := range list {
-			if ent.done {
-				continue
-			}
-			if ent.c.Done() {
-				e.retire(ent)
-				continue
-			}
-			ent.at = 0
+		e.compact(int64(p))
+	}
+	e.updateEdges()
+}
+
+// compact drops retired entries from phase p's list if it holds any.
+func (e *Engine) compact(p int64) {
+	if !e.dirty[p] {
+		return
+	}
+	e.dirty[p] = false
+	list := e.phases[p]
+	w := 0
+	for _, ent := range list {
+		if !ent.done {
 			list[w] = ent
 			w++
 		}
-		clear(list[w:])
-		e.phases[p] = list[:w]
 	}
-	e.updateEdges()
+	clear(list[w:])
+	e.phases[p] = list[:w]
 }
 
 // retire marks a finished entry; the phase lists drop it lazily.
 func (e *Engine) retire(ent *entry) {
 	ent.done = true
+	ent.at = Never
+	if ent.latch != nil {
+		ent.latch.at = &e.sink
+	}
+	for p := int64(0); p < BaseGHz; p += ent.div {
+		e.dirty[p] = true
+	}
 	e.live--
 	e.liveDiv[ent.div]--
 	last := e.liveDiv[ent.div] == 0
@@ -401,7 +442,7 @@ func (e *Engine) runWake(maxBaseCycles int64) (int64, error) {
 			return e.now - start, fmt.Errorf("engine: exceeded %d base cycles", maxBaseCycles)
 		}
 		p := e.now % BaseGHz
-		progress := e.step(p, true)
+		progress, soon := e.step(p)
 		if e.live == 0 {
 			// The completing step happened this cycle; the naive loop
 			// detects completion at the top of the next one.
@@ -411,7 +452,7 @@ func (e *Engine) runWake(maxBaseCycles int64) (int64, error) {
 			}
 			return e.now - start, nil
 		}
-		next, future := e.next(p, progress)
+		next, future := e.next(p, progress, soon)
 		if next == Never {
 			return e.now - start, fmt.Errorf("engine: deadlock at base cycle %d (%s)", e.now, e.describeStuck())
 		}
@@ -469,7 +510,7 @@ func (e *Engine) runNaive(maxBaseCycles int64) (int64, error) {
 		if e.now-start >= maxBaseCycles {
 			return e.now - start, fmt.Errorf("engine: exceeded %d base cycles", maxBaseCycles)
 		}
-		progress := e.step(e.now%BaseGHz, false)
+		progress := e.stepNaive(e.now % BaseGHz)
 		if e.live == 0 {
 			e.now++
 			if traced {
@@ -490,56 +531,71 @@ func (e *Engine) runNaive(maxBaseCycles int64) (int64, error) {
 }
 
 // step steps, in registration order, every live component with a clock
-// edge on the current base cycle (of phase p) whose next-step cycle has come, removing
-// components that finish. With claim set it then records each stepped
-// Hinter's claim; without it (naive) next-step cycles stay 0 and every
-// edge steps. Returns whether any step reported progress.
+// edge on the current base cycle (of phase p) whose next-step cycle has
+// come, records each stepped Hinter's claim as its next-step cycle and
+// retires the components that finish. A Hinter costs two dynamic calls,
+// Step and NextEvent, which also reports completion; a poll-only component
+// costs Step and Done. Returns whether any step reported progress, and
+// soon: the distance from now to the earliest next edge of a Hinter that
+// claimed to be due at once (Never if none did), for next.
 //
 // A wake raised by an earlier component this cycle makes a later one due
 // this cycle; a wake for a component already passed takes effect at its
 // next edge — the same visibility the naive loop gives.
-func (e *Engine) step(p int64, claim bool) bool {
+func (e *Engine) step(p int64) (progress bool, soon int64) {
 	now := e.now
-	list := e.phases[p]
-	progress := false
-	w := 0
-	for _, ent := range list {
-		if ent.done {
+	soon = Never
+	for _, ent := range e.phases[p] {
+		if ent.at > now {
+			continue // sleeping, claimed a later cycle, or retired
+		}
+		if ent.c.Step(now) {
+			progress = true
+		}
+		if ent.hint == nil {
+			if ent.c.Done() {
+				e.retire(ent)
+			}
 			continue
 		}
-		if ent.at <= now {
-			if ent.c.Step(now) {
-				progress = true
-			}
-			if ent.c.Done() {
+		switch t := ent.hint.NextEvent(now); {
+		case t <= now:
+			if t == Finished {
 				e.retire(ent)
 				continue
 			}
-			if claim && ent.hint != nil {
-				ent.at = e.claimOf(ent)
-			}
+			ent.at = 0
+			soon = min(soon, edgeAfter[ent.div][p])
+		case t == Never:
+			ent.at = Never
+		default:
+			t-- // align up to the component's own edge: its first one after t-1
+			ent.at = t + edgeAfter[ent.div][t%BaseGHz]
 		}
-		list[w] = ent
-		w++
 	}
-	if w < len(list) {
-		clear(list[w:])
-		e.phases[p] = list[:w]
-	}
-	return progress
+	e.compact(p)
+	return progress, soon
 }
 
-// claimOf converts ent's NextEvent claim into its next-step cycle.
-func (e *Engine) claimOf(ent *entry) int64 {
-	t := ent.hint.NextEvent(e.now)
-	if t == Never {
-		return Never
+// stepNaive is step for the reference loop: it steps every live component
+// on the phase and asks each one's Done, ignoring claims, so next-step
+// cycles stay 0.
+func (e *Engine) stepNaive(p int64) bool {
+	now := e.now
+	progress := false
+	for _, ent := range e.phases[p] {
+		if ent.done {
+			continue
+		}
+		if ent.c.Step(now) {
+			progress = true
+		}
+		if ent.c.Done() {
+			e.retire(ent)
+		}
 	}
-	if t <= e.now {
-		return 0
-	}
-	t-- // align up to the component's own edge: its first one after t-1
-	return t + edgeAfter[ent.div][t%BaseGHz]
+	e.compact(p)
+	return progress
 }
 
 // next returns the earliest base cycle after now (of phase p) at which
@@ -550,22 +606,20 @@ func (e *Engine) claimOf(ent *entry) int64 {
 // progress, since progress resets the idle count anyway.
 //
 // Nothing can be due before the earliest clock edge of a live component,
-// so when that edge belongs to a poll-only component (always due) and the
-// cycle made progress, the answer needs no scan; otherwise the scan stops
-// as soon as it reaches that edge.
-func (e *Engine) next(p int64, progress bool) (next int64, future bool) {
+// so when the cycle made progress and that edge belongs to a poll-only
+// component (always due) or to a Hinter that step saw claim to be due at
+// once (soon, the offset step returned), the answer needs no scan;
+// otherwise the scan stops as soon as it reaches that edge.
+func (e *Engine) next(p int64, progress bool, soon int64) (next int64, future bool) {
 	bound := e.now + e.edgeOff[p]
-	if progress && e.pollEdge[p] {
+	if progress && (e.pollEdge[p] || soon == e.edgeOff[p]) {
 		return bound, false
 	}
 	next = Never
 	for _, ent := range e.phases[0] {
-		if ent.done {
-			continue
-		}
 		t := ent.at
 		if t == Never {
-			continue
+			continue // asleep until woken, or retired
 		}
 		if t > e.now {
 			future = true

@@ -30,12 +30,12 @@ func runFastBaseline(e *Engine, maxBaseCycles int64) (int64, error) {
 			return e.now - start, errBudget(maxBaseCycles)
 		}
 		p := e.now % BaseGHz
-		progress := e.step(p, true)
+		progress, soon := e.step(p)
 		if e.live == 0 {
 			e.now++
 			return e.now - start, nil
 		}
-		next, future := e.next(p, progress)
+		next, future := e.next(p, progress, soon)
 		if next == Never {
 			return e.now - start, errDeadlock(e)
 		}
@@ -128,26 +128,72 @@ func TestNaiveTracedBitIdentical(t *testing.T) {
 	}
 }
 
-// timeRuns measures the wall time of reps back-to-back engine runs.
-func timeRuns(reps int, build func(*Engine), run func(*Engine) (int64, error)) time.Duration {
+// densePop is the dense benchmark population (buildDense's 64 tickers
+// on four clocks) re-armed in place: one engine, Reset between runs, and
+// the same tickers, whose step logs keep their storage. Every run of
+// either loop then touches the same memory and allocates nothing, so
+// neither heap layout nor a collection cycle favours one loop.
+type densePop struct {
+	e  *Engine
+	ts [64]ticker
+}
+
+func newDensePop() *densePop { return &densePop{e: New()} }
+
+func (d *densePop) arm() *Engine {
+	d.e.Reset()
+	for i := range d.ts {
+		d.ts[i] = ticker{n: 1 << 12, seen: d.ts[i].seen[:0]}
+		d.e.Add(&d.ts[i], benchGHz[i%len(benchGHz)])
+	}
+	return d.e
+}
+
+// timeRun measures the wall time of one engine run on the re-armed
+// population.
+func (d *densePop) timeRun(run func(*Engine) (int64, error)) time.Duration {
+	e := d.arm()
 	t0 := time.Now()
-	for i := 0; i < reps; i++ {
-		e := New()
-		build(e)
-		if _, err := run(e); err != nil {
-			panic(err)
-		}
+	if _, err := run(e); err != nil {
+		panic(err)
 	}
 	return time.Since(t0)
+}
+
+// minOfTrials times two loops on the dense population: trials trials of
+// reps runs each, returning each loop's fastest trial. The runs
+// interleave one at a time, alternating which loop goes first, so a burst
+// of load from outside the test lands on both loops alike instead of on
+// one loop's whole trial.
+func minOfTrials(trials, reps int, base, cur func(*Engine) (int64, error)) (bestBase, bestCur time.Duration) {
+	d := newDensePop()
+	// Warm-up runs outside the measurement; they also grow the step logs.
+	d.timeRun(base)
+	d.timeRun(cur)
+	bestBase, bestCur = time.Duration(1<<62), time.Duration(1<<62)
+	for i := 0; i < trials; i++ {
+		var b, c time.Duration
+		for r := 0; r < reps; r++ {
+			if (i*reps+r)%2 == 0 {
+				b += d.timeRun(base)
+				c += d.timeRun(cur)
+			} else {
+				c += d.timeRun(cur)
+				b += d.timeRun(base)
+			}
+		}
+		bestBase, bestCur = min(bestBase, b), min(bestCur, c)
+	}
+	return bestBase, bestCur
 }
 
 // TestDisabledTracerOverhead asserts the instrumented scheduler with the
 // zero-value (disabled) Trace stays within 2% of the frozen pre-tracing
 // baseline loop on the dense benchmark population — the shape where
 // scheduler overhead dominates and any per-cycle cost is maximally visible.
-// Trials interleave the two loops and the comparison uses best-of-N, which
-// discards scheduler noise; the test is skipped under -short and retried on
-// marginal results before failing.
+// The two loops' runs interleave one at a time and the comparison uses
+// best-of-N trials, which discards scheduler noise; the test is skipped
+// under -short and retried on marginal results before failing.
 func TestDisabledTracerOverhead(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wall-clock comparison; skipped under -short")
@@ -160,25 +206,9 @@ func TestDisabledTracerOverhead(t *testing.T) {
 	current := func(e *Engine) (int64, error) { return e.Run(1 << 30) }
 	baseline := func(e *Engine) (int64, error) { return runFastBaseline(e, 1<<30) }
 
-	measure := func() (base, cur time.Duration) {
-		base, cur = time.Duration(1<<62), time.Duration(1<<62)
-		// Warm-up pass outside the measurement.
-		timeRuns(1, buildDense, baseline)
-		timeRuns(1, buildDense, current)
-		for i := 0; i < trials; i++ {
-			if d := timeRuns(reps, buildDense, baseline); d < base {
-				base = d
-			}
-			if d := timeRuns(reps, buildDense, current); d < cur {
-				cur = d
-			}
-		}
-		return base, cur
-	}
-
 	var ratio float64
 	for attempt := 0; attempt < 3; attempt++ {
-		base, cur := measure()
+		base, cur := minOfTrials(trials, reps, baseline, current)
 		ratio = float64(cur) / float64(base)
 		t.Logf("attempt %d: baseline %v, instrumented %v, ratio %.4f", attempt, base, cur, ratio)
 		if ratio <= budget {
@@ -222,8 +252,8 @@ func TestDisabledTracerAllocFree(t *testing.T) {
 // stays within 5% of the naive reference loop on the dense poll-only
 // population — the shape where a scheduler's own bookkeeping has nothing
 // to skip and is pure overhead. Same methodology as
-// TestDisabledTracerOverhead: interleaved trials, best-of-N, retry on
-// marginal results, skipped under -short.
+// TestDisabledTracerOverhead: runs interleaved one at a time, best-of-N
+// trials, retry on marginal results, skipped under -short.
 func TestAdaptiveDenseOverhead(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wall-clock comparison; skipped under -short")
@@ -233,27 +263,13 @@ func TestAdaptiveDenseOverhead(t *testing.T) {
 		reps   = 6
 		budget = 1.05 // tentpole acceptance: DenseFast (adaptive) <= 1.05x DenseNaive
 	)
-	adaptive := func(e *Engine) (int64, error) { return e.Run(1 << 30) }
+	// Both loops run on one recycled engine, so each sets its mode.
+	adaptive := func(e *Engine) (int64, error) { e.Mode = ModeAdaptive; return e.Run(1 << 30) }
 	naive := func(e *Engine) (int64, error) { e.Mode = ModeNaive; return e.Run(1 << 30) }
-
-	measure := func() (base, cur time.Duration) {
-		base, cur = time.Duration(1<<62), time.Duration(1<<62)
-		timeRuns(1, buildDense, naive)
-		timeRuns(1, buildDense, adaptive)
-		for i := 0; i < trials; i++ {
-			if d := timeRuns(reps, buildDense, naive); d < base {
-				base = d
-			}
-			if d := timeRuns(reps, buildDense, adaptive); d < cur {
-				cur = d
-			}
-		}
-		return base, cur
-	}
 
 	var ratio float64
 	for attempt := 0; attempt < 3; attempt++ {
-		base, cur := measure()
+		base, cur := minOfTrials(trials, reps, naive, adaptive)
 		ratio = float64(cur) / float64(base)
 		t.Logf("attempt %d: naive %v, adaptive %v, ratio %.4f", attempt, base, cur, ratio)
 		if ratio <= budget {

@@ -1,13 +1,16 @@
 // Package iocore models the lightweight single-issue in-order accelerator
 // core of the Dist-DA-IO / Mono-DA-IO configurations: it steps the
 // compiler-generated 64-bit micro-program one operation per cycle, blocking
-// on empty/full access buffers and on random-access latency.
+// on empty/full access buffers and on random-access latency. *Core is the
+// "iocore" accelerator backend's backend.Engine (internal/backend/iocorebackend
+// registers the backend).
 package iocore
 
 import (
 	"fmt"
 
 	"distda/internal/accessunit"
+	"distda/internal/backend"
 	"distda/internal/core"
 	"distda/internal/energy"
 	"distda/internal/engine"
@@ -16,6 +19,10 @@ import (
 	"distda/internal/profile"
 	"distda/internal/trace"
 )
+
+// MaxWidth is the widest in-order issue the model supports (Fig. 14's +SW
+// configuration uses 4).
+const MaxWidth = 8
 
 // Core executes one accelerator definition.
 type Core struct {
@@ -55,8 +62,8 @@ type Core struct {
 	// the wake-driven and naive schedulers identical either way.
 	ClockDiv int64
 
-	// Counters.
-	Ops        int64 // retired micro-ops
+	// Counters. ops (Ops) counts retired micro-ops.
+	ops        int64
 	IntOps     int64
 	ComplexOps int64
 	FloatOps   int64
@@ -81,16 +88,49 @@ func New(def *core.AccelDef, trips int64, inputs []*accessunit.InPort, outputs [
 	if err := def.Program.Validate(len(def.Accesses)); err != nil {
 		return nil, err
 	}
+	c := new(Core)
+	if err := c.arm(def, trips, inputs, outputs, random, meter); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+// Reset implements backend.Engine: it re-arms c for spec exactly as the
+// backend's NewEngine(spec) builds a core. The program is validated on the
+// definition's first launch of the run only (spec.Memo remembers it).
+func (c *Core) Reset(spec backend.LaunchSpec) error {
+	if spec.Width > MaxWidth {
+		return fmt.Errorf("iocore backend: port width %d exceeds the maximum %d", spec.Width, MaxWidth)
+	}
+	if err := spec.Memo.ValidProgram(spec.Def); err != nil {
+		return err
+	}
+	if err := c.arm(spec.Def, spec.Trips, spec.In, spec.Out, spec.Random, spec.Meter); err != nil {
+		return err
+	}
+	c.Width = spec.Width
+	c.ClockDiv = int64(engine.Div(spec.GHz))
+	c.StallHist = spec.LatHist
+	return nil
+}
+
+// arm returns c to the state of a core New just built for a validated
+// def: every register, counter and observability field is cleared.
+func (c *Core) arm(def *core.AccelDef, trips int64, inputs []*accessunit.InPort, outputs []*accessunit.OutPort,
+	random *accessunit.RandomPort, meter *energy.Meter) error {
 	n := len(def.Accesses)
 	in, err := accessunit.PortsByID(inputs, n)
 	if err != nil {
-		return nil, fmt.Errorf("iocore: accel %d: input %w", def.ID, err)
+		return fmt.Errorf("iocore: accel %d: input %w", def.ID, err)
 	}
 	out, err := accessunit.PortsByID(outputs, n)
 	if err != nil {
-		return nil, fmt.Errorf("iocore: accel %d: output %w", def.ID, err)
+		return fmt.Errorf("iocore: accel %d: output %w", def.ID, err)
 	}
-	c := &Core{
+	if len(def.Program) == 0 {
+		return fmt.Errorf("iocore: accel %d (%s) has empty program", def.ID, def.Name)
+	}
+	*c = Core{
 		def: def, prog: def.Program, trips: trips,
 		inputs: in, output: out, random: random, meter: meter,
 	}
@@ -99,11 +139,28 @@ func New(def *core.AccelDef, trips int64, inputs []*accessunit.InPort, outputs [
 			c.tripIn = c.inputs[t]
 		}
 	}
-	if len(c.prog) == 0 {
-		return nil, fmt.Errorf("iocore: accel %d (%s) has empty program", def.ID, def.Name)
-	}
 	accessunit.SubscribePorts(&c.latch, in, out)
-	return c, nil
+	return nil
+}
+
+// Ops returns the retired micro-ops.
+func (c *Core) Ops() int64 { return c.ops }
+
+// AttachTrace binds the core's trace scope at the launch's base-cycle
+// offset on the run-global timeline.
+func (c *Core) AttachTrace(tr *trace.Tracer, off int64) {
+	c.Trace = tr.Component(fmt.Sprintf("core:%d", c.def.ID)).At(off)
+}
+
+// AddProfile folds the core's busy and stall time into the profiler and
+// the launch's region.
+func (c *Core) AddProfile(p *profile.Profiler, r *profile.Region) {
+	label := fmt.Sprintf("core:%d", c.def.ID)
+	pc := p.Component("core", label)
+	pc.AddBusy(c.BusyBaseCycles())
+	pc.AddStall(c.StallBaseCycles())
+	pc.AddEvents(c.ops)
+	r.AddComponent(label, c.BusyBaseCycles()+c.StallBaseCycles())
 }
 
 // BusyBaseCycles returns the core's useful-work time in engine base cycles,
@@ -119,7 +176,7 @@ func (c *Core) BusyBaseCycles() int64 {
 	if div <= 0 {
 		div = 1
 	}
-	return (c.Ops + width - 1) / width * div
+	return (c.ops + width - 1) / width * div
 }
 
 // StallBaseCycles returns the core's stalled time in engine base cycles.
@@ -154,12 +211,12 @@ func (c *Core) finish() {
 	c.done = true
 	if c.Trace.Enabled() {
 		c.Trace.Instant("done", c.lastNow, trace.KV{K: "accel", V: int64(c.def.ID)},
-			trace.KV{K: "iters", V: c.Iters}, trace.KV{K: "ops", V: c.Ops})
+			trace.KV{K: "iters", V: c.Iters}, trace.KV{K: "ops", V: c.ops})
 	}
 }
 
 func (c *Core) retire(class ir.OpClass) {
-	c.Ops++
+	c.ops++
 	switch class {
 	case ir.ClassInt:
 		c.IntOps++
@@ -206,8 +263,8 @@ func (c *Core) Step(now int64) bool {
 		return true
 	}
 	width := c.Width
-	if width <= 0 {
-		width = 1
+	if width <= 1 {
+		return c.step1(now) // single issue: no intra-cycle dependences to track
 	}
 	progress := false
 	// written is a register bitmask (NumRegs <= 64): Step runs on every
@@ -264,7 +321,7 @@ func (c *Core) Latch() *engine.Latch { return &c.latch }
 // blocked on a peer; everything else retires on the next edge.
 func (c *Core) NextEvent(now int64) int64 {
 	if c.done {
-		return 0
+		return engine.Finished
 	}
 	if now < c.stallUntil {
 		if c.ClockDiv > 0 {

@@ -81,8 +81,8 @@ func TestCoreStreamDoubler(t *testing.T) {
 			t.Fatalf("B[%d] = %g, want %g", i, got, float64(2*(i+1)))
 		}
 	}
-	if c.Iters != n || c.Ops != 3*n {
-		t.Fatalf("iters=%d ops=%d", c.Iters, c.Ops)
+	if c.Iters != n || c.Ops() != 3*n {
+		t.Fatalf("iters=%d ops=%d", c.Iters, c.Ops())
 	}
 	if !c.Done() {
 		t.Fatal("core not done")

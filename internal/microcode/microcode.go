@@ -118,8 +118,9 @@ func (o Op) String() string {
 	return body
 }
 
-// Class returns the functional-unit class the op occupies.
-func (o Op) Class() ir.OpClass {
+// Class returns the functional-unit class the op occupies. The receiver is
+// a pointer: Op is large, and the backends classify every op they count.
+func (o *Op) Class() ir.OpClass {
 	switch o.Code {
 	case ALU, ALUI:
 		return o.Bin.Class()

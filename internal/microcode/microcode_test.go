@@ -60,13 +60,13 @@ func TestValidateRejections(t *testing.T) {
 }
 
 func TestOpClass(t *testing.T) {
-	if (Op{Code: ALU, Bin: ir.Mul}).Class() != ir.ClassComplex {
+	if (&Op{Code: ALU, Bin: ir.Mul}).Class() != ir.ClassComplex {
 		t.Fatal("mul class")
 	}
-	if (Op{Code: Un, UnOp: ir.Sqrt}).Class() != ir.ClassFloat {
+	if (&Op{Code: Un, UnOp: ir.Sqrt}).Class() != ir.ClassFloat {
 		t.Fatal("sqrt class")
 	}
-	if (Op{Code: Consume}).Class() != ir.ClassInt {
+	if (&Op{Code: Consume}).Class() != ir.ClassInt {
 		t.Fatal("consume class")
 	}
 }

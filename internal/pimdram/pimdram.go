@@ -59,33 +59,15 @@ func (pimBackend) ValidateOptions(opts backend.Options) error {
 }
 
 func (pimBackend) NewEngine(spec backend.LaunchSpec) (backend.Engine, error) {
-	if spec.Width > MaxWidth {
-		return nil, fmt.Errorf("pimdram backend: port width %d exceeds the maximum %d", spec.Width, MaxWidth)
-	}
-	e, err := newEngine(spec)
-	if err != nil {
+	e := new(Engine)
+	if err := e.Reset(spec); err != nil {
 		return nil, err
 	}
-	return &pimEngine{e: e}, nil
+	return e, nil
 }
 
-// pimEngine adapts *Engine to the backend.Engine contract (the raw model
-// exposes its counters as fields, which would collide with the Ops method).
-type pimEngine struct{ e *Engine }
-
-func (w *pimEngine) Step(now int64) bool       { return w.e.Step(now) }
-func (w *pimEngine) Done() bool                { return w.e.Done() }
-func (w *pimEngine) NextEvent(now int64) int64 { return w.e.NextEvent(now) }
-func (w *pimEngine) Latch() *engine.Latch      { return w.e.Latch() }
-func (w *pimEngine) SetReg(r int, v float64)   { w.e.SetReg(r, v) }
-func (w *pimEngine) Reg(r int) float64         { return w.e.Reg(r) }
-func (w *pimEngine) Ops() int64                { return w.e.Ops }
-
-func (w *pimEngine) AttachTrace(tr *trace.Tracer, off int64) { w.e.AttachTrace(tr, off) }
-
-func (w *pimEngine) AddProfile(p *profile.Profiler, r *profile.Region) { w.e.AddProfile(p, r) }
-
-// Engine executes one accelerator definition at the DRAM channel.
+// Engine executes one accelerator definition at the DRAM channel. It is
+// the backend's backend.Engine.
 type Engine struct {
 	def   *core.AccelDef
 	prog  microcode.Program
@@ -113,8 +95,8 @@ type Engine struct {
 	done       bool
 	latch      engine.Latch
 
-	// Counters.
-	Ops      int64
+	// Counters. ops (Ops) counts retired micro-ops.
+	ops      int64
 	Iters    int64
 	StallCyc int64
 
@@ -125,24 +107,30 @@ type Engine struct {
 	StallHist *profile.Hist
 }
 
-func newEngine(spec backend.LaunchSpec) (*Engine, error) {
+// Reset implements backend.Engine: it re-arms e for spec exactly as the
+// backend's NewEngine(spec) builds an engine. The program is validated on
+// the definition's first launch of the run only (spec.Memo remembers it).
+func (e *Engine) Reset(spec backend.LaunchSpec) error {
+	if spec.Width > MaxWidth {
+		return fmt.Errorf("pimdram backend: port width %d exceeds the maximum %d", spec.Width, MaxWidth)
+	}
 	def := spec.Def
-	if err := def.Program.Validate(len(def.Accesses)); err != nil {
-		return nil, err
+	if err := spec.Memo.ValidProgram(def); err != nil {
+		return err
 	}
 	if len(def.Program) == 0 {
-		return nil, fmt.Errorf("pimdram: accel %d (%s) has empty program", def.ID, def.Name)
+		return fmt.Errorf("pimdram: accel %d (%s) has empty program", def.ID, def.Name)
 	}
 	n := len(def.Accesses)
 	in, err := accessunit.PortsByID(spec.In, n)
 	if err != nil {
-		return nil, fmt.Errorf("pimdram: accel %d: input %w", def.ID, err)
+		return fmt.Errorf("pimdram: accel %d: input %w", def.ID, err)
 	}
 	out, err := accessunit.PortsByID(spec.Out, n)
 	if err != nil {
-		return nil, fmt.Errorf("pimdram: accel %d: output %w", def.ID, err)
+		return fmt.Errorf("pimdram: accel %d: output %w", def.ID, err)
 	}
-	e := &Engine{
+	*e = Engine{
 		def: def, prog: def.Program, trips: spec.Trips,
 		inputs: in, output: out,
 		random: spec.Random,
@@ -154,16 +142,19 @@ func newEngine(spec backend.LaunchSpec) (*Engine, error) {
 			e.tripIn = e.inputs[t]
 		}
 	}
-	for _, op := range e.prog {
-		switch op.Code {
+	for i := range e.prog {
+		switch op := &e.prog[i]; op.Code {
 		case microcode.Consume, microcode.Produce:
 			e.iterBytes += int64(def.Accesses[op.Access].ElemBytes)
 		}
 	}
 	e.StallHist = spec.LatHist
 	accessunit.SubscribePorts(&e.latch, in, out)
-	return e, nil
+	return nil
 }
+
+// Ops returns the retired micro-ops.
+func (e *Engine) Ops() int64 { return e.ops }
 
 // BusyBaseCycles is the engine's useful-work time in base cycles: one
 // issue cycle per iteration (bank-level units retire the whole iteration).
@@ -196,7 +187,7 @@ func (e *Engine) finish() {
 	e.done = true
 	if e.Trace.Enabled() {
 		e.Trace.Instant("done", e.lastNow, trace.KV{K: "accel", V: int64(e.def.ID)},
-			trace.KV{K: "iters", V: e.Iters}, trace.KV{K: "ops", V: e.Ops})
+			trace.KV{K: "iters", V: e.Iters}, trace.KV{K: "ops", V: e.ops})
 	}
 }
 
@@ -254,7 +245,7 @@ func (e *Engine) Latch() *engine.Latch { return &e.latch }
 // empty-but-open buffer or a produce into a full one is blocked on a peer.
 func (e *Engine) NextEvent(now int64) int64 {
 	if e.done {
-		return 0
+		return engine.Finished
 	}
 	if now < e.stallUntil {
 		return e.stallUntil
@@ -282,7 +273,7 @@ func (e *Engine) NextEvent(now int64) int64 {
 }
 
 func (e *Engine) retire(class ir.OpClass) {
-	e.Ops++
+	e.ops++
 	if e.meter != nil {
 		// Bank-level units have no fetch/decode front end; the per-op cost
 		// is the in-DRAM ALU itself.
@@ -423,6 +414,6 @@ func (e *Engine) AddProfile(p *profile.Profiler, r *profile.Region) {
 	pc := p.Component("pim", label)
 	pc.AddBusy(e.BusyBaseCycles())
 	pc.AddStall(e.StallBaseCycles())
-	pc.AddEvents(e.Ops)
+	pc.AddEvents(e.ops)
 	r.AddComponent(label, e.BusyBaseCycles()+e.StallBaseCycles())
 }

@@ -28,3 +28,7 @@ func TestCaps(t *testing.T) {
 		t.Fatalf("MaxPortWidth = %d, want %d", caps.MaxPortWidth, pimdram.MaxWidth)
 	}
 }
+
+func TestResetMatchesNew(t *testing.T) {
+	backendtest.ResetMatchesNew(t, "pimdram")
+}

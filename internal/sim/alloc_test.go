@@ -10,9 +10,11 @@ import (
 // Dist-DA-F at test scale, machine assembly included, per offload launch.
 // With launch assembly rebuilt from scratch and per-element queue churn a
 // run cost ~126 allocations per launch; reusing the assembly within the
-// run brought it to ~11, and recycling the links, stream FSMs and random
-// ports to ~3.7. What remains is the backend engine built per launch.
-const launchAllocCeiling = 5
+// run brought it to ~11, recycling the links, stream FSMs and random
+// ports to ~3.7, and recycling the backend engines to 0.7. A steady-state
+// launch allocates nothing: what remains is the machine's own assembly
+// and each definition's first launch, spread over the run's 276 launches.
+const launchAllocCeiling = 1
 
 // TestLaunchAllocBudget pins the allocation cost of the launch path on a
 // launch-heavy kernel (276 short launches), so that an allocation

@@ -37,7 +37,7 @@ type accelRT struct {
 	// chanSrc / chanCons: channel endpoint buffers by access-id.
 	chanSrc  []*accessunit.Buffer
 	chanCons []*accessunit.Buffer
-	regs     regFile
+	eng      backend.Engine // the launch's engine: cp_set_rf / cp_load_rf go here
 }
 
 // reset prepares rt for one launch of def, keeping its storage.
@@ -78,12 +78,6 @@ func clearResize[T any](s []T, n int) []T {
 	return s
 }
 
-// regFile abstracts cp_set_rf / cp_load_rf over every backend engine.
-type regFile interface {
-	SetReg(r int, v float64)
-	Reg(r int) float64
-}
-
 // backendFor resolves the accelerator backend executing a region: the
 // partitioner's per-region choice (Region.Backend) wins over the config
 // default. Backend options follow the config's backend only — a region
@@ -116,9 +110,9 @@ func (m *machine) mmioHost(in core.Intrinsic, cluster int) {
 //
 // Assembly reuses the machine's launch state (see machine.go): the accelRT
 // tables, the engine, the buffer plan, the decoupling buffers, the links,
-// stream FSMs and random ports, and the backend memo all carry over from
-// the previous launch, so a steady-state launch allocates only its
-// backend engines.
+// stream FSMs, random ports and backend engines, the backend memo and what
+// the launch derives from each definition all carry over from the previous
+// launch, so a steady-state launch allocates nothing.
 func (h *host) launch(reg *core.Region) {
 	m := h.m
 	// Evaluate every accel's orchestrator count; an all-empty region is
@@ -276,17 +270,17 @@ func (h *host) launch(reg *core.Region) {
 	}
 
 	// Pass 4: backend engines, scalar initialization, cp_run.
-	engines := m.engines[:0]
+	pool := m.enginePool(be)
 	for _, rt := range rts {
+		di := m.defInfoOf(rt.def)
 		fetch := h.fetcherFor(rt.cluster, rt.offChip)
 		pu := m.ports.get()
 		pu.mem = simMemory{m: m}
 		rp := &pu.port
 		rp.Reset(&pu.mem, fetch, rt.cluster, m.austats, m.meter)
 		if len(rt.def.Prefill) > 0 {
-			rp.Prefill = map[string]bool{}
+			rp.Prefill = di.prefill
 			for _, obj := range rt.def.Prefill {
-				rp.Prefill[obj] = true
 				// cp_fill_ra: block-fetch the object window line by line.
 				r, ok := m.slab.Lookup(obj)
 				if !ok {
@@ -305,7 +299,7 @@ func (h *host) launch(reg *core.Region) {
 				m.mmioHost(core.CpConfigRandom, rt.cluster)
 			}
 		}
-		e, err := be.NewEngine(backend.LaunchSpec{
+		e, err := pool.get(backend.LaunchSpec{
 			Def: rt.def, Trips: rt.trips,
 			In: rt.inPorts, Out: rt.outPorts, Random: rp,
 			GHz: m.cfg.AccelGHz, Width: m.cfg.IOWidth,
@@ -316,20 +310,19 @@ func (h *host) launch(reg *core.Region) {
 			h.failf("launch: backend %s: %v", be.Name(), err)
 		}
 		if m.tr != nil {
-			e := e
 			m.scoped = append(m.scoped, func(off int64) { e.AttachTrace(m.tr, off) })
 		}
-		rt.regs = e
-		engines = append(engines, e)
+		rt.eng = e
 		m.eng.Add(e, m.cfg.AccelGHz)
-		firstLaunch := !m.scalarsSent[rt.def]
-		m.scalarsSent[rt.def] = true
-		for _, sb := range rt.def.ScalarInit {
-			rt.regs.SetReg(sb.Reg, h.evalScalar(sb.Expr))
+		firstLaunch := !di.launched
+		di.launched = true
+		for i := range rt.def.ScalarInit {
+			sb := &rt.def.ScalarInit[i]
+			e.SetReg(sb.Reg, h.evalScalar(sb.Expr))
 			// Launch-invariant scalars (pure params/constants) travel with
 			// the one-time cp_config; only per-launch values (outer IVs,
 			// loads) cost an MMIO write each launch.
-			if firstLaunch || !launchInvariant(sb.Expr) {
+			if firstLaunch || di.perLaunch[i] {
 				m.mmioHost(core.CpSetRF, rt.cluster)
 			}
 		}
@@ -342,7 +335,7 @@ func (h *host) launch(reg *core.Region) {
 		h.recordProgramMechanisms(rt.def.Program)
 		m.mmioHost(core.CpRun, rt.cluster)
 	}
-	m.engines = engines
+	engines := pool.live()
 
 	// Accelerator timeline: this launch occupies the accelerator resources
 	// after any prior in-flight launch. The host blocks (cp_consume
@@ -405,8 +398,8 @@ func (h *host) launch(reg *core.Region) {
 					m.inflightWrites[acc.Obj] = true
 				}
 			}
-			for _, op := range rt.def.Program {
-				if op.Code == microcode.StoreObj {
+			for i := range rt.def.Program {
+				if op := &rt.def.Program[i]; op.Code == microcode.StoreObj {
 					m.inflightWrites[op.Obj] = true
 				}
 			}
@@ -416,7 +409,7 @@ func (h *host) launch(reg *core.Region) {
 	// cp_load_rf read-back of carried locals.
 	for _, rt := range rts {
 		for _, sb := range rt.def.ScalarOut {
-			h.locals[sb.Name] = hval{v: rt.regs.Reg(sb.Reg), t: taintFresh}
+			h.locals[sb.Name] = hval{v: rt.eng.Reg(sb.Reg), t: taintFresh}
 			m.mmioHost(core.CpLoadRF, rt.cluster)
 		}
 	}
@@ -436,14 +429,13 @@ func (h *host) launch(reg *core.Region) {
 		queue := int64((start - hostNow) * float64(hostDiv))
 		writeback := int64((m.hostTimeline() - wbStart) * float64(hostDiv))
 		pr.AddLaunch(dispatch, queue, base, writeback)
-		// Per-component attribution. Engines are constructed fresh each launch,
-		// so their counters are per-launch values; each backend folds its own
-		// breakdown (core busy/stall, per-tile CGRA occupancy, ...) in.
+		// Per-component attribution. A recycled engine's Reset zeroes its
+		// counters, so they are per-launch values; each backend folds its
+		// own breakdown (core busy/stall, per-tile CGRA occupancy, ...) in.
 		for _, e := range engines {
 			e.AddProfile(m.prof, pr)
 		}
 	}
-	clear(engines)
 }
 
 // acquireRTs returns one recycled accelRT per accelerator of reg, each
@@ -672,8 +664,8 @@ func (h *host) clusterOfElem(obj string, idx int64, elemBytes int) int {
 
 // recordProgramMechanisms marks Table V coverage from the micro-program.
 func (h *host) recordProgramMechanisms(p microcode.Program) {
-	for _, op := range p {
-		switch op.Code {
+	for i := range p {
+		switch p[i].Code {
 		case microcode.Consume:
 			h.m.mmio.Record(core.CpConsume)
 			h.m.mmio.Record(core.CpStep)

@@ -43,27 +43,29 @@ type machine struct {
 	// (a long-lived server could otherwise hand a recycled address the
 	// wrong entry).
 	//
-	// eng is Reset at the start of every launch. rts and engines are the
-	// per-launch tables, plan the buffer plan, memo the backends'
-	// per-definition derivations (the CGRA mapping), and clusterFetch the
-	// cache-path fetcher, built on first use (see fetcherFor).
+	// eng is Reset at the start of every launch. rts are the per-launch
+	// tables, plan the buffer plan, memo the backends' per-definition
+	// derivations (the CGRA mapping, the validated programs), defs the
+	// launch path's own (see defInfo), and clusterFetch the cache-path
+	// fetcher, built on first use (see fetcherFor).
 	eng          *engine.Engine
 	rts          []*accelRT
-	engines      []backend.Engine
 	plan         core.BufferPlan
 	memo         backend.Memo
+	defs         map[*core.AccelDef]*defInfo
 	clusterFetch accessunit.Fetcher
-	// The launch's access-unit components: decoupling buffers, local
-	// links, fill and drain FSMs and random ports, the last three each
-	// with its own memory adapter. Every pool is rewound when the next
-	// launch is assembled (rewindPools), once eng.Reset has dropped the
-	// components of the previous one, and hands its items out again
-	// through their Reset.
-	bufs   pool[accessunit.Buffer]
-	links  pool[accessunit.LocalLink]
-	fills  pool[fillUnit]
-	drains pool[drainUnit]
-	ports  pool[portUnit]
+	// The launch's components: decoupling buffers, local links, fill and
+	// drain FSMs and random ports, the last three each with its own memory
+	// adapter, and the backend engines, one pool per backend. Every pool
+	// is rewound when the next launch is assembled (rewindPools), once
+	// eng.Reset has dropped the components of the previous one, and hands
+	// its items out again through their Reset.
+	bufs    pool[accessunit.Buffer]
+	links   pool[accessunit.LocalLink]
+	fills   pool[fillUnit]
+	drains  pool[drainUnit]
+	ports   pool[portUnit]
+	engines []*enginePool
 	// bufAccesses folds in each launch's buffer push+pop count once its
 	// engines have run (Fig. 9 "intra", data movement and the au/buffers
 	// profile component). bufSeq numbers buffers across the whole run, so
@@ -92,7 +94,6 @@ type machine struct {
 	flushedObjs    map[string]bool
 	configured     map[int]bool // accel IDs whose cp_config was transferred
 	inflightWrites map[string]bool
-	scalarsSent    map[*core.AccelDef]bool
 
 	slotCycles  float64 // host issue-slot cycles
 	memCycles   float64 // host memory stall cycles
@@ -149,7 +150,7 @@ func newMachine(cfg Config, k *ir.Kernel, params map[string]float64, data map[st
 		flushedObjs:    map[string]bool{},
 		configured:     map[int]bool{},
 		inflightWrites: map[string]bool{},
-		scalarsSent:    map[*core.AccelDef]bool{},
+		defs:           map[*core.AccelDef]*defInfo{},
 	}
 	m.tr = cfg.Trace
 	m.prof = cfg.Profile
@@ -457,6 +458,84 @@ func (m *machine) rewindPools() {
 	m.fills.rewind()
 	m.drains.rewind()
 	m.ports.rewind()
+	for _, p := range m.engines {
+		p.n = 0
+	}
+}
+
+// enginePool recycles one backend's engines. Like pool, its first n
+// engines are in use by the current launch; get re-arms a recycled engine
+// through Engine.Reset and builds one through the backend's NewEngine
+// only when none is left.
+type enginePool struct {
+	be    backend.Backend
+	items []backend.Engine
+	n     int
+}
+
+// enginePool returns be's engine pool, creating it on be's first launch.
+func (m *machine) enginePool(be backend.Backend) *enginePool {
+	for _, p := range m.engines {
+		if p.be.Name() == be.Name() {
+			return p
+		}
+	}
+	p := &enginePool{be: be}
+	m.engines = append(m.engines, p)
+	return p
+}
+
+// get hands out an engine armed for spec.
+func (p *enginePool) get(spec backend.LaunchSpec) (backend.Engine, error) {
+	if p.n == len(p.items) {
+		e, err := p.be.NewEngine(spec)
+		if err != nil {
+			return nil, err
+		}
+		p.items = append(p.items, e)
+	} else if err := p.items[p.n].Reset(spec); err != nil {
+		return nil, err
+	}
+	p.n++
+	return p.items[p.n-1], nil
+}
+
+// live returns the engines handed out since the last rewind.
+func (p *enginePool) live() []backend.Engine { return p.items[:p.n] }
+
+// defInfo is what the launch path derives from one accelerator definition
+// alone, once per run.
+type defInfo struct {
+	// launched is set once the definition's first launch has sent its
+	// scalars (with the one-time cp_config).
+	launched bool
+	// perLaunch[i] reports that ScalarInit[i] may change from launch to
+	// launch (it reads an induction variable, a load or a local), so its
+	// cp_set_rf is sent at every launch.
+	perLaunch []bool
+	// prefill is the set of objects cp_fill_ra block-fetches, shared
+	// read-only by the random port of every launch (nil: none).
+	prefill map[string]bool
+}
+
+// defInfoOf returns def's launch-invariant derivations, building them on
+// its first launch.
+func (m *machine) defInfoOf(def *core.AccelDef) *defInfo {
+	if di := m.defs[def]; di != nil {
+		return di
+	}
+	di := &defInfo{perLaunch: make([]bool, len(def.ScalarInit))}
+	for i, sb := range def.ScalarInit {
+		di.perLaunch[i] = !launchInvariant(sb.Expr)
+	}
+	if len(def.Prefill) > 0 {
+		di.prefill = make(map[string]bool, len(def.Prefill))
+		for _, obj := range def.Prefill {
+			di.prefill[obj] = true
+		}
+	}
+	m.defs[def] = di
+	return di
 }
 
 // pool recycles launch components: the first n items are in use by the

@@ -11,7 +11,8 @@
 #              snapshots (rounds) per side; each side is summarized by its
 #              per-benchmark minimum over its rounds
 #   PATTERN    extended-regex over benchmark names to gate on
-#              (default: the engine-loop and headline benchmarks)
+#              (default: the engine-loop, matrix, executor, PIM,
+#              headline and launch-path benchmarks)
 #   MAX_RATIO  fail when current / baseline exceeds this
 #              (default 1.15, i.e. >15% slower fails)
 #
@@ -33,7 +34,7 @@ if [ $# -lt 2 ]; then
 fi
 BASE=$1
 CUR=$2
-PATTERN=${3:-'^Benchmark(EngineLoop|ReproMatrix|BuildMatrix|Executors|PIMWorkload|Headline)'}
+PATTERN=${3:-'^Benchmark(EngineLoop|ReproMatrix|BuildMatrix|Executors|PIMWorkload|Headline|LaunchPath)'}
 MAX=${4:-1.15}
 
 # Each benchmark object is emitted on its own line by bench.sh, so a
