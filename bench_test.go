@@ -11,6 +11,7 @@
 package distda_test
 
 import (
+	"bytes"
 	"context"
 	"os"
 	"runtime"
@@ -96,6 +97,19 @@ func gmVs(m *exp.Matrix, base, cfg string, f func(base, r *sim.Result) float64) 
 		vals = append(vals, f(m.Res[w.Name][base], m.Res[w.Name][cfg]))
 	}
 	return stats.Geomean(vals)
+}
+
+// logSection runs and renders a simulated section through exp's cell
+// runner, logging it under -v.
+func logSection(b *testing.B, sel exp.Selection) {
+	b.Helper()
+	var buf bytes.Buffer
+	if err := exp.RenderSelection(&buf, benchScale(), sel, nil); err != nil {
+		b.Fatal(err)
+	}
+	if testing.Verbose() {
+		b.Log("\n" + buf.String())
+	}
 }
 
 func logTable(b *testing.B, t *report.Table) {
@@ -194,11 +208,7 @@ func BenchmarkFig11bSpeedup(b *testing.B) {
 }
 
 func BenchmarkFig12aCaseStudies(b *testing.B) {
-	t, err := exp.Fig12aCaseStudies(benchScale())
-	if err != nil {
-		b.Fatal(err)
-	}
-	logTable(b, t)
+	logSection(b, exp.Selection{Figs: []string{"12a"}})
 	w := workloads.SpMV(benchScale())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -209,11 +219,7 @@ func BenchmarkFig12aCaseStudies(b *testing.B) {
 }
 
 func BenchmarkFig12bMultithread(b *testing.B) {
-	t, err := exp.Fig12bMultithread(benchScale())
-	if err != nil {
-		b.Fatal(err)
-	}
-	logTable(b, t)
+	logSection(b, exp.Selection{Figs: []string{"12b"}})
 	w := workloads.BFSMT(benchScale())
 	cfg := sim.DistDAIO()
 	cfg.NoStreams = true
@@ -226,11 +232,7 @@ func BenchmarkFig12bMultithread(b *testing.B) {
 }
 
 func BenchmarkFig13Clocking(b *testing.B) {
-	t, err := exp.Fig13Clocking(benchScale())
-	if err != nil {
-		b.Fatal(err)
-	}
-	logTable(b, t)
+	logSection(b, exp.Selection{Figs: []string{"13"}})
 	w := workloads.Seidel2D(benchScale())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -239,11 +241,7 @@ func BenchmarkFig13Clocking(b *testing.B) {
 }
 
 func BenchmarkFig14SoftwareOpt(b *testing.B) {
-	t, err := exp.Fig14SoftwareOpt(benchScale())
-	if err != nil {
-		b.Fatal(err)
-	}
-	logTable(b, t)
+	logSection(b, exp.Selection{Figs: []string{"14"}})
 	w := workloads.PCA(benchScale())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -285,11 +283,7 @@ func BenchmarkTab03AreaModel(b *testing.B) {
 }
 
 func BenchmarkSensWorkingSet(b *testing.B) {
-	t, err := exp.SensWorkingSet(benchScale())
-	if err != nil {
-		b.Fatal(err)
-	}
-	logTable(b, t)
+	logSection(b, exp.Selection{Sens: true})
 	w := workloads.FDTD2D(benchScale())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -365,11 +359,7 @@ func BenchmarkAblPrefetcher(b *testing.B) {
 }
 
 func BenchmarkExtOffChip(b *testing.B) {
-	t, err := exp.OffChipExtension(benchScale())
-	if err != nil {
-		b.Fatal(err)
-	}
-	logTable(b, t)
+	logSection(b, exp.Selection{OffChip: true})
 	w := workloads.Pathfinder(benchScale())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -382,11 +372,7 @@ func BenchmarkExtOffChip(b *testing.B) {
 // memory controller, with the near-L3-vs-in-DRAM comparison table rendered
 // under -v. Gated by scripts/bench_check.sh in CI.
 func BenchmarkPIMWorkload(b *testing.B) {
-	t, err := exp.PIMExtension(benchScale())
-	if err != nil {
-		b.Fatal(err)
-	}
-	logTable(b, t)
+	logSection(b, exp.Selection{PIM: true})
 	w := workloads.Pathfinder(benchScale())
 	cfg := sim.DistDAPIM()
 	near := runOne(b, w, sim.DistDAIO())

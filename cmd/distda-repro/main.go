@@ -1,8 +1,11 @@
 // distda-repro regenerates every table and figure of the paper's evaluation
 // (§VI) from the simulator. Each figure prints as an aligned text table with
-// the paper's target numbers noted alongside. -stats writes the matrix's
-// merged per-component statistics (attribution, latency and occupancy
-// histograms, counters, compile cache artifact.* counters) as one dump.
+// the paper's target numbers noted alongside. The cells of every selected
+// section run on one worker pool (-parallel), under -cell-timeout,
+// -checkpoint, -trace-dir, -stats and -http. -stats writes the merged
+// per-component statistics of every cell (attribution, latency and
+// occupancy histograms, counters, compile cache artifact.* counters) as
+// one dump.
 //
 // Usage:
 //
@@ -14,7 +17,7 @@
 //	             -cell-timeout 5m   # resumable, fault-tolerant run
 //
 // Exit codes: 0 success, 1 error, 2 usage, 3 completed with degraded (n/a)
-// matrix cells (see -cell-timeout).
+// cells (see -cell-timeout).
 package main
 
 import (
@@ -24,7 +27,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 
 	"distda/internal/cliutil"
 	"distda/internal/exp"
@@ -32,7 +34,7 @@ import (
 	"distda/internal/trace"
 )
 
-// cellHook is the matrix's per-cell fault-injection hook (exp.Options.Hook).
+// cellHook is the per-cell fault-injection hook (exp.Options.Hook).
 // Nil in the shipped binary; tests set it to hang or fail chosen cells.
 var cellHook exp.CellHook
 
@@ -52,18 +54,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 	headline := fs.Bool("headline", false, "print the abstract's headline geomeans")
 	ablations := fs.Bool("ablations", false, "run the DESIGN.md ablation benches")
 	sens := fs.Bool("sens", false, "working-set sensitivity")
-	params := fs.Bool("params", false, "print Table III parameters")
 	area := fs.Bool("area", false, "print the area model")
 	offchip := fs.Bool("offchip", false, "evaluate the §VII off-chip placement extension")
 	pim := fs.Bool("pim", false, "compare near-L3 offload against the PIM-in-DRAM backend")
-	parallel := fs.Int("parallel", 0, "worker count for the experiment matrix (0 = GOMAXPROCS, 1 = serial); output is identical at any setting")
-	statsPath := fs.String("stats", "", "write the matrix's merged gem5-style stats dump (attribution, histograms, counters incl. artifact cache hits/misses) to this file")
-	foldedPath := fs.String("folded", "", "write the matrix's folded stacks of simulated time (FlameGraph/speedscope input) to this file")
+	parallel := fs.Int("parallel", 0, "worker count for the simulated cells (0 = GOMAXPROCS, 1 = serial); output is identical at any setting")
+	statsPath := fs.String("stats", "", "write the merged gem5-style stats dump of every simulated cell (attribution, histograms, counters incl. artifact cache hits/misses) to this file")
+	foldedPath := fs.String("folded", "", "write the folded stacks of simulated time of every simulated cell (FlameGraph/speedscope input) to this file")
 	breakdown := fs.Bool("breakdown", false, "print the offload latency breakdown table (dispatch/queue/execute/writeback)")
 	httpAddr := fs.String("http", "", "serve live run introspection on this address (/progress JSON + expvar + pprof), e.g. localhost:6060")
-	traceDir := fs.String("trace-dir", "", "write one Chrome trace JSON per matrix cell into this directory")
+	traceDir := fs.String("trace-dir", "", "write one Chrome trace JSON per simulated cell into this directory")
 	cacheDir := fs.String("cache-dir", "", "content-addressed compile cache directory; reused across runs (empty = in-memory only)")
-	checkpoint := fs.String("checkpoint", "", "JSON checkpoint path: rewritten after every completed matrix cell; an existing file resumes only the missing cells")
+	checkpoint := fs.String("checkpoint", "", "JSON checkpoint path: rewritten after every completed cell; an existing file resumes only the missing cells")
 	cellTimeout := fs.Duration("cell-timeout", 0, "per-cell wall-clock deadline; a timed-out cell renders as n/a and the run exits 3 (0 = unbounded)")
 	fs.Var(&figs, "fig", "figure to regenerate (7, 8, 9, 10, 11a, 11b, 12a, 12b, 13, 14); repeatable")
 	fs.Var(&tabs, "tab", "table to regenerate (3, 4, 5, 6); repeatable")
@@ -86,7 +87,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	sel := exp.Selection{
 		Figs: figs, Tabs: tabs,
-		Headline: *headline, Params: *params, Sens: *sens,
+		Headline: *headline, Sens: *sens,
 		Area: *area, OffChip: *offchip, PIM: *pim, Ablations: *ablations,
 	}
 	if *all {
@@ -102,9 +103,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return cliutil.ExitUsage
 	}
 
-	// Observability: per-cell tracers are drawn serially in cell order and
-	// written out (deterministically named) once the matrix is built, so
-	// -parallel never changes file names or contents.
+	// Observability: per-cell tracers are drawn serially in plan order and
+	// written out (named after their cells) once the run ends, so -parallel
+	// never changes file names or contents.
 	observe := exp.Observe{}
 	var prof *profile.Profiler
 	if *statsPath != "" || *foldedPath != "" || *breakdown {
@@ -121,19 +122,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return fail(err)
 		}
 		dir := *traceDir
-		observe.Tracer = func(workload, config string) *trace.Tracer {
+		observe.Tracer = func(cell string) *trace.Tracer {
 			tr := trace.New()
-			cellTraces = append(cellTraces, cellTrace{
-				path: filepath.Join(dir, fmt.Sprintf("%s-%s.trace.json", workload, config)),
-				tr:   tr,
-			})
+			cellTraces = append(cellTraces, cellTrace{path: filepath.Join(dir, cell+".trace.json"), tr: tr})
 			return tr
 		}
 	}
 
 	// The resumable runner: cached compilation, per-cell deadlines, and a
 	// checkpoint that lets an interrupted run pick up where it stopped.
-	buildOpts := exp.Options{
+	opts := exp.Options{
 		Scale:       scale,
 		Workers:     *parallel,
 		Observe:     observe,
@@ -143,7 +141,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		Hook:        cellHook,
 	}
 	// Live introspection: the /progress view is fed per-cell completion
-	// events from exp.Build; expvar and pprof expose the host process.
+	// events; expvar and pprof expose the host process.
 	if *httpAddr != "" {
 		prog := profile.NewProgress(0)
 		intro, err := cliutil.ServeIntrospection(*httpAddr, prog)
@@ -152,7 +150,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		defer intro.Shutdown(context.Background())
 		fmt.Fprintf(stderr, "distda-repro: introspection on http://%s (/progress, /debug/vars, /debug/pprof/)\n", intro.Addr())
-		buildOpts.Progress = func(ev exp.ProgressEvent) {
+		opts.Progress = func(ev exp.ProgressEvent) {
 			prog.SetTotal(ev.Total)
 			prog.Record(profile.CellStatus{
 				Workload: ev.Workload, Config: ev.Config,
@@ -161,54 +159,27 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	var matrix *exp.Matrix
-	var buildErr error
-	needMatrix := func() *exp.Matrix {
-		if matrix == nil && buildErr == nil {
-			fmt.Fprintf(stderr, "building %s-scale workload x configuration matrix (12 x 6 runs)...\n", scale)
-			m, err := exp.Build(context.Background(), buildOpts)
-			if err != nil {
-				buildErr = err
-				return nil
-			}
-			matrix = m
-			var degraded []string
-			for w, byCfg := range m.Degraded {
-				for c, reason := range byCfg {
-					degraded = append(degraded, fmt.Sprintf("%s/%s: %s", w, c, reason))
-				}
-			}
-			sort.Strings(degraded)
-			for _, d := range degraded {
-				fmt.Fprintln(stderr, "distda-repro: cell degraded to n/a:", d)
-			}
-			for _, ct := range cellTraces {
-				if err := cliutil.WriteTrace(ct.tr, ct.path); err != nil {
-					buildErr = err
-					return nil
-				}
-			}
-			if len(cellTraces) > 0 {
-				fmt.Fprintf(stderr, "distda-repro: wrote %d trace files to %s\n", len(cellTraces), *traceDir)
-			}
-		}
-		return matrix
-	}
-
-	// All selected tables and figures render through exp.RenderSelection —
-	// the same entry point the distda-serve job server uses — so the bytes
-	// on stdout for a given selection are identical across both front ends.
-	if err := exp.RenderSelection(stdout, scale, sel, func() (*exp.Matrix, error) {
-		if m := needMatrix(); m != nil {
-			return m, nil
-		}
-		return nil, buildErr
-	}); err != nil {
+	// Every selected table and figure renders through exp.Render — the
+	// same entry point the distda-serve job server uses — so the bytes on
+	// stdout for a given selection are identical across both front ends.
+	sum, err := exp.Render(context.Background(), stdout, sel, opts)
+	if err != nil {
 		return fail(err)
 	}
+	for _, d := range sum.Degraded {
+		fmt.Fprintln(stderr, "distda-repro: cell degraded to n/a:", d)
+	}
+	for _, ct := range cellTraces {
+		if err := cliutil.WriteTrace(ct.tr, ct.path); err != nil {
+			return fail(err)
+		}
+	}
+	if len(cellTraces) > 0 {
+		fmt.Fprintf(stderr, "distda-repro: wrote %d trace files to %s\n", len(cellTraces), *traceDir)
+	}
 	if prof != nil {
-		if matrix == nil {
-			fmt.Fprintln(stderr, "distda-repro: profiling flags set but no matrix-backed output was selected; nothing collected")
+		if sum.Cells == 0 {
+			fmt.Fprintln(stderr, "distda-repro: profiling flags set but no simulated output was selected; nothing collected")
 		}
 		if *breakdown {
 			fmt.Fprintln(stdout, prof.LatencyBreakdown().Render())
@@ -226,8 +197,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stderr, "distda-repro: wrote folded stacks to %s\n", *foldedPath)
 		}
 	}
-	if matrix != nil && matrix.DegradedCount() > 0 {
-		fmt.Fprintf(stderr, "distda-repro: %d matrix cell(s) degraded to n/a\n", matrix.DegradedCount())
+	if len(sum.Degraded) > 0 {
+		fmt.Fprintf(stderr, "distda-repro: %d cell(s) degraded to n/a\n", len(sum.Degraded))
 		return cliutil.ExitDegraded
 	}
 	return cliutil.ExitOK

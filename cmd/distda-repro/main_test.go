@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 )
 
@@ -35,7 +36,7 @@ func TestRunValidation(t *testing.T) {
 			exit: 1, wantErr: `unknown figure "nope"`, wantNoOut: true},
 		{name: "valid fig then unknown tab", args: []string{"-fig", "7", "-tab", "nope"},
 			exit: 1, wantErr: `unknown table "nope"`, wantNoOut: true},
-		{name: "params", args: []string{"-params"}, exit: 0, wantOut: "Table III"},
+		{name: "params", args: []string{"-params"}, exit: 2, wantNoOut: true}, // removed: -tab 3 prints Table III
 		{name: "tab 3", args: []string{"-tab", "3"}, exit: 0, wantOut: "Table III"},
 		{name: "area", args: []string{"-area"}, exit: 0},
 		{name: "metrics flag removed", args: []string{"-fig", "7", "-metrics"}, exit: 2, wantNoOut: true},
@@ -147,14 +148,66 @@ func statValue(t *testing.T, dump, name string) string {
 }
 
 // TestMetricsWithoutMatrixWarns checks that asking for the stats dump
-// (which carries the matrix's metrics) with only non-matrix output exits
-// cleanly and explains that nothing was collected.
+// (which carries the simulated cells' metrics) with only static output
+// exits cleanly and explains that nothing was collected.
 func TestMetricsWithoutMatrixWarns(t *testing.T) {
 	var stdout, stderr bytes.Buffer
-	if got := run([]string{"-params", "-stats", filepath.Join(t.TempDir(), "stats.txt")}, &stdout, &stderr); got != 0 {
+	if got := run([]string{"-tab", "3", "-stats", filepath.Join(t.TempDir(), "stats.txt")}, &stdout, &stderr); got != 0 {
 		t.Fatalf("run exited %d", got)
 	}
-	if !strings.Contains(stderr.String(), "no matrix-backed output") {
-		t.Errorf("stderr = %q, want a no-matrix warning", stderr.String())
+	if !strings.Contains(stderr.String(), "no simulated output") {
+		t.Errorf("stderr = %q, want a nothing-simulated warning", stderr.String())
+	}
+}
+
+// TestAllParallelIdentical: -all stdout is byte-identical at -parallel 1,
+// 2 and 4 — figure cells share the worker pool with the matrix.
+func TestAllParallelIdentical(t *testing.T) {
+	var want string
+	for _, p := range []string{"1", "2", "4"} {
+		var stdout, stderr bytes.Buffer
+		if code := run([]string{"-all", "-scale", "test", "-parallel", p}, &stdout, &stderr); code != 0 {
+			t.Fatalf("-parallel %s: exit %d\nstderr: %s", p, code, stderr.String())
+		}
+		if p == "1" {
+			want = stdout.String()
+			continue
+		}
+		if stdout.String() != want {
+			t.Errorf("-all -parallel %s stdout differs from -parallel 1", p)
+		}
+	}
+}
+
+// TestTraceDirOneFilePerCell: -all -trace-dir writes exactly one trace per
+// planned cell (the hook sees each once), no two cells share a name, and
+// matrix cells keep their <workload>-<config> names.
+func TestTraceDirOneFilePerCell(t *testing.T) {
+	var cells atomic.Int64
+	cellHook = func(context.Context, string, string) error {
+		cells.Add(1)
+		return nil
+	}
+	defer func() { cellHook = nil }()
+	dir := t.TempDir()
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-all", "-scale", "test", "-parallel", "2", "-trace-dir", dir}, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit %d\nstderr: %s", code, stderr.String())
+	}
+	files, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if int64(len(files)) != cells.Load() {
+		t.Errorf("%d trace files for %d planned cells", len(files), cells.Load())
+	}
+	names := map[string]bool{}
+	for _, f := range files {
+		names[f.Name()] = true
+	}
+	for _, want := range []string{"fdtd-2d-Dist-DA-F.trace.json", "disparity-OoO.trace.json", "fig13-00-disparity-Dist-DA-IO@1GHz.trace.json"} {
+		if !names[want] {
+			t.Errorf("no trace file %s", want)
+		}
 	}
 }

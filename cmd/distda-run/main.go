@@ -20,11 +20,9 @@ import (
 	"io"
 	"os"
 
-	"distda/internal/artifact"
 	"distda/internal/cliutil"
-	"distda/internal/compiler"
+	"distda/internal/exp"
 	"distda/internal/profile"
-	"distda/internal/sim"
 	"distda/internal/trace"
 	"distda/internal/workloads"
 )
@@ -121,27 +119,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// Compile through the content-addressed cache (disk-backed under
 	// -cache-dir); the key covers the strip-mined thread kernel, so -threads
 	// variants hash distinctly.
-	cfg.Threads = *threads
-	kernel := sim.ThreadKernel(w.Kernel, *threads)
-	var compiled *compiler.Compiled
-	if cfg.HasAccel() {
-		cache := cliutil.OpenCache(*cacheDir)
-		copts := sim.CompileOptions(cfg)
-		key := artifact.Key(w.Name, scale.String(), kernel, copts)
-		compiled, err = cache.GetOrCompile(key, kernel, func() (*compiler.Compiled, error) {
-			return compiler.Compile(kernel, copts)
-		})
-		if err != nil {
-			return fail(err)
-		}
-		if *cacheDir != "" {
-			st := cache.Stats()
-			fmt.Fprintf(stderr, "distda-run: cache %s: %d disk hit(s), %d compile(s)\n", *cacheDir, st.DiskHits, st.Compiles)
-		}
-	}
-	res, err := sim.RunPrecompiled(kernel, w.Params, w.NewData(), cfg, compiled)
+	cache := cliutil.OpenCache(*cacheDir)
+	res, err := exp.RunCell(context.Background(), cache,
+		exp.Cell{W: w, Scale: scale, Cfg: cfg, Threads: *threads}, w.NewData(), nil)
 	if err != nil {
 		return fail(err)
+	}
+	if *cacheDir != "" && cfg.HasAccel() {
+		st := cache.Stats()
+		fmt.Fprintf(stderr, "distda-run: cache %s: %d disk hit(s), %d compile(s)\n", *cacheDir, st.DiskHits, st.Compiles)
 	}
 	cliutil.FprintResult(stdout, res)
 	if prof != nil {

@@ -29,7 +29,7 @@ import (
 
 // FormatVersion is bumped whenever the key derivation or the on-disk
 // encoding changes; old entries then simply miss.
-const FormatVersion = 3
+const FormatVersion = 4
 
 func init() {
 	// The artifact graph reaches ir.Expr interface values (stream
@@ -52,8 +52,8 @@ func init() {
 func Key(workload, scale string, k *ir.Kernel, opts compiler.Options) string {
 	h := sha256.New()
 	fmt.Fprintf(h, "distda-artifact-v%d\nworkload=%s\nscale=%s\n", FormatVersion, workload, scale)
-	fmt.Fprintf(h, "mode=%d maxpart=%d noobj=%t nostream=%t nofold=%t pim=%d\n",
-		opts.Mode, opts.MaxPartitions, opts.NoObjConstraint, opts.NoStreamSpecialization, opts.NoEpilogueFold, opts.PIMBytes)
+	fmt.Fprintf(h, "mode=%d maxpart=%d noobj=%t nostream=%t nofold=%t\n",
+		opts.Mode, opts.MaxPartitions, opts.NoObjConstraint, opts.NoStreamSpecialization, opts.NoEpilogueFold)
 	fmt.Fprintf(h, "kernel:\n%s", ir.Format(k))
 	return hex.EncodeToString(h.Sum(nil))
 }

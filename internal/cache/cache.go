@@ -20,7 +20,7 @@ type LevelConfig struct {
 	LineBytes int
 	Latency   int // cycles per access
 	EnergyPJ  float64
-	EnergyCat string
+	EnergyCat energy.Cat
 }
 
 // line is one cache line's metadata.

@@ -34,10 +34,6 @@ type Options struct {
 	// NoEpilogueFold keeps post-loop stores on the host (the naive blocked
 	// offload of the §VI-D case study, Dist-DA-B).
 	NoEpilogueFold bool
-	// PIMBytes, when positive, steers offloaded regions whose summed object
-	// footprint is at least this many bytes to the "pimdram" backend
-	// (per-region near-L3 vs in-DRAM placement). Zero disables it.
-	PIMBytes int
 }
 
 // Compiled is the result of compiling one kernel.
@@ -98,10 +94,6 @@ func Compile(k *ir.Kernel, opts Options) (*Compiled, error) {
 			return nil, err
 		}
 		cr.FoldedEpilogue = reg.folded && cr.Class != core.ClassNotOffloaded && len(cr.Accels) > 0
-		if opts.PIMBytes > 0 && cr.Class != core.ClassNotOffloaded && len(cr.Accels) > 0 &&
-			regionFootprint(k, cr) >= opts.PIMBytes {
-			cr.Backend = "pimdram"
-		}
 		info := &RegionInfo{Region: cr, Why: reg.why}
 		if cr.Class != core.ClassNotOffloaded {
 			info.Graph = buildDFG(reg)
@@ -114,26 +106,6 @@ func Compile(k *ir.Kernel, opts Options) (*Compiled, error) {
 		out.Infos = append(out.Infos, info)
 	}
 	return out, nil
-}
-
-// regionFootprint sums the declared sizes of the distinct objects a
-// region's accelerators touch — the data-residence figure the in-DRAM
-// placement threshold compares against.
-func regionFootprint(k *ir.Kernel, r *core.Region) int {
-	seen := map[string]bool{}
-	total := 0
-	for _, a := range r.Accels {
-		for _, obj := range a.Objects {
-			if seen[obj] {
-				continue
-			}
-			seen[obj] = true
-			if d, ok := k.Object(obj); ok {
-				total += d.Bytes()
-			}
-		}
-	}
-	return total
 }
 
 // epilogueStore returns the Store statement immediately following the

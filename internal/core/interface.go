@@ -241,11 +241,6 @@ type Region struct {
 	// folded into the offload (executed by the accelerator on the last
 	// iteration); the host skips it and needs no scalar read-back.
 	FoldedEpilogue bool
-	// Backend, when non-empty, names the registered accelerator backend the
-	// partitioner selected for this region (e.g. "pimdram" for regions whose
-	// data footprint crosses the in-DRAM threshold), overriding the
-	// configuration's default backend at launch.
-	Backend string
 }
 
 // Validate checks structural consistency: dense access ids, channel peers

@@ -11,7 +11,6 @@ package energy
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -73,52 +72,37 @@ func Default32nm() Table {
 	}
 }
 
-// Meter accumulates energy by component category. The canonical
-// categories are backed by fixed array slots: Add sits on the per-event
-// hot path of every simulated cache access, buffer touch and ALU op, and
-// a map assignment there (string hash + probe) showed up as the single
-// largest cost in the whole-repro CPU profile. Non-canonical categories
-// fall back to a map so the API stays open.
+// Meter accumulates energy by component category, one fixed slot per
+// Cat: Add sits on the per-event hot path of every simulated cache access,
+// buffer touch and ALU op.
 type Meter struct {
 	Table   Table
 	slots   [numCats]float64
 	touched [numCats]bool // category has been Added (even with 0 pJ)
-	pj      map[string]float64
 }
 
 // NewMeter returns a meter over the given table.
 func NewMeter(t Table) *Meter {
-	return &Meter{Table: t, pj: map[string]float64{}}
+	return &Meter{Table: t}
 }
 
-// Add accumulates pJ picojoules under the named category.
-func (m *Meter) Add(category string, pj float64) {
-	if i := catIndex(category); i >= 0 {
-		m.slots[i] += pj
-		m.touched[i] = true
-		return
-	}
-	m.pj[category] += pj
+// Add accumulates pJ picojoules under category c.
+func (m *Meter) Add(c Cat, pj float64) {
+	m.slots[c] += pj
+	m.touched[c] = true
 }
 
 // AddN accumulates n events of cost each pJ.
-func (m *Meter) AddN(category string, n int64, each float64) {
-	m.Add(category, float64(n)*each)
+func (m *Meter) AddN(c Cat, n int64, each float64) {
+	m.Add(c, float64(n)*each)
 }
 
 // Get returns the accumulated picojoules for a category.
-func (m *Meter) Get(category string) float64 {
-	if i := catIndex(category); i >= 0 {
-		return m.slots[i]
-	}
-	return m.pj[category]
-}
+func (m *Meter) Get(c Cat) float64 { return m.slots[c] }
 
 // TotalPJ returns the grand total in picojoules. The sum runs in sorted
-// category order: map iteration order is random per run, and float
-// addition is not associative, so a map-order sum would make the low
-// bits of the total differ between otherwise identical runs — breaking
-// bit-exact reproducibility of rendered reports.
+// category-name order (the Cat order): float addition is not associative,
+// so the order is part of the bit-exact result every report renders.
 func (m *Meter) TotalPJ() float64 {
 	t := 0.0
 	for _, c := range m.Categories() {
@@ -127,19 +111,15 @@ func (m *Meter) TotalPJ() float64 {
 	return t
 }
 
-// Categories returns the names of every category that has been charged
-// at least once, sorted.
-func (m *Meter) Categories() []string {
-	out := make([]string, 0, numCats+len(m.pj))
-	for i, name := range catNames {
-		if m.touched[i] {
-			out = append(out, name)
+// Categories returns every category that has been charged at least once,
+// in sorted name order.
+func (m *Meter) Categories() []Cat {
+	out := make([]Cat, 0, numCats)
+	for c := Cat(0); c < numCats; c++ {
+		if m.touched[c] {
+			out = append(out, c)
 		}
 	}
-	for k := range m.pj {
-		out = append(out, k)
-	}
-	sort.Strings(out)
 	return out
 }
 
@@ -153,52 +133,28 @@ func (m *Meter) String() string {
 	return b.String()
 }
 
-// Canonical category names shared by all components.
+// Cat is a component energy category. The constants are declared in
+// sorted name order, so slot order is name order.
+type Cat uint8
+
+// Component energy categories shared by all components.
 const (
-	CatHost   = "host"
-	CatL1     = "l1"
-	CatL2     = "l2"
-	CatL3     = "l3"
-	CatDRAM   = "dram"
-	CatNoC    = "noc"
-	CatAccel  = "accel"
-	CatBuffer = "buffer"
-	CatMMIO   = "mmio"
+	CatAccel Cat = iota
+	CatBuffer
+	CatDRAM
+	CatHost
+	CatL1
+	CatL2
+	CatL3
+	CatMMIO
+	CatNoC
+	numCats
 )
 
-// catNames lists the canonical categories in slot order.
-var catNames = [...]string{
-	CatHost, CatL1, CatL2, CatL3, CatDRAM, CatNoC, CatAccel, CatBuffer, CatMMIO,
-}
+var catNames = [numCats]string{"accel", "buffer", "dram", "host", "l1", "l2", "l3", "mmio", "noc"}
 
-const numCats = len(catNames)
-
-// catIndex maps a canonical category name to its accumulator slot, or -1.
-// A string switch compiles to length dispatch plus a handful of compares —
-// far cheaper than the hash a map assignment would pay per event.
-func catIndex(category string) int {
-	switch category {
-	case CatHost:
-		return 0
-	case CatL1:
-		return 1
-	case CatL2:
-		return 2
-	case CatL3:
-		return 3
-	case CatDRAM:
-		return 4
-	case CatNoC:
-		return 5
-	case CatAccel:
-		return 6
-	case CatBuffer:
-		return 7
-	case CatMMIO:
-		return 8
-	}
-	return -1
-}
+// String returns the category's report name ("l1", "dram", ...).
+func (c Cat) String() string { return catNames[c] }
 
 // Area model (§VI-E). Areas in mm² at 32 nm, matching the paper's overhead
 // accounting: an in-order accelerator complex is 1.9 % of one L3 cache

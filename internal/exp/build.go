@@ -12,20 +12,20 @@ import (
 	"time"
 
 	"distda/internal/artifact"
-	"distda/internal/compiler"
 	"distda/internal/profile"
 	"distda/internal/sim"
 	"distda/internal/trace"
 	"distda/internal/workloads"
 )
 
-// Options configures Build, the unified experiment-matrix runner.
+// Options configures a run of cells: Build's matrix or every section a
+// Render selection needs.
 type Options struct {
 	// Scale selects the workload input scale.
 	Scale workloads.Scale
 
 	// Workers is the worker-pool size; <= 0 selects GOMAXPROCS. The
-	// rendered matrix is byte-identical at any worker count.
+	// rendered output is byte-identical at any worker count.
 	Workers int
 
 	// Observe attaches per-cell tracing and profiling.
@@ -39,15 +39,16 @@ type Options struct {
 
 	// Checkpoint, when non-empty, is the path of a JSON checkpoint that is
 	// rewritten (atomically) after every completed cell. If the file
-	// already holds cells for this scale, those cells are resumed (not
-	// re-simulated); the rendered tables stay byte-identical to an
-	// uninterrupted run. Degraded cells are never checkpointed, so a
+	// already holds cells of this plan at this scale, those cells are
+	// resumed (not re-simulated); the rendered tables stay byte-identical
+	// to an uninterrupted run. Degraded cells are never checkpointed, so a
 	// resumed run retries them.
 	Checkpoint string
 
 	// CellTimeout bounds each cell's wall-clock time (0 = unbounded). A
 	// cell that exceeds it degrades to an "n/a" table entry instead of
-	// aborting the matrix; Matrix.Degraded records the reason.
+	// aborting the run; Matrix.Degraded and Summary.Degraded record the
+	// reason.
 	CellTimeout time.Duration
 
 	// Hook, when non-nil, runs before every cell (a fault-injection point
@@ -57,18 +58,18 @@ type Options struct {
 
 	// Progress, when non-nil, is invoked once per completed cell (including
 	// resumed and degraded ones) — the feed for the -http live introspection
-	// endpoint. Calls are serialized by Build; the callback must not block
-	// for long (it runs on the worker completion path). Invocation order
-	// follows completion, not serial cell order.
+	// endpoint. Calls are serialized; the callback must not block for long
+	// (it runs on the worker completion path). Invocation order follows
+	// completion, not plan order.
 	Progress func(ProgressEvent)
 }
 
-// ProgressEvent describes one completed matrix cell for Options.Progress.
+// ProgressEvent describes one completed cell for Options.Progress.
 type ProgressEvent struct {
 	Workload string
 	Config   string
-	Index    int // flat serial cell index (workload-major)
-	Total    int // total cells in the matrix
+	Index    int // the cell's position in the plan (dispatch order)
+	Total    int // total cells in the plan
 	Dur      time.Duration
 	Degraded bool // cell timed out and will render n/a
 	Resumed  bool // restored from the checkpoint, not re-simulated
@@ -78,7 +79,9 @@ type ProgressEvent struct {
 // the cell's context (it carries the per-cell deadline).
 type CellHook func(ctx context.Context, workload, config string) error
 
-// Build runs the full workload × configuration matrix of §VI-A under ctx.
+// Build runs the full workload × configuration matrix of §VI-A under ctx:
+// the matrix's plan run through the same worker pool as every other
+// section (see Render).
 //
 // Cells fan out over Options.Workers goroutines; compilation goes through
 // the (possibly disk-backed) artifact cache; completed cells are
@@ -91,6 +94,75 @@ type CellHook func(ctx context.Context, workload, config string) error
 // Canceling ctx aborts the run with an error wrapping sim.ErrCanceled
 // (already-checkpointed cells survive for the next run).
 func Build(ctx context.Context, opts Options) (*Matrix, error) {
+	m := newMatrix(opts.Scale)
+	out, err := run(ctx, opts, m.cells())
+	if err != nil {
+		return nil, err
+	}
+	m.fill(out)
+	return m, nil
+}
+
+// newMatrix returns the §VI-A matrix's axes at scale, with no results yet.
+func newMatrix(scale workloads.Scale) *Matrix {
+	return &Matrix{
+		Scale:     scale,
+		Workloads: workloads.All(scale),
+		Configs:   sim.AllPaperConfigs(),
+		Res:       map[string]map[string]*sim.Result{},
+		Degraded:  map[string]map[string]string{},
+	}
+}
+
+// cells declares the matrix's cells, workload-major, each named
+// "<workload>-<config>".
+func (m *Matrix) cells() []planCell {
+	var out []planCell
+	for _, w := range m.Workloads {
+		for _, cfg := range m.Configs {
+			out = append(out, planCell{Cell{W: w, Scale: m.Scale, Cfg: cfg}, w.Name + "-" + cfg.Name})
+		}
+	}
+	return out
+}
+
+// fill records the outcomes of the matrix's cells, given in cells() order.
+func (m *Matrix) fill(out []outcome) {
+	nc := len(m.Configs)
+	for i, w := range m.Workloads {
+		m.Res[w.Name] = map[string]*sim.Result{}
+		for j, cfg := range m.Configs {
+			o := out[i*nc+j]
+			if o.degraded == "" {
+				m.Res[w.Name][cfg.Name] = o.res
+				continue
+			}
+			if m.Degraded[w.Name] == nil {
+				m.Degraded[w.Name] = map[string]string{}
+			}
+			m.Degraded[w.Name][cfg.Name] = o.degraded
+		}
+	}
+}
+
+// planCell is one cell of a plan. Its name is unique within the plan and
+// names the cell's trace and checkpoint entry.
+type planCell struct {
+	Cell
+	name string
+}
+
+// outcome is one cell's result, or the reason it degraded to n/a.
+type outcome struct {
+	res      *sim.Result
+	degraded string
+}
+
+// run executes cells under ctx on Options.Workers goroutines and returns
+// their outcomes in plan order. Each cell's inputs are drawn as the cell
+// is dispatched, in plan order; resumed cells come from the checkpoint.
+// The first error in plan order fails the run, as in a serial loop.
+func run(ctx context.Context, opts Options, cells []planCell) ([]outcome, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -102,41 +174,33 @@ func Build(ctx context.Context, opts Options) (*Matrix, error) {
 	if cache == nil {
 		cache = artifact.New(artifact.Config{})
 	}
-
-	m := &Matrix{
-		Scale:     opts.Scale,
-		Workloads: workloads.All(opts.Scale),
-		Configs:   sim.AllPaperConfigs(),
-		Res:       map[string]map[string]*sim.Result{},
-		Degraded:  map[string]map[string]string{},
-	}
-	nw, nc := len(m.Workloads), len(m.Configs)
-
-	// Resume: load the checkpoint (if any) and mark its cells done.
-	ck, err := newCheckpointer(opts.Checkpoint, m)
+	ck, err := newCheckpointer(opts.Checkpoint, opts.Scale)
 	if err != nil {
 		return nil, err
 	}
-	resumed := ck.resumed()
+	out := make([]outcome, len(cells))
+	errs := make([]error, len(cells))
+	resumed := make([]bool, len(cells))
+	for i, c := range cells {
+		if r := ck.cells[c.name]; r != nil {
+			out[i].res, resumed[i] = r, true
+		}
+	}
 
 	// Observability: per-cell tracers are drawn serially (provider state is
 	// never raced) for the cells that will actually run; per-cell profilers
 	// are merged serially below.
-	tracers := make([][]*trace.Tracer, nw)
-	cellProf := make([][]*profile.Profiler, nw)
-	for i, w := range m.Workloads {
-		tracers[i] = make([]*trace.Tracer, nc)
-		cellProf[i] = make([]*profile.Profiler, nc)
-		for j, cfg := range m.Configs {
-			if resumed[i*nc+j] != nil {
-				continue
-			}
-			if opts.Observe.Tracer != nil {
-				tracers[i][j] = opts.Observe.Tracer(w.Name, cfg.Name)
-			}
-			if opts.Observe.Profile != nil {
-				cellProf[i][j] = profile.New()
-			}
+	tracers := make([]*trace.Tracer, len(cells))
+	profs := make([]*profile.Profiler, len(cells))
+	for i, c := range cells {
+		if resumed[i] {
+			continue
+		}
+		if opts.Observe.Tracer != nil {
+			tracers[i] = opts.Observe.Tracer(c.name)
+		}
+		if opts.Observe.Profile != nil {
+			profs[i] = profile.New()
 		}
 	}
 
@@ -151,111 +215,88 @@ func Build(ctx context.Context, opts Options) (*Matrix, error) {
 		opts.Progress(ev)
 		progressMu.Unlock()
 	}
-	for i, w := range m.Workloads {
-		for j, cfg := range m.Configs {
-			if resumed[i*nc+j] != nil {
-				emit(ProgressEvent{Workload: w.Name, Config: cfg.Name,
-					Index: i*nc + j, Total: nw * nc, Resumed: true})
-			}
+	event := func(i int) ProgressEvent {
+		return ProgressEvent{Workload: cells[i].W.Name, Config: cells[i].Cfg.Name, Index: i, Total: len(cells)}
+	}
+	for i := range cells {
+		if resumed[i] {
+			ev := event(i)
+			ev.Resumed = true
+			emit(ev)
 		}
 	}
 
-	// Fan the unfinished cells out over the worker pool; collect into
-	// cell-indexed slots so assembly below runs in deterministic serial
-	// order regardless of completion order.
-	type outcome struct {
-		res      *sim.Result
-		err      error
-		degraded string // non-empty: reason the cell rendered n/a
-	}
-	out := make([][]outcome, nw)
-	for i := range out {
-		out[i] = make([]outcome, nc)
-	}
-	b := &builder{m: m, opts: opts, cache: cache}
-	type cell struct {
-		i, j int
+	type job struct {
+		i    int
 		data map[string][]float64
 	}
-	jobs := make(chan cell)
+	jobs := make(chan job)
 	var wg sync.WaitGroup
 	for n := 0; n < workers; n++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for c := range jobs {
-				cfg := m.Configs[c.j]
-				cfg.Trace = tracers[c.i][c.j]
-				cfg.Profile = cellProf[c.i][c.j]
+			for j := range jobs {
+				c := cells[j.i].Cell
+				c.Cfg.Trace = tracers[j.i]
+				c.Cfg.Profile = profs[j.i]
 				t0 := time.Now()
-				res, degraded, err := b.runCell(ctx, m.Workloads[c.i], cfg, c.data)
-				out[c.i][c.j] = outcome{res: res, err: err, degraded: degraded}
-				if err == nil && degraded == "" {
-					if ckErr := ck.record(c.i*nc+c.j, res); ckErr != nil {
-						out[c.i][c.j].err = ckErr
+				res, degraded, err := runCell(ctx, opts, cache, c, j.data)
+				out[j.i], errs[j.i] = outcome{res: res, degraded: degraded}, err
+				if err != nil {
+					continue
+				}
+				if degraded == "" {
+					if ckErr := ck.record(cells[j.i].name, res); ckErr != nil {
+						errs[j.i] = ckErr
 					}
 				}
-				if err == nil {
-					emit(ProgressEvent{Workload: m.Workloads[c.i].Name, Config: cfg.Name,
-						Index: c.i*nc + c.j, Total: nw * nc,
-						Dur: time.Since(t0), Degraded: degraded != ""})
-				}
+				ev := event(j.i)
+				ev.Dur, ev.Degraded = time.Since(t0), degraded != ""
+				emit(ev)
 			}
 		}()
 	}
-	// Inputs are drawn here, one cell at a time in serial-run order, as the
-	// cell is dispatched: the unbuffered channel holds the next draw until a
+	// Inputs are drawn here, one cell at a time in plan order, as the cell
+	// is dispatched: the unbuffered channel holds the next draw until a
 	// worker is free, so at most workers+1 input sets are reachable at once
 	// and a finished cell's inputs are garbage as soon as it returns. EVERY
 	// cell is drawn, resumed ones included (their draw is dropped): the
 	// workload generators share seeded RNG state across NewData calls, so
-	// skipping a draw would shift every later cell's inputs and break
-	// resume-equivalence.
-	for i, w := range m.Workloads {
-		for j := 0; j < nc; j++ {
-			data := drawInputs(w)
-			if resumed[i*nc+j] == nil {
-				jobs <- cell{i, j, data}
-			}
+	// skipping a draw would shift every later cell's inputs on the same
+	// instance and break resume-equivalence. A canceled run stops feeding.
+	canceled := false
+feed:
+	for i, c := range cells {
+		data := drawInputs(c.W)
+		if resumed[i] {
+			continue
+		}
+		select {
+		case jobs <- job{i, data}:
+		case <-ctx.Done():
+			canceled = true
+			break feed
 		}
 	}
 	close(jobs)
 	wg.Wait()
 
-	// Assemble in serial order; the first error in serial order wins, as in
-	// a serial loop. Degraded cells keep a nil result (rendered as n/a).
-	for i, w := range m.Workloads {
-		for j, cfg := range m.Configs {
-			if r := resumed[i*nc+j]; r != nil {
-				out[i][j] = outcome{res: r}
-				continue
-			}
-			if err := out[i][j].err; err != nil {
-				return nil, fmt.Errorf("exp: %s on %s: %w", w.Name, cfg.Name, err)
-			}
-		}
-		m.Res[w.Name] = map[string]*sim.Result{}
-		for j, cfg := range m.Configs {
-			o := out[i][j]
-			if o.degraded != "" {
-				if m.Degraded[w.Name] == nil {
-					m.Degraded[w.Name] = map[string]string{}
-				}
-				m.Degraded[w.Name][cfg.Name] = o.degraded
-				continue
-			}
-			m.Res[w.Name][cfg.Name] = o.res
+	for i, err := range errs {
+		if err != nil {
+			return nil, fmt.Errorf("exp: %s on %s: %w", cells[i].W.Name, cells[i].Cfg.Name, err)
 		}
 	}
+	if canceled {
+		return nil, fmt.Errorf("exp: %w (run canceled)", sim.ErrCanceled)
+	}
 
-	// Fold per-cell profilers in serial cell order (Profiler.Merge is
-	// commutative, so any order yields the identical profile; serial order
-	// keeps the invariant obvious), then add the cache counters.
+	// Fold per-cell profilers in plan order (Profiler.Merge is commutative,
+	// so any order yields the identical profile; plan order keeps the
+	// invariant obvious), then add the cache counters.
 	if prof := opts.Observe.Profile; prof != nil {
-		for i := range m.Workloads {
-			for j := range m.Configs {
-				prof.Merge(cellProf[i][j]) // nil cells no-op
-			}
+		for _, p := range profs {
+			prof.Merge(p) // nil cells no-op
 		}
 		for prefix, st := range map[string]artifact.Stats{
 			"artifact.":         cache.Stats(),
@@ -270,32 +311,30 @@ func Build(ctx context.Context, opts Options) (*Matrix, error) {
 			prof.Add(prefix+"errors", st.Errors)
 		}
 	}
-	return m, nil
+	return out, nil
 }
 
 // drawInputs generates one cell's inputs. Tests replace it to watch the
 // lifetime of each drawn set.
 var drawInputs = (*workloads.Workload).NewData
 
-// builder carries Build's per-run state into the workers.
-type builder struct {
-	m     *Matrix
-	opts  Options
-	cache *artifact.Cache
-}
-
-// runCell executes one cell under the per-cell deadline. It returns
+// runCell runs one plan cell under the per-cell deadline. It returns
 // exactly one of: a result, a degradation reason (timeout), or an error.
-func (b *builder) runCell(ctx context.Context, w *workloads.Workload, cfg sim.Config, data map[string][]float64) (*sim.Result, string, error) {
+func runCell(ctx context.Context, opts Options, cache *artifact.Cache, c Cell, data map[string][]float64) (*sim.Result, string, error) {
 	cellCtx := ctx
-	if b.opts.CellTimeout > 0 {
+	if opts.CellTimeout > 0 {
 		var cancel context.CancelFunc
-		cellCtx, cancel = context.WithTimeout(ctx, b.opts.CellTimeout)
+		cellCtx, cancel = context.WithTimeout(ctx, opts.CellTimeout)
 		defer cancel()
 	}
-	cfg.Cancel = cellCtx.Done()
-
-	res, err := b.simulate(cellCtx, w, cfg, data)
+	var res *sim.Result
+	var err error
+	if opts.Hook != nil {
+		err = opts.Hook(cellCtx, c.W.Name, c.Cfg.Name)
+	}
+	if err == nil {
+		res, err = RunCell(cellCtx, cache, c, data, nil)
+	}
 	if err == nil {
 		return res, "", nil
 	}
@@ -308,77 +347,42 @@ func (b *builder) runCell(ctx context.Context, w *workloads.Workload, cfg sim.Co
 		// The run itself was canceled, not just this cell.
 		return nil, "", fmt.Errorf("%w (run canceled)", err)
 	}
-	return nil, fmt.Sprintf("timeout after %s", b.opts.CellTimeout), nil
-}
-
-// simulate runs a cell: hook, cached compile, simulation. Each cell runs
-// exactly once, so it simulates on its freshly drawn inputs in place.
-func (b *builder) simulate(ctx context.Context, w *workloads.Workload, cfg sim.Config, data map[string][]float64) (*sim.Result, error) {
-	if b.opts.Hook != nil {
-		if err := b.opts.Hook(ctx, w.Name, cfg.Name); err != nil {
-			return nil, err
-		}
-	}
-	var compiled *compiler.Compiled
-	if cfg.HasAccel() {
-		copts := sim.CompileOptions(cfg)
-		key := artifact.Key(w.Name, b.m.Scale.String(), w.Kernel, copts)
-		var err error
-		compiled, err = b.cache.GetOrCompile(key, w.Kernel, func() (*compiler.Compiled, error) {
-			return compiler.Compile(w.Kernel, copts)
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-	if cfg.ValidateEvery {
-		// Fetch the kernel's bytecode program for reference validation from
-		// the same (possibly disk-backed) cache as the offload artifact.
-		pkey := artifact.ProgramKey(w.Name, b.m.Scale.String(), w.Kernel)
-		prog, err := b.cache.GetOrProgram(pkey, w.Kernel)
-		if err != nil {
-			return nil, err
-		}
-		cfg.Program = prog
-	}
-	return sim.RunPrecompiled(w.Kernel, w.Params, data, cfg, compiled)
+	return nil, fmt.Sprintf("timeout after %s", opts.CellTimeout), nil
 }
 
 // checkpointVersion is bumped whenever the checkpoint schema changes; old
 // files then fail loudly instead of resuming garbage.
-const checkpointVersion = 1
+const checkpointVersion = 2
 
-// checkpointFile is the on-disk checkpoint: the matrix axes plus one entry
-// per completed cell, in serial cell order.
+// checkpointFile is the on-disk checkpoint: one entry per completed cell,
+// keyed by the cell's plan name, sorted by name.
 type checkpointFile struct {
-	Version   int              `json:"version"`
-	Scale     string           `json:"scale"`
-	Workloads []string         `json:"workloads"`
-	Configs   []string         `json:"configs"`
-	Cells     []checkpointCell `json:"cells"`
+	Version int              `json:"version"`
+	Scale   string           `json:"scale"`
+	Cells   []checkpointCell `json:"cells"`
 }
 
 type checkpointCell struct {
-	Workload string      `json:"workload"`
-	Config   string      `json:"config"`
-	Result   *sim.Result `json:"result"`
+	Cell   string      `json:"cell"`
+	Result *sim.Result `json:"result"`
 }
 
 // checkpointer persists completed cells. record is safe for concurrent use;
 // every successful record leaves a consistent file on disk (written to a
-// temp file and renamed into place).
+// temp file and renamed into place). Cells of other selections at the same
+// scale are kept, so one checkpoint serves any mix of sections.
 type checkpointer struct {
 	mu    sync.Mutex
 	path  string
-	m     *Matrix
-	cells map[int]*sim.Result // flat index i*len(Configs)+j
+	scale string
+	cells map[string]*sim.Result
 }
 
-// newCheckpointer loads an existing checkpoint at path (when present) and
-// validates it against the matrix axes. A checkpoint written for different
-// axes is an error, not a silent cold start.
-func newCheckpointer(path string, m *Matrix) (*checkpointer, error) {
-	ck := &checkpointer{path: path, m: m, cells: map[int]*sim.Result{}}
+// newCheckpointer loads an existing checkpoint at path (when present). A
+// checkpoint written at another scale or schema is an error, not a silent
+// cold start.
+func newCheckpointer(path string, scale workloads.Scale) (*checkpointer, error) {
+	ck := &checkpointer{path: path, scale: scale.String(), cells: map[string]*sim.Result{}}
 	if path == "" {
 		return ck, nil
 	}
@@ -396,70 +400,34 @@ func newCheckpointer(path string, m *Matrix) (*checkpointer, error) {
 	if f.Version != checkpointVersion {
 		return nil, fmt.Errorf("exp: checkpoint %s: version %d, want %d", path, f.Version, checkpointVersion)
 	}
-	if f.Scale != m.Scale.String() {
-		return nil, fmt.Errorf("exp: checkpoint %s: scale %q, run wants %q", path, f.Scale, m.Scale)
-	}
-	wIdx := map[string]int{}
-	for i, w := range m.Workloads {
-		wIdx[w.Name] = i
-	}
-	cIdx := map[string]int{}
-	for j, c := range m.Configs {
-		cIdx[c.Name] = j
+	if f.Scale != ck.scale {
+		return nil, fmt.Errorf("exp: checkpoint %s: scale %q, run wants %q", path, f.Scale, ck.scale)
 	}
 	for _, cell := range f.Cells {
-		i, okW := wIdx[cell.Workload]
-		j, okC := cIdx[cell.Config]
-		if !okW || !okC || cell.Result == nil {
-			return nil, fmt.Errorf("exp: checkpoint %s: unknown cell %s/%s", path, cell.Workload, cell.Config)
+		if cell.Cell == "" || cell.Result == nil {
+			return nil, fmt.Errorf("exp: checkpoint %s: malformed cell %q", path, cell.Cell)
 		}
-		ck.cells[i*len(m.Configs)+j] = cell.Result
+		ck.cells[cell.Cell] = cell.Result
 	}
 	return ck, nil
 }
 
-// resumed returns the loaded cells keyed by flat index.
-func (c *checkpointer) resumed() map[int]*sim.Result {
-	out := make(map[int]*sim.Result, len(c.cells))
-	for k, v := range c.cells {
-		out[k] = v
-	}
-	return out
-}
-
 // record adds a completed cell and rewrites the checkpoint file.
-func (c *checkpointer) record(idx int, r *sim.Result) error {
+func (c *checkpointer) record(name string, r *sim.Result) error {
 	if c.path == "" {
 		return nil
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.cells[idx] = r
-	return c.write()
-}
-
-// write persists the checkpoint atomically, cells sorted in serial order.
-// Caller holds c.mu.
-func (c *checkpointer) write() error {
-	nc := len(c.m.Configs)
-	idxs := make([]int, 0, len(c.cells))
-	for idx := range c.cells {
-		idxs = append(idxs, idx)
+	c.cells[name] = r
+	names := make([]string, 0, len(c.cells))
+	for n := range c.cells {
+		names = append(names, n)
 	}
-	sort.Ints(idxs)
-	f := checkpointFile{Version: checkpointVersion, Scale: c.m.Scale.String()}
-	for _, w := range c.m.Workloads {
-		f.Workloads = append(f.Workloads, w.Name)
-	}
-	for _, cfg := range c.m.Configs {
-		f.Configs = append(f.Configs, cfg.Name)
-	}
-	for _, idx := range idxs {
-		f.Cells = append(f.Cells, checkpointCell{
-			Workload: c.m.Workloads[idx/nc].Name,
-			Config:   c.m.Configs[idx%nc].Name,
-			Result:   c.cells[idx],
-		})
+	sort.Strings(names)
+	f := checkpointFile{Version: checkpointVersion, Scale: c.scale}
+	for _, n := range names {
+		f.Cells = append(f.Cells, checkpointCell{Cell: n, Result: c.cells[n]})
 	}
 	raw, err := json.MarshalIndent(&f, "", " ")
 	if err != nil {

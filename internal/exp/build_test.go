@@ -1,8 +1,10 @@
 package exp
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -71,7 +73,7 @@ func TestBuildResumeByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatalf("no checkpoint after interruption: %v", err)
 	}
-	if !strings.Contains(string(raw), `"version": 1`) {
+	if !strings.Contains(string(raw), `"version": 2`) {
 		t.Error("checkpoint missing version field")
 	}
 
@@ -231,10 +233,12 @@ func TestBuildFirstSerialErrorWins(t *testing.T) {
 	}
 }
 
-// TestBuildInputLifetime: Build draws each cell's inputs as it dispatches
-// the cell and drops them when the cell returns, so at every Progress
-// event at most Workers+1 input sets are reachable (one per busy worker
-// plus the next draw waiting for a free one) — not the whole matrix.
+// TestBuildInputLifetime: every plan draws each cell's inputs as it
+// dispatches the cell and drops them when the cell returns, so at every
+// Progress event at most Workers+1 input sets are reachable (one per busy
+// worker plus the next draw waiting for a free one) — not the whole plan.
+// It covers the matrix (Build) and a plan of every simulated figure
+// section (Render).
 func TestBuildInputLifetime(t *testing.T) {
 	const workers = 2
 	var live atomic.Int64 // drawn sets whose largest array was not yet collected
@@ -257,36 +261,83 @@ func TestBuildInputLifetime(t *testing.T) {
 		runtime.SetFinalizer(&big[0], func(*float64) { live.Add(-1) })
 		return data
 	}
-	var maxLive int64
-	events := 0
-	m, err := Build(context.Background(), Options{
-		Scale:   workloads.ScaleTest,
-		Workers: workers,
-		Progress: func(ProgressEvent) {
-			events++
+	plans := map[string]func(Options) (cells int, err error){
+		"matrix": func(o Options) (int, error) {
+			m, err := Build(context.Background(), o)
+			if err != nil {
+				return 0, err
+			}
+			return len(m.Workloads) * len(m.Configs), nil
+		},
+		"figures": func(o Options) (int, error) {
+			sel := Selection{Figs: []string{"12a", "12b", "13", "14"}, Sens: true, OffChip: true, PIM: true, Ablations: true}
+			sum, err := Render(context.Background(), io.Discard, sel, o)
+			return sum.Cells, err
+		},
+	}
+	for name, runPlan := range plans {
+		t.Run(name, func(t *testing.T) {
+			var maxLive int64
+			events := 0
+			total, err := runPlan(Options{
+				Scale:   workloads.ScaleTest,
+				Workers: workers,
+				Progress: func(ProgressEvent) {
+					events++
+					if maxLive > workers+1 {
+						return // already failed; don't wait again
+					}
+					// Finalizers run on their own goroutine after the
+					// collection that found their array unreachable, so a
+					// pending one can only overcount: collect until the
+					// count is within the bound or a deadline passes.
+					n := live.Load()
+					for deadline := time.Now().Add(time.Second); n > workers+1 && time.Now().Before(deadline); n = live.Load() {
+						runtime.GC()
+						time.Sleep(time.Millisecond)
+					}
+					maxLive = max(maxLive, n)
+				},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if events != total {
+				t.Fatalf("saw %d progress events, want %d", events, total)
+			}
 			if maxLive > workers+1 {
-				return // already failed; don't wait again
+				t.Errorf("%d input sets reachable at a progress event, want at most %d", maxLive, workers+1)
 			}
-			// Finalizers run on their own goroutine after the collection
-			// that found their array unreachable, so a pending one can only
-			// overcount: collect until the count is within the bound or a
-			// deadline passes.
-			n := live.Load()
-			for deadline := time.Now().Add(time.Second); n > workers+1 && time.Now().Before(deadline); n = live.Load() {
-				runtime.GC()
-				time.Sleep(time.Millisecond)
+		})
+	}
+}
+
+// TestRenderFigureCellTimeoutDegrades hangs one Fig. 13 cell past the
+// per-cell deadline: the figure still renders, the hung cell's entry reads
+// n/a, and the Summary names the cell.
+func TestRenderFigureCellTimeoutDegrades(t *testing.T) {
+	var buf bytes.Buffer
+	sum, err := Render(context.Background(), &buf, Selection{Figs: []string{"13"}}, Options{
+		Scale:       workloads.ScaleTest,
+		CellTimeout: 3 * time.Second,
+		Hook: func(ctx context.Context, workload, config string) error {
+			if workload == "bfs" && config == "Dist-DA-IO@2GHz" {
+				<-ctx.Done()
+				return ctx.Err()
 			}
-			maxLive = max(maxLive, n)
+			return nil
 		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if total := len(m.Workloads) * len(m.Configs); events != total {
-		t.Fatalf("saw %d progress events, want %d", events, total)
+	if len(sum.Degraded) != 1 || !strings.HasPrefix(sum.Degraded[0], "fig13-") || !strings.Contains(sum.Degraded[0], "timeout") {
+		t.Fatalf("degraded = %q, want the one hung fig13 cell", sum.Degraded)
 	}
-	if maxLive > workers+1 {
-		t.Errorf("%d input sets reachable at a progress event, want at most %d", maxLive, workers+1)
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if strings.Contains(line, "n/a") != strings.HasPrefix(line, "bfs ") {
+			t.Errorf("only the bfs row may carry n/a: %q", line)
+		}
 	}
 }
 
@@ -325,7 +376,7 @@ func TestBuildWarmDiskCacheCompilesNothing(t *testing.T) {
 func TestBuildStaleCheckpointRejected(t *testing.T) {
 	dir := t.TempDir()
 	ckpt := filepath.Join(dir, "ck.json")
-	if err := os.WriteFile(ckpt, []byte(`{"version":1,"scale":"bench","cells":[]}`), 0o644); err != nil {
+	if err := os.WriteFile(ckpt, []byte(`{"version":2,"scale":"bench","cells":[]}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	_, err := Build(context.Background(), Options{Scale: workloads.ScaleTest, Checkpoint: ckpt})

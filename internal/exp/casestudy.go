@@ -12,8 +12,8 @@ import (
 	"distda/internal/workloads"
 )
 
-// Fig12aCaseStudies runs the §VI-D control-intensive offload study on spmv
-// and nw under three Dist-DA schedules:
+// fig12aCaseStudies is the §VI-D control-intensive offload study on spmv
+// and nw under three Dist-DA schedules, each against OoO:
 //
 //   - Dist-DA-B: the compiler-automated blocked offload — one launch per
 //     innermost loop instance with the host synchronizing on every
@@ -26,83 +26,47 @@ import (
 //     offload in which a bounds-producer partition cp_produces the inner
 //     loop bounds consumed by the compute partition (Fig. 5a), pipelining
 //     across rows (1.95x).
-func Fig12aCaseStudies(scale workloads.Scale) (*report.Table, error) {
-	t := &report.Table{
-		Title:   "Fig. 12a: control-intensive offloads (speedup vs OoO)",
-		Columns: []string{"benchmark", "Dist-DA-B", "Dist-DA-BN", "Dist-DA-BNS"},
+func fig12aCaseStudies(scale workloads.Scale) figure {
+	spmv, nw := workloads.SpMV(scale), workloads.NW(scale)
+	blocked := sim.MustConfig(sim.DistDAIO, sim.WithoutEpilogueFold())
+	cells := []Cell{
+		{W: spmv, Scale: scale, Cfg: sim.OoO()},
+		// B: naive per-row offload, host-side epilogue.
+		{W: spmv, Scale: scale, Cfg: blocked},
+		// BN: user-identified blocked loop nest — the whole nest is one
+		// offload with the inner-loop bounds fetched by the accelerator
+		// itself.
+		{W: spmv, Scale: scale, Cfg: sim.DistDAIO(), Annotate: AnnotateSpMVBN(spmv)},
+		// BNS: whole-nest offload with produced bounds and an explicit
+		// cp_fill_ra block schedule for x.
+		{W: spmv, Scale: scale, Cfg: sim.DistDAIO(), Annotate: AnnotateSpMVBNS(spmv)},
+		{W: nw, Scale: scale, Cfg: sim.OoO()},
+		{W: nw, Scale: scale, Cfg: blocked},
+		// BN: the blocked loop nest with localized epilogue control (the
+		// automated stream mapping with forwarding — see AnnotateNWNest for
+		// the hand-written cp_read/cp_write alternative, which this model
+		// shows losing to stream specialization).
+		{W: nw, Scale: scale, Cfg: sim.DistDAIO()},
+		// BNS: block scheduling on top — cp_fill_ra-style transfers hide
+		// the residual random-access latency.
+		{W: nw, Scale: scale, Cfg: sim.MustConfig(sim.DistDAIO, sim.WithSWPrefetch(true))},
 	}
-	if err := spmvRow(t, scale); err != nil {
-		return nil, err
-	}
-	if err := nwRow(t, scale); err != nil {
-		return nil, err
-	}
-	t.AddNote("paper spmv: 0.44x / 1.22x / 1.95x; BNS decouples loop-nest control via produced bounds")
-	return t, nil
-}
-
-func spmvRow(t *report.Table, scale workloads.Scale) error {
-	w := workloads.SpMV(scale)
-	base, err := sim.Run(w.Kernel, w.Params, w.NewData(), sim.OoO())
-	if err != nil {
-		return err
-	}
-	// Dist-DA-B: naive per-row offload, host-side epilogue.
-	cfgB := sim.MustConfig(sim.DistDAIO, sim.WithoutEpilogueFold())
-	b, err := sim.Run(w.Kernel, w.Params, w.NewData(), cfgB)
-	if err != nil {
-		return err
-	}
-	// Dist-DA-BN: user-identified blocked loop nest — the whole nest is one
-	// offload with the inner-loop bounds fetched by the accelerator itself.
-	bn, err := sim.RunAnnotated(w.Kernel, w.Params, w.NewData(), sim.DistDAIO(), AnnotateSpMVBN(w))
-	if err != nil {
-		return err
-	}
-	// Dist-DA-BNS: whole-nest offload with produced bounds and an explicit
-	// cp_fill_ra block schedule for x.
-	bns, err := sim.RunAnnotated(w.Kernel, w.Params, w.NewData(), sim.DistDAIO(), AnnotateSpMVBNS(w))
-	if err != nil {
-		return err
-	}
-	t.AddRow("spmv",
-		report.F(b.SpeedupVs(base)),
-		report.F(bn.SpeedupVs(base)),
-		report.F(bns.SpeedupVs(base)))
-	return nil
-}
-
-func nwRow(t *report.Table, scale workloads.Scale) error {
-	w := workloads.NW(scale)
-	base, err := sim.Run(w.Kernel, w.Params, w.NewData(), sim.OoO())
-	if err != nil {
-		return err
-	}
-	cfgB := sim.MustConfig(sim.DistDAIO, sim.WithoutEpilogueFold())
-	b, err := sim.Run(w.Kernel, w.Params, w.NewData(), cfgB)
-	if err != nil {
-		return err
-	}
-	// BN: the blocked loop nest with localized epilogue control (the
-	// automated stream mapping with forwarding — see AnnotateNWNest for the
-	// hand-written cp_read/cp_write alternative, which this model shows
-	// losing to stream specialization).
-	bn, err := sim.Run(w.Kernel, w.Params, w.NewData(), sim.DistDAIO())
-	if err != nil {
-		return err
-	}
-	// BNS: block scheduling on top — cp_fill_ra-style transfers hide the
-	// residual random-access latency.
-	cfgS := sim.MustConfig(sim.DistDAIO, sim.WithSWPrefetch(true))
-	bns, err := sim.Run(w.Kernel, w.Params, w.NewData(), cfgS)
-	if err != nil {
-		return err
-	}
-	t.AddRow("nw",
-		report.F(b.SpeedupVs(base)),
-		report.F(bn.SpeedupVs(base)),
-		report.F(bns.SpeedupVs(base)))
-	return nil
+	return figure{cells: cells, render: func(res []*sim.Result) *report.Table {
+		t := &report.Table{
+			Title:   "Fig. 12a: control-intensive offloads (speedup vs OoO)",
+			Columns: []string{"benchmark", "Dist-DA-B", "Dist-DA-BN", "Dist-DA-BNS"},
+		}
+		for i, name := range []string{"spmv", "nw"} {
+			base := res[4*i]
+			row := []string{name}
+			for _, r := range res[4*i+1 : 4*i+4] {
+				row = append(row, vs(r, base, (*sim.Result).SpeedupVs))
+			}
+			t.AddRow(row...)
+		}
+		t.AddNote("paper spmv: 0.44x / 1.22x / 1.95x; BNS decouples loop-nest control via produced bounds")
+		return t
+	}}
 }
 
 // AnnotateSpMVBN offloads the whole spmv loop nest as a single accelerator

@@ -1,6 +1,6 @@
-// Package exp runs the paper's experiments: it executes the workload ×
-// configuration matrix once and renders every table and figure of §VI from
-// the collected results.
+// Package exp runs the paper's experiments: every table and figure of §VI
+// is a list of cells plus a renderer over their results, and one worker
+// pool runs the cells of every selected section (Render).
 package exp
 
 import (
@@ -35,18 +35,20 @@ func (m *Matrix) DegradedCount() int {
 	return n
 }
 
-// Observe configures observability for a matrix build. Every cell owns its
-// private tracer and profiler (recording stays lock-free inside the
-// worker), so traced or profiled matrices remain byte-identical at any
-// worker count.
+// Observe configures observability for a run. Every cell owns its private
+// tracer and profiler (recording stays lock-free inside the worker), so
+// traced or profiled runs remain byte-identical at any worker count.
 type Observe struct {
-	// Tracer, when non-nil, supplies the tracer for each (workload, config)
-	// cell. It is invoked serially before the workers start; return nil to
-	// leave a cell untraced.
-	Tracer func(workload, config string) *trace.Tracer
+	// Tracer, when non-nil, supplies the tracer for each cell, given the
+	// cell's name: "<workload>-<config>" for a matrix cell and
+	// "<section>-<NN>-<workload>-<config>" for the NN-th cell of a figure
+	// section (fig12a, fig12b, fig13, fig14, sens, offchip, pim,
+	// ablations). Names are unique within a run. It is invoked serially
+	// before the workers start; return nil to leave a cell untraced.
+	Tracer func(cell string) *trace.Tracer
 	// Profile, when non-nil, receives every cell's cycle/energy attribution:
 	// each cell runs with a private profiler (recording stays lock-free
-	// inside the worker) folded into Profile in serial cell order after the
+	// inside the worker) folded into Profile in plan order after the
 	// parallel phase. Merge is commutative, so the folded profile is
 	// identical at any worker count.
 	Profile *profile.Profiler

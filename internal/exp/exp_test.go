@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 
+	"distda/internal/report"
+	"distda/internal/sim"
 	"distda/internal/workloads"
 )
 
@@ -23,6 +25,26 @@ func testMatrix(t *testing.T) *Matrix {
 		t.Fatal(mErr)
 	}
 	return mVal
+}
+
+// figureTable runs one simulated section's cells through the worker pool
+// at test scale and renders its table.
+func figureTable(t *testing.T, section string) *report.Table {
+	t.Helper()
+	f := figures[section](workloads.ScaleTest)
+	cells := make([]planCell, len(f.cells))
+	for i, c := range f.cells {
+		cells[i] = planCell{c, strconv.Itoa(i)}
+	}
+	out, err := run(context.Background(), Options{Scale: workloads.ScaleTest}, cells)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := make([]*sim.Result, len(out))
+	for i, o := range out {
+		res[i] = o.res
+	}
+	return f.render(res)
 }
 
 func TestMatrixComplete(t *testing.T) {
@@ -132,10 +154,7 @@ func TestTab5CoversCoreMechanisms(t *testing.T) {
 }
 
 func TestFig12aOrdering(t *testing.T) {
-	tab, err := Fig12aCaseStudies(workloads.ScaleTest)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := figureTable(t, "fig12a")
 	if len(tab.Rows) != 2 {
 		t.Fatalf("rows = %d", len(tab.Rows))
 	}
@@ -149,10 +168,7 @@ func TestFig12aOrdering(t *testing.T) {
 }
 
 func TestFig13MonotoneSpeedup(t *testing.T) {
-	tab, err := Fig13Clocking(workloads.ScaleTest)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := figureTable(t, "fig13")
 	for _, row := range tab.Rows {
 		s3 := strings.Split(row[3], "|")[0]
 		v, err := strconv.ParseFloat(s3, 64)
@@ -166,20 +182,14 @@ func TestFig13MonotoneSpeedup(t *testing.T) {
 }
 
 func TestFig14Renders(t *testing.T) {
-	tab, err := Fig14SoftwareOpt(workloads.ScaleTest)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := figureTable(t, "fig14")
 	if len(tab.Rows) != 12 {
 		t.Fatalf("rows = %d", len(tab.Rows))
 	}
 }
 
 func TestFig12bThreadScaling(t *testing.T) {
-	tab, err := Fig12bMultithread(workloads.ScaleTest)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := figureTable(t, "fig12b")
 	for _, row := range tab.Rows {
 		one, _ := strconv.ParseFloat(row[2], 64)
 		eight, _ := strconv.ParseFloat(row[5], 64)
@@ -190,13 +200,10 @@ func TestFig12bThreadScaling(t *testing.T) {
 }
 
 func TestSensAndAblations(t *testing.T) {
-	if _, err := SensWorkingSet(workloads.ScaleTest); err != nil {
-		t.Fatal(err)
+	if tab := figureTable(t, "sens"); len(tab.Rows) != 2 {
+		t.Fatalf("sensitivity rows = %d", len(tab.Rows))
 	}
-	tab, err := Ablations(workloads.ScaleTest)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := figureTable(t, "ablations")
 	if len(tab.Rows) != 6 {
 		t.Fatalf("ablation rows = %d", len(tab.Rows))
 	}

@@ -26,7 +26,7 @@ func TestObservedMatrixIdentical(t *testing.T) {
 	prof := profile.New()
 	var tracers []*trace.Tracer
 	obs := Observe{
-		Tracer: func(workload, config string) *trace.Tracer {
+		Tracer: func(string) *trace.Tracer {
 			tr := trace.New()
 			tracers = append(tracers, tr)
 			return tr

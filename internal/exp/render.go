@@ -1,9 +1,12 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 	"io"
 
+	"distda/internal/report"
+	"distda/internal/sim"
 	"distda/internal/workloads"
 )
 
@@ -17,8 +20,8 @@ var ValidTabs = []string{"3", "4", "5", "6"}
 // Selection names the tables and figures one rendering pass emits. It is
 // the job-friendly entry point into the §VI reproduction: distda-repro
 // builds one from its flags and the distda-serve job server accepts one as
-// JSON, so both front ends share RenderSelection and produce byte-identical
-// output for the same selection.
+// JSON, so both front ends share Render and produce byte-identical output
+// for the same selection.
 type Selection struct {
 	// Figs and Tabs render in the given order (see ValidFigs/ValidTabs).
 	Figs []string `json:"figs,omitempty"`
@@ -26,9 +29,6 @@ type Selection struct {
 	// Headline renders the abstract's headline geomeans plus the
 	// data-movement table.
 	Headline bool `json:"headline,omitempty"`
-	// Params renders Table III up front (before any -tab selection), the
-	// way distda-repro's -params flag does.
-	Params bool `json:"params,omitempty"`
 	// Sens renders the working-set sensitivity sweep.
 	Sens bool `json:"sens,omitempty"`
 	// Area renders the area model.
@@ -42,8 +42,7 @@ type Selection struct {
 }
 
 // SetAll selects everything -all selects: every figure and table plus the
-// headline, sensitivity, area, off-chip and ablation sections (Params stays
-// as-is; -all never set it either).
+// headline, sensitivity, area, off-chip, PIM and ablation sections.
 func (s *Selection) SetAll() {
 	s.Figs = append([]string{}, ValidFigs...)
 	s.Tabs = append([]string{}, ValidTabs...)
@@ -57,7 +56,7 @@ func (s *Selection) SetAll() {
 
 // Empty reports whether the selection renders nothing.
 func (s Selection) Empty() bool {
-	return len(s.Figs) == 0 && len(s.Tabs) == 0 && !s.Headline && !s.Params &&
+	return len(s.Figs) == 0 && len(s.Tabs) == 0 && !s.Headline &&
 		!s.Sens && !s.Area && !s.OffChip && !s.PIM && !s.Ablations
 }
 
@@ -86,146 +85,203 @@ func containsName(set []string, v string) bool {
 	return false
 }
 
-// RenderSelection writes the selected tables and figures to w in
-// distda-repro's order: params, tables, figures, headline (+ data
-// movement), sensitivity, area, off-chip, pim, ablations — each table followed
-// by a blank line. matrix supplies the built experiment matrix and is
-// invoked at most once, and only when the selection needs it, so
-// selections of scale-only sections never pay for a matrix build.
+// sections lists the selection's sections in render order: tables,
+// figures, headline (+ data movement), sensitivity, area, off-chip, PIM,
+// ablations. Section names are "tab<N>", "fig<N>" and the Selection field
+// names in lower case.
+func (s Selection) sections() []string {
+	var out []string
+	for _, t := range s.Tabs {
+		out = append(out, "tab"+t)
+	}
+	for _, f := range s.Figs {
+		out = append(out, "fig"+f)
+	}
+	for _, opt := range []struct {
+		on   bool
+		name string
+	}{{s.Headline, "headline"}, {s.Sens, "sens"}, {s.Area, "area"}, {s.OffChip, "offchip"}, {s.PIM, "pim"}, {s.Ablations, "ablations"}} {
+		if opt.on {
+			out = append(out, opt.name)
+		}
+	}
+	return out
+}
+
+// matrixSections render from the §VI-A matrix.
+var matrixSections = map[string]bool{
+	"tab4": true, "tab5": true, "tab6": true,
+	"fig7": true, "fig8": true, "fig9": true, "fig10": true, "fig11a": true, "fig11b": true,
+	"headline": true,
+}
+
+// plan is every cell one selection simulates, in dispatch order: the
+// matrix's cells when a matrix-backed section is selected, then each
+// simulated section's cells in render order. A section selected twice
+// runs once.
+type plan struct {
+	sections []string
+	matrix   *Matrix // axes of the planned matrix; nil when none is planned
+	figs     map[string]plannedFigure
+	cells    []planCell
+}
+
+type plannedFigure struct {
+	figure
+	first int // index of the figure's first cell in plan.cells
+}
+
+// newPlan plans sel at scale. withMatrix false leaves the matrix out even
+// when a matrix-backed section is selected (RenderSelection's caller
+// supplies it).
+func newPlan(sel Selection, scale workloads.Scale, withMatrix bool) *plan {
+	p := &plan{sections: sel.sections(), figs: map[string]plannedFigure{}}
+	if withMatrix && p.needsMatrix() {
+		p.matrix = newMatrix(scale)
+		p.cells = p.matrix.cells()
+	}
+	for _, s := range p.sections {
+		declare, ok := figures[s]
+		if _, done := p.figs[s]; !ok || done {
+			continue
+		}
+		f := plannedFigure{declare(scale), len(p.cells)}
+		for i, c := range f.cells {
+			p.cells = append(p.cells, planCell{c, fmt.Sprintf("%s-%02d-%s-%s", s, i, c.W.Name, c.Cfg.Name)})
+		}
+		p.figs[s] = f
+	}
+	return p
+}
+
+// needsMatrix reports whether a selected section renders from the matrix.
+func (p *plan) needsMatrix() bool {
+	for _, s := range p.sections {
+		if matrixSections[s] {
+			return true
+		}
+	}
+	return false
+}
+
+// render writes every section to w in order, each table followed by a
+// blank line. m is the matrix (nil when no section needs it); out holds
+// the outcomes of p.cells.
+func (p *plan) render(w io.Writer, m *Matrix, out []outcome) error {
+	for _, s := range p.sections {
+		var tabs []*report.Table
+		switch s {
+		case "tab3":
+			tabs = append(tabs, Tab3Params())
+		case "area":
+			tabs = append(tabs, Tab3Area())
+		case "tab4":
+			tabs = append(tabs, m.Tab4Workloads())
+		case "tab5":
+			tabs = append(tabs, m.Tab5MechanismCoverage())
+		case "tab6":
+			t, err := m.Tab6OffloadCharacteristics()
+			if err != nil {
+				return err
+			}
+			tabs = append(tabs, t)
+		case "fig7":
+			tabs = append(tabs, m.Fig7EnergyEfficiency())
+		case "fig8":
+			tabs = append(tabs, m.Fig8CacheAccesses())
+		case "fig9":
+			tabs = append(tabs, m.Fig9AccessDistribution())
+		case "fig10":
+			tabs = append(tabs, m.Fig10NoCTraffic())
+		case "fig11a":
+			tabs = append(tabs, m.Fig11aIPC())
+		case "fig11b":
+			tabs = append(tabs, m.Fig11bSpeedup())
+		case "headline":
+			tabs = append(tabs, m.Headline(), m.DataMovement())
+		default:
+			f := p.figs[s]
+			res := make([]*sim.Result, len(f.cells))
+			for i := range res {
+				res[i] = out[f.first+i].res
+			}
+			tabs = append(tabs, f.render(res))
+		}
+		for _, t := range tabs {
+			if _, err := fmt.Fprintln(w, t.Render()); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// Summary describes the cells behind one Render.
+type Summary struct {
+	// Cells is the number of cells planned; 0 means the selection
+	// simulated nothing (static tables only).
+	Cells int
+	// Degraded lists "<cell>: <reason>" for every cell that timed out and
+	// rendered n/a, in plan order.
+	Degraded []string
+}
+
+// Render writes the selected tables and figures to w. It plans the cells
+// of every selected section — the matrix's when a matrix-backed section is
+// selected, and each simulated figure's — runs them all on one worker pool
+// under opts (workers, cache, checkpoint, per-cell timeout, hook,
+// observability, progress), then renders in selection order. Both
+// distda-repro and the distda-serve job server render through Render; for
+// an identical (scale, selection) the bytes written are identical at any
+// worker count, which is what makes the server's result cache able to
+// stand in for a batch CLI invocation.
 //
-// Both distda-repro and the distda-serve job server render through this
-// function; for an identical (scale, selection, matrix) the bytes written
-// here are identical, which is what makes the server's result cache able
-// to stand in for a batch CLI invocation.
+// Canceling ctx aborts the run with an error wrapping sim.ErrCanceled.
+func Render(ctx context.Context, w io.Writer, sel Selection, opts Options) (Summary, error) {
+	if err := sel.Validate(); err != nil {
+		return Summary{}, err
+	}
+	p := newPlan(sel, opts.Scale, true)
+	out, err := run(ctx, opts, p.cells)
+	if err != nil {
+		return Summary{}, err
+	}
+	sum := Summary{Cells: len(p.cells)}
+	for i, o := range out {
+		if o.degraded != "" {
+			sum.Degraded = append(sum.Degraded, p.cells[i].name+": "+o.degraded)
+		}
+	}
+	if p.matrix != nil {
+		p.matrix.fill(out)
+	}
+	return sum, p.render(w, p.matrix, out)
+}
+
+// RenderSelection writes the selected tables and figures to w, like
+// Render with default Options, except that matrix supplies the matrix:
+// it is invoked at most once, and only when the selection needs it. It
+// stays for callers that build the matrix themselves and render it
+// separately — the benchmark harness times Build and the rendering of a
+// built matrix apart. The figure sections' cells still run through the
+// cell runner, on GOMAXPROCS workers.
 func RenderSelection(w io.Writer, scale workloads.Scale, sel Selection, matrix func() (*Matrix, error)) error {
 	if err := sel.Validate(); err != nil {
 		return err
 	}
-	var m *Matrix
-	need := func() (*Matrix, error) {
-		if m == nil {
-			var err error
-			m, err = matrix()
-			if err != nil {
-				return nil, err
-			}
-			if m == nil {
-				return nil, fmt.Errorf("exp: matrix provider returned nil")
-			}
-		}
-		return m, nil
-	}
-	emit := func(text string, err error) error {
-		if err != nil {
-			return err
-		}
-		_, err = fmt.Fprintln(w, text)
+	p := newPlan(sel, scale, false)
+	out, err := run(context.Background(), Options{Scale: scale}, p.cells)
+	if err != nil {
 		return err
 	}
-	matrixTable := func(f func(*Matrix) interface{ Render() string }) error {
-		mm, err := need()
-		if err != nil {
+	var m *Matrix
+	if p.needsMatrix() {
+		if m, err = matrix(); err != nil {
 			return err
 		}
-		return emit(f(mm).Render(), nil)
-	}
-	scaleTable := func(f func(workloads.Scale) (interface{ Render() string }, error)) error {
-		t, err := f(scale)
-		if err != nil {
-			return err
-		}
-		return emit(t.Render(), nil)
-	}
-
-	if sel.Params {
-		if err := emit(Tab3Params().Render(), nil); err != nil {
-			return err
+		if m == nil {
+			return fmt.Errorf("exp: matrix provider returned nil")
 		}
 	}
-	for _, tab := range sel.Tabs {
-		var err error
-		switch tab {
-		case "3":
-			err = emit(Tab3Params().Render(), nil)
-		case "4":
-			err = matrixTable(func(m *Matrix) interface{ Render() string } { return m.Tab4Workloads() })
-		case "5":
-			err = matrixTable(func(m *Matrix) interface{ Render() string } { return m.Tab5MechanismCoverage() })
-		case "6":
-			mm, merr := need()
-			if merr != nil {
-				return merr
-			}
-			t, terr := mm.Tab6OffloadCharacteristics()
-			if terr != nil {
-				return terr
-			}
-			err = emit(t.Render(), nil)
-		}
-		if err != nil {
-			return err
-		}
-	}
-	for _, fig := range sel.Figs {
-		var err error
-		switch fig {
-		case "7":
-			err = matrixTable(func(m *Matrix) interface{ Render() string } { return m.Fig7EnergyEfficiency() })
-		case "8":
-			err = matrixTable(func(m *Matrix) interface{ Render() string } { return m.Fig8CacheAccesses() })
-		case "9":
-			err = matrixTable(func(m *Matrix) interface{ Render() string } { return m.Fig9AccessDistribution() })
-		case "10":
-			err = matrixTable(func(m *Matrix) interface{ Render() string } { return m.Fig10NoCTraffic() })
-		case "11a":
-			err = matrixTable(func(m *Matrix) interface{ Render() string } { return m.Fig11aIPC() })
-		case "11b":
-			err = matrixTable(func(m *Matrix) interface{ Render() string } { return m.Fig11bSpeedup() })
-		case "12a":
-			err = scaleTable(func(s workloads.Scale) (interface{ Render() string }, error) { return Fig12aCaseStudies(s) })
-		case "12b":
-			err = scaleTable(func(s workloads.Scale) (interface{ Render() string }, error) { return Fig12bMultithread(s) })
-		case "13":
-			err = scaleTable(func(s workloads.Scale) (interface{ Render() string }, error) { return Fig13Clocking(s) })
-		case "14":
-			err = scaleTable(func(s workloads.Scale) (interface{ Render() string }, error) { return Fig14SoftwareOpt(s) })
-		}
-		if err != nil {
-			return err
-		}
-	}
-	if sel.Headline {
-		if err := matrixTable(func(m *Matrix) interface{ Render() string } { return m.Headline() }); err != nil {
-			return err
-		}
-		if err := matrixTable(func(m *Matrix) interface{ Render() string } { return m.DataMovement() }); err != nil {
-			return err
-		}
-	}
-	if sel.Sens {
-		if err := scaleTable(func(s workloads.Scale) (interface{ Render() string }, error) { return SensWorkingSet(s) }); err != nil {
-			return err
-		}
-	}
-	if sel.Area {
-		if err := emit(Tab3Area().Render(), nil); err != nil {
-			return err
-		}
-	}
-	if sel.OffChip {
-		if err := scaleTable(func(s workloads.Scale) (interface{ Render() string }, error) { return OffChipExtension(s) }); err != nil {
-			return err
-		}
-	}
-	if sel.PIM {
-		if err := scaleTable(func(s workloads.Scale) (interface{ Render() string }, error) { return PIMExtension(s) }); err != nil {
-			return err
-		}
-	}
-	if sel.Ablations {
-		if err := scaleTable(func(s workloads.Scale) (interface{ Render() string }, error) { return Ablations(s) }); err != nil {
-			return err
-		}
-	}
-	return nil
+	return p.render(w, m, out)
 }

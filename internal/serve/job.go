@@ -82,9 +82,8 @@ type plan struct {
 	key    string // artifact.ResultKey content address
 
 	// Run jobs.
-	workload *workloads.Workload
-	cfg      sim.Config // named config with clock override applied
-	kernel   *ir.Kernel // effective kernel, before thread strip-mining
+	workload *workloads.Workload // effective kernel and parameters
+	cfg      sim.Config          // named config with clock override applied
 
 	// Matrix jobs.
 	sel exp.Selection
@@ -174,19 +173,18 @@ func (p *plan) planRun(spec *JobSpec) error {
 			return err
 		}
 	}
+	params := w.Params
 	if len(spec.Params) > 0 {
-		merged := make(map[string]float64, len(w.Params)+len(spec.Params))
+		params = make(map[string]float64, len(w.Params)+len(spec.Params))
 		for k, v := range w.Params {
-			merged[k] = v
+			params[k] = v
 		}
 		for k, v := range spec.Params {
-			merged[k] = v
+			params[k] = v
 		}
-		w = &workloads.Workload{Name: w.Name, Desc: w.Desc, Kernel: w.Kernel, Params: merged, Gen: w.Gen}
 	}
-	p.workload = w
+	p.workload = &workloads.Workload{Name: w.Name, Desc: w.Desc, Kernel: kernel, Params: params, Gen: w.Gen}
 	p.cfg = cfg
-	p.kernel = kernel
 
 	// The content address covers everything that determines the result
 	// bytes: scale and workload name pin the deterministically generated
@@ -200,7 +198,7 @@ func (p *plan) planRun(spec *JobSpec) error {
 		strconv.Itoa(spec.Threads),
 		w.Name,
 		ir.Format(kernel),
-		formatParams(w.Params),
+		formatParams(params),
 	)
 	return nil
 }
@@ -278,9 +276,6 @@ func (p *plan) Equivalent() string {
 		}
 		if s.Headline {
 			parts = append(parts, "-headline")
-		}
-		if s.Params {
-			parts = append(parts, "-params")
 		}
 		if s.Sens {
 			parts = append(parts, "-sens")

@@ -300,6 +300,7 @@ func TestSubmitValidation(t *testing.T) {
 		{"bad threads", `{"workload": "bfs", "threads": -1}`},
 		{"empty matrix", `{"kind": "matrix", "scale": "test"}`},
 		{"bad fig", `{"kind": "matrix", "selection": {"figs": ["99"]}}`},
+		{"removed params selection", `{"kind": "matrix", "selection": {"params": true}}`},
 		{"matrix with workload", `{"kind": "matrix", "workload": "bfs", "all": true}`},
 		{"unknown kind", `{"kind": "sweep"}`},
 	}
@@ -432,6 +433,49 @@ func TestCancelQueuedAndRunning(t *testing.T) {
 	}
 	if code, _ := getResult(t, ts, running.ID); code != http.StatusGone {
 		t.Errorf("canceled job result = %d, want 410", code)
+	}
+}
+
+// TestCancelRunningFigureJob cancels a bench-scale Fig. 13 job after its
+// first cell completes. The figure's cells run under the job's context,
+// so the single worker is free again within seconds — a job submitted
+// after the cancel finishes long before the figure would have.
+func TestCancelRunningFigureJob(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1, CellWorkers: 1})
+	_, fig := postJob(t, ts, `{"scale": "bench", "selection": {"figs": ["13"]}}`)
+	deadline := time.Now().Add(60 * time.Second)
+	for getStatus(t, ts, fig.ID).Progress.Done == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("no cell completed")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if total := getStatus(t, ts, fig.ID).Progress.Total; total != 36 {
+		t.Errorf("progress total = %d, want Fig. 13's 36 cells", total)
+	}
+	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/api/v1/jobs/"+fig.ID, nil)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	canceledAt := time.Now()
+	if st := getStatus(t, ts, fig.ID); st.State != StateCanceled {
+		t.Fatalf("figure job state = %s, want canceled", st.State)
+	}
+	_, next := postJob(t, ts, `{"workload": "bfs", "scale": "test"}`)
+	for {
+		st := getStatus(t, ts, next.ID)
+		if st.State == StateDone {
+			break
+		}
+		if st.State == StateFailed || st.State == StateCanceled {
+			t.Fatalf("follow-up job ended %s: %s", st.State, st.Error)
+		}
+		if time.Since(canceledAt) > 5*time.Second {
+			t.Fatalf("worker still busy %v after the figure job was canceled", time.Since(canceledAt))
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }
 

@@ -50,12 +50,6 @@ type Config struct {
 	OffChip          bool
 	OffChipThreshold int
 
-	// PIMThreshold, when positive, lets the partitioner steer individual
-	// offloaded regions to the "pimdram" backend: a region whose summed
-	// object footprint is at least PIMThreshold bytes executes in DRAM
-	// regardless of Config.Backend. Zero disables per-region selection.
-	PIMThreshold int
-
 	CompilerMode  compiler.Mode
 	MaxEngine     int64 // engine budget per launch, base cycles
 	PrivCacheKB   int   // Mono-CA private cache size (0 = none)

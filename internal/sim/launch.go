@@ -78,23 +78,14 @@ func clearResize[T any](s []T, n int) []T {
 	return s
 }
 
-// backendFor resolves the accelerator backend executing a region: the
-// partitioner's per-region choice (Region.Backend) wins over the config
-// default. Backend options follow the config's backend only — a region
-// steered elsewhere gets that backend's defaults.
+// backendFor resolves the configuration's accelerator backend and its
+// options for a region launch.
 func (h *host) backendFor(reg *core.Region) (backend.Backend, backend.Options) {
-	name := reg.Backend
-	opts := h.m.cfg.BackendOpts
-	if name == "" {
-		name = h.m.cfg.Backend
-	} else if name != h.m.cfg.Backend {
-		opts = nil
-	}
-	be, ok := backend.Lookup(name)
+	be, ok := backend.Lookup(h.m.cfg.Backend)
 	if !ok {
-		h.failf("launch: region %s has no registered accelerator backend (%q)", reg.Name, name)
+		h.failf("launch: region %s has no registered accelerator backend (%q)", reg.Name, h.m.cfg.Backend)
 	}
-	return be, opts
+	return be, h.m.cfg.BackendOpts
 }
 
 // mmioHost accounts one host-initiated MMIO transaction to a cluster.

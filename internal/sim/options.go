@@ -82,9 +82,6 @@ func (c Config) Validate() error {
 		if len(c.BackendOpts) > 0 {
 			return fail("backend options set without an accelerator backend")
 		}
-		if c.PIMThreshold != 0 {
-			return fail("PIMThreshold set without an accelerator backend")
-		}
 	} else {
 		be, ok := backend.Lookup(c.Backend)
 		if !ok {
@@ -102,14 +99,6 @@ func (c Config) Validate() error {
 		}
 		if w := be.Caps().MaxPortWidth; c.IOWidth > w {
 			return fail("request port width %d exceeds backend %q maximum %d", c.IOWidth, c.Backend, w)
-		}
-		if c.PIMThreshold != 0 {
-			if c.PIMThreshold < 0 {
-				return fail("PIMThreshold %d negative", c.PIMThreshold)
-			}
-			if _, ok := backend.Lookup("pimdram"); !ok {
-				return fail("PIMThreshold set but no \"pimdram\" backend registered")
-			}
 		}
 	}
 	if c.Centralized && c.Backend != "iocore" {
@@ -148,13 +137,6 @@ func WithBackend(name string, opts ...backend.Option) Option {
 		c.Backend = name
 		c.BackendOpts = backend.Options(opts)
 	}
-}
-
-// WithPIMThreshold enables per-region PIM-in-DRAM selection: offloaded
-// regions whose summed object footprint is at least threshold bytes are
-// steered to the "pimdram" backend instead of Config.Backend.
-func WithPIMThreshold(threshold int) Option {
-	return func(c *Config) { c.PIMThreshold = threshold }
 }
 
 // WithDistribute toggles distributed computation (Dist-DA).

@@ -40,47 +40,3 @@ func TestPIMDRAMRuns(t *testing.T) {
 		})
 	}
 }
-
-// TestPIMThresholdSteersRegions checks per-region backend selection: with a
-// low threshold on a near-L3 config, large-footprint regions execute in
-// DRAM (the compiler marks them), and the run still validates.
-func TestPIMThresholdSteersRegions(t *testing.T) {
-	w, err := workloads.ByName("fdtd-2d", workloads.ScaleTest)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := MustConfig(DistDAIO, WithName("Dist-DA-IO+PIM"), WithPIMThreshold(1))
-	compiled, err := Compiled(w.Kernel, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	marked := 0
-	for _, reg := range compiled.Regions {
-		if reg.Backend == "pimdram" {
-			marked++
-		}
-	}
-	if marked == 0 {
-		t.Fatal("threshold 1: no region steered to pimdram")
-	}
-	r, err := Run(w.Kernel, w.Params, w.NewData(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !r.Validated {
-		t.Fatal("mixed-backend run not validated")
-	}
-
-	// A threshold beyond every footprint must leave all regions on the
-	// config backend.
-	huge := MustConfig(DistDAIO, WithName("Dist-DA-IO+PIMHuge"), WithPIMThreshold(1<<40))
-	compiled, err = Compiled(w.Kernel, huge)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, reg := range compiled.Regions {
-		if reg.Backend != "" {
-			t.Fatalf("threshold 1<<40: region %s unexpectedly steered to %q", reg.Name, reg.Backend)
-		}
-	}
-}

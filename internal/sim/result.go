@@ -128,7 +128,7 @@ func (m *machine) collect(workload string, validated bool) *Result {
 		Validated:  validated,
 	}
 	for _, c := range m.meter.Categories() {
-		res.EnergyByCat[c] = m.meter.Get(c)
+		res.EnergyByCat[c.String()] = m.meter.Get(c)
 	}
 	for _, in := range []core.Intrinsic{core.CpConfig, core.CpConfigStream, core.CpConfigRandom,
 		core.CpSetRF, core.CpLoadRF, core.CpRun} {

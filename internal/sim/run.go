@@ -93,7 +93,6 @@ func CompileOptions(cfg Config) compiler.Options {
 		NoObjConstraint:        cfg.NoObjConstr,
 		NoStreamSpecialization: cfg.NoStreams,
 		NoEpilogueFold:         cfg.NoFolding,
-		PIMBytes:               cfg.PIMThreshold,
 	}
 }
 

@@ -143,6 +143,22 @@ stage_gates() {
         exit 1
     fi
 
+    echo "== one cell path"
+    # Every simulation the CLIs, the experiment planner and the job server
+    # start goes through exp.RunCell (internal/exp/cell.go): strip-mining,
+    # the cached compile, the program fetch and the run live in one place,
+    # and the worker pool gives every cell cancellation, deadlines,
+    # checkpoints, tracing and progress. Examples call the simulator
+    # directly on purpose.
+    viol=$(grep -rnE 'sim\.(Run|RunAnnotated|RunThreads|RunPrecompiled)\(|GetOrCompile\(' cmd internal/exp internal/serve --include='*.go' \
+        | grep -v '^internal/exp/cell\.go:' \
+        | grep -v '_test\.go:' || true)
+    if [ -n "$viol" ]; then
+        echo "simulation started outside the cell runner (build an exp.Cell and call exp.RunCell, or plan it as a figure cell):" >&2
+        echo "$viol" >&2
+        exit 1
+    fi
+
     echo "== no direct accelerator imports outside internal/backend"
     # The backend registry (internal/backend) is the only seam the rest of the
     # tree may reach accelerators through: sim, compiler, partition and profile
