@@ -103,29 +103,26 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return cliutil.ExitUsage
 	}
 
-	// Observability: per-cell tracers are drawn serially in plan order and
-	// written out (named after their cells) once the run ends, so -parallel
-	// never changes file names or contents.
+	// Observability: each cell's tracer is written out (named after its
+	// cell) as soon as the cell has run and then dropped, so -parallel
+	// never changes file names or contents and at most one tracer per
+	// worker is held.
 	observe := exp.Observe{}
 	var prof *profile.Profiler
 	if *statsPath != "" || *foldedPath != "" || *breakdown {
 		prof = profile.New()
 		observe.Profile = prof
 	}
-	type cellTrace struct {
-		path string
-		tr   *trace.Tracer
-	}
-	var cellTraces []cellTrace
+	traces := 0
 	if *traceDir != "" {
 		if err := os.MkdirAll(*traceDir, 0o755); err != nil {
 			return fail(err)
 		}
 		dir := *traceDir
-		observe.Tracer = func(cell string) *trace.Tracer {
-			tr := trace.New()
-			cellTraces = append(cellTraces, cellTrace{path: filepath.Join(dir, cell+".trace.json"), tr: tr})
-			return tr
+		observe.Tracer = func(string) *trace.Tracer { return trace.New() }
+		observe.TraceDone = func(cell string, tr *trace.Tracer) error {
+			traces++
+			return cliutil.WriteTrace(tr, filepath.Join(dir, cell+".trace.json"))
 		}
 	}
 
@@ -169,13 +166,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	for _, d := range sum.Degraded {
 		fmt.Fprintln(stderr, "distda-repro: cell degraded to n/a:", d)
 	}
-	for _, ct := range cellTraces {
-		if err := cliutil.WriteTrace(ct.tr, ct.path); err != nil {
-			return fail(err)
-		}
-	}
-	if len(cellTraces) > 0 {
-		fmt.Fprintf(stderr, "distda-repro: wrote %d trace files to %s\n", len(cellTraces), *traceDir)
+	if traces > 0 {
+		fmt.Fprintf(stderr, "distda-repro: wrote %d trace files to %s\n", traces, *traceDir)
 	}
 	if prof != nil {
 		if sum.Cells == 0 {

@@ -120,7 +120,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// -cache-dir); the key covers the strip-mined thread kernel, so -threads
 	// variants hash distinctly.
 	cache := cliutil.OpenCache(*cacheDir)
-	res, err := exp.RunCell(context.Background(), cache,
+	res, err := exp.RunCell(context.Background(), cache, nil,
 		exp.Cell{W: w, Scale: scale, Cfg: cfg, Threads: *threads}, w.NewData(), nil)
 	if err != nil {
 		return fail(err)

@@ -147,6 +147,11 @@ func (f *StreamIn) Reset(buf *Buffer, mem Memory, fetch Fetcher, cluster int, ob
 	return nil
 }
 
+// Release drops f's references to its stream — buffer, memory, fetcher,
+// trace scope and histogram — keeping the in-flight line storage for the
+// next Reset. A released FSM is only ever Reset.
+func (f *StreamIn) Release() { *f = StreamIn{vals: f.vals} }
+
 // Done reports stream completion (all elements delivered, buffer closed).
 func (f *StreamIn) Done() bool { return f.closed }
 
@@ -338,6 +343,11 @@ func (f *StreamOut) Reset(buf *Buffer, mem Memory, fetch Fetcher, cluster int, o
 	buf.Subscribe(&f.latch)
 	return nil
 }
+
+// Release drops f's references to its stream — buffer, memory, fetcher,
+// trace scope and histogram. A drain FSM keeps no storage across streams,
+// so it is cleared whole; a released FSM is only ever Reset.
+func (f *StreamOut) Release() { *f = StreamOut{} }
 
 // Done reports that the producer closed the stream and everything drained.
 func (f *StreamOut) Done() bool { return f.closed }

@@ -40,6 +40,11 @@ func (p *RandomPort) Reset(mem Memory, fetch Fetcher, cluster int, stats *Stats,
 	*p = RandomPort{mem: mem, fetch: fetch, cluster: cluster, stats: stats, meter: meter}
 }
 
+// Release drops p's references to its launch — memory, fetcher and
+// prefilled objects. A port keeps no storage, so it is cleared whole; a
+// released port is only ever Reset.
+func (p *RandomPort) Release() { *p = RandomPort{} }
+
 func (p *RandomPort) account(elemBytes int) {
 	p.stats.DABytes += int64(elemBytes)
 	if p.meter != nil {

@@ -383,6 +383,15 @@ func TestStreamInResetMatchesNew(t *testing.T) {
 		used.Trace = trace.New().Component("fill").At(0)
 		used.LatHist = profile.New().Hist("latency.test", "test")
 		streamInObs(used, hbuf, &fakeFetch{}, &Stats{}, 2, int64(histCycles))
+		if histCycles%2 == 1 {
+			// Released between streams, as a simulator's pool is between
+			// runs: only the in-flight line storage may stay.
+			used.Release()
+			if !reflect.DeepEqual(*used, StreamIn{vals: used.vals}) {
+				t.Log("Release kept a reference to the stream")
+				return false
+			}
+		}
 
 		buf, _ := NewBuffer(8, nil)
 		fetch, stats := &fakeFetch{lat: 7}, &Stats{}
@@ -460,6 +469,13 @@ func TestStreamOutResetMatchesNew(t *testing.T) {
 		used.Trace = trace.New().Component("drain").At(0)
 		used.LatHist = profile.New().Hist("latency.test", "test")
 		streamOutObs(used, hbuf, hmem, &fakeFetch{}, &Stats{}, int(histN)%size, int64(histCycles))
+		if histCycles%2 == 1 {
+			used.Release()
+			if !reflect.DeepEqual(*used, StreamOut{}) {
+				t.Log("Release kept a reference to the stream")
+				return false
+			}
+		}
 
 		buf, _ := NewBuffer(4, nil)
 		mem, fetch, stats := streamMem(8, size), &fakeFetch{lat: 9}, &Stats{}
@@ -491,9 +507,9 @@ func TestStreamOutResetMatchesNew(t *testing.T) {
 	}
 }
 
-// TestRandomPortResetMatchesNew: a random port recycled through Reset —
-// after loads and stores, prefilled objects included — equals the port
-// NewRandomPort builds, and serves the same accesses identically.
+// TestRandomPortResetMatchesNew: a random port recycled through Release
+// and Reset — after loads and stores, prefilled objects included — equals
+// the port NewRandomPort builds, and serves the same accesses identically.
 func TestRandomPortResetMatchesNew(t *testing.T) {
 	mem, stats := streamMem(8, 64), &Stats{}
 	used := NewRandomPort(streamMem(4, 64), &fakeFetch{lat: 2}, 0, &Stats{}, nil)
@@ -505,6 +521,10 @@ func TestRandomPortResetMatchesNew(t *testing.T) {
 		if _, err := used.Store("B", i, 1); err != nil {
 			t.Fatal(err)
 		}
+	}
+	used.Release()
+	if !reflect.DeepEqual(*used, RandomPort{}) {
+		t.Fatalf("Release kept a reference to the launch: %+v", *used)
 	}
 	fetch := &fakeFetch{lat: 12}
 	used.Reset(mem, fetch, 3, stats, nil)

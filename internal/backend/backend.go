@@ -192,6 +192,11 @@ type Engine interface {
 	// histogram included — and it fails exactly when NewEngine(spec) would.
 	// The engine must not be registered with a running scheduler.
 	Reset(spec LaunchSpec) error
+	// Release drops every reference the engine holds to its launch — the
+	// definition, ports, meter, histogram and trace scope — while keeping
+	// its storage, so an engine pool that outlives a simulator run keeps
+	// nothing of the run reachable. A released engine is only ever Reset.
+	Release()
 
 	SetReg(r int, v float64)
 	Reg(r int) float64

@@ -17,7 +17,10 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"runtime"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"distda/internal/accessunit"
 	"distda/internal/backend"
@@ -96,19 +99,33 @@ func fresh(t *testing.T, be backend.Backend, spec backend.LaunchSpec) (backend.E
 }
 
 // recycledAfter returns a maker of recycled engines whose earlier launch
-// is cut off after cut edges.
-func recycledAfter(cut int) engineMaker {
+// is cut off after cut edges; with release set, the engine is Released
+// between the launches, as a simulator's engine pool is at the end of a
+// run.
+func recycledAfter(cut int, release bool) engineMaker {
 	return func(t *testing.T, be backend.Backend, spec backend.LaunchSpec) (backend.Engine, error) {
-		return recycled(t, be, spec, cut)
+		return recycled(t, be, spec, cut, release)
 	}
 }
 
-// recycled builds an engine for a launch of mulDef — at the widest port,
+// recycled runs an earlier launch (see launched), Releases the engine when
+// release is set, and re-arms it for spec through Reset.
+func recycled(t *testing.T, be backend.Backend, spec backend.LaunchSpec, cut int, release bool) (backend.Engine, error) {
+	t.Helper()
+	e := launched(t, be, spec.Opts, spec.Memo, cut, nil)
+	if release {
+		e.Release()
+	}
+	return e, e.Reset(spec)
+}
+
+// launched builds an engine for a launch of mulDef — at the widest port,
 // another clock, with its own meter, latency histogram and tracer
-// attached and a register set by cp_set_rf — runs it for cut edges (400
-// run it to completion on every backend) and then re-arms it for spec
-// through Reset.
-func recycled(t *testing.T, be backend.Backend, spec backend.LaunchSpec, cut int) (backend.Engine, error) {
+// attached and a register set by cp_set_rf — and runs it for cut edges
+// (400 run it to completion on every backend). track, when non-nil, is
+// handed the launch's definition, histogram and an object only its
+// tracer holds.
+func launched(t *testing.T, be backend.Backend, opts backend.Options, memo *backend.Memo, cut int, track func(any)) backend.Engine {
 	t.Helper()
 	const n = 24
 	meter := energy.NewMeter(energy.Default32nm())
@@ -117,19 +134,29 @@ func recycled(t *testing.T, be backend.Backend, spec backend.LaunchSpec, cut int
 	c, _ := accessunit.NewBuffer(4, meter)
 	prof := profile.New()
 	mem := memfake.New(8, map[string][]float64{"t": make([]float64, 64)})
+	def, hist, tr := mulDef(n), prof.Hist("latency.test", "earlier launch"), trace.New()
 	e, err := be.NewEngine(backend.LaunchSpec{
-		Def: mulDef(n), Trips: n,
+		Def: def, Trips: n,
 		In:     []*accessunit.InPort{accessunit.NewInPort(a, 0), nil, accessunit.NewInPort(b, 0)},
 		Out:    []*accessunit.OutPort{nil, {Buf: c}, nil},
 		Random: accessunit.NewRandomPort(mem, &memfake.Fetch{Lat: 30}, 0, &accessunit.Stats{}, meter),
 		GHz:    2, Width: be.Caps().MaxPortWidth, Meter: meter,
-		LatHist: prof.Hist("latency.test", "earlier launch"), Opts: spec.Opts,
-		Memo: spec.Memo,
+		LatHist: hist, Opts: opts, Memo: memo,
 	})
 	if err != nil {
 		t.Fatalf("NewEngine for the earlier launch: %v", err)
 	}
-	e.AttachTrace(trace.New(), 0)
+	e.AttachTrace(tr, 0)
+	if track != nil {
+		// A tracer's tracks point back to it, and the finalizer of an
+		// object in a cycle may never run: hand over event arguments,
+		// which only the tracer holds.
+		probe := make([]trace.KV, 4)
+		tr.Component("probe").At(0).Span("probe", 0, 0, probe...)
+		track(def)
+		track(hist)
+		track(&probe[0])
+	}
 	e.SetReg(20, 5)
 	cr := accessunit.NewInPort(c, 0)
 	div := int64(engine.Div(2))
@@ -145,7 +172,7 @@ func recycled(t *testing.T, be backend.Backend, spec backend.LaunchSpec, cut int
 		}
 		e.Step(int64(i) * div)
 	}
-	return e, e.Reset(spec)
+	return e
 }
 
 // fixture is one engine wired to hand-fed request/response buffers.
@@ -257,7 +284,8 @@ func Conformance(t *testing.T, name string, opts ...backend.Option) {
 	conformance(t, fresh, be, o)
 	// The same cases on an engine that ran a launch of another definition
 	// (cut off mid-run) and was re-armed through Reset.
-	t.Run("recycled", func(t *testing.T) { conformance(t, recycledAfter(60), be, o) })
+	t.Run("recycled", func(t *testing.T) { conformance(t, recycledAfter(60, false), be, o) })
+	t.Run("released", func(t *testing.T) { conformance(t, recycledAfter(60, true), be, o) })
 }
 
 // conformance runs the engine-level cases on engines mk arms.
@@ -476,19 +504,40 @@ func ResetMatchesNew(t *testing.T, name string, opts ...backend.Option) {
 	}
 	o := backend.Options(opts)
 	for _, cut := range []int{0, 7, 40, 400} {
-		for _, whileInput := range []bool{false, true} {
-			for _, outCap := range []int{1, 16} {
-				t.Run(fmt.Sprintf("cut%d/while-input=%v/out%d", cut, whileInput, outCap), func(t *testing.T) {
-					var memo backend.Memo
-					want := resetObs(t, fresh, be, o, &memo, whileInput, outCap)
-					got := resetObs(t, recycledAfter(cut), be, o, &memo, whileInput, outCap)
-					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("recycled engine diverges from a fresh one:\n got %+v\nwant %+v", got, want)
-					}
-				})
+		for _, release := range []bool{false, true} {
+			for _, whileInput := range []bool{false, true} {
+				for _, outCap := range []int{1, 16} {
+					t.Run(fmt.Sprintf("cut%d/release=%v/while-input=%v/out%d", cut, release, whileInput, outCap), func(t *testing.T) {
+						var memo backend.Memo
+						want := resetObs(t, fresh, be, o, &memo, whileInput, outCap)
+						got := resetObs(t, recycledAfter(cut, release), be, o, &memo, whileInput, outCap)
+						if !reflect.DeepEqual(got, want) {
+							t.Fatalf("recycled engine diverges from a fresh one:\n got %+v\nwant %+v", got, want)
+						}
+					})
+				}
 			}
 		}
 	}
+	// A released engine holds nothing of its launch: the definition,
+	// histogram and tracer become garbage while the engine lives on.
+	t.Run("release-drops-launch", func(t *testing.T) {
+		var live atomic.Int64
+		e := launched(t, be, o, nil, 40, func(p any) {
+			live.Add(1)
+			runtime.SetFinalizer(p, func(any) { live.Add(-1) })
+		})
+		e.Release()
+		n := live.Load()
+		for deadline := time.Now().Add(2 * time.Second); n > 0 && time.Now().Before(deadline); n = live.Load() {
+			runtime.GC()
+			time.Sleep(time.Millisecond)
+		}
+		if n > 0 {
+			t.Fatalf("%d of the launch's objects still reachable from the released engine", n)
+		}
+		runtime.KeepAlive(e)
+	})
 	// Both arms on one spec: every exported field (counters, width, trace
 	// scope, histogram) must match right after arming.
 	t.Run("exported-fields", func(t *testing.T) {
@@ -506,7 +555,7 @@ func ResetMatchesNew(t *testing.T, name string, opts ...backend.Option) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := recycled(t, be, spec, 40)
+		got, err := recycled(t, be, spec, 40, false)
 		if err != nil {
 			t.Fatal(err)
 		}

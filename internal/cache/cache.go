@@ -52,14 +52,35 @@ type Level struct {
 // NewLevel builds a level. SizeBytes must be divisible by Ways*LineBytes
 // into a power-of-two set count.
 func NewLevel(cfg LevelConfig, m *energy.Meter) (*Level, error) {
+	l := &Level{}
+	if err := l.Reset(cfg, m); err != nil {
+		return nil, err
+	}
+	return l, nil
+}
+
+// Reset returns l to the state NewLevel(cfg, m) would build — every line
+// invalid, LRU clock and counters at zero — keeping the line array when it
+// is large enough, so a simulator can reuse one machine's caches from run
+// to run. It fails exactly when NewLevel would, and leaves l unchanged
+// then.
+func (l *Level) Reset(cfg LevelConfig, m *energy.Meter) error {
 	if cfg.Ways <= 0 || cfg.LineBytes <= 0 || cfg.SizeBytes <= 0 {
-		return nil, fmt.Errorf("cache: level %q has non-positive geometry", cfg.Name)
+		return fmt.Errorf("cache: level %q has non-positive geometry", cfg.Name)
 	}
 	sets := cfg.SizeBytes / (cfg.Ways * cfg.LineBytes)
 	if sets <= 0 || sets&(sets-1) != 0 {
-		return nil, fmt.Errorf("cache: level %q: set count %d is not a positive power of two", cfg.Name, sets)
+		return fmt.Errorf("cache: level %q: set count %d is not a positive power of two", cfg.Name, sets)
 	}
-	return &Level{cfg: cfg, sets: sets, ways: cfg.Ways, data: make([]line, sets*cfg.Ways), meter: m}, nil
+	data := l.data
+	if n := sets * cfg.Ways; cap(data) < n {
+		data = make([]line, n)
+	} else {
+		data = data[:n]
+		clear(data)
+	}
+	*l = Level{cfg: cfg, sets: sets, ways: cfg.Ways, data: data, meter: m}
+	return nil
 }
 
 // set returns the ways of set s.

@@ -265,7 +265,8 @@ func TestHierarchyConfigValidation(t *testing.T) {
 }
 
 func TestStridePrefetcherDetection(t *testing.T) {
-	p := newStridePrefetcher(4)
+	var p stridePrefetcher
+	p.reset(4)
 	// Feed lines 0,1,2,... : stride 1 after warmup.
 	var fired bool
 	for i := int64(0); i < 6; i++ {
@@ -280,7 +281,8 @@ func TestStridePrefetcherDetection(t *testing.T) {
 		t.Fatal("unit stride never detected")
 	}
 	// Random jumps across pages should not fire for a fresh detector.
-	p2 := newStridePrefetcher(4)
+	var p2 stridePrefetcher
+	p2.reset(4)
 	for _, l := range []int64{0, 1000, 5000, 90000, 44, 70000} {
 		if _, ok := p2.observe(l); ok {
 			t.Fatal("random pattern detected as stride")

@@ -49,7 +49,7 @@ type Hierarchy struct {
 	mem   *dram.Memory
 	mesh  *noc.Mesh
 	meter *energy.Meter
-	pf    *stridePrefetcher
+	pf    stridePrefetcher // consulted only when cfg.L2Prefetch
 
 	PrefetchIssued int64
 	PrefetchUseful int64
@@ -57,31 +57,57 @@ type Hierarchy struct {
 
 // New assembles the hierarchy.
 func New(cfg Config, mem *dram.Memory, mesh *noc.Mesh, meter *energy.Meter) (*Hierarchy, error) {
-	if cfg.Clusters <= 0 {
-		return nil, fmt.Errorf("cache: cluster count %d", cfg.Clusters)
-	}
-	if mesh != nil && cfg.Clusters > mesh.Nodes() {
-		return nil, fmt.Errorf("cache: %d clusters but mesh has %d nodes", cfg.Clusters, mesh.Nodes())
-	}
-	h := &Hierarchy{cfg: cfg, mem: mem, mesh: mesh, meter: meter}
-	var err error
-	if h.l1, err = NewLevel(cfg.L1, meter); err != nil {
+	h := &Hierarchy{}
+	if err := h.Reset(cfg, mem, mesh, meter); err != nil {
 		return nil, err
-	}
-	if h.l2, err = NewLevel(cfg.L2, meter); err != nil {
-		return nil, err
-	}
-	for i := 0; i < cfg.Clusters; i++ {
-		lvl, err := NewLevel(cfg.L3Cluster, meter)
-		if err != nil {
-			return nil, err
-		}
-		h.l3 = append(h.l3, lvl)
-	}
-	if cfg.L2Prefetch {
-		h.pf = newStridePrefetcher(8)
 	}
 	return h, nil
+}
+
+// Reset returns h to the state New(cfg, mem, mesh, meter) would build —
+// every level empty, prefetcher table and counters cleared — keeping the
+// levels' line arrays, so a simulator can reuse one machine's hierarchy
+// from run to run. It fails exactly when New would; h is then unusable
+// until a Reset succeeds.
+func (h *Hierarchy) Reset(cfg Config, mem *dram.Memory, mesh *noc.Mesh, meter *energy.Meter) error {
+	if cfg.Clusters <= 0 {
+		return fmt.Errorf("cache: cluster count %d", cfg.Clusters)
+	}
+	if mesh != nil && cfg.Clusters > mesh.Nodes() {
+		return fmt.Errorf("cache: %d clusters but mesh has %d nodes", cfg.Clusters, mesh.Nodes())
+	}
+	l1, l2, l3, pf := h.l1, h.l2, h.l3, h.pf
+	*h = Hierarchy{cfg: cfg, mem: mem, mesh: mesh, meter: meter}
+	var err error
+	if h.l1, err = resetLevel(l1, cfg.L1, meter); err != nil {
+		return err
+	}
+	if h.l2, err = resetLevel(l2, cfg.L2, meter); err != nil {
+		return err
+	}
+	// Levels past len(l3) that a larger earlier config built are reused
+	// too; nil slots are built.
+	l3 = l3[:cap(l3)]
+	for i := 0; i < cfg.Clusters; i++ {
+		if i == len(l3) {
+			l3 = append(l3, nil)
+		}
+		if l3[i], err = resetLevel(l3[i], cfg.L3Cluster, meter); err != nil {
+			return err
+		}
+	}
+	h.l3 = l3[:cfg.Clusters]
+	h.pf = pf
+	h.pf.reset(8)
+	return nil
+}
+
+// resetLevel resets l for cfg, building it when l is nil.
+func resetLevel(l *Level, cfg LevelConfig, m *energy.Meter) (*Level, error) {
+	if l == nil {
+		return NewLevel(cfg, m)
+	}
+	return l, l.Reset(cfg, m)
 }
 
 // HomeCluster returns the static-NUCA home cluster of an address: data is
@@ -160,7 +186,7 @@ func (h *Hierarchy) HostAccess(addr int64, write bool) int {
 	}
 	lat += h.l2.Latency()
 	l2hit := h.l2.Access(addr, write)
-	if h.pf != nil {
+	if h.cfg.L2Prefetch {
 		h.prefetch(addr)
 	}
 	if l2hit {
@@ -288,8 +314,16 @@ type pfEntry struct {
 	valid    bool
 }
 
-func newStridePrefetcher(n int) *stridePrefetcher {
-	return &stridePrefetcher{entries: make([]pfEntry, n)}
+// reset empties the table, sized to n entries, keeping its storage.
+func (p *stridePrefetcher) reset(n int) {
+	entries := p.entries
+	if cap(entries) < n {
+		entries = make([]pfEntry, n)
+	} else {
+		entries = entries[:n]
+		clear(entries)
+	}
+	*p = stridePrefetcher{entries: entries}
 }
 
 // observe feeds one L2 access (line address) to the detector. When a stream

@@ -73,6 +73,12 @@ func (f *Fabric) Reset(spec backend.LaunchSpec) error {
 	return nil
 }
 
+// Release implements backend.Engine. The fabric is cleared whole: its
+// in-flight ring grows to the longest stall a run saw and every launch
+// re-arms all of it, so keeping it from one run to the next would make
+// every later run's launches pay for an earlier run's worst stall.
+func (f *Fabric) Release() { *f = Fabric{} }
+
 // Ops returns the executed operations.
 func (f *Fabric) Ops() int64 { return f.ops }
 

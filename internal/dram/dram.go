@@ -31,10 +31,11 @@ type Memory struct {
 	Reads    int64
 	Writes   int64
 
-	// chanAcc, when non-nil, holds per-channel access counts for the
-	// profiling layer (EnableChannelProfile). Accounting is purely
+	// chanAcc holds per-channel access counts for the profiling layer
+	// while chanProf is set (EnableChannelProfile). Accounting is purely
 	// observational: channel selection never changes the returned latency.
-	chanAcc []int64
+	chanAcc  []int64
+	chanProf bool
 }
 
 // NewMemory returns a memory with the given config, metering into m.
@@ -42,18 +43,39 @@ func NewMemory(cfg Config, m *energy.Meter) *Memory {
 	return &Memory{cfg: cfg, meter: m}
 }
 
+// Reset returns mem to the state NewMemory(cfg, m) would build: every
+// counter at zero and channel profiling off. The channel counters' storage
+// is kept for the next EnableChannelProfile, so a simulator can reuse one
+// machine's memory from run to run.
+func (mem *Memory) Reset(cfg Config, m *energy.Meter) {
+	*mem = Memory{cfg: cfg, meter: m, chanAcc: mem.chanAcc}
+}
+
 // EnableChannelProfile turns on per-channel access attribution across n
 // channels (no-op for n <= 0). Off by default: the counters cost one slice
 // index per access only when enabled.
 func (mem *Memory) EnableChannelProfile(n int) {
-	if n > 0 {
-		mem.chanAcc = make([]int64, n)
+	if n <= 0 {
+		return
 	}
+	if cap(mem.chanAcc) < n {
+		mem.chanAcc = make([]int64, n)
+	} else {
+		mem.chanAcc = mem.chanAcc[:n]
+		clear(mem.chanAcc)
+	}
+	mem.chanProf = true
 }
 
 // ChannelAccesses returns the per-channel access counts (nil when channel
-// profiling is disabled).
-func (mem *Memory) ChannelAccesses() []int64 { return mem.chanAcc }
+// profiling is disabled). The slice is the memory's own storage: a Reset
+// or EnableChannelProfile rewrites it.
+func (mem *Memory) ChannelAccesses() []int64 {
+	if !mem.chanProf {
+		return nil
+	}
+	return mem.chanAcc
+}
 
 // channelOf maps a line address to a channel: channels interleave at 4 KiB
 // granularity, matching the slab's page alignment so one object's pages
@@ -83,7 +105,7 @@ func (mem *Memory) Access(write bool) int {
 // layer can attribute it to a channel. Timing and energy are identical to
 // Access — the address feeds observation only.
 func (mem *Memory) AccessAt(addr int64, write bool) int {
-	if mem.chanAcc != nil {
+	if mem.chanProf {
 		mem.chanAcc[mem.channelOf(addr)]++
 	}
 	return mem.Access(write)
@@ -131,17 +153,32 @@ type alloc struct {
 // NewSlab creates a slab allocator over [base, base+size) with the given
 // alignment (must be a power of two).
 func NewSlab(base, size, align int64) (*Slab, error) {
+	s := &Slab{}
+	if err := s.Reset(base, size, align); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// Reset returns s to the state NewSlab(base, size, align) would build —
+// nothing allocated — keeping the allocation table's storage, so a
+// simulator can reuse one machine's slab from run to run. It fails exactly
+// when NewSlab would, and leaves s unchanged then.
+func (s *Slab) Reset(base, size, align int64) error {
 	if size <= 0 {
-		return nil, fmt.Errorf("dram: slab size must be positive, got %d", size)
+		return fmt.Errorf("dram: slab size must be positive, got %d", size)
 	}
 	if align <= 0 || align&(align-1) != 0 {
-		return nil, fmt.Errorf("dram: slab alignment must be a positive power of two, got %d", align)
+		return fmt.Errorf("dram: slab alignment must be a positive power of two, got %d", align)
 	}
-	return &Slab{
-		arena: Region{Base: base, Bytes: size},
-		next:  base,
-		align: align,
-	}, nil
+	clear(s.allocs)
+	*s = Slab{
+		arena:  Region{Base: base, Bytes: size},
+		next:   base,
+		align:  align,
+		allocs: s.allocs[:0],
+	}
+	return nil
 }
 
 // Alloc reserves bytes for the named object and returns its region.
@@ -181,12 +218,6 @@ func (s *Slab) Objects() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// Reset frees everything (end of kernel context).
-func (s *Slab) Reset() {
-	s.next = s.arena.Base
-	s.allocs = s.allocs[:0]
 }
 
 // OwnerOf returns the name of the object containing addr, if any.

@@ -86,6 +86,9 @@ func NewMeter(t Table) *Meter {
 	return &Meter{Table: t}
 }
 
+// Reset returns m to the state NewMeter(t) would build: nothing charged.
+func (m *Meter) Reset(t Table) { *m = Meter{Table: t} }
+
 // Add accumulates pJ picojoules under category c.
 func (m *Meter) Add(c Cat, pj float64) {
 	m.slots[c] += pj

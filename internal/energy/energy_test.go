@@ -2,9 +2,34 @@ package energy
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 )
+
+// TestMeterResetMatchesNew: a meter that was charged (a 0 pJ charge
+// included, which still lists its category), Reset to another table,
+// equals NewMeter's meter for it and then accumulates like it.
+func TestMeterResetMatchesNew(t *testing.T) {
+	m := NewMeter(Default32nm())
+	m.Add(CatL1, 20)
+	m.AddN(CatDRAM, 3, 100)
+	m.Add(CatNoC, 0)
+	other := Default32nm()
+	other.L1AccessPJ, other.DRAMAccessPJ = 7, 900
+	m.Reset(other)
+	fresh := NewMeter(other)
+	if !reflect.DeepEqual(m, fresh) {
+		t.Fatalf("reset meter differs from a new one:\nreset %+v\nnew   %+v", m, fresh)
+	}
+	for _, mm := range []*Meter{m, fresh} {
+		mm.Add(CatHost, mm.Table.L1AccessPJ)
+		mm.AddN(CatL3, 2, 5)
+	}
+	if m.String() != fresh.String() || !reflect.DeepEqual(m, fresh) {
+		t.Fatalf("reset meter accumulates unlike a new one:\n%s\nvs\n%s", m, fresh)
+	}
+}
 
 func TestMeterAccumulation(t *testing.T) {
 	m := NewMeter(Default32nm())

@@ -187,21 +187,32 @@ func run(ctx context.Context, opts Options, cells []planCell) ([]outcome, error)
 		}
 	}
 
-	// Observability: per-cell tracers are drawn serially (provider state is
-	// never raced) for the cells that will actually run; per-cell profilers
-	// are merged serially below.
-	tracers := make([]*trace.Tracer, len(cells))
+	// Observability: per-cell profilers are merged serially below. Tracers
+	// are drawn by the worker that picks a cell up and handed to
+	// Observe.TraceDone as soon as the cell returns, so at most one per
+	// worker is reachable; obsMu serializes the provider calls.
 	profs := make([]*profile.Profiler, len(cells))
-	for i, c := range cells {
-		if resumed[i] {
-			continue
-		}
-		if opts.Observe.Tracer != nil {
-			tracers[i] = opts.Observe.Tracer(c.name)
-		}
-		if opts.Observe.Profile != nil {
+	for i := range cells {
+		if !resumed[i] && opts.Observe.Profile != nil {
 			profs[i] = profile.New()
 		}
+	}
+	var obsMu sync.Mutex
+	traceCell := func(i int) *trace.Tracer {
+		if opts.Observe.Tracer == nil {
+			return nil
+		}
+		obsMu.Lock()
+		defer obsMu.Unlock()
+		return opts.Observe.Tracer(cells[i].name)
+	}
+	traceDone := func(i int, tr *trace.Tracer) error {
+		if tr == nil || opts.Observe.TraceDone == nil {
+			return nil
+		}
+		obsMu.Lock()
+		defer obsMu.Unlock()
+		return opts.Observe.TraceDone(cells[i].name, tr)
 	}
 
 	// Progress: serialize callback invocations; resumed cells report
@@ -236,12 +247,18 @@ func run(ctx context.Context, opts Options, cells []planCell) ([]outcome, error)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			// Each worker owns one simulated machine and reuses it for
+			// every cell it runs.
+			var sr sim.Runner
 			for j := range jobs {
 				c := cells[j.i].Cell
-				c.Cfg.Trace = tracers[j.i]
+				c.Cfg.Trace = traceCell(j.i)
 				c.Cfg.Profile = profs[j.i]
 				t0 := time.Now()
-				res, degraded, err := runCell(ctx, opts, cache, c, j.data)
+				res, degraded, err := runCell(ctx, opts, cache, &sr, c, j.data)
+				if terr := traceDone(j.i, c.Cfg.Trace); err == nil {
+					err = terr
+				}
 				out[j.i], errs[j.i] = outcome{res: res, degraded: degraded}, err
 				if err != nil {
 					continue
@@ -320,7 +337,7 @@ var drawInputs = (*workloads.Workload).NewData
 
 // runCell runs one plan cell under the per-cell deadline. It returns
 // exactly one of: a result, a degradation reason (timeout), or an error.
-func runCell(ctx context.Context, opts Options, cache *artifact.Cache, c Cell, data map[string][]float64) (*sim.Result, string, error) {
+func runCell(ctx context.Context, opts Options, cache *artifact.Cache, sr *sim.Runner, c Cell, data map[string][]float64) (*sim.Result, string, error) {
 	cellCtx := ctx
 	if opts.CellTimeout > 0 {
 		var cancel context.CancelFunc
@@ -333,7 +350,7 @@ func runCell(ctx context.Context, opts Options, cache *artifact.Cache, c Cell, d
 		err = opts.Hook(cellCtx, c.W.Name, c.Cfg.Name)
 	}
 	if err == nil {
-		res, err = RunCell(cellCtx, cache, c, data, nil)
+		res, err = RunCell(cellCtx, cache, sr, c, data, nil)
 	}
 	if err == nil {
 		return res, "", nil

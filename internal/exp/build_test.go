@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"distda/internal/artifact"
+	"distda/internal/trace"
 	"distda/internal/workloads"
 )
 
@@ -307,6 +308,81 @@ func TestBuildInputLifetime(t *testing.T) {
 			}
 			if maxLive > workers+1 {
 				t.Errorf("%d input sets reachable at a progress event, want at most %d", maxLive, workers+1)
+			}
+		})
+	}
+}
+
+// TestTraceLifetime: each cell's tracer goes to Observe.TraceDone as soon
+// as the cell has run, and the run keeps no reference to it, so at every
+// Progress event at most Workers tracers are reachable (one per busy
+// worker) — not one per cell of the plan. It covers the matrix (Build)
+// and a plan of every simulated figure section (Render).
+func TestTraceLifetime(t *testing.T) {
+	const workers = 2
+	plans := map[string]func(Options) (cells int, err error){
+		"matrix": func(o Options) (int, error) {
+			m, err := Build(context.Background(), o)
+			if err != nil {
+				return 0, err
+			}
+			return len(m.Workloads) * len(m.Configs), nil
+		},
+		"figures": func(o Options) (int, error) {
+			sel := Selection{Figs: []string{"12a", "12b", "13", "14"}, Sens: true, OffChip: true, PIM: true, Ablations: true}
+			sum, err := Render(context.Background(), io.Discard, sel, o)
+			return sum.Cells, err
+		},
+	}
+	for name, runPlan := range plans {
+		t.Run(name, func(t *testing.T) {
+			var live atomic.Int64 // tracers whose probe was not yet collected
+			var drawn, done int
+			observe := Observe{
+				Tracer: func(string) *trace.Tracer {
+					drawn++
+					tr := trace.New()
+					// A tracer's tracks point back to it, and the finalizer
+					// of an object in a cycle may never run: watch event
+					// arguments only the tracer holds.
+					probe := make([]trace.KV, 4)
+					tr.Component("probe").At(0).Span("probe", 0, 0, probe...)
+					live.Add(1)
+					runtime.SetFinalizer(&probe[0], func(*trace.KV) { live.Add(-1) })
+					return tr
+				},
+				TraceDone: func(string, *trace.Tracer) error {
+					done++
+					return nil
+				},
+			}
+			var maxLive int64
+			events := 0
+			total, err := runPlan(Options{
+				Scale:   workloads.ScaleTest,
+				Workers: workers,
+				Observe: observe,
+				Progress: func(ProgressEvent) {
+					events++
+					if maxLive > workers {
+						return // already failed; don't wait again
+					}
+					n := live.Load()
+					for deadline := time.Now().Add(time.Second); n > workers && time.Now().Before(deadline); n = live.Load() {
+						runtime.GC()
+						time.Sleep(time.Millisecond)
+					}
+					maxLive = max(maxLive, n)
+				},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if events != total || drawn != total || done != total {
+				t.Fatalf("%d cells: %d progress events, %d tracers drawn, %d handed back", total, events, drawn, done)
+			}
+			if maxLive > workers {
+				t.Errorf("%d tracers reachable at a progress event, want at most %d", maxLive, workers)
 			}
 		})
 	}

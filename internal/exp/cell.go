@@ -34,9 +34,11 @@ type Cell struct {
 // RunCell runs c on data (consumed) under ctx, which cancels the
 // simulation at its next loop boundary. It strip-mines the kernel for
 // c.Threads, compiles it through cache, fetches the bytecode program for
-// validation from the same cache, and simulates. spans, when non-nil,
+// validation from the same cache, and simulates on sr's machine (nil: a
+// machine built for this cell alone). A worker that runs cell after cell
+// owns one sim.Runner and passes it every time. spans, when non-nil,
 // records the "compile" and "simulate" stages.
-func RunCell(ctx context.Context, cache *artifact.Cache, c Cell, data map[string][]float64, spans *obs.SpanList) (*sim.Result, error) {
+func RunCell(ctx context.Context, cache *artifact.Cache, sr *sim.Runner, c Cell, data map[string][]float64, spans *obs.SpanList) (*sim.Result, error) {
 	cfg := c.Cfg
 	cfg.Threads = c.Threads
 	cfg.Cancel = ctx.Done()
@@ -72,5 +74,8 @@ func RunCell(ctx context.Context, cache *artifact.Cache, c Cell, data map[string
 	}
 	h := spans.Open("simulate")
 	defer spans.Close(h)
-	return sim.RunPrecompiled(k, c.W.Params, data, cfg, compiled)
+	if sr == nil {
+		sr = new(sim.Runner)
+	}
+	return sr.RunPrecompiled(k, c.W.Params, data, cfg, compiled)
 }

@@ -43,9 +43,17 @@ type Observe struct {
 	// cell's name: "<workload>-<config>" for a matrix cell and
 	// "<section>-<NN>-<workload>-<config>" for the NN-th cell of a figure
 	// section (fig12a, fig12b, fig13, fig14, sens, offchip, pim,
-	// ablations). Names are unique within a run. It is invoked serially
-	// before the workers start; return nil to leave a cell untraced.
+	// ablations). Names are unique within a run. It is invoked when a
+	// worker picks the cell up, never concurrently with itself or
+	// TraceDone; return nil to leave a cell untraced.
 	Tracer func(cell string) *trace.Tracer
+	// TraceDone, when non-nil, receives each traced cell's tracer as soon
+	// as the cell has run (degraded and failed cells included), before its
+	// Progress event; the run keeps no reference to the tracer afterwards,
+	// so a consumer that writes it out and drops it holds at most one
+	// tracer per worker. Calls are serialized with Tracer. An error fails
+	// the cell.
+	TraceDone func(cell string, tr *trace.Tracer) error
 	// Profile, when non-nil, receives every cell's cycle/energy attribution:
 	// each cell runs with a private profiler (recording stays lock-free
 	// inside the worker) folded into Profile in plan order after the

@@ -114,6 +114,10 @@ func (c *Core) Reset(spec backend.LaunchSpec) error {
 	return nil
 }
 
+// Release implements backend.Engine. A core keeps no storage across
+// launches, so it is cleared whole.
+func (c *Core) Release() { *c = Core{} }
+
 // arm returns c to the state of a core New just built for a validated
 // def: every register, counter and observability field is cleared.
 func (c *Core) arm(def *core.AccelDef, trips int64, inputs []*accessunit.InPort, outputs []*accessunit.OutPort,

@@ -64,15 +64,25 @@ type Mesh struct {
 	Messages [numClasses]int64
 	FlitHops [numClasses]int64
 
-	// linkFlits, when non-nil, counts flits traversing each directed link
-	// (indexed from*Nodes()+to for adjacent node pairs along the XY route).
-	// Allocated by EnableLinkProfile; purely observational.
+	// linkFlits counts flits traversing each directed link (indexed
+	// from*Nodes()+to for adjacent node pairs along the XY route) while
+	// linkProf is set. Allocated by EnableLinkProfile; purely
+	// observational.
 	linkFlits []int64
+	linkProf  bool
 }
 
 // New returns a mesh with the given config, metering energy into m.
 func New(cfg Config, m *energy.Meter) *Mesh {
 	return &Mesh{cfg: cfg, meter: m}
+}
+
+// Reset returns n to the state New(cfg, m) would build: every counter at
+// zero and link profiling off. The link counters' storage is kept for the
+// next EnableLinkProfile, so a simulator can reuse one machine's mesh from
+// run to run.
+func (n *Mesh) Reset(cfg Config, m *energy.Meter) {
+	*n = Mesh{cfg: cfg, meter: m, linkFlits: n.linkFlits}
 }
 
 // Nodes returns the node count.
@@ -82,7 +92,13 @@ func (n *Mesh) Nodes() int { return n.cfg.Width * n.cfg.Height }
 // message's XY route and counts flits per directed link. Off by default —
 // the route walk costs nothing unless enabled.
 func (n *Mesh) EnableLinkProfile() {
-	n.linkFlits = make([]int64, n.Nodes()*n.Nodes())
+	if sz := n.Nodes() * n.Nodes(); cap(n.linkFlits) < sz {
+		n.linkFlits = make([]int64, sz)
+	} else {
+		n.linkFlits = n.linkFlits[:sz]
+		clear(n.linkFlits)
+	}
+	n.linkProf = true
 }
 
 // LinkName returns the canonical directed-link label between adjacent nodes.
@@ -93,7 +109,7 @@ func (n *Mesh) LinkName(from, to int) string {
 // VisitLinks calls fn for every directed link with traffic, in ascending
 // (from, to) order. No-op when link profiling is disabled.
 func (n *Mesh) VisitLinks(fn func(from, to int, flits int64)) {
-	if n.linkFlits == nil {
+	if !n.linkProf {
 		return
 	}
 	nodes := n.Nodes()
@@ -167,7 +183,7 @@ func (n *Mesh) Transfer(a, b, bytes int, class Class) int {
 	if n.meter != nil && hops > 0 {
 		n.meter.AddN(energy.CatNoC, int64(flits*hops), n.meter.Table.NoCFlitHopPJ)
 	}
-	if n.linkFlits != nil && hops > 0 {
+	if n.linkProf && hops > 0 {
 		nodes := n.Nodes()
 		n.walkRoute(a, b, func(from, to int) {
 			n.linkFlits[from*nodes+to] += int64(flits)

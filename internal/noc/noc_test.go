@@ -1,6 +1,9 @@
 package noc
 
 import (
+	"fmt"
+	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -113,5 +116,63 @@ func TestClassNamesAndBytesByClass(t *testing.T) {
 	}
 	if HostCtrl.String() != "ctrl" || AccData.String() != "acc_data" {
 		t.Fatal("class names")
+	}
+}
+
+// driveMesh sends a seeded mix of messages of every class between random
+// nodes and returns every latency in order.
+func driveMesh(m *Mesh, seed int64, n int) []int {
+	rng := rand.New(rand.NewSource(seed))
+	var out []int
+	for i := 0; i < n; i++ {
+		out = append(out, m.Transfer(rng.Intn(m.Nodes()), rng.Intn(m.Nodes()), rng.Intn(200), Class(rng.Intn(int(numClasses)))))
+	}
+	return out
+}
+
+// links returns every directed link's flit count, in VisitLinks order.
+func links(m *Mesh) [][3]int64 {
+	var out [][3]int64
+	m.VisitLinks(func(from, to int, flits int64) { out = append(out, [3]int64{int64(from), int64(to), flits}) })
+	return out
+}
+
+// TestMeshResetMatchesNew: a mesh that carried traffic with link
+// profiling on, Reset to another geometry and meter, equals New's mesh
+// for them — with link profiling left off, and turned on again — and then
+// behaves like it message for message.
+func TestMeshResetMatchesNew(t *testing.T) {
+	other := Config{Width: 2, Height: 3, FlitBytes: 8, HopCycles: 3}
+	for _, profiled := range []bool{false, true} {
+		t.Run(fmt.Sprintf("link-profile=%v", profiled), func(t *testing.T) {
+			m := New(DefaultConfig(), energy.NewMeter(energy.Default32nm()))
+			m.EnableLinkProfile()
+			driveMesh(m, 1, 500)
+			m.Reset(other, energy.NewMeter(energy.Default32nm()))
+			fresh := New(other, energy.NewMeter(energy.Default32nm()))
+			if profiled {
+				m.EnableLinkProfile()
+				fresh.EnableLinkProfile()
+			}
+			state := func(m *Mesh) Mesh {
+				s := *m
+				if !s.linkProf {
+					s.linkFlits = nil // storage kept for the next EnableLinkProfile, unread
+				}
+				return s
+			}
+			if !reflect.DeepEqual(state(m), state(fresh)) {
+				t.Fatalf("reset mesh differs from a new one:\nreset %+v\nnew   %+v", state(m), state(fresh))
+			}
+			if got, want := driveMesh(m, 2, 500), driveMesh(fresh, 2, 500); !reflect.DeepEqual(got, want) {
+				t.Fatal("reset mesh's latencies diverge from a new mesh's")
+			}
+			if !reflect.DeepEqual(state(m), state(fresh)) || !reflect.DeepEqual(links(m), links(fresh)) {
+				t.Fatal("reset mesh's counters diverge from a new mesh's after the same messages")
+			}
+			if profiled != (len(links(m)) > 0) {
+				t.Fatalf("link profiling on=%v but %d links reported", profiled, len(links(m)))
+			}
+		})
 	}
 }

@@ -153,6 +153,10 @@ func (e *Engine) Reset(spec backend.LaunchSpec) error {
 	return nil
 }
 
+// Release implements backend.Engine. An engine keeps no storage across
+// launches, so it is cleared whole.
+func (e *Engine) Release() { *e = Engine{} }
+
 // Ops returns the retired micro-ops.
 func (e *Engine) Ops() int64 { return e.ops }
 

@@ -14,6 +14,7 @@ import (
 	"distda/internal/exp"
 	"distda/internal/obs"
 	"distda/internal/profile"
+	"distda/internal/sim"
 )
 
 // errDegraded marks a matrix-job result that contains timed-out ("n/a")
@@ -40,10 +41,10 @@ type runner struct {
 // A degraded render is returned alongside errDegraded. spans
 // records the wall-clock lifecycle stages; it never feeds the simulation,
 // so the bytes are identical with or without it.
-func (r *runner) run(ctx context.Context, p *plan, prog *profile.Progress, spans *obs.SpanList) ([]byte, error) {
+func (r *runner) run(ctx context.Context, sr *sim.Runner, p *plan, prog *profile.Progress, spans *obs.SpanList) ([]byte, error) {
 	switch p.kind {
 	case KindRun:
-		return r.runOne(ctx, p, prog, spans)
+		return r.runOne(ctx, sr, p, prog, spans)
 	case KindMatrix:
 		return r.runMatrix(ctx, p, prog, spans)
 	}
@@ -51,13 +52,13 @@ func (r *runner) run(ctx context.Context, p *plan, prog *profile.Progress, spans
 }
 
 // runOne replicates distda-run: one cell through exp.RunCell (strip-mined
-// for threads, compiled through the shared content-addressed cache),
-// rendered with FprintResult.
-func (r *runner) runOne(ctx context.Context, p *plan, prog *profile.Progress, spans *obs.SpanList) ([]byte, error) {
+// for threads, compiled through the shared content-addressed cache) on
+// the executing worker's machine sr, rendered with FprintResult.
+func (r *runner) runOne(ctx context.Context, sr *sim.Runner, p *plan, prog *profile.Progress, spans *obs.SpanList) ([]byte, error) {
 	prog.SetTotal(1)
 	start := time.Now()
 	cell := exp.Cell{W: p.workload, Scale: p.scale, Cfg: p.cfg, Threads: p.spec.Threads}
-	res, err := exp.RunCell(ctx, r.cache, cell, p.workload.NewData(), spans)
+	res, err := exp.RunCell(ctx, r.cache, sr, cell, p.workload.NewData(), spans)
 	if err != nil {
 		return nil, err
 	}

@@ -15,6 +15,7 @@ import (
 	"distda/internal/artifact"
 	"distda/internal/obs"
 	"distda/internal/profile"
+	"distda/internal/sim"
 )
 
 // Submission errors the HTTP layer maps to status codes.
@@ -146,7 +147,7 @@ type Server struct {
 	cache   *artifact.Cache
 	queue   *queue
 	limiter *limiter
-	run     func(ctx context.Context, p *plan, prog *profile.Progress, spans *obs.SpanList) ([]byte, error)
+	run     func(ctx context.Context, sr *sim.Runner, p *plan, prog *profile.Progress, spans *obs.SpanList) ([]byte, error)
 
 	obsReg *obs.Registry
 	met    *serveMetrics
@@ -349,19 +350,21 @@ func (s *Server) register(j *Job) {
 	}
 }
 
-// worker executes queued jobs until the queue closes.
+// worker executes queued jobs until the queue closes. It owns one
+// simulated machine, which every run job it executes reuses.
 func (s *Server) worker() {
 	defer s.wg.Done()
+	var sr sim.Runner
 	for {
 		e, ok := s.queue.pop()
 		if !ok {
 			return
 		}
-		s.execute(e)
+		s.execute(e, &sr)
 	}
 }
 
-func (s *Server) execute(e *execution) {
+func (s *Server) execute(e *execution, sr *sim.Runner) {
 	s.mu.Lock()
 	if len(e.jobs) == 0 {
 		// Every submitter canceled between dequeue and here.
@@ -383,7 +386,7 @@ func (s *Server) execute(e *execution) {
 
 	e.spans.Close(e.queuedSpan)
 	execSpan := e.spans.Open("executing")
-	out, err := s.run(e.ctx, e.plan, e.progress, e.spans)
+	out, err := s.run(e.ctx, sr, e.plan, e.progress, e.spans)
 	e.spans.Close(execSpan)
 	s.met.observeStages(e.spans.Snapshot())
 

@@ -165,6 +165,38 @@ func TestRunJobMatchesBatchCLI(t *testing.T) {
 	}
 }
 
+// TestWorkerMachineReuse: a Workers: 1 server runs different specs back
+// to back on its one worker's machine; each reply is byte-identical to a
+// fresh server's reply to that spec alone.
+func TestWorkerMachineReuse(t *testing.T) {
+	specs := []string{
+		`{"workload": "cholesky", "config": "Dist-DA-IO", "scale": "test"}`,
+		`{"workload": "pagerank", "config": "Mono-CA", "scale": "test"}`,
+		`{"workload": "fdtd-2d", "config": "Dist-DA-F", "scale": "test", "ghz": 3}`,
+		`{"workload": "cholesky", "config": "OoO", "scale": "test"}`,
+	}
+	run := func(ts *httptest.Server, spec string) []byte {
+		t.Helper()
+		_, st := postJob(t, ts, spec)
+		if fin := waitDone(t, ts, st.ID); fin.State != StateDone {
+			t.Fatalf("%s: state = %s (%s)", spec, fin.State, fin.Error)
+		}
+		code, body := getResult(t, ts, st.ID)
+		if code != http.StatusOK {
+			t.Fatalf("%s: result = %d: %s", spec, code, body)
+		}
+		return body
+	}
+	_, reused := newTestServer(t, Config{Workers: 1})
+	for _, spec := range specs {
+		got := run(reused, spec)
+		_, fresh := newTestServer(t, Config{Workers: 1})
+		if want := run(fresh, spec); !bytes.Equal(got, want) {
+			t.Errorf("%s after other specs on one worker differs from a fresh server\n--- reused\n%s\n--- fresh\n%s", spec, got, want)
+		}
+	}
+}
+
 func TestMatrixJobMatchesBatchCLIAndCaches(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 1})
 	spec := `{"kind": "matrix", "scale": "test", "selection": {"figs": ["7"], "tabs": ["4"], "headline": true}}`
@@ -328,7 +360,7 @@ func stubServer(t *testing.T, cfg Config) (*Server, *httptest.Server, chan struc
 	t.Helper()
 	release := make(chan struct{})
 	s, ts := newTestServer(t, cfg)
-	s.run = func(ctx context.Context, p *plan, prog *profile.Progress, spans *obs.SpanList) ([]byte, error) {
+	s.run = func(ctx context.Context, _ *sim.Runner, p *plan, prog *profile.Progress, spans *obs.SpanList) ([]byte, error) {
 		select {
 		case <-release:
 			return []byte("stub " + p.spec.Workload + "\n"), nil
@@ -543,9 +575,9 @@ func TestShutdownJournalsAndResumesByteIdentically(t *testing.T) {
 	// shutdown interrupts it.
 	started := make(chan struct{})
 	real := s1.run
-	s1.run = func(ctx context.Context, p *plan, prog *profile.Progress, spans *obs.SpanList) ([]byte, error) {
+	s1.run = func(ctx context.Context, sr *sim.Runner, p *plan, prog *profile.Progress, spans *obs.SpanList) ([]byte, error) {
 		close(started)
-		return real(ctx, p, prog, spans)
+		return real(ctx, sr, p, prog, spans)
 	}
 	j1, err := s1.Submit(spec)
 	if err != nil {

@@ -1,8 +1,10 @@
 package sim
 
 import (
+	"runtime"
 	"testing"
 
+	"distda/internal/compiler"
 	"distda/internal/workloads"
 )
 
@@ -54,5 +56,63 @@ func TestLaunchAllocBudget(t *testing.T) {
 	t.Logf("%.0f allocations per run, %d launches: %.1f per launch", allocs, launches, per)
 	if per > launchAllocCeiling {
 		t.Fatalf("%.1f allocations per launch exceeds the ceiling of %d", per, launchAllocCeiling)
+	}
+}
+
+// warmRunAllocCeiling bounds the bytes one test-scale run allocates on a
+// warm Runner, averaged over the 12 × 6 paper matrix with validation off.
+// A machine built per run allocates ~0.87 MB before the run begins (the
+// L1/L2 and eight L3 cluster line arrays, ~35k lines, plus the launch
+// pools); a warm runner resets that storage instead, and a run measured
+// 3.6 KB (the host's per-run maps, the backends' per-definition
+// derivations, Mono-CA's private cache). The ceiling leaves 4x headroom;
+// rebuilding any one L3 cluster per run would exceed it.
+const warmRunAllocCeiling = 16 << 10
+
+// TestWarmRunnerAllocBudget pins what reusing one machine across runs
+// saves: a Runner whose reset rebuilt a part (or a pool) instead of
+// recycling it fails go test here.
+func TestWarmRunnerAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	type cell struct {
+		w        *workloads.Workload
+		cfg      Config
+		compiled *compiler.Compiled
+		data     [2]map[string][]float64 // warm-up and measured pass
+	}
+	var cells []cell
+	for _, w := range workloads.All(workloads.ScaleTest) {
+		data := w.NewData()
+		for _, cfg := range AllPaperConfigs() {
+			cfg.ValidateEvery = false // the reference run's copies scale with the inputs, not the machine
+			c := cell{w: w, cfg: cfg, data: [2]map[string][]float64{copyData(data), copyData(data)}}
+			if cfg.HasAccel() {
+				var err error
+				if c.compiled, err = Compiled(w.Kernel, cfg); err != nil {
+					t.Fatal(err)
+				}
+			}
+			cells = append(cells, c)
+		}
+	}
+	var r Runner
+	pass := func(i int) {
+		for _, c := range cells {
+			if _, err := r.RunPrecompiled(c.w.Kernel, c.w.Params, c.data[i], c.cfg, c.compiled); err != nil {
+				t.Fatalf("%s on %s: %v", c.w.Name, c.cfg.Name, err)
+			}
+		}
+	}
+	pass(0)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	pass(1)
+	runtime.ReadMemStats(&after)
+	per := (after.TotalAlloc - before.TotalAlloc) / uint64(len(cells))
+	t.Logf("%d bytes, %d allocations per warm run over %d runs", per, (after.Mallocs-before.Mallocs)/uint64(len(cells)), len(cells))
+	if per > warmRunAllocCeiling {
+		t.Fatalf("%d bytes per warm run exceeds the ceiling of %d", per, warmRunAllocCeiling)
 	}
 }

@@ -9,8 +9,8 @@ import (
 // hostOnly runs a kernel on the pure host model and returns the machine.
 func hostOnly(t *testing.T, k *ir.Kernel, params map[string]float64, data map[string][]float64) *machine {
 	t.Helper()
-	m, err := newMachine(OoO(), k, params, data)
-	if err != nil {
+	m := newMachine()
+	if err := m.reset(OoO(), k, params, data); err != nil {
 		t.Fatal(err)
 	}
 	h := newHost(m, nil)

@@ -19,7 +19,12 @@ import (
 // hostDiv converts 2 GHz host cycles to base cycles.
 var hostDiv = int64(engine.Div(2))
 
-// machine is the assembled system state for one run.
+// machine is the simulated Table III system. A Runner keeps one machine
+// from run to run: the caches, mesh, DRAM, meter, slab, scheduler and
+// launch pools are storage that outlives a run, while everything the run
+// brings — kernel, params, data, compiled definitions, tracer, profiler
+// and histogram handles — is attached by reset and dropped by release.
+// After reset the machine is indistinguishable from a freshly built one.
 type machine struct {
 	cfg    Config
 	kernel *ir.Kernel
@@ -37,17 +42,17 @@ type machine struct {
 	mmio    core.IntrinsicStats
 	alloc   core.AllocationTable
 
-	// Launch assembly state, reused from one launch to the next. It all
-	// lives on the machine, so nothing outlives the run: reuse never crosses
-	// runs, and no definition pointer is cached beyond the run that owns it
-	// (a long-lived server could otherwise hand a recycled address the
-	// wrong entry).
+	// Launch assembly state, reused from one launch to the next and, as
+	// storage, from one run to the next. No definition pointer outlives
+	// its run: release drops every reference the pools hold, and the
+	// pointer-keyed defs map and backend memo start empty at every reset
+	// (a recycled address must never find the wrong entry).
 	//
 	// eng is Reset at the start of every launch. rts are the per-launch
 	// tables, plan the buffer plan, memo the backends' per-definition
 	// derivations (the CGRA mapping, the validated programs), defs the
 	// launch path's own (see defInfo), and clusterFetch the cache-path
-	// fetcher, built on first use (see fetcherFor).
+	// fetcher, built on first use in a run (see fetcherFor).
 	eng          *engine.Engine
 	rts          []*accelRT
 	plan         core.BufferPlan
@@ -126,39 +131,71 @@ var backendLatency = map[string]struct{ prefix, desc string }{
 	"pimdram": {"latency.pimdram.stall_lat", "base-cycle PIM stall latency"},
 }
 
-// newMachine allocates the system and lays out the kernel's objects via the
-// slab allocator.
-func newMachine(cfg Config, k *ir.Kernel, params map[string]float64, data map[string][]float64) (*machine, error) {
+// newMachine allocates the system's storage. The machine is ready for
+// reset, which attaches a run.
+func newMachine() *machine {
 	meter := energy.NewMeter(energy.Default32nm())
-	mesh := noc.New(noc.DefaultConfig(), meter)
-	dmem := dram.NewMemory(dram.DefaultConfig(), meter)
-	ccfg := cache.DefaultConfig(meter.Table)
-	ccfg.L2Prefetch = cfg.HostPrefetch
-	hier, err := cache.New(ccfg, dmem, mesh, meter)
-	if err != nil {
-		return nil, err
-	}
-	slab, err := dram.NewSlab(0, 1<<31, 4096)
-	if err != nil {
-		return nil, err
-	}
-	m := &machine{
-		cfg: cfg, kernel: k, params: params,
-		meter: meter, mesh: mesh, dmem: dmem, hier: hier, slab: slab,
-		data:           data,
+	return &machine{
+		meter:          meter,
+		mesh:           noc.New(noc.DefaultConfig(), meter),
+		dmem:           dram.NewMemory(dram.DefaultConfig(), meter),
+		hier:           &cache.Hierarchy{},
+		slab:           &dram.Slab{},
 		austats:        &accessunit.Stats{},
+		eng:            engine.New(),
 		flushedObjs:    map[string]bool{},
 		configured:     map[int]bool{},
 		inflightWrites: map[string]bool{},
 		defs:           map[*core.AccelDef]*defInfo{},
+	}
+}
+
+// storage returns a machine holding only m's storage — its parts, the
+// launch pools and the run-scoped maps and tables, emptied — with every
+// field that belongs to a run zero.
+func (m *machine) storage() machine {
+	clear(m.flushedObjs)
+	clear(m.configured)
+	clear(m.inflightWrites)
+	clear(m.defs)
+	clear(m.objs)
+	clear(m.scoped)
+	return machine{
+		meter: m.meter, mesh: m.mesh, dmem: m.dmem, hier: m.hier, slab: m.slab,
+		austats: m.austats, eng: m.eng, rts: m.rts, plan: m.plan,
+		defs: m.defs, bufs: m.bufs, links: m.links, fills: m.fills,
+		drains: m.drains, ports: m.ports, engines: m.engines,
+		objs: m.objs[:0], scoped: m.scoped[:0],
+		flushedObjs: m.flushedObjs, configured: m.configured, inflightWrites: m.inflightWrites,
+	}
+}
+
+// reset attaches one run to the machine — kernel, params, data (consumed)
+// and the configuration's tracer and profiler — leaving it as a freshly
+// built machine would be, and lays out the kernel's objects via the slab
+// allocator.
+func (m *machine) reset(cfg Config, k *ir.Kernel, params map[string]float64, data map[string][]float64) error {
+	*m = m.storage()
+	m.cfg, m.kernel, m.params, m.data = cfg, k, params, data
+	*m.austats = accessunit.Stats{}
+	m.meter.Reset(energy.Default32nm())
+	m.mesh.Reset(noc.DefaultConfig(), m.meter)
+	m.dmem.Reset(dram.DefaultConfig(), m.meter)
+	ccfg := cache.DefaultConfig(m.meter.Table)
+	ccfg.L2Prefetch = cfg.HostPrefetch
+	if err := m.hier.Reset(ccfg, m.dmem, m.mesh, m.meter); err != nil {
+		return err
+	}
+	if err := m.slab.Reset(0, 1<<31, 4096); err != nil {
+		return err
 	}
 	m.tr = cfg.Trace
 	m.prof = cfg.Profile
 	if m.prof != nil {
 		// Per-link and per-channel attribution only allocates (and only pays
 		// its accounting) when a profiler is attached.
-		mesh.EnableLinkProfile()
-		dmem.EnableChannelProfile(profileDRAMChannels)
+		m.mesh.EnableLinkProfile()
+		m.dmem.EnableChannelProfile(profileDRAMChannels)
 		m.hostLatH = m.prof.Hist("latency.host.load_lat", "host-cycle load latency")
 		m.clusterLatH = m.prof.Hist("latency.cache.cluster_access_lat", "host-cycle cluster access latency")
 		m.fillLatH = m.prof.Hist("latency.au.fill_lat", "base-cycle stream fill latency")
@@ -169,35 +206,66 @@ func newMachine(cfg Config, k *ir.Kernel, params map[string]float64, data map[st
 		}
 	}
 	m.hostTrace = m.tr.Component("host").At(0) // nil-safe: disabled scope on nil tracer
-	m.eng = engine.New()
+	m.eng.Reset()
 	m.eng.Mode = cfg.engineMode
 	m.eng.CollectFF = m.prof != nil
-	span := hier.ClusterSpan()
+	span := m.hier.ClusterSpan()
 	for i, o := range k.Objects {
 		buf, ok := data[o.Name]
 		if !ok || len(buf) != o.Len {
-			return nil, fmt.Errorf("sim: object %q missing or mis-sized", o.Name)
+			return fmt.Errorf("sim: object %q missing or mis-sized", o.Name)
 		}
 		if cfg.AllocSpread {
 			// Fig. 14 +A: start each object at a fresh cluster span so
 			// anchors spread across clusters.
-			target := (int64(i%hier.Clusters()) * span) % (span * int64(hier.Clusters()))
+			target := (int64(i%m.hier.Clusters()) * span) % (span * int64(m.hier.Clusters()))
 			m.padSlabTo(target, span)
 		}
-		if _, err := slab.Alloc(o.Name, int64(o.Bytes())); err != nil {
-			return nil, err
+		if _, err := m.slab.Alloc(o.Name, int64(o.Bytes())); err != nil {
+			return err
 		}
 	}
-	m.objs = make([]objInfo, 0, len(k.Objects))
 	for _, o := range k.Objects {
-		r, _ := slab.Lookup(o.Name)
+		r, _ := m.slab.Lookup(o.Name)
 		m.objs = append(m.objs, objInfo{
 			name: o.Name, base: r.Base,
 			elemBytes: int64(o.ElemBytes), n: int64(o.Len),
 			data: data[o.Name],
 		})
 	}
-	return m, nil
+	return nil
+}
+
+// release ends a run: it drops every reference the machine holds to it —
+// kernel, params, data, compiled definitions, tracer, profiler and
+// histogram handles, in the machine's own fields and in every pooled
+// component — keeping the storage for the next reset.
+func (m *machine) release() {
+	m.eng.Reset()
+	for _, b := range m.bufs.items {
+		b.Occ = nil
+	}
+	for _, u := range m.fills.items {
+		u.fsm.Release()
+		u.mem = simMemory{}
+	}
+	for _, u := range m.drains.items {
+		u.fsm.Release()
+		u.mem = simMemory{}
+	}
+	for _, u := range m.ports.items {
+		u.port.Release()
+		u.mem = simMemory{}
+	}
+	for _, p := range m.engines {
+		for _, e := range p.items {
+			e.Release()
+		}
+	}
+	for _, rt := range m.rts {
+		rt.def, rt.eng = nil, nil
+	}
+	*m = m.storage()
 }
 
 // objInfo is one entry of the machine's resolved-object cache.

@@ -43,8 +43,44 @@ func RunAnnotated(k *ir.Kernel, params map[string]float64, data map[string][]flo
 // simulator only reads the artifact, so one compilation may be shared
 // across concurrent runs of configurations with the same compiler
 // options — the experiment matrix memoizes on this. compiled is ignored
-// for backend-less (OoO) configs.
+// for backend-less (OoO) configs. It builds a machine for this run alone;
+// a Runner reuses one across runs.
 func RunPrecompiled(k *ir.Kernel, params map[string]float64, data map[string][]float64, cfg Config,
+	compiled *compiler.Compiled) (*Result, error) {
+	return new(Runner).RunPrecompiled(k, params, data, cfg, compiled)
+}
+
+// Runner runs simulations one after another on one simulated machine,
+// resetting it between runs instead of building the Table III system
+// afresh: the cache arrays, mesh, DRAM, meter, scheduler and launch pools
+// keep their storage. When a run returns — completed, failed, canceled or
+// out of engine budget — the machine holds no reference to it (kernel,
+// inputs, compiled artifact, tracer, profiler), and the Result it
+// returned shares no storage with the machine. Results are identical to
+// a fresh machine's. A Runner is not safe for concurrent use; the zero
+// value is ready to use.
+type Runner struct {
+	m *machine
+}
+
+// RunPrecompiled is the package-level RunPrecompiled on r's machine.
+func (r *Runner) RunPrecompiled(k *ir.Kernel, params map[string]float64, data map[string][]float64, cfg Config,
+	compiled *compiler.Compiled) (*Result, error) {
+	m := r.m
+	if m == nil {
+		m = newMachine()
+	}
+	// The run holds the machine until it returns: a panic escaping it
+	// leaves r without one, and the next run builds a fresh machine.
+	r.m = nil
+	res, err := m.run(k, params, data, cfg, compiled)
+	m.release()
+	r.m = m
+	return res, err
+}
+
+// run simulates one run on m, attaching it through reset.
+func (m *machine) run(k *ir.Kernel, params map[string]float64, data map[string][]float64, cfg Config,
 	compiled *compiler.Compiled) (*Result, error) {
 	if !cfg.HasAccel() {
 		compiled = nil
@@ -53,8 +89,7 @@ func RunPrecompiled(k *ir.Kernel, params map[string]float64, data map[string][]f
 	if cfg.ValidateEvery {
 		refData = copyData(data)
 	}
-	m, err := newMachine(cfg, k, params, data)
-	if err != nil {
+	if err := m.reset(cfg, k, params, data); err != nil {
 		return nil, err
 	}
 	h := newHost(m, compiled)

@@ -150,11 +150,34 @@ stage_gates() {
     # and the worker pool gives every cell cancellation, deadlines,
     # checkpoints, tracing and progress. Examples call the simulator
     # directly on purpose.
-    viol=$(grep -rnE 'sim\.(Run|RunAnnotated|RunThreads|RunPrecompiled)\(|GetOrCompile\(' cmd internal/exp internal/serve --include='*.go' \
+    # A sim.Runner's RunPrecompiled method counts too, whatever the
+    # receiver is called.
+    viol=$(grep -rnE 'sim\.(Run|RunAnnotated|RunThreads)\(|RunPrecompiled\(|GetOrCompile\(' cmd internal/exp internal/serve --include='*.go' \
         | grep -v '^internal/exp/cell\.go:' \
         | grep -v '_test\.go:' || true)
     if [ -n "$viol" ]; then
         echo "simulation started outside the cell runner (build an exp.Cell and call exp.RunCell, or plan it as a figure cell):" >&2
+        echo "$viol" >&2
+        exit 1
+    fi
+
+    echo "== simulated machines are owned by their workers"
+    # A sim.Runner resets one machine between the runs of the worker that
+    # owns it. A sync.Pool or a package-level holder of a machine or one of
+    # its parts (cache levels, mesh, DRAM, meter) would share that storage
+    # across goroutines and runs, where one run's leftovers or a recycled
+    # definition pointer could reach another.
+    viol=$(grep -rn 'sync\.Pool' internal/sim internal/cache internal/noc internal/dram \
+        internal/energy internal/exp internal/serve --include='*.go' | grep -v '_test\.go:' || true)
+    viol="$viol$(find internal/sim internal/cache internal/noc internal/dram internal/energy \
+        internal/exp internal/serve -name '*.go' ! -name '*_test.go' -exec awk '
+        /^var[ \t]*\(/ { blk = 1; next }
+        blk && /^\)/ { blk = 0; next }
+        (blk || /^var[ \t]/) && /(machine|Machine|Runner|Level|Hierarchy|Mesh|Memory|Slab|Meter)([^A-Za-z]|$)/ {
+            print FILENAME ":" FNR ": " $0
+        }' {} +)"
+    if [ -n "$viol" ]; then
+        echo "shared machine storage (give each worker its own sim.Runner):" >&2
         echo "$viol" >&2
         exit 1
     fi
