@@ -2,20 +2,33 @@ package ir
 
 import (
 	"fmt"
+	"math"
 )
 
 // This file lowers a validated kernel to a flat register-based bytecode.
 // The tree-walk interpreter (interp.go) stays as the semantic reference;
 // the VM (vm.go) executes the bytecode with identical Counts, identical
 // error behavior and identical stored data, replacing per-run tree walks
-// on the simulator's hot paths (per-run validation, coverage analysis)
-// with compile-once-execute-many programs.
+// on the simulator's hot paths (per-run validation, Table VI's dynamic
+// counts) with compile-once-execute-many programs.
 //
-// Name resolution happens at compile time: every parameter, local and
-// induction variable gets a fixed slot in one flat array, replacing the
-// interpreter's linear-scan binding environment. Expressions evaluate
-// into a virtual register file whose size is the maximum expression
+// A run executes over one flat frame of float64s:
+//
+//	frame[0:nSlots]                  parameters, locals and induction variables
+//	frame[nSlots:nSlots+len(consts)] the constant pool
+//	frame[nSlots+len(consts):]       expression registers
+//
+// Name resolution happens at compile time, and every operand is a frame
+// index, so a constant, parameter, induction variable or definitely
+// assigned local is read in place: the leaf emits no op. Registers hold
+// the values of inner expressions; their count is the maximum expression
 // depth, computed during compilation.
+//
+// Counting is per block, not per op. A block is the code that runs
+// exactly as often as one region of the kernel: the top level, one loop's
+// body or one If arm, each minus the blocks nested in it. NewProgram
+// tallies every block's ops, loads and stores; the VM only counts how
+// often each block is entered, and Run multiplies out.
 
 // OpCode enumerates bytecode operations. The encoding is part of the
 // serialized program image; changing it requires bumping the artifact
@@ -25,48 +38,62 @@ type OpCode uint8
 const (
 	// OpInvalid guards the zero value; executing it is a bug.
 	OpInvalid     OpCode = iota
-	OpConst              // regs[Dst] = Val
-	OpSlot               // regs[Dst] = slots[A]
-	OpSlotChecked        // regs[Dst] = slots[A], failing when the local was never assigned
-	OpSetSlot            // slots[Dst] = regs[A]; marks the slot assigned
-	OpLoad               // regs[Dst] = obj Aux [int(regs[A])], bounds-checked and counted
-	OpStoreIdx           // bounds-check int(regs[A]) against obj Aux (before the value evaluates)
-	OpStore              // obj Aux [int(regs[A])] = regs[B], counted
-	OpBin                // regs[Dst] = BinOp(Aux) applied to regs[A], regs[B]; C is the OpClass
-	OpUn                 // regs[Dst] = UnOp(Aux) applied to regs[A]; C is the OpClass
-	OpSel                // regs[Dst] = regs[A] != 0 ? regs[B] : regs[C], counted as ClassInt
+	OpSlotChecked        // frame[Dst] = frame[A], failing when local A was never assigned
+	OpMove               // frame[Dst] = frame[A]; marks Dst assigned
+	OpLoad               // frame[Dst] = obj Aux [int(frame[A])], bounds-checked
+	OpStoreIdx           // bounds-check int(frame[A]) against obj Aux (before the value evaluates)
+	OpStore              // obj Aux [int(frame[A])] = frame[B], bounds-checked
+	OpBin                // frame[Dst] = BinOp(Aux) applied to frame[A], frame[B]; C is the OpClass
+	OpAdd                // OpBin with Aux Add: most arithmetic skips the dispatch on Aux
+	OpSub                // OpBin with Aux Sub
+	OpMul                // OpBin with Aux Mul
+	OpUn                 // frame[Dst] = UnOp(Aux) applied to frame[A]; C is the OpClass
+	OpSel                // frame[Dst] = frame[A] != 0 ? frame[B] : frame[C]
 	OpJump               // pc = Dst
-	OpJumpIfZero         // if regs[A] == 0 { pc = Dst }
-	OpLoopEnter          // loop Aux: validate step regs[C], slots[Dst] = regs[A], save cur
-	OpLoopTest           // loop Aux: if !(slots[A] < regs[B]) { restore cur; pc = Dst }
-	OpIterHead           // loop Aux: count the iteration and attribute to its LoopCounts
-	OpLoopIncr           // slots[A] += regs[B]; pc = Dst (back to the loop test)
+	OpJumpIfZero         // if frame[A] == 0 { enter block C; pc = Dst } else { enter block B }
+	OpLoopEnter          // loop Aux: fail unless step frame[C] > 0; frame[Dst] = frame[A]
+	OpLoopTest           // loop Aux: if frame[A] < frame[B] { iterate } else { pc = Dst }
+	OpLoopNext           // loop Aux: frame[A] += frame[C]; if frame[A] < frame[B] { iterate; pc = Dst }
+
+	numOpCodes // not an opcode: one past the last
 )
 
 // Op is one bytecode instruction. Fields are exported so a program image
 // can be gob-encoded by the artifact store; their meaning depends on Code
-// (see the OpCode constants).
+// (see the OpCode constants). A loop iterating enters block Aux, the
+// loop's body block.
 type Op struct {
 	Code    OpCode
 	Dst     int32
 	A, B, C int32
 	Aux     int32
-	Val     float64
+}
+
+// Block is the compile-time tally of one block: what it executes each time
+// control enters it, and the loop its activity is attributed to.
+type Block struct {
+	Loop                         int32 // innermost enclosing loop's table index; -1 at top level
+	IntOps, ComplexOps, FloatOps int64
+	Loads, Stores                int64
 }
 
 // Program is a compiled kernel: flat bytecode plus the compile-time
 // resolved tables it indexes. A Program is immutable after compilation
-// and safe for concurrent Run calls; each Run gets its own register file
-// and slot array.
+// and safe for concurrent Run calls; each Run gets its own frame.
+//
+// blocks[0:len(loops)] are the loop bodies in loop-table order and
+// blocks[len(loops)] is the top level; If arms follow.
 type Program struct {
 	kernel    *Kernel
 	name      string
-	params    []string // parameter names in slot order (slots[0:len(params)])
+	params    []string // parameter names in slot order (frame[0:len(params)])
 	objs      []ObjDecl
-	loops     []*For   // loop table in Loops(kernel.Body) order; IterHead/Enter index it
+	loops     []*For   // loop table in Loops(kernel.Body) order; loop ops index it
 	slotNames []string // slot index → name, for error messages
 	nSlots    int
+	consts    []float64 // constant pool, frame[nSlots:nSlots+len(consts)]
 	nRegs     int
+	blocks    []Block
 	code      []Op
 }
 
@@ -78,7 +105,8 @@ func (p *Program) Kernel() *Kernel { return p.kernel }
 func (p *Program) Ops() int { return len(p.code) }
 
 func (p *Program) String() string {
-	return fmt.Sprintf("program(%s: %d ops, %d slots, %d regs)", p.name, len(p.code), p.nSlots, p.nRegs)
+	return fmt.Sprintf("program(%s: %d ops, %d slots, %d consts, %d regs)",
+		p.name, len(p.code), p.nSlots, len(p.consts), p.nRegs)
 }
 
 // NewProgram validates k and lowers it to bytecode. The error for an
@@ -88,12 +116,11 @@ func NewProgram(k *Kernel) (*Program, error) {
 		return nil, err
 	}
 	c := &bcCompiler{
-		k:         k,
 		paramSlot: map[string]int32{},
 		localSlot: map[string]int32{},
 		ivSlot:    map[string]int32{},
-		loopIdx:   map[*For]int32{},
 		objIdx:    map[string]int32{},
+		constIdx:  map[uint64]int32{},
 		defined:   map[string]bool{},
 	}
 	for i, name := range k.Params {
@@ -105,12 +132,34 @@ func NewProgram(k *Kernel) (*Program, error) {
 		c.objIdx[o.Name] = int32(i)
 	}
 	loops := Loops(k.Body)
-	for i, f := range loops {
-		c.loopIdx[f] = int32(i)
+	// Size the slot region up front (one slot per distinct local, one per
+	// loop) so the constant pool and registers can follow it in the frame.
+	locals := map[string]bool{}
+	var consts []float64
+	WalkStmts(k.Body, func(s Stmt) {
+		if l, ok := s.(Let); ok {
+			locals[l.Name] = true
+		}
+	}, func(e Expr) {
+		if x, ok := e.(Const); ok {
+			if _, seen := c.constIdx[math.Float64bits(x.V)]; !seen {
+				c.constIdx[math.Float64bits(x.V)] = int32(len(consts))
+				consts = append(consts, x.V)
+			}
+		}
+	})
+	slots := c.nSlots + int32(len(locals)+len(loops))
+	c.constBase = slots
+	c.regBase = slots + int32(len(consts))
+	c.blocks = make([]Block, len(loops)+1)
+	for i := range loops {
+		c.blocks[i].Loop = int32(i)
 	}
+	c.block, c.loop = int32(len(loops)), -1
+	c.blocks[c.block].Loop = -1
 	c.stmts(k.Body, 0)
-	if c.maxRegs == 0 {
-		c.maxRegs = 1
+	if c.nSlots != slots {
+		panic(fmt.Sprintf("ir: compile of %q allocated %d slots, sized %d", k.Name, c.nSlots, slots))
 	}
 	return &Program{
 		kernel:    k,
@@ -120,7 +169,9 @@ func NewProgram(k *Kernel) (*Program, error) {
 		loops:     loops,
 		slotNames: c.slotNames,
 		nSlots:    int(c.nSlots),
+		consts:    consts,
 		nRegs:     int(c.maxRegs),
+		blocks:    c.blocks,
 		code:      c.code,
 	}, nil
 }
@@ -128,16 +179,21 @@ func NewProgram(k *Kernel) (*Program, error) {
 // bcCompiler lowers statements and expressions. Registers are allocated
 // stack-wise per expression depth; slots are assigned on first definition.
 type bcCompiler struct {
-	k         *Kernel
 	code      []Op
 	paramSlot map[string]int32
 	localSlot map[string]int32
 	ivSlot    map[string]int32
-	loopIdx   map[*For]int32
 	objIdx    map[string]int32
+	constIdx  map[uint64]int32 // Float64bits → pool index
 	slotNames []string
 	nSlots    int32
+	constBase int32 // frame index of the constant pool
+	regBase   int32 // frame index of register 0
 	maxRegs   int32
+	blocks    []Block
+	block     int32 // block the code being emitted belongs to
+	loop      int32 // innermost enclosing loop, -1 at top level
+	nextLoop  int32 // loop-table index of the next For compiled (pre-order)
 	// defined tracks locals that are definitely assigned on every path to
 	// the current program point — stricter than Validate, which lets a
 	// loop body's definitions persist past the loop even though a 0-trip
@@ -152,11 +208,12 @@ func (c *bcCompiler) emit(op Op) int32 {
 	return int32(len(c.code) - 1)
 }
 
+// reg returns the frame index of register r.
 func (c *bcCompiler) reg(r int32) int32 {
 	if r+1 > c.maxRegs {
 		c.maxRegs = r + 1
 	}
-	return r
+	return c.regBase + r
 }
 
 func (c *bcCompiler) newSlot(name string) int32 {
@@ -164,6 +221,24 @@ func (c *bcCompiler) newSlot(name string) int32 {
 	c.nSlots++
 	c.slotNames = append(c.slotNames, name)
 	return s
+}
+
+func (c *bcCompiler) newBlock() int32 {
+	c.blocks = append(c.blocks, Block{Loop: c.loop})
+	return int32(len(c.blocks) - 1)
+}
+
+// tally adds one arithmetic op of class to the current block.
+func (c *bcCompiler) tally(class OpClass) {
+	b := &c.blocks[c.block]
+	switch class {
+	case ClassInt:
+		b.IntOps++
+	case ClassComplex:
+		b.ComplexOps++
+	case ClassFloat:
+		b.FloatOps++
+	}
 }
 
 func (c *bcCompiler) stmts(body []Stmt, base int32) {
@@ -180,28 +255,41 @@ func (c *bcCompiler) stmt(s Stmt, base int32) {
 			slot = c.newSlot(x.Name)
 			c.localSlot[x.Name] = slot
 		}
-		c.expr(x.E, base)
-		c.emit(Op{Code: OpSetSlot, Dst: slot, A: base})
+		c.emit(Op{Code: OpMove, Dst: slot, A: c.operand(x.E, base)})
 		c.defined[x.Name] = true
 	case Store:
 		// Same order as the interpreter: evaluate and bounds-check the
-		// index, then evaluate the value.
-		c.expr(x.Idx, base)
-		c.emit(Op{Code: OpStoreIdx, A: base, Aux: c.objIdx[x.Obj]})
-		c.expr(x.Val, c.reg(base+1))
-		c.emit(Op{Code: OpStore, A: base, B: base + 1, Aux: c.objIdx[x.Obj]})
+		// index, then evaluate the value. A value read in place runs no
+		// code in between, so the store's own check is the only one.
+		oi := c.objIdx[x.Obj]
+		idx := c.operand(x.Idx, base)
+		if _, ok := c.leaf(x.Val); !ok {
+			c.emit(Op{Code: OpStoreIdx, A: idx, Aux: oi})
+		}
+		val := c.operand(x.Val, base+1)
+		c.emit(Op{Code: OpStore, A: idx, B: val, Aux: oi})
+		c.blocks[c.block].Stores++
 	case If:
-		c.expr(x.Cond, base)
-		jElse := c.emit(Op{Code: OpJumpIfZero, A: base})
+		thenB, elseB := c.newBlock(), c.newBlock()
+		jElse := c.emit(Op{Code: OpJumpIfZero, A: c.operand(x.Cond, base), B: thenB, C: elseB})
+		outer := c.block
 		saved := cloneSet(c.defined)
+		c.block = thenB
 		c.stmts(x.Then, base)
 		thenDefined := c.defined
-		jEnd := c.emit(Op{Code: OpJump})
+		jEnd := int32(-1)
+		if len(x.Else) > 0 {
+			jEnd = c.emit(Op{Code: OpJump})
+		}
 		c.code[jElse].Dst = int32(len(c.code))
 		c.defined = cloneSet(saved)
+		c.block = elseB
 		c.stmts(x.Else, base)
 		elseDefined := c.defined
-		c.code[jEnd].Dst = int32(len(c.code))
+		if jEnd >= 0 {
+			c.code[jEnd].Dst = int32(len(c.code))
+		}
+		c.block = outer
 		c.defined = saved
 		for name := range thenDefined {
 			if elseDefined[name] {
@@ -209,21 +297,23 @@ func (c *bcCompiler) stmt(s Stmt, base int32) {
 			}
 		}
 	case *For:
-		li := c.loopIdx[x]
-		rLo, rHi, rStep := base, c.reg(base+1), c.reg(base+2)
-		c.expr(x.Lo, rLo)
-		c.expr(x.Hi, rHi)
-		c.expr(x.Step, rStep)
+		li := c.nextLoop
+		c.nextLoop++
+		lo := c.operand(x.Lo, base)
+		hi := c.bound(x.Hi, base+1)
+		step := c.bound(x.Step, base+2)
 		iv := c.newSlot(x.IV)
 		savedIV, hadIV := c.ivSlot[x.IV]
 		c.ivSlot[x.IV] = iv
-		c.emit(Op{Code: OpLoopEnter, Dst: iv, A: rLo, B: rHi, C: rStep, Aux: li})
-		test := c.emit(Op{Code: OpLoopTest, A: iv, B: rHi, Aux: li})
-		c.emit(Op{Code: OpIterHead, Aux: li})
+		c.emit(Op{Code: OpLoopEnter, Dst: iv, A: lo, C: step, Aux: li})
+		test := c.emit(Op{Code: OpLoopTest, A: iv, B: hi, Aux: li})
+		outerBlock, outerLoop := c.block, c.loop
+		c.block, c.loop = li, li
 		savedDefined := cloneSet(c.defined)
-		c.stmts(x.Body, c.reg(base+3))
-		c.emit(Op{Code: OpLoopIncr, A: iv, B: rStep, Dst: test})
+		c.stmts(x.Body, base+3)
+		c.emit(Op{Code: OpLoopNext, Dst: test + 1, A: iv, B: hi, C: step, Aux: li})
 		c.code[test].Dst = int32(len(c.code))
+		c.block, c.loop = outerBlock, outerLoop
 		// The body may never have executed; its definitions don't count.
 		c.defined = savedDefined
 		if hadIV {
@@ -237,38 +327,89 @@ func (c *bcCompiler) stmt(s Stmt, base int32) {
 	}
 }
 
-func (c *bcCompiler) expr(e Expr, dst int32) {
-	c.reg(dst)
+// leaf returns the frame index e is read from in place: a constant, a
+// parameter, an induction variable, or a local assigned on every path here.
+func (c *bcCompiler) leaf(e Expr) (int32, bool) {
 	switch x := e.(type) {
 	case Const:
-		c.emit(Op{Code: OpConst, Dst: dst, Val: x.V})
+		return c.constBase + c.constIdx[math.Float64bits(x.V)], true
 	case Param:
-		c.emit(Op{Code: OpSlot, Dst: dst, A: c.paramSlot[x.Name]})
+		return c.paramSlot[x.Name], true
 	case IV:
-		c.emit(Op{Code: OpSlot, Dst: dst, A: c.ivSlot[x.Name]})
+		return c.ivSlot[x.Name], true
 	case Local:
-		slot := c.localSlot[x.Name]
 		if c.defined[x.Name] {
-			c.emit(Op{Code: OpSlot, Dst: dst, A: slot})
+			return c.localSlot[x.Name], true
+		}
+	}
+	return 0, false
+}
+
+// operand returns the frame index holding e's value: a leaf in place, or
+// register r after emitting e's code into it (registers above r are
+// scratch).
+func (c *bcCompiler) operand(e Expr, r int32) int32 {
+	if idx, ok := c.leaf(e); ok {
+		return idx
+	}
+	dst := c.reg(r)
+	c.expr(e, dst, r)
+	return dst
+}
+
+// bound returns the frame index a loop reads its Hi or Step from on every
+// iteration. A constant, a parameter or an enclosing loop's induction
+// variable is read in place: the body cannot write it. Anything else — a
+// local the body may reassign included — is evaluated once into register
+// r, as ir.Run evaluates it once.
+func (c *bcCompiler) bound(e Expr, r int32) int32 {
+	switch e.(type) {
+	case Const, Param, IV:
+		idx, _ := c.leaf(e)
+		return idx
+	}
+	dst := c.reg(r)
+	c.expr(e, dst, r)
+	return dst
+}
+
+// expr emits code leaving e's value at frame index dst, using registers r
+// and up as scratch.
+func (c *bcCompiler) expr(e Expr, dst, r int32) {
+	switch x := e.(type) {
+	case Local:
+		// Only a loop bound copies a local assigned on every path.
+		if idx, ok := c.leaf(e); ok {
+			c.emit(Op{Code: OpMove, Dst: dst, A: idx})
 		} else {
-			c.emit(Op{Code: OpSlotChecked, Dst: dst, A: slot})
+			c.emit(Op{Code: OpSlotChecked, Dst: dst, A: c.localSlot[x.Name]})
 		}
 	case Load:
-		c.expr(x.Idx, dst)
-		c.emit(Op{Code: OpLoad, Dst: dst, A: dst, Aux: c.objIdx[x.Obj]})
+		c.emit(Op{Code: OpLoad, Dst: dst, A: c.operand(x.Idx, r), Aux: c.objIdx[x.Obj]})
+		c.blocks[c.block].Loads++
 	case Bin:
-		c.expr(x.A, dst)
-		c.expr(x.B, c.reg(dst+1))
-		c.emit(Op{Code: OpBin, Dst: dst, A: dst, B: dst + 1,
-			Aux: int32(x.Op), C: int32(x.Op.Class())})
+		a := c.operand(x.A, r)
+		b := c.operand(x.B, r+1)
+		code := OpBin
+		switch x.Op {
+		case Add:
+			code = OpAdd
+		case Sub:
+			code = OpSub
+		case Mul:
+			code = OpMul
+		}
+		c.emit(Op{Code: code, Dst: dst, A: a, B: b, Aux: int32(x.Op), C: int32(x.Op.Class())})
+		c.tally(x.Op.Class())
 	case Un:
-		c.expr(x.A, dst)
-		c.emit(Op{Code: OpUn, Dst: dst, A: dst, Aux: int32(x.Op), C: int32(x.Op.Class())})
+		c.emit(Op{Code: OpUn, Dst: dst, A: c.operand(x.A, r), Aux: int32(x.Op), C: int32(x.Op.Class())})
+		c.tally(x.Op.Class())
 	case Sel:
-		c.expr(x.Cond, dst)
-		c.expr(x.T, c.reg(dst+1))
-		c.expr(x.F, c.reg(dst+2))
-		c.emit(Op{Code: OpSel, Dst: dst, A: dst, B: dst + 1, C: dst + 2})
+		cond := c.operand(x.Cond, r)
+		t := c.operand(x.T, r+1)
+		f := c.operand(x.F, r+2)
+		c.emit(Op{Code: OpSel, Dst: dst, A: cond, B: t, C: f})
+		c.tally(ClassInt)
 	default:
 		panic(fmt.Sprintf("ir: compile of unknown expression %T", e))
 	}
@@ -286,7 +427,9 @@ type Image struct {
 	SlotNames  []string
 	NLoops     int
 	NSlots     int
+	Consts     []float64
 	NRegs      int
+	Blocks     []Block
 	Code       []Op
 }
 
@@ -299,7 +442,9 @@ func (p *Program) Image() Image {
 		SlotNames:  p.slotNames,
 		NLoops:     len(p.loops),
 		NSlots:     p.nSlots,
+		Consts:     p.consts,
 		NRegs:      p.nRegs,
+		Blocks:     p.blocks,
 		Code:       p.code,
 	}
 }
@@ -339,6 +484,10 @@ func ProgramFromImage(img Image, k *Kernel) (*Program, error) {
 		return nil, fmt.Errorf("ir: program image for %q has %d loops, kernel has %d",
 			k.Name, img.NLoops, len(loops))
 	}
+	if len(img.Blocks) <= len(loops) {
+		return nil, fmt.Errorf("ir: program image for %q has %d blocks for %d loops",
+			k.Name, len(img.Blocks), len(loops))
+	}
 	return &Program{
 		kernel:    k,
 		name:      img.KernelName,
@@ -347,7 +496,9 @@ func ProgramFromImage(img Image, k *Kernel) (*Program, error) {
 		loops:     loops,
 		slotNames: img.SlotNames,
 		nSlots:    img.NSlots,
+		consts:    img.Consts,
 		nRegs:     img.NRegs,
+		blocks:    img.Blocks,
 		code:      img.Code,
 	}, nil
 }

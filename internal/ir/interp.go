@@ -4,9 +4,10 @@ import (
 	"fmt"
 )
 
-// Hooks receive dynamic-execution events from the interpreter. Any field may
-// be nil. The host timing model and the coverage analysis (Table VI) are
-// built on these callbacks.
+// Hooks receive dynamic-execution events from the interpreter and the
+// bytecode VM, in the same order from both. Any field may be nil. Only
+// this package's tests pass hooks: Table VI's coverage reads Counts, and
+// the host timing model (sim/host.go) walks the kernel itself.
 type Hooks struct {
 	// OnOp fires once per arithmetic operation (Bin/Un/Sel evaluation).
 	OnOp func(class OpClass)

@@ -19,6 +19,9 @@ func TestParseGenerated(t *testing.T) {
 		if got := Format(k2); got != src {
 			t.Fatalf("seed %d: Format not a fixed point\n--- original\n%s\n--- reparsed\n%s", seed, src, got)
 		}
+		if !withinBudget(k, params, mem) {
+			continue
+		}
 		memA, memB := copyMem(mem), copyMem(mem)
 		cA, errA := runProgram(k, params, memA)
 		cB, errB := runProgram(k2, params, memB)

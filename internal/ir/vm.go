@@ -6,19 +6,20 @@ import "fmt"
 // itself is shared and read-only.
 type vm struct {
 	p        *Program
-	regs     []float64
-	slots    []float64
-	assigned []bool // per slot: has the local ever been assigned (params pre-set)
+	frame    []float64
+	assigned []bool // per frame index: has the local ever been assigned (params pre-set)
 	bufs     [][]float64
-	counts   *Counts
-	cur      *LoopCounts   // innermost enclosing loop's counts (nil at top level)
-	lc       []*LoopCounts // per loop-table index, resolved lazily like the interpreter
-	curStack []*LoopCounts
+	hits     []int64 // per block: times entered (a loop body's: the loop's iterations)
 	hooks    Hooks
 }
 
 func (v *vm) fail(format string, args ...any) {
 	panic(runtimeError{fmt.Errorf("ir: kernel %q: "+format, append([]any{v.p.name}, args...)...)})
+}
+
+func (v *vm) failIndex(obj int32, idx int) {
+	o := &v.p.objs[obj]
+	v.fail("index %d out of range for object %q (len %d)", idx, o.Name, o.Len)
 }
 
 // Run executes the compiled program against mem (modified in place) and
@@ -44,19 +45,20 @@ func (p *Program) Run(params map[string]float64, mem map[string][]float64, hooks
 		}
 		bufs[i] = buf
 	}
+	n := p.nSlots + len(p.consts) + p.nRegs
 	v := &vm{
 		p:        p,
-		regs:     make([]float64, p.nRegs),
-		slots:    make([]float64, p.nSlots),
-		assigned: make([]bool, p.nSlots),
+		frame:    make([]float64, n),
+		assigned: make([]bool, n),
 		bufs:     bufs,
-		counts:   &Counts{ByLoop: map[*For]*LoopCounts{}},
-		lc:       make([]*LoopCounts, len(p.loops)),
+		hits:     make([]int64, len(p.blocks)),
 	}
 	for i, name := range p.params {
-		v.slots[i] = params[name]
+		v.frame[i] = params[name]
 		v.assigned[i] = true
 	}
+	copy(v.frame[p.nSlots:], p.consts)
+	v.hits[len(p.loops)] = 1 // the top level runs once
 	defer func() {
 		if r := recover(); r != nil {
 			re, ok := r.(runtimeError)
@@ -74,142 +76,134 @@ func (p *Program) Run(params map[string]float64, mem map[string][]float64, hooks
 		v.hooks = *hooks
 		v.execHooked()
 	}
-	return v.counts, nil
+	return v.counts(), nil
 }
 
-func (v *vm) countOp(class OpClass) {
-	v.counts.Ops++
-	switch class {
-	case ClassInt:
-		v.counts.IntOps++
-	case ClassComplex:
-		v.counts.ComplexOps++
-	case ClassFloat:
-		v.counts.FloatOps++
-	}
-	if lc := v.cur; lc != nil {
-		lc.Ops++
-	}
-}
-
-// iterHead performs the per-iteration accounting shared by both loops:
-// the iteration count, lazy LoopCounts resolution (0-trip loops leave no
-// ByLoop entry) and trip attribution.
-func (v *vm) iterHead(li int32) *For {
-	f := v.p.loops[li]
-	v.counts.LoopIters++
-	lc := v.lc[li]
-	if lc == nil {
-		if lc = v.counts.ByLoop[f]; lc == nil {
-			lc = &LoopCounts{}
-			v.counts.ByLoop[f] = lc
+// counts multiplies every block's tally by its entry count. ByLoop gets
+// an entry only for loops that iterated, as in the interpreter; loops
+// that share a *For node sum into one entry.
+func (v *vm) counts() *Counts {
+	c := &Counts{ByLoop: map[*For]*LoopCounts{}}
+	lcs := make([]*LoopCounts, len(v.p.loops))
+	for li, f := range v.p.loops {
+		n := v.hits[li]
+		if n == 0 {
+			continue
 		}
-		v.lc[li] = lc
+		c.LoopIters += n
+		lc := c.ByLoop[f]
+		if lc == nil {
+			lc = &LoopCounts{}
+			c.ByLoop[f] = lc
+		}
+		lc.Trips += n
+		lcs[li] = lc
 	}
-	v.cur = lc
-	lc.Trips++
-	return f
+	for i := range v.p.blocks {
+		b := &v.p.blocks[i]
+		n := v.hits[i]
+		if n == 0 {
+			continue
+		}
+		ops := n * (b.IntOps + b.ComplexOps + b.FloatOps)
+		c.Ops += ops
+		c.IntOps += n * b.IntOps
+		c.ComplexOps += n * b.ComplexOps
+		c.FloatOps += n * b.FloatOps
+		c.Loads += n * b.Loads
+		c.Stores += n * b.Stores
+		if b.Loop >= 0 {
+			lc := lcs[b.Loop]
+			lc.Ops += ops
+			lc.Loads += n * b.Loads
+			lc.Stores += n * b.Stores
+		}
+	}
+	return c
 }
 
 // exec is the hooks-off dispatch loop.
 func (v *vm) exec() {
 	code := v.p.code
-	regs := v.regs
-	slots := v.slots
+	fr := v.frame
+	hits := v.hits
+	bufs := v.bufs
+	assigned := v.assigned
 	for pc := 0; pc < len(code); pc++ {
 		op := &code[pc]
 		switch op.Code {
-		case OpConst:
-			regs[op.Dst] = op.Val
-		case OpSlot:
-			regs[op.Dst] = slots[op.A]
 		case OpSlotChecked:
-			if !v.assigned[op.A] {
+			if !assigned[op.A] {
 				v.fail("read of undefined local %q", v.p.slotNames[op.A])
 			}
-			regs[op.Dst] = slots[op.A]
-		case OpSetSlot:
-			slots[op.Dst] = regs[op.A]
-			v.assigned[op.Dst] = true
+			fr[op.Dst] = fr[op.A]
+		case OpMove:
+			fr[op.Dst] = fr[op.A]
+			assigned[op.Dst] = true
 		case OpLoad:
-			o := &v.p.objs[op.Aux]
-			idx := int(regs[op.A])
-			if idx < 0 || idx >= o.Len {
-				v.fail("index %d out of range for object %q (len %d)", idx, o.Name, o.Len)
+			buf := bufs[op.Aux]
+			idx := int(fr[op.A])
+			if uint(idx) >= uint(len(buf)) {
+				v.failIndex(op.Aux, idx)
 			}
-			v.counts.Loads++
-			if lc := v.cur; lc != nil {
-				lc.Loads++
-			}
-			regs[op.Dst] = v.bufs[op.Aux][idx]
+			fr[op.Dst] = buf[idx]
 		case OpStoreIdx:
-			o := &v.p.objs[op.Aux]
-			idx := int(regs[op.A])
-			if idx < 0 || idx >= o.Len {
-				v.fail("index %d out of range for object %q (len %d)", idx, o.Name, o.Len)
+			if idx := int(fr[op.A]); uint(idx) >= uint(len(bufs[op.Aux])) {
+				v.failIndex(op.Aux, idx)
 			}
 		case OpStore:
-			v.bufs[op.Aux][int(regs[op.A])] = regs[op.B]
-			v.counts.Stores++
-			if lc := v.cur; lc != nil {
-				lc.Stores++
+			buf := bufs[op.Aux]
+			idx := int(fr[op.A])
+			if uint(idx) >= uint(len(buf)) {
+				v.failIndex(op.Aux, idx)
 			}
+			buf[idx] = fr[op.B]
+		case OpAdd:
+			fr[op.Dst] = fr[op.A] + fr[op.B]
+		case OpSub:
+			fr[op.Dst] = fr[op.A] - fr[op.B]
+		case OpMul:
+			fr[op.Dst] = fr[op.A] * fr[op.B]
 		case OpBin:
-			a, b := regs[op.A], regs[op.B]
-			v.countOp(OpClass(op.C))
-			var out float64
-			switch BinOp(op.Aux) {
-			case Add:
-				out = a + b
-			case Sub:
-				out = a - b
-			case Mul:
-				out = a * b
-			default:
-				var err error
-				out, err = ApplyBin(BinOp(op.Aux), a, b)
-				if err != nil {
-					v.fail("%v", err)
-				}
+			out, err := ApplyBin(BinOp(op.Aux), fr[op.A], fr[op.B])
+			if err != nil {
+				v.fail("%v", err)
 			}
-			regs[op.Dst] = out
+			fr[op.Dst] = out
 		case OpUn:
-			a := regs[op.A]
-			v.countOp(OpClass(op.C))
-			regs[op.Dst] = ApplyUn(UnOp(op.Aux), a)
+			fr[op.Dst] = ApplyUn(UnOp(op.Aux), fr[op.A])
 		case OpSel:
-			c, t, f := regs[op.A], regs[op.B], regs[op.C]
-			v.countOp(ClassInt)
-			if c != 0 {
-				regs[op.Dst] = t
+			if fr[op.A] != 0 {
+				fr[op.Dst] = fr[op.B]
 			} else {
-				regs[op.Dst] = f
+				fr[op.Dst] = fr[op.C]
 			}
 		case OpJump:
 			pc = int(op.Dst) - 1
 		case OpJumpIfZero:
-			if regs[op.A] == 0 {
+			if fr[op.A] == 0 {
+				hits[op.C]++
 				pc = int(op.Dst) - 1
+			} else {
+				hits[op.B]++
 			}
 		case OpLoopEnter:
-			step := regs[op.C]
-			if step <= 0 {
+			if step := fr[op.C]; step <= 0 {
 				v.fail("loop %s has non-positive step %g", v.p.loops[op.Aux].IV, step)
 			}
-			slots[op.Dst] = regs[op.A]
-			v.curStack = append(v.curStack, v.cur)
+			fr[op.Dst] = fr[op.A]
 		case OpLoopTest:
-			if !(slots[op.A] < regs[op.B]) {
-				n := len(v.curStack) - 1
-				v.cur = v.curStack[n]
-				v.curStack = v.curStack[:n]
+			if fr[op.A] < fr[op.B] {
+				hits[op.Aux]++
+			} else {
 				pc = int(op.Dst) - 1
 			}
-		case OpIterHead:
-			v.iterHead(op.Aux)
-		case OpLoopIncr:
-			slots[op.A] += regs[op.B]
-			pc = int(op.Dst) - 1
+		case OpLoopNext:
+			fr[op.A] += fr[op.C]
+			if fr[op.A] < fr[op.B] {
+				hits[op.Aux]++
+				pc = int(op.Dst) - 1
+			}
 		default:
 			panic(fmt.Sprintf("ir: vm: invalid opcode %d at pc %d", op.Code, pc))
 		}
@@ -220,123 +214,101 @@ func (v *vm) exec() {
 // as a separate loop so the hooks-off path carries no per-op nil checks.
 func (v *vm) execHooked() {
 	code := v.p.code
-	regs := v.regs
-	slots := v.slots
+	fr := v.frame
+	hits := v.hits
 	for pc := 0; pc < len(code); pc++ {
 		op := &code[pc]
 		switch op.Code {
-		case OpConst:
-			regs[op.Dst] = op.Val
-		case OpSlot:
-			regs[op.Dst] = slots[op.A]
 		case OpSlotChecked:
 			if !v.assigned[op.A] {
 				v.fail("read of undefined local %q", v.p.slotNames[op.A])
 			}
-			regs[op.Dst] = slots[op.A]
-		case OpSetSlot:
-			slots[op.Dst] = regs[op.A]
+			fr[op.Dst] = fr[op.A]
+		case OpMove:
+			fr[op.Dst] = fr[op.A]
 			v.assigned[op.Dst] = true
 		case OpLoad:
-			o := &v.p.objs[op.Aux]
-			idx := int(regs[op.A])
-			if idx < 0 || idx >= o.Len {
-				v.fail("index %d out of range for object %q (len %d)", idx, o.Name, o.Len)
-			}
-			v.counts.Loads++
-			if lc := v.cur; lc != nil {
-				lc.Loads++
+			buf := v.bufs[op.Aux]
+			idx := int(fr[op.A])
+			if uint(idx) >= uint(len(buf)) {
+				v.failIndex(op.Aux, idx)
 			}
 			if v.hooks.OnLoad != nil {
-				v.hooks.OnLoad(o.Name, idx)
+				v.hooks.OnLoad(v.p.objs[op.Aux].Name, idx)
 			}
-			regs[op.Dst] = v.bufs[op.Aux][idx]
+			fr[op.Dst] = buf[idx]
 		case OpStoreIdx:
-			o := &v.p.objs[op.Aux]
-			idx := int(regs[op.A])
-			if idx < 0 || idx >= o.Len {
-				v.fail("index %d out of range for object %q (len %d)", idx, o.Name, o.Len)
+			if idx := int(fr[op.A]); uint(idx) >= uint(len(v.bufs[op.Aux])) {
+				v.failIndex(op.Aux, idx)
 			}
 		case OpStore:
-			idx := int(regs[op.A])
-			v.bufs[op.Aux][idx] = regs[op.B]
-			v.counts.Stores++
-			if lc := v.cur; lc != nil {
-				lc.Stores++
+			buf := v.bufs[op.Aux]
+			idx := int(fr[op.A])
+			if uint(idx) >= uint(len(buf)) {
+				v.failIndex(op.Aux, idx)
 			}
+			buf[idx] = fr[op.B]
 			if v.hooks.OnStore != nil {
 				v.hooks.OnStore(v.p.objs[op.Aux].Name, idx)
 			}
-		case OpBin:
-			a, b := regs[op.A], regs[op.B]
-			class := OpClass(op.C)
-			v.countOp(class)
+		case OpBin, OpAdd, OpSub, OpMul:
+			a, b := fr[op.A], fr[op.B]
 			if v.hooks.OnOp != nil {
-				v.hooks.OnOp(class)
+				v.hooks.OnOp(OpClass(op.C))
 			}
-			var out float64
-			switch BinOp(op.Aux) {
-			case Add:
-				out = a + b
-			case Sub:
-				out = a - b
-			case Mul:
-				out = a * b
-			default:
-				var err error
-				out, err = ApplyBin(BinOp(op.Aux), a, b)
-				if err != nil {
-					v.fail("%v", err)
-				}
+			out, err := ApplyBin(BinOp(op.Aux), a, b)
+			if err != nil {
+				v.fail("%v", err)
 			}
-			regs[op.Dst] = out
+			fr[op.Dst] = out
 		case OpUn:
-			a := regs[op.A]
-			class := OpClass(op.C)
-			v.countOp(class)
+			a := fr[op.A]
 			if v.hooks.OnOp != nil {
-				v.hooks.OnOp(class)
+				v.hooks.OnOp(OpClass(op.C))
 			}
-			regs[op.Dst] = ApplyUn(UnOp(op.Aux), a)
+			fr[op.Dst] = ApplyUn(UnOp(op.Aux), a)
 		case OpSel:
-			c, t, f := regs[op.A], regs[op.B], regs[op.C]
-			v.countOp(ClassInt)
+			c, t, f := fr[op.A], fr[op.B], fr[op.C]
 			if v.hooks.OnOp != nil {
 				v.hooks.OnOp(ClassInt)
 			}
 			if c != 0 {
-				regs[op.Dst] = t
+				fr[op.Dst] = t
 			} else {
-				regs[op.Dst] = f
+				fr[op.Dst] = f
 			}
 		case OpJump:
 			pc = int(op.Dst) - 1
 		case OpJumpIfZero:
-			if regs[op.A] == 0 {
+			if fr[op.A] == 0 {
+				hits[op.C]++
 				pc = int(op.Dst) - 1
+			} else {
+				hits[op.B]++
 			}
 		case OpLoopEnter:
-			step := regs[op.C]
-			if step <= 0 {
+			if step := fr[op.C]; step <= 0 {
 				v.fail("loop %s has non-positive step %g", v.p.loops[op.Aux].IV, step)
 			}
-			slots[op.Dst] = regs[op.A]
-			v.curStack = append(v.curStack, v.cur)
+			fr[op.Dst] = fr[op.A]
 		case OpLoopTest:
-			if !(slots[op.A] < regs[op.B]) {
-				n := len(v.curStack) - 1
-				v.cur = v.curStack[n]
-				v.curStack = v.curStack[:n]
+			if fr[op.A] < fr[op.B] {
+				hits[op.Aux]++
+				if v.hooks.OnLoopIter != nil {
+					v.hooks.OnLoopIter(v.p.loops[op.Aux])
+				}
+			} else {
 				pc = int(op.Dst) - 1
 			}
-		case OpIterHead:
-			f := v.iterHead(op.Aux)
-			if v.hooks.OnLoopIter != nil {
-				v.hooks.OnLoopIter(f)
+		case OpLoopNext:
+			fr[op.A] += fr[op.C]
+			if fr[op.A] < fr[op.B] {
+				hits[op.Aux]++
+				if v.hooks.OnLoopIter != nil {
+					v.hooks.OnLoopIter(v.p.loops[op.Aux])
+				}
+				pc = int(op.Dst) - 1
 			}
-		case OpLoopIncr:
-			slots[op.A] += regs[op.B]
-			pc = int(op.Dst) - 1
 		default:
 			panic(fmt.Sprintf("ir: vm: invalid opcode %d at pc %d", op.Code, pc))
 		}

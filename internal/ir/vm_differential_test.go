@@ -8,6 +8,8 @@ package ir_test
 // silently change simulated results.
 
 import (
+	"bytes"
+	"encoding/gob"
 	"reflect"
 	"testing"
 
@@ -131,9 +133,138 @@ func TestVMDifferentialHooked(t *testing.T) {
 	}
 }
 
+// TestVMOpcodeCoverage compiles every workload kernel and the fuzz corpus
+// and requires that together they emit every defined opcode except
+// OpInvalid, so the differential tests run each opcode through both
+// dispatch loops. Every program must give the same error, counts and data
+// hooked (the hooked loop) as unhooked.
+func TestVMOpcodeCoverage(t *testing.T) {
+	type input struct {
+		name   string
+		k      *ir.Kernel
+		params map[string]float64
+		mem    map[string][]float64
+	}
+	var ins []input
+	for _, w := range allKernelWorkloads(workloads.ScaleTest) {
+		ins = append(ins, input{w.Name, w.Kernel, w.Params, w.NewData()})
+	}
+	for seed := int64(0); seed < ir.FuzzCorpusSeeds; seed++ {
+		if k, params, mem, ok := ir.CorpusKernel(seed); ok {
+			ins = append(ins, input{k.Name, k, params, mem})
+		}
+	}
+	emitted := map[ir.OpCode]bool{}
+	for _, in := range ins {
+		p, err := ir.NewProgram(in.k)
+		if err != nil {
+			t.Fatalf("%s: compile: %v", in.name, err)
+		}
+		for _, op := range p.Image().Code {
+			emitted[op.Code] = true
+		}
+		memU, memH := cloneMem(in.mem), cloneMem(in.mem)
+		var log []vmEvent
+		cU, errU := p.Run(in.params, memU, nil)
+		cH, errH := p.Run(in.params, memH, captureHooks(&log))
+		if ir.ErrText(errU) != ir.ErrText(errH) {
+			t.Fatalf("%s: error unhooked %v, hooked %v", in.name, errU, errH)
+		}
+		if !reflect.DeepEqual(cU, cH) {
+			t.Errorf("%s: counts unhooked %+v, hooked %+v", in.name, cU, cH)
+		}
+		if !ir.MemBitsEqual(memU, memH) {
+			t.Errorf("%s: data diverges between unhooked and hooked runs", in.name)
+		}
+	}
+	for op := ir.OpCode(0); op < ir.NumOpCodes; op++ {
+		if emitted[op] != (op != ir.OpInvalid) {
+			t.Errorf("opcode %d emitted=%v", op, emitted[op])
+		}
+	}
+}
+
+// TestProgramImageRoundtrip rebinds programs to structurally identical
+// kernels (distinct *For nodes) both ways the artifact store does: through
+// a gob-encoded image and ProgramFromImage, and through Rebind. Execution
+// must match the original program's, with ByLoop compared positionally
+// through the loop tables.
+func TestProgramImageRoundtrip(t *testing.T) {
+	type pair struct {
+		name   string
+		k1, k2 *ir.Kernel
+		params map[string]float64
+		mem    map[string][]float64
+	}
+	params, mem := ir.VMInputs()
+	pairs := []pair{{"vmtest", ir.VMKernel(), ir.VMKernel(), params, mem}}
+	ws1, ws2 := allKernelWorkloads(workloads.ScaleTest), allKernelWorkloads(workloads.ScaleTest)
+	for i, w := range ws1 {
+		pairs = append(pairs, pair{w.Name, w.Kernel, ws2[i].Kernel, w.Params, w.NewData()})
+	}
+	for _, pr := range pairs {
+		p, err := ir.NewProgram(pr.k1)
+		if err != nil {
+			t.Fatalf("%s: %v", pr.name, err)
+		}
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(p.Image()); err != nil {
+			t.Fatal(err)
+		}
+		var img ir.Image
+		if err := gob.NewDecoder(&buf).Decode(&img); err != nil {
+			t.Fatal(err)
+		}
+		fromImage, err := ir.ProgramFromImage(img, pr.k2)
+		if err != nil {
+			t.Fatalf("%s: ProgramFromImage: %v", pr.name, err)
+		}
+		rebound, err := p.Rebind(pr.k2)
+		if err != nil {
+			t.Fatalf("%s: Rebind: %v", pr.name, err)
+		}
+		l1, l2 := ir.Loops(pr.k1.Body), ir.Loops(pr.k2.Body)
+		if len(l1) > 0 && l1[0] == l2[0] {
+			t.Fatalf("%s: the two kernel instances share loop nodes", pr.name)
+		}
+		mem1 := cloneMem(pr.mem)
+		c1, err := p.Run(pr.params, mem1, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", pr.name, err)
+		}
+		for _, via := range []struct {
+			name string
+			p    *ir.Program
+		}{{"image", fromImage}, {"rebind", rebound}} {
+			mem2 := cloneMem(pr.mem)
+			c2, err := via.p.Run(pr.params, mem2, nil)
+			if err != nil {
+				t.Fatalf("%s via %s: %v", pr.name, via.name, err)
+			}
+			if !ir.MemBitsEqual(mem1, mem2) {
+				t.Errorf("%s via %s: data diverges", pr.name, via.name)
+			}
+			if c1.Ops != c2.Ops || c1.IntOps != c2.IntOps || c1.ComplexOps != c2.ComplexOps ||
+				c1.FloatOps != c2.FloatOps || c1.Loads != c2.Loads || c1.Stores != c2.Stores ||
+				c1.LoopIters != c2.LoopIters || len(c1.ByLoop) != len(c2.ByLoop) {
+				t.Errorf("%s via %s: counts diverge: %+v vs %+v", pr.name, via.name, c1, c2)
+			}
+			for i := range l1 {
+				if !reflect.DeepEqual(c1.ByLoop[l1[i]], c2.ByLoop[l2[i]]) {
+					t.Errorf("%s via %s: loop %d counts diverge: %+v vs %+v",
+						pr.name, via.name, i, c1.ByLoop[l1[i]], c2.ByLoop[l2[i]])
+				}
+			}
+		}
+	}
+}
+
 // BenchmarkExecutors compares the two executors on a representative
 // kernel (pathfinder's DP wavefront: loads, stores, sels, a nested
-// loop). Hooks off — the configuration the hot paths use.
+// loop). Hooks off — the configuration the hot paths use. The
+// Bytecode/<workload> rows time the VM alone on every paper kernel: each
+// iteration first copies a pre-drawn input into preallocated buffers with
+// the timer stopped.
 func BenchmarkExecutors(b *testing.B) {
 	w := workloads.Pathfinder(workloads.ScaleTest)
 	prog, err := ir.NewProgram(w.Kernel)
@@ -154,4 +285,24 @@ func BenchmarkExecutors(b *testing.B) {
 			}
 		}
 	})
+	for _, w := range workloads.All(workloads.ScaleTest) {
+		prog, err := ir.NewProgram(w.Kernel)
+		if err != nil {
+			b.Fatal(err)
+		}
+		input := w.NewData()
+		mem := cloneMem(input)
+		b.Run("Bytecode/"+w.Name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				for name, buf := range input {
+					copy(mem[name], buf)
+				}
+				b.StartTimer()
+				if _, err := prog.Run(w.Params, mem, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }

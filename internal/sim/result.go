@@ -154,7 +154,10 @@ func (m *machine) collect(workload string, validated bool) *Result {
 
 // compareData checks simulated object contents against the reference
 // interpreter's, with a small relative tolerance for floating-point
-// reassociation (none is expected: both execute in loop order).
+// reassociation (none is expected: both execute in loop order). A
+// non-finite value matches only an equal value, and NaN matches NaN: the
+// tolerance test alone would pass any pair involving NaN or ±Inf, since
+// its difference is NaN or its scale infinite.
 func compareData(got, want map[string][]float64) error {
 	for name, w := range want {
 		g, ok := got[name]
@@ -162,15 +165,22 @@ func compareData(got, want map[string][]float64) error {
 			return fmt.Errorf("sim: object %q missing or mis-sized in simulated memory", name)
 		}
 		for i := range w {
-			if g[i] == w[i] {
-				continue
-			}
-			diff := math.Abs(g[i] - w[i])
-			scale := math.Max(math.Abs(g[i]), math.Abs(w[i]))
-			if diff > 1e-9*math.Max(scale, 1) {
+			if !dataMatch(g[i], w[i]) {
 				return fmt.Errorf("sim: object %q diverges at [%d]: got %g, want %g", name, i, g[i], w[i])
 			}
 		}
 	}
 	return nil
+}
+
+func dataMatch(g, w float64) bool {
+	switch {
+	case g == w:
+		return true
+	case math.IsNaN(g) || math.IsNaN(w):
+		return math.IsNaN(g) && math.IsNaN(w)
+	case math.IsInf(g, 0) || math.IsInf(w, 0):
+		return false
+	}
+	return math.Abs(g-w) <= 1e-9*math.Max(math.Max(math.Abs(g), math.Abs(w)), 1)
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -146,6 +147,38 @@ func TestRunValidatesAcrossConfigs(t *testing.T) {
 			if res.Cycles <= 0 || res.EnergyPJ <= 0 {
 				t.Fatalf("%s on %s: degenerate result %+v", k.Name, cfg.Name, res)
 			}
+		}
+	}
+}
+
+// TestCompareDataNonFinite: validation matches a NaN or ±Inf only against
+// an equal value (NaN against NaN), and keeps the relative tolerance for
+// finite values.
+func TestCompareDataNonFinite(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		got, want float64
+		match     bool
+	}{
+		{1, 1, true},
+		{1 + 1e-12, 1, true},
+		{1.001, 1, false},
+		{nan, nan, true},
+		{inf, inf, true},
+		{-inf, -inf, true},
+		{nan, 1, false},
+		{1, nan, false},
+		{inf, 1, false},
+		{1, inf, false},
+		{-inf, 1, false},
+		{inf, -inf, false},
+		{nan, inf, false},
+		{inf, nan, false},
+	}
+	for _, tc := range cases {
+		err := compareData(map[string][]float64{"o": {0, tc.got}}, map[string][]float64{"o": {0, tc.want}})
+		if (err == nil) != tc.match {
+			t.Errorf("got %g, want %g: match=%v, error %v", tc.got, tc.want, tc.match, err)
 		}
 	}
 }
