@@ -193,5 +193,8 @@ func Bind(compiled *compiler.Compiled, k *ir.Kernel) (*compiler.Compiled, error)
 		info.Region = &cp
 		out.Infos = append(out.Infos, &info)
 	}
+	if err := out.LowerHost(); err != nil {
+		return nil, err
+	}
 	return out, nil
 }

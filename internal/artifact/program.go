@@ -18,7 +18,7 @@ import (
 // ProgramFormatVersion is bumped whenever the program key derivation, the
 // bytecode encoding (ir.Op / opcode numbering), or the on-disk envelope
 // changes; old entries then simply miss.
-const ProgramFormatVersion = 3
+const ProgramFormatVersion = 4
 
 // ProgramKey returns the content address of the bytecode program compiled
 // from kernel k (from the named workload at the named scale). The hash

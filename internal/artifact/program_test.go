@@ -1,6 +1,8 @@
 package artifact
 
 import (
+	"bytes"
+	"encoding/gob"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -168,5 +170,52 @@ func TestProgramSingleFlight(t *testing.T) {
 	}
 	if st := c.ProgramStats(); st.Compiles != 1 {
 		t.Fatalf("stats: %+v", st)
+	}
+}
+
+// TestProgramImageFailingVerifyRecompiles plants a well-formed envelope
+// whose image fails ir.ProgramFromImage's verifier (its constant pool is
+// dropped, so register operands point past the frame): the load counts one
+// store error, and the cache recompiles a program that runs correctly.
+func TestProgramImageFailingVerifyRecompiles(t *testing.T) {
+	dir := t.TempDir()
+	k, w := testKernel(t)
+	key := ProgramKey("fdtd-2d", "test", k)
+	good, err := ir.NewProgram(k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	img := good.Image()
+	img.Consts = nil
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(&envelope[ir.Image]{Version: ProgramFormatVersion, Key: key, Data: img}); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, key+".program.gob"), buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	c := New(Config{Dir: dir})
+	p, err := c.GetOrProgram(key, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := c.ProgramStats(); st.Errors != 1 || st.Compiles != 1 || st.DiskHits != 0 {
+		t.Fatalf("stats: %+v", st)
+	}
+	memWant := w.NewData()
+	memGot := map[string][]float64{}
+	for name, buf := range memWant {
+		memGot[name] = append([]float64(nil), buf...)
+	}
+	want, err := ir.Run(k, w.Params, memWant, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := p.Run(w.Params, memGot, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(want, got) || !reflect.DeepEqual(memWant, memGot) {
+		t.Fatal("recompiled program diverges from the interpreter")
 	}
 }

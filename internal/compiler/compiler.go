@@ -2,6 +2,7 @@ package compiler
 
 import (
 	"fmt"
+	"maps"
 
 	"distda/internal/core"
 	"distda/internal/dfg"
@@ -42,6 +43,44 @@ type Compiled struct {
 	Regions []*core.Region
 	ByLoop  map[*ir.For]*core.Region
 	Infos   []*RegionInfo
+	// Host is the program the simulated host runs: Kernel with every
+	// offloaded loop in ByLoop lowered to one launch (LowerHost).
+	Host *ir.Program
+}
+
+// LowerHost builds Host from Kernel and ByLoop. Compile and artifact.Bind
+// call it; Annotated calls it again after re-mapping loops.
+func (c *Compiled) LowerHost() error {
+	offloads := map[*ir.For]ir.Offload{}
+	for f, r := range c.ByLoop {
+		if r.Offloaded() {
+			o := ir.Offload{SkipNext: r.FoldedEpilogue}
+			o.Exprs, o.Outs = r.LaunchExprs()
+			offloads[f] = o
+		}
+	}
+	host, err := ir.NewHostProgram(c.Kernel, offloads)
+	if err != nil {
+		return fmt.Errorf("compiler: host program of %q: %w", c.Kernel.Name, err)
+	}
+	c.Host = host
+	return nil
+}
+
+// Annotated returns a copy of c with annotate applied to it (the §VI-D
+// hand-written offload regions) and its own host program. c, which may be
+// a shared cached artifact, is left untouched: annotations only re-map
+// loops to regions, so the copy needs only its own ByLoop index.
+func (c *Compiled) Annotated(annotate func(*Compiled) error) (*Compiled, error) {
+	own := *c
+	own.ByLoop = maps.Clone(c.ByLoop)
+	if err := annotate(&own); err != nil {
+		return nil, err
+	}
+	if err := own.LowerHost(); err != nil {
+		return nil, err
+	}
+	return &own, nil
 }
 
 // RegionInfo carries per-region reporting data (Table VI).
@@ -53,9 +92,7 @@ type RegionInfo struct {
 }
 
 // Offloaded reports whether the region executes on accelerators.
-func (ri *RegionInfo) Offloaded() bool {
-	return ri.Region.Class != core.ClassNotOffloaded && len(ri.Region.Accels) > 0
-}
+func (ri *RegionInfo) Offloaded() bool { return ri.Region.Offloaded() }
 
 // Compile analyzes every innermost loop of k and emits offload regions.
 func Compile(k *ir.Kernel, opts Options) (*Compiled, error) {
@@ -93,7 +130,7 @@ func Compile(k *ir.Kernel, opts Options) (*Compiled, error) {
 		if err != nil {
 			return nil, err
 		}
-		cr.FoldedEpilogue = reg.folded && cr.Class != core.ClassNotOffloaded && len(cr.Accels) > 0
+		cr.FoldedEpilogue = reg.folded && cr.Offloaded()
 		info := &RegionInfo{Region: cr, Why: reg.why}
 		if cr.Class != core.ClassNotOffloaded {
 			info.Graph = buildDFG(reg)
@@ -104,6 +141,9 @@ func Compile(k *ir.Kernel, opts Options) (*Compiled, error) {
 		out.Regions = append(out.Regions, cr)
 		out.ByLoop[loop] = cr
 		out.Infos = append(out.Infos, info)
+	}
+	if err := out.LowerHost(); err != nil {
+		return nil, err
 	}
 	return out, nil
 }

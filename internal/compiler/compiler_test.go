@@ -418,3 +418,46 @@ func TestCompileProgramsValidate(t *testing.T) {
 		}
 	}
 }
+
+// TestAnnotatedOwnsItsHostProgram: an annotation re-maps loops on a
+// private copy with its own host program, so an artifact shared through
+// a cache keeps its own ByLoop and host program, and the copy's host
+// program launches the re-mapped loop.
+func TestAnnotatedOwnsItsHostProgram(t *testing.T) {
+	inner := ir.Loop("j", ir.C(0), ir.C(4), ir.St("B", ir.V("j"), ir.AddE(ir.Ld("A", ir.V("j")), ir.C(1))))
+	outer := ir.Loop("i", ir.C(0), ir.P("N"), inner)
+	k := &ir.Kernel{
+		Name:    "annot",
+		Params:  []string{"N"},
+		Objects: []ir.ObjDecl{{Name: "A", Len: 4, ElemBytes: 8}, {Name: "B", Len: 4, ElemBytes: 8}},
+		Body:    []ir.Stmt{outer},
+	}
+	shared, err := Compile(k, Options{Mode: ModeDist})
+	if err != nil {
+		t.Fatal(err)
+	}
+	host, byLoop := shared.Host, len(shared.ByLoop)
+	own, err := shared.Annotated(func(c *Compiled) error {
+		c.ByLoop[outer] = c.ByLoop[inner]
+		delete(c.ByLoop, inner)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if shared.Host != host || len(shared.ByLoop) != byLoop || shared.ByLoop[inner] == nil {
+		t.Fatal("annotating the copy changed the shared artifact")
+	}
+	if own.Host == host || own.Host.Kernel() != k {
+		t.Fatal("the annotated copy reuses the shared host program")
+	}
+	var launched []*ir.For
+	hooks := &ir.Hooks{OnLaunch: func(f *ir.For, _ ir.Launch) { launched = append(launched, f) }}
+	mem := map[string][]float64{"A": make([]float64, 4), "B": make([]float64, 4)}
+	if _, err := own.Host.Run(map[string]float64{"N": 3}, mem, hooks); err != nil {
+		t.Fatal(err)
+	}
+	if len(launched) != 1 || launched[0] != outer {
+		t.Fatalf("the annotated host program launched %v, want the outer loop once", launched)
+	}
+}

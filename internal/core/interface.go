@@ -243,6 +243,38 @@ type Region struct {
 	FoldedEpilogue bool
 }
 
+// Offloaded reports whether the region executes on accelerators.
+func (r *Region) Offloaded() bool { return r.Class != ClassNotOffloaded && len(r.Accels) > 0 }
+
+// LaunchExprs lists the expressions the host evaluates to launch r, in
+// the order the launch evaluates them: every counted accelerator's trip
+// count, then every stream access's Start, Stride and Length, then every
+// ScalarInit value. outs are the locals the launch reads back (every
+// ScalarOut), in order.
+func (r *Region) LaunchExprs() (exprs []ir.Expr, outs []string) {
+	for _, a := range r.Accels {
+		if a.Trip.Kind == TripCounted {
+			exprs = append(exprs, a.Trip.Count)
+		}
+	}
+	for _, a := range r.Accels {
+		for _, acc := range a.Accesses {
+			if acc.Kind == StreamIn || acc.Kind == StreamOut {
+				exprs = append(exprs, acc.Start, acc.Stride, acc.Length)
+			}
+		}
+	}
+	for _, a := range r.Accels {
+		for _, sb := range a.ScalarInit {
+			exprs = append(exprs, sb.Expr)
+		}
+		for _, sb := range a.ScalarOut {
+			outs = append(outs, sb.Name)
+		}
+	}
+	return exprs, outs
+}
+
 // Validate checks structural consistency: dense access ids, channel peers
 // that exist and point back, stream fields present, and valid programs.
 func (r *Region) Validate() error {

@@ -2,7 +2,6 @@ package exp
 
 import (
 	"context"
-	"maps"
 
 	"distda/internal/artifact"
 	"distda/internal/compiler"
@@ -34,8 +33,9 @@ type Cell struct {
 // RunCell runs c on data (consumed) under ctx, which cancels the
 // simulation at its next loop boundary. It strip-mines the kernel for
 // c.Threads, compiles it through cache, fetches the bytecode program for
-// validation from the same cache, and simulates on sr's machine (nil: a
-// machine built for this cell alone). A worker that runs cell after cell
+// validation (and, on the OoO baseline, for the host to run) from the
+// same cache, and simulates on sr's machine (nil: a machine built for
+// this cell alone). A worker that runs cell after cell
 // owns one sim.Runner and passes it every time. spans, when non-nil,
 // records the "compile" and "simulate" stages.
 func RunCell(ctx context.Context, cache *artifact.Cache, sr *sim.Runner, c Cell, data map[string][]float64, spans *obs.SpanList) (*sim.Result, error) {
@@ -53,19 +53,14 @@ func RunCell(ctx context.Context, cache *artifact.Cache, sr *sim.Runner, c Cell,
 			return compiler.Compile(k, copts)
 		})
 		if err == nil && c.Annotate != nil {
-			// Annotations only re-map loops to regions, so a private
-			// ByLoop index keeps the cached artifact untouched.
-			own := *compiled
-			own.ByLoop = maps.Clone(compiled.ByLoop)
-			compiled = &own
-			err = c.Annotate(compiled)
+			compiled, err = compiled.Annotated(c.Annotate)
 		}
 		spans.Close(h)
 		if err != nil {
 			return nil, err
 		}
 	}
-	if cfg.ValidateEvery {
+	if cfg.ValidateEvery || compiled == nil {
 		prog, err := cache.GetOrProgram(artifact.ProgramKey(c.W.Name, scale, k), k)
 		if err != nil {
 			return nil, err

@@ -206,56 +206,14 @@ func simplifyMul(a, b Expr) Expr {
 // and induction variables with the supplied bindings. It rejects loads and
 // locals: it exists to evaluate stream configuration values (start, stride)
 // at offload time.
-func EvalScalar(e Expr, params, ivs map[string]float64) (float64, error) {
-	switch x := e.(type) {
-	case Const:
-		return x.V, nil
-	case Param:
-		v, ok := params[x.Name]
-		if !ok {
-			return 0, fmt.Errorf("ir: EvalScalar: unknown parameter %q", x.Name)
-		}
-		return v, nil
-	case IV:
-		v, ok := ivs[x.Name]
-		if !ok {
-			return 0, fmt.Errorf("ir: EvalScalar: unbound induction variable %q", x.Name)
-		}
-		return v, nil
-	case Un:
-		a, err := EvalScalar(x.A, params, ivs)
-		if err != nil {
-			return 0, err
-		}
-		return ApplyUn(x.Op, a), nil
-	case Bin:
-		a, err := EvalScalar(x.A, params, ivs)
-		if err != nil {
-			return 0, err
-		}
-		b, err := EvalScalar(x.B, params, ivs)
-		if err != nil {
-			return 0, err
-		}
-		return ApplyBin(x.Op, a, b)
-	case Sel:
-		c, err := EvalScalar(x.Cond, params, ivs)
-		if err != nil {
-			return 0, err
-		}
-		t, err := EvalScalar(x.T, params, ivs)
-		if err != nil {
-			return 0, err
-		}
-		f, err := EvalScalar(x.F, params, ivs)
-		if err != nil {
-			return 0, err
-		}
-		if c != 0 {
-			return t, nil
-		}
-		return f, nil
-	default:
-		return 0, fmt.Errorf("ir: EvalScalar: unsupported expression %T", e)
+func EvalScalar(e Expr, params, ivs map[string]float64) (v float64, err error) {
+	in := &interp{k: &Kernel{Name: "EvalScalar"}, counts: &Counts{}}
+	for name, x := range params {
+		in.params = append(in.params, binding{name: name, v: x})
 	}
+	for name, x := range ivs {
+		in.ivs = append(in.ivs, binding{name: name, v: x})
+	}
+	defer catch(&err)
+	return in.eval(e), nil
 }

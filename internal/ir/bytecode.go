@@ -8,9 +8,10 @@ import (
 // This file lowers a validated kernel to a flat register-based bytecode.
 // The tree-walk interpreter (interp.go) stays as the semantic reference;
 // the VM (vm.go) executes the bytecode with identical Counts, identical
-// error behavior and identical stored data, replacing per-run tree walks
-// on the simulator's hot paths (per-run validation, Table VI's dynamic
-// counts) with compile-once-execute-many programs.
+// hook events, identical error behavior and identical stored data. It is
+// the simulator's one kernel executor: the reference run that validates
+// every simulation, Table VI's dynamic counts, and the host timing model,
+// which runs a host program (NewHostProgram) with hooks installed.
 //
 // A run executes over one flat frame of float64s:
 //
@@ -51,9 +52,10 @@ const (
 	OpSel                // frame[Dst] = frame[A] != 0 ? frame[B] : frame[C]
 	OpJump               // pc = Dst
 	OpJumpIfZero         // if frame[A] == 0 { enter block C; pc = Dst } else { enter block B }
-	OpLoopEnter          // loop Aux: fail unless step frame[C] > 0; frame[Dst] = frame[A]
+	OpLoopEnter          // loop Aux: fail unless step frame[C] > 0; frame[Dst] = frame[A]; B is the bound
 	OpLoopTest           // loop Aux: if frame[A] < frame[B] { iterate } else { pc = Dst }
 	OpLoopNext           // loop Aux: frame[A] += frame[C]; if frame[A] < frame[B] { iterate; pc = Dst }
+	OpLaunch             // launch site Aux: OnLaunch in place of the offloaded loop
 
 	numOpCodes // not an opcode: one past the last
 )
@@ -84,17 +86,35 @@ type Block struct {
 // blocks[0:len(loops)] are the loop bodies in loop-table order and
 // blocks[len(loops)] is the top level; If arms follow.
 type Program struct {
-	kernel    *Kernel
-	name      string
-	params    []string // parameter names in slot order (frame[0:len(params)])
-	objs      []ObjDecl
-	loops     []*For   // loop table in Loops(kernel.Body) order; loop ops index it
-	slotNames []string // slot index → name, for error messages
-	nSlots    int
-	consts    []float64 // constant pool, frame[nSlots:nSlots+len(consts)]
-	nRegs     int
-	blocks    []Block
-	code      []Op
+	kernel *Kernel
+	loops  []*For // loop table in Loops(kernel.Body) order; loop ops index it
+	sites  []site // a host program's launch sites; OpLaunch indexes them
+	img    Image
+}
+
+// site is one offloaded loop of a host program: its launch-time
+// expressions, compiled to fragments over the frame, and the slots of the
+// locals the launch assigns.
+type site struct {
+	loop  *For
+	exprs []fragment
+	outs  []int32
+}
+
+// fragment is code[start:end], which leaves its value at frame[result].
+type fragment struct{ start, end, result int32 }
+
+// Offload is what a host program does at an offloaded loop instead of
+// running it: one launch (Hooks.OnLaunch).
+type Offload struct {
+	// Exprs are the launch-time expressions. Each compiles to a fragment
+	// that Launch.Eval runs on demand, at the loop's place in the program.
+	Exprs []Expr
+	// Outs are the locals the launch assigns through Launch.SetOut.
+	Outs []string
+	// SkipNext drops the statement after the loop when it is a Store: the
+	// offload performs it (a folded epilogue).
+	SkipNext bool
 }
 
 // Kernel returns the kernel this program was compiled from (or bound to,
@@ -102,20 +122,27 @@ type Program struct {
 func (p *Program) Kernel() *Kernel { return p.kernel }
 
 // Ops returns the number of bytecode instructions (for tests and stats).
-func (p *Program) Ops() int { return len(p.code) }
+func (p *Program) Ops() int { return len(p.img.Code) }
 
 func (p *Program) String() string {
 	return fmt.Sprintf("program(%s: %d ops, %d slots, %d consts, %d regs)",
-		p.name, len(p.code), p.nSlots, len(p.consts), p.nRegs)
+		p.img.KernelName, len(p.img.Code), p.img.NSlots, len(p.img.Consts), p.img.NRegs)
 }
 
 // NewProgram validates k and lowers it to bytecode. The error for an
 // invalid kernel is exactly the Validate error ir.Run would return.
-func NewProgram(k *Kernel) (*Program, error) {
+func NewProgram(k *Kernel) (*Program, error) { return NewHostProgram(k, nil) }
+
+// NewHostProgram is NewProgram with every loop in offloads lowered to a
+// launch: the loop, its nested loops and a skipped epilogue emit no code
+// (their loop-table entries never iterate). A host program runs only with
+// an OnLaunch hook.
+func NewHostProgram(k *Kernel, offloads map[*For]Offload) (*Program, error) {
 	if err := Validate(k); err != nil {
 		return nil, err
 	}
 	c := &bcCompiler{
+		offloads:  offloads,
 		paramSlot: map[string]int32{},
 		localSlot: map[string]int32{},
 		ivSlot:    map[string]int32{},
@@ -132,22 +159,35 @@ func NewProgram(k *Kernel) (*Program, error) {
 		c.objIdx[o.Name] = int32(i)
 	}
 	loops := Loops(k.Body)
-	// Size the slot region up front (one slot per distinct local, one per
-	// loop) so the constant pool and registers can follow it in the frame.
+	// Size the slot region up front (at most one slot per distinct local,
+	// one per loop) so the constant pool and registers can follow it in
+	// the frame.
 	locals := map[string]bool{}
 	var consts []float64
-	WalkStmts(k.Body, func(s Stmt) {
-		if l, ok := s.(Let); ok {
-			locals[l.Name] = true
-		}
-	}, func(e Expr) {
-		if x, ok := e.(Const); ok {
+	constant := func(e Expr) {
+		switch x := e.(type) {
+		case Const:
 			if _, seen := c.constIdx[math.Float64bits(x.V)]; !seen {
 				c.constIdx[math.Float64bits(x.V)] = int32(len(consts))
 				consts = append(consts, x.V)
 			}
+		case Local:
+			locals[x.Name] = true
 		}
-	})
+	}
+	WalkStmts(k.Body, func(s Stmt) {
+		if l, ok := s.(Let); ok {
+			locals[l.Name] = true
+		}
+	}, constant)
+	for _, o := range offloads {
+		for _, e := range o.Exprs {
+			WalkExpr(e, constant)
+		}
+		for _, name := range o.Outs {
+			locals[name] = true
+		}
+	}
 	slots := c.nSlots + int32(len(locals)+len(loops))
 	c.constBase = slots
 	c.regBase = slots + int32(len(consts))
@@ -158,27 +198,28 @@ func NewProgram(k *Kernel) (*Program, error) {
 	c.block, c.loop = int32(len(loops)), -1
 	c.blocks[c.block].Loop = -1
 	c.stmts(k.Body, 0)
-	if c.nSlots != slots {
+	if c.err != nil {
+		return nil, c.err
+	}
+	if c.nSlots > slots {
 		panic(fmt.Sprintf("ir: compile of %q allocated %d slots, sized %d", k.Name, c.nSlots, slots))
 	}
-	return &Program{
-		kernel:    k,
-		name:      k.Name,
-		params:    append([]string(nil), k.Params...),
-		objs:      append([]ObjDecl(nil), k.Objects...),
-		loops:     loops,
-		slotNames: c.slotNames,
-		nSlots:    int(c.nSlots),
-		consts:    consts,
-		nRegs:     int(c.maxRegs),
-		blocks:    c.blocks,
-		code:      c.code,
-	}, nil
+	for c.nSlots < slots { // locals and loops only an offload reads
+		c.newSlot("")
+	}
+	return &Program{kernel: k, loops: loops, sites: c.sites, img: Image{
+		KernelName: k.Name, Params: append([]string(nil), k.Params...),
+		Objects: append([]ObjDecl(nil), k.Objects...), SlotNames: c.slotNames, NLoops: len(loops),
+		NSlots: int(c.nSlots), Consts: consts, NRegs: int(c.maxRegs), Blocks: c.blocks, Code: c.code,
+	}}, nil
 }
 
 // bcCompiler lowers statements and expressions. Registers are allocated
 // stack-wise per expression depth; slots are assigned on first definition.
 type bcCompiler struct {
+	offloads  map[*For]Offload
+	sites     []site
+	err       error // first launch expression that reads out of scope
 	code      []Op
 	paramSlot map[string]int32
 	localSlot map[string]int32
@@ -223,6 +264,16 @@ func (c *bcCompiler) newSlot(name string) int32 {
 	return s
 }
 
+// local returns the slot of local name, allocating it on first sight.
+func (c *bcCompiler) local(name string) int32 {
+	slot, ok := c.localSlot[name]
+	if !ok {
+		slot = c.newSlot(name)
+		c.localSlot[name] = slot
+	}
+	return slot
+}
+
 func (c *bcCompiler) newBlock() int32 {
 	c.blocks = append(c.blocks, Block{Loop: c.loop})
 	return int32(len(c.blocks) - 1)
@@ -242,19 +293,56 @@ func (c *bcCompiler) tally(class OpClass) {
 }
 
 func (c *bcCompiler) stmts(body []Stmt, base int32) {
+	skip := false
 	for _, s := range body {
-		c.stmt(s, base)
+		if _, store := s.(Store); !(skip && store) {
+			c.stmt(s, base)
+		}
+		f, _ := s.(*For)
+		skip = c.offloads[f].SkipNext
 	}
+}
+
+// launch emits an offloaded loop's launch: its fragments, which the
+// normal flow jumps over, then the launch op.
+func (c *bcCompiler) launch(f *For, o Offload, base int32) {
+	s := site{loop: f}
+	jump := c.emit(Op{Code: OpJump})
+	tally := c.blocks[c.block] // fragments run on demand, not per block entry
+	for _, e := range o.Exprs {
+		WalkExpr(e, func(x Expr) {
+			ok := true
+			switch x := x.(type) {
+			case Param:
+				_, ok = c.paramSlot[x.Name]
+			case IV:
+				_, ok = c.ivSlot[x.Name]
+			case Load:
+				_, ok = c.objIdx[x.Obj]
+			case Local:
+				c.local(x.Name)
+			}
+			if !ok && c.err == nil {
+				c.err = fmt.Errorf("ir: launch of loop %s reads %v out of scope", f.IV, x)
+			}
+		})
+		start := int32(len(c.code))
+		res := c.operand(e, base)
+		s.exprs = append(s.exprs, fragment{start, int32(len(c.code)), res})
+	}
+	c.blocks[c.block] = tally
+	c.code[jump].Dst = int32(len(c.code))
+	for _, name := range o.Outs {
+		s.outs = append(s.outs, c.local(name))
+	}
+	c.emit(Op{Code: OpLaunch, Aux: int32(len(c.sites))})
+	c.sites = append(c.sites, s)
 }
 
 func (c *bcCompiler) stmt(s Stmt, base int32) {
 	switch x := s.(type) {
 	case Let:
-		slot, ok := c.localSlot[x.Name]
-		if !ok {
-			slot = c.newSlot(x.Name)
-			c.localSlot[x.Name] = slot
-		}
+		slot := c.local(x.Name)
 		c.emit(Op{Code: OpMove, Dst: slot, A: c.operand(x.E, base)})
 		c.defined[x.Name] = true
 	case Store:
@@ -297,6 +385,11 @@ func (c *bcCompiler) stmt(s Stmt, base int32) {
 			}
 		}
 	case *For:
+		if o, ok := c.offloads[x]; ok {
+			c.nextLoop += 1 + int32(len(Loops(x.Body))) // loops the launch replaces
+			c.launch(x, o, base)
+			return
+		}
 		li := c.nextLoop
 		c.nextLoop++
 		lo := c.operand(x.Lo, base)
@@ -305,7 +398,7 @@ func (c *bcCompiler) stmt(s Stmt, base int32) {
 		iv := c.newSlot(x.IV)
 		savedIV, hadIV := c.ivSlot[x.IV]
 		c.ivSlot[x.IV] = iv
-		c.emit(Op{Code: OpLoopEnter, Dst: iv, A: lo, C: step, Aux: li})
+		c.emit(Op{Code: OpLoopEnter, Dst: iv, A: lo, B: hi, C: step, Aux: li})
 		test := c.emit(Op{Code: OpLoopTest, A: iv, B: hi, Aux: li})
 		outerBlock, outerLoop := c.block, c.loop
 		c.block, c.loop = li, li
@@ -415,39 +508,27 @@ func (c *bcCompiler) expr(e Expr, dst, r int32) {
 	}
 }
 
-// Image is a serializable snapshot of a compiled program. Loop identities
+// Image is a serializable snapshot of a compiled program; a host program
+// has none (its launch sites hold expressions). Loop identities
 // (*For pointers) cannot be serialized; they are rebound positionally —
 // the loop table is in Loops(kernel.Body) order, which is deterministic
 // for a given kernel text — when the image is attached to a kernel again
 // via ProgramFromImage.
 type Image struct {
 	KernelName string
-	Params     []string
+	Params     []string // parameter names in slot order (frame[0:len(Params)])
 	Objects    []ObjDecl
-	SlotNames  []string
+	SlotNames  []string // slot index → name, for error messages
 	NLoops     int
 	NSlots     int
-	Consts     []float64
+	Consts     []float64 // constant pool, frame[NSlots:NSlots+len(Consts)]
 	NRegs      int
 	Blocks     []Block
 	Code       []Op
 }
 
 // Image snapshots the program for serialization.
-func (p *Program) Image() Image {
-	return Image{
-		KernelName: p.name,
-		Params:     p.params,
-		Objects:    p.objs,
-		SlotNames:  p.slotNames,
-		NLoops:     len(p.loops),
-		NSlots:     p.nSlots,
-		Consts:     p.consts,
-		NRegs:      p.nRegs,
-		Blocks:     p.blocks,
-		Code:       p.code,
-	}
-}
+func (p *Program) Image() Image { return p.img }
 
 // ProgramFromImage attaches a deserialized image to kernel k, which must
 // be structurally identical to the kernel the image was compiled from
@@ -488,19 +569,59 @@ func ProgramFromImage(img Image, k *Kernel) (*Program, error) {
 		return nil, fmt.Errorf("ir: program image for %q has %d blocks for %d loops",
 			k.Name, len(img.Blocks), len(loops))
 	}
-	return &Program{
-		kernel:    k,
-		name:      img.KernelName,
-		params:    img.Params,
-		objs:      img.Objects,
-		loops:     loops,
-		slotNames: img.SlotNames,
-		nSlots:    img.NSlots,
-		consts:    img.Consts,
-		nRegs:     img.NRegs,
-		blocks:    img.Blocks,
-		code:      img.Code,
-	}, nil
+	p := &Program{kernel: k, loops: loops, img: img}
+	if err := p.verify(); err != nil {
+		return nil, fmt.Errorf("ir: program image for %q: %w", k.Name, err)
+	}
+	return p, nil
+}
+
+// opFields says what each opcode's Dst, A, B, C and Aux hold, as the VM
+// reads them: f a frame index, s a slot, j a jump target, b a block, l a
+// loop, o an object, x a launch site, B a BinOp with C its class, U a
+// UnOp with C its class, - nothing.
+var opFields = [numOpCodes]string{
+	OpSlotChecked: "fs---", OpMove: "ff---", OpLoad: "ff--o", OpStoreIdx: "-f--o",
+	OpStore: "-ff-o", OpBin: "fff-B", OpAdd: "fff-B", OpSub: "fff-B", OpMul: "fff-B",
+	OpUn: "ff--U", OpSel: "ffff-", OpJump: "j----", OpJumpIfZero: "jfbb-",
+	OpLoopEnter: "ffffl", OpLoopTest: "jff-l", OpLoopNext: "jfffl", OpLaunch: "----x",
+}
+
+// verify checks everything the VM indexes with: every operand falls
+// inside the frame, every jump inside the code, every block, loop, object
+// and site index in range, and every operator and class is the one the
+// opcode implies. ProgramFromImage runs it, so a corrupt image fails to
+// load instead of panicking in Run.
+func (p *Program) verify() error {
+	if p.img.NSlots < len(p.img.Params) || p.img.NRegs < 0 || len(p.img.SlotNames) != p.img.NSlots {
+		return fmt.Errorf("%d slots with %d names for %d params, %d registers",
+			p.img.NSlots, len(p.img.SlotNames), len(p.img.Params), p.img.NRegs)
+	}
+	for i, b := range p.img.Blocks {
+		if b.Loop < -1 || b.Loop >= int32(len(p.loops)) {
+			return fmt.Errorf("block %d belongs to loop %d of %d", i, b.Loop, len(p.loops))
+		}
+	}
+	bound := map[byte]int{
+		'f': p.img.NSlots + len(p.img.Consts) + p.img.NRegs, 's': p.img.NSlots, 'j': len(p.img.Code) + 1, 'b': len(p.img.Blocks),
+		'l': len(p.loops), 'o': len(p.img.Objects), 'x': len(p.sites), 'B': len(binOpNames), 'U': len(unOpNames),
+	}
+	for pc, op := range p.img.Code {
+		if op.Code == OpInvalid || op.Code >= numOpCodes {
+			return fmt.Errorf("pc %d: invalid opcode %d", pc, op.Code)
+		}
+		fields := opFields[op.Code]
+		for i, x := range [5]int32{op.Dst, op.A, op.B, op.C, op.Aux} {
+			if lim, ok := bound[fields[i]]; ok && (x < 0 || int(x) >= lim) {
+				return fmt.Errorf("pc %d: opcode %d field %d is %d, outside [0, %d)", pc, op.Code, i, x, lim)
+			}
+		}
+		if f, class := fields[4], OpClass(op.C); f == 'U' && class != UnOp(op.Aux).Class() || f == 'B' &&
+			(class != BinOp(op.Aux).Class() || op.Code != OpBin && BinOp(op.Aux) != [...]BinOp{Add, Sub, Mul}[op.Code-OpAdd]) {
+			return fmt.Errorf("pc %d: opcode %d with operator %d of class %d", pc, op.Code, op.Aux, op.C)
+		}
+	}
+	return nil
 }
 
 // Rebind returns a shallow copy of the program attached to kernel k,

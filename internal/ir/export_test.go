@@ -23,3 +23,9 @@ func CorpusKernel(seed int64) (k *Kernel, params map[string]float64, mem map[str
 // MemBitsEqual compares stored data bit for bit, so equal NaNs match;
 // ErrText is an error's text, "" for nil.
 var MemBitsEqual, ErrText = memBitsEqual, errText
+
+// HookEvent is one recorded hook callback, and RecordingHooks the hooks
+// that append every event to a log.
+type HookEvent = hookEvent
+
+var RecordingHooks = recordingHooks

@@ -5,18 +5,53 @@ import (
 )
 
 // Hooks receive dynamic-execution events from the interpreter and the
-// bytecode VM, in the same order from both. Any field may be nil. Only
-// this package's tests pass hooks: Table VI's coverage reads Counts, and
-// the host timing model (sim/host.go) walks the kernel itself.
+// bytecode VM, in the same order from both. Any field may be nil. The
+// simulator's host timing model (sim/host.go) runs every kernel on the VM
+// with all of them installed; this package's tests hold the two executors
+// to one event stream.
 type Hooks struct {
 	// OnOp fires once per arithmetic operation (Bin/Un/Sel evaluation).
 	OnOp func(class OpClass)
-	// OnLoad fires after a successful load of obj[idx].
-	OnLoad func(obj string, idx int)
-	// OnStore fires after a successful store to obj[idx].
-	OnStore func(obj string, idx int)
+	// OnLoad fires before a load of obj[idx], once idx is bounds-checked.
+	// obj indexes the kernel's Objects; t is the index's taint.
+	OnLoad func(obj, idx int, t Taint)
+	// OnStore fires before a store to obj[idx], once the value is evaluated.
+	OnStore func(obj, idx int)
+	// OnBranch fires once per If, after its condition is evaluated.
+	OnBranch func()
 	// OnLoopIter fires at the start of every iteration of every loop.
 	OnLoopIter func(f *For)
+	// OnParallelEnter fires when a Parallel loop starts, after its bounds
+	// are evaluated, with the number of iterations it will run;
+	// OnParallelExit fires once it has run them.
+	OnParallelEnter func(f *For, trips int64)
+	OnParallelExit  func(f *For)
+	// OnLaunch fires where a host program (NewHostProgram) reaches an
+	// offloaded loop, in place of running it.
+	OnLaunch func(f *For, l Launch)
+}
+
+// Taint tracks how a value depends on memory: clean, derived from a load
+// in this loop iteration, or derived from a load in an earlier one
+// (loop-carried: a pointer-chase chain an OoO core cannot overlap). A load
+// is fresh; an operation takes the larger of its inputs' taints, a Sel
+// that of its chosen arm and its condition; parameters, constants and
+// induction variables are clean. Every iteration start turns each fresh
+// local carried.
+type Taint uint8
+
+const (
+	TaintClean Taint = iota
+	TaintFresh
+	TaintCarried
+)
+
+// tripCount is the number of iterations for lo..hi step runs.
+func tripCount(lo, hi, step float64) (n int64) {
+	for v := lo; v < hi; v += step {
+		n++
+	}
+	return n
 }
 
 // LoopCounts aggregates dynamic activity attributed to one loop (activity of
@@ -61,38 +96,30 @@ type runtimeError struct{ err error }
 type binding struct {
 	name string
 	v    float64
+	t    Taint // locals only
 }
 
-func lookupBinding(env []binding, name string) (float64, bool) {
+func lookupBinding(env []binding, name string) *binding {
 	for i := len(env) - 1; i >= 0; i-- {
 		if env[i].name == name {
-			return env[i].v, true
+			return &env[i]
 		}
 	}
-	return 0, false
+	return nil
 }
 
-func setBinding(env []binding, name string, v float64) []binding {
-	for i := len(env) - 1; i >= 0; i-- {
-		if env[i].name == name {
-			env[i].v = v
-			return env
-		}
+func setBinding(env []binding, b binding) []binding {
+	if old := lookupBinding(env, b.name); old != nil {
+		*old = b
+		return env
 	}
-	return append(env, binding{name: name, v: v})
-}
-
-// objSlot resolves one declared object to its backing storage.
-type objSlot struct {
-	name string
-	len  int
-	buf  []float64
+	return append(env, b)
 }
 
 type interp struct {
 	k      *Kernel
 	params []binding
-	objs   []objSlot
+	bufs   [][]float64 // per declared object
 	hooks  Hooks
 	ivs    []binding
 	locals []binding
@@ -100,6 +127,7 @@ type interp struct {
 	// cur is the LoopCounts of the innermost enclosing loop (nil at top
 	// level): events attribute to it without a per-event map lookup.
 	cur *LoopCounts
+	t   Taint // taint of the value eval last returned
 }
 
 func (in *interp) fail(format string, args ...any) {
@@ -113,58 +141,65 @@ func Run(k *Kernel, params map[string]float64, mem map[string][]float64, hooks *
 	if err := Validate(k); err != nil {
 		return nil, err
 	}
+	bufs, err := bind(k.Name, k.Params, k.Objects, params, mem)
+	if err != nil {
+		return nil, err
+	}
+	in := &interp{k: k, bufs: bufs, counts: &Counts{ByLoop: map[*For]*LoopCounts{}}}
 	for _, p := range k.Params {
-		if _, ok := params[p]; !ok {
-			return nil, fmt.Errorf("ir: kernel %q: missing parameter %q", k.Name, p)
-		}
-	}
-	objs := make([]objSlot, 0, len(k.Objects))
-	for _, o := range k.Objects {
-		buf, ok := mem[o.Name]
-		if !ok {
-			return nil, fmt.Errorf("ir: kernel %q: missing memory object %q", k.Name, o.Name)
-		}
-		if len(buf) != o.Len {
-			return nil, fmt.Errorf("ir: kernel %q: object %q has %d elements, declared %d",
-				k.Name, o.Name, len(buf), o.Len)
-		}
-		objs = append(objs, objSlot{name: o.Name, len: o.Len, buf: buf})
-	}
-	pb := make([]binding, 0, len(k.Params))
-	for _, p := range k.Params {
-		pb = append(pb, binding{name: p, v: params[p]})
-	}
-	in := &interp{
-		k:      k,
-		params: pb,
-		objs:   objs,
-		counts: &Counts{ByLoop: map[*For]*LoopCounts{}},
+		in.params = append(in.params, binding{name: p, v: params[p]})
 	}
 	if hooks != nil {
 		in.hooks = *hooks
 	}
-	defer func() {
-		if r := recover(); r != nil {
-			re, ok := r.(runtimeError)
-			if !ok {
-				panic(r)
-			}
-			counts, err = nil, re.err
-		}
-	}()
+	defer catch(&err)
 	in.stmts(k.Body)
 	return in.counts, nil
 }
 
-// slot resolves a declared object's backing storage by name.
-func (in *interp) slot(obj string) *objSlot {
-	for i := range in.objs {
-		if in.objs[i].name == obj {
-			return &in.objs[i]
+// bind checks that params define every name in names and that mem holds
+// every object at its declared length, and returns the objects' buffers.
+func bind(kernel string, names []string, objs []ObjDecl, params map[string]float64, mem map[string][]float64) ([][]float64, error) {
+	for _, p := range names {
+		if _, ok := params[p]; !ok {
+			return nil, fmt.Errorf("ir: kernel %q: missing parameter %q", kernel, p)
+		}
+	}
+	bufs := make([][]float64, len(objs))
+	for i, o := range objs {
+		buf, ok := mem[o.Name]
+		if !ok {
+			return nil, fmt.Errorf("ir: kernel %q: missing memory object %q", kernel, o.Name)
+		}
+		if len(buf) != o.Len {
+			return nil, fmt.Errorf("ir: kernel %q: object %q has %d elements, declared %d",
+				kernel, o.Name, len(buf), o.Len)
+		}
+		bufs[i] = buf
+	}
+	return bufs, nil
+}
+
+// catch, deferred, turns a runtimeError panic into *err.
+func catch(err *error) {
+	if r := recover(); r != nil {
+		re, ok := r.(runtimeError)
+		if !ok {
+			panic(r)
+		}
+		*err = re.err
+	}
+}
+
+// slot resolves a declared object's index by name.
+func (in *interp) slot(obj string) int {
+	for i := range in.k.Objects {
+		if in.k.Objects[i].Name == obj {
+			return i
 		}
 	}
 	in.fail("access to undeclared object %q", obj)
-	return nil
+	return 0
 }
 
 func (in *interp) stmts(body []Stmt) {
@@ -176,21 +211,26 @@ func (in *interp) stmts(body []Stmt) {
 func (in *interp) stmt(s Stmt) {
 	switch x := s.(type) {
 	case Let:
-		in.locals = setBinding(in.locals, x.Name, in.eval(x.E))
+		v := in.eval(x.E)
+		in.locals = setBinding(in.locals, binding{name: x.Name, v: v, t: in.t})
 	case Store:
-		s := in.slot(x.Obj)
-		idx := in.indexIn(s, x.Idx)
+		i := in.slot(x.Obj)
+		idx := in.indexIn(i, x.Idx)
 		v := in.eval(x.Val)
-		s.buf[idx] = v
 		in.counts.Stores++
 		if lc := in.cur; lc != nil {
 			lc.Stores++
 		}
 		if in.hooks.OnStore != nil {
-			in.hooks.OnStore(x.Obj, idx)
+			in.hooks.OnStore(i, idx)
 		}
+		in.bufs[i][idx] = v
 	case If:
-		if in.eval(x.Cond) != 0 {
+		c := in.eval(x.Cond)
+		if in.hooks.OnBranch != nil {
+			in.hooks.OnBranch()
+		}
+		if c != 0 {
 			in.stmts(x.Then)
 		} else {
 			in.stmts(x.Else)
@@ -209,6 +249,9 @@ func (in *interp) forLoop(f *For) {
 	if step <= 0 {
 		in.fail("loop %s has non-positive step %g", f.IV, step)
 	}
+	if f.Parallel && in.hooks.OnParallelEnter != nil {
+		in.hooks.OnParallelEnter(f, tripCount(lo, hi, step))
+	}
 	// Push the induction variable; backward binding lookups see the
 	// innermost shadow, and truncating on exit restores any outer one.
 	pos := len(in.ivs)
@@ -226,6 +269,11 @@ func (in *interp) forLoop(f *For) {
 			in.cur = lc
 		}
 		lc.Trips++
+		for i := range in.locals {
+			if in.locals[i].t == TaintFresh {
+				in.locals[i].t = TaintCarried
+			}
+		}
 		if in.hooks.OnLoopIter != nil {
 			in.hooks.OnLoopIter(f)
 		}
@@ -233,14 +281,16 @@ func (in *interp) forLoop(f *For) {
 	}
 	in.ivs = in.ivs[:pos]
 	in.cur = savedCur
+	if f.Parallel && in.hooks.OnParallelExit != nil {
+		in.hooks.OnParallelExit(f)
+	}
 }
 
-// indexIn evaluates and bounds-checks an index into a resolved object.
-func (in *interp) indexIn(s *objSlot, e Expr) int {
-	v := in.eval(e)
-	idx := int(v)
-	if idx < 0 || idx >= s.len {
-		in.fail("index %d out of range for object %q (len %d)", idx, s.name, s.len)
+// indexIn evaluates and bounds-checks an index into object i.
+func (in *interp) indexIn(i int, e Expr) int {
+	idx := int(in.eval(e))
+	if o := in.k.Objects[i]; idx < 0 || idx >= o.Len {
+		in.fail("index %d out of range for object %q (len %d)", idx, o.Name, o.Len)
 	}
 	return idx
 }
@@ -263,42 +313,48 @@ func (in *interp) countOp(class OpClass) {
 	}
 }
 
+// eval returns e's value and leaves its taint in in.t.
 func (in *interp) eval(e Expr) float64 {
+	in.t = TaintClean
 	switch x := e.(type) {
 	case Const:
 		return x.V
 	case Param:
-		v, ok := lookupBinding(in.params, x.Name)
-		if !ok {
+		b := lookupBinding(in.params, x.Name)
+		if b == nil {
 			in.fail("read of unknown parameter %q", x.Name)
 		}
-		return v
+		return b.v
 	case IV:
-		v, ok := lookupBinding(in.ivs, x.Name)
-		if !ok {
+		b := lookupBinding(in.ivs, x.Name)
+		if b == nil {
 			in.fail("read of induction variable %q outside its loop", x.Name)
 		}
-		return v
+		return b.v
 	case Local:
-		v, ok := lookupBinding(in.locals, x.Name)
-		if !ok {
+		b := lookupBinding(in.locals, x.Name)
+		if b == nil {
 			in.fail("read of undefined local %q", x.Name)
 		}
-		return v
+		in.t = b.t
+		return b.v
 	case Load:
-		s := in.slot(x.Obj)
-		idx := in.indexIn(s, x.Idx)
+		i := in.slot(x.Obj)
+		idx := in.indexIn(i, x.Idx)
 		in.counts.Loads++
 		if lc := in.cur; lc != nil {
 			lc.Loads++
 		}
 		if in.hooks.OnLoad != nil {
-			in.hooks.OnLoad(x.Obj, idx)
+			in.hooks.OnLoad(i, idx, in.t)
 		}
-		return s.buf[idx]
+		in.t = TaintFresh
+		return in.bufs[i][idx]
 	case Bin:
 		a := in.eval(x.A)
+		ta := in.t
 		b := in.eval(x.B)
+		in.t = max(in.t, ta)
 		in.countOp(x.Op.Class())
 		v, err := ApplyBin(x.Op, a, b)
 		if err != nil {
@@ -311,12 +367,16 @@ func (in *interp) eval(e Expr) float64 {
 		return ApplyUn(x.Op, a)
 	case Sel:
 		c := in.eval(x.Cond)
+		tc := in.t
 		t := in.eval(x.T)
+		tt := in.t
 		f := in.eval(x.F)
 		in.countOp(ClassInt)
 		if c != 0 {
+			in.t = max(tt, tc)
 			return t
 		}
+		in.t = max(in.t, tc)
 		return f
 	default:
 		in.fail("unknown expression %T", e)

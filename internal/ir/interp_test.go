@@ -227,8 +227,8 @@ func TestHooksFire(t *testing.T) {
 	mem := map[string][]float64{"A": make([]float64, n), "B": make([]float64, n), "C": make([]float64, n)}
 	var loads, stores, ops, iters int
 	hooks := &Hooks{
-		OnLoad:     func(string, int) { loads++ },
-		OnStore:    func(string, int) { stores++ },
+		OnLoad:     func(int, int, Taint) { loads++ },
+		OnStore:    func(int, int) { stores++ },
 		OnOp:       func(OpClass) { ops++ },
 		OnLoopIter: func(*For) { iters++ },
 	}

@@ -84,20 +84,4 @@ func TestWalkHelpers(t *testing.T) {
 	if len(in) != 1 || in[0] != inner {
 		t.Fatalf("InnermostLoops wrong: %v", in)
 	}
-	if r := ObjectsRead(body); !r["A"] || r["B"] {
-		t.Fatalf("ObjectsRead = %v", r)
-	}
-	if w := ObjectsWritten(body); !w["B"] || w["A"] {
-		t.Fatalf("ObjectsWritten = %v", w)
-	}
-}
-
-func TestExprCounters(t *testing.T) {
-	e := AddE(MulE(Ld("A", V("i")), C(2)), Ld("B", V("i")))
-	if got := ExprOps(e); got != 2 {
-		t.Fatalf("ExprOps = %d, want 2", got)
-	}
-	if got := ExprLoads(e); got != 2 {
-		t.Fatalf("ExprLoads = %d, want 2", got)
-	}
 }

@@ -11,14 +11,15 @@ type vm struct {
 	bufs     [][]float64
 	hits     []int64 // per block: times entered (a loop body's: the loop's iterations)
 	hooks    Hooks
+	taint    []Taint // per frame index, kept by the hooked loop only
 }
 
 func (v *vm) fail(format string, args ...any) {
-	panic(runtimeError{fmt.Errorf("ir: kernel %q: "+format, append([]any{v.p.name}, args...)...)})
+	panic(runtimeError{fmt.Errorf("ir: kernel %q: "+format, append([]any{v.p.img.KernelName}, args...)...)})
 }
 
 func (v *vm) failIndex(obj int32, idx int) {
-	o := &v.p.objs[obj]
+	o := &v.p.img.Objects[obj]
 	v.fail("index %d out of range for object %q (len %d)", idx, o.Name, o.Len)
 }
 
@@ -26,55 +27,38 @@ func (v *vm) failIndex(obj int32, idx int) {
 // returns dynamic counts. Semantics — evaluation order, Counts, hook
 // event sequences, error messages, stored data — are bit-identical to
 // ir.Run on the same kernel; the differential tests in this package hold
-// the two executors to that.
+// the two executors to that. A host program runs only with OnLaunch set.
 func (p *Program) Run(params map[string]float64, mem map[string][]float64, hooks *Hooks) (counts *Counts, err error) {
-	for _, name := range p.params {
-		if _, ok := params[name]; !ok {
-			return nil, fmt.Errorf("ir: kernel %q: missing parameter %q", p.name, name)
-		}
+	if len(p.sites) > 0 && (hooks == nil || hooks.OnLaunch == nil) {
+		return nil, fmt.Errorf("ir: kernel %q: host program run without an OnLaunch hook", p.img.KernelName)
 	}
-	bufs := make([][]float64, len(p.objs))
-	for i, o := range p.objs {
-		buf, ok := mem[o.Name]
-		if !ok {
-			return nil, fmt.Errorf("ir: kernel %q: missing memory object %q", p.name, o.Name)
-		}
-		if len(buf) != o.Len {
-			return nil, fmt.Errorf("ir: kernel %q: object %q has %d elements, declared %d",
-				p.name, o.Name, len(buf), o.Len)
-		}
-		bufs[i] = buf
+	bufs, err := bind(p.img.KernelName, p.img.Params, p.img.Objects, params, mem)
+	if err != nil {
+		return nil, err
 	}
-	n := p.nSlots + len(p.consts) + p.nRegs
+	n := p.img.NSlots + len(p.img.Consts) + p.img.NRegs
 	v := &vm{
 		p:        p,
 		frame:    make([]float64, n),
 		assigned: make([]bool, n),
 		bufs:     bufs,
-		hits:     make([]int64, len(p.blocks)),
+		hits:     make([]int64, len(p.img.Blocks)),
 	}
-	for i, name := range p.params {
+	for i, name := range p.img.Params {
 		v.frame[i] = params[name]
 		v.assigned[i] = true
 	}
-	copy(v.frame[p.nSlots:], p.consts)
+	copy(v.frame[p.img.NSlots:], p.img.Consts)
 	v.hits[len(p.loops)] = 1 // the top level runs once
-	defer func() {
-		if r := recover(); r != nil {
-			re, ok := r.(runtimeError)
-			if !ok {
-				panic(r)
-			}
-			counts, err = nil, re.err
-		}
-	}()
+	defer catch(&err)
 	if hooks == nil {
 		v.exec()
 	} else {
 		// The hooked variant pays the per-event nil checks the
 		// interpreter pays; the hooks-off loop above pays none.
 		v.hooks = *hooks
-		v.execHooked()
+		v.taint = make([]Taint, n)
+		v.execHooked(0, len(p.img.Code))
 	}
 	return v.counts(), nil
 }
@@ -99,8 +83,8 @@ func (v *vm) counts() *Counts {
 		lc.Trips += n
 		lcs[li] = lc
 	}
-	for i := range v.p.blocks {
-		b := &v.p.blocks[i]
+	for i := range v.p.img.Blocks {
+		b := &v.p.img.Blocks[i]
 		n := v.hits[i]
 		if n == 0 {
 			continue
@@ -124,7 +108,7 @@ func (v *vm) counts() *Counts {
 
 // exec is the hooks-off dispatch loop.
 func (v *vm) exec() {
-	code := v.p.code
+	code := v.p.img.Code
 	fr := v.frame
 	hits := v.hits
 	bufs := v.bufs
@@ -134,7 +118,7 @@ func (v *vm) exec() {
 		switch op.Code {
 		case OpSlotChecked:
 			if !assigned[op.A] {
-				v.fail("read of undefined local %q", v.p.slotNames[op.A])
+				v.fail("read of undefined local %q", v.p.img.SlotNames[op.A])
 			}
 			fr[op.Dst] = fr[op.A]
 		case OpMove:
@@ -210,22 +194,24 @@ func (v *vm) exec() {
 	}
 }
 
-// execHooked mirrors exec with hook dispatch at the counted events. Kept
-// as a separate loop so the hooks-off path carries no per-op nil checks.
-func (v *vm) execHooked() {
-	code := v.p.code
+// execHooked mirrors exec over code[pc:end] with hook dispatch at the
+// counted events and the taint shadow. Kept as a separate loop so the
+// hooks-off path carries no per-op nil checks.
+func (v *vm) execHooked(pc, end int) {
+	code := v.p.img.Code
 	fr := v.frame
+	ts := v.taint
 	hits := v.hits
-	for pc := 0; pc < len(code); pc++ {
+	for ; pc < end; pc++ {
 		op := &code[pc]
 		switch op.Code {
 		case OpSlotChecked:
 			if !v.assigned[op.A] {
-				v.fail("read of undefined local %q", v.p.slotNames[op.A])
+				v.fail("read of undefined local %q", v.p.img.SlotNames[op.A])
 			}
-			fr[op.Dst] = fr[op.A]
+			fr[op.Dst], ts[op.Dst] = fr[op.A], ts[op.A]
 		case OpMove:
-			fr[op.Dst] = fr[op.A]
+			fr[op.Dst], ts[op.Dst] = fr[op.A], ts[op.A]
 			v.assigned[op.Dst] = true
 		case OpLoad:
 			buf := v.bufs[op.Aux]
@@ -234,9 +220,9 @@ func (v *vm) execHooked() {
 				v.failIndex(op.Aux, idx)
 			}
 			if v.hooks.OnLoad != nil {
-				v.hooks.OnLoad(v.p.objs[op.Aux].Name, idx)
+				v.hooks.OnLoad(int(op.Aux), idx, ts[op.A])
 			}
-			fr[op.Dst] = buf[idx]
+			fr[op.Dst], ts[op.Dst] = buf[idx], TaintFresh
 		case OpStoreIdx:
 			if idx := int(fr[op.A]); uint(idx) >= uint(len(v.bufs[op.Aux])) {
 				v.failIndex(op.Aux, idx)
@@ -247,10 +233,10 @@ func (v *vm) execHooked() {
 			if uint(idx) >= uint(len(buf)) {
 				v.failIndex(op.Aux, idx)
 			}
-			buf[idx] = fr[op.B]
 			if v.hooks.OnStore != nil {
-				v.hooks.OnStore(v.p.objs[op.Aux].Name, idx)
+				v.hooks.OnStore(int(op.Aux), idx)
 			}
+			buf[idx] = fr[op.B]
 		case OpBin, OpAdd, OpSub, OpMul:
 			a, b := fr[op.A], fr[op.B]
 			if v.hooks.OnOp != nil {
@@ -260,26 +246,29 @@ func (v *vm) execHooked() {
 			if err != nil {
 				v.fail("%v", err)
 			}
-			fr[op.Dst] = out
+			fr[op.Dst], ts[op.Dst] = out, max(ts[op.A], ts[op.B])
 		case OpUn:
 			a := fr[op.A]
 			if v.hooks.OnOp != nil {
 				v.hooks.OnOp(OpClass(op.C))
 			}
-			fr[op.Dst] = ApplyUn(UnOp(op.Aux), a)
+			fr[op.Dst], ts[op.Dst] = ApplyUn(UnOp(op.Aux), a), ts[op.A]
 		case OpSel:
 			c, t, f := fr[op.A], fr[op.B], fr[op.C]
 			if v.hooks.OnOp != nil {
 				v.hooks.OnOp(ClassInt)
 			}
 			if c != 0 {
-				fr[op.Dst] = t
+				fr[op.Dst], ts[op.Dst] = t, max(ts[op.B], ts[op.A])
 			} else {
-				fr[op.Dst] = f
+				fr[op.Dst], ts[op.Dst] = f, max(ts[op.C], ts[op.A])
 			}
 		case OpJump:
 			pc = int(op.Dst) - 1
 		case OpJumpIfZero:
+			if v.hooks.OnBranch != nil {
+				v.hooks.OnBranch()
+			}
 			if fr[op.A] == 0 {
 				hits[op.C]++
 				pc = int(op.Dst) - 1
@@ -290,27 +279,72 @@ func (v *vm) execHooked() {
 			if step := fr[op.C]; step <= 0 {
 				v.fail("loop %s has non-positive step %g", v.p.loops[op.Aux].IV, step)
 			}
-			fr[op.Dst] = fr[op.A]
+			fr[op.Dst], ts[op.Dst] = fr[op.A], TaintClean
+			if f := v.p.loops[op.Aux]; f.Parallel && v.hooks.OnParallelEnter != nil {
+				v.hooks.OnParallelEnter(f, tripCount(fr[op.A], fr[op.B], fr[op.C]))
+			}
 		case OpLoopTest:
 			if fr[op.A] < fr[op.B] {
-				hits[op.Aux]++
-				if v.hooks.OnLoopIter != nil {
-					v.hooks.OnLoopIter(v.p.loops[op.Aux])
-				}
+				v.iterate(op.Aux)
 			} else {
+				v.exitLoop(op.Aux)
 				pc = int(op.Dst) - 1
 			}
 		case OpLoopNext:
 			fr[op.A] += fr[op.C]
 			if fr[op.A] < fr[op.B] {
-				hits[op.Aux]++
-				if v.hooks.OnLoopIter != nil {
-					v.hooks.OnLoopIter(v.p.loops[op.Aux])
-				}
+				v.iterate(op.Aux)
 				pc = int(op.Dst) - 1
+			} else {
+				v.exitLoop(op.Aux)
 			}
+		case OpLaunch:
+			s := &v.p.sites[op.Aux]
+			v.hooks.OnLaunch(s.loop, Launch{v, s})
 		default:
 			panic(fmt.Sprintf("ir: vm: invalid opcode %d at pc %d", op.Code, pc))
 		}
 	}
+}
+
+// iterate starts an iteration of loop li in the hooked loop.
+func (v *vm) iterate(li int32) {
+	v.hits[li]++
+	for i, t := range v.taint[:v.p.img.NSlots] { // fresh locals become carried
+		if t == TaintFresh {
+			v.taint[i] = TaintCarried
+		}
+	}
+	if v.hooks.OnLoopIter != nil {
+		v.hooks.OnLoopIter(v.p.loops[li])
+	}
+}
+
+// exitLoop ends loop li in the hooked loop.
+func (v *vm) exitLoop(li int32) {
+	if f := v.p.loops[li]; f.Parallel && v.hooks.OnParallelExit != nil {
+		v.hooks.OnParallelExit(f)
+	}
+}
+
+// Launch is one launch of an offloaded loop, handed to Hooks.OnLaunch: it
+// evaluates the loop's launch-time expressions and assigns its outputs.
+type Launch struct {
+	v *vm
+	s *site
+}
+
+// Eval evaluates launch-time expression i (Offload.Exprs) where the loop
+// stands in the program, firing hooks for its operations and loads.
+func (l Launch) Eval(i int) float64 {
+	f := l.s.exprs[i]
+	l.v.execHooked(int(f.start), int(f.end))
+	return l.v.frame[f.result]
+}
+
+// SetOut assigns output local i (Offload.Outs) the value x, fresh from
+// memory as a load's is.
+func (l Launch) SetOut(i int, x float64) {
+	slot := l.s.outs[i]
+	l.v.frame[slot], l.v.taint[slot], l.v.assigned[slot] = x, TaintFresh, true
 }

@@ -33,22 +33,12 @@ func cloneMem(m map[string][]float64) map[string][]float64 {
 	return out
 }
 
-type vmEvent struct {
-	kind  string
-	class ir.OpClass
-	obj   string
-	idx   int
-	loop  *ir.For
-}
+// vmEvent is one hook callback; captureHooks records every event the
+// host timing model consumes: ops, loads with their taint, stores,
+// branches, loop iterations and parallel-loop entries and exits.
+type vmEvent = ir.HookEvent
 
-func captureHooks(log *[]vmEvent) *ir.Hooks {
-	return &ir.Hooks{
-		OnOp:       func(class ir.OpClass) { *log = append(*log, vmEvent{kind: "op", class: class}) },
-		OnLoad:     func(obj string, idx int) { *log = append(*log, vmEvent{kind: "load", obj: obj, idx: idx}) },
-		OnStore:    func(obj string, idx int) { *log = append(*log, vmEvent{kind: "store", obj: obj, idx: idx}) },
-		OnLoopIter: func(f *ir.For) { *log = append(*log, vmEvent{kind: "iter", loop: f}) },
-	}
-}
+func captureHooks(log *[]vmEvent) *ir.Hooks { return ir.RecordingHooks(log) }
 
 // TestVMDifferentialAllWorkloads runs every workload kernel through both
 // executors, hooks off, and compares counts and data exactly.
@@ -163,6 +153,20 @@ func TestVMOpcodeCoverage(t *testing.T) {
 		for _, op := range p.Image().Code {
 			emitted[op.Code] = true
 		}
+		// The same kernel as a host program that launches every innermost
+		// loop, evaluating the launch's expressions, emits OpLaunch.
+		off := map[*ir.For]ir.Offload{}
+		for _, f := range ir.InnermostLoops(in.k.Body) {
+			off[f] = ir.Offload{Exprs: []ir.Expr{f.Lo, f.Hi}, SkipNext: true}
+		}
+		hp, err := ir.NewHostProgram(in.k, off)
+		if err != nil {
+			t.Fatalf("%s: host program: %v", in.name, err)
+		}
+		for _, op := range hp.Image().Code {
+			emitted[op.Code] = true
+		}
+		hp.Run(in.params, cloneMem(in.mem), &ir.Hooks{OnLaunch: func(_ *ir.For, l ir.Launch) { l.Eval(0); l.Eval(1) }})
 		memU, memH := cloneMem(in.mem), cloneMem(in.mem)
 		var log []vmEvent
 		cU, errU := p.Run(in.params, memU, nil)

@@ -172,7 +172,9 @@ func (g *kgen) stmt() Stmt {
 		// Loop-body definitions persist per the validator, even though a
 		// 0-trip execution never makes them: later reads exercise the
 		// undefined-local runtime error in both executors.
-		return &For{IV: iv, Lo: lo, Hi: hi, Step: step, Body: body}
+		// Every third loop is Parallel, without a draw, so the corpus's
+		// kernels keep their shape and fire the parallel-loop events.
+		return &For{IV: iv, Lo: lo, Hi: hi, Step: step, Body: body, Parallel: g.nextIV%3 == 0}
 	}
 }
 

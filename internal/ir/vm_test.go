@@ -83,17 +83,23 @@ func TestVMMatchesInterp(t *testing.T) {
 type hookEvent struct {
 	kind  string
 	class OpClass
-	obj   string
+	obj   int
 	idx   int
+	taint Taint
+	n     int64 // parallel trip count
 	loop  *For
 }
 
 func recordingHooks(log *[]hookEvent) *Hooks {
+	add := func(e hookEvent) { *log = append(*log, e) }
 	return &Hooks{
-		OnOp:       func(class OpClass) { *log = append(*log, hookEvent{kind: "op", class: class}) },
-		OnLoad:     func(obj string, idx int) { *log = append(*log, hookEvent{kind: "load", obj: obj, idx: idx}) },
-		OnStore:    func(obj string, idx int) { *log = append(*log, hookEvent{kind: "store", obj: obj, idx: idx}) },
-		OnLoopIter: func(f *For) { *log = append(*log, hookEvent{kind: "iter", loop: f}) },
+		OnOp:            func(class OpClass) { add(hookEvent{kind: "op", class: class}) },
+		OnLoad:          func(obj, idx int, t Taint) { add(hookEvent{kind: "load", obj: obj, idx: idx, taint: t}) },
+		OnStore:         func(obj, idx int) { add(hookEvent{kind: "store", obj: obj, idx: idx}) },
+		OnBranch:        func() { add(hookEvent{kind: "branch"}) },
+		OnLoopIter:      func(f *For) { add(hookEvent{kind: "iter", loop: f}) },
+		OnParallelEnter: func(f *For, n int64) { add(hookEvent{kind: "par-enter", loop: f, n: n}) },
+		OnParallelExit:  func(f *For) { add(hookEvent{kind: "par-exit", loop: f}) },
 	}
 }
 

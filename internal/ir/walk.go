@@ -74,48 +74,3 @@ func InnermostLoops(stmts []Stmt) []*For {
 	}
 	return out
 }
-
-// ObjectsRead returns the set of object names loaded anywhere in stmts.
-func ObjectsRead(stmts []Stmt) map[string]bool {
-	set := map[string]bool{}
-	WalkStmts(stmts, nil, func(e Expr) {
-		if ld, ok := e.(Load); ok {
-			set[ld.Obj] = true
-		}
-	})
-	return set
-}
-
-// ObjectsWritten returns the set of object names stored anywhere in stmts.
-func ObjectsWritten(stmts []Stmt) map[string]bool {
-	set := map[string]bool{}
-	WalkStmts(stmts, func(s Stmt) {
-		if st, ok := s.(Store); ok {
-			set[st.Obj] = true
-		}
-	}, nil)
-	return set
-}
-
-// ExprOps counts the arithmetic operations (Bin/Un/Sel) in an expression.
-func ExprOps(e Expr) int {
-	n := 0
-	WalkExpr(e, func(x Expr) {
-		switch x.(type) {
-		case Bin, Un, Sel:
-			n++
-		}
-	})
-	return n
-}
-
-// ExprLoads counts the Load nodes in an expression.
-func ExprLoads(e Expr) int {
-	n := 0
-	WalkExpr(e, func(x Expr) {
-		if _, ok := x.(Load); ok {
-			n++
-		}
-	})
-	return n
-}

@@ -81,10 +81,12 @@ type Config struct {
 	engineMode engine.Mode
 
 	// Program, when non-nil and compiled from this run's kernel, is the
-	// bytecode program used for reference validation (ValidateEvery)
-	// instead of compiling one on the fly. Populated by the experiment
-	// matrix from the artifact cache; runs with a nil or mismatched
-	// Program compile one with ir.NewProgram (microseconds per kernel).
+	// bytecode program the OoO baseline's host runs and the reference run
+	// (ValidateEvery) checks against, instead of one compiled on the fly.
+	// An offloading run's host runs its compiled artifact's host program
+	// (compiler.Compiled.Host). Populated by the experiment matrix from
+	// the artifact cache; runs with a nil or mismatched Program compile
+	// one with ir.NewProgram (microseconds per kernel).
 	Program *ir.Program
 
 	// Cancel, when non-nil, interrupts the run when closed: the host stops

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"distda/internal/compiler"
-	"distda/internal/core"
 	"distda/internal/energy"
 	"distda/internal/ir"
 )
@@ -16,46 +15,33 @@ const (
 	l1Latency = 2.0
 )
 
-// taint tracks how a value depends on memory: clean, derived from a load in
-// this iteration, or derived from a load in a previous iteration
-// (loop-carried — a pointer-chase chain the OoO cannot overlap).
-type taint int
-
-const (
-	taintClean taint = iota
-	taintFresh
-	taintCarried
-)
-
-func maxTaint(a, b taint) taint {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-type hval struct {
-	v float64
-	t taint
-}
-
-// host executes the kernel: non-offloaded code through the OoO timing
-// model, offloaded innermost loops by launching their accelerator regions.
+// host is the OoO core's timing model. The kernel runs on the bytecode VM
+// as a host program (compiler.Compiled.Host, or the plain program on the
+// OoO baseline); the model prices the events the VM reports through its
+// hooks (each op, load, store, branch and loop iteration) and launches
+// every offload the program reaches.
 type host struct {
 	m        *machine
 	compiled *compiler.Compiled // nil: pure host run
-	locals   map[string]hval
-	ivs      map[string]float64
-	err      error
+	par      []parSection       // open parallel loops, innermost last
 }
 
-func newHost(m *machine, compiled *compiler.Compiled) *host {
-	return &host{m: m, compiled: compiled, locals: map[string]hval{}, ivs: map[string]float64{}}
+// parSection is the §VI-D account of one parallel-loop instance: its
+// iterations are chunked across the configuration's software threads.
+// Chunks execute sequentially (iterations are independent, so functional
+// state is preserved) while the cycle account keeps only the slowest
+// chunk plus a barrier: concurrent threads overlap in time.
+type parSection struct {
+	f                          *ir.For
+	chunk                      int64 // iterations per thread; 0 when the loop runs none
+	k                          int64 // iterations begun
+	hBefore, maxDelta, sumHost float64
 }
 
 type hostError struct{ err error }
 
-func (h *host) failf(format string, args ...any) {
+// failf aborts the run with a host error.
+func (m *machine) failf(format string, args ...any) {
 	panic(hostError{fmt.Errorf("sim: host: "+format, args...)})
 }
 
@@ -72,8 +58,9 @@ func (h *host) checkCancel() {
 	}
 }
 
-// run executes the kernel body to completion.
-func (h *host) run() (err error) {
+// run executes prog, the host program of the machine's kernel, to
+// completion.
+func (h *host) run(prog *ir.Program) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			he, ok := r.(hostError)
@@ -83,7 +70,20 @@ func (h *host) run() (err error) {
 			err = he.err
 		}
 	}()
-	h.stmts(h.m.kernel.Body)
+	hooks := ir.Hooks{
+		OnOp:       h.instr,
+		OnLoad:     h.load,
+		OnStore:    h.store,
+		OnBranch:   func() { h.instr(ir.ClassInt) },
+		OnLoopIter: h.iter,
+		OnLaunch:   h.launchAt,
+	}
+	if h.m.cfg.Threads > 1 {
+		hooks.OnParallelEnter, hooks.OnParallelExit = h.parEnter, h.parExit
+	}
+	if _, err := prog.Run(h.m.params, h.m.data, &hooks); err != nil {
+		return fmt.Errorf("sim: host: %w", err)
+	}
 	return nil
 }
 
@@ -104,243 +104,99 @@ func (h *host) instr(class ir.OpClass) {
 	h.m.meter.Add(energy.CatHost, e)
 }
 
-// loadTimed performs a host load with the dependence-aware stall model.
-// Touching an object written by an in-flight offload first joins it (the
+// load times a host load of object obj (kernel order) with the
+// dependence-aware stall model; dep is the index's taint. Touching an
+// object written by an in-flight offload first joins it (the
 // software-coherence ordering of §IV-D).
-func (h *host) loadTimed(obj string, idx int64, dep taint) float64 {
-	h.m.joinIfWritten(obj)
-	addr, err := h.m.addr(obj, idx)
-	if err != nil {
-		h.failf("%v", err)
-	}
+func (h *host) load(obj, idx int, dep ir.Taint) {
+	o := &h.m.objs[obj]
+	h.m.joinIfWritten(o.name)
 	h.m.hostLoads++
 	h.instr(ir.ClassInt)
-	lat := float64(h.m.hier.HostAccess(addr, false))
+	lat := float64(h.m.hier.HostAccess(o.base+int64(idx)*o.elemBytes, false))
 	h.m.hostLatH.Observe(lat)
 	stall := lat - l1Latency
 	if stall > 0 {
 		switch dep {
-		case taintCarried:
+		case ir.TaintCarried:
 			h.m.memCycles += stall // serialized dependence chain
-		case taintFresh:
+		case ir.TaintFresh:
 			h.m.memCycles += stall / 2 // short chain, partial overlap
 		default:
 			h.m.memCycles += stall / hostMLP // independent, MLP-overlapped
 		}
 	}
-	return h.m.resolve(obj).data[idx] // resolve succeeded inside addr above
 }
 
-func (h *host) storeTimed(obj string, idx int64, v float64) {
-	h.m.joinIfWritten(obj)
-	addr, err := h.m.addr(obj, idx)
-	if err != nil {
-		h.failf("%v", err)
-	}
+// store times a host store to object obj: posted, so traffic and energy
+// but no stall.
+func (h *host) store(obj, idx int) {
+	o := &h.m.objs[obj]
+	h.m.joinIfWritten(o.name)
 	h.m.hostStores++
 	h.instr(ir.ClassInt)
-	h.m.hier.HostAccess(addr, true) // posted: traffic and energy, no stall
-	h.m.resolve(obj).data[idx] = v  // resolve succeeded inside addr above
+	h.m.hier.HostAccess(o.base+int64(idx)*o.elemBytes, true)
 }
 
-func (h *host) stmts(body []ir.Stmt) {
-	skipNext := false
-	for _, s := range body {
-		if skipNext {
-			skipNext = false
-			if _, ok := s.(ir.Store); ok {
-				continue // folded epilogue: the accelerator performed it
+// iter accounts one loop iteration's control: compare + increment.
+func (h *host) iter(f *ir.For) {
+	h.checkCancel()
+	if n := len(h.par); n > 0 && h.par[n-1].f == f {
+		s := &h.par[n-1]
+		if s.k%s.chunk == 0 { // the next thread's chunk starts
+			if s.k > 0 {
+				h.endChunk(s)
 			}
+			s.hBefore = h.m.hostTimeline()
+			h.m.accelFreeAt = s.hBefore // each thread drives its own accelerators
 		}
-		switch x := s.(type) {
-		case ir.Let:
-			h.locals[x.Name] = h.eval(x.E)
-		case ir.Store:
-			idx := h.eval(x.Idx)
-			val := h.eval(x.Val)
-			h.storeTimed(x.Obj, int64(idx.v), val.v)
-		case ir.If:
-			c := h.eval(x.Cond)
-			h.instr(ir.ClassInt) // branch
-			if c.v != 0 {
-				h.stmts(x.Then)
-			} else {
-				h.stmts(x.Else)
-			}
-		case *ir.For:
-			skipNext = h.forLoop(x)
-		default:
-			h.failf("unknown statement %T", s)
-		}
+		s.k++
 	}
+	h.instr(ir.ClassInt)
+	h.instr(ir.ClassInt)
 }
 
-// forLoop executes a loop (or launches its offload region) and reports
-// whether the statement following it was folded into the offload.
-func (h *host) forLoop(f *ir.For) bool {
-	// Offloaded region?
-	if h.compiled != nil {
-		if reg, ok := h.compiled.ByLoop[f]; ok && reg.Class != core.ClassNotOffloaded && len(reg.Accels) > 0 {
-			h.checkCancel()
-			h.launch(reg)
-			return reg.FoldedEpilogue
-		}
-	}
-	lo := h.eval(f.Lo)
-	hi := h.eval(f.Hi)
-	step := h.eval(f.Step)
-	if step.v <= 0 {
-		h.failf("loop %s has non-positive step %g", f.IV, step.v)
-	}
-	if f.Parallel && h.m.cfg.Threads > 1 {
-		h.parallelFor(f, lo.v, hi.v, step.v)
-		return false
-	}
-	saved, had := h.ivs[f.IV]
-	for v := lo.v; v < hi.v; v += step.v {
-		h.checkCancel()
-		h.ivs[f.IV] = v
-		// Loop control: compare + increment.
-		h.instr(ir.ClassInt)
-		h.instr(ir.ClassInt)
-		// Promote this-iteration taints to loop-carried.
-		for name, hv := range h.locals {
-			if hv.t == taintFresh {
-				hv.t = taintCarried
-				h.locals[name] = hv
-			}
-		}
-		h.stmts(f.Body)
-	}
-	if had {
-		h.ivs[f.IV] = saved
-	} else {
-		delete(h.ivs, f.IV)
-	}
-	return false
+// launchAt launches the offload region of loop f in its place.
+func (h *host) launchAt(f *ir.For, l ir.Launch) {
+	h.checkCancel()
+	h.launch(h.compiled.ByLoop[f], l)
 }
 
-// eval interprets an expression with timing and taint tracking.
-func (h *host) eval(e ir.Expr) hval {
-	switch x := e.(type) {
-	case ir.Const:
-		return hval{v: x.V}
-	case ir.Param:
-		v, ok := h.m.params[x.Name]
-		if !ok {
-			h.failf("unknown parameter %q", x.Name)
-		}
-		return hval{v: v}
-	case ir.IV:
-		v, ok := h.ivs[x.Name]
-		if !ok {
-			h.failf("induction variable %q out of scope", x.Name)
-		}
-		return hval{v: v}
-	case ir.Local:
-		hv, ok := h.locals[x.Name]
-		if !ok {
-			h.failf("undefined local %q", x.Name)
-		}
-		return hv
-	case ir.Load:
-		idx := h.eval(x.Idx)
-		v := h.loadTimed(x.Obj, int64(idx.v), idx.t)
-		return hval{v: v, t: taintFresh}
-	case ir.Bin:
-		a := h.eval(x.A)
-		b := h.eval(x.B)
-		h.instr(x.Op.Class())
-		v, err := ir.ApplyBin(x.Op, a.v, b.v)
-		if err != nil {
-			h.failf("%v", err)
-		}
-		return hval{v: v, t: maxTaint(a.t, b.t)}
-	case ir.Un:
-		a := h.eval(x.A)
-		h.instr(x.Op.Class())
-		return hval{v: ir.ApplyUn(x.Op, a.v), t: a.t}
-	case ir.Sel:
-		c := h.eval(x.Cond)
-		tv := h.eval(x.T)
-		fv := h.eval(x.F)
-		h.instr(ir.ClassInt)
-		out := fv
-		if c.v != 0 {
-			out = tv
-		}
-		out.t = maxTaint(out.t, c.t)
-		return out
-	default:
-		h.failf("unknown expression %T", e)
-		return hval{}
+// parEnter opens a parallel loop that runs trips iterations, chunked
+// over ceil(trips/threads) iterations per thread.
+func (h *host) parEnter(f *ir.For, trips int64) {
+	s := parSection{f: f}
+	if trips > 0 {
+		threads := int64(h.m.cfg.Threads)
+		s.chunk = (trips + threads - 1) / threads
+		h.m.syncAccel() // barrier entering the parallel section
 	}
+	h.par = append(h.par, s)
 }
 
-// evalScalar evaluates a launch-time configuration expression (stream
-// start/stride/length, scalar inits) in host context, with host-side
-// loads timed and counted.
-func (h *host) evalScalar(e ir.Expr) float64 {
-	return h.eval(e).v
+// parExit closes the innermost parallel loop, keeping only the slowest
+// thread's time plus a barrier join.
+func (h *host) parExit(*ir.For) {
+	s := &h.par[len(h.par)-1]
+	if s.k > 0 {
+		h.endChunk(s)
+		h.m.cycleAdjust -= int64(s.sumHost - s.maxDelta)
+		h.m.cycleAdjust += 200
+		h.m.accelFreeAt = h.m.hostTimeline() // all offloads joined at the barrier
+	}
+	h.par = h.par[:len(h.par)-1]
 }
 
-// parallelFor models the §VI-D multithreading case study: the annotated
-// loop's iterations are chunked across T software threads. Chunks execute
-// sequentially (iterations are independent, so functional state is
-// preserved) while the cycle account keeps only the slowest chunk plus a
-// barrier — concurrent threads overlap in time.
-func (h *host) parallelFor(f *ir.For, lo, hi, step float64) {
-	threads := h.m.cfg.Threads
-	n := int64((hi - lo) / step)
-	if n <= 0 {
-		return
+// endChunk closes the running thread's chunk of s.
+func (h *host) endChunk(s *parSection) {
+	hostDelta := h.m.hostTimeline() - s.hBefore
+	accelDelta := h.m.accelFreeAt - s.hBefore
+	d := hostDelta
+	if accelDelta > d {
+		d = accelDelta
 	}
-	chunk := (n + int64(threads) - 1) / int64(threads)
-	saved, had := h.ivs[f.IV]
-	h.m.syncAccel() // barrier entering the parallel section
-	var maxDelta, sumHostDelta float64
-	for t := int64(0); t < int64(threads); t++ {
-		cLo := lo + float64(t*chunk)*step
-		cHi := lo + float64((t+1)*chunk)*step
-		if cHi > hi {
-			cHi = hi
-		}
-		if cLo >= cHi {
-			break
-		}
-		hBefore := h.m.hostTimeline()
-		h.m.accelFreeAt = hBefore // each thread drives its own accelerators
-		for v := cLo; v < cHi; v += step {
-			h.checkCancel()
-			h.ivs[f.IV] = v
-			h.instr(ir.ClassInt)
-			h.instr(ir.ClassInt)
-			for name, hv := range h.locals {
-				if hv.t == taintFresh {
-					hv.t = taintCarried
-					h.locals[name] = hv
-				}
-			}
-			h.stmts(f.Body)
-		}
-		hostDelta := h.m.hostTimeline() - hBefore
-		accelDelta := h.m.accelFreeAt - hBefore
-		d := hostDelta
-		if accelDelta > d {
-			d = accelDelta
-		}
-		if d > maxDelta {
-			maxDelta = d
-		}
-		sumHostDelta += hostDelta
+	if d > s.maxDelta {
+		s.maxDelta = d
 	}
-	// Keep only the slowest thread's time plus a barrier join.
-	h.m.cycleAdjust -= int64(sumHostDelta - maxDelta)
-	h.m.cycleAdjust += 200
-	h.m.accelFreeAt = h.m.hostTimeline() // all offloads joined at the barrier
-	if had {
-		h.ivs[f.IV] = saved
-	} else {
-		delete(h.ivs, f.IV)
-	}
+	s.sumHost += hostDelta
 }

@@ -1,8 +1,10 @@
 package sim
 
 import (
+	"math"
 	"testing"
 
+	"distda/internal/compiler"
 	"distda/internal/ir"
 )
 
@@ -13,8 +15,11 @@ func hostOnly(t *testing.T, k *ir.Kernel, params map[string]float64, data map[st
 	if err := m.reset(OoO(), k, params, data); err != nil {
 		t.Fatal(err)
 	}
-	h := newHost(m, nil)
-	if err := h.run(); err != nil {
+	prog, err := ir.NewProgram(k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := (&host{m: m}).run(prog); err != nil {
 		t.Fatal(err)
 	}
 	return m
@@ -210,5 +215,160 @@ func TestResultDerivedMetrics(t *testing.T) {
 	r2 := &Result{MMIOHost: 3, MemOps: 600}
 	if pct := r2.InitOverheadPct(); pct != 0.5 {
 		t.Fatalf("%%init = %g", pct)
+	}
+}
+
+// hostStall runs k on the pure host model and returns its memory stall
+// cycles.
+func hostStall(t *testing.T, k *ir.Kernel, data map[string][]float64) float64 {
+	t.Helper()
+	return hostOnly(t, k, nil, data).memCycles
+}
+
+// chainKernel loads %p from A, then loads B[idx] (idx may read %p) either
+// straight after or inside a one-iteration loop.
+func chainKernel(idx ir.Expr, inLoop bool) *ir.Kernel {
+	use := ir.Stmt(ir.Set("x", ir.Ld("B", idx)))
+	if inLoop {
+		use = ir.Loop("i", ir.C(0), ir.C(1), use)
+	}
+	return &ir.Kernel{
+		Name:    "chain",
+		Objects: []ir.ObjDecl{{Name: "A", Len: 1, ElemBytes: 8}, {Name: "B", Len: 1, ElemBytes: 8}},
+		Body:    []ir.Stmt{ir.Set("p", ir.Ld("A", ir.C(0))), use},
+	}
+}
+
+func chainData() map[string][]float64 {
+	return map[string][]float64{"A": {0}, "B": {0}}
+}
+
+// TestHostCarriesLocalsFromBeforeALoop pins the taint promotion at an
+// iteration start: %p, loaded before the loop, feeds B's index as a
+// carried chain (the whole stall) from the loop's first iteration, where
+// straight-line code stalls half of it (fresh) and a constant index a
+// sixth (independent, MLP-overlapped).
+func TestHostCarriesLocalsFromBeforeALoop(t *testing.T) {
+	clean := hostStall(t, chainKernel(ir.C(0), false), chainData())
+	fresh := hostStall(t, chainKernel(ir.L("p"), false), chainData())
+	carried := hostStall(t, chainKernel(ir.L("p"), true), chainData())
+	// B's stall s is the same miss in every run: the three differ only in
+	// how much of it counts (s/6, s/2, s).
+	if fresh <= clean {
+		t.Fatalf("fresh dependence stalls %g, independent %g", fresh, clean)
+	}
+	if got := (carried - clean) / (fresh - clean); math.Abs(got-2.5) > 1e-9 {
+		t.Fatalf("carried/fresh excess stall ratio %g, want 2.5 (s - s/6 over s/2 - s/6)", got)
+	}
+}
+
+// TestHostSelTaint pins a Sel's taint: its chosen arm's plus its
+// condition's, never the other arm's.
+func TestHostSelTaint(t *testing.T) {
+	p := ir.L("p") // fresh: loaded from A (it holds 0, so every index is 0)
+	stall := func(idx ir.Expr) float64 { return hostStall(t, chainKernel(idx, false), chainData()) }
+	clean, fresh := stall(ir.C(0)), stall(p)
+	for _, c := range []struct {
+		name string
+		idx  ir.Expr
+		want float64
+	}{
+		{"clean arm chosen over a fresh one", ir.SelE(ir.C(1), ir.C(0), p), clean},
+		{"fresh arm chosen", ir.SelE(ir.C(0), ir.C(0), p), fresh},
+		{"fresh condition, then arm chosen", ir.SelE(ir.EqE(p, ir.C(0)), ir.C(0), ir.C(0)), fresh},
+		{"fresh condition, else arm chosen", ir.SelE(ir.NeE(p, ir.C(0)), ir.C(0), ir.C(0)), fresh},
+	} {
+		if got := stall(c.idx); got != c.want {
+			t.Errorf("%s: stall %g, want %g (clean %g, fresh %g)", c.name, got, c.want, clean, fresh)
+		}
+	}
+}
+
+// TestLaunchExpressionLoadsAreHostLoads pins that the loads a launch's
+// trip count and stream lengths make (here of the bound N[0]) run on the
+// host: each is timed, counted as a host load, and evaluated once per
+// launch-time expression.
+func TestLaunchExpressionLoadsAreHostLoads(t *testing.T) {
+	build := func(hi ir.Expr) *ir.Kernel {
+		return &ir.Kernel{
+			Name:   "bound",
+			Params: []string{"M"},
+			Objects: []ir.ObjDecl{
+				{Name: "N", Len: 1, ElemBytes: 8},
+				{Name: "A", Len: 256, ElemBytes: 8},
+				{Name: "B", Len: 256, ElemBytes: 8},
+			},
+			Body: []ir.Stmt{ir.Loop("i", ir.C(0), hi, ir.St("B", ir.V("i"), ir.AddE(ir.Ld("A", ir.V("i")), ir.C(1))))},
+		}
+	}
+	run := func(k *ir.Kernel) (*machine, *compiler.Compiled) {
+		cfg := DistDAIO()
+		compiled, err := Compiled(k, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data := map[string][]float64{"N": {256}, "A": make([]float64, 256), "B": make([]float64, 256)}
+		m := newMachine()
+		res, err := m.run(k, map[string]float64{"M": 256}, data, cfg, compiled)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Launches != 1 || !res.Validated {
+			t.Fatalf("%d launches, validated %v: want the loop offloaded once", res.Launches, res.Validated)
+		}
+		return m, compiled
+	}
+	mParam, _ := run(build(ir.P("M")))
+	if mParam.hostLoads != 0 {
+		t.Fatalf("parameter bound: %d host loads, want 0", mParam.hostLoads)
+	}
+	k := build(ir.Ld("N", ir.C(0)))
+	m, compiled := run(k)
+	exprs, _ := compiled.ByLoop[k.Body[0].(*ir.For)].LaunchExprs()
+	want := int64(0)
+	for _, e := range exprs {
+		ir.WalkExpr(e, func(x ir.Expr) {
+			if _, ok := x.(ir.Load); ok {
+				want++
+			}
+		})
+	}
+	if want == 0 || m.hostLoads != want {
+		t.Fatalf("loaded bound: %d host loads, want %d (one per load in the launch-time expressions)", m.hostLoads, want)
+	}
+	if m.memCycles <= mParam.memCycles {
+		t.Fatalf("loaded bound stalls %g host cycles, parameter bound %g: the loads are not timed", m.memCycles, mParam.memCycles)
+	}
+}
+
+// TestParallelLoopRunsEveryIteration chunks a parallel outer loop over the
+// iterations it actually runs: ceil((hi-lo)/step), not the floor.
+func TestParallelLoopRunsEveryIteration(t *testing.T) {
+	for _, c := range []struct {
+		hi, step float64
+		threads  int
+	}{{10, 3, 3}, {0.5, 1, 2}, {10, 1, 4}, {7, 2, 8}} {
+		// The nested loop keeps the parallel loop outermost, so the
+		// strip-miner leaves it alone.
+		k := &ir.Kernel{
+			Name:    "par",
+			Objects: []ir.ObjDecl{{Name: "A", Len: 16, ElemBytes: 8}},
+			Body: []ir.Stmt{&ir.For{IV: "i", Lo: ir.C(0), Hi: ir.C(c.hi), Step: ir.C(c.step), Parallel: true,
+				Body: []ir.Stmt{ir.Loop("j", ir.C(0), ir.C(1), ir.St("A", ir.AddE(ir.V("i"), ir.V("j")), ir.C(1)))}}},
+		}
+		for _, cfg := range []Config{OoO(), DistDAIO()} {
+			data := map[string][]float64{"A": make([]float64, 16)}
+			res, err := RunThreads(k, nil, data, cfg, c.threads)
+			if err != nil {
+				t.Fatalf("0..%g step %g on %d threads, %s: %v", c.hi, c.step, c.threads, cfg.Name, err)
+			}
+			stored := 0
+			for _, v := range data["A"] {
+				stored += int(v)
+			}
+			if want := int(math.Ceil(c.hi / c.step)); stored != want || !res.Validated {
+				t.Fatalf("0..%g step %g on %d threads, %s: %d of %d iterations stored", c.hi, c.step, c.threads, cfg.Name, stored, want)
+			}
+		}
 	}
 }

@@ -78,16 +78,6 @@ func clearResize[T any](s []T, n int) []T {
 	return s
 }
 
-// backendFor resolves the configuration's accelerator backend and its
-// options for a region launch.
-func (h *host) backendFor(reg *core.Region) (backend.Backend, backend.Options) {
-	be, ok := backend.Lookup(h.m.cfg.Backend)
-	if !ok {
-		h.failf("launch: region %s has no registered accelerator backend (%q)", reg.Name, h.m.cfg.Backend)
-	}
-	return be, h.m.cfg.BackendOpts
-}
-
 // mmioHost accounts one host-initiated MMIO transaction to a cluster.
 func (m *machine) mmioHost(in core.Intrinsic, cluster int) {
 	m.mmio.Record(in)
@@ -97,22 +87,29 @@ func (m *machine) mmioHost(in core.Intrinsic, cluster int) {
 	m.hostInstr++
 }
 
-// launch configures, runs and tears down one offload region instance.
+// launch configures, runs and tears down one offload region instance. l
+// evaluates the region's launch-time expressions where the loop stands,
+// in core.Region.LaunchExprs order, and takes its read-back locals.
 //
 // Assembly reuses the machine's launch state (see machine.go): the accelRT
 // tables, the engine, the buffer plan, the decoupling buffers, the links,
 // stream FSMs, random ports and backend engines, the backend memo and what
 // the launch derives from each definition all carry over from the previous
 // launch, so a steady-state launch allocates nothing.
-func (h *host) launch(reg *core.Region) {
+func (h *host) launch(reg *core.Region, l ir.Launch) {
 	m := h.m
+	next := 0 // the next launch-time expression
+	eval := func() float64 {
+		next++
+		return l.Eval(next - 1)
+	}
 	// Evaluate every accel's orchestrator count; an all-empty region is
 	// skipped (the host's bound evaluation was already charged).
 	rts := m.acquireRTs(reg)
 	any := false
 	for _, rt := range rts {
 		if rt.def.Trip.Kind == core.TripCounted {
-			rt.trips = int64(h.evalScalar(rt.def.Trip.Count))
+			rt.trips = int64(eval())
 			if rt.trips > 0 {
 				any = true
 			}
@@ -125,7 +122,10 @@ func (h *host) launch(reg *core.Region) {
 		return
 	}
 	m.launches++
-	be, beOpts := h.backendFor(reg)
+	be, ok := backend.Lookup(m.cfg.Backend)
+	if !ok {
+		m.failf("launch: region %s has no registered accelerator backend (%q)", reg.Name, m.cfg.Backend)
+	}
 	m.scoped = m.scoped[:0] // deferred trace attachments for this launch
 	// Profiling: the dispatch phase spans every host cycle from here (flush,
 	// buffer planning, MMIO configuration) until the engine takes over.
@@ -142,7 +142,7 @@ func (h *host) launch(reg *core.Region) {
 			m.flushedObjs[obj] = true
 			r, ok := m.slab.Lookup(obj)
 			if !ok {
-				h.failf("launch: unallocated object %q", obj)
+				m.failf("launch: unallocated object %q", obj)
 			}
 			m.memCycles += float64(m.hier.FlushRange(r.Base, r.Bytes))
 		}
@@ -156,13 +156,13 @@ func (h *host) launch(reg *core.Region) {
 		for _, acc := range rt.def.Accesses {
 			if acc.Kind == core.StreamIn || acc.Kind == core.StreamOut {
 				rt.streams[acc.ID] = core.EvaledStream{
-					Start:  int64(h.evalScalar(acc.Start)),
-					Stride: int64(h.evalScalar(acc.Stride)),
-					Length: int64(h.evalScalar(acc.Length)),
+					Start:  int64(eval()),
+					Stride: int64(eval()),
+					Length: int64(eval()),
 				}
 			}
 		}
-		rt.cluster = h.placeAccel(reg, rt)
+		rt.cluster = m.placeAccel(reg, rt)
 		if m.cfg.OffChip && rt.def.AnchorObj != "" {
 			if d, ok := m.kernel.Object(rt.def.AnchorObj); ok && d.Bytes() >= m.cfg.OffChipThreshold {
 				rt.offChip = true
@@ -204,7 +204,7 @@ func (h *host) launch(reg *core.Region) {
 	plan := &m.plan
 	for _, rt := range rts {
 		if err := plan.Plan(rt.def, rt.streams, window, m.cfg.Combining); err != nil {
-			h.failf("launch: %v", err)
+			m.failf("launch: %v", err)
 		}
 		m.alloc.RecordLaunch(plan)
 		if !m.configured[rt.def.ID] {
@@ -220,24 +220,24 @@ func (h *host) launch(reg *core.Region) {
 			first := rt.def.Accesses[ba.Accesses[0]]
 			switch first.Kind {
 			case core.StreamIn:
-				if err := h.wireStreamIn(rt, ba); err != nil {
-					h.failf("launch: %v", err)
+				if err := m.wireStreamIn(rt, ba); err != nil {
+					m.failf("launch: %v", err)
 				}
 			case core.StreamOut:
-				if err := h.wireStreamOut(rt, ba); err != nil {
-					h.failf("launch: %v", err)
+				if err := m.wireStreamOut(rt, ba); err != nil {
+					m.failf("launch: %v", err)
 				}
 			case core.ChanOut:
 				b, err := m.newBuffer()
 				if err != nil {
-					h.failf("launch: %v", err)
+					m.failf("launch: %v", err)
 				}
 				rt.chanSrc[first.ID] = b
 				rt.setOut(first.ID, b)
 			case core.ChanIn:
 				b, err := m.newBuffer()
 				if err != nil {
-					h.failf("launch: %v", err)
+					m.failf("launch: %v", err)
 				}
 				rt.chanCons[first.ID] = b
 				rt.setIn(first.ID, b, 0)
@@ -254,7 +254,7 @@ func (h *host) launch(reg *core.Region) {
 			peer := rts[acc.Peer.Accel]
 			dst := peer.chanCons[acc.Peer.Access]
 			if dst == nil {
-				h.failf("launch: channel %d.%d has no consumer buffer", rt.def.ID, acc.ID)
+				m.failf("launch: channel %d.%d has no consumer buffer", rt.def.ID, acc.ID)
 			}
 			m.addLink(rt.chanSrc[acc.ID], dst, rt.cluster, peer.cluster, acc.ElemBytes)
 		}
@@ -264,7 +264,7 @@ func (h *host) launch(reg *core.Region) {
 	pool := m.enginePool(be)
 	for _, rt := range rts {
 		di := m.defInfoOf(rt.def)
-		fetch := h.fetcherFor(rt.cluster, rt.offChip)
+		fetch := m.fetcherFor(rt.cluster, rt.offChip)
 		pu := m.ports.get()
 		pu.mem = simMemory{m: m}
 		rp := &pu.port
@@ -275,7 +275,7 @@ func (h *host) launch(reg *core.Region) {
 				// cp_fill_ra: block-fetch the object window line by line.
 				r, ok := m.slab.Lookup(obj)
 				if !ok {
-					h.failf("launch: prefill of unallocated object %q", obj)
+					m.failf("launch: prefill of unallocated object %q", obj)
 				}
 				fillHost := 0
 				for addr := r.Base; addr < r.End(); addr += 64 {
@@ -294,11 +294,11 @@ func (h *host) launch(reg *core.Region) {
 			Def: rt.def, Trips: rt.trips,
 			In: rt.inPorts, Out: rt.outPorts, Random: rp,
 			GHz: m.cfg.AccelGHz, Width: m.cfg.IOWidth,
-			Meter: m.meter, LatHist: m.backendLatH[be.Name()], Opts: beOpts,
+			Meter: m.meter, LatHist: m.backendLatH[be.Name()], Opts: m.cfg.BackendOpts,
 			Memo: &m.memo,
 		})
 		if err != nil {
-			h.failf("launch: backend %s: %v", be.Name(), err)
+			m.failf("launch: backend %s: %v", be.Name(), err)
 		}
 		if m.tr != nil {
 			m.scoped = append(m.scoped, func(off int64) { e.AttachTrace(m.tr, off) })
@@ -309,7 +309,7 @@ func (h *host) launch(reg *core.Region) {
 		di.launched = true
 		for i := range rt.def.ScalarInit {
 			sb := &rt.def.ScalarInit[i]
-			e.SetReg(sb.Reg, h.evalScalar(sb.Expr))
+			e.SetReg(sb.Reg, eval())
 			// Launch-invariant scalars (pure params/constants) travel with
 			// the one-time cp_config; only per-launch values (outer IVs,
 			// loads) cost an MMIO write each launch.
@@ -323,7 +323,7 @@ func (h *host) launch(reg *core.Region) {
 				m.mmioHost(core.CpConfigStream, rt.cluster)
 			}
 		}
-		h.recordProgramMechanisms(rt.def.Program)
+		m.recordProgramMechanisms(rt.def.Program)
 		m.mmioHost(core.CpRun, rt.cluster)
 	}
 	engines := pool.live()
@@ -352,7 +352,7 @@ func (h *host) launch(reg *core.Region) {
 
 	base, err := m.eng.Run(m.cfg.MaxEngine)
 	if err != nil {
-		h.failf("launch of %s: %v", reg.Name, err)
+		m.failf("launch of %s: %v", reg.Name, err)
 	}
 	m.accelBase += base
 	m.ffJumps += m.eng.FFJumps
@@ -398,9 +398,11 @@ func (h *host) launch(reg *core.Region) {
 	}
 
 	// cp_load_rf read-back of carried locals.
+	out := 0
 	for _, rt := range rts {
 		for _, sb := range rt.def.ScalarOut {
-			h.locals[sb.Name] = hval{v: rt.eng.Reg(sb.Reg), t: taintFresh}
+			l.SetOut(out, rt.eng.Reg(sb.Reg))
+			out++
 			m.mmioHost(core.CpLoadRF, rt.cluster)
 		}
 	}
@@ -447,8 +449,7 @@ func (m *machine) acquireRTs(reg *core.Region) []*accelRT {
 // anchors each partition at its object's home (§V-A-4, §V-B). Returns -1
 // when the accel has no anchor (resolved to a peer's cluster by the
 // caller).
-func (h *host) placeAccel(reg *core.Region, rt *accelRT) int {
-	m := h.m
+func (m *machine) placeAccel(reg *core.Region, rt *accelRT) int {
 	if m.cfg.PlaceAtHost || m.cfg.Centralized {
 		return m.hier.HostNode()
 	}
@@ -478,7 +479,7 @@ func (h *host) placeAccel(reg *core.Region, rt *accelRT) int {
 	// Home of the first accessed element (greedy horizontal placement).
 	r, ok := m.slab.Lookup(def.AnchorObj)
 	if !ok {
-		h.failf("placeAccel: unallocated anchor %q", def.AnchorObj)
+		m.failf("placeAccel: unallocated anchor %q", def.AnchorObj)
 	}
 	addr := r.Base
 	for _, acc := range def.Accesses {
@@ -497,8 +498,7 @@ func (h *host) placeAccel(reg *core.Region, rt *accelRT) int {
 // fetcherFor returns the cache-path fetcher for an accelerator or access
 // FSM at cluster. The private-cache path is shared across accelerators and
 // launches.
-func (h *host) fetcherFor(cluster int, offChip bool) accessunit.Fetcher {
-	m := h.m
+func (m *machine) fetcherFor(cluster int, offChip bool) accessunit.Fetcher {
 	if offChip {
 		return dramFetcher{dmem: m.dmem}
 	}
@@ -506,7 +506,7 @@ func (h *host) fetcherFor(cluster int, offChip bool) accessunit.Fetcher {
 		if m.priv == nil {
 			pf, err := newPrivFetcher(m, m.cfg.PrivCacheKB, cluster)
 			if err != nil {
-				h.failf("%v", err)
+				m.failf("%v", err)
 			}
 			m.priv = pf
 		}
@@ -521,8 +521,7 @@ func (h *host) fetcherFor(cluster int, offChip bool) accessunit.Fetcher {
 // wireStreamIn builds the fill FSM for one (possibly combined) stream-in
 // buffer and the per-accessor read ports; a remote fill FSM (decentralized
 // access with monolithic compute) forwards over a link.
-func (h *host) wireStreamIn(rt *accelRT, ba core.BufferAlloc) error {
-	m := h.m
+func (m *machine) wireStreamIn(rt *accelRT, ba core.BufferAlloc) error {
 	first := rt.def.Accesses[ba.Accesses[0]]
 	// Union window over combined accessors.
 	minStart, maxStart := rt.streams[ba.Accesses[0]].Start, rt.streams[ba.Accesses[0]].Start
@@ -540,11 +539,7 @@ func (h *host) wireStreamIn(rt *accelRT, ba core.BufferAlloc) error {
 	if stride > 0 {
 		length += (maxStart - minStart) / stride
 	}
-	dataCluster := h.clusterOfElem(ba.Obj, minStart, first.ElemBytes)
-	fsmCluster := dataCluster
-	if m.cfg.Centralized || rt.offChip {
-		fsmCluster = rt.cluster
-	}
+	fsmCluster := m.fsmCluster(rt, ba.Obj, minStart, first.ElemBytes)
 	fsmBuf, err := m.newBuffer()
 	if err != nil {
 		return err
@@ -552,7 +547,7 @@ func (h *host) wireStreamIn(rt *accelRT, ba core.BufferAlloc) error {
 	fu := m.fills.get()
 	fu.mem = simMemory{m: m}
 	fsm := &fu.fsm
-	if err := fsm.Reset(fsmBuf, &fu.mem, h.fetcherFor(fsmCluster, rt.offChip),
+	if err := fsm.Reset(fsmBuf, &fu.mem, m.fetcherFor(fsmCluster, rt.offChip),
 		fsmCluster, ba.Obj, minStart, stride, length, m.austats, m.meter); err != nil {
 		return err
 	}
@@ -589,19 +584,14 @@ func (h *host) wireStreamIn(rt *accelRT, ba core.BufferAlloc) error {
 // wireStreamOut builds the drain path for one stream-out access: the core
 // produces into a local buffer; the drain FSM sits with the data (or with
 // the accel when centralized), behind a link when remote.
-func (h *host) wireStreamOut(rt *accelRT, ba core.BufferAlloc) error {
-	m := h.m
+func (m *machine) wireStreamOut(rt *accelRT, ba core.BufferAlloc) error {
 	if len(ba.Accesses) != 1 {
 		return fmt.Errorf("sim: combined stream-out buffers are not supported")
 	}
 	id := ba.Accesses[0]
 	acc := rt.def.Accesses[id]
 	ev := rt.streams[id]
-	dataCluster := h.clusterOfElem(ba.Obj, ev.Start, acc.ElemBytes)
-	fsmCluster := dataCluster
-	if m.cfg.Centralized || rt.offChip {
-		fsmCluster = rt.cluster
-	}
+	fsmCluster := m.fsmCluster(rt, ba.Obj, ev.Start, acc.ElemBytes)
 	prodBuf, err := m.newBuffer()
 	if err != nil {
 		return err
@@ -618,7 +608,7 @@ func (h *host) wireStreamOut(rt *accelRT, ba core.BufferAlloc) error {
 	du := m.drains.get()
 	du.mem = simMemory{m: m}
 	fsm := &du.fsm
-	if err := fsm.Reset(drainBuf, &du.mem, h.fetcherFor(fsmCluster, rt.offChip),
+	if err := fsm.Reset(drainBuf, &du.mem, m.fetcherFor(fsmCluster, rt.offChip),
 		fsmCluster, ba.Obj, ev.Start, ev.Stride, m.austats, m.meter); err != nil {
 		return err
 	}
@@ -636,12 +626,16 @@ func (h *host) wireStreamOut(rt *accelRT, ba core.BufferAlloc) error {
 	return nil
 }
 
-// clusterOfElem returns the home cluster of obj[idx] (clamped into range).
-func (h *host) clusterOfElem(obj string, idx int64, elemBytes int) int {
-	m := h.m
+// fsmCluster places the access FSM of rt's stream over obj starting at
+// obj[idx]: with the accelerator when accesses are centralized or off
+// chip, else at the home cluster of obj[idx] (clamped into range).
+func (m *machine) fsmCluster(rt *accelRT, obj string, idx int64, elemBytes int) int {
+	if m.cfg.Centralized || rt.offChip {
+		return rt.cluster
+	}
 	r, ok := m.slab.Lookup(obj)
 	if !ok {
-		h.failf("clusterOfElem: unallocated object %q", obj)
+		m.failf("fsmCluster: unallocated object %q", obj)
 	}
 	addr := r.Base + idx*int64(elemBytes)
 	if addr < r.Base {
@@ -654,19 +648,19 @@ func (h *host) clusterOfElem(obj string, idx int64, elemBytes int) int {
 }
 
 // recordProgramMechanisms marks Table V coverage from the micro-program.
-func (h *host) recordProgramMechanisms(p microcode.Program) {
+func (m *machine) recordProgramMechanisms(p microcode.Program) {
 	for i := range p {
 		switch p[i].Code {
 		case microcode.Consume:
-			h.m.mmio.Record(core.CpConsume)
-			h.m.mmio.Record(core.CpStep)
+			m.mmio.Record(core.CpConsume)
+			m.mmio.Record(core.CpStep)
 		case microcode.Produce:
-			h.m.mmio.Record(core.CpProduce)
-			h.m.mmio.Record(core.CpStep)
+			m.mmio.Record(core.CpProduce)
+			m.mmio.Record(core.CpStep)
 		case microcode.LoadObj:
-			h.m.mmio.Record(core.CpRead)
+			m.mmio.Record(core.CpRead)
 		case microcode.StoreObj:
-			h.m.mmio.Record(core.CpWrite)
+			m.mmio.Record(core.CpWrite)
 		}
 	}
 }

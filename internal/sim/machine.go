@@ -80,13 +80,11 @@ type machine struct {
 	bufAccesses int64
 
 	// objs caches each kernel object's slab region, declaration and backing
-	// slice; lastObj remembers the most recent hit. addr/Read/Write run once
-	// per simulated stream element, and the slab scan + declaration scan +
-	// data-map hash they used to pay per element was a visible slice of the
-	// whole-repro profile. Streams touch one object for long stretches, so
-	// the MRU compare almost always short-circuits on pointer-equal strings.
-	objs    []objInfo
-	lastObj *objInfo
+	// slice, in kernel order (the host program's object indices).
+	// simMemory's Read/Write run once per simulated stream element, and the
+	// slab scan + declaration scan + data-map hash they used to pay per
+	// element was a visible slice of the whole-repro profile.
+	objs []objInfo
 
 	// Counters.
 	hostInstr      int64
@@ -277,21 +275,6 @@ type objInfo struct {
 	data      []float64
 }
 
-// resolve returns the cached objInfo for obj, or nil if obj is not a
-// declared-and-allocated kernel object.
-func (m *machine) resolve(obj string) *objInfo {
-	if o := m.lastObj; o != nil && o.name == obj {
-		return o
-	}
-	for i := range m.objs {
-		if m.objs[i].name == obj {
-			m.lastObj = &m.objs[i]
-			return m.lastObj
-		}
-	}
-	return nil
-}
-
 // padSlabTo inserts padding so the next allocation starts at an address
 // congruent to target modulo the cluster ring.
 func (m *machine) padSlabTo(target, span int64) {
@@ -349,18 +332,6 @@ func (m *machine) hostCycles() int64 {
 	return int64(t)
 }
 
-// addr returns the physical address of obj[idx].
-func (m *machine) addr(obj string, idx int64) (int64, error) {
-	o := m.resolve(obj)
-	if o == nil {
-		return 0, m.addrErr(obj)
-	}
-	if idx < 0 || idx >= o.n {
-		return 0, fmt.Errorf("sim: index %d out of range for %q (len %d)", idx, obj, o.n)
-	}
-	return o.base + idx*o.elemBytes, nil
-}
-
 // addrErr diagnoses a resolve miss (off the hot path).
 func (m *machine) addrErr(obj string) error {
 	if _, ok := m.slab.Lookup(obj); !ok {
@@ -371,13 +342,16 @@ func (m *machine) addrErr(obj string) error {
 
 // simMemory adapts the machine's object store to accessunit.Memory. Each
 // instance carries its own MRU resolve cursor, so access units streaming
-// different objects do not evict each other's hit.
+// different objects do not evict each other's hit. Streams touch one
+// object for long stretches, so the MRU compare almost always
+// short-circuits on pointer-equal strings.
 type simMemory struct {
 	m    *machine
 	last *objInfo
 }
 
-// resolve is machine.resolve against the instance-local cursor.
+// resolve returns the cached objInfo for obj, or nil if obj is not a
+// declared-and-allocated kernel object.
 func (s *simMemory) resolve(obj string) *objInfo {
 	if o := s.last; o != nil && o.name == obj {
 		return o

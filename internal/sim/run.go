@@ -25,13 +25,11 @@ func RunAnnotated(k *ir.Kernel, params map[string]float64, data map[string][]flo
 	if cfg.HasAccel() {
 		var err error
 		compiled, err = Compiled(k, cfg)
+		if err == nil && annotate != nil {
+			compiled, err = compiled.Annotated(annotate)
+		}
 		if err != nil {
 			return nil, err
-		}
-		if annotate != nil {
-			if err := annotate(compiled); err != nil {
-				return nil, err
-			}
 		}
 	}
 	return RunPrecompiled(k, params, data, cfg, compiled)
@@ -89,25 +87,30 @@ func (m *machine) run(k *ir.Kernel, params map[string]float64, data map[string][
 	if cfg.ValidateEvery {
 		refData = copyData(data)
 	}
+	// The plain program drives the OoO host and the reference run; an
+	// offloading run's host program comes with its compiled artifact.
+	prog := cfg.Program
+	if (prog == nil || prog.Kernel() != k) && (compiled == nil || cfg.ValidateEvery) {
+		var err error
+		if prog, err = ir.NewProgram(k); err != nil {
+			return nil, fmt.Errorf("sim: %w", err)
+		}
+	}
+	hostProg := prog
+	if compiled != nil {
+		if hostProg = compiled.Host; hostProg == nil || hostProg.Kernel() != k {
+			return nil, fmt.Errorf("sim: compiled artifact carries no host program for kernel %q", k.Name)
+		}
+	}
 	if err := m.reset(cfg, k, params, data); err != nil {
 		return nil, err
 	}
-	h := newHost(m, compiled)
-	if err := h.run(); err != nil {
+	h := &host{m: m, compiled: compiled}
+	if err := h.run(hostProg); err != nil {
 		return nil, err
 	}
 	validated := false
 	if cfg.ValidateEvery {
-		// The reference run executes compiled bytecode rather than walking
-		// the kernel tree; results are bit-identical (the ir differential
-		// tests enforce it) and the hot validation path gets ~2x cheaper.
-		prog := cfg.Program
-		if prog == nil || prog.Kernel() != k {
-			var perr error
-			if prog, perr = ir.NewProgram(k); perr != nil {
-				return nil, fmt.Errorf("sim: reference run: %w", perr)
-			}
-		}
 		if _, err := prog.Run(params, refData, nil); err != nil {
 			return nil, fmt.Errorf("sim: reference run: %w", err)
 		}

@@ -12,7 +12,7 @@
 #              per-benchmark minimum over its rounds
 #   PATTERN    extended-regex over benchmark names to gate on
 #              (default: the engine-loop, matrix, executor, PIM,
-#              headline and launch-path benchmarks)
+#              headline, launch-path and host-only benchmarks)
 #   MAX_RATIO  fail when current / baseline exceeds this
 #              (default 1.15, i.e. >15% slower fails)
 #
@@ -34,7 +34,7 @@ if [ $# -lt 2 ]; then
 fi
 BASE=$1
 CUR=$2
-PATTERN=${3:-'^Benchmark(EngineLoop|ReproMatrix|BuildMatrix|Executors|PIMWorkload|Headline|LaunchPath)'}
+PATTERN=${3:-'^Benchmark(EngineLoop|ReproMatrix|BuildMatrix|Executors|PIMWorkload|Headline|LaunchPath|HostOnly)'}
 MAX=${4:-1.15}
 
 # Each benchmark object is emitted on its own line by bench.sh, so a

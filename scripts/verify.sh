@@ -113,6 +113,21 @@ stage_gates() {
         exit 1
     fi
 
+    echo "== one kernel executor"
+    # The host timing model runs every kernel on the bytecode VM: the VM
+    # reports ops, loads, stores, branches, iterations and launches through
+    # ir.Hooks and sim/host.go prices them. An expression or statement
+    # evaluator in internal/sim would be a second executor that no
+    # differential test holds to the VM. launchInvariant and the
+    # strip-miner inspect only IV, Load, Local, For and If nodes.
+    viol=$(grep -rnE '^[[:space:]]*case .*ir\.(Bin|Un|Sel|Let|Store)([^A-Za-z0-9_]|$)' internal/sim --include='*.go' \
+        | grep -v '_test\.go:' || true)
+    if [ -n "$viol" ]; then
+        echo "kernel tree walk in internal/sim (run the kernel on ir.Program with hooks):" >&2
+        echo "$viol" >&2
+        exit 1
+    fi
+
     echo "== naive engine scheduler only in differential tests"
     # engine.ModeNaive is the one-tick-at-a-time reference that the
     # differential tests compare the adaptive scheduler against. Results
