@@ -74,12 +74,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail(err)
 	}
 	if *list {
-		for _, w := range workloads.All(scale) {
-			fmt.Fprintf(stdout, "%-14s %s\n", w.Name, w.Desc)
+		for _, b := range workloads.Builtins() {
+			desc := b.New(scale).Desc
+			if b.Kind != "" {
+				desc += " (" + b.Kind + ")"
+			}
+			fmt.Fprintf(stdout, "%-14s %s\n", b.Name, desc)
 		}
-		fmt.Fprintf(stdout, "%-14s %s (case study)\n", "spmv", workloads.SpMV(scale).Desc)
-		fmt.Fprintf(stdout, "%-14s %s (multithreaded)\n", "bfs-mt", workloads.BFSMT(scale).Desc)
-		fmt.Fprintf(stdout, "%-14s %s (multithreaded)\n", "pathfinder-mt", workloads.PathfinderMT(scale).Desc)
 		return cliutil.ExitOK
 	}
 	if name == "" {

@@ -50,11 +50,16 @@ func init() {
 // generator, a strip-mined thread variant, or a new scale yields a new key;
 // equal keys imply byte-equivalent compilations.
 func Key(workload, scale string, k *ir.Kernel, opts compiler.Options) string {
+	return KeyText(workload, scale, ir.Format(k), opts)
+}
+
+// KeyText is Key for a kernel whose ir.Format text is already at hand.
+func KeyText(workload, scale, text string, opts compiler.Options) string {
 	h := sha256.New()
 	fmt.Fprintf(h, "distda-artifact-v%d\nworkload=%s\nscale=%s\n", FormatVersion, workload, scale)
 	fmt.Fprintf(h, "mode=%d maxpart=%d noobj=%t nostream=%t nofold=%t\n",
 		opts.Mode, opts.MaxPartitions, opts.NoObjConstraint, opts.NoStreamSpecialization, opts.NoEpilogueFold)
-	fmt.Fprintf(h, "kernel:\n%s", ir.Format(k))
+	fmt.Fprintf(h, "kernel:\n%s", text)
 	return hex.EncodeToString(h.Sum(nil))
 }
 

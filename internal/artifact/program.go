@@ -25,9 +25,15 @@ const ProgramFormatVersion = 4
 // covers the formatted kernel text; equal keys imply byte-equivalent
 // programs.
 func ProgramKey(workload, scale string, k *ir.Kernel) string {
+	return ProgramKeyText(workload, scale, ir.Format(k))
+}
+
+// ProgramKeyText is ProgramKey for a kernel whose ir.Format text is
+// already at hand.
+func ProgramKeyText(workload, scale, text string) string {
 	h := sha256.New()
 	fmt.Fprintf(h, "distda-program-v%d\nworkload=%s\nscale=%s\n", ProgramFormatVersion, workload, scale)
-	fmt.Fprintf(h, "kernel:\n%s", ir.Format(k))
+	fmt.Fprintf(h, "kernel:\n%s", text)
 	return hex.EncodeToString(h.Sum(nil))
 }
 

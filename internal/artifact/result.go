@@ -13,8 +13,8 @@ package artifact
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"fmt"
 	"sort"
+	"strconv"
 
 	"distda/internal/ir"
 )
@@ -28,15 +28,29 @@ const ResultFormatVersion = 2
 // input digests, ... — everything that determines the result bytes). Parts
 // are length-prefixed, so distinct part lists never collide by
 // concatenation.
+//
+// The hashed bytes are "distda-result-v<version>\n" then "<len>:<part>\n"
+// per part. They are assembled in one buffer and hashed at once: a served
+// job derives this key on every submission.
 func ResultKey(parts ...string) string {
-	h := sha256.New()
-	fmt.Fprintf(h, "distda-result-v%d\n", ResultFormatVersion)
+	n := len("distda-result-v\n") + 20
 	for _, p := range parts {
-		fmt.Fprintf(h, "%d:", len(p))
-		h.Write([]byte(p))
-		h.Write([]byte{'\n'})
+		n += len(p) + 22
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	b := make([]byte, 0, n)
+	b = append(b, "distda-result-v"...)
+	b = strconv.AppendInt(b, ResultFormatVersion, 10)
+	b = append(b, '\n')
+	for _, p := range parts {
+		b = strconv.AppendInt(b, int64(len(p)), 10)
+		b = append(b, ':')
+		b = append(b, p...)
+		b = append(b, '\n')
+	}
+	sum := sha256.Sum256(b)
+	var hexSum [2 * sha256.Size]byte
+	hex.Encode(hexSum[:], sum[:])
+	return string(hexSum[:])
 }
 
 // ResultEnvelope is a cached job result: the rendered output bytes plus

@@ -44,30 +44,37 @@ func ParseScale(name string) (workloads.Scale, error) {
 	}
 }
 
-// LookupWorkload resolves a workload by name, including the case-study and
-// multithreaded variants that workloads.ByName does not serve.
+// LookupWorkload builds a built-in workload by name: a paper benchmark,
+// the spmv case study or a multithreaded variant (workloads.ByName).
 func LookupWorkload(name string, scale workloads.Scale) (*workloads.Workload, error) {
-	switch name {
-	case "spmv":
-		return workloads.SpMV(scale), nil
-	case "bfs-mt":
-		return workloads.BFSMT(scale), nil
-	case "pathfinder-mt":
-		return workloads.PathfinderMT(scale), nil
-	default:
-		return workloads.ByName(name, scale)
-	}
+	return workloads.ByName(name, scale)
 }
 
-// LookupConfig resolves a configuration by name, case-insensitively
-// ("dist-da-io" selects Dist-DA-IO). The named sim constructors are the
-// only source of configurations here — no Config is assembled by hand.
+// configs names every configuration the tools accept, each with its sim
+// constructor — the only source of configurations here; no Config is
+// assembled by hand.
+var configs = [...]struct {
+	name string
+	new  func() sim.Config
+}{
+	{"OoO", sim.OoO},
+	{"Mono-CA", sim.MonoCA},
+	{"Mono-DA-IO", sim.MonoDAIO},
+	{"Mono-DA-F", sim.MonoDAF},
+	{"Dist-DA-IO", sim.DistDAIO},
+	{"Dist-DA-F", sim.DistDAF},
+	{"Dist-DA-IO+SW", sim.DistDAIOSW},
+	{"Dist-DA-F+A", sim.DistDAFA},
+	{"Dist-DA-OffChip", sim.DistDAOffChip},
+	{"Dist-DA-PIM", sim.DistDAPIM},
+}
+
+// LookupConfig builds a configuration by name, case-insensitively
+// ("dist-da-io" selects Dist-DA-IO).
 func LookupConfig(name string) (sim.Config, error) {
-	all := sim.AllPaperConfigs()
-	all = append(all, sim.DistDAIOSW(), sim.DistDAFA(), sim.DistDAOffChip(), sim.DistDAPIM())
-	for _, c := range all {
-		if strings.EqualFold(c.Name, name) {
-			return c, nil
+	for _, c := range configs {
+		if strings.EqualFold(c.name, name) {
+			return c.new(), nil
 		}
 	}
 	var zero sim.Config

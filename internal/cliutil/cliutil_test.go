@@ -58,8 +58,18 @@ func TestLookupConfigCaseInsensitive(t *testing.T) {
 			t.Errorf("LookupConfig(%q) returned an invalid config: %v", in, err)
 		}
 	}
-	if _, err := LookupConfig("warp-drive"); err == nil {
-		t.Error("LookupConfig accepted an unknown name")
+	_, err := LookupConfig("warp-drive")
+	if err == nil {
+		t.Fatal("LookupConfig accepted an unknown name")
+	}
+	// The name table, the constructors and the error's list agree.
+	for _, c := range configs {
+		if got := c.new().Name; got != c.name {
+			t.Errorf("configs entry %q builds %q", c.name, got)
+		}
+		if !strings.Contains(err.Error(), c.name) {
+			t.Errorf("unknown-config error %q does not list %q", err, c.name)
+		}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 
 	"distda/internal/artifact"
 	"distda/internal/compiler"
+	"distda/internal/ir"
 	"distda/internal/obs"
 	"distda/internal/sim"
 	"distda/internal/workloads"
@@ -24,6 +25,10 @@ type Cell struct {
 	// Threads is the software thread count for parallel-annotated loops;
 	// above 1 it strip-mines W's parallel innermost loops (§VI-D).
 	Threads int
+	// Text, when non-empty, is ir.Format(W.Kernel). RunCell keys the
+	// compile and program caches on it instead of formatting the kernel
+	// again (a strip-mined thread variant is still formatted).
+	Text string
 	// Annotate, when non-nil, attaches hand-written offload regions to the
 	// compiled artifact before the run (the §VI-D "U" rows of Table V). It
 	// edits a private copy: cached artifacts are shared and read-only.
@@ -43,13 +48,17 @@ func RunCell(ctx context.Context, cache *artifact.Cache, sr *sim.Runner, c Cell,
 	cfg.Threads = c.Threads
 	cfg.Cancel = ctx.Done()
 	k := sim.ThreadKernel(c.W.Kernel, c.Threads)
+	text := c.Text
+	if text == "" || k != c.W.Kernel {
+		text = ir.Format(k)
+	}
 	scale := c.Scale.String()
 	var compiled *compiler.Compiled
 	if cfg.HasAccel() {
 		h := spans.Open("compile")
 		copts := sim.CompileOptions(cfg)
 		var err error
-		compiled, err = cache.GetOrCompile(artifact.Key(c.W.Name, scale, k, copts), k, func() (*compiler.Compiled, error) {
+		compiled, err = cache.GetOrCompile(artifact.KeyText(c.W.Name, scale, text, copts), k, func() (*compiler.Compiled, error) {
 			return compiler.Compile(k, copts)
 		})
 		if err == nil && c.Annotate != nil {
@@ -61,7 +70,7 @@ func RunCell(ctx context.Context, cache *artifact.Cache, sr *sim.Runner, c Cell,
 		}
 	}
 	if cfg.ValidateEvery || compiled == nil {
-		prog, err := cache.GetOrProgram(artifact.ProgramKey(c.W.Name, scale, k), k)
+		prog, err := cache.GetOrProgram(artifact.ProgramKeyText(c.W.Name, scale, text), k)
 		if err != nil {
 			return nil, err
 		}

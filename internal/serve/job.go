@@ -17,6 +17,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 
 	"distda/internal/artifact"
 	"distda/internal/cliutil"
@@ -81,9 +82,13 @@ type plan struct {
 	scale  workloads.Scale
 	key    string // artifact.ResultKey content address
 
-	// Run jobs.
-	workload *workloads.Workload // effective kernel and parameters
-	cfg      sim.Config          // named config with clock override applied
+	// Run jobs. workload carries the effective kernel and parameters and
+	// may be the table's shared instance: inputs come from src.newData,
+	// never from workload's own generator.
+	workload *workloads.Workload
+	text     string     // ir.Format(workload.Kernel)
+	src      *builtin   // the named built-in workload
+	cfg      sim.Config // named config with clock override applied
 
 	// Matrix jobs.
 	sel exp.Selection
@@ -98,8 +103,69 @@ func (p *plan) Backend() string {
 	return p.cfg.Backend
 }
 
-// planJob validates and resolves a submitted spec.
-func planJob(spec JobSpec) (*plan, error) {
+// builtins resolves each built-in (workload, scale) once per server: the
+// workload instance whose kernel every run job over it plans, keys and
+// simulates, its kernel's canonical text and its parameter digest. Entries
+// fill on first use and never change after. Only names in the workloads
+// table get an entry, so the set is bounded by that table times the three
+// scales; no request field beyond the name and scale reaches the key.
+type builtins struct {
+	mu sync.Mutex
+	m  map[builtinKey]*builtin
+}
+
+type builtinKey struct {
+	name  string
+	scale workloads.Scale
+}
+
+// builtin is one resolved (workload, scale). Its workload is shared by
+// concurrent runs, which only read kernels and parameters.
+type builtin struct {
+	once   sync.Once
+	def    workloads.Builtin
+	scale  workloads.Scale
+	w      *workloads.Workload
+	text   string // ir.Format(w.Kernel)
+	params string // formatParams(w.Params)
+}
+
+// get returns the resolved entry for name at scale, building the workload
+// on the first request for the pair.
+func (b *builtins) get(name string, scale workloads.Scale) (*builtin, error) {
+	key := builtinKey{name, scale}
+	b.mu.Lock()
+	e, ok := b.m[key]
+	if !ok {
+		def, err := workloads.Lookup(name)
+		if err != nil {
+			b.mu.Unlock()
+			return nil, err
+		}
+		if b.m == nil {
+			b.m = make(map[builtinKey]*builtin)
+		}
+		e = &builtin{def: def, scale: scale}
+		b.m[key] = e
+	}
+	b.mu.Unlock()
+	e.once.Do(func() {
+		e.w = e.def.New(e.scale)
+		e.text = ir.Format(e.w.Kernel)
+		e.params = formatParams(e.w.Params)
+	})
+	return e, nil
+}
+
+// newData builds the workload afresh and returns its first input draw,
+// the inputs a batch run of the same spec simulates. Each instance's
+// generator advances a private seeded source, so draws from the shared
+// instance would differ from run to run.
+func (e *builtin) newData() map[string][]float64 { return e.def.New(e.scale).NewData() }
+
+// planJob validates and resolves a submitted spec against the server's
+// built-in workload table.
+func planJob(spec JobSpec, tab *builtins) (*plan, error) {
 	p := &plan{spec: spec}
 	if spec.Kind == "" {
 		if spec.Workload != "" {
@@ -124,7 +190,7 @@ func planJob(spec JobSpec) (*plan, error) {
 
 	switch p.kind {
 	case KindRun:
-		if err := p.planRun(&spec); err != nil {
+		if err := p.planRun(&spec, tab); err != nil {
 			return nil, err
 		}
 	case KindMatrix:
@@ -138,11 +204,11 @@ func planJob(spec JobSpec) (*plan, error) {
 	return p, nil
 }
 
-func (p *plan) planRun(spec *JobSpec) error {
+func (p *plan) planRun(spec *JobSpec, tab *builtins) error {
 	if spec.Workload == "" {
 		return fmt.Errorf("run job needs a workload (see distda-run -list)")
 	}
-	w, err := cliutil.LookupWorkload(spec.Workload, p.scale)
+	e, err := tab.get(spec.Workload, p.scale)
 	if err != nil {
 		return err
 	}
@@ -166,24 +232,28 @@ func (p *plan) planRun(spec *JobSpec) error {
 	if spec.Threads < 1 {
 		return fmt.Errorf("threads must be positive, got %d", spec.Threads)
 	}
-	kernel := w.Kernel
-	if spec.Kernel != "" {
-		kernel, err = ir.Parse(spec.Kernel)
-		if err != nil {
-			return err
+	w, text, params := e.w, e.text, e.params
+	if spec.Kernel != "" || len(spec.Params) > 0 {
+		ov := *w
+		if spec.Kernel != "" {
+			if ov.Kernel, err = ir.Parse(spec.Kernel); err != nil {
+				return err
+			}
+			text = ir.Format(ov.Kernel)
 		}
+		if len(spec.Params) > 0 {
+			ov.Params = make(map[string]float64, len(w.Params)+len(spec.Params))
+			for k, v := range w.Params {
+				ov.Params[k] = v
+			}
+			for k, v := range spec.Params {
+				ov.Params[k] = v
+			}
+			params = formatParams(ov.Params)
+		}
+		w = &ov
 	}
-	params := w.Params
-	if len(spec.Params) > 0 {
-		params = make(map[string]float64, len(w.Params)+len(spec.Params))
-		for k, v := range w.Params {
-			params[k] = v
-		}
-		for k, v := range spec.Params {
-			params[k] = v
-		}
-	}
-	p.workload = &workloads.Workload{Name: w.Name, Desc: w.Desc, Kernel: kernel, Params: params, Gen: w.Gen}
+	p.workload, p.text, p.src = w, text, e
 	p.cfg = cfg
 
 	// The content address covers everything that determines the result
@@ -197,8 +267,8 @@ func (p *plan) planRun(spec *JobSpec) error {
 		cfg.Name,
 		strconv.Itoa(spec.Threads),
 		w.Name,
-		ir.Format(kernel),
-		formatParams(params),
+		text,
+		params,
 	)
 	return nil
 }

@@ -57,8 +57,8 @@ func (r *runner) run(ctx context.Context, sr *sim.Runner, p *plan, prog *profile
 func (r *runner) runOne(ctx context.Context, sr *sim.Runner, p *plan, prog *profile.Progress, spans *obs.SpanList) ([]byte, error) {
 	prog.SetTotal(1)
 	start := time.Now()
-	cell := exp.Cell{W: p.workload, Scale: p.scale, Cfg: p.cfg, Threads: p.spec.Threads}
-	res, err := exp.RunCell(ctx, r.cache, sr, cell, p.workload.NewData(), spans)
+	cell := exp.Cell{W: p.workload, Scale: p.scale, Cfg: p.cfg, Threads: p.spec.Threads, Text: p.text}
+	res, err := exp.RunCell(ctx, r.cache, sr, cell, p.src.newData(), spans)
 	if err != nil {
 		return nil, err
 	}

@@ -148,6 +148,9 @@ type Server struct {
 	queue   *queue
 	limiter *limiter
 	run     func(ctx context.Context, sr *sim.Runner, p *plan, prog *profile.Progress, spans *obs.SpanList) ([]byte, error)
+	// builtins holds every built-in workload a run job has named, built
+	// once per server.
+	builtins builtins
 
 	obsReg *obs.Registry
 	met    *serveMetrics
@@ -227,7 +230,7 @@ func NewServer(cfg Config) (*Server, error) {
 // it completed instantly from the result cache. Errors: planning failures
 // (malformed spec), ErrRateLimited, ErrQueueFull, ErrShuttingDown.
 func (s *Server) Submit(spec JobSpec) (*Job, error) {
-	p, err := planJob(spec)
+	p, err := planJob(spec, &s.builtins)
 	if err != nil {
 		return nil, err
 	}
@@ -718,7 +721,7 @@ func (s *Server) restore() error {
 	s.nextID = jf.NextID
 	s.mu.Unlock()
 	for _, ent := range jf.Jobs {
-		p, err := planJob(ent.Spec)
+		p, err := planJob(ent.Spec, &s.builtins)
 		if err != nil {
 			s.logkv("dropping journaled job", "job", ent.ID, "err", err)
 			continue

@@ -65,32 +65,70 @@ type Workload struct {
 // NewData generates a fresh input set.
 func (w *Workload) NewData() map[string][]float64 { return w.Gen() }
 
-// All returns the twelve paper benchmarks in Table VI order.
-func All(s Scale) []*Workload {
-	return []*Workload{
-		Disparity(s),
-		Tracking(s),
-		ADI(s),
-		FDTD2D(s),
-		Cholesky(s),
-		Seidel2D(s),
-		Pathfinder(s),
-		NW(s),
-		BFS(s),
-		Pagerank(s),
-		PointerChase(s),
-		PCA(s),
-	}
+// Builtin is one entry of the built-in workload table: a short name and
+// the constructor that builds it at a scale.
+type Builtin struct {
+	Name string
+	// Kind is "" for the twelve paper benchmarks, "case study" for spmv
+	// and "multithreaded" for the -mt variants.
+	Kind string
+	New  func(Scale) *Workload
 }
 
-// ByName returns one paper workload by short name (Table VI mnemonics).
-func ByName(name string, s Scale) (*Workload, error) {
-	for _, w := range All(s) {
-		if w.Name == name {
-			return w, nil
+// builtins is the one name table: the paper benchmarks in Table VI order,
+// then the case study and the multithreaded variants. It is never
+// written after init.
+var builtins = [...]Builtin{
+	{"disparity", "", Disparity},
+	{"tracking", "", Tracking},
+	{"adi", "", ADI},
+	{"fdtd-2d", "", FDTD2D},
+	{"cholesky", "", Cholesky},
+	{"seidel-2d", "", Seidel2D},
+	{"pathfinder", "", Pathfinder},
+	{"nw", "", NW},
+	{"bfs", "", BFS},
+	{"pagerank", "", Pagerank},
+	{"pointer-chase", "", PointerChase},
+	{"pca", "", PCA},
+	{"spmv", "case study", SpMV},
+	{"bfs-mt", "multithreaded", BFSMT},
+	{"pathfinder-mt", "multithreaded", PathfinderMT},
+}
+
+// Builtins returns every built-in workload's table entry, the paper
+// benchmarks first. Nothing is built.
+func Builtins() []Builtin { return append([]Builtin(nil), builtins[:]...) }
+
+// All returns the twelve paper benchmarks in Table VI order.
+func All(s Scale) []*Workload {
+	var out []*Workload
+	for _, b := range builtins {
+		if b.Kind == "" {
+			out = append(out, b.New(s))
 		}
 	}
-	return nil, fmt.Errorf("workloads: unknown workload %q", name)
+	return out
+}
+
+// Lookup returns the table entry of a built-in workload by short name
+// (Table VI mnemonics, spmv, bfs-mt, pathfinder-mt) without building it.
+func Lookup(name string) (Builtin, error) {
+	for _, b := range builtins {
+		if b.Name == name {
+			return b, nil
+		}
+	}
+	return Builtin{}, fmt.Errorf("workloads: unknown workload %q", name)
+}
+
+// ByName builds one built-in workload by short name.
+func ByName(name string, s Scale) (*Workload, error) {
+	b, err := Lookup(name)
+	if err != nil {
+		return nil, err
+	}
+	return b.New(s), nil
 }
 
 // rng returns a deterministic per-workload generator.

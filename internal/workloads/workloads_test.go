@@ -93,12 +93,17 @@ func TestExpectedClasses(t *testing.T) {
 }
 
 func TestByName(t *testing.T) {
-	w, err := ByName("nw", ScaleTest)
-	if err != nil || w.Name != "nw" {
-		t.Fatalf("ByName: %v", err)
+	for _, b := range Builtins() {
+		w, err := ByName(b.Name, ScaleTest)
+		if err != nil || w.Name != b.Name {
+			t.Fatalf("ByName(%q) = %v, %v", b.Name, w, err)
+		}
 	}
 	if _, err := ByName("nope", ScaleTest); err == nil {
 		t.Fatal("unknown name accepted")
+	}
+	if n := len(All(ScaleTest)); n != 12 {
+		t.Fatalf("All returned %d workloads, want 12", n)
 	}
 }
 

@@ -12,7 +12,8 @@
 #              per-benchmark minimum over its rounds
 #   PATTERN    extended-regex over benchmark names to gate on
 #              (default: the engine-loop, matrix, executor, PIM,
-#              headline, launch-path and host-only benchmarks)
+#              headline, launch-path, host-only and serve-submit
+#              benchmarks)
 #   MAX_RATIO  fail when current / baseline exceeds this
 #              (default 1.15, i.e. >15% slower fails)
 #
@@ -34,7 +35,7 @@ if [ $# -lt 2 ]; then
 fi
 BASE=$1
 CUR=$2
-PATTERN=${3:-'^Benchmark(EngineLoop|ReproMatrix|BuildMatrix|Executors|PIMWorkload|Headline|LaunchPath|HostOnly)'}
+PATTERN=${3:-'^Benchmark(EngineLoop|ReproMatrix|BuildMatrix|Executors|PIMWorkload|Headline|LaunchPath|HostOnly|ServeSubmit)'}
 MAX=${4:-1.15}
 
 # Each benchmark object is emitted on its own line by bench.sh, so a
