@@ -30,6 +30,7 @@ import (
 
 	"distda/internal/cliutil"
 	"distda/internal/exp"
+	"distda/internal/obs"
 	"distda/internal/profile"
 	"distda/internal/trace"
 )
@@ -119,10 +120,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return fail(err)
 		}
 		dir := *traceDir
-		observe.Tracer = func(string) *trace.Tracer { return trace.New() }
 		observe.TraceDone = func(cell string, tr *trace.Tracer) error {
 			traces++
-			return cliutil.WriteTrace(tr, filepath.Join(dir, cell+".trace.json"))
+			return cliutil.WriteFile(filepath.Join(dir, cell+".trace.json"), tr.WriteChromeJSON)
 		}
 	}
 
@@ -140,20 +140,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// Live introspection: the /progress view is fed per-cell completion
 	// events; expvar and pprof expose the host process.
 	if *httpAddr != "" {
-		prog := profile.NewProgress(0)
+		prog := obs.NewProgress()
 		intro, err := cliutil.ServeIntrospection(*httpAddr, prog)
 		if err != nil {
 			return fail(err)
 		}
 		defer intro.Shutdown(context.Background())
 		fmt.Fprintf(stderr, "distda-repro: introspection on http://%s (/progress, /debug/vars, /debug/pprof/)\n", intro.Addr())
-		opts.Progress = func(ev exp.ProgressEvent) {
-			prog.SetTotal(ev.Total)
-			prog.Record(profile.CellStatus{
-				Workload: ev.Workload, Config: ev.Config,
-				Dur: ev.Dur, Degraded: ev.Degraded, Resumed: ev.Resumed,
-			})
-		}
+		opts.Progress = prog.Record
 	}
 
 	// Every selected table and figure renders through exp.Render — the
@@ -177,13 +171,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stdout, prof.LatencyBreakdown().Render())
 		}
 		if *statsPath != "" {
-			if err := cliutil.WriteStats(prof, *statsPath); err != nil {
+			if err := cliutil.WriteFile(*statsPath, prof.WriteStats); err != nil {
 				return fail(err)
 			}
 			fmt.Fprintf(stderr, "distda-repro: wrote stats dump to %s\n", *statsPath)
 		}
 		if *foldedPath != "" {
-			if err := cliutil.WriteFolded(prof, *foldedPath); err != nil {
+			if err := cliutil.WriteFile(*foldedPath, prof.WriteFolded); err != nil {
 				return fail(err)
 			}
 			fmt.Fprintf(stderr, "distda-repro: wrote folded stacks to %s\n", *foldedPath)

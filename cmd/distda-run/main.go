@@ -137,20 +137,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stdout, prof.LatencyBreakdown().Render())
 		}
 		if *statsPath != "" {
-			if err := cliutil.WriteStats(prof, *statsPath); err != nil {
+			if err := cliutil.WriteFile(*statsPath, prof.WriteStats); err != nil {
 				return fail(err)
 			}
 			fmt.Fprintf(stderr, "distda-run: wrote stats dump to %s\n", *statsPath)
 		}
 		if *foldedPath != "" {
-			if err := cliutil.WriteFolded(prof, *foldedPath); err != nil {
+			if err := cliutil.WriteFile(*foldedPath, prof.WriteFolded); err != nil {
 				return fail(err)
 			}
 			fmt.Fprintf(stderr, "distda-run: wrote folded stacks to %s\n", *foldedPath)
 		}
 	}
 	if tr != nil {
-		if err := cliutil.WriteTrace(tr, *traceOut); err != nil {
+		if err := cliutil.WriteFile(*traceOut, tr.WriteChromeJSON); err != nil {
 			return fail(err)
 		}
 		fmt.Fprintf(stderr, "distda-run: %s -> %s\n", tr.Summary(), *traceOut)

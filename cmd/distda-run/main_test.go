@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -152,5 +154,32 @@ func TestTraceFlagWritesValidChromeJSON(t *testing.T) {
 		if !names[want] {
 			t.Errorf("trace missing %q track (have %v)", want, names)
 		}
+	}
+}
+
+// TestTracePins pins the exact bytes of the Chrome trace writer: the
+// SHA-256 of `distda-run -scale test -workload pathfinder -trace` recorded
+// at c5ca3fa, for a run with 558 events on 11 tracks and for the OoO run,
+// whose empty trace takes the writer's trace_end path.
+func TestTracePins(t *testing.T) {
+	for cfg, want := range map[string]string{
+		"Dist-DA-IO": "8065084579bac82478e29ae38d33a1cd633054f79b941edfe8621120389d72b3",
+		"OoO":        "4284f2ec8afa5d32fb0484f906646d732c9c9f85918a3e7f088eea8066538638",
+	} {
+		t.Run(cfg, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "out.json")
+			if got := run([]string{"-scale", "test", "-workload", "pathfinder", "-c", cfg, "-trace", path},
+				new(bytes.Buffer), new(bytes.Buffer)); got != 0 {
+				t.Fatalf("run exited %d", got)
+			}
+			raw, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum := sha256.Sum256(raw)
+			if got := hex.EncodeToString(sum[:]); got != want {
+				t.Errorf("trace SHA-256 = %s, want %s", got, want)
+			}
+		})
 	}
 }

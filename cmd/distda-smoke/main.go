@@ -25,7 +25,7 @@ import (
 
 	"distda/internal/cliutil"
 	"distda/internal/exp"
-	"distda/internal/profile"
+	"distda/internal/obs"
 	"distda/internal/serve"
 	"distda/internal/serveclient"
 )
@@ -74,7 +74,7 @@ func run(args []string, stderr io.Writer) int {
 			return st, nil, fmt.Errorf("submit: %w", err)
 		}
 		var events int
-		fin, err := c.Wait(ctx, st.ID, func(profile.Snapshot) { events++ })
+		fin, err := c.Wait(ctx, st.ID, func(obs.Snapshot) { events++ })
 		if err != nil {
 			return st, nil, fmt.Errorf("wait %s: %w", st.ID, err)
 		}

@@ -21,7 +21,7 @@ import (
 	"os"
 	"time"
 
-	"distda/internal/profile"
+	"distda/internal/obs"
 	"distda/internal/serve"
 	"distda/internal/serveclient"
 )
@@ -55,7 +55,7 @@ func main() {
 	fmt.Printf("job %s: %s (backend %s, equivalent: %s)\n", st.ID, st.State, st.Backend, st.Equivalent)
 
 	// Follow the SSE progress stream to the terminal state.
-	fin, err := c.Wait(ctx, st.ID, func(p profile.Snapshot) {
+	fin, err := c.Wait(ctx, st.ID, func(p obs.Snapshot) {
 		fmt.Printf("  progress: %d/%d cells\n", p.Done, p.Total)
 	})
 	if err != nil {

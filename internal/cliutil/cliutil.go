@@ -7,12 +7,12 @@ package cliutil
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
 	"distda/internal/artifact"
 	"distda/internal/sim"
-	"distda/internal/trace"
 	"distda/internal/workloads"
 )
 
@@ -114,13 +114,14 @@ func OpenCache(dir string) *artifact.Cache {
 	return artifact.New(artifact.Config{Dir: dir})
 }
 
-// WriteTrace exports the tracer to path as Chrome trace_event JSON.
-func WriteTrace(tr *trace.Tracer, path string) error {
+// WriteFile creates path and fills it with write, as in
+// WriteFile(path, tr.WriteChromeJSON) or WriteFile(path, prof.WriteStats).
+func WriteFile(path string, write func(io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := tr.WriteChromeJSON(f); err != nil {
+	if err := write(f); err != nil {
 		f.Close()
 		return err
 	}

@@ -9,7 +9,7 @@ import (
 	"net/http"
 	"net/http/pprof"
 
-	"distda/internal/profile"
+	"distda/internal/obs"
 )
 
 // Introspection is a running -http live introspection endpoint. It wraps
@@ -52,7 +52,7 @@ func (s *Introspection) Shutdown(ctx context.Context) error {
 //
 // prog may be nil (the /progress route then serves the zero snapshot —
 // useful for single-run tools that only want pprof/expvar).
-func ServeIntrospection(addr string, prog *profile.Progress) (*Introspection, error) {
+func ServeIntrospection(addr string, prog *obs.Progress) (*Introspection, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("cliutil: -http listen %s: %w", addr, err)
@@ -69,7 +69,7 @@ func ServeIntrospection(addr string, prog *profile.Progress) (*Introspection, er
 // NewIntrospectionMux builds the introspection routes without binding a
 // listener (ServeIntrospection's testable core; distda-serve mounts the
 // same mux under its job API).
-func NewIntrospectionMux(prog *profile.Progress) *http.ServeMux {
+func NewIntrospectionMux(prog *obs.Progress) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/progress", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")

@@ -11,12 +11,13 @@ import (
 	"testing"
 	"time"
 
+	"distda/internal/obs"
 	"distda/internal/profile"
 )
 
 func TestIntrospectionMuxProgress(t *testing.T) {
-	prog := profile.NewProgress(4)
-	prog.Record(profile.CellStatus{Workload: "fdtd-2d", Config: "Dist-DA-F", Dur: 2 * time.Second})
+	prog := obs.NewProgress()
+	prog.Record(obs.CellStatus{Workload: "fdtd-2d", Config: "Dist-DA-F", Total: 4, Dur: 2 * time.Second})
 	srv := httptest.NewServer(NewIntrospectionMux(prog))
 	defer srv.Close()
 
@@ -28,7 +29,7 @@ func TestIntrospectionMuxProgress(t *testing.T) {
 	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
 		t.Errorf("content type = %q", ct)
 	}
-	var s profile.Snapshot
+	var s obs.Snapshot
 	if err := json.NewDecoder(resp.Body).Decode(&s); err != nil {
 		t.Fatal(err)
 	}
@@ -45,11 +46,11 @@ func TestIntrospectionMuxProgress(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp2.Body.Close()
-	var z profile.Snapshot
+	var z obs.Snapshot
 	if err := json.NewDecoder(resp2.Body).Decode(&z); err != nil {
 		t.Fatal(err)
 	}
-	if z != (profile.Snapshot{}) {
+	if z != (obs.Snapshot{}) {
 		t.Errorf("nil-progress snapshot = %+v", z)
 	}
 }
@@ -109,7 +110,7 @@ func TestServeIntrospectionBindsEphemeralPort(t *testing.T) {
 	}
 }
 
-func TestWriteStatsAndFolded(t *testing.T) {
+func TestWriteFile(t *testing.T) {
 	p := profile.New()
 	p.AddRun(100)
 	r := p.Region("k", "r0")
@@ -117,7 +118,7 @@ func TestWriteStatsAndFolded(t *testing.T) {
 	dir := t.TempDir()
 
 	statsPath := filepath.Join(dir, "stats.txt")
-	if err := WriteStats(p, statsPath); err != nil {
+	if err := WriteFile(statsPath, p.WriteStats); err != nil {
 		t.Fatal(err)
 	}
 	b, err := os.ReadFile(statsPath)
@@ -129,7 +130,7 @@ func TestWriteStatsAndFolded(t *testing.T) {
 	}
 
 	foldedPath := filepath.Join(dir, "folded.txt")
-	if err := WriteFolded(p, foldedPath); err != nil {
+	if err := WriteFile(foldedPath, p.WriteFolded); err != nil {
 		t.Fatal(err)
 	}
 	f, err := os.ReadFile(foldedPath)

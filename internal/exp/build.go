@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"distda/internal/artifact"
+	"distda/internal/obs"
 	"distda/internal/profile"
 	"distda/internal/sim"
 	"distda/internal/trace"
@@ -64,16 +65,10 @@ type Options struct {
 	Progress func(ProgressEvent)
 }
 
-// ProgressEvent describes one completed cell for Options.Progress.
-type ProgressEvent struct {
-	Workload string
-	Config   string
-	Index    int // the cell's position in the plan (dispatch order)
-	Total    int // total cells in the plan
-	Dur      time.Duration
-	Degraded bool // cell timed out and will render n/a
-	Resumed  bool // restored from the checkpoint, not re-simulated
-}
+// ProgressEvent describes one completed cell for Options.Progress. It is
+// the wall-clock progress record, so obs.Progress.Record is a ready-made
+// callback.
+type ProgressEvent = obs.CellStatus
 
 // CellHook is Options.Hook: a per-cell fault-injection callback. ctx is
 // the cell's context (it carries the per-cell deadline).
@@ -187,31 +182,23 @@ func run(ctx context.Context, opts Options, cells []planCell) ([]outcome, error)
 		}
 	}
 
-	// Observability: per-cell profilers are merged serially below. Tracers
-	// are drawn by the worker that picks a cell up and handed to
-	// Observe.TraceDone as soon as the cell returns, so at most one per
-	// worker is reachable; obsMu serializes the provider calls.
+	// Observability: per-cell profilers are merged serially below. A
+	// worker creates a cell's tracer when it picks the cell up and hands
+	// it to Observe.TraceDone as soon as the cell returns, so at most one
+	// per worker is reachable; traceMu serializes the TraceDone calls.
 	profs := make([]*profile.Profiler, len(cells))
 	for i := range cells {
 		if !resumed[i] && opts.Observe.Profile != nil {
 			profs[i] = profile.New()
 		}
 	}
-	var obsMu sync.Mutex
-	traceCell := func(i int) *trace.Tracer {
-		if opts.Observe.Tracer == nil {
-			return nil
-		}
-		obsMu.Lock()
-		defer obsMu.Unlock()
-		return opts.Observe.Tracer(cells[i].name)
-	}
+	var traceMu sync.Mutex
 	traceDone := func(i int, tr *trace.Tracer) error {
-		if tr == nil || opts.Observe.TraceDone == nil {
+		if tr == nil {
 			return nil
 		}
-		obsMu.Lock()
-		defer obsMu.Unlock()
+		traceMu.Lock()
+		defer traceMu.Unlock()
 		return opts.Observe.TraceDone(cells[i].name, tr)
 	}
 
@@ -252,7 +239,9 @@ func run(ctx context.Context, opts Options, cells []planCell) ([]outcome, error)
 			var sr sim.Runner
 			for j := range jobs {
 				c := cells[j.i].Cell
-				c.Cfg.Trace = traceCell(j.i)
+				if opts.Observe.TraceDone != nil {
+					c.Cfg.Trace = trace.New()
+				}
 				c.Cfg.Profile = profs[j.i]
 				t0 := time.Now()
 				res, degraded, err := runCell(ctx, opts, cache, &sr, c, j.data)

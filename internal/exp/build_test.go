@@ -316,8 +316,10 @@ func TestBuildInputLifetime(t *testing.T) {
 // TestTraceLifetime: each cell's tracer goes to Observe.TraceDone as soon
 // as the cell has run, and the run keeps no reference to it, so at every
 // Progress event at most Workers tracers are reachable (one per busy
-// worker) — not one per cell of the plan. It covers the matrix (Build)
-// and a plan of every simulated figure section (Render).
+// worker) — not one per cell of the plan. The probe is attached in
+// TraceDone, so it watches the tracer from the moment the run hands it
+// back. It covers the matrix (Build) and a plan of every simulated figure
+// section (Render).
 func TestTraceLifetime(t *testing.T) {
 	const workers = 2
 	plans := map[string]func(Options) (cells int, err error){
@@ -337,11 +339,10 @@ func TestTraceLifetime(t *testing.T) {
 	for name, runPlan := range plans {
 		t.Run(name, func(t *testing.T) {
 			var live atomic.Int64 // tracers whose probe was not yet collected
-			var drawn, done int
+			var done int
 			observe := Observe{
-				Tracer: func(string) *trace.Tracer {
-					drawn++
-					tr := trace.New()
+				TraceDone: func(_ string, tr *trace.Tracer) error {
+					done++
 					// A tracer's tracks point back to it, and the finalizer
 					// of an object in a cycle may never run: watch event
 					// arguments only the tracer holds.
@@ -349,10 +350,6 @@ func TestTraceLifetime(t *testing.T) {
 					tr.Component("probe").At(0).Span("probe", 0, 0, probe...)
 					live.Add(1)
 					runtime.SetFinalizer(&probe[0], func(*trace.KV) { live.Add(-1) })
-					return tr
-				},
-				TraceDone: func(string, *trace.Tracer) error {
-					done++
 					return nil
 				},
 			}
@@ -378,8 +375,8 @@ func TestTraceLifetime(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if events != total || drawn != total || done != total {
-				t.Fatalf("%d cells: %d progress events, %d tracers drawn, %d handed back", total, events, drawn, done)
+			if events != total || done != total {
+				t.Fatalf("%d cells: %d progress events, %d tracers handed back", total, events, done)
 			}
 			if maxLive > workers {
 				t.Errorf("%d tracers reachable at a progress event, want at most %d", maxLive, workers)

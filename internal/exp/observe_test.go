@@ -26,10 +26,9 @@ func TestObservedMatrixIdentical(t *testing.T) {
 	prof := profile.New()
 	var tracers []*trace.Tracer
 	obs := Observe{
-		Tracer: func(string) *trace.Tracer {
-			tr := trace.New()
+		TraceDone: func(_ string, tr *trace.Tracer) error {
 			tracers = append(tracers, tr)
-			return tr
+			return nil
 		},
 		Profile: prof,
 	}
@@ -51,7 +50,7 @@ func TestObservedMatrixIdentical(t *testing.T) {
 	}
 
 	if want := len(plain.Workloads) * len(plain.Configs); len(tracers) != want {
-		t.Errorf("tracer provider called %d times, want %d", len(tracers), want)
+		t.Errorf("TraceDone called %d times, want %d", len(tracers), want)
 	}
 	var events int64
 	for _, tr := range tracers {

@@ -1,11 +1,17 @@
 // Package obs is the wall-clock telemetry layer: a labeled
 // counter/gauge/histogram registry with Prometheus text-format exposition,
-// plus per-job lifecycle spans exportable as Chrome trace_event files.
+// per-job lifecycle spans, and the per-cell progress record behind the
+// /progress views.
 //
-// It is deliberately separate from internal/trace, which measures
-// *simulated* time (base cycles on the run-global clock, bit-identical
-// across runs). obs measures the *service*: how long jobs wait in the
-// queue and how long stages take on the host's wall clock. Nothing in this
+// It is deliberately separate from internal/trace and internal/profile,
+// which measure *simulated* time (base cycles on the run-global clock,
+// bit-identical across runs). obs measures the *host*: how long jobs wait
+// in the queue and how long stages and cells take on the wall clock. The
+// two registries stay apart because their contracts differ: the profile
+// needs exact log2 histograms and a deterministic Merge, obs needs labeled
+// atomics and Prometheus, and one shared registry would branch on the
+// clock. Lifecycle spans export through internal/trace's Chrome writer,
+// the one trace_event encoder. Nothing in this
 // package ever feeds back into a simulation — recording is observational
 // only, and the differential tests in internal/serve and internal/sim
 // prove served bytes and simulated results are bit-identical with obs

@@ -2,16 +2,14 @@ package obs
 
 import (
 	"encoding/json"
-	"fmt"
-	"io"
 	"sync"
 	"time"
 )
 
 // Span is one named wall-clock interval in a job's lifecycle. A zero End
 // means the span is still open. Spans are wall-clock observations only —
-// they never influence the simulation (simulated-time intervals live in
-// internal/trace).
+// they never influence the simulation. internal/trace holds simulated-time
+// intervals and writes both kinds as Chrome trace_event JSON.
 type Span struct {
 	Name  string    `json:"name"`
 	Start time.Time `json:"start"`
@@ -72,23 +70,6 @@ func (l *SpanList) Close(h int) {
 	}
 }
 
-// Add appends a closed span with explicit bounds.
-func (l *SpanList) Add(name string, start, end time.Time) {
-	if l == nil {
-		return
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.spans = append(l.spans, Span{Name: name, Start: start, End: end})
-}
-
-// Mark appends an instantaneous span (Start == End == now) — used for
-// point events like a cache-hit short-circuit.
-func (l *SpanList) Mark(name string) {
-	now := time.Now()
-	l.Add(name, now, now)
-}
-
 // Snapshot returns a copy of the spans recorded so far (nil on a nil
 // list).
 func (l *SpanList) Snapshot() []Span {
@@ -98,43 +79,4 @@ func (l *SpanList) Snapshot() []Span {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return append([]Span(nil), l.spans...)
-}
-
-// WriteTraceEvents renders spans as a Chrome trace_event JSON array
-// (load in chrome://tracing or Perfetto). Timestamps are microseconds
-// relative to the earliest span start; each event carries its absolute
-// start in args. Open spans render as instantaneous at their start.
-func WriteTraceEvents(w io.Writer, pid string, spans []Span) error {
-	var epoch time.Time
-	for _, s := range spans {
-		if epoch.IsZero() || s.Start.Before(epoch) {
-			epoch = s.Start
-		}
-	}
-	type event struct {
-		Name string         `json:"name"`
-		Ph   string         `json:"ph"`
-		Ts   int64          `json:"ts"`
-		Dur  int64          `json:"dur"`
-		Pid  string         `json:"pid"`
-		Tid  int            `json:"tid"`
-		Args map[string]any `json:"args,omitempty"`
-	}
-	events := make([]event, 0, len(spans))
-	for _, s := range spans {
-		events = append(events, event{
-			Name: s.Name,
-			Ph:   "X",
-			Ts:   s.Start.Sub(epoch).Microseconds(),
-			Dur:  s.Duration().Microseconds(),
-			Pid:  pid,
-			Tid:  1,
-			Args: map[string]any{"start": s.Start.Format(time.RFC3339Nano)},
-		})
-	}
-	enc := json.NewEncoder(w)
-	if err := enc.Encode(events); err != nil {
-		return fmt.Errorf("obs: write trace events: %w", err)
-	}
-	return nil
 }

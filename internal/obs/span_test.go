@@ -12,21 +12,17 @@ func TestSpanListLifecycle(t *testing.T) {
 	h := l.Open("queued")
 	time.Sleep(time.Millisecond)
 	l.Close(h)
-	l.Mark("cache_hit")
-	l.Add("executing", time.Unix(1, 0), time.Unix(2, 0))
+	l.Open("executing")
 
 	got := l.Snapshot()
-	if len(got) != 3 {
-		t.Fatalf("snapshot len = %d, want 3", len(got))
+	if len(got) != 2 {
+		t.Fatalf("snapshot len = %d, want 2", len(got))
 	}
 	if got[0].Name != "queued" || got[0].End.IsZero() || got[0].Duration() <= 0 {
 		t.Fatalf("queued span not closed: %+v", got[0])
 	}
-	if got[1].Name != "cache_hit" || got[1].Duration() != 0 {
-		t.Fatalf("mark span not instantaneous: %+v", got[1])
-	}
-	if got[2].Duration() != time.Second {
-		t.Fatalf("explicit span duration = %v, want 1s", got[2].Duration())
+	if got[1].Name != "executing" || !got[1].End.IsZero() {
+		t.Fatalf("executing span not open: %+v", got[1])
 	}
 
 	// Close is idempotent and tolerates bad handles.
@@ -43,8 +39,6 @@ func TestNilSpanListSafe(t *testing.T) {
 	var l *SpanList
 	h := l.Open("x")
 	l.Close(h)
-	l.Mark("y")
-	l.Add("z", time.Now(), time.Now())
 	if l.Snapshot() != nil {
 		t.Fatal("nil SpanList snapshot not nil")
 	}
@@ -64,51 +58,5 @@ func TestOpenSpanHasZeroEnd(t *testing.T) {
 	}
 	if bytes.Contains(b, []byte(`"end"`)) {
 		t.Fatalf("open span serialized an end time: %s", b)
-	}
-}
-
-func TestWriteTraceEvents(t *testing.T) {
-	epoch := time.Unix(100, 0)
-	spans := []Span{
-		{Name: "queued", Start: epoch, End: epoch.Add(2 * time.Millisecond)},
-		{Name: "executing", Start: epoch.Add(2 * time.Millisecond), End: epoch.Add(10 * time.Millisecond)},
-		{Name: "open", Start: epoch.Add(3 * time.Millisecond)},
-	}
-	var buf bytes.Buffer
-	if err := WriteTraceEvents(&buf, "job-1", spans); err != nil {
-		t.Fatal(err)
-	}
-	var events []struct {
-		Name string `json:"name"`
-		Ph   string `json:"ph"`
-		Ts   int64  `json:"ts"`
-		Dur  int64  `json:"dur"`
-		Pid  string `json:"pid"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &events); err != nil {
-		t.Fatalf("trace export is not valid JSON: %v\n%s", err, buf.String())
-	}
-	if len(events) != 3 {
-		t.Fatalf("events = %d, want 3", len(events))
-	}
-	if events[0].Ph != "X" || events[0].Ts != 0 || events[0].Dur != 2000 || events[0].Pid != "job-1" {
-		t.Fatalf("first event wrong: %+v", events[0])
-	}
-	if events[1].Ts != 2000 || events[1].Dur != 8000 {
-		t.Fatalf("second event wrong: %+v", events[1])
-	}
-	if events[2].Dur != 0 {
-		t.Fatalf("open span should export zero duration: %+v", events[2])
-	}
-}
-
-func TestWriteTraceEventsEmpty(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteTraceEvents(&buf, "p", nil); err != nil {
-		t.Fatal(err)
-	}
-	var events []any
-	if err := json.Unmarshal(buf.Bytes(), &events); err != nil || len(events) != 0 {
-		t.Fatalf("empty export not an empty JSON array: %q (%v)", buf.String(), err)
 	}
 }

@@ -35,9 +35,9 @@ func (p *Profiler) WriteFolded(w io.Writer) error {
 		// scheduling slack not attributed to a specific unit) folds into a
 		// catch-all frame so the region's stack total still sums to Total().
 		var attributed int64
-		for _, rc := range r.regionComponents() {
-			stack(rc.Label, rc.Base)
-			attributed += rc.Base
+		for label, n := range r.comps {
+			stack(label, n)
+			attributed += n
 		}
 		if rest := r.Execute - attributed; rest > 0 {
 			stack("[execute-other]", rest)

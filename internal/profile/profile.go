@@ -24,8 +24,10 @@
 package profile
 
 import (
+	"cmp"
 	"maps"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 
 	"distda/internal/stats"
@@ -78,16 +80,6 @@ func (p *Profiler) AddRun(totalBase int64) {
 	p.mu.Unlock()
 }
 
-// TotalBase returns the accumulated simulated base cycles (0 on nil).
-func (p *Profiler) TotalBase() int64 {
-	if p == nil {
-		return 0
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.totalBase
-}
-
 // Component returns (creating on first use) the attribution record for one
 // hardware component, identified by a kind ("core", "noc_link", ...) and an
 // instance name. Nil on a nil profiler.
@@ -97,13 +89,7 @@ func (p *Profiler) Component(kind, name string) *Component {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	k := compKey{kind, name}
-	c, ok := p.comps[k]
-	if !ok {
-		c = &Component{Kind: kind, Name: name}
-		p.comps[k] = c
-	}
-	return c
+	return getOrCreate(p.comps, compKey{kind, name}, func() *Component { return &Component{Kind: kind, Name: name} })
 }
 
 // Region returns (creating on first use) the attribution record for one
@@ -114,13 +100,9 @@ func (p *Profiler) Region(kernel, name string) *Region {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	k := regKey{kernel, name}
-	r, ok := p.regions[k]
-	if !ok {
-		r = &Region{Kernel: kernel, Name: name, comps: map[string]int64{}}
-		p.regions[k] = r
-	}
-	return r
+	return getOrCreate(p.regions, regKey{kernel, name}, func() *Region {
+		return &Region{Kernel: kernel, Name: name, comps: map[string]int64{}}
+	})
 }
 
 // Hist returns (creating on first use) the histogram keyed by its full
@@ -134,12 +116,23 @@ func (p *Profiler) Hist(prefix, desc string) *Hist {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	h, ok := p.hists[prefix]
+	return getOrCreate(p.hists, prefix, func() *Hist { return &Hist{Prefix: prefix, Desc: desc} })
+}
+
+// span returns (creating on first use) the aggregate of the trace spans
+// named name on track. The caller holds p.mu.
+func (p *Profiler) span(track, name string) *SpanAgg {
+	return getOrCreate(p.spans, spanKey{track, name}, func() *SpanAgg { return &SpanAgg{Track: track, Name: name} })
+}
+
+// getOrCreate returns m[k], first storing mk() there if k is absent.
+func getOrCreate[K comparable, V any](m map[K]V, k K, mk func() V) V {
+	v, ok := m[k]
 	if !ok {
-		h = &Hist{Prefix: prefix, Desc: desc}
-		p.hists[prefix] = h
+		v = mk()
+		m[k] = v
 	}
-	return h
+	return v
 }
 
 // Add adds n to the named counter, creating it on first use (so a zero
@@ -285,12 +278,7 @@ func (p *Profiler) AbsorbTrace(tr *trace.Tracer) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	tr.VisitEvents(func(ev trace.Event) {
-		k := spanKey{ev.Track, ev.Name}
-		a, ok := p.spans[k]
-		if !ok {
-			a = &SpanAgg{Track: ev.Track, Name: ev.Name}
-			p.spans[k] = a
-		}
+		a := p.span(ev.Track, ev.Name)
 		if ev.Instant {
 			a.Instants++
 			return
@@ -311,27 +299,15 @@ func (p *Profiler) Merge(other *Profiler) {
 	}
 	other.mu.Lock()
 	defer other.mu.Unlock()
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.totalBase += other.totalBase
-	p.runs += other.runs
-	for k, oc := range other.comps {
-		c, ok := p.comps[k]
-		if !ok {
-			c = &Component{Kind: oc.Kind, Name: oc.Name}
-			p.comps[k] = c
-		}
+	for _, oc := range other.comps {
+		c := p.Component(oc.Kind, oc.Name)
 		c.Busy += oc.Busy
 		c.Stall += oc.Stall
 		c.Events += oc.Events
 		c.EnergyPJ += oc.EnergyPJ
 	}
-	for k, or := range other.regions {
-		r, ok := p.regions[k]
-		if !ok {
-			r = &Region{Kernel: or.Kernel, Name: or.Name, comps: map[string]int64{}}
-			p.regions[k] = r
-		}
+	for _, or := range other.regions {
+		r := p.Region(or.Kernel, or.Name)
 		r.Launches += or.Launches
 		r.Dispatch += or.Dispatch
 		r.Queue += or.Queue
@@ -341,23 +317,18 @@ func (p *Profiler) Merge(other *Profiler) {
 			r.comps[label] += n
 		}
 	}
-	for k, oh := range other.hists {
-		h, ok := p.hists[k]
-		if !ok {
-			h = &Hist{Prefix: oh.Prefix, Desc: oh.Desc}
-			p.hists[k] = h
-		}
-		h.h.Merge(&oh.h)
+	for _, oh := range other.hists {
+		p.Hist(oh.Prefix, oh.Desc).h.Merge(&oh.h)
 	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.totalBase += other.totalBase
+	p.runs += other.runs
 	for name, n := range other.counters {
 		p.counters[name] += n
 	}
-	for k, os := range other.spans {
-		a, ok := p.spans[k]
-		if !ok {
-			a = &SpanAgg{Track: os.Track, Name: os.Name}
-			p.spans[k] = a
-		}
+	for _, os := range other.spans {
+		a := p.span(os.Track, os.Name)
 		a.Count += os.Count
 		a.Cycles += os.Cycles
 		a.Instants += os.Instants
@@ -366,56 +337,46 @@ func (p *Profiler) Merge(other *Profiler) {
 
 // Components returns every component sorted by (kind, name).
 func (p *Profiler) Components() []*Component {
-	if p == nil {
-		return nil
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	out := make([]*Component, 0, len(p.comps))
-	for _, c := range p.comps {
-		out = append(out, c)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Kind != out[j].Kind {
-			return out[i].Kind < out[j].Kind
-		}
-		return out[i].Name < out[j].Name
+	return sortedValues(p, func(p *Profiler) map[compKey]*Component { return p.comps }, func(a, b *Component) int {
+		return cmp.Or(strings.Compare(a.Kind, b.Kind), strings.Compare(a.Name, b.Name))
 	})
-	return out
 }
 
 // Regions returns every region sorted by (kernel, name).
 func (p *Profiler) Regions() []*Region {
-	if p == nil {
-		return nil
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	out := make([]*Region, 0, len(p.regions))
-	for _, r := range p.regions {
-		out = append(out, r)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Kernel != out[j].Kernel {
-			return out[i].Kernel < out[j].Kernel
-		}
-		return out[i].Name < out[j].Name
+	return sortedValues(p, func(p *Profiler) map[regKey]*Region { return p.regions }, func(a, b *Region) int {
+		return cmp.Or(strings.Compare(a.Kernel, b.Kernel), strings.Compare(a.Name, b.Name))
 	})
-	return out
 }
 
 // Hists returns every histogram sorted by prefix.
 func (p *Profiler) Hists() []*Hist {
+	return sortedValues(p, func(p *Profiler) map[string]*Hist { return p.hists }, func(a, b *Hist) int {
+		return strings.Compare(a.Prefix, b.Prefix)
+	})
+}
+
+// Spans returns every span aggregate sorted by (track, name).
+func (p *Profiler) Spans() []*SpanAgg {
+	return sortedValues(p, func(p *Profiler) map[spanKey]*SpanAgg { return p.spans }, func(a, b *SpanAgg) int {
+		return cmp.Or(strings.Compare(a.Track, b.Track), strings.Compare(a.Name, b.Name))
+	})
+}
+
+// sortedValues returns the values of one of p's records, read under p.mu
+// and sorted by order (nil on a nil profiler).
+func sortedValues[K comparable, V any](p *Profiler, records func(*Profiler) map[K]V, order func(a, b V) int) []V {
 	if p == nil {
 		return nil
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	out := make([]*Hist, 0, len(p.hists))
-	for _, h := range p.hists {
-		out = append(out, h)
+	m := records(p)
+	out := make([]V, 0, len(m))
+	for _, v := range m {
+		out = append(out, v)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Prefix < out[j].Prefix })
+	slices.SortFunc(out, order)
 	return out
 }
 
@@ -427,43 +388,4 @@ func (p *Profiler) Counters() map[string]int64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return maps.Clone(p.counters)
-}
-
-// Spans returns every span aggregate sorted by (track, name).
-func (p *Profiler) Spans() []*SpanAgg {
-	if p == nil {
-		return nil
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	out := make([]*SpanAgg, 0, len(p.spans))
-	for _, a := range p.spans {
-		out = append(out, a)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Track != out[j].Track {
-			return out[i].Track < out[j].Track
-		}
-		return out[i].Name < out[j].Name
-	})
-	return out
-}
-
-// regionComponents returns a region's folded-stack edges sorted by label.
-func (r *Region) regionComponents() []struct {
-	Label string
-	Base  int64
-} {
-	out := make([]struct {
-		Label string
-		Base  int64
-	}, 0, len(r.comps))
-	for label, n := range r.comps {
-		out = append(out, struct {
-			Label string
-			Base  int64
-		}{label, n})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Label < out[j].Label })
-	return out
 }

@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"distda/internal/trace"
 )
@@ -194,9 +193,6 @@ func TestNilProfilerIsSafeAndDisabled(t *testing.T) {
 	p.AddRun(100)
 	p.AbsorbTrace(trace.New())
 	p.Merge(New())
-	if p.TotalBase() != 0 {
-		t.Error("nil profiler accumulated cycles")
-	}
 	if p.Components() != nil || p.Regions() != nil || p.Hists() != nil || p.Spans() != nil || p.Counters() != nil {
 		t.Error("nil profiler returned non-nil listings")
 	}
@@ -273,48 +269,5 @@ func TestFoldedStacksSumToRegionTotal(t *testing.T) {
 	}
 	if sum != r.Total() {
 		t.Errorf("folded stacks sum to %d, want region total %d\n%s", sum, r.Total(), buf.String())
-	}
-}
-
-func TestProgressSnapshot(t *testing.T) {
-	base := time.Unix(1000, 0)
-	now := base
-	p := NewProgress(4)
-	p.start = base
-	p.now = func() time.Time { return now }
-
-	if s := p.Snapshot(); s.Done != 0 || s.ETAS != 0 || s.PercentDone != 0 {
-		t.Errorf("empty snapshot = %+v", s)
-	}
-
-	now = base.Add(10 * time.Second)
-	p.Record(CellStatus{Workload: "fdtd-2d", Config: "Dist-DA-F", Dur: 2 * time.Second})
-	p.Record(CellStatus{Workload: "bfs", Config: "OoO", Dur: time.Second, Degraded: true})
-	s := p.Snapshot()
-	if s.Done != 2 || s.Total != 4 || s.Degraded != 1 {
-		t.Errorf("snapshot counts = %+v", s)
-	}
-	if s.PercentDone != 50 {
-		t.Errorf("percent = %v, want 50", s.PercentDone)
-	}
-	// 2 cells in 10s -> 5s per cell -> 2 remaining -> 10s ETA.
-	if s.ETAS != 10 {
-		t.Errorf("eta = %v, want 10", s.ETAS)
-	}
-	if s.Last.Workload != "bfs" || !s.Last.Degraded || s.Last.DurMS != 1000 {
-		t.Errorf("last cell = %+v", s.Last)
-	}
-
-	// SetTotal rewrites the denominator for callers that learn it late.
-	p.SetTotal(2)
-	if s := p.Snapshot(); s.PercentDone != 100 || s.ETAS != 0 {
-		t.Errorf("completed snapshot = %+v", s)
-	}
-
-	var nilP *Progress
-	nilP.SetTotal(3)
-	nilP.Record(CellStatus{})
-	if s := nilP.Snapshot(); s != (Snapshot{}) {
-		t.Errorf("nil progress snapshot = %+v", s)
 	}
 }

@@ -9,7 +9,9 @@ import (
 	"time"
 
 	"distda/internal/cliutil"
+	"distda/internal/engine"
 	"distda/internal/obs"
+	"distda/internal/trace"
 )
 
 // Handler returns the server's HTTP API.
@@ -235,7 +237,8 @@ func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleTrace exports a job's lifecycle spans as a Chrome trace_event
-// JSON file (load in chrome://tracing or Perfetto).
+// JSON file (load in chrome://tracing or Perfetto), written by the
+// simulator's trace writer (see spanTrace).
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.job(w, r)
 	if !ok {
@@ -243,5 +246,27 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	}
 	st := s.Status(j)
 	w.Header().Set("Content-Type", "application/json")
-	_ = obs.WriteTraceEvents(w, st.ID, st.Spans)
+	_ = spanTrace(st.ID, st.Spans).WriteChromeJSON(w)
+}
+
+// spanTrace puts a job's wall-clock spans on one "lifecycle" track of a
+// tracer, timed from the earliest start. The tracer's tick is 1/6 ns, so
+// a wall-clock nanosecond is engine.BaseGHz ticks and the writer's µs
+// hold for both clocks. Each span carries its absolute start in
+// args.start (RFC 3339, ns); an open span has zero duration.
+func spanTrace(id string, spans []obs.Span) *trace.Tracer {
+	tr := trace.New()
+	tr.Process = "distda-serve job " + id + " (wall clock)"
+	track := tr.Component("lifecycle")
+	var epoch time.Time
+	for _, sp := range spans {
+		if epoch.IsZero() || sp.Start.Before(epoch) {
+			epoch = sp.Start
+		}
+	}
+	for _, sp := range spans {
+		track.Span(sp.Name, int64(sp.Start.Sub(epoch))*engine.BaseGHz, int64(sp.Duration())*engine.BaseGHz,
+			trace.KV{K: "start", V: sp.Start.Format(time.RFC3339Nano)})
+	}
+	return tr
 }

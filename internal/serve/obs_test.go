@@ -6,7 +6,9 @@ import (
 	"encoding/json"
 	"io"
 	"log/slog"
+	"math"
 	"net/http"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -203,10 +205,10 @@ func TestReadyzFlipsOnDrain(t *testing.T) {
 	}
 }
 
-// TestJobSpansAndTrace: executed jobs expose their lifecycle spans in the
-// status JSON and as a Chrome trace_event file; cache hits carry the
+// TestJobSpans: executed jobs expose their lifecycle spans in the status
+// JSON (TestJobTraceContract covers the trace export); cache hits carry the
 // short-circuit marker instead of execution stages.
-func TestJobSpansAndTrace(t *testing.T) {
+func TestJobSpans(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1, Obs: obs.New()})
 	spec := `{"workload": "bfs", "scale": "test"}`
 	_, st := postJob(t, ts, spec)
@@ -230,25 +232,6 @@ func TestJobSpansAndTrace(t *testing.T) {
 		}
 	}
 
-	// Chrome trace export: a JSON array of complete ("ph":"X") events.
-	resp, err := http.Get(ts.URL + "/api/v1/jobs/" + st.ID + "/trace")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var events []map[string]any
-	if err := json.NewDecoder(resp.Body).Decode(&events); err != nil {
-		t.Fatalf("trace is not a JSON array: %v", err)
-	}
-	if len(events) < 3 {
-		t.Fatalf("trace has %d events, want >= 3", len(events))
-	}
-	for _, ev := range events {
-		if ev["ph"] != "X" {
-			t.Errorf("trace event ph = %v, want X", ev["ph"])
-		}
-	}
-
 	// Cache hit: the resubmission marks the short-circuit and never queues.
 	_, st2 := postJob(t, ts, spec)
 	hit := getStatus(t, ts, st2.ID)
@@ -261,5 +244,81 @@ func TestJobSpansAndTrace(t *testing.T) {
 	}
 	if hitNames["queued"] || hitNames["executing"] {
 		t.Errorf("cache-hit job has execution spans: %+v", hit.Spans)
+	}
+}
+
+// TestJobTraceContract: /api/v1/jobs/{id}/trace, read the way the bench
+// harness reads it (name, dur in µs, absolute start in args.start), gives
+// back every closed lifecycle span of the job's status with its name, its
+// start and its duration to the µs; ts is the start in µs from the first
+// span. Metadata ("M") records carry no span.
+func TestJobTraceContract(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	_, st := postJob(t, ts, `{"workload": "bfs", "scale": "test"}`)
+	fin := waitDone(t, ts, st.ID)
+	if fin.State != StateDone {
+		t.Fatalf("state = %s (%s)", fin.State, fin.Error)
+	}
+	resp, err := http.Get(ts.URL + "/api/v1/jobs/" + st.ID + "/trace")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var events []struct {
+		Name string  `json:"name"`
+		Ph   string  `json:"ph"`
+		Ts   float64 `json:"ts"`
+		Dur  float64 `json:"dur"`
+		Args struct {
+			Start string `json:"start"`
+		} `json:"args"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&events); err != nil {
+		t.Fatalf("trace is not a JSON array: %v", err)
+	}
+	type span struct {
+		name    string
+		start   time.Time
+		ts, dur float64 // µs
+	}
+	var got []span
+	for _, ev := range events {
+		if ev.Ph == "M" {
+			continue
+		}
+		start, err := time.Parse(time.RFC3339Nano, ev.Args.Start)
+		if err != nil {
+			t.Fatalf("event %q: args.start: %v", ev.Name, err)
+		}
+		got = append(got, span{ev.Name, start, ev.Ts, ev.Dur})
+	}
+	if len(got) != len(fin.Spans) {
+		t.Fatalf("trace has %d spans, status has %d: %+v", len(got), len(fin.Spans), fin.Spans)
+	}
+	epoch := fin.Spans[0].Start
+	for _, sp := range fin.Spans {
+		if sp.Start.Before(epoch) {
+			epoch = sp.Start
+		}
+	}
+	within := func(us float64, d time.Duration) bool { return math.Abs(us*1e3-float64(d)) < 1e3 }
+	closed := 0
+	for _, want := range fin.Spans {
+		if want.End.IsZero() {
+			continue
+		}
+		closed++
+		i := slices.IndexFunc(got, func(g span) bool { return g.name == want.Name && g.start.Equal(want.Start) })
+		if i < 0 {
+			t.Errorf("span %q at %v missing from the trace", want.Name, want.Start)
+			continue
+		}
+		if g := got[i]; !within(g.dur, want.Duration()) || !within(g.ts, want.Start.Sub(epoch)) {
+			t.Errorf("span %q: trace ts %gµs dur %gµs, want %v and %v", want.Name, g.ts, g.dur, want.Start.Sub(epoch), want.Duration())
+		}
+		got = slices.Delete(got, i, i+1)
+	}
+	if closed < 5 {
+		t.Errorf("job has %d closed spans, want at least received, queued, executing, simulate, rendering", closed)
 	}
 }

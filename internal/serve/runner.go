@@ -13,7 +13,6 @@ import (
 	"distda/internal/cliutil"
 	"distda/internal/exp"
 	"distda/internal/obs"
-	"distda/internal/profile"
 	"distda/internal/sim"
 )
 
@@ -41,7 +40,7 @@ type runner struct {
 // A degraded render is returned alongside errDegraded. spans
 // records the wall-clock lifecycle stages; it never feeds the simulation,
 // so the bytes are identical with or without it.
-func (r *runner) run(ctx context.Context, sr *sim.Runner, p *plan, prog *profile.Progress, spans *obs.SpanList) ([]byte, error) {
+func (r *runner) run(ctx context.Context, sr *sim.Runner, p *plan, prog *obs.Progress, spans *obs.SpanList) ([]byte, error) {
 	switch p.kind {
 	case KindRun:
 		return r.runOne(ctx, sr, p, prog, spans)
@@ -54,7 +53,7 @@ func (r *runner) run(ctx context.Context, sr *sim.Runner, p *plan, prog *profile
 // runOne replicates distda-run: one cell through exp.RunCell (strip-mined
 // for threads, compiled through the shared content-addressed cache) on
 // the executing worker's machine sr, rendered with FprintResult.
-func (r *runner) runOne(ctx context.Context, sr *sim.Runner, p *plan, prog *profile.Progress, spans *obs.SpanList) ([]byte, error) {
+func (r *runner) runOne(ctx context.Context, sr *sim.Runner, p *plan, prog *obs.Progress, spans *obs.SpanList) ([]byte, error) {
 	prog.SetTotal(1)
 	start := time.Now()
 	cell := exp.Cell{W: p.workload, Scale: p.scale, Cfg: p.cfg, Threads: p.spec.Threads, Text: p.text}
@@ -62,7 +61,7 @@ func (r *runner) runOne(ctx context.Context, sr *sim.Runner, p *plan, prog *prof
 	if err != nil {
 		return nil, err
 	}
-	prog.Record(profile.CellStatus{Workload: p.workload.Name, Config: p.cfg.Name, Dur: time.Since(start)})
+	prog.Record(obs.CellStatus{Workload: p.workload.Name, Config: p.cfg.Name, Total: 1, Dur: time.Since(start)})
 	h := spans.Open("rendering")
 	var buf bytes.Buffer
 	cliutil.FprintResult(&buf, res)
@@ -74,7 +73,7 @@ func (r *runner) runOne(ctx context.Context, sr *sim.Runner, p *plan, prog *prof
 // on the job's worker pool, then the selection renders. The run
 // checkpoints under the job's result key, so a server restarted mid-job
 // resumes the finished cells instead of recomputing them.
-func (r *runner) runMatrix(ctx context.Context, p *plan, prog *profile.Progress, spans *obs.SpanList) ([]byte, error) {
+func (r *runner) runMatrix(ctx context.Context, p *plan, prog *obs.Progress, spans *obs.SpanList) ([]byte, error) {
 	var buf bytes.Buffer
 	h := spans.Open("build")
 	sum, err := exp.Render(ctx, &buf, p.sel, exp.Options{
@@ -83,13 +82,7 @@ func (r *runner) runMatrix(ctx context.Context, p *plan, prog *profile.Progress,
 		Cache:       r.cache,
 		CellTimeout: r.cellTimeout,
 		Checkpoint:  r.checkpointPath(p),
-		Progress: func(ev exp.ProgressEvent) {
-			prog.SetTotal(ev.Total)
-			prog.Record(profile.CellStatus{
-				Workload: ev.Workload, Config: ev.Config,
-				Dur: ev.Dur, Degraded: ev.Degraded, Resumed: ev.Resumed,
-			})
-		},
+		Progress:    prog.Record,
 	})
 	spans.Close(h)
 	if err != nil {

@@ -14,7 +14,6 @@ import (
 
 	"distda/internal/artifact"
 	"distda/internal/obs"
-	"distda/internal/profile"
 	"distda/internal/sim"
 )
 
@@ -105,7 +104,7 @@ type execution struct {
 	key      string
 	tenant   string
 	plan     *plan
-	progress *profile.Progress
+	progress *obs.Progress
 	ctx      context.Context
 	cancel   context.CancelFunc
 	jobs     []*Job // attached jobs; guarded by Server.mu
@@ -147,7 +146,7 @@ type Server struct {
 	cache   *artifact.Cache
 	queue   *queue
 	limiter *limiter
-	run     func(ctx context.Context, sr *sim.Runner, p *plan, prog *profile.Progress, spans *obs.SpanList) ([]byte, error)
+	run     func(ctx context.Context, sr *sim.Runner, p *plan, prog *obs.Progress, spans *obs.SpanList) ([]byte, error)
 	// builtins holds every built-in workload a run job has named, built
 	// once per server.
 	builtins builtins
@@ -305,7 +304,7 @@ func (s *Server) admit(p *plan, id string, limit bool) (*Job, error) {
 		key:      p.key,
 		tenant:   p.tenant,
 		plan:     p,
-		progress: profile.NewProgress(0),
+		progress: obs.NewProgress(),
 		ctx:      ctx,
 		cancel:   cancel,
 		spans:    &obs.SpanList{},
@@ -524,21 +523,21 @@ func (j *Job) Done() <-chan struct{} { return j.done }
 
 // JobStatus is the wire representation of a job.
 type JobStatus struct {
-	ID         string           `json:"id"`
-	Kind       string           `json:"kind"`
-	Tenant     string           `json:"tenant"`
-	State      JobState         `json:"state"`
-	Error      string           `json:"error,omitempty"`
-	Cached     bool             `json:"cached,omitempty"`
-	Coalesced  bool             `json:"coalesced,omitempty"`
-	Degraded   bool             `json:"degraded,omitempty"`
-	Key        string           `json:"key"`
-	Backend    string           `json:"backend,omitempty"` // resolved accelerator backend (run jobs)
-	Equivalent string           `json:"equivalent,omitempty"`
-	Submitted  time.Time        `json:"submitted"`
-	Started    *time.Time       `json:"started,omitempty"`
-	Finished   *time.Time       `json:"finished,omitempty"`
-	Progress   profile.Snapshot `json:"progress"`
+	ID         string       `json:"id"`
+	Kind       string       `json:"kind"`
+	Tenant     string       `json:"tenant"`
+	State      JobState     `json:"state"`
+	Error      string       `json:"error,omitempty"`
+	Cached     bool         `json:"cached,omitempty"`
+	Coalesced  bool         `json:"coalesced,omitempty"`
+	Degraded   bool         `json:"degraded,omitempty"`
+	Key        string       `json:"key"`
+	Backend    string       `json:"backend,omitempty"` // resolved accelerator backend (run jobs)
+	Equivalent string       `json:"equivalent,omitempty"`
+	Submitted  time.Time    `json:"submitted"`
+	Started    *time.Time   `json:"started,omitempty"`
+	Finished   *time.Time   `json:"finished,omitempty"`
+	Progress   obs.Snapshot `json:"progress"`
 	// Spans are the job's wall-clock lifecycle spans (received, queued,
 	// executing, per-stage, cache_hit/coalesced markers). Open spans have
 	// no "end" field. Exportable as a Chrome trace via /api/v1/jobs/{id}/trace.

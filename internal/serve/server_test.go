@@ -21,7 +21,6 @@ import (
 	"distda/internal/exp"
 	"distda/internal/ir"
 	"distda/internal/obs"
-	"distda/internal/profile"
 	"distda/internal/sim"
 	"distda/internal/workloads"
 )
@@ -360,7 +359,7 @@ func stubServer(t *testing.T, cfg Config) (*Server, *httptest.Server, chan struc
 	t.Helper()
 	release := make(chan struct{})
 	s, ts := newTestServer(t, cfg)
-	s.run = func(ctx context.Context, _ *sim.Runner, p *plan, prog *profile.Progress, spans *obs.SpanList) ([]byte, error) {
+	s.run = func(ctx context.Context, _ *sim.Runner, p *plan, prog *obs.Progress, spans *obs.SpanList) ([]byte, error) {
 		select {
 		case <-release:
 			return []byte("stub " + p.spec.Workload + "\n"), nil
@@ -575,7 +574,7 @@ func TestShutdownJournalsAndResumesByteIdentically(t *testing.T) {
 	// shutdown interrupts it.
 	started := make(chan struct{})
 	real := s1.run
-	s1.run = func(ctx context.Context, sr *sim.Runner, p *plan, prog *profile.Progress, spans *obs.SpanList) ([]byte, error) {
+	s1.run = func(ctx context.Context, sr *sim.Runner, p *plan, prog *obs.Progress, spans *obs.SpanList) ([]byte, error) {
 		close(started)
 		return real(ctx, sr, p, prog, spans)
 	}

@@ -26,7 +26,6 @@ import (
 	"time"
 
 	"distda/internal/obs"
-	"distda/internal/profile"
 	"distda/internal/serve"
 )
 
@@ -250,7 +249,7 @@ type Event struct {
 	// Name is the event type: "progress" or "done".
 	Name string
 	// Progress is set for "progress" events.
-	Progress profile.Snapshot
+	Progress obs.Snapshot
 	// Status is set for the final "done" event.
 	Status *serve.JobStatus
 }
@@ -326,7 +325,7 @@ func (c *Client) Events(ctx context.Context, id string, fn func(Event) error) er
 // status. It follows the SSE progress stream, invoking onProgress (when
 // non-nil) for each snapshot; if the stream drops before the terminal
 // event, it falls back to polling Status.
-func (c *Client) Wait(ctx context.Context, id string, onProgress func(profile.Snapshot)) (serve.JobStatus, error) {
+func (c *Client) Wait(ctx context.Context, id string, onProgress func(obs.Snapshot)) (serve.JobStatus, error) {
 	var final *serve.JobStatus
 	err := c.Events(ctx, id, func(ev Event) error {
 		switch ev.Name {

@@ -9,7 +9,7 @@ import (
 	"testing"
 	"time"
 
-	"distda/internal/profile"
+	"distda/internal/obs"
 	"distda/internal/serve"
 )
 
@@ -43,8 +43,8 @@ func TestSubmitWaitResult(t *testing.T) {
 	if st.Backend != "iocore" {
 		t.Errorf("backend = %q, want iocore", st.Backend)
 	}
-	var snaps []profile.Snapshot
-	fin, err := c.Wait(ctx, st.ID, func(s profile.Snapshot) { snaps = append(snaps, s) })
+	var snaps []obs.Snapshot
+	fin, err := c.Wait(ctx, st.ID, func(s obs.Snapshot) { snaps = append(snaps, s) })
 	if err != nil {
 		t.Fatalf("wait: %v", err)
 	}

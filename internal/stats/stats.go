@@ -1,7 +1,7 @@
 // Package stats provides the small numeric helpers the evaluation harness
-// uses: geometric means and normalization, matching how the paper
-// aggregates per-benchmark ratios, plus the fixed-bucket log2 histogram the
-// profiler builds its occupancy and latency distributions on.
+// uses: geometric means and ratios, matching how the paper aggregates
+// per-benchmark ratios, plus the fixed-bucket log2 histogram the profiler
+// builds its occupancy and latency distributions on.
 package stats
 
 import "math"
@@ -25,38 +25,12 @@ func Geomean(vals []float64) float64 {
 	return math.Exp(sum / float64(n))
 }
 
-// Normalize returns vals scaled so that base maps to 1. A zero, NaN or
-// infinite base carries no scale information and yields all zeros (never
-// NaN/Inf cells in a rendered table).
-func Normalize(vals []float64, base float64) []float64 {
-	out := make([]float64, len(vals))
-	if base == 0 || math.IsNaN(base) || math.IsInf(base, 0) {
-		return out
-	}
-	for i, v := range vals {
-		out[i] = v / base
-	}
-	return out
-}
-
 // Ratio returns a/b, 0 when b is 0.
 func Ratio(a, b float64) float64 {
 	if b == 0 {
 		return 0
 	}
 	return a / b
-}
-
-// Mean returns the arithmetic mean, 0 for empty input.
-func Mean(vals []float64) float64 {
-	if len(vals) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, v := range vals {
-		s += v
-	}
-	return s / float64(len(vals))
 }
 
 // histBuckets is the fixed bucket count of Histogram: bucket 0 holds values

@@ -48,25 +48,6 @@ func TestGeomeanBetweenMinAndMax(t *testing.T) {
 	}
 }
 
-func TestNormalize(t *testing.T) {
-	out := Normalize([]float64{2, 4, 8}, 4)
-	if out[0] != 0.5 || out[1] != 1 || out[2] != 2 {
-		t.Fatalf("Normalize = %v", out)
-	}
-	if z := Normalize([]float64{1, 2}, 0); z[0] != 0 || z[1] != 0 {
-		t.Fatalf("Normalize by zero = %v", z)
-	}
-	if z := Normalize([]float64{1, 2}, math.NaN()); z[0] != 0 || z[1] != 0 {
-		t.Fatalf("Normalize by NaN = %v", z)
-	}
-	if z := Normalize([]float64{1, 2}, math.Inf(1)); z[0] != 0 || z[1] != 0 {
-		t.Fatalf("Normalize by +Inf = %v", z)
-	}
-	if z := Normalize(nil, 3); len(z) != 0 {
-		t.Fatalf("Normalize(nil) = %v", z)
-	}
-}
-
 func TestHistogramBasics(t *testing.T) {
 	var h Histogram
 	if h.Percentile(50) != 0 || h.Mean() != 0 {
@@ -194,11 +175,8 @@ func TestHistogramMerge(t *testing.T) {
 	}
 }
 
-func TestRatioAndMean(t *testing.T) {
+func TestRatio(t *testing.T) {
 	if Ratio(6, 3) != 2 || Ratio(1, 0) != 0 {
 		t.Fatal("Ratio")
-	}
-	if Mean([]float64{1, 2, 3}) != 2 || Mean(nil) != 0 {
-		t.Fatal("Mean")
 	}
 }

@@ -65,6 +65,9 @@ type Tracer struct {
 	// MaxEvents caps buffered events across all components (0 selects
 	// DefaultMaxEvents). Set before recording starts.
 	MaxEvents int64
+	// Process is the process name the writer emits ("" selects
+	// "distda-sim (base tick = 1/6 ns)").
+	Process string
 
 	mu     sync.Mutex // guards the component registry only
 	comps  []*Component
@@ -173,14 +176,6 @@ type Scope struct {
 
 // Enabled reports whether events recorded through this scope are kept.
 func (s Scope) Enabled() bool { return s.c != nil }
-
-// WithOffset returns the scope shifted by additional base cycles.
-func (s Scope) WithOffset(delta int64) Scope {
-	if s.c == nil {
-		return s
-	}
-	return Scope{c: s.c, off: s.off + delta}
-}
 
 // Span records a complete event [start, start+dur) on the scope's track.
 // start is in the scope's local clock; negative durations clamp to 0.
@@ -311,9 +306,13 @@ func (t *Tracer) WriteChromeJSON(w io.Writer) error {
 		return bw.WriteByte('\n')
 	}
 	// Metadata: process and per-component thread names and ordering.
+	process := t.Process
+	if process == "" {
+		process = "distda-sim (base tick = 1/6 ns)"
+	}
 	meta := []chromeEvent{{
 		Name: "process_name", Ph: "M", Pid: 1, Tid: 0,
-		Args: map[string]any{"name": "distda-sim (base tick = 1/6 ns)"},
+		Args: map[string]any{"name": process},
 	}}
 	if d := t.Dropped(); d > 0 {
 		meta = append(meta, chromeEvent{

@@ -23,8 +23,6 @@ func TestNilTracerIsSafe(t *testing.T) {
 	}
 	s.Span("x", 0, 10, KV{"k", 1})
 	s.Instant("y", 5)
-	s = s.WithOffset(50)
-	s.Span("z", 0, 1)
 	if tr.Events() != 0 || tr.Dropped() != 0 {
 		t.Fatal("nil tracer must count nothing")
 	}
@@ -100,6 +98,26 @@ func TestChromeExport(t *testing.T) {
 			if ts := e["ts"].(float64); ts != 0.01 {
 				t.Fatalf("offset scope ts = %g us, want 0.01", ts)
 			}
+		}
+	}
+}
+
+// TestProcessName: the writer names the process after Tracer.Process, and
+// after the simulator's base tick when it is empty.
+func TestProcessName(t *testing.T) {
+	for process, want := range map[string]string{
+		"":                 "distda-sim (base tick = 1/6 ns)",
+		"distda-serve job": "distda-serve job",
+	} {
+		tr := New()
+		tr.Process = process
+		var buf bytes.Buffer
+		if err := tr.WriteChromeJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		e := decodeTrace(t, buf.Bytes())[0]
+		if e["name"] != "process_name" || e["args"].(map[string]any)["name"] != want {
+			t.Errorf("Process %q: first record = %v, want process_name %q", process, e, want)
 		}
 	}
 }

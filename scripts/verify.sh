@@ -98,6 +98,19 @@ stage_gates() {
         exit 1
     fi
 
+    echo "== one Chrome trace_event writer"
+    # trace.Tracer.WriteChromeJSON is the one trace_event encoder, for both
+    # clocks: wall-clock spans go on a tracer (ticks = ns x engine.BaseGHz)
+    # rather than through a second encoder with its own "ph" field.
+    viol=$(grep -rn 'json:"ph"' cmd internal examples --include='*.go' \
+        | grep -v '^internal/trace/' \
+        | grep -v '_test\.go:' || true)
+    if [ -n "$viol" ]; then
+        echo "trace_event encoder outside internal/trace (put the events on a trace.Tracer):" >&2
+        echo "$viol" >&2
+        exit 1
+    fi
+
     echo "== no tree-walk ir.Run on non-test hot paths"
     # The bytecode VM (ir.Program.Run, via ir.NewProgram / the artifact program
     # cache) replaced the tree-walk interpreter everywhere results are produced;
