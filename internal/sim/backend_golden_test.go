@@ -16,9 +16,11 @@ var updateBackendGolden = flag.Bool("update-backend-golden", false,
 	"rewrite the pre-refactor backend golden files")
 
 // goldenConfigs are the configurations pinned by the backend refactor
-// goldens: the six paper configs plus the §VII off-chip extension.
+// goldens: the six paper configs, the §VII off-chip extension, Fig. 14's
+// width-4 in-order core (+SW) and customized allocation (+A), and the
+// PIM-in-DRAM backend.
 func goldenConfigs() []Config {
-	return append(AllPaperConfigs(), DistDAOffChip())
+	return append(AllPaperConfigs(), DistDAOffChip(), DistDAIOSW(), DistDAFA(), DistDAPIM())
 }
 
 // TestBackendGolden pins iocore/CGRA simulation results byte-identical to
