@@ -13,6 +13,7 @@ import (
 
 	"distda/internal/accessunit"
 	"distda/internal/backend"
+	"distda/internal/backend/all"
 	"distda/internal/core"
 	"distda/internal/energy"
 	"distda/internal/engine"
@@ -20,8 +21,6 @@ import (
 	"distda/internal/memfake"
 	"distda/internal/microcode"
 	"distda/internal/noc"
-
-	_ "distda/internal/backend/iocorebackend"
 )
 
 func main() {
@@ -96,11 +95,11 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Engines come from the backend registry — the same pluggable interface
+	// Engines come from the backend table — the same pluggable interface
 	// the simulator assembly uses.
-	be, ok := backend.Lookup("iocore")
+	be, ok := all.Lookup("iocore")
 	if !ok {
-		log.Fatal("iocore backend not registered")
+		log.Fatal("no iocore backend")
 	}
 	rp := accessunit.NewRandomPort(mem, fetch, 0, stats, meter)
 	core0, err := be.NewEngine(backend.LaunchSpec{

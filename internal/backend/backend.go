@@ -6,7 +6,7 @@
 // accelerator definition into a clocked engine component. The simulator
 // assembly (internal/sim) talks only to this interface; the in-order core
 // (iocore), the CGRA fabric (cgra) and the PIM-in-DRAM engine (pimdram)
-// are registered implementations behind it.
+// are implementations behind it, listed in internal/backend/all.
 package backend
 
 import (
@@ -28,14 +28,10 @@ type Caps struct {
 	// MaxPortWidth is the widest request port (micro-ops issued per cycle)
 	// the backend accepts; LaunchSpec.Width beyond it is rejected.
 	MaxPortWidth int
-	// NearData: engines execute at the NUCA cluster owning their data
-	// (the paper's near-L3 placement).
-	NearData bool
 	// InDRAM: engines execute at the DRAM channel (the memory-controller
-	// node); resident data never traverses the on-chip NoC.
+	// node); resident data never traverses the on-chip NoC. Otherwise they
+	// execute near the data, at the NUCA cluster that owns it.
 	InDRAM bool
-	// RandomAccess: the backend serves cp_read/cp_write random accesses.
-	RandomAccess bool
 }
 
 // Options is backend-scoped configuration: an ordered key=value list. It
@@ -49,6 +45,15 @@ type Options []Option
 type Option struct {
 	Key   string
 	Value string
+}
+
+// NoOptions is ValidateOptions for a backend that takes no options: it
+// rejects the first one.
+func NoOptions(backend string, opts Options) error {
+	for _, kv := range opts {
+		return fmt.Errorf("%s backend: unknown option %q", backend, kv.Key)
+	}
+	return nil
 }
 
 // Opt builds a single backend option.
@@ -213,10 +218,10 @@ type Engine interface {
 	AddProfile(p *profile.Profiler, r *profile.Region)
 }
 
-// Backend turns compiled accelerator definitions into engines.
+// Backend turns compiled accelerator definitions into engines. Each
+// accelerator package defines its own Backend value; internal/backend/all
+// names every in-tree one.
 type Backend interface {
-	// Name is the registry key ("iocore", "cgra", "pimdram", ...).
-	Name() string
 	Caps() Caps
 	// ValidateOptions rejects unknown or malformed backend-scoped options
 	// at config construction time.

@@ -22,42 +22,3 @@ func TestOptionsStringCanonical(t *testing.T) {
 		t.Fatalf("empty String() = %q, want empty", got)
 	}
 }
-
-func TestRegistry(t *testing.T) {
-	for _, name := range []string{"iocore", "cgra", "pimdram"} {
-		found := false
-		for _, n := range Names() {
-			if n == name {
-				found = true
-			}
-		}
-		if !found {
-			// The aggregate import is what wires these in; this package alone
-			// registers nothing.
-			t.Skipf("%s not registered in this test binary", name)
-		}
-		if _, ok := Lookup(name); !ok {
-			t.Fatalf("Lookup(%q) failed but Names() lists it", name)
-		}
-	}
-	if _, ok := Lookup("no-such-backend"); ok {
-		t.Fatal("Lookup of an unregistered name succeeded")
-	}
-}
-
-func TestRegisterRejectsDuplicates(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("duplicate Register did not panic")
-		}
-	}()
-	Register(fakeBackend{name: "dup-test"})
-	Register(fakeBackend{name: "dup-test"})
-}
-
-type fakeBackend struct{ name string }
-
-func (f fakeBackend) Name() string                       { return f.name }
-func (fakeBackend) Caps() Caps                           { return Caps{MaxPortWidth: 1} }
-func (fakeBackend) ValidateOptions(Options) error        { return nil }
-func (fakeBackend) NewEngine(LaunchSpec) (Engine, error) { return nil, nil }

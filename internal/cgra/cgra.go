@@ -8,6 +8,7 @@ package cgra
 
 import (
 	"fmt"
+	"math/bits"
 
 	"distda/internal/ir"
 	"distda/internal/microcode"
@@ -54,37 +55,68 @@ func Map(prog microcode.Program, g GridConfig) (Mapping, error) {
 	if g.IntPEs <= 0 || g.ComplexPEs <= 0 || g.FloatPEs <= 0 || g.MemPorts <= 0 {
 		return Mapping{}, fmt.Errorf("cgra: grid %q has non-positive resources", g.Name)
 	}
-	var intOps, cplxOps, fpOps, memOps int
-	for i, op := range prog {
-		switch op.Code {
-		case microcode.Consume, microcode.Produce:
-			if op.Pred >= 0 {
-				return Mapping{}, fmt.Errorf("cgra: op %d: predicated channel operation not mappable", i)
-			}
-			memOps++
-		case microcode.LoadObj, microcode.StoreObj:
-			memOps++
-		default:
-			switch op.Class() {
-			case ir.ClassInt:
-				intOps++
-			case ir.ClassComplex:
-				cplxOps++
-			case ir.ClassFloat:
-				fpOps++
-			}
+	for i := range prog {
+		if op := &prog[i]; (op.Code == microcode.Consume || op.Code == microcode.Produce) && op.Pred >= 0 {
+			return Mapping{}, fmt.Errorf("cgra: op %d: predicated channel operation not mappable", i)
 		}
 	}
+	n := peOps(prog)
 	resMII := maxInt(
-		ceilDiv(intOps, g.IntPEs),
-		ceilDiv(cplxOps, g.ComplexPEs),
-		ceilDiv(fpOps, g.FloatPEs),
-		ceilDiv(memOps, g.MemPorts),
+		ceilDiv(n[ir.ClassInt], g.IntPEs),
+		ceilDiv(n[ir.ClassComplex], g.ComplexPEs),
+		ceilDiv(n[ir.ClassFloat], g.FloatPEs),
+		ceilDiv(n[peMem], g.MemPorts),
 		1,
 	)
 	depth, recMII := analyzeDeps(prog)
 	ii := maxInt(resMII, recMII)
 	return Mapping{II: ii, Depth: depth, Ops: len(prog), MemSerial: memSerialRecurrence(prog)}, nil
+}
+
+// peMem indexes the memory ports in peOps' counts, after the three ALU
+// classes (ir.OpClass).
+const peMem = 3
+
+// peNames names peOps' PE classes.
+var peNames = [4]string{"int", "complex", "float", "mem"}
+
+// peOps counts prog's ops by the PE class they occupy: the integer,
+// complex and float ALUs, and the memory ports (consume, produce and
+// random access).
+func peOps(prog microcode.Program) (n [4]int) {
+	for i := range prog {
+		switch op := &prog[i]; op.Code {
+		case microcode.Consume, microcode.Produce, microcode.LoadObj, microcode.StoreObj:
+			n[peMem]++
+		default:
+			n[op.Class()]++
+		}
+	}
+	return n
+}
+
+// dataflow builds one iteration's register dataflow: preds[i] lists the
+// ops whose results op i reads, lastWriter[r] is the last op writing
+// register r, and carried[r] lists the ops reading r before any write (the
+// value from the previous iteration).
+func dataflow(prog microcode.Program) (preds [][]int, lastWriter map[int]int, carried map[int][]int) {
+	preds = make([][]int, len(prog))
+	lastWriter, carried = map[int]int{}, map[int][]int{}
+	for i := range prog {
+		op := &prog[i]
+		for rs := op.Reads(); rs != 0; rs &= rs - 1 {
+			r := bits.TrailingZeros64(rs)
+			if w, ok := lastWriter[r]; ok {
+				preds[i] = append(preds[i], w)
+			} else {
+				carried[r] = append(carried[r], i)
+			}
+		}
+		if d := op.Writes(); d >= 0 {
+			lastWriter[d] = i
+		}
+	}
+	return preds, lastWriter, carried
 }
 
 // memSerialRecurrence reports whether a loop-carried register dependence
@@ -98,21 +130,7 @@ func memSerialRecurrence(prog microcode.Program) bool {
 	for i := range reach {
 		reach[i] = make([]bool, n)
 	}
-	lastWriter := map[int]int{}
-	preds := make([][]int, n)
-	carried := map[int][]int{} // reg -> ops reading the carried value
-	for i, op := range prog {
-		for _, r := range readRegs(op) {
-			if w, ok := lastWriter[r]; ok {
-				preds[i] = append(preds[i], w)
-			} else {
-				carried[r] = append(carried[r], i)
-			}
-		}
-		if d, ok := writeReg(op); ok {
-			lastWriter[d] = i
-		}
-	}
+	preds, lastWriter, carried := dataflow(prog)
 	for i := 0; i < n; i++ {
 		for _, p := range preds[i] {
 			reach[p][i] = true
@@ -144,29 +162,12 @@ func memSerialRecurrence(prog microcode.Program) bool {
 	return false
 }
 
-// analyzeDeps builds the register dataflow DAG of one iteration and returns
-// (critical path length, longest loop-carried recurrence chain). Each op
-// takes one fabric cycle.
+// analyzeDeps returns the register dataflow DAG's critical path length and
+// its longest loop-carried recurrence chain. Each op takes one fabric
+// cycle.
 func analyzeDeps(prog microcode.Program) (depth, recMII int) {
 	n := len(prog)
-	// lastWriter[r] = index of most recent op writing register r.
-	lastWriter := map[int]int{}
-	// carriedReaders[r] = ops reading r before any write (value from the
-	// previous iteration).
-	carriedReaders := map[int][]int{}
-	preds := make([][]int, n)
-	for i, op := range prog {
-		for _, r := range readRegs(op) {
-			if w, ok := lastWriter[r]; ok {
-				preds[i] = append(preds[i], w)
-			} else {
-				carriedReaders[r] = append(carriedReaders[r], i)
-			}
-		}
-		if d, ok := writeReg(op); ok {
-			lastWriter[d] = i
-		}
-	}
+	preds, lastWriter, carried := dataflow(prog)
 	// Longest path to each node.
 	level := make([]int, n)
 	for i := 0; i < n; i++ {
@@ -183,7 +184,7 @@ func analyzeDeps(prog microcode.Program) (depth, recMII int) {
 	// Recurrence: for each register read-before-write and later written, the
 	// chain from its first carried reader to its (final) writer bounds II.
 	recMII = 1
-	for r, readers := range carriedReaders {
+	for r, readers := range carried {
 		w, written := lastWriter[r]
 		if !written {
 			continue
@@ -200,36 +201,6 @@ func analyzeDeps(prog microcode.Program) (depth, recMII int) {
 		}
 	}
 	return depth, recMII
-}
-
-// readRegs returns the registers an op reads (including its predicate).
-func readRegs(op microcode.Op) []int {
-	var rs []int
-	switch op.Code {
-	case microcode.Produce:
-		rs = append(rs, op.A)
-	case microcode.LoadObj, microcode.ALUI, microcode.Un, microcode.Mov:
-		rs = append(rs, op.A)
-	case microcode.StoreObj, microcode.ALU:
-		rs = append(rs, op.A, op.B)
-	case microcode.SelOp:
-		rs = append(rs, op.A, op.B, op.C)
-	}
-	if op.Pred >= 0 {
-		rs = append(rs, op.Pred)
-	}
-	return rs
-}
-
-// writeReg returns the register an op writes, if any.
-func writeReg(op microcode.Op) (int, bool) {
-	switch op.Code {
-	case microcode.Consume, microcode.LoadObj, microcode.ALU, microcode.ALUI,
-		microcode.Un, microcode.SelOp, microcode.MovI, microcode.Mov, microcode.Iter:
-		return op.Dst, true
-	default:
-		return 0, false
-	}
 }
 
 func ceilDiv(a, b int) int {

@@ -4,11 +4,13 @@ import (
 	"math/rand"
 	"testing"
 
+	"distda/internal/backend"
 	"distda/internal/core"
 	"distda/internal/engine"
 	"distda/internal/iocore"
 	"distda/internal/ir"
 	"distda/internal/microcode"
+	"distda/internal/pimdram"
 )
 
 // randProgram builds a random straight-line arithmetic micro-program over a
@@ -58,9 +60,10 @@ func randProgram(r *rand.Rand, n int) microcode.Program {
 	return append(p, it)
 }
 
-// TestIOAndFabricComputeIdentically runs the same random programs on both
-// substrates (R3: the interface must not dictate the substrate) and
-// compares the full register files.
+// TestIOAndFabricComputeIdentically runs the same random programs on the
+// in-order core, the CGRA fabric and the PIM-in-DRAM engine (R3: the
+// interface must not dictate the substrate) and compares the full
+// register files.
 func TestIOAndFabricComputeIdentically(t *testing.T) {
 	r := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 200; trial++ {
@@ -75,34 +78,36 @@ func TestIOAndFabricComputeIdentically(t *testing.T) {
 		for i := range init {
 			init[i] = float64(r.Intn(11) - 5)
 		}
-
-		c, err := iocore.New(def, trips, nil, nil, nil, nil)
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		f, err := planFabric(def, Grid8x8(), trips, nil, nil, nil, int64(engine.Div(1)), nil)
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		for i, v := range init {
-			c.SetReg(i, v)
-			f.SetReg(i, v)
-		}
-		e1 := engine.New()
-		e1.Add(c, 2)
-		if _, err := e1.Run(1 << 22); err != nil {
-			t.Fatalf("trial %d iocore: %v", trial, err)
-		}
-		e2 := engine.New()
-		e2.Add(f, 1)
-		if _, err := e2.Run(1 << 22); err != nil {
-			t.Fatalf("trial %d fabric: %v", trial, err)
+		var regs [3][8]float64
+		for i, sub := range []struct {
+			name string
+			be   backend.Backend
+			ghz  int
+		}{{"iocore", iocore.Backend, 2}, {"fabric", Backend, 1}, {"pimdram", pimdram.Backend, 1}} {
+			e, err := sub.be.NewEngine(backend.LaunchSpec{Def: def, Trips: trips, GHz: sub.ghz, Width: 1,
+				Opts: backend.Options{backend.Opt("grid", "8x8")}})
+			if err != nil {
+				t.Fatalf("trial %d %s: %v", trial, sub.name, err)
+			}
+			for reg, v := range init {
+				e.SetReg(reg, v)
+			}
+			eng := engine.New()
+			eng.Add(e, sub.ghz)
+			if _, err := eng.Run(1 << 22); err != nil {
+				t.Fatalf("trial %d %s: %v", trial, sub.name, err)
+			}
+			for reg := range regs[i] {
+				regs[i][reg] = e.Reg(reg)
+			}
 		}
 		for reg := 0; reg < 8; reg++ {
-			a, b := c.Reg(reg), f.Reg(reg)
-			if a != b && !(a != a && b != b) { // NaN == NaN for this purpose
-				t.Fatalf("trial %d: r%d diverges: iocore %g vs fabric %g\nprogram:\n%s",
-					trial, reg, a, b, prog)
+			a := regs[0][reg]
+			for i, name := range []string{"fabric", "pimdram"} {
+				if b := regs[i+1][reg]; a != b && !(a != a && b != b) { // NaN == NaN for this purpose
+					t.Fatalf("trial %d: r%d diverges: iocore %g vs %s %g\nprogram:\n%s",
+						trial, reg, a, name, b, prog)
+				}
 			}
 		}
 	}
@@ -121,11 +126,10 @@ func TestWidth4MatchesWidth1Functionally(t *testing.T) {
 			Trip:    core.TripSpec{Kind: core.TripCounted, Count: ir.C(float64(trips))},
 		}
 		run := func(width int) []float64 {
-			c, err := iocore.New(def, trips, nil, nil, nil, nil)
+			c, err := iocore.Backend.NewEngine(backend.LaunchSpec{Def: def, Trips: trips, GHz: 2, Width: width})
 			if err != nil {
 				t.Fatal(err)
 			}
-			c.Width = width
 			e := engine.New()
 			e.Add(c, 2)
 			if _, err := e.Run(1 << 22); err != nil {

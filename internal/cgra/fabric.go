@@ -7,7 +7,6 @@ import (
 	"distda/internal/core"
 	"distda/internal/energy"
 	"distda/internal/engine"
-	"distda/internal/ir"
 	"distda/internal/microcode"
 	"distda/internal/profile"
 	"distda/internal/trace"
@@ -23,7 +22,6 @@ type Fabric struct {
 	plan  *Plan
 	regs  [microcode.NumRegs]float64
 	trips int64 // -1: while-input
-	iter  int64
 
 	// inputs / outputs are indexed by access id: core.Validate guarantees
 	// the ids are dense (0..n-1), so a slice index replaces the map lookup
@@ -51,7 +49,8 @@ type Fabric struct {
 	done        bool
 	latch       engine.Latch
 
-	// Counters. ops (Ops) counts executed operations.
+	// Counters. ops (Ops) counts executed operations; Iters counts
+	// initiated iterations and is the Iter op's value.
 	ops   int64
 	Iters int64
 
@@ -233,36 +232,6 @@ func (f *Fabric) arm(plan *Plan, trips int64, inputs []*accessunit.InPort, outpu
 // Mapping returns the modulo schedule chosen for this fabric.
 func (f *Fabric) Mapping() Mapping { return f.plan.Mapping }
 
-// BusyBaseCycles returns the fabric's pipelined-initiation time in engine
-// base cycles (one initiation per iteration at the fabric clock) — a
-// profiling accessor, no hot-path counters.
-func (f *Fabric) BusyBaseCycles() int64 { return f.Iters * f.div }
-
-// TileOps returns the mapped operation counts per functional-unit class
-// (integer, complex, float ALUs and memory ports). The mapper is analytic —
-// modulo scheduling without physical placement — so per-tile attribution is
-// per PE class: each mapped op occupies one PE of its class for one fabric
-// cycle per iteration.
-func (f *Fabric) TileOps() (intOps, cplxOps, fpOps, memOps int64) {
-	for oi := range f.prog {
-		op := &f.prog[oi]
-		switch op.Code {
-		case microcode.Consume, microcode.Produce, microcode.LoadObj, microcode.StoreObj:
-			memOps++
-		default:
-			switch op.Class() {
-			case ir.ClassInt:
-				intOps++
-			case ir.ClassComplex:
-				cplxOps++
-			case ir.ClassFloat:
-				fpOps++
-			}
-		}
-	}
-	return intOps, cplxOps, fpOps, memOps
-}
-
 // SetReg initializes a register (cp_set_rf).
 func (f *Fabric) SetReg(r int, v float64) { f.regs[r] = v }
 
@@ -318,7 +287,7 @@ func (f *Fabric) Step(now int64) bool {
 		progress = true // pipeline timer running
 	}
 	// Completion check.
-	if f.trips >= 0 && f.iter >= f.trips {
+	if f.trips >= 0 && f.Iters >= f.trips {
 		if f.nfl == 0 {
 			f.finish()
 			return true
@@ -375,7 +344,7 @@ func (f *Fabric) NextEvent(now int64) int64 {
 		}
 		// else: delivery blocked on the consumer; initiation may still go.
 	} else {
-		if f.trips >= 0 && f.iter >= f.trips {
+		if f.trips >= 0 && f.Iters >= f.trips {
 			return 0 // counted trips done, pipeline empty: will finish
 		}
 		if f.trips < 0 {
@@ -384,7 +353,7 @@ func (f *Fabric) NextEvent(now int64) int64 {
 			}
 		}
 	}
-	if f.trips >= 0 && f.iter >= f.trips {
+	if f.trips >= 0 && f.Iters >= f.trips {
 		return lb // no more initiations: only delivery events remain
 	}
 	if now < f.nextStart {
@@ -424,7 +393,6 @@ func (f *Fabric) startIteration(now int64) {
 		}
 		f.countOp(op)
 		switch op.Code {
-		case microcode.Nop:
 		case microcode.Consume:
 			p := f.inputs[op.Access]
 			f.regs[op.Dst] = p.Buf.Pop(p.Reader)
@@ -433,39 +401,20 @@ func (f *Fabric) startIteration(now int64) {
 		case microcode.LoadObj:
 			v, lat, err := f.random.Load(op.Obj, int64(f.regs[op.A]))
 			if err != nil {
-				panic(fmt.Sprintf("cgra: accel %d: %v", f.def.ID, err))
+				f.fail(err)
 			}
 			f.regs[op.Dst] = v
 			extraLat += int64(lat)
 		case microcode.StoreObj:
 			lat, err := f.random.Store(op.Obj, int64(f.regs[op.A]), f.regs[op.B])
 			if err != nil {
-				panic(fmt.Sprintf("cgra: accel %d: %v", f.def.ID, err))
+				f.fail(err)
 			}
-			if lat > 8 {
-				lat = 8 // posted write occupancy
-			}
-			extraLat += int64(lat)
-		case microcode.ALU:
-			f.regs[op.Dst] = f.apply(op.Bin, f.regs[op.A], f.regs[op.B])
-		case microcode.ALUI:
-			f.regs[op.Dst] = f.apply(op.Bin, f.regs[op.A], op.Imm)
-		case microcode.Un:
-			f.regs[op.Dst] = ir.ApplyUn(op.UnOp, f.regs[op.A])
-		case microcode.SelOp:
-			if f.regs[op.C] != 0 {
-				f.regs[op.Dst] = f.regs[op.A]
-			} else {
-				f.regs[op.Dst] = f.regs[op.B]
-			}
-		case microcode.MovI:
-			f.regs[op.Dst] = op.Imm
-		case microcode.Mov:
-			f.regs[op.Dst] = f.regs[op.A]
-		case microcode.Iter:
-			f.regs[op.Dst] = float64(f.iter)
+			extraLat += int64(min(lat, 8)) // posted write occupancy
 		default:
-			panic(fmt.Sprintf("cgra: accel %d: bad opcode %v", f.def.ID, op.Code))
+			if err := op.Exec(&f.regs, f.Iters); err != nil {
+				f.fail(err)
+			}
 		}
 	}
 	ready := now + int64(f.plan.Mapping.Depth)*f.div + extraLat
@@ -482,31 +431,18 @@ func (f *Fabric) startIteration(now int64) {
 	} else {
 		f.nextStart = now + int64(f.plan.Mapping.II)*f.div
 	}
-	f.iter++
 	f.Iters++
 }
 
 func (f *Fabric) countOp(op *microcode.Op) {
 	f.ops++
 	if f.meter != nil {
-		t := &f.meter.Table // by pointer: the table is ~17 words, copied per op otherwise
-		e := t.CGRAOpPJ
-		switch op.Class() {
-		case ir.ClassInt:
-			e += t.IntOpPJ
-		case ir.ClassComplex:
-			e += t.ComplexOpPJ
-		case ir.ClassFloat:
-			e += t.FloatOpPJ
-		}
-		f.meter.Add(energy.CatAccel, e)
+		t := &f.meter.Table
+		f.meter.Add(energy.CatAccel, microcode.EnergyPJ(t, t.CGRAOpPJ, op.Class()))
 	}
 }
 
-func (f *Fabric) apply(op ir.BinOp, a, b float64) float64 {
-	v, err := ir.ApplyBin(op, a, b)
-	if err != nil {
-		panic(fmt.Sprintf("cgra: accel %d: %v", f.def.ID, err))
-	}
-	return v
+// fail panics with a fault of the fabric's micro-program.
+func (f *Fabric) fail(err error) {
+	panic(fmt.Sprintf("cgra: accel %d: %v", f.def.ID, err))
 }

@@ -46,7 +46,7 @@ func TestLiviaStyleTaskInvocation(t *testing.T) {
 	// + cp_run on a fresh single-trip orchestration.
 	tasks := []struct{ key, slot int }{{5, 0}, {9, 1}, {63, 2}, {0, 3}}
 	for _, task := range tasks {
-		c, err := New(def, 1, nil, nil, rp, nil)
+		c, err := newCore(def, 1, nil, nil, rp, nil, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -42,11 +42,10 @@ func runWidth(t *testing.T, prog microcode.Program, width int, trips int64) int6
 	}
 	mem := memfake.New(8, map[string][]float64{"A": make([]float64, 8)})
 	rp := accessunit.NewRandomPort(mem, &memfake.Fetch{Lat: 4}, 0, &accessunit.Stats{}, nil)
-	c, err := New(def, trips, nil, nil, rp, nil)
+	c, err := newCore(def, trips, nil, nil, rp, nil, width)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Width = width
 	eng := engine.New()
 	eng.Add(c, 2)
 	cycles, err := eng.Run(1 << 22)
@@ -79,8 +78,10 @@ func TestWidthDoesNotBreakDependences(t *testing.T) {
 	}
 	mem := memfake.New(8, map[string][]float64{"A": make([]float64, 8)})
 	rp := accessunit.NewRandomPort(mem, &memfake.Fetch{Lat: 4}, 0, &accessunit.Stats{}, nil)
-	c, _ := New(def, 64, nil, nil, rp, nil)
-	c.Width = 4
+	c, err := newCore(def, 64, nil, nil, rp, nil, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
 	eng := engine.New()
 	eng.Add(c, 2)
 	if _, err := eng.Run(1 << 22); err != nil {

@@ -1,6 +1,7 @@
 package microcode
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -74,5 +75,109 @@ func TestOpClass(t *testing.T) {
 func TestNewOpHasNoPred(t *testing.T) {
 	if NewOp(Nop).Pred != -1 {
 		t.Fatal("NewOp pred")
+	}
+}
+
+// TestExecMatchesIR holds the register evaluator to the IR's operator
+// semantics on every binary and unary operator, register and immediate
+// forms alike, and checks the register-only moves, selects and Iter.
+func TestExecMatchesIR(t *testing.T) {
+	vals := []float64{-3, -0.5, 0, 1, 2.5, 7}
+	same := func(a, b float64) bool { return a == b || a != a && b != b }
+	for bin := ir.Add; bin <= ir.Or; bin++ {
+		for _, a := range vals {
+			for _, b := range vals {
+				want, wantErr := ir.ApplyBin(bin, a, b)
+				for _, code := range []Code{ALU, ALUI} {
+					regs := [NumRegs]float64{1: a, 2: b, 3: 99}
+					op := Op{Code: code, Dst: 3, A: 1, B: 2, Imm: b, Bin: bin, Pred: -1}
+					err := op.Exec(&regs, 0)
+					if err != wantErr {
+						t.Fatalf("%s %g, %g: error %v, want %v", op, a, b, err, wantErr)
+					}
+					if err == nil && !same(regs[3], want) {
+						t.Fatalf("%s %g, %g = %g, want %g", op, a, b, regs[3], want)
+					}
+					if err != nil && regs[3] != 99 {
+						t.Fatalf("%s %g, %g: faulting op wrote r3 = %g", op, a, b, regs[3])
+					}
+				}
+			}
+		}
+	}
+	for un := ir.Neg; un <= ir.Floor; un++ {
+		for _, a := range vals {
+			regs := [NumRegs]float64{1: a}
+			op := Op{Code: Un, Dst: 3, A: 1, UnOp: un, Pred: -1}
+			if err := op.Exec(&regs, 0); err != nil {
+				t.Fatalf("%s: %v", op, err)
+			}
+			if want := ir.ApplyUn(un, a); !same(regs[3], want) {
+				t.Fatalf("%s %g = %g, want %g", op, a, regs[3], want)
+			}
+		}
+	}
+	div := Op{Code: ALUI, Dst: 3, A: 1, Bin: ir.Div, Imm: 0, Pred: -1}
+	regs := [NumRegs]float64{1: 4}
+	if err := div.Exec(&regs, 0); !errors.Is(err, ir.ErrDivideByZero) {
+		t.Fatalf("divide by zero: error %v, want %v", err, ir.ErrDivideByZero)
+	}
+
+	regs = [NumRegs]float64{1: 5, 2: 6, 3: 0}
+	for _, c := range []struct {
+		op   Op
+		want float64
+	}{
+		{Op{Code: SelOp, Dst: 4, A: 1, B: 2, C: 3}, 6},
+		{Op{Code: SelOp, Dst: 4, A: 1, B: 2, C: 1}, 5},
+		{Op{Code: MovI, Dst: 4, Imm: -2}, -2},
+		{Op{Code: Mov, Dst: 4, A: 2}, 6},
+		{Op{Code: Iter, Dst: 4}, 41},
+	} {
+		r := regs
+		if err := c.op.Exec(&r, 41); err != nil || r[4] != c.want {
+			t.Fatalf("%s: r4 = %g, %v; want %g", c.op, r[4], err, c.want)
+		}
+	}
+	r := regs
+	if err := (&Op{Code: Nop}).Exec(&r, 41); err != nil || r != regs {
+		t.Fatalf("nop changed registers or failed: %v", err)
+	}
+	for _, code := range []Code{Consume, Produce, LoadObj, StoreObj, Code(99)} {
+		if err := (&Op{Code: code}).Exec(&r, 0); err == nil {
+			t.Fatalf("Exec accepted %s", code)
+		}
+	}
+}
+
+// TestOperandRoles checks Reads and Writes on every Code.
+func TestOperandRoles(t *testing.T) {
+	bit := func(rs ...int) (m uint64) {
+		for _, r := range rs {
+			m |= 1 << uint(r)
+		}
+		return m
+	}
+	for _, c := range []struct {
+		code   Code
+		reads  uint64
+		writes int
+	}{
+		{Nop, 0, -1}, {Consume, 0, 1}, {Produce, bit(2), -1},
+		{LoadObj, bit(2), 1}, {StoreObj, bit(2, 3), -1},
+		{ALU, bit(2, 3), 1}, {ALUI, bit(2), 1}, {Un, bit(2), 1},
+		{SelOp, bit(2, 3, 4), 1}, {MovI, 0, 1}, {Mov, bit(2), 1}, {Iter, 0, 1},
+	} {
+		op := Op{Code: c.code, Dst: 1, A: 2, B: 3, C: 4, Pred: -1}
+		if got := op.Reads(); got != c.reads {
+			t.Errorf("%s reads %b, want %b", c.code, got, c.reads)
+		}
+		if got := op.Writes(); got != c.writes {
+			t.Errorf("%s writes r%d, want r%d", c.code, got, c.writes)
+		}
+		op.Pred = 9
+		if got := op.Reads(); got != c.reads|bit(9) {
+			t.Errorf("predicated %s reads %b, want %b", c.code, got, c.reads|bit(9))
+		}
 	}
 }

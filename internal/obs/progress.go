@@ -11,13 +11,14 @@ import (
 // JSON progress/ETA view. It is safe for concurrent use.
 type Progress struct {
 	mu       sync.Mutex
-	start    time.Time
+	start    time.Time // zero until the clock starts
+	end      time.Time // zero until the clock stops
 	total    int
 	done     int
 	degraded int
 	resumed  int
 	last     CellStatus
-	now      func() time.Time // test seam; nil means time.Now
+	now      func() time.Time // the clock; nil means time.Now
 }
 
 // CellStatus describes one completed cell.
@@ -32,9 +33,39 @@ type CellStatus struct {
 	Resumed  bool          `json:"resumed"`  // restored from a checkpoint, not re-simulated
 }
 
-// NewProgress returns a progress tracker whose clock starts now.
+// NewProgress returns a progress tracker whose clock starts now. A
+// zero Progress reports no elapsed time until Start.
 func NewProgress() *Progress {
-	return &Progress{start: time.Now()}
+	p := new(Progress)
+	p.Start(nil)
+	return p
+}
+
+// Start starts p's clock at now(); later snapshots read the time from
+// now too (nil means time.Now). Safe on nil and for concurrent use.
+func (p *Progress) Start(now func() time.Time) {
+	if p == nil {
+		return
+	}
+	if now == nil {
+		now = time.Now
+	}
+	p.mu.Lock()
+	p.now, p.start, p.end = now, now(), time.Time{}
+	p.mu.Unlock()
+}
+
+// Stop freezes a started clock: later snapshots report the time elapsed
+// up to now. Safe on nil and for concurrent use.
+func (p *Progress) Stop() {
+	if p == nil {
+		return
+	}
+	p.mu.Lock()
+	if !p.start.IsZero() && p.end.IsZero() {
+		p.end = p.now()
+	}
+	p.mu.Unlock()
 }
 
 // SetTotal sets the expected cell count before the first cell completes
@@ -92,11 +123,14 @@ func (p *Progress) Snapshot() Snapshot {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	nowFn := p.now
-	if nowFn == nil {
-		nowFn = time.Now
+	var elapsed time.Duration
+	switch {
+	case p.start.IsZero(): // not started
+	case !p.end.IsZero():
+		elapsed = p.end.Sub(p.start)
+	default:
+		elapsed = p.now().Sub(p.start)
 	}
-	elapsed := nowFn().Sub(p.start)
 	s := Snapshot{
 		Total:    p.total,
 		Done:     p.done,

@@ -70,3 +70,29 @@ func TestProgressETAResumed(t *testing.T) {
 		t.Errorf("eta = %vs, want 110s", s.ETAS)
 	}
 }
+
+// TestProgressStartStop: a zero Progress reports no elapsed time until
+// Start, and none beyond Stop.
+func TestProgressStartStop(t *testing.T) {
+	now := time.Unix(1000, 0)
+	clock := func() time.Time { return now }
+	var p Progress
+	now = now.Add(time.Hour)
+	if s := p.Snapshot(); s.ElapsedS != 0 {
+		t.Errorf("elapsed before Start = %vs, want 0", s.ElapsedS)
+	}
+	p.Stop() // not started: no effect
+	p.Start(clock)
+	now = now.Add(3 * time.Second)
+	if s := p.Snapshot(); s.ElapsedS != 3 {
+		t.Errorf("elapsed while running = %vs, want 3", s.ElapsedS)
+	}
+	p.Stop()
+	now = now.Add(time.Hour)
+	if s := p.Snapshot(); s.ElapsedS != 3 {
+		t.Errorf("elapsed after Stop = %vs, want 3", s.ElapsedS)
+	}
+	var nilP *Progress
+	nilP.Start(clock)
+	nilP.Stop()
+}

@@ -3,26 +3,18 @@ package pimdram_test
 import (
 	"testing"
 
-	"distda/internal/backend"
 	"distda/internal/backend/backendtest"
 	"distda/internal/pimdram"
 )
 
 func TestConformance(t *testing.T) {
-	backendtest.Conformance(t, "pimdram")
+	backendtest.Conformance(t, pimdram.Backend)
 }
 
 func TestCaps(t *testing.T) {
-	be, ok := backend.Lookup("pimdram")
-	if !ok {
-		t.Fatal("pimdram backend not registered")
-	}
-	caps := be.Caps()
+	caps := pimdram.Backend.Caps()
 	if !caps.InDRAM {
 		t.Fatal("pimdram must report InDRAM placement")
-	}
-	if caps.NearData {
-		t.Fatal("pimdram is channel-side, not near-L3")
 	}
 	if caps.MaxPortWidth != pimdram.MaxWidth {
 		t.Fatalf("MaxPortWidth = %d, want %d", caps.MaxPortWidth, pimdram.MaxWidth)
@@ -30,5 +22,5 @@ func TestCaps(t *testing.T) {
 }
 
 func TestResetMatchesNew(t *testing.T) {
-	backendtest.ResetMatchesNew(t, "pimdram")
+	backendtest.ResetMatchesNew(t, pimdram.Backend)
 }

@@ -73,7 +73,8 @@ type Config struct {
 	// Logger, when non-nil, receives structured request logs keyed by job
 	// ID.
 	Logger *slog.Logger
-	// Now is the rate limiter's clock (tests; nil = time.Now).
+	// Now is the clock of the rate limiter and of job progress (tests;
+	// nil = time.Now).
 	Now func() time.Time
 }
 
@@ -304,7 +305,7 @@ func (s *Server) admit(p *plan, id string, limit bool) (*Job, error) {
 		key:      p.key,
 		tenant:   p.tenant,
 		plan:     p,
-		progress: obs.NewProgress(),
+		progress: new(obs.Progress), // its clock starts when a worker does
 		ctx:      ctx,
 		cancel:   cancel,
 		spans:    &obs.SpanList{},
@@ -383,12 +384,16 @@ func (s *Server) execute(e *execution, sr *sim.Runner) {
 		j.started = now
 		s.met.queueWait.With(j.plan.tenant).ObserveDuration(now.Sub(j.submitted))
 	}
+	// The progress clock covers the execution alone: not the queue wait,
+	// and not the time since the job finished.
+	e.progress.Start(s.cfg.Now)
 	s.running++
 	s.mu.Unlock()
 
 	e.spans.Close(e.queuedSpan)
 	execSpan := e.spans.Open("executing")
 	out, err := s.run(e.ctx, sr, e.plan, e.progress, e.spans)
+	e.progress.Stop()
 	e.spans.Close(execSpan)
 	s.met.observeStages(e.spans.Snapshot())
 

@@ -423,6 +423,54 @@ func TestTenantRateLimit(t *testing.T) {
 	}
 }
 
+// TestProgressClockCoversExecution: a served job's progress.elapsed_s
+// counts its execution only — not the time it waited in the queue, and
+// not the time since it finished.
+func TestProgressClockCoversExecution(t *testing.T) {
+	now := time.Unix(5000, 0)
+	var mu sync.Mutex
+	clock := func() time.Time { mu.Lock(); defer mu.Unlock(); return now }
+	advance := func(d time.Duration) { mu.Lock(); now = now.Add(d); mu.Unlock() }
+	_, ts, release := stubServer(t, Config{Workers: 1, Now: clock})
+	defer close(release)
+	waitState := func(id string, want JobState) JobStatus {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for {
+			st := getStatus(t, ts, id)
+			if st.State == want {
+				return st
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("job %s: state %s, want %s", id, st.State, want)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+	_, first := postJob(t, ts, `{"workload": "fdtd-2d", "scale": "test"}`)
+	waitState(first.ID, StateRunning)
+	_, second := postJob(t, ts, `{"workload": "cholesky", "scale": "test"}`)
+	advance(100 * time.Second) // the second job waits in the queue
+	if st := getStatus(t, ts, second.ID); st.State != StateQueued || st.Progress.ElapsedS != 0 {
+		t.Fatalf("queued job: state %s, elapsed %vs; want queued, 0", st.State, st.Progress.ElapsedS)
+	}
+	release <- struct{}{} // the first job finishes; the second starts
+	waitState(second.ID, StateRunning)
+	advance(5 * time.Second)
+	if st := getStatus(t, ts, second.ID); st.Progress.ElapsedS != 5 {
+		t.Fatalf("running job elapsed %vs, want 5 (queue wait excluded)", st.Progress.ElapsedS)
+	}
+	release <- struct{}{}
+	waitState(second.ID, StateDone)
+	advance(time.Hour)
+	if st := getStatus(t, ts, second.ID); st.Progress.ElapsedS != 5 {
+		t.Fatalf("finished job elapsed %vs, want 5 (frozen at the end)", st.Progress.ElapsedS)
+	}
+	if st := getStatus(t, ts, first.ID); st.Progress.ElapsedS != 100 {
+		t.Fatalf("first job elapsed %vs, want 100", st.Progress.ElapsedS)
+	}
+}
+
 func TestCancelQueuedAndRunning(t *testing.T) {
 	s, ts, release := stubServer(t, Config{Workers: 1, QueueDepth: 8})
 	defer close(release)

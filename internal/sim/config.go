@@ -14,17 +14,14 @@ import (
 	"distda/internal/ir"
 	"distda/internal/profile"
 	"distda/internal/trace"
-
-	// Every in-tree accelerator backend registers itself; importing the
-	// aggregate here guarantees registration precedes any config validation.
-	_ "distda/internal/backend/all"
 )
 
 // Config describes one tested configuration.
 type Config struct {
 	Name string
-	// Backend names the registered accelerator backend ("iocore", "cgra",
-	// "pimdram") executing offloaded regions; empty means no accelerators
+	// Backend names the accelerator backend ("iocore", "cgra", "pimdram";
+	// see internal/backend/all) executing offloaded regions; empty means no
+	// accelerators
 	// (the OoO baseline). BackendOpts carries backend-scoped configuration —
 	// the CGRA grid shape, for example, is backend.Opt("grid", "5x5") rather
 	// than a top-level field.

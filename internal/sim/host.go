@@ -6,6 +6,7 @@ import (
 	"distda/internal/compiler"
 	"distda/internal/energy"
 	"distda/internal/ir"
+	"distda/internal/microcode"
 )
 
 // Host timing model parameters (Table III: 5-way Ice-Lake-class OoO).
@@ -92,16 +93,7 @@ func (h *host) instr(class ir.OpClass) {
 	h.m.hostInstr++
 	h.m.slotCycles += 1 / hostWidth
 	t := &h.m.meter.Table // by pointer: the table is ~17 words, copied per instruction otherwise
-	e := t.OoOInstrPJ
-	switch class {
-	case ir.ClassInt:
-		e += t.IntOpPJ
-	case ir.ClassComplex:
-		e += t.ComplexOpPJ
-	case ir.ClassFloat:
-		e += t.FloatOpPJ
-	}
-	h.m.meter.Add(energy.CatHost, e)
+	h.m.meter.Add(energy.CatHost, microcode.EnergyPJ(t, t.OoOInstrPJ, class))
 }
 
 // load times a host load of object obj (kernel order) with the

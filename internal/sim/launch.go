@@ -122,9 +122,9 @@ func (h *host) launch(reg *core.Region, l ir.Launch) {
 		return
 	}
 	m.launches++
-	be, ok := backend.Lookup(m.cfg.Backend)
-	if !ok {
-		m.failf("launch: region %s has no registered accelerator backend (%q)", reg.Name, m.cfg.Backend)
+	be := m.be
+	if be == nil {
+		m.failf("launch: region %s has no accelerator backend (%q)", reg.Name, m.cfg.Backend)
 	}
 	m.scoped = m.scoped[:0] // deferred trace attachments for this launch
 	// Profiling: the dispatch phase spans every host cycle from here (flush,
@@ -261,7 +261,7 @@ func (h *host) launch(reg *core.Region, l ir.Launch) {
 	}
 
 	// Pass 4: backend engines, scalar initialization, cp_run.
-	pool := m.enginePool(be)
+	pool := m.pool
 	for _, rt := range rts {
 		di := m.defInfoOf(rt.def)
 		fetch := m.fetcherFor(rt.cluster, rt.offChip)
@@ -294,11 +294,11 @@ func (h *host) launch(reg *core.Region, l ir.Launch) {
 			Def: rt.def, Trips: rt.trips,
 			In: rt.inPorts, Out: rt.outPorts, Random: rp,
 			GHz: m.cfg.AccelGHz, Width: m.cfg.IOWidth,
-			Meter: m.meter, LatHist: m.backendLatH[be.Name()], Opts: m.cfg.BackendOpts,
+			Meter: m.meter, LatHist: m.backendLatH, Opts: m.cfg.BackendOpts,
 			Memo: &m.memo,
 		})
 		if err != nil {
-			m.failf("launch: backend %s: %v", be.Name(), err)
+			m.failf("launch: backend %s: %v", m.cfg.Backend, err)
 		}
 		if m.tr != nil {
 			m.scoped = append(m.scoped, func(off int64) { e.AttachTrace(m.tr, off) })

@@ -5,6 +5,7 @@ import (
 
 	"distda/internal/accessunit"
 	"distda/internal/backend"
+	"distda/internal/backend/all"
 	"distda/internal/cache"
 	"distda/internal/core"
 	"distda/internal/dram"
@@ -118,7 +119,12 @@ type machine struct {
 	// profiling.
 	hostLatH, clusterLatH *profile.Hist
 	fillLatH, drainLatH   *profile.Hist
-	backendLatH           map[string]*profile.Hist // by backend name
+	backendLatH           *profile.Hist // the run's backend's
+
+	// be is the run's accelerator backend and pool its engine pool, both
+	// resolved once at reset (nil: no accelerators).
+	be   backend.Backend
+	pool *enginePool
 }
 
 // backendLatency names each accelerator backend's latency histogram in the
@@ -198,10 +204,14 @@ func (m *machine) reset(cfg Config, k *ir.Kernel, params map[string]float64, dat
 		m.clusterLatH = m.prof.Hist("latency.cache.cluster_access_lat", "host-cycle cluster access latency")
 		m.fillLatH = m.prof.Hist("latency.au.fill_lat", "base-cycle stream fill latency")
 		m.drainLatH = m.prof.Hist("latency.au.drain_lat", "base-cycle stream drain latency")
-		m.backendLatH = map[string]*profile.Hist{}
-		for be, h := range backendLatency {
-			m.backendLatH[be] = m.prof.Hist(h.prefix, h.desc)
+		for name, h := range backendLatency {
+			if hist := m.prof.Hist(h.prefix, h.desc); name == cfg.Backend {
+				m.backendLatH = hist
+			}
 		}
+	}
+	if be, ok := all.Lookup(cfg.Backend); ok {
+		m.be, m.pool = be, m.enginePool(be)
 	}
 	m.hostTrace = m.tr.Component("host").At(0) // nil-safe: disabled scope on nil tracer
 	m.eng.Reset()
@@ -515,10 +525,10 @@ type enginePool struct {
 	n     int
 }
 
-// enginePool returns be's engine pool, creating it on be's first launch.
+// enginePool returns be's engine pool, creating it on be's first run.
 func (m *machine) enginePool(be backend.Backend) *enginePool {
 	for _, p := range m.engines {
-		if p.be.Name() == be.Name() {
+		if p.be == be {
 			return p
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"distda/internal/backend"
+	"distda/internal/backend/all"
 	"distda/internal/compiler"
 	"distda/internal/ir"
 )
@@ -83,10 +84,10 @@ func (c Config) Validate() error {
 			return fail("backend options set without an accelerator backend")
 		}
 	} else {
-		be, ok := backend.Lookup(c.Backend)
+		be, ok := all.Lookup(c.Backend)
 		if !ok {
 			return fail("unknown accelerator backend %q (registered: %s)",
-				c.Backend, strings.Join(backend.Names(), ", "))
+				c.Backend, strings.Join(all.Names(), ", "))
 		}
 		if err := be.ValidateOptions(c.BackendOpts); err != nil {
 			return fail("%v", err)

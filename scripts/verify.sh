@@ -141,6 +141,22 @@ stage_gates() {
         exit 1
     fi
 
+    echo "== one micro-op semantics"
+    # microcode.Op.Exec is the micro-ISA's one definition of the register
+    # ops: the in-order core, the PIM-in-DRAM engine and the CGRA fabric all
+    # run them through it. A backend applying ir.ApplyBin / ir.ApplyUn
+    # itself would be a second copy of those semantics that no test holds
+    # to the others.
+    viol=$(grep -rnE 'ir\.Apply(Bin|Un)\(' cmd internal examples --include='*.go' \
+        | grep -v '^internal/ir/' \
+        | grep -v '^internal/microcode/' \
+        | grep -v '_test\.go:' || true)
+    if [ -n "$viol" ]; then
+        echo "micro-op arithmetic outside internal/microcode (call microcode.Op.Exec):" >&2
+        echo "$viol" >&2
+        exit 1
+    fi
+
     echo "== naive engine scheduler only in differential tests"
     # engine.ModeNaive is the one-tick-at-a-time reference that the
     # differential tests compare the adaptive scheduler against. Results
@@ -211,10 +227,12 @@ stage_gates() {
     fi
 
     echo "== no direct accelerator imports outside internal/backend"
-    # The backend registry (internal/backend) is the only seam the rest of the
-    # tree may reach accelerators through: sim, compiler, partition and profile
-    # stay accelerator-agnostic, and new engines plug in by registering.
-    # Tests may import the concrete packages to reach their own internals.
+    # The backend interface (internal/backend) is the only seam the rest of
+    # the tree may reach accelerators through: sim, compiler, partition and
+    # profile stay accelerator-agnostic, and the one table of backends,
+    # internal/backend/all, is the only package there that names them. A new
+    # engine plugs in with one entry in that table. Tests may import the
+    # concrete packages to reach their own internals.
     viol=$(grep -rn '"distda/internal/\(iocore\|cgra\|pimdram\)"' cmd internal examples --include='*.go' \
         | grep -v '^internal/backend/' \
         | grep -v '^internal/iocore/' \
@@ -222,7 +240,7 @@ stage_gates() {
         | grep -v '^internal/pimdram/' \
         | grep -v '_test\.go:' || true)
     if [ -n "$viol" ]; then
-        echo "direct accelerator import outside internal/backend (go through backend.Lookup):" >&2
+        echo "direct accelerator import outside internal/backend (go through all.Lookup in internal/backend/all):" >&2
         echo "$viol" >&2
         exit 1
     fi
