@@ -14,6 +14,7 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -83,7 +84,7 @@ type plan struct {
 	key    string // artifact.ResultKey content address
 
 	// Run jobs. workload carries the effective kernel and parameters and
-	// may be the table's shared instance: inputs come from src.newData,
+	// may be the table's shared instance: inputs come from src.inputs,
 	// never from workload's own generator.
 	workload *workloads.Workload
 	text     string     // ir.Format(workload.Kernel)
@@ -128,6 +129,16 @@ type builtin struct {
 	w      *workloads.Workload
 	text   string // ir.Format(w.Kernel)
 	params string // formatParams(w.Params)
+
+	// The first miss over the pair fills these once; they never change
+	// after. in is the pristine first input draw, which every miss
+	// copies; ref is the reference program's output on it (w.Kernel
+	// under w.Params), or refErr its failure.
+	inOnce  sync.Once
+	in      map[string][]float64
+	refOnce sync.Once
+	ref     map[string][]float64
+	refErr  error
 }
 
 // get returns the resolved entry for name at scale, building the workload
@@ -157,11 +168,40 @@ func (b *builtins) get(name string, scale workloads.Scale) (*builtin, error) {
 	return e, nil
 }
 
-// newData builds the workload afresh and returns its first input draw,
-// the inputs a batch run of the same spec simulates. Each instance's
-// generator advances a private seeded source, so draws from the shared
-// instance would differ from run to run.
-func (e *builtin) newData() map[string][]float64 { return e.def.New(e.scale).NewData() }
+// inputs returns a private copy of the workload's first input draw, the
+// inputs a batch run of the same spec simulates. The draw is made once,
+// from a fresh instance: each instance's generator advances a private
+// seeded source, so draws from the shared instance would differ from run
+// to run.
+func (e *builtin) inputs() map[string][]float64 {
+	e.inOnce.Do(func() { e.in = e.def.New(e.scale).NewData() })
+	out := make(map[string][]float64, len(e.in))
+	for name, v := range e.in {
+		out[name] = slices.Clone(v)
+	}
+	return out
+}
+
+// reference returns the reference program's output on the first input
+// draw, running the program from cache on the first call. The map is
+// shared by every run that validates against it and must not be written.
+func (e *builtin) reference(cache *artifact.Cache) (map[string][]float64, error) {
+	e.refOnce.Do(func() {
+		prog, err := cache.GetOrProgram(artifact.ProgramKeyText(e.w.Name, e.scale.String(), e.text), e.w.Kernel)
+		if err != nil {
+			e.refErr = err
+			return
+		}
+		out := e.inputs()
+		if e.refErr = runReference(prog, e.w.Params, out); e.refErr == nil {
+			e.ref = out
+		}
+	})
+	return e.ref, e.refErr
+}
+
+// runReference runs a built-in's reference program; tests count its calls.
+var runReference = sim.RunReference
 
 // planJob validates and resolves a submitted spec against the server's
 // built-in workload table.

@@ -52,12 +52,17 @@ func (r *runner) run(ctx context.Context, sr *sim.Runner, p *plan, prog *obs.Pro
 
 // runOne replicates distda-run: one cell through exp.RunCell (strip-mined
 // for threads, compiled through the shared content-addressed cache) on
-// the executing worker's machine sr, rendered with FprintResult.
+// the executing worker's machine sr, rendered with FprintResult. It runs
+// on a copy of the built-in's stored first input draw, and a run of the
+// built-in's own kernel validates against its stored reference output.
 func (r *runner) runOne(ctx context.Context, sr *sim.Runner, p *plan, prog *obs.Progress, spans *obs.SpanList) ([]byte, error) {
 	prog.SetTotal(1)
 	start := time.Now()
 	cell := exp.Cell{W: p.workload, Scale: p.scale, Cfg: p.cfg, Threads: p.spec.Threads, Text: p.text}
-	res, err := exp.RunCell(ctx, r.cache, sr, cell, p.src.newData(), spans)
+	if p.workload == p.src.w {
+		cell.Reference = func() (map[string][]float64, error) { return p.src.reference(r.cache) }
+	}
+	res, err := exp.RunCell(ctx, r.cache, sr, cell, p.src.inputs(), spans)
 	if err != nil {
 		return nil, err
 	}

@@ -86,6 +86,15 @@ type Config struct {
 	// one with ir.NewProgram (microseconds per kernel).
 	Program *ir.Program
 
+	// Reference, when non-nil, is the reference program's output on this
+	// run's input data: the objects Program would leave after running
+	// the kernel under the run's parameters. A validating run
+	// (ValidateEvery) compares its memory against it, object by object,
+	// instead of running the reference program itself. The run only
+	// reads it, so one map may serve concurrent runs of one input. Set by
+	// the job server from its per-built-in memo (exp.Cell.Reference).
+	Reference map[string][]float64
+
 	// Cancel, when non-nil, interrupts the run when closed: the host stops
 	// at the next loop boundary and Run returns an error wrapping
 	// ErrCanceled. Wire a context's Done channel here (WithCancel) to give

@@ -83,14 +83,17 @@ func (m *machine) run(k *ir.Kernel, params map[string]float64, data map[string][
 	if !cfg.HasAccel() {
 		compiled = nil
 	}
-	var refData map[string][]float64
-	if cfg.ValidateEvery {
+	// A validating run without a given reference output runs the
+	// reference program on a copy of the pristine inputs.
+	refData := cfg.Reference
+	runRef := cfg.ValidateEvery && refData == nil
+	if runRef {
 		refData = copyData(data)
 	}
 	// The plain program drives the OoO host and the reference run; an
 	// offloading run's host program comes with its compiled artifact.
 	prog := cfg.Program
-	if (prog == nil || prog.Kernel() != k) && (compiled == nil || cfg.ValidateEvery) {
+	if (prog == nil || prog.Kernel() != k) && (compiled == nil || runRef) {
 		var err error
 		if prog, err = ir.NewProgram(k); err != nil {
 			return nil, fmt.Errorf("sim: %w", err)
@@ -111,8 +114,10 @@ func (m *machine) run(k *ir.Kernel, params map[string]float64, data map[string][
 	}
 	validated := false
 	if cfg.ValidateEvery {
-		if _, err := prog.Run(params, refData, nil); err != nil {
-			return nil, fmt.Errorf("sim: reference run: %w", err)
+		if runRef {
+			if err := RunReference(prog, params, refData); err != nil {
+				return nil, err
+			}
 		}
 		if err := compareData(data, refData); err != nil {
 			return nil, fmt.Errorf("sim: %s on %s: %w", k.Name, cfg.Name, err)
@@ -120,6 +125,16 @@ func (m *machine) run(k *ir.Kernel, params map[string]float64, data map[string][
 		validated = true
 	}
 	return m.collect(k.Name, validated), nil
+}
+
+// RunReference runs the reference program prog over data (mutated in
+// place) under params, the check a validating run compares against. An
+// error reads as a validating run reports it.
+func RunReference(prog *ir.Program, params map[string]float64, data map[string][]float64) error {
+	if _, err := prog.Run(params, data, nil); err != nil {
+		return fmt.Errorf("sim: reference run: %w", err)
+	}
+	return nil
 }
 
 // CompileOptions returns the compiler options a config implies. Configs
