@@ -91,6 +91,55 @@ func TestLevelResetMatchesNew(t *testing.T) {
 	})
 }
 
+// fillLevel inserts a dirty line into every way of every set of l.
+func fillLevel(l *Level) {
+	for i := 0; i < l.sets*l.ways; i++ {
+		l.Insert(int64(i*l.cfg.LineBytes), true)
+	}
+}
+
+// TestLevelResetAcrossGeometry: Reset clears only the sets Insert touched
+// while the geometry stays; across a change of set count or ways it must
+// still leave no line of the old view behind. A level filled in every set
+// (so sets outside the new geometry are touched), Reset to fewer sets, to
+// more ways over the same sets, and to more sets, equals NewLevel's level;
+// filled again and Reset back to its first geometry, it equals that level
+// too and behaves like it access for access.
+func TestLevelResetAcrossGeometry(t *testing.T) {
+	orig := LevelConfig{Name: "orig", SizeBytes: 16 << 10, Ways: 4, LineBytes: 64} // 64 sets
+	for _, cfg := range []LevelConfig{
+		{Name: "fewer-sets", SizeBytes: 4 << 10, Ways: 4, LineBytes: 64},   // 16 sets
+		{Name: "more-ways", SizeBytes: 32 << 10, Ways: 8, LineBytes: 64},   // 64 sets
+		{Name: "fewer-ways", SizeBytes: 4 << 10, Ways: 2, LineBytes: 64},   // 32 sets
+		{Name: "more-sets", SizeBytes: 64 << 10, Ways: 2, LineBytes: 64},   // 512 sets
+		{Name: "wider-lines", SizeBytes: 16 << 10, Ways: 4, LineBytes: 32}, // 128 sets
+		{Name: "same-shape", SizeBytes: 32 << 10, Ways: 4, LineBytes: 128}, // 64 sets
+	} {
+		t.Run(cfg.Name, func(t *testing.T) {
+			l, err := NewLevel(orig, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, next := range []LevelConfig{cfg, orig} {
+				fillLevel(l)
+				if err := l.Reset(next, nil); err != nil {
+					t.Fatal(err)
+				}
+				fresh, err := NewLevel(next, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(l, fresh) {
+					t.Fatalf("%s reset to %s differs from a new level", l.cfg.Name, next.Name)
+				}
+				if got, want := driveLevel(l, 3, 3000), driveLevel(fresh, 3, 3000); !reflect.DeepEqual(got, want) {
+					t.Fatalf("level reset to %s diverges from a new one", next.Name)
+				}
+			}
+		})
+	}
+}
+
 // hierParts builds a fresh memory, mesh and meter for a hierarchy.
 func hierParts() (*dram.Memory, *noc.Mesh, *energy.Meter) {
 	meter := energy.NewMeter(energy.Default32nm())

@@ -1,6 +1,8 @@
 package ir
 
 import (
+	"bytes"
+	"encoding/gob"
 	"strings"
 	"testing"
 )
@@ -71,4 +73,38 @@ func TestProgramFromImageVerifies(t *testing.T) {
 	if _, err := ProgramFromImage(p.Image(), k); err != nil {
 		t.Fatalf("the uncorrupted image: %v", err)
 	}
+}
+
+// FuzzProgramImage feeds arbitrary bytes through the image decoder (gob,
+// as the artifact store reads a .program.gob) and ProgramFromImage against
+// the kernel the seed images were compiled from. Neither may panic: a
+// corrupt file on disk is a load error and a recompile.
+func FuzzProgramImage(f *testing.F) {
+	k := vmKernel()
+	p, err := NewProgram(k)
+	if err != nil {
+		f.Fatal(err)
+	}
+	encode := func(img Image) []byte {
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(img); err != nil {
+			f.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	valid := encode(p.Image())
+	f.Add(valid)
+	f.Add(valid[:len(valid)/2])
+	corrupt := p.Image()
+	corrupt.Code = append([]Op(nil), corrupt.Code...)
+	corrupt.Code[0].A = int32(corrupt.NSlots + len(corrupt.Consts) + corrupt.NRegs)
+	f.Add(encode(corrupt))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		var img Image
+		if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&img); err != nil {
+			return
+		}
+		ProgramFromImage(img, k)
+	})
 }
