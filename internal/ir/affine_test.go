@@ -197,6 +197,43 @@ func TestEvalScalarRejectsLoads(t *testing.T) {
 	}
 }
 
+// TestEvalScalarErrors pins EvalScalar's error texts, including which
+// error comes first when an expression holds several: Bin evaluates A then
+// B, and Sel evaluates its condition and both arms.
+func TestEvalScalarErrors(t *testing.T) {
+	params := map[string]float64{"N": 4}
+	ivs := map[string]float64{"i": 1}
+	for _, c := range []struct {
+		e    Expr
+		want string
+	}{
+		{P("M"), `ir: kernel "EvalScalar": read of unknown parameter "M"`},
+		{P("i"), `ir: kernel "EvalScalar": read of unknown parameter "i"`},
+		{V("j"), `ir: kernel "EvalScalar": read of induction variable "j" outside its loop`},
+		{V("N"), `ir: kernel "EvalScalar": read of induction variable "N" outside its loop`},
+		{L("x"), `ir: kernel "EvalScalar": read of undefined local "x"`},
+		{Ld("A", C(0)), `ir: kernel "EvalScalar": access to undeclared object "A"`},
+		{Ld("A", L("x")), `ir: kernel "EvalScalar": access to undeclared object "A"`},
+		{DivE(P("N"), C(0)), `ir: kernel "EvalScalar": ir: division by zero`},
+		{ModE(V("i"), C(0.5)), `ir: kernel "EvalScalar": ir: division by zero`},
+		{AddE(L("a"), P("B")), `ir: kernel "EvalScalar": read of undefined local "a"`},
+		{AddE(DivE(C(1), C(0)), L("b")), `ir: kernel "EvalScalar": ir: division by zero`},
+		{NegE(V("k")), `ir: kernel "EvalScalar": read of induction variable "k" outside its loop`},
+		{SelE(C(1), C(2), L("f")), `ir: kernel "EvalScalar": read of undefined local "f"`},
+		{SelE(C(0), L("t"), C(3)), `ir: kernel "EvalScalar": read of undefined local "t"`},
+		{SelE(P("c"), L("t"), L("f")), `ir: kernel "EvalScalar": read of unknown parameter "c"`},
+		{nil, `ir: kernel "EvalScalar": unknown expression <nil>`},
+	} {
+		v, err := EvalScalar(c.e, params, ivs)
+		if err == nil || err.Error() != c.want {
+			t.Errorf("EvalScalar(%v) = %v, %v; want error %q", c.e, v, err, c.want)
+		}
+	}
+	if v, err := EvalScalar(SelE(LtE(V("i"), P("N")), ModE(C(7), P("N")), C(0)), params, ivs); err != nil || v != 3 {
+		t.Errorf("EvalScalar(sel) = %v, %v; want 3", v, err)
+	}
+}
+
 func TestAffineStringAndIVs(t *testing.T) {
 	a, ok := AnalyzeAffine(AddE(MulE(C(3), V("i")), AddE(V("j"), C(7))), map[string]bool{"i": true, "j": true}, nil)
 	if !ok {
