@@ -212,7 +212,7 @@ func BenchmarkFig12aCaseStudies(b *testing.B) {
 	w := workloads.SpMV(benchScale())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sim.RunAnnotated(w.Kernel, w.Params, w.NewData(), sim.DistDAIO(), exp.AnnotateSpMVBNS(w)); err != nil {
+		if _, err := sim.RunAnnotated(w.Kernel, w.Params, w.NewData(), sim.DistDAIO(), exp.AnnotateSpMVNest(true)); err != nil {
 			b.Fatal(err)
 		}
 	}

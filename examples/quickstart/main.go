@@ -41,7 +41,7 @@ func main() {
 
 	// The compiler partitions the loop into per-object accelerator
 	// definitions; the simulator validates the run against the reference
-	// interpreter automatically.
+	// bytecode program's output on the same input automatically.
 	var base *sim.Result
 	for _, cfg := range []sim.Config{sim.OoO(), sim.DistDAIO(), sim.DistDAF()} {
 		res, err := sim.Run(kernel, params, gen(), cfg)

@@ -37,14 +37,14 @@ func main() {
 
 	// Dist-DA-BN: user-identified whole-nest offload with the loop control
 	// localized on the accelerator (bounds fetched with cp_read).
-	bn, err := sim.RunAnnotated(w.Kernel, w.Params, w.NewData(), sim.DistDAIO(), exp.AnnotateSpMVBN(w))
+	bn, err := sim.RunAnnotated(w.Kernel, w.Params, w.NewData(), sim.DistDAIO(), exp.AnnotateSpMVNest(false))
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("%-28s %10d cycles (%.2fx)\n", "Dist-DA-BN (localized ctrl)", bn.Cycles, bn.SpeedupVs(base))
 
 	// Dist-DA-BNS: the hand-annotated whole-nest schedule.
-	bns, err := sim.RunAnnotated(w.Kernel, w.Params, w.NewData(), sim.DistDAIO(), exp.AnnotateSpMVBNS(w))
+	bns, err := sim.RunAnnotated(w.Kernel, w.Params, w.NewData(), sim.DistDAIO(), exp.AnnotateSpMVNest(true))
 	if err != nil {
 		log.Fatal(err)
 	}

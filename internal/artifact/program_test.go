@@ -14,6 +14,16 @@ import (
 	"distda/internal/workloads"
 )
 
+// runFresh runs k on a program compiled for this call, the reference a
+// cached, rebound or disk-loaded program must match.
+func runFresh(k *ir.Kernel, params map[string]float64, mem map[string][]float64) (*ir.Counts, error) {
+	p, err := ir.NewProgram(k)
+	if err != nil {
+		return nil, err
+	}
+	return p.Run(params, mem, nil)
+}
+
 func TestProgramKeyDeterministicAndSensitive(t *testing.T) {
 	k, _ := testKernel(t)
 	a := ProgramKey("fdtd-2d", "test", k)
@@ -74,7 +84,7 @@ func TestProgramRebindOnNewKernelInstance(t *testing.T) {
 	if st.Rebinds != 1 || st.Compiles != 1 {
 		t.Fatalf("stats: %+v", st)
 	}
-	// Rebound programs must still match the interpreter.
+	// Rebound programs must still match a freshly compiled program.
 	data := w2.NewData()
 	dataI := map[string][]float64{}
 	for name, buf := range data {
@@ -82,13 +92,13 @@ func TestProgramRebindOnNewKernelInstance(t *testing.T) {
 		copy(cp, buf)
 		dataI[name] = cp
 	}
-	want, errI := ir.Run(w2.Kernel, w2.Params, dataI, nil)
+	want, errI := runFresh(w2.Kernel, w2.Params, dataI)
 	got, errV := p2.Run(w2.Params, data, nil)
 	if errI != nil || errV != nil {
 		t.Fatalf("errI=%v errV=%v", errI, errV)
 	}
 	if !reflect.DeepEqual(want, got) {
-		t.Fatal("rebound program counts diverge from interpreter")
+		t.Fatal("rebound program counts diverge from a fresh compile")
 	}
 }
 
@@ -116,13 +126,13 @@ func TestProgramDiskRoundTrip(t *testing.T) {
 	if st.DiskHits != 1 || st.Compiles != 0 {
 		t.Fatalf("stats: %+v", st)
 	}
-	want, errI := ir.Run(w2.Kernel, w2.Params, w2.NewData(), nil)
+	want, errI := runFresh(w2.Kernel, w2.Params, w2.NewData())
 	got, errV := p.Run(w2.Params, w2.NewData(), nil)
 	if errI != nil || errV != nil {
 		t.Fatalf("errI=%v errV=%v", errI, errV)
 	}
 	if want.Ops != got.Ops || want.Loads != got.Loads || want.Stores != got.Stores {
-		t.Fatal("disk-loaded program diverges from interpreter")
+		t.Fatal("disk-loaded program diverges from a fresh compile")
 	}
 }
 
@@ -207,7 +217,7 @@ func TestProgramImageFailingVerifyRecompiles(t *testing.T) {
 	for name, buf := range memWant {
 		memGot[name] = append([]float64(nil), buf...)
 	}
-	want, err := ir.Run(k, w.Params, memWant, nil)
+	want, err := runFresh(k, w.Params, memWant)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,6 +226,6 @@ func TestProgramImageFailingVerifyRecompiles(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(want, got) || !reflect.DeepEqual(memWant, memGot) {
-		t.Fatal("recompiled program diverges from the interpreter")
+		t.Fatal("recompiled program diverges from a fresh compile")
 	}
 }

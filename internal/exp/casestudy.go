@@ -36,10 +36,10 @@ func fig12aCaseStudies(scale workloads.Scale) figure {
 		// BN: user-identified blocked loop nest — the whole nest is one
 		// offload with the inner-loop bounds fetched by the accelerator
 		// itself.
-		{W: spmv, Scale: scale, Cfg: sim.DistDAIO(), Annotate: AnnotateSpMVBN(spmv)},
+		{W: spmv, Scale: scale, Cfg: sim.DistDAIO(), Annotate: AnnotateSpMVNest(false)},
 		// BNS: whole-nest offload with produced bounds and an explicit
 		// cp_fill_ra block schedule for x.
-		{W: spmv, Scale: scale, Cfg: sim.DistDAIO(), Annotate: AnnotateSpMVBNS(spmv)},
+		{W: spmv, Scale: scale, Cfg: sim.DistDAIO(), Annotate: AnnotateSpMVNest(true)},
 		{W: nw, Scale: scale, Cfg: sim.OoO()},
 		{W: nw, Scale: scale, Cfg: blocked},
 		// BN: the blocked loop nest with localized epilogue control (the
@@ -69,25 +69,17 @@ func fig12aCaseStudies(scale workloads.Scale) figure {
 	}}
 }
 
-// AnnotateSpMVBN offloads the whole spmv loop nest as a single accelerator
-// (the §VI-D Dist-DA-BN configuration): per nonzero it streams val/colidx,
-// gathers x, and at each row boundary writes y and fetches the next bound
-// itself with cp_read — localizing the nested loop control without the
-// bounds-producer pipeline.
-func AnnotateSpMVBN(w *workloads.Workload) func(*compiler.Compiled) error {
-	return annotateSpMVNest(false)
-}
-
-// AnnotateSpMVBNS replaces the automated per-row mapping with the
-// user-specified whole-nest schedule (Dist-DA-BNS): accelerator A0 streams
-// the row pointers and produces inner-loop bounds (Fig. 5a) consumed by the
-// compute pipeline, and x is block-fetched into the local buffer with
-// cp_fill_ra — predicated channel ops, Table V's "U" rows.
-func AnnotateSpMVBNS(w *workloads.Workload) func(*compiler.Compiled) error {
-	return annotateSpMVNest(true)
-}
-
-func annotateSpMVNest(producedBounds bool) func(*compiler.Compiled) error {
+// AnnotateSpMVNest offloads the whole spmv loop nest as a single
+// accelerator. Without producedBounds it is the §VI-D Dist-DA-BN
+// configuration: per nonzero it streams val/colidx, gathers x, and at each
+// row boundary writes y and fetches the next bound itself with cp_read,
+// localizing the nested loop control without the bounds-producer pipeline.
+// With producedBounds it is the user-specified schedule Dist-DA-BNS:
+// accelerator A0 streams the row pointers and produces inner-loop bounds
+// (Fig. 5a) consumed by the compute pipeline, and x is block-fetched into
+// the local buffer with cp_fill_ra (predicated channel ops, Table V's "U"
+// rows).
+func AnnotateSpMVNest(producedBounds bool) func(*compiler.Compiled) error {
 	return func(c *compiler.Compiled) error {
 		loops := ir.Loops(c.Kernel.Body)
 		if len(loops) != 2 {

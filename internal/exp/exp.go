@@ -6,6 +6,7 @@ package exp
 import (
 	"fmt"
 
+	"distda/internal/core"
 	"distda/internal/ir"
 	"distda/internal/profile"
 	"distda/internal/report"
@@ -339,30 +340,27 @@ func (m *Matrix) Tab6OffloadCharacteristics() (*report.Table, error) {
 // Tab5MechanismCoverage reproduces Table V: which interface mechanisms each
 // benchmark's compiled offloads exercise (C = compiler automated).
 func (m *Matrix) Tab5MechanismCoverage() *report.Table {
-	names := []string{"cp_produce", "cp_consume", "cp_write", "cp_read", "cp_step",
-		"cp_fill_buf", "cp_drain_buf", "cp_config", "cp_config_stream", "cp_set_rf", "cp_load_rf", "cp_run"}
+	cols := []core.Intrinsic{core.CpProduce, core.CpConsume, core.CpWrite, core.CpRead, core.CpStep,
+		core.CpFillBuf, core.CpDrainBuf, core.CpConfig, core.CpConfigStream, core.CpSetRF, core.CpLoadRF, core.CpRun}
 	t := &report.Table{
 		Title:   "Table V: interface mechanism coverage (C = compiler automated)",
-		Columns: append([]string{"benchmark"}, names...),
+		Columns: []string{"benchmark"},
+	}
+	for _, in := range cols {
+		t.Columns = append(t.Columns, in.String())
 	}
 	for _, w := range m.Workloads {
 		r := m.get(w.Name, "Dist-DA-IO")
 		row := []string{w.Name}
-		if r == nil {
-			for range names {
+		for _, in := range cols {
+			switch {
+			case r == nil:
 				row = append(row, report.NA)
+			case r.MMIO[in] > 0:
+				row = append(row, "C")
+			default:
+				row = append(row, "")
 			}
-			t.AddRow(row...)
-			continue
-		}
-		for _, n := range names {
-			mark := ""
-			for _, in := range coreIntrinsics() {
-				if in.String() == n && r.MMIO[in] > 0 {
-					mark = "C"
-				}
-			}
-			row = append(row, mark)
 		}
 		t.AddRow(row...)
 	}

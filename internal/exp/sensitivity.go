@@ -3,14 +3,11 @@ package exp
 import (
 	"fmt"
 
-	"distda/internal/core"
 	"distda/internal/energy"
 	"distda/internal/report"
 	"distda/internal/sim"
 	"distda/internal/workloads"
 )
-
-func coreIntrinsics() []core.Intrinsic { return core.Intrinsics() }
 
 // figure is one simulated section of §VI: its cells, declared in the
 // order their inputs are drawn on the section's own workload instances,

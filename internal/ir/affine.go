@@ -205,15 +205,64 @@ func simplifyMul(a, b Expr) Expr {
 // EvalScalar evaluates an expression containing only constants, parameters
 // and induction variables with the supplied bindings. It rejects loads and
 // locals: it exists to evaluate stream configuration values (start, stride)
-// at offload time.
-func EvalScalar(e Expr, params, ivs map[string]float64) (v float64, err error) {
-	in := &interp{k: &Kernel{Name: "EvalScalar"}, counts: &Counts{}}
-	for name, x := range params {
-		in.params = append(in.params, binding{name: name, v: x})
+// at offload time. A Bin evaluates A then B and a Sel its condition and
+// both arms, so an expression with several faults reports the first.
+func EvalScalar(e Expr, params, ivs map[string]float64) (float64, error) {
+	switch x := e.(type) {
+	case Const:
+		return x.V, nil
+	case Param:
+		if v, ok := params[x.Name]; ok {
+			return v, nil
+		}
+		return 0, scalarError("read of unknown parameter %q", x.Name)
+	case IV:
+		if v, ok := ivs[x.Name]; ok {
+			return v, nil
+		}
+		return 0, scalarError("read of induction variable %q outside its loop", x.Name)
+	case Local:
+		return 0, scalarError("read of undefined local %q", x.Name)
+	case Load:
+		return 0, scalarError("access to undeclared object %q", x.Obj)
+	case Bin:
+		a, err := EvalScalar(x.A, params, ivs)
+		if err != nil {
+			return 0, err
+		}
+		b, err := EvalScalar(x.B, params, ivs)
+		if err != nil {
+			return 0, err
+		}
+		v, err := ApplyBin(x.Op, a, b)
+		if err != nil {
+			return 0, scalarError("%v", err)
+		}
+		return v, nil
+	case Un:
+		a, err := EvalScalar(x.A, params, ivs)
+		if err != nil {
+			return 0, err
+		}
+		return ApplyUn(x.Op, a), nil
+	case Sel:
+		var arms [3]float64
+		for i, arm := range [3]Expr{x.Cond, x.T, x.F} {
+			v, err := EvalScalar(arm, params, ivs)
+			if err != nil {
+				return 0, err
+			}
+			arms[i] = v
+		}
+		if arms[0] != 0 {
+			return arms[1], nil
+		}
+		return arms[2], nil
+	default:
+		return 0, scalarError("unknown expression %T", e)
 	}
-	for name, x := range ivs {
-		in.ivs = append(in.ivs, binding{name: name, v: x})
-	}
-	defer catch(&err)
-	return in.eval(e), nil
+}
+
+func scalarError(format string, args ...any) error {
+	return fmt.Errorf(`ir: kernel "EvalScalar": `+format, args...)
 }

@@ -6,12 +6,12 @@ import (
 )
 
 // This file lowers a validated kernel to a flat register-based bytecode.
-// The tree-walk interpreter (interp.go) stays as the semantic reference;
-// the VM (vm.go) executes the bytecode with identical Counts, identical
-// hook events, identical error behavior and identical stored data. It is
-// the simulator's one kernel executor: the reference run that validates
-// every simulation, Table VI's dynamic counts, and the host timing model,
-// which runs a host program (NewHostProgram) with hooks installed.
+// The VM (vm.go) executes it; it is the one kernel executor outside
+// tests: the reference run that validates every simulation, Table VI's
+// dynamic counts, and the host timing model, which runs a host program
+// (NewHostProgram) with hooks installed. The tree-walk interpreter in
+// interp_oracle_test.go is the semantic reference it is tested against:
+// identical Counts, hook events, error behavior and stored data.
 //
 // A run executes over one flat frame of float64s:
 //
@@ -130,7 +130,7 @@ func (p *Program) String() string {
 }
 
 // NewProgram validates k and lowers it to bytecode. The error for an
-// invalid kernel is exactly the Validate error ir.Run would return.
+// invalid kernel is exactly the Validate error.
 func NewProgram(k *Kernel) (*Program, error) { return NewHostProgram(k, nil) }
 
 // NewHostProgram is NewProgram with every loop in offloads lowered to a

@@ -1,7 +1,9 @@
 package ir
 
 // Exports for the external tests in package ir_test, which can import the
-// workloads (package ir's own tests cannot: workloads imports ir).
+// workloads (package ir's own tests cannot: workloads imports ir). Run,
+// the tree-walk reference interpreter, needs no alias here: it is defined
+// exported in interp_oracle_test.go, part of package ir only in tests.
 
 // NumOpCodes is one past the last defined opcode.
 const NumOpCodes = numOpCodes

@@ -9,8 +9,9 @@ import (
 var ErrDivideByZero = errors.New("ir: division by zero")
 
 // ApplyBin evaluates a binary operator on concrete values. It is the single
-// definition of operator semantics shared by the interpreter, the scalar
-// evaluator and the accelerator execution models.
+// definition of operator semantics shared by the bytecode VM, the scalar
+// evaluator (EvalScalar), the tree-walk reference interpreter in this
+// package's tests and the accelerator execution models.
 func ApplyBin(op BinOp, a, b float64) (float64, error) {
 	switch op {
 	case Add:

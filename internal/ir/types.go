@@ -1,6 +1,9 @@
 // Package ir defines the kernel intermediate representation consumed by the
-// Dist-DA compiler and the reference interpreter used to validate simulated
-// executions.
+// Dist-DA compiler, and the bytecode VM (NewProgram, Program.Run) that runs
+// a kernel outside the simulator: the reference output that validates
+// simulated executions, Table VI's dynamic counts and the host timing
+// model. This package's tests hold the VM to a tree-walk reference
+// interpreter.
 //
 // A Kernel is an imperative loop nest over named memory objects. Index
 // expressions are ordinary expressions; the compiler classifies them as

@@ -26,8 +26,9 @@ func (v *vm) failIndex(obj int32, idx int) {
 // Run executes the compiled program against mem (modified in place) and
 // returns dynamic counts. Semantics — evaluation order, Counts, hook
 // event sequences, error messages, stored data — are bit-identical to
-// ir.Run on the same kernel; the differential tests in this package hold
-// the two executors to that. A host program runs only with OnLaunch set.
+// the tree-walk reference interpreter on the same kernel (Run, defined in
+// this package's tests); the differential tests and FuzzVMvsInterp hold
+// the VM to it. A host program runs only with OnLaunch set.
 func (p *Program) Run(params map[string]float64, mem map[string][]float64, hooks *Hooks) (counts *Counts, err error) {
 	if len(p.sites) > 0 && (hooks == nil || hooks.OnLaunch == nil) {
 		return nil, fmt.Errorf("ir: kernel %q: host program run without an OnLaunch hook", p.img.KernelName)
@@ -54,8 +55,8 @@ func (p *Program) Run(params map[string]float64, mem map[string][]float64, hooks
 	if hooks == nil {
 		v.exec()
 	} else {
-		// The hooked variant pays the per-event nil checks the
-		// interpreter pays; the hooks-off loop above pays none.
+		// The hooked variant pays a nil check per event; the
+		// hooks-off loop above pays none.
 		v.hooks = *hooks
 		v.taint = make([]Taint, n)
 		v.execHooked(0, len(p.img.Code))
@@ -64,8 +65,8 @@ func (p *Program) Run(params map[string]float64, mem map[string][]float64, hooks
 }
 
 // counts multiplies every block's tally by its entry count. ByLoop gets
-// an entry only for loops that iterated, as in the interpreter; loops
-// that share a *For node sum into one entry.
+// an entry only for loops that iterated, as in the reference interpreter;
+// loops that share a *For node sum into one entry.
 func (v *vm) counts() *Counts {
 	c := &Counts{ByLoop: map[*For]*LoopCounts{}}
 	lcs := make([]*LoopCounts, len(v.p.loops))

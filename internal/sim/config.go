@@ -3,13 +3,14 @@
 // monolithic accelerator with centralized accesses (Mono-CA), monolithic
 // compute with decentralized accesses (Mono-DA-IO/-F), and distributed
 // compute with decentralized accesses (Dist-DA-IO/-F). Offloaded regions
-// execute functionally inside the cycle engine and results are validated
-// against the reference interpreter.
+// execute functionally inside the cycle engine, and a validating run
+// (Config.ValidateEvery) compares the memory it leaves with the reference
+// bytecode program's output on the same input (RunReference, or
+// Config.Reference when the caller already holds it).
 package sim
 
 import (
 	"distda/internal/backend"
-	"distda/internal/compiler"
 	"distda/internal/engine"
 	"distda/internal/ir"
 	"distda/internal/profile"
@@ -47,13 +48,12 @@ type Config struct {
 	OffChip          bool
 	OffChipThreshold int
 
-	CompilerMode  compiler.Mode
 	MaxEngine     int64 // engine budget per launch, base cycles
 	PrivCacheKB   int   // Mono-CA private cache size (0 = none)
 	NoObjConstr   bool  // ablation: drop ≤1-object preference
 	PlaceAtHost   bool  // ablation: ignore placement hints, keep accels at the host tile
 	Threads       int   // software threads for parallel-annotated loops
-	ValidateEvery bool  // compare against the interpreter after Run
+	ValidateEvery bool  // compare against the reference program's output after Run
 
 	// Trace, when non-nil, receives cycle-accurate span/instant events from
 	// the host timeline, the engine scheduler and every assembled component
@@ -135,7 +135,6 @@ func MonoCA() Config {
 		WithBackend("iocore"),
 		WithAccelGHz(2),
 		WithCentralized(true),
-		WithCompilerMode(compiler.ModeMono),
 		WithPrivCacheKB(8))
 }
 
@@ -145,8 +144,7 @@ func MonoDAIO() Config {
 	return MustConfig(Base,
 		WithName("Mono-DA-IO"),
 		WithBackend("iocore"),
-		WithAccelGHz(2),
-		WithCompilerMode(compiler.ModeMono))
+		WithAccelGHz(2))
 }
 
 // MonoDAF is monolithic compute with decentralized accesses on an 8x8 CGRA
@@ -155,8 +153,7 @@ func MonoDAF() Config {
 	return MustConfig(Base,
 		WithName("Mono-DA-F"),
 		WithBackend("cgra", backend.Opt("grid", "8x8")),
-		WithAccelGHz(1),
-		WithCompilerMode(compiler.ModeMono))
+		WithAccelGHz(1))
 }
 
 // DistDAIO is distributed compute + decentralized accesses on in-order
@@ -166,8 +163,7 @@ func DistDAIO() Config {
 		WithName("Dist-DA-IO"),
 		WithBackend("iocore"),
 		WithAccelGHz(2),
-		WithDistribute(true),
-		WithCompilerMode(compiler.ModeDist))
+		WithDistribute(true))
 }
 
 // DistDAF is distributed compute + decentralized accesses on 5x5 CGRA
@@ -177,8 +173,7 @@ func DistDAF() Config {
 		WithName("Dist-DA-F"),
 		WithBackend("cgra", backend.Opt("grid", "5x5")),
 		WithAccelGHz(1),
-		WithDistribute(true),
-		WithCompilerMode(compiler.ModeDist))
+		WithDistribute(true))
 }
 
 // DistDAIOSW is Fig. 14's Dist-DA-IO+SW: issue width 4 plus software

@@ -7,7 +7,6 @@ import (
 
 	"distda/internal/backend"
 	"distda/internal/backend/all"
-	"distda/internal/compiler"
 	"distda/internal/ir"
 )
 
@@ -183,9 +182,6 @@ func WithOffChip(threshold int) Option {
 	}
 }
 
-// WithCompilerMode selects the compute-distribution lowering.
-func WithCompilerMode(m compiler.Mode) Option { return func(c *Config) { c.CompilerMode = m } }
-
 // WithPrivCacheKB sets the Mono-CA private cache size (0 = none).
 func WithPrivCacheKB(kb int) Option { return func(c *Config) { c.PrivCacheKB = kb } }
 
@@ -198,7 +194,7 @@ func WithoutObjConstraint() Option { return func(c *Config) { c.NoObjConstr = tr
 func WithPlaceAtHost() Option { return func(c *Config) { c.PlaceAtHost = true } }
 
 // WithValidation toggles the per-run comparison against the reference
-// interpreter.
+// bytecode program's output on the run's input (see RunReference).
 func WithValidation(on bool) Option { return func(c *Config) { c.ValidateEvery = on } }
 
 // WithProgram supplies a pre-compiled bytecode program for reference

@@ -153,11 +153,11 @@ func (m *machine) collect(workload string, validated bool) *Result {
 }
 
 // compareData checks simulated object contents against the reference
-// interpreter's, with a small relative tolerance for floating-point
-// reassociation (none is expected: both execute in loop order). A
-// non-finite value matches only an equal value, and NaN matches NaN: the
-// tolerance test alone would pass any pair involving NaN or ±Inf, since
-// its difference is NaN or its scale infinite.
+// program's output, with a small tolerance, 1e-9 × max(|got|, |want|, 1),
+// for floating-point reassociation (none is expected: both execute in loop
+// order). A non-finite value matches only an equal value, and NaN matches
+// NaN: the tolerance test alone would pass any pair involving NaN or ±Inf,
+// since its difference is NaN or its scale infinite.
 func compareData(got, want map[string][]float64) error {
 	for name, w := range want {
 		g, ok := got[name]

@@ -9,8 +9,9 @@ import (
 
 // Run executes kernel k with the given parameters and input data under one
 // configuration. data is consumed (mutated); pass a fresh generation per
-// run. The result is validated against the reference interpreter when the
-// config requests it.
+// run. When the config requests it (ValidateEvery), the memory the run
+// leaves is compared with the reference bytecode program's output on the
+// same input (RunReference, or Config.Reference when set).
 func Run(k *ir.Kernel, params map[string]float64, data map[string][]float64, cfg Config) (*Result, error) {
 	return RunAnnotated(k, params, data, cfg, nil)
 }
@@ -139,10 +140,17 @@ func RunReference(prog *ir.Program, params map[string]float64, data map[string][
 
 // CompileOptions returns the compiler options a config implies. Configs
 // mapping to equal options compile identically, which the experiment
-// matrix exploits to memoize compilation across configurations.
+// matrix exploits to memoize compilation across configurations. An
+// accelerator config without Distribute (Mono-CA, Mono-DA) lowers to one
+// monolithic partition; Dist-DA configs and the accelerator-free OoO
+// baseline keep the distributed lowering, the zero compiler.Mode.
 func CompileOptions(cfg Config) compiler.Options {
+	mode := compiler.ModeDist
+	if cfg.HasAccel() && !cfg.Distribute {
+		mode = compiler.ModeMono
+	}
 	return compiler.Options{
-		Mode:                   cfg.CompilerMode,
+		Mode:                   mode,
 		NoObjConstraint:        cfg.NoObjConstr,
 		NoStreamSpecialization: cfg.NoStreams,
 		NoEpilogueFold:         cfg.NoFolding,

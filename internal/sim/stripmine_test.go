@@ -59,11 +59,17 @@ func TestStripMineParallelInnermost(t *testing.T) {
 			return map[string][]float64{"A": a, "B": b}
 		}
 		d1, d2 := mk(), mk()
-		if _, err := ir.Run(k, params, d1, nil); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := ir.Run(out, params, d2, nil); err != nil {
-			t.Fatal(err)
+		for _, run := range []struct {
+			k *ir.Kernel
+			d map[string][]float64
+		}{{k, d1}, {out, d2}} {
+			prog, err := ir.NewProgram(run.k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := prog.Run(params, run.d, nil); err != nil {
+				t.Fatal(err)
+			}
 		}
 		for i := range d1["B"] {
 			if d1["B"][i] != d2["B"][i] {

@@ -19,9 +19,18 @@ func TestAllKernelsValidate(t *testing.T) {
 	}
 }
 
+// runKernel runs k on the bytecode VM, the executor every simulation uses.
+func runKernel(k *ir.Kernel, params map[string]float64, mem map[string][]float64) (*ir.Counts, error) {
+	p, err := ir.NewProgram(k)
+	if err != nil {
+		return nil, err
+	}
+	return p.Run(params, mem, nil)
+}
+
 func TestAllKernelsInterpret(t *testing.T) {
 	for _, w := range All(ScaleTest) {
-		counts, err := ir.Run(w.Kernel, w.Params, w.NewData(), nil)
+		counts, err := runKernel(w.Kernel, w.Params, w.NewData())
 		if err != nil {
 			t.Fatalf("%s: %v", w.Name, err)
 		}
@@ -121,7 +130,7 @@ func TestMTVariantsHaveParallelLoops(t *testing.T) {
 		if !par {
 			t.Errorf("%s: no parallel loop", w.Name)
 		}
-		if _, err := ir.Run(w.Kernel, w.Params, w.NewData(), nil); err != nil {
+		if _, err := runKernel(w.Kernel, w.Params, w.NewData()); err != nil {
 			t.Fatalf("%s: %v", w.Name, err)
 		}
 	}
@@ -131,7 +140,7 @@ func TestCholeskyFactorizes(t *testing.T) {
 	w := Cholesky(ScaleTest)
 	data := w.NewData()
 	orig := append([]float64{}, data["A"]...)
-	if _, err := ir.Run(w.Kernel, w.Params, data, nil); err != nil {
+	if _, err := runKernel(w.Kernel, w.Params, data); err != nil {
 		t.Fatal(err)
 	}
 	// Check L·Lᵀ ≈ original on a few entries.
@@ -153,7 +162,7 @@ func TestCholeskyFactorizes(t *testing.T) {
 func TestBFSReachesAllLevels(t *testing.T) {
 	w := BFS(ScaleTest)
 	data := w.NewData()
-	if _, err := ir.Run(w.Kernel, w.Params, data, nil); err != nil {
+	if _, err := runKernel(w.Kernel, w.Params, data); err != nil {
 		t.Fatal(err)
 	}
 	visited := 0

@@ -111,21 +111,6 @@ stage_gates() {
         exit 1
     fi
 
-    echo "== no tree-walk ir.Run on non-test hot paths"
-    # The bytecode VM (ir.Program.Run, via ir.NewProgram / the artifact program
-    # cache) replaced the tree-walk interpreter everywhere results are produced;
-    # ir.Run survives as the reference semantics for differential tests only.
-    # Non-test code outside internal/ir must not call it, or the hot paths
-    # silently regress to the slow executor.
-    viol=$(grep -rn 'ir\.Run(' cmd internal examples --include='*.go' \
-        | grep -v '^internal/ir/' \
-        | grep -v '_test\.go:' || true)
-    if [ -n "$viol" ]; then
-        echo "tree-walk ir.Run outside internal/ir or tests (use ir.NewProgram(k) or Cache.GetOrProgram, then Program.Run):" >&2
-        echo "$viol" >&2
-        exit 1
-    fi
-
     echo "== one kernel executor"
     # The host timing model runs every kernel on the bytecode VM: the VM
     # reports ops, loads, stores, branches, iterations and launches through
